@@ -11,13 +11,7 @@ package meraligner_test
 // for the full-size numbers.
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/internal/expt"
@@ -115,8 +109,8 @@ func BenchmarkPipelineThreaded(b *testing.B) {
 	}
 }
 
-// engineWorkload is the shared data set of the engine-comparison benchmark
-// and the recorded baseline.
+// engineWorkload is the PR-1 engine data set the snapshot parity test and
+// BenchmarkSnapshotOpen share.
 func engineWorkload(tb testing.TB) *genome.DataSet {
 	p := genome.HumanLike(200_000)
 	p.Depth = 6
@@ -126,391 +120,4 @@ func engineWorkload(tb testing.TB) *genome.DataSet {
 		tb.Fatal(err)
 	}
 	return ds
-}
-
-// BenchmarkEngines runs the two execution engines side by side on one
-// workload: the simulated PGAS pipeline (host time includes cost-model
-// bookkeeping; its OUTPUT time is virtual) and the threaded engine at a
-// sweep of worker counts (host time IS the measurement). The threaded
-// sweep is the per-PR scaling trajectory; see BENCH_threaded.json for the
-// recorded baseline.
-func BenchmarkEngines(b *testing.B) {
-	ds := engineWorkload(b)
-	opt := meraligner.DefaultOptions(31)
-
-	b.Run("sim-48threads", func(b *testing.B) {
-		mach := meraligner.Edison(48)
-		for i := 0; i < b.N; i++ {
-			if _, err := meraligner.Align(mach, opt, ds.Contigs, ds.Reads); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	workerSweep := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		workerSweep = append(workerSweep, n)
-	}
-	for _, w := range workerSweep {
-		b.Run(fmt.Sprintf("threaded-%dw", w), func(b *testing.B) {
-			var reads, wall float64
-			for i := 0; i < b.N; i++ {
-				res, err := meraligner.AlignThreaded(w, opt, ds.Contigs, ds.Reads)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reads += float64(res.TotalReads)
-				wall += res.TotalRealWall()
-			}
-			b.ReportMetric(reads/wall, "reads/s")
-		})
-	}
-}
-
-// TestRecordEngineBaseline writes BENCH_threaded.json — the committed perf
-// baseline future PRs diff against — when MERALIGNER_RECORD_BASELINE=1:
-//
-//	MERALIGNER_RECORD_BASELINE=1 go test -run TestRecordEngineBaseline .
-func TestRecordEngineBaseline(t *testing.T) {
-	if os.Getenv("MERALIGNER_RECORD_BASELINE") == "" {
-		t.Skip("set MERALIGNER_RECORD_BASELINE=1 to (re)record BENCH_threaded.json")
-	}
-	ds := engineWorkload(t)
-	opt := meraligner.DefaultOptions(31)
-
-	type engineRow struct {
-		Workers      int     `json:"workers"`
-		TotalWallS   float64 `json:"total_wall_s"`
-		AlignWallS   float64 `json:"align_wall_s"`
-		ReadsPerSec  float64 `json:"reads_per_s"`
-		AlignedReads int     `json:"aligned_reads"`
-	}
-	baseline := struct {
-		Workload    string      `json:"workload"`
-		Reads       int         `json:"reads"`
-		K           int         `json:"k"`
-		HostCPUs    int         `json:"host_cpus"`
-		GoOS        string      `json:"goos"`
-		GoArch      string      `json:"goarch"`
-		SimWallS    float64     `json:"sim_simulated_wall_s"`
-		Threaded    []engineRow `json:"threaded"`
-		Description string      `json:"description"`
-	}{
-		Workload: "human-like 200kb, depth 6, k=31", Reads: len(ds.Reads), K: opt.K,
-		HostCPUs: runtime.NumCPU(), GoOS: runtime.GOOS, GoArch: runtime.GOARCH,
-		Description: "engine baseline: simulated wall is virtual seconds on a 48-thread " +
-			"Edison model; threaded rows are best-of-3 measured host seconds per worker " +
-			"count. Interpret scaling only when host_cpus covers the sweep — on smaller " +
-			"hosts the rows run oversubscribed and only absolute 1-worker time is " +
-			"meaningful; re-record on a multicore host before judging scaling regressions",
-	}
-
-	sim, err := meraligner.Align(meraligner.Edison(48), opt, ds.Contigs, ds.Reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline.SimWallS = sim.TotalWall()
-
-	sweep := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		sweep = append(sweep, n)
-	}
-	for _, w := range sweep {
-		var best *meraligner.Results
-		for i := 0; i < 3; i++ {
-			res, err := meraligner.AlignThreaded(w, opt, ds.Contigs, ds.Reads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if best == nil || res.TotalRealWall() < best.TotalRealWall() {
-				best = res
-			}
-		}
-		baseline.Threaded = append(baseline.Threaded, engineRow{
-			Workers:      w,
-			TotalWallS:   best.TotalRealWall(),
-			AlignWallS:   best.AlignWall(),
-			ReadsPerSec:  float64(best.TotalReads) / best.TotalRealWall(),
-			AlignedReads: best.AlignedReads,
-		})
-	}
-	out, err := json.MarshalIndent(baseline, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_threaded.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("recorded BENCH_threaded.json:\n%s", out)
-}
-
-// TestRecordQueryBaseline writes BENCH_query.json — the recorded effect of
-// the hot-path rework (rolling seed scanner, sealed flat seed table,
-// striped-profile reuse) on the PR-1 engine workload at one worker, best of
-// three — when MERALIGNER_RECORD_BASELINE=1:
-//
-//	MERALIGNER_RECORD_BASELINE=1 go test -run TestRecordQueryBaseline .
-//
-// The "before" row is the pre-rework path, measured on the same host at the
-// time of the change; re-recording preserves it from the existing file (or
-// takes MERALIGNER_QUERY_BEFORE_READS_PER_S / _WALL_S overrides after a
-// host change) and refreshes only the "after" row.
-func TestRecordQueryBaseline(t *testing.T) {
-	if os.Getenv("MERALIGNER_RECORD_BASELINE") == "" {
-		t.Skip("set MERALIGNER_RECORD_BASELINE=1 to (re)record BENCH_query.json")
-	}
-	ds := engineWorkload(t)
-	opt := meraligner.DefaultOptions(31)
-
-	type row struct {
-		TotalWallS  float64 `json:"total_wall_s"`
-		AlignWallS  float64 `json:"align_wall_s"`
-		ReadsPerSec float64 `json:"reads_per_s"`
-	}
-	baseline := struct {
-		Workload     string  `json:"workload"`
-		Reads        int     `json:"reads"`
-		K            int     `json:"k"`
-		Workers      int     `json:"workers"`
-		HostCPUs     int     `json:"host_cpus"`
-		GoOS         string  `json:"goos"`
-		GoArch       string  `json:"goarch"`
-		Before       row     `json:"before"`
-		After        row     `json:"after"`
-		Speedup      float64 `json:"speedup"`
-		AlignedReads int     `json:"aligned_reads"`
-		Description  string  `json:"description"`
-	}{
-		Workload: "human-like 200kb, depth 6, k=31 (PR-1 engine workload)",
-		Reads:    len(ds.Reads), K: opt.K, Workers: 1,
-		HostCPUs: runtime.NumCPU(), GoOS: runtime.GOOS, GoArch: runtime.GOARCH,
-		Description: "query hot-path baseline: before is the pre-rework path " +
-			"(per-seed FromPacked+Canonical, per-shard map lookups, per-candidate " +
-			"profile builds), after is the rolling scanner + sealed flat table + " +
-			"reusable striped profiles; 1 worker, best of 3, same workload and host. " +
-			"Regressions against `after` mean the hot path re-grew per-read work",
-	}
-
-	// Carry the recorded pre-rework measurement forward.
-	if prev, err := os.ReadFile("BENCH_query.json"); err == nil {
-		var old struct {
-			Before row `json:"before"`
-		}
-		if json.Unmarshal(prev, &old) == nil && old.Before.ReadsPerSec > 0 {
-			baseline.Before = old.Before
-		}
-	}
-	if v := os.Getenv("MERALIGNER_QUERY_BEFORE_READS_PER_S"); v != "" {
-		fmt.Sscanf(v, "%f", &baseline.Before.ReadsPerSec)
-	}
-	if v := os.Getenv("MERALIGNER_QUERY_BEFORE_WALL_S"); v != "" {
-		fmt.Sscanf(v, "%f", &baseline.Before.TotalWallS)
-	}
-	if baseline.Before.ReadsPerSec == 0 {
-		t.Fatal("no pre-rework row available: keep the committed BENCH_query.json or set MERALIGNER_QUERY_BEFORE_READS_PER_S")
-	}
-
-	var best *meraligner.Results
-	for i := 0; i < 3; i++ {
-		res, err := meraligner.AlignThreaded(1, opt, ds.Contigs, ds.Reads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if best == nil || res.TotalRealWall() < best.TotalRealWall() {
-			best = res
-		}
-	}
-	baseline.After = row{
-		TotalWallS:  best.TotalRealWall(),
-		AlignWallS:  best.AlignWall(),
-		ReadsPerSec: float64(best.TotalReads) / best.TotalRealWall(),
-	}
-	baseline.AlignedReads = best.AlignedReads
-	baseline.Speedup = baseline.After.ReadsPerSec / baseline.Before.ReadsPerSec
-
-	out, err := json.MarshalIndent(baseline, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_query.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("recorded BENCH_query.json:\n%s", out)
-	if baseline.Speedup < 1.3 {
-		t.Errorf("query hot-path speedup %.2fx < 1.3x on the PR-1 workload", baseline.Speedup)
-	}
-}
-
-// serveWorkload is the build-once/serve-many data set: a build-heavy
-// workload (index construction dominates a single batch's align time) split
-// into serveBatches read batches, approximating a service where read
-// batches arrive against one reference.
-func serveWorkload(tb testing.TB) *genome.DataSet {
-	// Shallow depth over a larger reference: per-batch align work is small
-	// next to index construction, the regime where a resident index pays.
-	p := genome.HumanLike(600_000)
-	p.Depth = 0.75
-	p.InsertMean = 0
-	ds, err := genome.Generate(p)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return ds
-}
-
-const serveBatches = 4
-
-func serveBatchBounds(n int) [][2]int { return expt.SplitBatches(n, serveBatches) }
-
-// BenchmarkBuildOnceServeMany compares the two serving shapes over the same
-// serveBatches read batches: rebuilding the index for every batch (one-shot
-// AlignThreaded per batch) versus one resident index serving all batches
-// (Build + N Align). CI runs this in smoke mode (-benchtime=1x); the
-// recorded baseline is BENCH_serve.json.
-func BenchmarkBuildOnceServeMany(b *testing.B) {
-	ds := serveWorkload(b)
-	opt := meraligner.DefaultOptions(31)
-	qopt := meraligner.DefaultQueryOptions()
-	bounds := serveBatchBounds(len(ds.Reads))
-	workers := runtime.NumCPU()
-
-	b.Run("rebuild-per-batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, bd := range bounds {
-				if _, err := meraligner.AlignThreaded(workers, opt, ds.Contigs, ds.Reads[bd[0]:bd[1]]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("resident-index", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			a, err := meraligner.Build(workers, opt.IndexOptions, ds.Contigs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, bd := range bounds {
-				if _, err := a.Align(context.Background(), ds.Reads[bd[0]:bd[1]], qopt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
-// TestRecordServeBaseline writes BENCH_serve.json — the committed
-// build-once/serve-many baseline — when MERALIGNER_RECORD_BASELINE=1:
-//
-//	MERALIGNER_RECORD_BASELINE=1 go test -run TestRecordServeBaseline .
-func TestRecordServeBaseline(t *testing.T) {
-	if os.Getenv("MERALIGNER_RECORD_BASELINE") == "" {
-		t.Skip("set MERALIGNER_RECORD_BASELINE=1 to (re)record BENCH_serve.json")
-	}
-	ds := serveWorkload(t)
-	opt := meraligner.DefaultOptions(31)
-	qopt := meraligner.DefaultQueryOptions()
-	bounds := serveBatchBounds(len(ds.Reads))
-	workers := runtime.NumCPU()
-
-	measure := func(run func() error) float64 {
-		best := 0.0
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			if err := run(); err != nil {
-				t.Fatal(err)
-			}
-			if s := time.Since(start).Seconds(); best == 0 || s < best {
-				best = s
-			}
-		}
-		return best
-	}
-
-	rebuild := measure(func() error {
-		for _, bd := range bounds {
-			if _, err := meraligner.AlignThreaded(workers, opt, ds.Contigs, ds.Reads[bd[0]:bd[1]]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	// The resident arm records the build wall of the SAME run that sets the
-	// best total, so build share derived from the file stays consistent.
-	var resident, buildWall float64
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		a, err := meraligner.Build(workers, opt.IndexOptions, ds.Contigs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, bd := range bounds {
-			if _, err := a.Align(context.Background(), ds.Reads[bd[0]:bd[1]], qopt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if s := time.Since(start).Seconds(); resident == 0 || s < resident {
-			resident, buildWall = s, a.BuildWall()
-		}
-	}
-
-	baseline := struct {
-		Workload    string  `json:"workload"`
-		Batches     int     `json:"batches"`
-		Reads       int     `json:"reads"`
-		K           int     `json:"k"`
-		Workers     int     `json:"workers"`
-		HostCPUs    int     `json:"host_cpus"`
-		GoOS        string  `json:"goos"`
-		GoArch      string  `json:"goarch"`
-		RebuildS    float64 `json:"rebuild_per_batch_s"`
-		ResidentS   float64 `json:"resident_index_s"`
-		BuildWallS  float64 `json:"index_build_s"`
-		Speedup     float64 `json:"speedup"`
-		Description string  `json:"description"`
-	}{
-		Workload: "human-like 600kb, depth 0.75, k=31", Batches: serveBatches,
-		Reads: len(ds.Reads), K: opt.K, Workers: workers,
-		HostCPUs: runtime.NumCPU(), GoOS: runtime.GOOS, GoArch: runtime.GOARCH,
-		RebuildS: rebuild, ResidentS: resident, BuildWallS: buildWall,
-		Speedup: rebuild / resident,
-		Description: "build-once/serve-many baseline: rebuild_per_batch_s is N one-shot " +
-			"AlignThreaded calls (index rebuilt every batch); resident_index_s is one Build " +
-			"plus N Align calls on the resident index; best of 3 each. The resident shape " +
-			"must stay well ahead (>= 2x on this workload) — regressions here mean the " +
-			"persistent API is paying hidden per-call build costs",
-	}
-	out, err := json.MarshalIndent(baseline, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serve.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("recorded BENCH_serve.json:\n%s", out)
-	if baseline.Speedup < 2 {
-		t.Errorf("resident-index speedup %.2fx < 2x on the serve workload", baseline.Speedup)
-	}
-}
-
-// BenchmarkReadsPerSecond reports aligner throughput in reads/sec on the
-// threaded pipeline (the paper reports 15.5M reads/sec at 15,360 cores).
-func BenchmarkReadsPerSecond(b *testing.B) {
-	p := genome.HumanLike(400_000)
-	p.Depth = 8
-	p.InsertMean = 0
-	ds, err := genome.Generate(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := meraligner.DefaultOptions(51)
-	b.ResetTimer()
-	var reads, wall float64
-	for i := 0; i < b.N; i++ {
-		res, err := meraligner.AlignThreaded(runtime.NumCPU(), opt, ds.Contigs, ds.Reads)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reads += float64(res.TotalReads)
-		wall += res.TotalRealWall()
-	}
-	b.ReportMetric(reads/wall, "reads/s")
 }

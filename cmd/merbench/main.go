@@ -1,10 +1,8 @@
 // Command merbench regenerates every table and figure of the paper's
-// evaluation (§VI), plus the post-paper "serve" experiment (build-once/
-// serve-many vs rebuild-per-batch on the resident-index API). Each paper
-// experiment prints the measured rows next to the paper's headline numbers;
-// success is matching the SHAPE (who wins, by roughly what factor, where
-// curves flatten), not absolute seconds — the substrate is a simulated Cray
-// XC30, not the real one.
+// evaluation (§VI). Each experiment prints the measured rows next to the
+// paper's headline numbers; success is matching the SHAPE (who wins, by
+// roughly what factor, where curves flatten), not absolute seconds — the
+// substrate is a simulated Cray XC30, not the real one.
 //
 // Usage:
 //
@@ -32,11 +30,10 @@ func main() {
 	log.SetPrefix("merbench: ")
 
 	var (
-		experiment = flag.String("experiment", "all", "experiment id (fig1, fig7-fig11, table1, table2, serve, service, cluster, dhtnet) or 'all'")
+		experiment = flag.String("experiment", "all", "experiment id (fig1, fig7-fig11, table1, table2) or 'all'")
 		quick      = flag.Bool("quick", false, "smoke-test workload sizes")
 		coreScale  = flag.Int("core-scale", 0, "divide the paper's core counts by this (0 = default 16)")
 		workers    = flag.Int("workers", 0, "host worker goroutines (0 = NumCPU)")
-		engine     = flag.String("engine", "threaded", "engine for real-parallelism rows (fig11): threaded or sim")
 		seed       = flag.Int64("seed", 1, "workload random seed")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		outPath    = flag.String("o", "", "also write the reports to this file")
@@ -71,10 +68,6 @@ func main() {
 	}
 	cfg.Workers = *workers
 	cfg.Seed = *seed
-	if *engine != "threaded" && *engine != "sim" {
-		log.Fatalf("unknown engine %q (want threaded or sim)", *engine)
-	}
-	cfg.Engine = *engine
 
 	var sb strings.Builder
 	emit := func(rep *expt.Report, took time.Duration) {

@@ -3,8 +3,9 @@
 // servers (each an ordinary merserved holding one `meraligner -shard-save`
 // snapshot), merges the per-read results deterministically, and answers
 // byte-identically to a single whole-reference merserved — JSON and SAM
-// both (see internal/cluster). `merserved -router` is the same tier inside
-// the merserved binary.
+// both (see internal/cluster). It shares its request lifecycle, coalescing
+// queue and process skeleton with merserved (internal/service,
+// internal/coalesce).
 //
 // Usage:
 //
@@ -50,64 +51,31 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/lbl-repro/meraligner/client"
 	"github.com/lbl-repro/meraligner/internal/buildinfo"
 	"github.com/lbl-repro/meraligner/internal/cluster"
-	"github.com/lbl-repro/meraligner/internal/telemetry"
+	"github.com/lbl-repro/meraligner/internal/service"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("merrouted: ")
-
 	var (
 		shardsFlag  = flag.String("shards", "", "comma-separated shard base URLs in shard order, each optionally a |-separated replica set (required)")
-		addr        = flag.String("addr", ":8491", "listen address (use :0 for a random port)")
 		degraded    = flag.String("degraded", cluster.DegradedFail, "shard-failure policy: fail (502) or partial (serve surviving shards, annotated)")
 		callTimeout = flag.Duration("call-timeout", 15*time.Second, "per-attempt timeout of one shard RPC")
 		retries     = flag.Int("retries", 3, "max attempts per shard RPC")
 		healthEvery = flag.Duration("health-interval", 2*time.Second, "replica readiness probe interval")
 		breakerN    = flag.Int("breaker-threshold", 3, "consecutive failures opening a replica's circuit breaker (negative disables)")
 		hedgeAfter  = flag.Duration("hedge-after", 0, "race a shard RPC unanswered after this long against a second replica (0 disables)")
-		minDeadline = flag.Duration("min-deadline", 0, "reject requests whose propagated X-Deadline-Ms budget is below this (0 disables)")
-		maxBatch    = flag.Int("max-batch", 256, "max reads per coalesced scatter")
-		maxWait     = flag.Duration("max-wait", 2*time.Millisecond, "max wait behind a busy fleet before an overlapping scatter (negative disables window-holding)")
-		queueReads  = flag.Int("queue", 0, "admission bound on queued reads (0 = 4*max-batch)")
-		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline on SIGTERM")
-		verbose     = flag.Bool("v", false, "log per-request summaries")
-		slowMs      = flag.Int("slow-request-ms", 0, "log a full span trace at warn for requests at least this slow (0 disables)")
-		debugAddr   = flag.String("debug-addr", "", "private debug listener with /debug/pprof/ and /debug/requests (bind to localhost only; empty disables)")
 	)
-	bi := buildinfo.Register(flag.CommandLine)
-	logOpts := telemetry.RegisterLogFlags(flag.CommandLine)
+	pf := service.RegisterProcessFlags(flag.CommandLine, ":8491")
 	flag.Parse()
-	logger, err := logOpts.Logger("merrouted: ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	telemetry.CaptureStdLog(logger)
-	stopProfile, err := bi.Apply("merrouted")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProfile()
-	fatal := func(err error) {
-		logger.Error(err.Error())
-		stopProfile()
-		os.Exit(1)
-	}
+	p := pf.Init("merrouted")
 
 	var shards []string
 	for _, part := range strings.Split(*shardsFlag, ",") {
@@ -121,6 +89,7 @@ func main() {
 		os.Exit(2)
 	}
 
+	p.Listen()
 	pol := client.DefaultRetryPolicy()
 	if *retries > 0 {
 		pol.MaxAttempts = *retries
@@ -130,77 +99,20 @@ func main() {
 		Degraded:         *degraded,
 		Retry:            pol,
 		CallTimeout:      *callTimeout,
-		MaxBatch:         *maxBatch,
-		MaxWait:          *maxWait,
-		QueueReads:       *queueReads,
+		MaxBatch:         pf.MaxBatch,
+		MaxWait:          pf.MaxWait,
+		QueueReads:       pf.QueueReads,
 		HealthInterval:   *healthEvery,
 		BreakerThreshold: *breakerN,
 		HedgeAfter:       *hedgeAfter,
-		MinDeadline:      *minDeadline,
+		MinDeadline:      pf.MinDeadline,
 		Version:          buildinfo.Version,
-		Logger:           logger,
-		SlowRequest:      time.Duration(*slowMs) * time.Millisecond,
+		Logger:           p.Logger,
+		SlowRequest:      pf.SlowRequest(),
 	})
 	if err != nil {
-		fatal(err)
+		p.Fatal(err)
 	}
-	logger.Info(fmt.Sprintf("scattering over %d shard(s), degraded policy %q", len(shards), *degraded))
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal(err)
-	}
-	logger.Info("listening on " + ln.Addr().String())
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fatal(fmt.Errorf("-debug-addr: %w", err))
-		}
-		logger.Info("debug listening on " + dln.Addr().String())
-		go func() { _ = http.Serve(dln, telemetry.NewDebugMux(rt.TraceRing())) }()
-	}
-
-	var handler http.Handler = rt
-	if *verbose {
-		handler = logRequests(rt)
-	}
-	hs := &http.Server{Handler: handler}
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	done := make(chan error, 1)
-	go func() { done <- hs.Serve(ln) }()
-
-	select {
-	case err := <-done:
-		fatal(err)
-	case <-ctx.Done():
-	}
-	stopSignals()
-	logger.Info(fmt.Sprintf("signal received, draining (deadline %s)", *drainWait))
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
-	defer cancel()
-	clean := true
-	if err := rt.Drain(drainCtx); err != nil {
-		logger.Warn(fmt.Sprintf("drain incomplete: %v (in-flight work aborted)", err))
-		clean = false
-	}
-	if err := hs.Shutdown(drainCtx); err != nil {
-		logger.Warn(fmt.Sprintf("http shutdown: %v", err))
-		clean = false
-	}
-	if !clean {
-		stopProfile()
-		os.Exit(1)
-	}
-	logger.Info("drained cleanly")
-}
-
-// logRequests is a minimal access log for -v.
-func logRequests(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		next.ServeHTTP(w, r)
-		log.Printf("%s %s %.1fms", r.Method, r.URL.Path, float64(time.Since(start).Microseconds())/1e3)
-	})
+	p.Logger.Info(fmt.Sprintf("scattering over %d shard(s), degraded policy %q", len(shards), *degraded))
+	p.Serve(rt)
 }

@@ -1,7 +1,11 @@
 // Command merserved serves merAligner over HTTP: it builds the seed index
 // over the target contigs exactly once, keeps it resident, and answers
 // alignment requests forever — coalescing concurrent small requests into
-// shared engine calls with a dynamic micro-batcher (see internal/service).
+// shared engine calls with a dynamic micro-batcher (see internal/service
+// and internal/coalesce). It has four modes, one per index source: build
+// (-targets), snapshot (-index), catalog (-index-dir) and seed-shard node
+// (-seed-shard). The scatter/gather router over a sharded fleet is its own
+// binary, cmd/merrouted.
 //
 // Usage:
 //
@@ -11,9 +15,6 @@
 //	merserved -index contigs.merx [-threads N] [-addr :8490] ...
 //	merserved -index-dir snapshots/ [-resident-budget 2GiB]
 //	          [-max-inflight-per-ref 64] [-swap-poll 1s] ...
-//	merserved -router -shards http://h1:8490,http://h2:8490,...
-//	          [-degraded fail|partial] [-call-timeout 15s] [-retries 3]
-//	          [-health-interval 2s] ...
 //	merserved -seed-shard seed-shard-000.merx [-addr :8491] ...
 //	merserved ... [-log-level info] [-log-format text|json]
 //	          [-slow-request-ms 0] [-debug-addr 127.0.0.1:0]
@@ -32,12 +33,6 @@
 // place — never truncate a served snapshot in place). -max-inflight-per-ref
 // caps concurrent requests per reference (429 + Retry-After beyond it).
 //
-// With -router the server holds no index at all: it is the scatter/gather
-// tier over a fleet of shard servers (each serving one `meraligner
-// -shard-save` snapshot), fanning every request to all shards and merging
-// results byte-identically to a single whole-reference node (see
-// internal/cluster; cmd/merrouted is the same tier as its own binary).
-//
 // With -seed-shard the server is a node of the distributed seed DHT: it
 // memory-maps one seed-shard snapshot written by `meraligner -dht-save`
 // and answers batched binary seed lookups (POST /v1/lookup, GET
@@ -46,9 +41,8 @@
 // fleet and align locally with byte-identical output (see internal/dhtnet).
 //
 // The listener binds and logs "listening on" immediately; until the index
-// is built/mapped (or the router's fleet catalog assembled), every
-// endpoint answers 503 warming except GET /healthz — poll GET /readyz for
-// the 200 that means servable.
+// is built/mapped, every endpoint answers 503 warming except GET /healthz —
+// poll GET /readyz for the 200 that means servable.
 //
 // Endpoints: POST /v1/align (JSON or FASTQ in; JSON, or SAM with
 // Accept: text/x-sam, out), POST /v1/align/stream (NDJSON/SAM chunks),
@@ -67,337 +61,134 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
-	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	meraligner "github.com/lbl-repro/meraligner"
-	"github.com/lbl-repro/meraligner/client"
 	"github.com/lbl-repro/meraligner/internal/buildinfo"
-	"github.com/lbl-repro/meraligner/internal/cluster"
 	"github.com/lbl-repro/meraligner/internal/core"
 	"github.com/lbl-repro/meraligner/internal/service"
-	"github.com/lbl-repro/meraligner/internal/telemetry"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("merserved: ")
-
 	var (
 		targetsPath = flag.String("targets", "", "FASTA file of target sequences (contigs)")
 		indexPath   = flag.String("index", "", "memory-map a .merx index snapshot instead of building from -targets")
 		indexDir    = flag.String("index-dir", "", "serve every <ref>.merx snapshot in this directory as /v1/<ref>/... (catalog mode)")
+		seedShard   = flag.String("seed-shard", "", "serve a seed-shard .merx snapshot (from `meraligner -dht-save`) as a batched seed-lookup node")
 		budgetStr   = flag.String("resident-budget", "", "resident-bytes cap across open catalog indexes, e.g. 512MiB or 2GiB (empty = unlimited)")
 		maxInflight = flag.Int("max-inflight-per-ref", 0, "max concurrently served align requests per reference (0 = unlimited)")
 		swapPoll    = flag.Duration("swap-poll", 0, "min interval between snapshot hot-swap freshness checks (0 = 1s default, negative disables)")
 		k           = flag.Int("k", 51, "seed length (1-64)")
 		threads     = flag.Int("threads", runtime.NumCPU(), "worker threads (index build and engine pool)")
-		addr        = flag.String("addr", ":8490", "listen address (use :0 for a random port)")
-		maxBatch    = flag.Int("max-batch", 256, "max reads per coalesced engine call")
-		maxWait     = flag.Duration("max-wait", 2*time.Millisecond, "max wait behind a busy engine before an overlapping engine call (negative disables window-holding)")
-		queueReads  = flag.Int("queue", 0, "admission bound on queued reads (0 = 4*max-batch)")
 		maxHits     = flag.Int("max-hits", 1000, "max alignments per seed (0 = unlimited, §IV-C)")
 		minScore    = flag.Int("min-score", 0, "minimum alignment score (0 = seed length)")
 		noExact     = flag.Bool("no-exact", false, "disable the exact-match optimization (§IV-A)")
-		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline on SIGTERM")
-		verbose     = flag.Bool("v", false, "log per-request summaries")
-		slowMs      = flag.Int("slow-request-ms", 0, "log a full span trace at warn for requests at least this slow (0 disables)")
-		debugAddr   = flag.String("debug-addr", "", "private debug listener with /debug/pprof/ and /debug/requests (bind to localhost only; empty disables)")
-
-		routerMode  = flag.Bool("router", false, "scatter/gather router mode over a shard fleet (requires -shards)")
-		seedShard   = flag.String("seed-shard", "", "serve a seed-shard .merx snapshot (from `meraligner -dht-save`) as a batched seed-lookup node")
-		shardsFlag  = flag.String("shards", "", "comma-separated shard base URLs in shard order, each optionally a |-separated replica set (router mode)")
-		degraded    = flag.String("degraded", cluster.DegradedFail, "shard-failure policy: fail (502) or partial (serve surviving shards, annotated)")
-		callTimeout = flag.Duration("call-timeout", 15*time.Second, "per-attempt timeout of one shard RPC (router mode)")
-		retries     = flag.Int("retries", 3, "max attempts per shard RPC (router mode)")
-		healthEvery = flag.Duration("health-interval", 2*time.Second, "replica readiness probe interval (router mode)")
-		breakerN    = flag.Int("breaker-threshold", 3, "consecutive failures opening a replica's circuit breaker (router mode; negative disables)")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "race a shard RPC unanswered after this long against a second replica (router mode; 0 disables)")
-		minDeadline = flag.Duration("min-deadline", 0, "reject requests whose propagated X-Deadline-Ms budget is below this (0 disables)")
 	)
-	bi := buildinfo.Register(flag.CommandLine)
-	logOpts := telemetry.RegisterLogFlags(flag.CommandLine)
+	pf := service.RegisterProcessFlags(flag.CommandLine, ":8490")
 	flag.Parse()
-	logger, err := logOpts.Logger("merserved: ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Route stray log.Printf (libraries, and this file's lifecycle lines)
-	// through the structured logger so every line honors -log-format.
-	telemetry.CaptureStdLog(logger)
-	stopProfile, err := bi.Apply("merserved")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProfile()
-	fatal := func(err error) {
-		logger.Error(err.Error())
-		stopProfile()
-		os.Exit(1)
-	}
+	p := pf.Init("merserved")
+	logger := p.Logger
 
-	modes := 0
-	for _, set := range []bool{*targetsPath != "", *indexPath != "", *indexDir != "", *routerMode, *seedShard != ""} {
-		if set {
-			modes++
+	var modes []string
+	for _, m := range [][2]string{{"-targets", *targetsPath}, {"-index", *indexPath}, {"-index-dir", *indexDir}, {"-seed-shard", *seedShard}} {
+		if m[1] != "" {
+			modes = append(modes, m[0])
 		}
 	}
-	if modes != 1 {
-		fmt.Fprintln(os.Stderr, "need exactly one of -targets (build the index) / -index (map a .merx snapshot) / -index-dir (serve a snapshot catalog) / -router (scatter/gather over -shards) / -seed-shard (serve a seed-shard snapshot)")
+	if len(modes) != 1 {
+		fmt.Fprintln(os.Stderr, "need exactly one of -targets (build the index) / -index (map a .merx snapshot) / -index-dir (serve a snapshot catalog) / -seed-shard (serve a seed-shard snapshot)")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *indexPath != "" || *indexDir != "" || *routerMode || *seedShard != "" {
-		mode := "-index"
-		switch {
-		case *indexDir != "":
-			mode = "-index-dir"
-		case *routerMode:
-			mode = "-router"
-		case *seedShard != "":
-			mode = "-seed-shard"
-		}
+	mode := modes[0]
+	if mode != "-targets" {
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "k" || f.Name == "no-exact" {
-				fatal(fmt.Errorf("-%s is a build-time option; it is stored in the snapshot and cannot be set with %s", f.Name, mode))
+				p.Fatal(fmt.Errorf("-%s is a build-time option; it is stored in the snapshot and cannot be set with %s", f.Name, mode))
 			}
 		})
 	}
 	budget, err := parseBytes(*budgetStr)
 	if err != nil {
-		fatal(fmt.Errorf("-resident-budget: %v", err))
+		p.Fatal(fmt.Errorf("-resident-budget: %v", err))
 	}
 
-	// Bind before any heavy work: orchestrators see the port immediately and
-	// poll /readyz; every other endpoint answers 503 warming until the real
-	// handler swaps in below.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal(err)
-	}
-	logger.Info("listening on " + ln.Addr().String())
-	var sw swapHandler
-	sw.set(warmingHandler())
-	var handler http.Handler = &sw
-	if *verbose {
-		handler = logRequests(&sw)
-	}
-	hs := &http.Server{Handler: handler}
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	done := make(chan error, 1)
-	go func() { done <- hs.Serve(ln) }()
-
-	var app interface {
-		Drain(context.Context) error
-	}
-	var ring *telemetry.Ring
+	p.Listen()
 	if *seedShard != "" {
 		sh, err := core.LoadSeedShard(*seedShard)
 		if err != nil {
-			fatal(err)
+			p.Fatal(err)
 		}
 		defer sh.Close()
 		srv, err := service.NewSeedShard(service.SeedShardConfig{Shard: sh, Logger: logger})
 		if err != nil {
-			fatal(err)
+			p.Fatal(err)
 		}
 		info := sh.Info()
 		logger.Info(fmt.Sprintf("seed-shard mode: serving shard %d/%d (k=%d, %d internal shards, fingerprint %#x, ~%d MiB mapped)",
 			info.ID, info.Count, info.K, info.Shards, info.Fingerprint, sh.ResidentBytes()>>20))
-		sw.set(srv)
-		app = srv
-	} else if *routerMode {
-		shards := splitShards(*shardsFlag)
-		if len(shards) == 0 {
-			fatal(fmt.Errorf("-router requires -shards with at least one base URL"))
+		p.Serve(srv)
+		return
+	}
+
+	qopt := meraligner.DefaultQueryOptions()
+	qopt.MaxSeedHits = *maxHits
+	qopt.MinScore = *minScore
+	cfg := service.Config{
+		Query:             qopt,
+		MaxBatch:          pf.MaxBatch,
+		MaxWait:           pf.MaxWait,
+		QueueReads:        pf.QueueReads,
+		Workers:           *threads,
+		MaxInflightPerRef: *maxInflight,
+		MinDeadline:       pf.MinDeadline,
+		Version:           buildinfo.Version,
+		Logger:            logger,
+		SlowRequest:       pf.SlowRequest(),
+	}
+	if *indexDir != "" {
+		cfg.IndexDir = *indexDir
+		cfg.ResidentBudget = budget
+		cfg.SwapPoll = *swapPoll
+		budgetDesc := "unlimited"
+		if budget > 0 {
+			budgetDesc = fmt.Sprintf("~%d MiB", budget>>20)
 		}
-		rt, err := cluster.New(cluster.Config{
-			Shards:           shards,
-			Degraded:         *degraded,
-			Retry:            routerRetry(*retries, *callTimeout),
-			CallTimeout:      *callTimeout,
-			MaxBatch:         *maxBatch,
-			MaxWait:          *maxWait,
-			QueueReads:       *queueReads,
-			HealthInterval:   *healthEvery,
-			BreakerThreshold: *breakerN,
-			HedgeAfter:       *hedgeAfter,
-			MinDeadline:      *minDeadline,
-			Version:          buildinfo.Version,
-			Logger:           logger,
-			SlowRequest:      time.Duration(*slowMs) * time.Millisecond,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		logger.Info(fmt.Sprintf("router mode: scattering over %d shard(s), degraded policy %q", len(shards), *degraded))
-		sw.set(rt)
-		app = rt
-		ring = rt.TraceRing()
+		logger.Info(fmt.Sprintf("catalog mode: serving *%s from %s (resident budget %s)", service.SnapshotExt, *indexDir, budgetDesc))
 	} else {
-		iopt := meraligner.DefaultIndexOptions(*k)
-		iopt.ExactMatch = !*noExact
-		qopt := meraligner.DefaultQueryOptions()
-		qopt.MaxSeedHits = *maxHits
-		qopt.MinScore = *minScore
-
-		cfg := service.Config{
-			Query:             qopt,
-			MaxBatch:          *maxBatch,
-			MaxWait:           *maxWait,
-			QueueReads:        *queueReads,
-			Workers:           *threads,
-			MaxInflightPerRef: *maxInflight,
-			MinDeadline:       *minDeadline,
-			Version:           buildinfo.Version,
-			Logger:            logger,
-			SlowRequest:       time.Duration(*slowMs) * time.Millisecond,
-		}
-		if *indexDir != "" {
-			cfg.IndexDir = *indexDir
-			cfg.ResidentBudget = budget
-			cfg.SwapPoll = *swapPoll
-			budgetDesc := "unlimited"
-			if budget > 0 {
-				budgetDesc = fmt.Sprintf("~%d MiB", budget>>20)
-			}
-			logger.Info(fmt.Sprintf("catalog mode: serving *%s from %s (resident budget %s)", service.SnapshotExt, *indexDir, budgetDesc))
+		buildStart := time.Now()
+		var al *meraligner.Aligner
+		if *indexPath != "" {
+			al, err = meraligner.OpenThreads(*threads, *indexPath)
 		} else {
-			buildStart := time.Now()
-			var al *meraligner.Aligner
-			if *indexPath != "" {
-				al, err = meraligner.OpenThreads(*threads, *indexPath)
-			} else {
-				al, err = meraligner.BuildFiles(*threads, iopt, *targetsPath)
-			}
-			if err != nil {
-				fatal(err)
-			}
-			defer al.Close()
-			verb := "built"
-			if al.Mapped() {
-				verb = "mapped"
-			}
-			st := al.IndexStats()
-			logger.Info(fmt.Sprintf("index %s in %.3fs (k=%d): %d targets, %d distinct seeds, %d locations, ~%d MiB resident",
-				verb, time.Since(buildStart).Seconds(), al.IndexOptions().K, len(al.Targets()), st.DistinctSeeds, st.TotalLocs, al.ResidentBytes()>>20))
-			cfg.Aligner = al
+			iopt := meraligner.DefaultIndexOptions(*k)
+			iopt.ExactMatch = !*noExact
+			al, err = meraligner.BuildFiles(*threads, iopt, *targetsPath)
 		}
-
-		srv, err := service.New(cfg)
 		if err != nil {
-			fatal(err)
+			p.Fatal(err)
 		}
-		sw.set(srv)
-		app = srv
-		ring = srv.TraceRing()
-	}
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fatal(fmt.Errorf("-debug-addr: %w", err))
+		defer al.Close()
+		verb := "built"
+		if al.Mapped() {
+			verb = "mapped"
 		}
-		logger.Info("debug listening on " + dln.Addr().String())
-		go func() { _ = http.Serve(dln, telemetry.NewDebugMux(ring)) }()
+		st := al.IndexStats()
+		logger.Info(fmt.Sprintf("index %s in %.3fs (k=%d): %d targets, %d distinct seeds, %d locations, ~%d MiB resident",
+			verb, time.Since(buildStart).Seconds(), al.IndexOptions().K, len(al.Targets()), st.DistinctSeeds, st.TotalLocs, al.ResidentBytes()>>20))
+		cfg.Aligner = al
 	}
-
-	// Graceful drain: stop admission, flush the batcher, then close the
-	// listener so in-flight responses finish writing.
-	select {
-	case err := <-done:
-		fatal(err)
-	case <-ctx.Done():
+	srv, err := service.New(cfg)
+	if err != nil {
+		p.Fatal(err)
 	}
-	// Restore default signal handling: a second SIGINT/SIGTERM during the
-	// drain kills the process instead of being swallowed.
-	stopSignals()
-	logger.Info(fmt.Sprintf("signal received, draining (deadline %s)", *drainWait))
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
-	defer cancel()
-	clean := true
-	if err := app.Drain(drainCtx); err != nil {
-		logger.Warn(fmt.Sprintf("drain incomplete: %v (in-flight work aborted)", err))
-		clean = false
-	}
-	if err := hs.Shutdown(drainCtx); err != nil {
-		logger.Warn(fmt.Sprintf("http shutdown: %v", err))
-		clean = false
-	}
-	if !clean {
-		stopProfile()
-		os.Exit(1)
-	}
-	logger.Info("drained cleanly")
-}
-
-// swapHandler lets the real handler be installed after the listener is
-// already serving: requests before the swap hit the warming handler.
-// (The indirection through a pointer-to-interface keeps the atomic happy
-// across differently-typed handlers.)
-type swapHandler struct {
-	h atomic.Pointer[http.Handler]
-}
-
-func (s *swapHandler) set(h http.Handler) { s.h.Store(&h) }
-
-func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	(*s.h.Load()).ServeHTTP(w, r)
-}
-
-// warmingHandler answers for the window between bind and the index being
-// servable: liveness is already 200, readiness and everything else 503.
-func warmingHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "warming\n")
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "{\"error\":\"warming: index not ready\"}\n")
-	})
-	return mux
-}
-
-// splitShards parses the -shards flag: comma-separated base URLs, blanks
-// skipped.
-func splitShards(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-// routerRetry maps the router flags onto a client.RetryPolicy.
-func routerRetry(attempts int, callTimeout time.Duration) client.RetryPolicy {
-	p := client.DefaultRetryPolicy()
-	if attempts > 0 {
-		p.MaxAttempts = attempts
-	}
-	p.AttemptTimeout = callTimeout
-	return p
+	p.Serve(srv)
 }
 
 // parseBytes parses a human byte size: a plain integer (bytes) or one with
@@ -427,13 +218,4 @@ func parseBytes(s string) (int64, error) {
 		return 0, fmt.Errorf("not a byte size: %q", s)
 	}
 	return int64(v * float64(int64(1)<<shift)), nil
-}
-
-// logRequests is a minimal access log for -v.
-func logRequests(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		next.ServeHTTP(w, r)
-		log.Printf("%s %s %.1fms", r.Method, r.URL.Path, float64(time.Since(start).Microseconds())/1e3)
-	})
 }

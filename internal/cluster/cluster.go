@@ -15,9 +15,10 @@
 // (client.CanonicalizeAlignments), and shard responses carry the
 // server-computed NM so SAM records render without target bases. The
 // router's own jobs are the global header (assembled from the shards'
-// GET /v1/targets catalogs at warmup), the merge (merge.go), and the
-// replicated admission check, so a rejected request gets the same 400 body
-// a single node would send.
+// GET /v1/targets catalogs at warmup) and the merge (merge.go); admission,
+// tracing, the draining gate and response plumbing are the single node's own
+// (internal/service's Lifecycle and helpers), so a rejected request gets the
+// same 400 body a single node would send.
 //
 // Endpoints mirror a single-index merserved:
 //
@@ -43,15 +44,12 @@
 package cluster
 
 import (
-	"compress/gzip"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,6 +57,7 @@ import (
 
 	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/client"
+	"github.com/lbl-repro/meraligner/internal/coalesce"
 	"github.com/lbl-repro/meraligner/internal/seqio"
 	"github.com/lbl-repro/meraligner/internal/service"
 	"github.com/lbl-repro/meraligner/internal/telemetry"
@@ -211,18 +210,17 @@ type fleetCatalog struct {
 // Router is the scatter/gather HTTP tier. Create with New, serve with
 // net/http, stop with Drain (graceful) or Close (hard).
 type Router struct {
-	cfg    Config
-	mux    *http.ServeMux
-	coal   *coalescer
-	st     *routerStats
-	logger *slog.Logger
-	ring   *telemetry.Ring
+	*service.Lifecycle
+
+	cfg  Config
+	mux  *http.ServeMux
+	coal *coalesce.Coalescer[meraligner.Seq, *gather]
+	st   *routerStats
 
 	sets []*shardSet
 
 	cat      atomic.Pointer[fleetCatalog]
 	warmNote atomic.Pointer[string] // last warmup failure, surfaced by /readyz
-	draining atomic.Bool
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -244,11 +242,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	cfg = cfg.withDefaults()
 	rt := &Router{cfg: cfg, st: newRouterStats()}
-	rt.logger = cfg.Logger
-	if rt.logger == nil {
-		rt.logger = slog.New(slog.DiscardHandler)
-	}
-	rt.ring = telemetry.NewRing(cfg.TraceCapacity)
+	rt.Lifecycle = service.NewLifecycle(cfg.Logger, cfg.SlowRequest, cfg.TraceCapacity)
 	rt.baseCtx, rt.cancel = context.WithCancel(context.Background())
 	opts := []client.Option{}
 	if cfg.HTTPClient != nil {
@@ -269,13 +263,20 @@ func New(cfg Config) (*Router, error) {
 		}
 		rt.sets = append(rt.sets, ss)
 	}
-	rt.coal = newCoalescer(rt.baseCtx, rt.scatter, cfg.MaxBatch, cfg.MaxWait, cfg.QueueReads, rt.st)
+	rt.coal = coalesce.New(rt.baseCtx, coalesce.Config[meraligner.Seq, *gather]{
+		Call:     rt.scatter,
+		MaxBatch: cfg.MaxBatch,
+		MaxWait:  cfg.MaxWait,
+		Capacity: cfg.QueueReads,
+		Stats:    &rt.st.Stats,
+		Prepare:  scatterCarrier,
+	})
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/align", rt.traced(rt.handleAlign))
+	mux.HandleFunc("POST /v1/align", rt.Traced(rt.Gated(rt.handleAlign)))
 	mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	mux.HandleFunc("GET /v1/targets", rt.handleTargets)
-	mux.HandleFunc("GET /healthz", rt.handleHealthz)
+	mux.HandleFunc("GET /healthz", rt.Healthz)
 	mux.HandleFunc("GET /readyz", rt.handleReadyz)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux = mux
@@ -294,62 +295,20 @@ func New(cfg Config) (*Router, error) {
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
-// TraceRing exposes the ring of completed request traces for a debug
-// listener (telemetry.NewDebugMux).
-func (rt *Router) TraceRing() *telemetry.Ring { return rt.ring }
-
-// traced wraps an align handler with request tracing: extract or mint the
-// span context, echo X-Request-Id, record the trace into the debug ring,
-// and log the completion (warn with the full span summary when the request
-// was slower than cfg.SlowRequest).
-func (rt *Router) traced(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sc, _ := telemetry.Extract(r.Header)
-		tr := telemetry.NewTrace(sc, r.URL.Path)
-		w.Header().Set(telemetry.HeaderRequestID, sc.RequestID())
-		sw := &telemetry.StatusRecorder{ResponseWriter: w, Code: http.StatusOK}
-		aborted := true
-		defer func() { rt.finishTrace(tr, sw, aborted) }()
-		h(sw, r.WithContext(telemetry.WithTrace(r.Context(), tr)))
-		aborted = false
-	}
-}
-
-func (rt *Router) finishTrace(tr *telemetry.Trace, sw *telemetry.StatusRecorder, aborted bool) {
-	rec := tr.Finish(sw.Code)
-	rt.ring.Add(rec)
-	attrs := []any{
-		"request_id", rec.RequestID,
-		"path", rec.Path,
-		"status", rec.Status,
-		"reads", rec.Reads,
-		"duration_ms", float64(rec.DurationUs) / 1e3,
-	}
-	if aborted {
-		attrs = append(attrs, "aborted", true)
-	}
-	if rt.cfg.SlowRequest > 0 && time.Duration(rec.DurationUs)*time.Microsecond >= rt.cfg.SlowRequest {
-		attrs = append(attrs, "spans", rec.SpanSummary())
-		rt.logger.Warn("slow request", attrs...)
-		return
-	}
-	rt.logger.Debug("request", attrs...)
-}
-
 // Ready reports whether the fleet catalog has been assembled and validated
 // (the /readyz condition, minus draining).
 func (rt *Router) Ready() bool { return rt.cat.Load() != nil }
 
-// Draining reports whether Drain or Close has started.
-func (rt *Router) Draining() bool { return rt.draining.Load() }
-
 // Drain gracefully stops the Router: admission closes (new requests answer
-// 503), queued requests still scatter and complete, then the background
-// probes stop. When ctx expires first, in-flight scatters are aborted and
-// ctx's error is returned.
+// 503), queued requests still scatter, complete and render, then the
+// background probes stop. When ctx expires first, in-flight scatters are
+// aborted and ctx's error is returned.
 func (rt *Router) Drain(ctx context.Context) error {
-	rt.draining.Store(true)
-	err := rt.coal.drain(ctx)
+	rt.StartDrain()
+	err := rt.coal.Drain(ctx)
+	if err == nil {
+		err = rt.WaitIdle(ctx)
+	}
 	rt.cancel()
 	rt.bg.Wait()
 	return err
@@ -357,9 +316,9 @@ func (rt *Router) Drain(ctx context.Context) error {
 
 // Close hard-stops: cancels in-flight scatters and the background probes.
 func (rt *Router) Close() {
-	rt.draining.Store(true)
+	rt.StartDrain()
 	rt.cancel()
-	rt.coal.closeNow()
+	rt.coal.Close()
 	rt.bg.Wait()
 }
 
@@ -374,7 +333,7 @@ func (rt *Router) warm() {
 		cat, err := rt.assembleCatalog(rt.baseCtx)
 		if err == nil {
 			rt.cat.Store(cat)
-			rt.logger.Info("fleet catalog assembled",
+			rt.Logger.Info("fleet catalog assembled",
 				"shards", len(rt.sets), "k", cat.k, "targets", len(cat.targets))
 			return
 		}
@@ -479,7 +438,7 @@ func (rt *Router) health(rep *replica) {
 	defer rt.bg.Done()
 	probe := func() {
 		ctx, cancel := context.WithTimeout(rt.baseCtx, rt.cfg.HealthInterval)
-		rep.noteProbe(rep.cl.Ready(ctx) == nil, rt.logger)
+		rep.noteProbe(rep.cl.Ready(ctx) == nil, rt.Logger)
 		cancel()
 	}
 	probe()
@@ -541,24 +500,19 @@ func (rt *Router) scatter(ctx context.Context, reads []meraligner.Seq) (*gather,
 // serve is the request-serving core: big requests scatter directly with the
 // caller's context, small ones ride the coalescer; accounting matches the
 // single node's (requests/reads count served work only).
-func (rt *Router) serve(ctx context.Context, reads []meraligner.Seq) (*cwindow, error) {
+func (rt *Router) serve(ctx context.Context, reads []meraligner.Seq) (*coalesce.Window[*gather], error) {
 	start := time.Now()
-	var win *cwindow
+	var win *coalesce.Window[*gather]
+	var err error
 	if len(reads) >= rt.cfg.MaxBatch {
-		rt.coal.enterDirect()
-		g, err := rt.scatter(ctx, reads)
-		finished := time.Now()
-		rt.coal.exitDirect()
-		if err != nil {
-			return nil, err
+		if win, err = rt.coal.Direct(ctx, reads); err == nil {
+			rt.st.ObserveBatch(1, len(reads))
 		}
-		rt.st.observeBatch(1, len(reads))
-		win = &cwindow{g: g, lo: 0, hi: len(reads), enq: start, disp: start, done: finished, requests: 1}
 	} else {
-		var err error
-		if win, err = rt.coal.submit(ctx, reads); err != nil {
-			return nil, err
-		}
+		win, err = rt.coal.Submit(ctx, reads)
+	}
+	if err != nil {
+		return nil, err
 	}
 	rt.st.requests.Add(1)
 	rt.st.reads.Add(int64(len(reads)))
@@ -566,87 +520,40 @@ func (rt *Router) serve(ctx context.Context, reads []meraligner.Seq) (*cwindow, 
 	return win, nil
 }
 
-// admit replicates the single node's admission check byte-for-byte (same
-// messages, same typed detail), using the fleet catalog's K.
-func (rt *Router) admit(k int, reads []meraligner.Seq) *client.ErrorResponse {
-	if len(reads) == 0 {
-		return &client.ErrorResponse{Error: "empty request: no reads"}
-	}
-	var short []string
-	for i := range reads {
-		if reads[i].Seq.Len() < k {
-			short = append(short, reads[i].Name)
-		}
-	}
-	if short != nil {
-		rt.st.tooShort.Add(int64(len(short)))
-		return &client.ErrorResponse{
-			Error:    fmt.Sprintf("%d read(s) shorter than the seed length K=%d cannot be aligned", len(short), k),
-			TooShort: short,
-		}
-	}
-	return nil
-}
-
 // ---- HTTP handlers ----
 
 func (rt *Router) handleAlign(w http.ResponseWriter, r *http.Request) {
-	if rt.draining.Load() {
-		rt.writeError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
-		return
-	}
 	cat := rt.cat.Load()
 	if cat == nil {
 		rt.warming(w, r)
 		return
 	}
-	tr := telemetry.TraceFrom(r.Context())
 	admitStart := time.Now()
-	if budget, ok := client.DeadlineFromHeader(r.Header); ok {
-		// Deadline admission, mirroring merserved's: refuse work the caller
-		// will have abandoned, and bound accepted scatters by the budget so
-		// the shard RPCs inherit (and re-propagate) the remaining time.
-		if rt.cfg.MinDeadline > 0 && budget < rt.cfg.MinDeadline {
-			rt.st.deadlineRejected.Add(1)
-			w.Header().Set("Retry-After", retryAfterSeconds(rt.cfg.RetryAfter))
-			rt.writeError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{
-				Error: fmt.Sprintf("deadline budget %s below the %s admission floor: rejecting doomed work", budget, rt.cfg.MinDeadline)})
-			return
-		}
-		if budget > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), budget)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-	}
-	reads, err := service.ParseReads(w, r, rt.cfg.MaxRequestBytes)
-	if err != nil {
-		rt.writeError(w, r, service.ParseStatus(err), &client.ErrorResponse{Error: err.Error()})
+	r, cancel, ok := service.AdmitDeadline(w, r, rt.cfg.MinDeadline, rt.cfg.RetryAfter, &rt.st.deadlineRejected)
+	if !ok {
 		return
 	}
-	if er := rt.admit(cat.k, reads); er != nil {
-		rt.writeError(w, r, http.StatusBadRequest, er)
+	defer cancel()
+	reads, ok := service.AdmitReads(w, r, rt.cfg.MaxRequestBytes, cat.k, &rt.st.tooShort, admitStart)
+	if !ok {
 		return
-	}
-	if tr != nil {
-		tr.Add("admission", admitStart, time.Since(admitStart), func(sp *telemetry.Span) { sp.Reads = len(reads) })
-		tr.AddReads(len(reads))
 	}
 	win, err := rt.serve(r.Context(), reads)
 	if err != nil {
 		rt.routerError(w, r, err)
 		return
 	}
-	win.record(tr)
-	results := win.g.results[win.lo:win.hi]
-	degraded := win.g.degraded
+	tr := telemetry.TraceFrom(r.Context())
+	recordScatter(tr, win)
+	results := win.Result.results[win.Lo:win.Hi]
+	degraded := win.Result.degraded
 	if len(degraded) > 0 {
 		rt.st.degradedServed.Add(1)
 	}
 	renderStart := time.Now()
-	if wantsSAM(r) {
+	if service.WantsSAM(r) {
 		w.Header().Set("Content-Type", "text/x-sam")
-		body, finish := rt.maybeGzip(w, r)
+		body, finish := service.MaybeGzip(w, r)
 		var comments []string
 		if len(degraded) > 0 {
 			comments = append(comments, degradedComment(degraded))
@@ -655,7 +562,7 @@ func (rt *Router) handleAlign(w http.ResponseWriter, r *http.Request) {
 			_ = finish()
 		}
 	} else {
-		rt.writeJSON(w, r, http.StatusOK, &client.AlignResponse{Reads: results, DegradedShards: degraded})
+		service.WriteJSON(w, r, http.StatusOK, &client.AlignResponse{Reads: results, DegradedShards: degraded})
 	}
 	if tr != nil {
 		tr.Add("render", renderStart, time.Since(renderStart), nil)
@@ -672,31 +579,31 @@ func degradedComment(degraded []string) string {
 func (rt *Router) routerError(w http.ResponseWriter, r *http.Request, err error) {
 	var se *ShardError
 	switch {
-	case errors.Is(err, errOverloaded):
+	case errors.Is(err, coalesce.ErrOverloaded):
 		rt.st.rejected.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(rt.cfg.RetryAfter))
-		rt.writeError(w, r, http.StatusTooManyRequests, &client.ErrorResponse{Error: "overloaded: admission queue full"})
-	case errors.Is(err, errDraining):
-		rt.writeError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
+		w.Header().Set("Retry-After", service.RetryAfterSeconds(rt.cfg.RetryAfter))
+		service.WriteError(w, r, http.StatusTooManyRequests, &client.ErrorResponse{Error: "overloaded: admission queue full"})
+	case errors.Is(err, coalesce.ErrDraining):
+		service.WriteError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
 	case errors.As(err, &se):
 		rt.st.failedRequests.Add(1)
-		rt.writeError(w, r, http.StatusBadGateway, &client.ErrorResponse{Error: se.Error()})
+		service.WriteError(w, r, http.StatusBadGateway, &client.ErrorResponse{Error: se.Error()})
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// Client is gone; nothing useful to write.
 	default:
-		rt.writeError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
+		service.WriteError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
 	}
 }
 
 // warming answers 503 with a Retry-After while the fleet catalog is not yet
 // assembled.
 func (rt *Router) warming(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Retry-After", retryAfterSeconds(rt.cfg.RetryAfter))
+	w.Header().Set("Retry-After", service.RetryAfterSeconds(rt.cfg.RetryAfter))
 	msg := "warming: fleet catalog not ready"
 	if note := rt.warmNote.Load(); note != nil {
 		msg = "warming: " + *note
 	}
-	rt.writeError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: msg})
+	service.WriteError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: msg})
 }
 
 // Stats renders the live RouterStats document (the /v1/stats body), also
@@ -704,9 +611,9 @@ func (rt *Router) warming(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) Stats() client.RouterStats {
 	st := rt.st.snapshot()
 	st.Version = rt.cfg.Version
-	st.Draining = rt.draining.Load()
+	st.Draining = rt.Draining()
 	st.Degraded = rt.cfg.Degraded
-	st.QueueReads = int64(rt.coal.queuedReads())
+	st.QueueReads = int64(rt.coal.QueuedItems())
 	if cat := rt.cat.Load(); cat != nil {
 		st.Ready = true
 		st.K = cat.k
@@ -719,7 +626,7 @@ func (rt *Router) Stats() client.RouterStats {
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	rt.writeJSON(w, r, http.StatusOK, rt.Stats())
+	service.WriteJSON(w, r, http.StatusOK, rt.Stats())
 }
 
 func (rt *Router) handleTargets(w http.ResponseWriter, r *http.Request) {
@@ -728,23 +635,12 @@ func (rt *Router) handleTargets(w http.ResponseWriter, r *http.Request) {
 		rt.warming(w, r)
 		return
 	}
-	rt.writeJSON(w, r, http.StatusOK, &client.TargetsResponse{K: cat.k, Targets: cat.targets})
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if rt.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
-		return
-	}
-	io.WriteString(w, "ok\n")
+	service.WriteJSON(w, r, http.StatusOK, &client.TargetsResponse{K: cat.k, Targets: cat.targets})
 }
 
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
-	case rt.draining.Load():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
+	case rt.AnswerDraining(w):
 	case rt.cat.Load() == nil:
 		w.WriteHeader(http.StatusServiceUnavailable)
 		msg := "warming\n"
@@ -759,49 +655,11 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	body, finish := rt.maybeGzip(w, r)
+	body, finish := service.MaybeGzip(w, r)
 	shardLat := make([]telemetry.HistSnapshot, len(rt.sets))
 	for i, ss := range rt.sets {
 		shardLat[i] = ss.lat.Snapshot()
 	}
 	writeMetrics(body, rt.Stats(), rt.st.reqLatency.Snapshot(), shardLat)
 	_ = finish()
-}
-
-// ---- response plumbing (mirrors internal/service's) ----
-
-func (rt *Router) maybeGzip(w http.ResponseWriter, r *http.Request) (io.Writer, func() error) {
-	if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-		return w, func() error { return nil }
-	}
-	w.Header().Set("Content-Encoding", "gzip")
-	w.Header().Add("Vary", "Accept-Encoding")
-	gz := gzip.NewWriter(w)
-	return gz, gz.Close
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, r *http.Request, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	body, finish := rt.maybeGzip(w, r)
-	if code != http.StatusOK {
-		w.WriteHeader(code)
-	}
-	_ = json.NewEncoder(body).Encode(v)
-	_ = finish()
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, code int, er *client.ErrorResponse) {
-	if tr := telemetry.TraceFrom(r.Context()); tr != nil && er.RequestID == "" {
-		er.RequestID = tr.RequestID()
-	}
-	rt.writeJSON(w, r, code, er)
-}
-
-func retryAfterSeconds(d time.Duration) string {
-	return strconv.Itoa(int((d + time.Second - 1) / time.Second))
-}
-
-// wantsSAM reports whether the request asked for SAM output.
-func wantsSAM(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "sam")
 }

@@ -347,12 +347,12 @@ func (rt *Router) alignSet(ctx context.Context, ss *shardSet, req client.AlignRe
 				resp = nil
 			}
 			if err == nil {
-				rep.noteSuccess(rt.logger)
+				rep.noteSuccess(rt.Logger)
 			} else if actx.Err() == nil || !isCtxErr(err) {
 				// A canceled attempt (hedge loser, client gone) is not
 				// evidence against the replica; everything else is.
 				rep.errors.Add(1)
-				rep.noteFailure(rt.cfg.BreakerThreshold, rt.logger, err)
+				rep.noteFailure(rt.cfg.BreakerThreshold, rt.Logger, err)
 			}
 			results <- attemptResult{
 				rep:  rep,

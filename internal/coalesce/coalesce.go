@@ -2,13 +2,24 @@
 // every network tier of meraligner: concurrent small submissions glue into
 // shared calls, so a per-call cost — an engine dispatch, an HTTP round-trip
 // per shard, a seed-lookup RPC per owner — is paid once per batching window
-// instead of once per submitter. The scheme is the same one
-// internal/service's batcher pioneered (dispatcher loop, batching window
-// held open behind an in-flight call, bounded admission, group context);
-// this package is its generic extraction, parameterized over the item type
-// and the call result, so the scatter/gather router (internal/cluster,
-// items = reads) and the network-DHT client (internal/dhtnet, items = seed
-// lookups) run literally the same queue.
+// instead of once per submitter. This is the paper's aggregating-stores
+// idea (§III-A) in the MICA/SNAP serving shape: one queue, parameterized
+// over the item type and the call result, so the align server
+// (internal/service, items = reads, result = a pinned engine call), the
+// scatter/gather router (internal/cluster, items = reads) and the
+// network-DHT client (internal/dhtnet, items = seed lookups) run literally
+// the same code.
+//
+// Batching is continuous, not clocked: when no call is in flight the next
+// queued submission dispatches immediately (an idle engine is never held
+// hostage to a timer), and while a call is in flight new arrivals
+// accumulate — the following call takes them all, up to MaxBatch items.
+// Under concurrent load batches grow to the arrival rate with no tuning.
+// MaxWait caps how long a queued submission may wait behind a busy call
+// before an overlapping call is dispatched anyway (so one slow mega-batch
+// cannot stall the queue), and Capacity bounds the queued items: a
+// submission that would exceed it is rejected at once (ErrOverloaded), so
+// latency stays bounded instead of the queue growing under overload.
 package coalesce
 
 import (
@@ -38,20 +49,38 @@ type Func[T, R any] func(ctx context.Context, items []T) (R, error)
 // join up). A nil Prepare dispatches with the group context unchanged.
 type Prepare func(ctx context.Context, members []context.Context) context.Context
 
-// Stats receives the coalescer's observation hooks. Implementations must be
-// concurrency-safe; a nil Stats disables observation.
-type Stats interface {
-	// ObserveBatch records one successful coalesced call: how many member
-	// submissions shared it and how many items they contributed in total.
-	ObserveBatch(requests, items int)
-	// ObserveCanceled records a member whose context died before its share
-	// of a call could be delivered.
-	ObserveCanceled()
+// Stats are the lock-free counters a coalescer's owner embeds in its own
+// stats: written by the dispatcher (and by owners counting their direct
+// calls), read whole by stats and metrics endpoints. The zero value is
+// ready; a nil *Stats in Config disables observation.
+type Stats struct {
+	Batches   atomic.Int64 // successful calls
+	Items     atomic.Int64 // items across those calls
+	Coalesced atomic.Int64 // calls gluing >= 2 submissions
+	MaxItems  atomic.Int64 // largest call seen
+	Canceled  atomic.Int64 // members whose context died before delivery
 }
 
-// Window is one submission's view of a coalesced call: the shared result
-// plus this member's item range within the concatenated batch, and the
-// timings needed to replay the queue wait into a request trace.
+// ObserveBatch records one successful call: how many member submissions
+// shared it and how many items they contributed in total. Only completed
+// calls count — failed or fully-canceled batches served nothing.
+func (s *Stats) ObserveBatch(requests, items int) {
+	s.Batches.Add(1)
+	s.Items.Add(int64(items))
+	if requests >= 2 {
+		s.Coalesced.Add(1)
+	}
+	for {
+		cur := s.MaxItems.Load()
+		if int64(items) <= cur || s.MaxItems.CompareAndSwap(cur, int64(items)) {
+			return
+		}
+	}
+}
+
+// Window is one submission's view of a call: the shared result plus this
+// member's item range within the concatenated batch, and the timings needed
+// to replay the queue wait into a request trace.
 type Window[R any] struct {
 	Result R
 	Lo, Hi int // this member's items occupy batch positions [Lo, Hi)
@@ -60,6 +89,38 @@ type Window[R any] struct {
 	Disp     time.Time // when its call dispatched
 	Done     time.Time // when the call finished
 	Requests int       // member submissions sharing the call
+
+	claim *claim[R] // nil unless Config.Release is set
+}
+
+// Release drops this window's claim on Result. With Config.Release set the
+// holder must call it exactly once, after its last use of Result; otherwise
+// it is a no-op.
+func (w *Window[R]) Release() {
+	if w.claim != nil {
+		w.claim.drop()
+	}
+}
+
+// claim reference-counts one call's result on behalf of Config.Release: the
+// dispatcher holds one reference while demuxing and every delivered window
+// one until its holder releases it.
+type claim[R any] struct {
+	res     R
+	left    atomic.Int32
+	release func(R)
+}
+
+func newClaim[R any](res R, refs int, release func(R)) *claim[R] {
+	c := &claim[R]{res: res, release: release}
+	c.left.Store(int32(refs))
+	return c
+}
+
+func (c *claim[R]) drop() {
+	if c.left.Add(-1) == 0 {
+		c.release(c.res)
+	}
 }
 
 // pending is one queued submission.
@@ -80,8 +141,17 @@ type Config[T, R any] struct {
 	MaxBatch int           // items per coalesced call
 	MaxWait  time.Duration // window held open behind a busy call; <=0 disables
 	Capacity int           // admission bound on queued items
-	Stats    Stats         // optional observation hooks
+	Stats    *Stats        // optional counters
 	Prepare  Prepare       // optional pre-dispatch context hook
+
+	// Release, when set, makes results pinned resources (the align server's
+	// engine calls pin a mapped index that SAM rendering still reads): it
+	// runs exactly once per successful call, after the dispatcher and every
+	// member handed a Window have let go — members by Window.Release, and
+	// the coalescer itself on behalf of a member whose context died before
+	// or while its window was handed over. A failed Call must have released
+	// whatever it pinned itself.
+	Release func(R)
 }
 
 // Coalescer is the continuous micro-batching queue. Create with New; it owns
@@ -89,11 +159,12 @@ type Config[T, R any] struct {
 type Coalescer[T, R any] struct {
 	call     Func[T, R]
 	prepare  Prepare
+	release  func(R)
 	maxBatch int
 	maxWait  time.Duration
 	capacity int // admission bound on queued items
 	base     context.Context
-	st       Stats
+	st       *Stats
 
 	mu       sync.Mutex
 	cond     *sync.Cond // broadcast on queue/inflight transitions
@@ -111,6 +182,7 @@ func New[T, R any](base context.Context, cfg Config[T, R]) *Coalescer[T, R] {
 	c := &Coalescer[T, R]{
 		call:     cfg.Call,
 		prepare:  cfg.Prepare,
+		release:  cfg.Release,
 		maxBatch: cfg.MaxBatch,
 		maxWait:  cfg.MaxWait,
 		capacity: cfg.Capacity,
@@ -131,24 +203,38 @@ func (c *Coalescer[T, R]) QueuedItems() int {
 	return c.queued
 }
 
-// Closed reports whether drain has started.
-func (c *Coalescer[T, R]) Closed() bool {
+// Inflight reports the calls currently running (for tests).
+func (c *Coalescer[T, R]) Inflight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.closed
+	return c.inflight
 }
 
-// EnterDirect/ExitDirect bracket a call the coalescer did not dispatch (the
-// big-submission direct path): the shared inflight count lets queued small
-// submissions coalesce behind a big direct call, and makes Drain wait for
-// direct calls too.
-func (c *Coalescer[T, R]) EnterDirect() {
+// Direct runs Call over one big submission's items without queueing, under
+// the caller's own context (no coalescing to gain; a disconnect cancels the
+// call itself). It shares the inflight count, so queued small submissions
+// coalesce behind it instead of dispatching into an already-busy callee,
+// and Drain waits for it. Stats are the caller's to record.
+func (c *Coalescer[T, R]) Direct(ctx context.Context, items []T) (*Window[R], error) {
 	c.mu.Lock()
 	c.inflight++
 	c.mu.Unlock()
+	start := time.Now()
+	res, err := c.call(ctx, items)
+	finished := time.Now()
+	c.finishCall()
+	if err != nil {
+		return nil, err
+	}
+	w := &Window[R]{Result: res, Hi: len(items), Enq: start, Disp: start, Done: finished, Requests: 1}
+	if c.release != nil {
+		w.claim = newClaim(res, 1, c.release)
+	}
+	return w, nil
 }
 
-func (c *Coalescer[T, R]) ExitDirect() {
+// finishCall retires one running call and lets a held window dispatch.
+func (c *Coalescer[T, R]) finishCall() {
 	c.mu.Lock()
 	c.inflight--
 	c.cond.Broadcast()
@@ -179,8 +265,18 @@ func (c *Coalescer[T, R]) Submit(ctx context.Context, items []T) (*Window[R], er
 		return p.win, p.err
 	case <-ctx.Done():
 		// The dispatcher observes the dead ctx at take or demux time and
-		// discards this member's share; batchmates are unaffected. No cleanup
-		// needed here — a result holds no pinned resources.
+		// discards this member's share; batchmates are unaffected. The demux
+		// may still have assigned a window — both channels can be ready at
+		// once — so release the orphan once the dispatcher is done with it,
+		// or a pinned result would leak.
+		if c.release != nil {
+			go func() {
+				<-p.done
+				if p.win != nil {
+					p.win.Release()
+				}
+			}()
+		}
 		return nil, ctx.Err()
 	}
 }
@@ -297,7 +393,7 @@ func (c *Coalescer[T, R]) take() ([]*pending[T, R], int) {
 			p.err = err
 			close(p.done)
 			if c.st != nil {
-				c.st.ObserveCanceled()
+				c.st.Canceled.Add(1)
 			}
 			continue
 		}
@@ -346,6 +442,10 @@ func (c *Coalescer[T, R]) execute(batch []*pending[T, R], items int) {
 		c.st.ObserveBatch(len(batch), items)
 	}
 
+	var cl *claim[R]
+	if err == nil && c.release != nil {
+		cl = newClaim(res, len(batch)+1, c.release)
+	}
 	lo := 0
 	for _, p := range batch {
 		hi := lo + len(p.items)
@@ -355,20 +455,21 @@ func (c *Coalescer[T, R]) execute(batch []*pending[T, R], items int) {
 		case p.ctx.Err() != nil:
 			p.err = p.ctx.Err()
 			if c.st != nil {
-				c.st.ObserveCanceled()
+				c.st.Canceled.Add(1)
+			}
+			if cl != nil {
+				cl.drop()
 			}
 		default:
-			p.win = &Window[R]{Result: res, Lo: lo, Hi: hi, Enq: p.enq, Disp: disp, Done: finished, Requests: len(batch)}
+			p.win = &Window[R]{Result: res, Lo: lo, Hi: hi, Enq: p.enq, Disp: disp, Done: finished, Requests: len(batch), claim: cl}
 		}
 		close(p.done)
 		lo = hi
 	}
-
-	c.mu.Lock()
-	c.inflight--
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.kick()
+	if cl != nil {
+		cl.drop() // the dispatcher's own reference
+	}
+	c.finishCall()
 }
 
 // groupContext derives the call context of one coalesced batch: done when

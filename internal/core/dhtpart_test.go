@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"github.com/lbl-repro/meraligner/internal/dht"
@@ -143,16 +144,16 @@ func TestSeedShardResolverParityStride(t *testing.T) {
 	}
 }
 
-// failingResolver fails after a set number of ResolveSeeds calls.
+// failingResolver fails after a set number of ResolveSeeds calls (engine
+// workers call it concurrently).
 type failingResolver struct {
 	inner SeedResolver
-	calls int
-	after int
+	calls atomic.Int64
+	after int64
 }
 
 func (r *failingResolver) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []SeedAnswer) error {
-	r.calls++
-	if r.calls > r.after {
+	if r.calls.Add(1) > r.after {
 		return errors.New("seed shard unreachable")
 	}
 	return r.inner.ResolveSeeds(ctx, seeds, out)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,20 +162,6 @@ func RunThreaded(workers int, opt Options, targets, queries []seqio.Seq) (*Resul
 	}
 	res.Phases = append(ix.BuildPhases(), res.Phases...)
 	return res, nil
-}
-
-// RunThreadedSim is the pre-engine behavior of RunThreaded, retained for
-// engine comparisons: the simulated pipeline configured as a single node
-// with one worker goroutine per simulated thread, so PhaseStat.RealWall
-// measures the host time of executing the cost-charged pipeline.
-func RunThreadedSim(threads int, opt Options, targets, queries []seqio.Seq) (*Results, error) {
-	if threads <= 0 {
-		return nil, fmt.Errorf("core: threads must be positive, got %d", threads)
-	}
-	mach := upc.Edison(threads)
-	mach.PPN = threads // one node
-	mach.Workers = threads
-	return Run(mach, opt, targets, queries)
 }
 
 // TotalRealWall sums the real wall-clock seconds of all phases — the

@@ -199,9 +199,6 @@ func TestThreadedValidation(t *testing.T) {
 	if _, err := RunThreaded(2, bad, ds.Contigs, ds.Reads); err == nil {
 		t.Error("invalid options accepted")
 	}
-	if _, err := RunThreadedSim(0, testOptions(21), ds.Contigs, ds.Reads); err == nil {
-		t.Error("RunThreadedSim threads=0 accepted")
-	}
 }
 
 func TestThreadedEmptyAndTinyInputs(t *testing.T) {
@@ -222,22 +219,6 @@ func TestThreadedEmptyAndTinyInputs(t *testing.T) {
 	}
 	if res.TotalAlignments != 0 {
 		t.Error("short query aligned")
-	}
-}
-
-func TestRunThreadedSimStillSimulates(t *testing.T) {
-	ds := testWorkload(t, 40_000, 2, 0.004)
-	opt := testOptions(21)
-	res, err := RunThreadedSim(4, opt, ds.Contigs, ds.Reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulated phases include the I/O phases and carry virtual time.
-	if _, ok := res.Phase(PhaseReadTargets); !ok {
-		t.Error("simulated run missing I/O phase")
-	}
-	if res.TotalWall() <= 0 {
-		t.Error("no simulated time")
 	}
 }
 

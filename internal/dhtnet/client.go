@@ -162,19 +162,8 @@ type ownerConn struct {
 	addr string
 	co   *coalesce.Coalescer[kmer.Kmer, []LookupAnswer]
 	br   breaker
-	st   batchStats
+	st   coalesce.Stats
 }
-
-type batchStats struct {
-	batches atomic.Int64
-	items   atomic.Int64
-}
-
-func (s *batchStats) ObserveBatch(requests, items int) {
-	s.batches.Add(1)
-	s.items.Add(int64(items))
-}
-func (s *batchStats) ObserveCanceled() {}
 
 // New builds a client for the fleet described by cfg. It performs no I/O;
 // call Warm to verify the fleet before aligning.
@@ -217,8 +206,8 @@ func (c *Client) Stats() Stats {
 		Degraded: c.degraded.Load(),
 	}
 	for _, oc := range c.owners {
-		st.Batches += oc.st.batches.Load()
-		st.BatchedSeeds += oc.st.items.Load()
+		st.Batches += oc.st.Batches.Load()
+		st.BatchedSeeds += oc.st.Items.Load()
 	}
 	return st
 }
@@ -302,26 +291,20 @@ func (c *Client) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []core
 // resolve answers one owner's share of a resolution. idx maps the group's
 // positions back into out; nil means identity (single-owner fast path).
 func (oc *ownerConn) resolve(ctx context.Context, group []kmer.Kmer, out []core.SeedAnswer, idx []int) error {
-	var answers []LookupAnswer
+	var win *coalesce.Window[[]LookupAnswer]
+	var err error
 	if len(group) >= oc.c.cfg.MaxBatch {
-		// Direct path: a submission already at batch size gains nothing
-		// from queueing behind the window — call through, bracketed so
-		// queued small submissions coalesce behind it and drains wait.
+		// A submission already at batch size gains nothing from queueing
+		// behind the window: call through on the direct path.
 		oc.c.direct.Add(1)
-		oc.co.EnterDirect()
-		res, err := oc.lookup(ctx, group)
-		oc.co.ExitDirect()
-		if err != nil {
-			return err
-		}
-		answers = res
+		win, err = oc.co.Direct(ctx, group)
 	} else {
-		win, err := oc.co.Submit(ctx, group)
-		if err != nil {
-			return err
-		}
-		answers = win.Result[win.Lo:win.Hi]
+		win, err = oc.co.Submit(ctx, group)
 	}
+	if err != nil {
+		return err
+	}
+	answers := win.Result[win.Lo:win.Hi]
 	if idx == nil {
 		for i, a := range answers {
 			out[i] = core.SeedAnswer{Res: a.Res, OK: a.OK}

@@ -16,10 +16,6 @@ var Experiments = []struct {
 	{"table1", Table1, "load balancing by random permutation"},
 	{"table2", Table2, "end-to-end comparison vs pMap+BWA-mem/Bowtie2"},
 	{"fig11", Fig11, "single-node real-parallelism comparison on E. coli"},
-	{"serve", Serve, "build-once/serve-many vs rebuild-per-batch (post-paper)"},
-	{"service", Service, "merserved micro-batching: coalesced vs per-request serving (post-paper)"},
-	{"cluster", Cluster, "sharded fleet behind a scatter/gather router vs one node (post-paper)"},
-	{"dhtnet", DHTNet, "network seed DHT: remote seed-shard fleet vs the local seed table (post-paper)"},
 }
 
 // Run executes the experiment with the given id.

@@ -35,13 +35,6 @@ type Config struct {
 	// (0 = NumCPU).
 	Workers int
 
-	// Engine selects the execution engine for the real-parallelism
-	// experiment (Fig 11): "threaded" (default) runs the goroutine-backed
-	// shared-memory engine with measured wall-clock phases; "sim" runs the
-	// simulated pipeline configured as a single node (the pre-engine
-	// behavior, retained for comparison).
-	Engine string
-
 	Seed int64
 }
 

@@ -208,27 +208,6 @@ func TestFig11RealScaling(t *testing.T) {
 	t.Log("\n" + rep.String())
 }
 
-func TestClusterExperimentQuick(t *testing.T) {
-	// Cluster refuses to report timings unless the router's SAM came back
-	// byte-identical to the single node's, so a passing run IS the
-	// correctness assertion.
-	rep, err := Cluster(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 2 {
-		t.Fatalf("%d rows, want single-node + routed", len(rep.Rows))
-	}
-	if rep.Rows[0][0] != "single-node" || !strings.HasPrefix(rep.Rows[1][0], "router x") {
-		t.Fatalf("rows = %v", rep.Rows)
-	}
-	for _, row := range rep.Rows {
-		if parseSecs(t, row[1]) <= 0 {
-			t.Fatalf("non-positive throughput in %v", row)
-		}
-	}
-}
-
 func TestRunAndRunAllQuick(t *testing.T) {
 	if _, err := Run("fig7", quickCfg()); err != nil {
 		t.Fatal(err)

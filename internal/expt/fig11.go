@@ -34,10 +34,6 @@ func Fig11(cfg Config) (*Report, error) {
 	maxCores := runtime.NumCPU()
 	oversubscribed := false
 
-	runMer := core.RunThreaded
-	if cfg.Engine == "sim" {
-		runMer = core.RunThreadedSim
-	}
 	for _, p := range sweep {
 		if p > maxCores {
 			// Run oversubscribed rather than dropping the point: the
@@ -47,7 +43,7 @@ func Fig11(cfg Config) (*Report, error) {
 		}
 		opt := core.DefaultOptions(19)
 		opt.MaxSeedHits = 200
-		mer, err := runMer(p, opt, ds.Contigs, ds.Reads)
+		mer, err := core.RunThreaded(p, opt, ds.Contigs, ds.Reads)
 		if err != nil {
 			return nil, err
 		}

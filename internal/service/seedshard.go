@@ -2,14 +2,13 @@ package service
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"sync"
+	"strconv"
 	"sync/atomic"
-	"time"
 
 	"github.com/lbl-repro/meraligner/client"
 	"github.com/lbl-repro/meraligner/internal/core"
@@ -21,9 +20,9 @@ import (
 // seed table (merserved -seed-shard): batched binary lookups against the
 // mmap'd partition, nothing else. It is deliberately a fraction of the
 // align Server — a lookup node resolves seeds, it never parses reads,
-// extends, or renders SAM — but it keeps the fleet conventions: request-id
-// tracing, deadline propagation, drain via in-flight accounting, and a
-// Prometheus endpoint (merserved_seedshard_*).
+// extends, or renders SAM — but it shares the fleet's request lifecycle
+// (Lifecycle: request-id tracing, the draining gate, the probes), deadline
+// propagation, and a Prometheus endpoint (merserved_seedshard_*).
 //
 //	POST /v1/lookup     batched binary seed lookup (dhtnet frames)
 //	GET  /v1/shardinfo  JSON identity (id, count, k, shards, fingerprint)
@@ -31,16 +30,12 @@ import (
 //	GET  /readyz        readiness (same states; warming is fronted upstream)
 //	GET  /metrics       Prometheus text exposition
 type SeedShardServer struct {
-	shard  *core.SeedShard
-	logger *slog.Logger
-	mux    *http.ServeMux
+	*Lifecycle
+
+	shard *core.SeedShard
+	mux   *http.ServeMux
 
 	maxBody int64
-
-	draining atomic.Bool
-	mu       sync.Mutex
-	cond     *sync.Cond
-	inflight int
 
 	lookups  atomic.Int64 // lookup calls served to completion
 	seeds    atomic.Int64 // seeds resolved across those calls
@@ -68,22 +63,18 @@ func NewSeedShard(cfg SeedShardConfig) (*SeedShardServer, error) {
 		return nil, fmt.Errorf("service: seed-shard server needs a shard")
 	}
 	s := &SeedShardServer{
-		shard:   cfg.Shard,
-		logger:  cfg.Logger,
-		maxBody: cfg.MaxBodyBytes,
-	}
-	if s.logger == nil {
-		s.logger = slog.New(slog.DiscardHandler)
+		Lifecycle: NewLifecycle(cfg.Logger, 0, 0),
+		shard:     cfg.Shard,
+		maxBody:   cfg.MaxBodyBytes,
 	}
 	if s.maxBody <= 0 {
 		s.maxBody = 16 + int64(dhtnet.MaxLookupBatch)*16
 	}
-	s.cond = sync.NewCond(&s.mu)
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/lookup", s.traced(s.handleLookup))
+	mux.HandleFunc("POST /v1/lookup", s.Traced(s.handleLookup))
 	mux.HandleFunc("GET /v1/shardinfo", s.handleShardInfo)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleHealthz)
+	mux.HandleFunc("GET /healthz", s.Healthz)
+	mux.HandleFunc("GET /readyz", s.Healthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux = mux
 	return s, nil
@@ -92,62 +83,12 @@ func NewSeedShard(cfg SeedShardConfig) (*SeedShardServer, error) {
 // ServeHTTP implements http.Handler.
 func (s *SeedShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Draining reports whether Drain has started.
-func (s *SeedShardServer) Draining() bool { return s.draining.Load() }
-
 // Drain stops admission (new lookups answer 503) and waits for in-flight
-// lookups to finish, or for ctx to expire.
+// lookups to finish, or for ctx to expire. Once it returns nil no lookup is
+// reading the shard, so the caller may close (unmap) it.
 func (s *SeedShardServer) Drain(ctx context.Context) error {
-	s.draining.Store(true)
-	idle := make(chan struct{})
-	go func() {
-		s.mu.Lock()
-		for s.inflight > 0 {
-			s.cond.Wait()
-		}
-		s.mu.Unlock()
-		close(idle)
-	}()
-	select {
-	case <-idle:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (s *SeedShardServer) enter() bool {
-	if s.draining.Load() {
-		return false
-	}
-	s.mu.Lock()
-	s.inflight++
-	s.mu.Unlock()
-	return true
-}
-
-func (s *SeedShardServer) exit() {
-	s.mu.Lock()
-	s.inflight--
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// traced echoes the request id and logs one line per lookup call; span
-// recording stays with the align tier — a lookup node's unit of work is
-// microseconds, a full trace per call would cost more than the lookup.
-func (s *SeedShardServer) traced(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sc, _ := telemetry.Extract(r.Header)
-		w.Header().Set(telemetry.HeaderRequestID, sc.RequestID())
-		sw := &telemetry.StatusRecorder{ResponseWriter: w, Code: http.StatusOK}
-		start := time.Now()
-		h(sw, r)
-		s.logger.Debug("lookup",
-			"request_id", sc.RequestID(),
-			"status", sw.Code,
-			"duration_us", time.Since(start).Microseconds())
-	}
+	s.StartDrain()
+	return s.WaitIdle(ctx)
 }
 
 func (s *SeedShardServer) error(w http.ResponseWriter, code int, msg string) {
@@ -164,19 +105,24 @@ func (s *SeedShardServer) error(w http.ResponseWriter, code int, msg string) {
 // are 400s — a misrouted seed answered "absent" would silently drop
 // alignments, so the server refuses instead.
 func (s *SeedShardServer) handleLookup(w http.ResponseWriter, r *http.Request) {
-	if !s.enter() {
+	if !s.Enter() {
 		s.error(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	defer s.exit()
+	defer s.Exit()
 	if budget, ok := client.DeadlineFromHeader(r.Header); ok {
 		ctx, cancel := context.WithTimeout(r.Context(), budget)
 		defer cancel()
 		r = r.WithContext(ctx)
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
 		s.error(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("lookup body exceeds %d bytes", s.maxBody))
+		return
+	case err != nil:
+		s.error(w, http.StatusBadRequest, "reading lookup body: "+err.Error())
 		return
 	}
 	k, seeds, err := dhtnet.DecodeLookupRequest(body)
@@ -216,30 +162,17 @@ func (s *SeedShardServer) handleLookup(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *SeedShardServer) handleShardInfo(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.shard.Info())
-}
-
-func (s *SeedShardServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
-		return
-	}
-	io.WriteString(w, "ok\n")
+	WriteJSON(w, r, http.StatusOK, s.shard.Info())
 }
 
 func (s *SeedShardServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	info := s.shard.Info()
+	shard := strconv.Itoa(s.shard.Info().ID)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "# TYPE merserved_seedshard_lookup_requests_total counter\nmerserved_seedshard_lookup_requests_total{shard=\"%d\"} %d\n", info.ID, s.lookups.Load())
-	fmt.Fprintf(w, "# TYPE merserved_seedshard_seeds_total counter\nmerserved_seedshard_seeds_total{shard=\"%d\"} %d\n", info.ID, s.seeds.Load())
-	fmt.Fprintf(w, "# TYPE merserved_seedshard_misses_total counter\nmerserved_seedshard_misses_total{shard=\"%d\"} %d\n", info.ID, s.misses.Load())
-	fmt.Fprintf(w, "# TYPE merserved_seedshard_rejected_total counter\nmerserved_seedshard_rejected_total{shard=\"%d\"} %d\n", info.ID, s.rejected.Load())
-	fmt.Fprintf(w, "# TYPE merserved_seedshard_resident_bytes gauge\nmerserved_seedshard_resident_bytes{shard=\"%d\"} %d\n", info.ID, s.shard.ResidentBytes())
-	draining := 0
-	if s.draining.Load() {
-		draining = 1
-	}
-	fmt.Fprintf(w, "# TYPE merserved_seedshard_draining gauge\nmerserved_seedshard_draining{shard=\"%d\"} %d\n", info.ID, draining)
+	m := telemetry.NewExposition(w)
+	m.Counter("merserved_seedshard_lookup_requests_total", "lookup calls served to completion").Int(s.lookups.Load(), "shard", shard)
+	m.Counter("merserved_seedshard_seeds_total", "seeds resolved across lookup calls").Int(s.seeds.Load(), "shard", shard)
+	m.Counter("merserved_seedshard_misses_total", "seeds that resolved absent").Int(s.misses.Load(), "shard", shard)
+	m.Counter("merserved_seedshard_rejected_total", "lookups refused with 400 (malformed frame, k mismatch, misrouted seed)").Int(s.rejected.Load(), "shard", shard)
+	m.Gauge("merserved_seedshard_resident_bytes", "mapped seed-shard footprint").Int(s.shard.ResidentBytes(), "shard", shard)
+	m.Gauge("merserved_seedshard_draining", "1 while draining (healthz returns 503)").Bool(s.Draining(), "shard", shard)
 }

@@ -8,8 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"github.com/lbl-repro/meraligner/internal/core"
@@ -175,6 +179,14 @@ func TestSeedShardRejections(t *testing.T) {
 	if code, _ := post(make([]byte, 2<<20)); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body accepted: %d", code)
 	}
+	// A body that fails to read for any other reason is the client's
+	// broken request (400), not an oversized one.
+	broken := httptest.NewRequest(http.MethodPost, "/v1/lookup", io.MultiReader(bytes.NewReader(wrongK[:4]), iotest.ErrReader(io.ErrUnexpectedEOF)))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, broken)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "reading lookup body") {
+		t.Fatalf("unreadable body: %d %q, want 400", rec.Code, rec.Body.String())
+	}
 	// The rejections are counted.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -260,5 +272,76 @@ func TestSeedShardDegradedTyped(t *testing.T) {
 	}
 	if de.Owner != 2 {
 		t.Fatalf("degraded owner %d, want 2", de.Owner)
+	}
+}
+
+// gateProbeBody is a lookup request body that reports when the handler
+// reads it — which it does only after the draining gate admitted the
+// request, just before probing the shard.
+type gateProbeBody struct {
+	io.Reader
+	onRead func()
+}
+
+func (b *gateProbeBody) Read(p []byte) (int, error) {
+	b.onRead()
+	return b.Reader.Read(p)
+}
+
+func (b *gateProbeBody) Close() error { return nil }
+
+// TestSeedShardDrainRace hammers Drain against concurrent lookups. The
+// caller of Drain closes (unmaps) the shard as soon as it returns, so a
+// lookup the gate admitted must never still be running by then: the
+// draining check and the in-flight increment have to be one atomic step,
+// or a lookup can pass the check, Drain can see the gate empty and return,
+// and the lookup then probes unmapped memory.
+func TestSeedShardDrainRace(t *testing.T) {
+	shards, _, _ := seedShardFleet(t, 1)
+	// An empty frame keeps the handler short, so the gate dominates.
+	frame := dhtnet.AppendLookupRequest(nil, shards[0].Info().K, nil)
+	rounds, hammers := 400, 32
+	if testing.Short() {
+		rounds = 100
+	}
+	for round := 0; round < rounds; round++ {
+		srv, err := NewSeedShard(SeedShardConfig{Shard: shards[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var drained atomic.Bool
+		var late, served atomic.Int64
+		var wg sync.WaitGroup
+		for h := 0; h < hammers; h++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					req := httptest.NewRequest(http.MethodPost, "/v1/lookup", nil)
+					req.Body = &gateProbeBody{Reader: bytes.NewReader(frame), onRead: func() {
+						if drained.Load() {
+							late.Add(1)
+						}
+					}}
+					rec := httptest.NewRecorder()
+					srv.ServeHTTP(rec, req)
+					if rec.Code != http.StatusOK {
+						return // 503: the gate has closed
+					}
+					served.Add(1)
+				}
+			}()
+		}
+		for served.Load() < int64(hammers) {
+			runtime.Gosched()
+		}
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		drained.Store(true)
+		wg.Wait()
+		if n := late.Load(); n > 0 {
+			t.Fatalf("round %d: %d lookup(s) were still running after Drain returned", round, n)
+		}
 	}
 }

@@ -30,7 +30,7 @@
 //	                             plus every active reference's stats
 //	GET  /healthz, /metrics      as above; metrics carry a ref label
 //
-// Each reference owns its dynamic micro-batcher (batcher.go): small
+// Each reference owns its micro-batching queue (internal/coalesce): small
 // requests coalesce per reference, requests of MaxBatch reads or more skip
 // the queue and run directly with the request's own context. Responses are
 // byte-identical to a local Align call over the same reads against the
@@ -48,7 +48,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,6 +56,7 @@ import (
 	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/client"
 	"github.com/lbl-repro/meraligner/internal/catalog"
+	"github.com/lbl-repro/meraligner/internal/coalesce"
 	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/seqio"
 	"github.com/lbl-repro/meraligner/internal/telemetry"
@@ -177,6 +177,8 @@ func (c Config) withDefaults() Config {
 // Server is the HTTP handler. Create with New, serve with net/http, stop
 // with Drain (graceful) and Close (hard).
 type Server struct {
+	*Lifecycle
+
 	cfg  Config
 	qopt meraligner.QueryOptions
 	mux  *http.ServeMux
@@ -189,23 +191,19 @@ type Server struct {
 	tmu     sync.Mutex // guards tenants (catalog mode)
 	tenants map[string]*tenant
 
-	logger *slog.Logger
-	ring   *telemetry.Ring // completed request traces (/debug/requests)
-
-	draining atomic.Bool
-	baseCtx  context.Context
-	cancel   context.CancelFunc
+	baseCtx context.Context
+	cancel  context.CancelFunc
 }
 
-// tenant is the serving state of one reference: its micro-batcher, stats,
-// inflight quota, and the Source resolving its current index. A tenant is
-// permanent once created — it survives eviction and hot-swap of the index
-// underneath (the catalog hands out a fresh pin per engine call).
+// tenant is the serving state of one reference: its micro-batching queue,
+// stats, inflight quota, and the Source resolving its current index. A
+// tenant is permanent once created — it survives eviction and hot-swap of
+// the index underneath (the catalog hands out a fresh pin per engine call).
 type tenant struct {
 	s   *Server
 	ref string // "" in single-index mode
 	src catalog.Source
-	bat *batcher
+	co  *coalesce.Coalescer[meraligner.Seq, *engineCall]
 	st  *serverStats
 
 	inflight atomic.Int64 // align requests being served (quota)
@@ -230,17 +228,15 @@ func New(cfg Config) (*Server, error) {
 	qopt.CollectAlignments = true // responses need the records
 	qopt.CollectPerQuery = true   // stats need per-read latency
 	s := &Server{cfg: cfg, qopt: qopt}
-	s.logger = cfg.Logger
-	if s.logger == nil {
-		s.logger = slog.New(slog.DiscardHandler)
-	}
-	s.ring = telemetry.NewRing(cfg.TraceCapacity)
+	s.Lifecycle = NewLifecycle(cfg.Logger, cfg.SlowRequest, cfg.TraceCapacity)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 
+	// Align endpoints run traced (the 503s are traced too) behind the gate.
+	wrap := func(h http.HandlerFunc) http.HandlerFunc { return s.Traced(s.Gated(h)) }
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	mux.HandleFunc("GET /healthz", s.Healthz)
+	mux.HandleFunc("GET /readyz", s.Readyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if cfg.Aligner != nil {
 		if s.cfg.Workers <= 0 {
@@ -249,8 +245,8 @@ func New(cfg Config) (*Server, error) {
 		t := s.newTenant("", catalog.Static(cfg.Aligner))
 		t.noteIndex(cfg.Aligner)
 		s.single = t
-		mux.HandleFunc("POST /v1/align", s.traced(s.singleHandler((*tenant).handleAlign)))
-		mux.HandleFunc("POST /v1/align/stream", s.traced(s.singleHandler((*tenant).handleAlignStream)))
+		mux.HandleFunc("POST /v1/align", wrap(s.singleHandler((*tenant).handleAlign)))
+		mux.HandleFunc("POST /v1/align/stream", wrap(s.singleHandler((*tenant).handleAlignStream)))
 		mux.HandleFunc("GET /v1/targets", s.handleTargets)
 	} else {
 		if s.cfg.Workers <= 0 {
@@ -267,8 +263,8 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.cat = cat
 		s.tenants = make(map[string]*tenant)
-		mux.HandleFunc("POST /v1/{ref}/align", s.traced(s.refHandler((*tenant).handleAlign)))
-		mux.HandleFunc("POST /v1/{ref}/align/stream", s.traced(s.refHandler((*tenant).handleAlignStream)))
+		mux.HandleFunc("POST /v1/{ref}/align", wrap(s.refHandler((*tenant).handleAlign)))
+		mux.HandleFunc("POST /v1/{ref}/align/stream", wrap(s.refHandler((*tenant).handleAlignStream)))
 		mux.HandleFunc("GET /v1/{ref}/stats", s.handleRefStats)
 		mux.HandleFunc("GET /v1/{ref}/targets", s.handleRefTargets)
 		mux.HandleFunc("GET /v1/refs", s.handleRefs)
@@ -277,10 +273,19 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newTenant wires one reference's batcher and stats.
+// newTenant wires one reference's queue and stats. The queue's results pin
+// the index they were computed on (engineCall), so Release drops the pin
+// once the last member response has rendered.
 func (s *Server) newTenant(ref string, src catalog.Source) *tenant {
 	t := &tenant{s: s, ref: ref, src: src, st: newServerStats()}
-	t.bat = newBatcher(s.baseCtx, t.alignBatch, s.cfg.MaxBatch, s.cfg.MaxWait, s.cfg.QueueReads, t.st)
+	t.co = coalesce.New(s.baseCtx, coalesce.Config[meraligner.Seq, *engineCall]{
+		Call:     t.alignBatch,
+		MaxBatch: s.cfg.MaxBatch,
+		MaxWait:  s.cfg.MaxWait,
+		Capacity: s.cfg.QueueReads,
+		Stats:    &t.st.Stats,
+		Release:  func(c *engineCall) { c.pin.Release() },
+	})
 	return t
 }
 
@@ -300,8 +305,8 @@ func (t *tenant) noteIndex(al *meraligner.Aligner) {
 func (s *Server) tenantFor(ref string) (*tenant, error) {
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
-	if s.draining.Load() {
-		return nil, ErrDraining
+	if s.Draining() {
+		return nil, coalesce.ErrDraining
 	}
 	t, ok := s.tenants[ref]
 	if !ok {
@@ -326,16 +331,10 @@ func (s *Server) allTenants() []*tenant {
 	return out
 }
 
-// singleHandler wraps a tenant handler for single-index mode: draining
-// check and inflight quota, then the handler.
+// singleHandler wraps a tenant handler for single-index mode: inflight
+// quota, then the handler.
 func (s *Server) singleHandler(h func(*tenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			s.writeError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
-			return
-		}
-		s.dispatch(s.single, h, w, r)
-	}
+	return func(w http.ResponseWriter, r *http.Request) { s.dispatch(s.single, h, w, r) }
 }
 
 // refHandler wraps a tenant handler for catalog mode: it resolves {ref}
@@ -345,10 +344,6 @@ func (s *Server) singleHandler(h func(*tenant, http.ResponseWriter, *http.Reques
 // then applies the quota and runs the handler.
 func (s *Server) refHandler(h func(*tenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			s.writeError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
-			return
-		}
 		ref := r.PathValue("ref")
 		hdl, err := s.cat.Acquire(ref)
 		if err != nil {
@@ -358,7 +353,7 @@ func (s *Server) refHandler(h func(*tenant, http.ResponseWriter, *http.Request))
 		t, err := s.tenantFor(ref)
 		if err != nil {
 			hdl.Release()
-			s.writeError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
+			WriteError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
 			return
 		}
 		t.noteIndex(hdl.Aligner())
@@ -367,65 +362,12 @@ func (s *Server) refHandler(h func(*tenant, http.ResponseWriter, *http.Request))
 	}
 }
 
-// TraceRing exposes the ring of completed request traces, for mounting
-// at /debug/requests on a private debug listener (telemetry.NewDebugMux)
-// and for tests.
-func (s *Server) TraceRing() *telemetry.Ring { return s.ring }
-
-// traced wraps an align handler with request-scoped tracing: extract or
-// mint the request's span context, echo X-Request-Id immediately (error
-// responses carry it too), thread the trace recorder through the
-// request context, then record the completed trace in the debug ring
-// and log it — at warn level with the full span trace when it exceeded
-// Config.SlowRequest. Spans are recorded per request, never per read,
-// so the engine's allocation-free query path is untouched.
-func (s *Server) traced(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sc, _ := telemetry.Extract(r.Header)
-		tr := telemetry.NewTrace(sc, r.URL.Path)
-		w.Header().Set(telemetry.HeaderRequestID, sc.RequestID())
-		sw := &telemetry.StatusRecorder{ResponseWriter: w, Code: http.StatusOK}
-		aborted := true
-		// The deferred finish also runs when a streaming handler aborts
-		// the connection (panic(http.ErrAbortHandler)); the panic
-		// propagates past it untouched.
-		defer func() { s.finishTrace(tr, sw, aborted) }()
-		h(sw, r.WithContext(telemetry.WithTrace(r.Context(), tr)))
-		aborted = false
-	}
-}
-
-// finishTrace seals one request's trace into the debug ring and emits
-// its structured log line.
-func (s *Server) finishTrace(tr *telemetry.Trace, sw *telemetry.StatusRecorder, aborted bool) {
-	rt := tr.Finish(sw.Code)
-	s.ring.Add(rt)
-	attrs := []any{
-		"request_id", rt.RequestID,
-		"path", rt.Path,
-		"status", rt.Status,
-		"reads", rt.Reads,
-		"duration_ms", float64(rt.DurationUs) / 1e3,
-	}
-	if rt.Ref != "" {
-		attrs = append(attrs, "ref", rt.Ref)
-	}
-	if aborted {
-		attrs = append(attrs, "aborted", true)
-	}
-	if s.cfg.SlowRequest > 0 && time.Duration(rt.DurationUs)*time.Microsecond >= s.cfg.SlowRequest {
-		s.logger.Warn("slow request", append(attrs, "spans", rt.SpanSummary())...)
-		return
-	}
-	s.logger.Debug("request", attrs...)
-}
-
 // dispatch applies the per-reference inflight quota around one handler.
 func (s *Server) dispatch(t *tenant, h func(*tenant, http.ResponseWriter, *http.Request), w http.ResponseWriter, r *http.Request) {
 	if !t.enterInflight() {
 		t.st.rejected.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.writeError(w, r, http.StatusTooManyRequests, &client.ErrorResponse{Error: "overloaded: per-reference inflight limit reached"})
+		w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
+		WriteError(w, r, http.StatusTooManyRequests, &client.ErrorResponse{Error: "overloaded: per-reference inflight limit reached"})
 		return
 	}
 	defer t.exitInflight()
@@ -456,46 +398,45 @@ func (t *tenant) exitInflight() {
 func (s *Server) acquireError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, catalog.ErrUnknownRef):
-		s.writeError(w, r, http.StatusNotFound, &client.ErrorResponse{Error: err.Error()})
+		WriteError(w, r, http.StatusNotFound, &client.ErrorResponse{Error: err.Error()})
 	case errors.Is(err, catalog.ErrCatalogClosed):
-		s.writeError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
+		WriteError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
 	default:
 		// A present but unreadable snapshot (corrupt, incompatible): the
 		// typed merx error names the failing section.
-		s.writeError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
+		WriteError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
 	}
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Draining reports whether Drain or Close has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain gracefully stops the service: admission closes (healthz and new
 // align requests answer 503), queued requests still execute, in-flight
-// engine calls finish; in catalog mode every reference's batcher drains
-// concurrently and the catalog closes last, so no index unmaps before its
-// final responses render. When ctx expires first, in-flight work is
-// aborted via the base context and ctx's error is returned.
+// engine calls finish and their responses render; in catalog mode every
+// reference's queue drains concurrently and the catalog closes last, so no
+// index unmaps before its final responses render. When ctx expires first,
+// in-flight work is aborted via the base context and ctx's error is
+// returned.
 func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
+	s.StartDrain()
 	ts := s.allTenants()
-	errs := make(chan error, len(ts))
+	errs := make([]error, len(ts)+1)
 	var wg sync.WaitGroup
-	for _, t := range ts {
+	for i, t := range ts {
 		wg.Add(1)
-		go func(t *tenant) {
+		go func(i int, t *tenant) {
 			defer wg.Done()
-			errs <- t.bat.drain(ctx)
-		}(t)
+			errs[i] = t.co.Drain(ctx)
+		}(i, t)
 	}
 	wg.Wait()
-	close(errs)
+	errs[len(ts)] = s.WaitIdle(ctx)
 	var failed error
-	for err := range errs {
-		if err != nil && failed == nil {
+	for _, err := range errs {
+		if err != nil {
 			failed = err
+			break
 		}
 	}
 	if failed != nil {
@@ -507,24 +448,64 @@ func (s *Server) Drain(ctx context.Context) error {
 	return failed
 }
 
-// Close hard-stops: cancels every in-flight engine call, stops the
-// batchers' dispatchers (queued requests fail fast against the dead base
-// context), and closes the catalog. Use after a failed Drain or for tests.
+// Close hard-stops: cancels every in-flight engine call, stops the queues'
+// dispatchers (queued requests fail fast against the dead base context),
+// and closes the catalog. Use after a failed Drain or for tests.
 func (s *Server) Close() {
-	s.draining.Store(true)
+	s.StartDrain()
 	s.cancel()
 	for _, t := range s.allTenants() {
-		t.bat.closeNow()
+		t.co.Close()
 	}
 	if s.cat != nil {
 		s.cat.Close()
 	}
 }
 
-// alignBatch is the batcher's engine call: pin the reference's current
-// index, align, and hand the pin to the engineCall — it is released only
-// when every member response (and the dispatcher) has finished with the
-// Results and the mapped target bytes SAM rendering reads.
+// engineCall is the outcome of one engine call plus the pin that keeps its
+// index alive. SAM rendering dereferences the target sequence bytes, which
+// live in the snapshot mapping — so a catalog-managed index evicted or
+// hot-swapped out mid-response must not unmap until every member request
+// has finished rendering: the queue reference-counts the call across its
+// member windows (coalesce.Config.Release) and unpins on the last release.
+// targets is captured from the pinned index at call time, so responses
+// render against the index that actually served them even if the reference
+// was swapped meanwhile.
+type engineCall struct {
+	res     *meraligner.Results
+	reads   []meraligner.Seq // every read of the call, in Results query order
+	targets []meraligner.Seq
+	pin     *catalog.Handle
+}
+
+// window is one request's view of an engine call: Result is the shared
+// call, [Lo, Hi) the request's query range within it. The holder must
+// Release it exactly once, after its last use of the call's Results or
+// targets.
+type window = coalesce.Window[*engineCall]
+
+// recordWindow adds a request's queue-wait and engine spans to tr: the
+// batch_wait span is the coalesce wait (enqueue to dispatch), the engine
+// span the shared call itself, annotated with the call's aggregate read
+// stats.
+func recordWindow(tr *telemetry.Trace, w *window) {
+	if tr == nil {
+		return
+	}
+	tr.Add("batch_wait", w.Enq, w.Disp.Sub(w.Enq), func(sp *telemetry.Span) {
+		sp.Requests = w.Requests
+		sp.Reads = w.Hi - w.Lo
+	})
+	tr.Add("engine", w.Disp, w.Done.Sub(w.Disp), func(sp *telemetry.Span) {
+		sp.Requests = w.Requests
+		sp.Reads = len(w.Result.reads)
+		sp.SWCalls = w.Result.res.SWCalls
+		sp.SeedLookups = w.Result.res.SeedLookups
+	})
+}
+
+// alignBatch is the queue's engine call: pin the reference's current index,
+// align, and hand the pin to the engineCall.
 func (t *tenant) alignBatch(ctx context.Context, reads []meraligner.Seq) (*engineCall, error) {
 	h, err := t.src.Acquire()
 	if err != nil {
@@ -537,15 +518,10 @@ func (t *tenant) alignBatch(ctx context.Context, reads []meraligner.Seq) (*engin
 		return nil, err
 	}
 	t.st.observePerQuery(res.PerQuery)
-	return newEngineCall(res, al.Targets(), h.Release), nil
+	return &engineCall{res: res, reads: reads, targets: al.Targets(), pin: h}, nil
 }
 
 // ---- request parsing ----
-
-// parseReads decodes the request body under this server's byte bound.
-func (s *Server) parseReads(w http.ResponseWriter, r *http.Request) ([]meraligner.Seq, error) {
-	return ParseReads(w, r, s.cfg.MaxRequestBytes)
-}
 
 // ParseReads decodes an align request body into native reads: a JSON
 // AlignRequest when the content type says JSON, a FASTQ document otherwise
@@ -554,7 +530,7 @@ func (s *Server) parseReads(w http.ResponseWriter, r *http.Request) ([]meraligne
 // with A, bases packed), so any front end using this — the scatter/gather
 // router included — hands the engine, and re-serializes to other nodes,
 // byte-identical reads. Bodies over maxBytes surface as *http.MaxBytesError
-// (ParseStatus maps them to 413).
+// (parseStatus maps them to 413).
 func ParseReads(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]meraligner.Seq, error) {
 	body := http.MaxBytesReader(w, r.Body, maxBytes)
 	ct := r.Header.Get("Content-Type")
@@ -593,7 +569,7 @@ func ParseReads(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]meral
 }
 
 // errDecompressedTooLarge marks a gzipped body whose expansion exceeded the
-// decompressed-size cap; ParseStatus maps it to 413 like its compressed
+// decompressed-size cap; parseStatus maps it to 413 like its compressed
 // counterpart.
 var errDecompressedTooLarge = errors.New("decompressed request body too large")
 
@@ -616,10 +592,10 @@ func (c *capReader) Read(p []byte) (int, error) {
 	return m, err
 }
 
-// ParseStatus maps a ParseReads failure to its HTTP status: 413 when the
+// parseStatus maps a ParseReads failure to its HTTP status: 413 when the
 // body exceeded the byte bound compressed or its decompressed cap (split
 // the batch and retry), 400 for malformed input (don't retry).
-func ParseStatus(err error) int {
+func parseStatus(err error) int {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) || errors.Is(err, errDecompressedTooLarge) {
 		return http.StatusRequestEntityTooLarge
@@ -639,86 +615,45 @@ func packWire(seq string) (dna.Packed, error) {
 	return dna.PackBytes(b)
 }
 
-// admit validates a parsed batch: non-empty, and every read long enough to
-// carry a seed. Too-short reads are a client error (HTTP 400) carrying the
-// typed per-read detail — the service-side face of the engine's
-// QueryTooShort status (same rule: length < K). K is the tenant's
-// last-observed seed length; the engine itself re-checks, so a hot-swap
-// changing K mid-request degrades to the engine's per-read status rather
-// than a wrong rejection.
-func (t *tenant) admit(reads []meraligner.Seq) *client.ErrorResponse {
-	if len(reads) == 0 {
-		return &client.ErrorResponse{Error: "empty request: no reads"}
+// admit runs the shared parse-and-validate front half against this tenant.
+// K is the tenant's last-observed seed length; the engine itself re-checks,
+// so a hot-swap changing K mid-request degrades to the engine's per-read
+// status rather than a wrong rejection.
+func (t *tenant) admit(w http.ResponseWriter, r *http.Request, start time.Time) ([]meraligner.Seq, bool) {
+	if tr := telemetry.TraceFrom(r.Context()); tr != nil {
+		tr.SetRef(t.ref)
 	}
-	k := int(t.k.Load())
-	var short []string
-	for i := range reads {
-		if reads[i].Seq.Len() < k {
-			short = append(short, reads[i].Name)
-		}
-	}
-	if short != nil {
-		t.st.tooShort.Add(int64(len(short)))
-		return &client.ErrorResponse{
-			Error:    fmt.Sprintf("%d read(s) shorter than the seed length K=%d cannot be aligned", len(short), k),
-			TooShort: short,
-		}
-	}
-	return nil
+	return AdmitReads(w, r, t.s.cfg.MaxRequestBytes, int(t.k.Load()), &t.st.tooShort, start)
 }
 
 // ---- /v1/align and /v1/{ref}/align ----
 
 func (t *tenant) handleAlign(w http.ResponseWriter, r *http.Request) {
 	s := t.s
-	tr := telemetry.TraceFrom(r.Context())
-	if tr != nil {
-		tr.SetRef(t.ref)
-	}
 	admitStart := time.Now()
-	if budget, ok := client.DeadlineFromHeader(r.Header); ok {
-		// Deadline admission: refuse work the caller will have abandoned
-		// before it finishes, and bound accepted work by the propagated
-		// budget so a doomed engine call cannot outlive its caller.
-		if s.cfg.MinDeadline > 0 && budget < s.cfg.MinDeadline {
-			t.st.deadlineRejected.Add(1)
-			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-			s.writeError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{
-				Error: fmt.Sprintf("deadline budget %s below the %s admission floor: rejecting doomed work", budget, s.cfg.MinDeadline)})
-			return
-		}
-		if budget > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), budget)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-	}
-	reads, err := s.parseReads(w, r)
-	if err != nil {
-		s.writeError(w, r, ParseStatus(err), &client.ErrorResponse{Error: err.Error()})
+	r, cancel, ok := AdmitDeadline(w, r, s.cfg.MinDeadline, s.cfg.RetryAfter, &t.st.deadlineRejected)
+	if !ok {
 		return
 	}
-	if er := t.admit(reads); er != nil {
-		s.writeError(w, r, http.StatusBadRequest, er)
+	defer cancel()
+	reads, ok := t.admit(w, r, admitStart)
+	if !ok {
 		return
-	}
-	if tr != nil {
-		tr.AddReads(len(reads))
-		tr.Add("admission", admitStart, time.Since(admitStart), func(sp *telemetry.Span) { sp.Reads = len(reads) })
 	}
 	win, err := t.serve(r.Context(), reads)
 	if err != nil {
 		t.engineError(w, r, err)
 		return
 	}
-	defer win.finish() // response rendered: the index pin may drop
-	win.record(tr)
+	defer win.Release() // response rendered: the index pin may drop
+	tr := telemetry.TraceFrom(r.Context())
+	recordWindow(tr, win)
 
 	render := time.Now()
-	if wantsSAM(r) {
-		s.writeSAM(w, r, win)
+	if WantsSAM(r) {
+		writeSAM(w, r, win)
 	} else {
-		s.writeJSON(w, r, http.StatusOK, buildResponse(win))
+		WriteJSON(w, r, http.StatusOK, buildResponse(win))
 	}
 	if tr != nil {
 		tr.Add("render", render, time.Since(render), nil)
@@ -727,26 +662,25 @@ func (t *tenant) handleAlign(w http.ResponseWriter, r *http.Request) {
 
 // serve is the request-serving core shared by the HTTP handler and
 // AlignBatched: big requests run directly with the caller's context (no
-// coalescing to gain; a disconnect cancels the engine call itself), small
-// requests go through the micro-batcher. Request accounting and latency
+// coalescing to gain; a disconnect cancels the engine call itself) and
+// count as a batch of one request, so stats stay comparable across paths;
+// small requests go through the queue. Request accounting and latency
 // observation happen here so both faces report identically. The returned
-// window holds a reference on its engine call; the caller must finish() it
+// window holds a reference on its engine call; the caller must Release it
 // after rendering.
 func (t *tenant) serve(ctx context.Context, reads []meraligner.Seq) (*window, error) {
 	start := time.Now()
 	var win *window
+	var err error
 	if len(reads) >= t.s.cfg.MaxBatch {
-		call, err := t.alignDirect(ctx, reads)
-		if err != nil {
-			return nil, err
+		if win, err = t.co.Direct(ctx, reads); err == nil {
+			t.st.ObserveBatch(1, len(reads))
 		}
-		win = &window{call: call, reads: reads, lo: 0, hi: len(reads),
-			enq: start, disp: start, done: time.Now(), requests: 1}
 	} else {
-		var err error
-		if win, err = t.bat.submit(ctx, reads); err != nil {
-			return nil, err
-		}
+		win, err = t.co.Submit(ctx, reads)
+	}
+	if err != nil {
+		return nil, err
 	}
 	// Counted only on success: requests/reads are served work, not offered
 	// load (rejections are the separate `rejected` counter).
@@ -760,9 +694,9 @@ func (t *tenant) serve(ctx context.Context, reads []meraligner.Seq) (*window, er
 // service exactly as POST /v1/align does — micro-batching, admission
 // control, stats — but in-process, with no HTTP in the path. Embedders and
 // the service benchmark use it to measure or reuse the serving core
-// directly. Errors: ErrOverloaded (the 429 case), ErrDraining (the 503
-// case), or the caller's context error. Catalog-mode servers use
-// AlignBatchedRef.
+// directly. Errors: coalesce.ErrOverloaded (the 429 case),
+// coalesce.ErrDraining (the 503 case), or the caller's context error.
+// Catalog-mode servers use AlignBatchedRef.
 func (s *Server) AlignBatched(ctx context.Context, reads []meraligner.Seq) (*meraligner.Results, error) {
 	if s.single == nil {
 		return nil, errors.New("service: AlignBatched needs single-index mode; use AlignBatchedRef")
@@ -779,9 +713,6 @@ func (s *Server) AlignBatchedRef(ctx context.Context, ref string, reads []merali
 			return nil, errors.New("service: single-index mode serves no named references")
 		}
 		return s.single.alignBatched(ctx, reads)
-	}
-	if s.draining.Load() {
-		return nil, ErrDraining
 	}
 	hdl, err := s.cat.Acquire(ref)
 	if err != nil {
@@ -800,57 +731,36 @@ func (s *Server) AlignBatchedRef(ctx context.Context, ref string, reads []merali
 // alignBatched serves one in-process request and rebases its share of the
 // coalesced Results into a standalone, heap-only value.
 func (t *tenant) alignBatched(ctx context.Context, reads []meraligner.Seq) (*meraligner.Results, error) {
-	if t.s.draining.Load() {
-		return nil, ErrDraining
+	if !t.s.Enter() {
+		return nil, coalesce.ErrDraining
 	}
+	defer t.s.Exit()
 	win, err := t.serve(ctx, reads)
 	if err != nil {
 		return nil, err
 	}
-	res := win.slice()
-	win.finish()
-	return res, nil
+	defer win.Release()
+	return win.Result.res.Slice(win.Lo, win.Hi), nil // heap-only: outlives the pin
 }
 
-// alignDirect runs one uncoalesced engine call and counts it as a batch of
-// one request (so stats stay comparable across paths). It registers with
-// the batcher's inflight count, so queued small requests coalesce behind
-// it and drain waits for it.
-func (t *tenant) alignDirect(ctx context.Context, reads []meraligner.Seq) (*engineCall, error) {
-	t.bat.enterDirect()
-	defer t.bat.exitDirect()
-	call, err := t.alignBatch(ctx, reads)
-	if err == nil {
-		t.st.observeBatch(1, len(reads))
-	}
-	return call, err
-}
-
-// engineError maps batcher/engine failures onto HTTP statuses.
+// engineError maps queue/engine failures onto HTTP statuses.
 func (t *tenant) engineError(w http.ResponseWriter, r *http.Request, err error) {
-	s := t.s
 	switch {
-	case errors.Is(err, ErrOverloaded):
+	case errors.Is(err, coalesce.ErrOverloaded):
 		t.st.rejected.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.writeError(w, r, http.StatusTooManyRequests, &client.ErrorResponse{Error: "overloaded: admission queue full"})
-	case errors.Is(err, ErrDraining), errors.Is(err, catalog.ErrCatalogClosed):
-		s.writeError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
+		w.Header().Set("Retry-After", RetryAfterSeconds(t.s.cfg.RetryAfter))
+		WriteError(w, r, http.StatusTooManyRequests, &client.ErrorResponse{Error: "overloaded: admission queue full"})
+	case errors.Is(err, coalesce.ErrDraining), errors.Is(err, catalog.ErrCatalogClosed):
+		WriteError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
 	case errors.Is(err, catalog.ErrUnknownRef):
 		// The snapshot vanished between admission and the engine call.
-		s.writeError(w, r, http.StatusNotFound, &client.ErrorResponse{Error: err.Error()})
+		WriteError(w, r, http.StatusNotFound, &client.ErrorResponse{Error: err.Error()})
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// Client is gone; nothing useful to write. net/http drops the
-		// connection. (Counted by the batcher when it noticed first.)
+		// connection. (Counted by the queue when it noticed first.)
 	default:
-		s.writeError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
+		WriteError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
 	}
-}
-
-// retryAfterSeconds renders a Retry-After header value (whole seconds,
-// rounded up).
-func retryAfterSeconds(d time.Duration) string {
-	return strconv.Itoa(int((d + time.Second - 1) / time.Second))
 }
 
 // buildResponse renders a window as the JSON wire response, naming targets
@@ -860,9 +770,9 @@ func retryAfterSeconds(d time.Duration) string {
 // shard responses and render SAM records byte-identical to this node's own
 // without ever seeing the target bases.
 func buildResponse(win *window) *client.AlignResponse {
-	res := win.slice()
-	reads := win.reads[win.lo:win.hi]
-	targets := win.call.targets
+	res := win.Result.res.Slice(win.Lo, win.Hi)
+	reads := win.Result.reads[win.Lo:win.Hi]
+	targets := win.Result.targets
 	out := &client.AlignResponse{Reads: make([]client.ReadResult, len(reads))}
 	for i := range reads {
 		out.Reads[i] = client.ReadResult{Name: reads[i].Name, Status: client.StatusUnmapped}
@@ -897,13 +807,13 @@ func buildResponse(win *window) *client.AlignResponse {
 // writeSAM streams a window's records as a SAM document straight from the
 // shared coalesced Results (SAMStream.WriteRange) — no per-request slicing.
 // The header and the records both come from the engine call's pinned
-// targets, whose mapped sequence bytes stay valid until win.finish().
-func (s *Server) writeSAM(w http.ResponseWriter, r *http.Request, win *window) {
+// targets, whose mapped sequence bytes stay valid until win.Release().
+func writeSAM(w http.ResponseWriter, r *http.Request, win *window) {
 	w.Header().Set("Content-Type", "text/x-sam")
-	body, finish := s.maybeGzip(w, r)
-	stream, err := meraligner.NewSAMStream(body, win.call.targets)
+	body, finish := MaybeGzip(w, r)
+	stream, err := meraligner.NewSAMStream(body, win.Result.targets)
 	if err == nil {
-		err = stream.WriteRange(win.call.res, win.reads, win.lo, win.hi)
+		err = stream.WriteRange(win.Result.res, win.Result.reads, win.Lo, win.Hi)
 	}
 	if err == nil {
 		err = stream.Flush()
@@ -923,33 +833,20 @@ func (s *Server) writeSAM(w http.ResponseWriter, r *http.Request, win *window) {
 // so a disconnect cancels the remaining work.
 func (t *tenant) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 	s := t.s
+	reads, ok := t.admit(w, r, time.Now())
+	if !ok {
+		return
+	}
 	tr := telemetry.TraceFrom(r.Context())
-	if tr != nil {
-		tr.SetRef(t.ref)
-	}
-	admitStart := time.Now()
-	reads, err := s.parseReads(w, r)
-	if err != nil {
-		s.writeError(w, r, ParseStatus(err), &client.ErrorResponse{Error: err.Error()})
-		return
-	}
-	if er := t.admit(reads); er != nil {
-		s.writeError(w, r, http.StatusBadRequest, er)
-		return
-	}
-	if tr != nil {
-		tr.AddReads(len(reads))
-		tr.Add("admission", admitStart, time.Since(admitStart), func(sp *telemetry.Span) { sp.Reads = len(reads) })
-	}
 	start := time.Now()
 
-	sam := wantsSAM(r)
+	sam := WantsSAM(r)
 	if sam {
 		w.Header().Set("Content-Type", "text/x-sam")
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	body, finish := s.maybeGzip(w, r)
+	body, finish := MaybeGzip(w, r)
 	flush := func() {
 		if gz, ok := body.(*gzip.Writer); ok {
 			gz.Flush()
@@ -963,8 +860,9 @@ func (t *tenant) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 	// first-chunk admission failure can still answer with a real status.
 	var stream *meraligner.SAMStream
 	var streamTargets []meraligner.Seq // the header's target set
+	var err error
 	enc := json.NewEncoder(body)
-	// Chunks ride the micro-batcher like any other request, so streams are
+	// Chunks ride the micro-batching queue like any other request, so streams are
 	// subject to the same admission bound (and partial chunks coalesce with
 	// other traffic). One chunk is in flight per stream at a time — the
 	// stream's own backpressure.
@@ -973,14 +871,14 @@ func (t *tenant) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 	for lo := 0; lo < len(reads); lo += chunkSize {
 		hi := min(lo+chunkSize, len(reads))
 		chunk := reads[lo:hi]
-		win, aerr := t.bat.submit(r.Context(), chunk)
+		win, aerr := t.co.Submit(r.Context(), chunk)
 		if aerr != nil {
 			if !wrote {
 				// Nothing sent yet: a real status can still go out.
 				t.engineError(w, r, aerr)
 				return
 			}
-			if errors.Is(aerr, ErrOverloaded) {
+			if errors.Is(aerr, coalesce.ErrOverloaded) {
 				t.st.rejected.Add(1)
 			}
 			// Mid-stream with the client still healthy: a plain return
@@ -990,16 +888,16 @@ func (t *tenant) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 			panic(http.ErrAbortHandler)
 		}
 		t.st.reads.Add(int64(len(chunk)))
-		win.record(tr)            // per-chunk batch_wait + engine spans (span cap applies)
-		if werr := func() error { // win.finish() per chunk, panic-safe
-			defer win.finish()
+		recordWindow(tr, win)     // per-chunk batch_wait + engine spans (span cap applies)
+		if werr := func() error { // win.Release() per chunk, panic-safe
+			defer win.Release()
 			if sam {
 				if stream == nil {
-					streamTargets = win.call.targets
+					streamTargets = win.Result.targets
 					if stream, err = meraligner.NewSAMStream(body, streamTargets); err != nil {
 						return err
 					}
-				} else if !sameTargets(streamTargets, win.call.targets) {
+				} else if !sameTargets(streamTargets, win.Result.targets) {
 					// A hot-swap replaced the reference mid-stream: the SAM
 					// header already written names the old target set, and
 					// this chunk's records index the new one. Mixing them
@@ -1007,7 +905,7 @@ func (t *tenant) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 					// the client retries against the swapped index.
 					panic(http.ErrAbortHandler)
 				}
-				if err := stream.WriteRange(win.call.res, win.reads, win.lo, win.hi); err != nil {
+				if err := stream.WriteRange(win.Result.res, win.Result.reads, win.Lo, win.Hi); err != nil {
 					return err
 				}
 				return stream.Flush()
@@ -1040,10 +938,10 @@ func sameTargets(a, b []meraligner.Seq) bool {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.single != nil {
-		s.writeJSON(w, r, http.StatusOK, s.Snapshot())
+		WriteJSON(w, r, http.StatusOK, s.Snapshot())
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, s.CatalogSnapshot())
+	WriteJSON(w, r, http.StatusOK, s.CatalogSnapshot())
 }
 
 // handleRefStats serves one reference's stats. A reference that exists but
@@ -1054,42 +952,42 @@ func (s *Server) handleRefStats(w http.ResponseWriter, r *http.Request) {
 	t := s.tenants[ref]
 	s.tmu.Unlock()
 	if t != nil {
-		s.writeJSON(w, r, http.StatusOK, t.snapshotStats())
+		WriteJSON(w, r, http.StatusOK, t.snapshotStats())
 		return
 	}
 	refs, err := s.cat.Refs()
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
+		WriteError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
 		return
 	}
 	for _, ri := range refs {
 		if ri.Ref == ref {
-			st := client.Stats{Ref: ref, Version: s.cfg.Version, Draining: s.draining.Load(),
+			st := client.Stats{Ref: ref, Version: s.cfg.Version, Draining: s.Draining(),
 				MaxBatch: s.cfg.MaxBatch, MaxWaitMs: float64(s.cfg.MaxWait) / float64(time.Millisecond)}
-			s.writeJSON(w, r, http.StatusOK, st)
+			WriteJSON(w, r, http.StatusOK, st)
 			return
 		}
 	}
-	s.writeError(w, r, http.StatusNotFound, &client.ErrorResponse{Error: (&catalog.UnknownRefError{Ref: ref}).Error()})
+	WriteError(w, r, http.StatusNotFound, &client.ErrorResponse{Error: (&catalog.UnknownRefError{Ref: ref}).Error()})
 }
 
 // handleRefs lists the servable references.
 func (s *Server) handleRefs(w http.ResponseWriter, r *http.Request) {
 	refs, err := s.cat.Refs()
 	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
+		WriteError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
 		return
 	}
 	out := make([]client.RefInfo, len(refs))
 	for i, ri := range refs {
 		out[i] = client.RefInfo{Ref: ri.Ref, Open: ri.Open, ResidentBytes: ri.ResidentBytes}
 	}
-	s.writeJSON(w, r, http.StatusOK, out)
+	WriteJSON(w, r, http.StatusOK, out)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	body, finish := s.maybeGzip(w, r)
+	body, finish := MaybeGzip(w, r)
 	var cat *client.CatalogCounters
 	if s.cat != nil {
 		c := s.catalogCounters()
@@ -1106,29 +1004,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	writeMetrics(body, refs, cat)
 	_ = finish()
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
-		return
-	}
-	io.WriteString(w, "ok\n")
-}
-
-// handleReadyz is the readiness probe: 200 once the service can serve
-// traffic, 503 while it cannot (draining — and, in cmd/merserved, the whole
-// index build/open window before the real handler is installed answers 503
-// "warming" from the warming handler that fronts this server). Routers and
-// orchestrators gate traffic on this; /healthz stays the liveness probe.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
-		return
-	}
-	io.WriteString(w, "ready\n")
 }
 
 // TargetsOf renders one resident index's /v1/targets document: every target
@@ -1154,7 +1029,7 @@ func TargetsOf(al *meraligner.Aligner) *client.TargetsResponse {
 // the material a router needs to build the global SAM header and run
 // admission checks without holding any reference bases.
 func (s *Server) handleTargets(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, r, http.StatusOK, TargetsOf(s.cfg.Aligner))
+	WriteJSON(w, r, http.StatusOK, TargetsOf(s.cfg.Aligner))
 }
 
 // handleRefTargets is handleTargets for one reference of a catalog server
@@ -1168,7 +1043,7 @@ func (s *Server) handleRefTargets(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := TargetsOf(hdl.Aligner())
 	hdl.Release()
-	s.writeJSON(w, r, http.StatusOK, resp)
+	WriteJSON(w, r, http.StatusOK, resp)
 }
 
 // snapshotStats renders one tenant's wire Stats.
@@ -1177,8 +1052,8 @@ func (t *tenant) snapshotStats() client.Stats {
 	st := t.st.snapshot()
 	st.Ref = t.ref
 	st.Version = s.cfg.Version
-	st.Draining = s.draining.Load()
-	st.QueueReads = int64(t.bat.queuedReads())
+	st.Draining = s.Draining()
+	st.QueueReads = int64(t.co.QueuedItems())
 	st.K = int(t.k.Load())
 	st.DistinctSeeds = t.distinctSeeds.Load()
 	st.TotalLocs = t.totalLocs.Load()
@@ -1196,7 +1071,7 @@ func (s *Server) Snapshot() client.Stats {
 	if s.single != nil {
 		return s.single.snapshotStats()
 	}
-	agg := client.Stats{Version: s.cfg.Version, Draining: s.draining.Load(),
+	agg := client.Stats{Version: s.cfg.Version, Draining: s.Draining(),
 		MaxBatch: s.cfg.MaxBatch, MaxWaitMs: float64(s.cfg.MaxWait) / float64(time.Millisecond)}
 	for _, t := range s.allTenants() {
 		st := t.snapshotStats()
@@ -1241,7 +1116,7 @@ func (s *Server) catalogCounters() client.CatalogCounters {
 // active reference. Panics-free on single-index servers: the catalog
 // section is zero and Refs holds the single tenant.
 func (s *Server) CatalogSnapshot() client.CatalogStats {
-	out := client.CatalogStats{Version: s.cfg.Version, Draining: s.draining.Load()}
+	out := client.CatalogStats{Version: s.cfg.Version, Draining: s.Draining()}
 	if s.cat != nil {
 		out.Catalog = s.catalogCounters()
 	}
@@ -1249,43 +1124,4 @@ func (s *Server) CatalogSnapshot() client.CatalogStats {
 		out.Refs = append(out.Refs, t.snapshotStats())
 	}
 	return out
-}
-
-// ---- response plumbing ----
-
-// maybeGzip wraps the response in gzip when the client accepts it. finish
-// closes the gzip stream (a no-op otherwise); call it once after the last
-// body write.
-func (s *Server) maybeGzip(w http.ResponseWriter, r *http.Request) (io.Writer, func() error) {
-	if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-		return w, func() error { return nil }
-	}
-	w.Header().Set("Content-Encoding", "gzip")
-	w.Header().Add("Vary", "Accept-Encoding")
-	gz := gzip.NewWriter(w)
-	return gz, gz.Close
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	body, finish := s.maybeGzip(w, r)
-	if code != http.StatusOK {
-		w.WriteHeader(code)
-	}
-	_ = json.NewEncoder(body).Encode(v)
-	_ = finish()
-}
-
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, code int, er *client.ErrorResponse) {
-	// Error payloads echo the request ID alongside the X-Request-Id
-	// header, so a failure pasted into a bug report still names its trace.
-	if tr := telemetry.TraceFrom(r.Context()); tr != nil && er.RequestID == "" {
-		er.RequestID = tr.RequestID()
-	}
-	s.writeJSON(w, r, code, er)
-}
-
-// wantsSAM reports whether the request asked for SAM output.
-func wantsSAM(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "sam")
 }

@@ -375,13 +375,13 @@ func TestAdmissionQueueFull429(t *testing.T) {
 		_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(mega)})
 		busy <- err
 	}()
-	waitUntil(t, "the engine to go busy", func() bool { return srv.single.bat.inflightCalls() > 0 })
+	waitUntil(t, "the engine to go busy", func() bool { return srv.single.co.Inflight() > 0 })
 	queued := make(chan error, 1)
 	go func() {
 		_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(reads[:big])})
 		queued <- err
 	}()
-	waitUntil(t, "the queue to fill", func() bool { return srv.single.bat.queuedReads() == big })
+	waitUntil(t, "the queue to fill", func() bool { return srv.single.co.QueuedItems() == big })
 
 	_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(reads[:8])})
 	var re *client.RetryError
@@ -415,164 +415,6 @@ func TestOversizedBody413(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body returned %v, want 413 (split-and-retry signal, not 400)", err)
 	}
-}
-
-// ---- cancellation ----
-
-// blockingAlign returns an align func whose every call announces itself on
-// starts (handing the test its private release channel) and blocks until
-// released — the deterministic way to hold the engine busy so arrivals
-// coalesce behind it.
-func blockingAlign() (alignFunc, chan chan struct{}) {
-	starts := make(chan chan struct{})
-	return func(ctx context.Context, batch []meraligner.Seq) (*engineCall, error) {
-		release := make(chan struct{})
-		starts <- release
-		select {
-		case <-release:
-			return newEngineCall(&meraligner.Results{TotalReads: len(batch)}, nil, nil), nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}, starts
-}
-
-type batchResult struct {
-	win *window
-	err error
-}
-
-func TestQueuedCancelDropsOnlyThatRequest(t *testing.T) {
-	// A and B queue behind a busy engine; A's client disconnects while
-	// still queued. The next batch must carry only B.
-	align, starts := blockingAlign()
-	b := newBatcher(context.Background(), align, 64, time.Second, 1024, nil)
-	reads := func(n int) []meraligner.Seq { return make([]meraligner.Seq, n) }
-
-	primer := make(chan batchResult, 1)
-	go func() {
-		w, err := b.submit(context.Background(), reads(1))
-		primer <- batchResult{w, err}
-	}()
-	relPrimer := <-starts // engine now busy with the primer
-
-	ctxA, cancelA := context.WithCancel(context.Background())
-	resA := make(chan batchResult, 1)
-	resB := make(chan batchResult, 1)
-	go func() {
-		w, err := b.submit(ctxA, reads(1))
-		resA <- batchResult{w, err}
-	}()
-	waitUntil(t, "A to queue", func() bool { return b.queuedReads() == 1 })
-	go func() {
-		w, err := b.submit(context.Background(), reads(2))
-		resB <- batchResult{w, err}
-	}()
-	waitUntil(t, "B to queue", func() bool { return b.queuedReads() == 3 })
-
-	cancelA()
-	ra := <-resA
-	if !errors.Is(ra.err, context.Canceled) {
-		t.Fatalf("canceled request returned %v, want context.Canceled", ra.err)
-	}
-	close(relPrimer)
-	if pr := <-primer; pr.err != nil {
-		t.Fatalf("primer failed: %v", pr.err)
-	}
-	close(<-starts) // release the follow-up batch (B, with A dropped)
-	rb := <-resB
-	if rb.err != nil {
-		t.Fatalf("batchmate failed: %v", rb.err)
-	}
-	if rb.win == nil || rb.win.hi-rb.win.lo != 2 || len(rb.win.reads) != 2 {
-		t.Fatalf("B's window should hold exactly its own 2 reads (A dropped at take): %+v", rb.win)
-	}
-	if err := b.drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMidFlightDisconnectCancelsOnlyThatRequest(t *testing.T) {
-	// A and B coalesce into one engine call (formed behind a busy primer);
-	// A's client disconnects while that call is in flight. B's share must
-	// be intact, and the engine context must survive (one member remains).
-	align, starts := blockingAlign()
-	b := newBatcher(context.Background(), align, 8, time.Second, 64, nil)
-	reads := func(n int) []meraligner.Seq { return make([]meraligner.Seq, n) }
-
-	primer := make(chan batchResult, 1)
-	go func() {
-		w, err := b.submit(context.Background(), reads(1))
-		primer <- batchResult{w, err}
-	}()
-	relPrimer := <-starts
-
-	ctxA, cancelA := context.WithCancel(context.Background())
-	resA := make(chan batchResult, 1)
-	resB := make(chan batchResult, 1)
-	go func() {
-		w, err := b.submit(ctxA, reads(1))
-		resA <- batchResult{w, err}
-	}()
-	waitUntil(t, "A to queue first", func() bool { return b.queuedReads() == 1 })
-	go func() {
-		w, err := b.submit(context.Background(), reads(2))
-		resB <- batchResult{w, err}
-	}()
-	waitUntil(t, "B to queue behind A", func() bool { return b.queuedReads() == 3 })
-
-	close(relPrimer)
-	relAB := <-starts // the coalesced [A,B] call is now in flight
-	cancelA()
-	ra := <-resA // A unblocks immediately on its own ctx
-	if !errors.Is(ra.err, context.Canceled) {
-		t.Fatalf("canceled member got %v, want context.Canceled", ra.err)
-	}
-	close(relAB)
-	rb := <-resB
-	if rb.err != nil || rb.win == nil {
-		t.Fatalf("surviving member got (%+v, %v), want its window", rb.win, rb.err)
-	}
-	if rb.win.lo != 1 || rb.win.hi != 3 {
-		t.Fatalf("surviving member window [%d,%d), want [1,3)", rb.win.lo, rb.win.hi)
-	}
-	if pr := <-primer; pr.err != nil {
-		t.Fatalf("primer failed: %v", pr.err)
-	}
-	if err := b.drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllMembersGoneCancelsEngineCall(t *testing.T) {
-	release := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	align := func(ctx context.Context, batch []meraligner.Seq) (*engineCall, error) {
-		entered <- struct{}{}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-release:
-			return newEngineCall(&meraligner.Results{TotalReads: len(batch)}, nil, nil), nil
-		}
-	}
-	b := newBatcher(context.Background(), align, 8, 20*time.Millisecond, 64, nil)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.submit(ctx, make([]meraligner.Seq, 1))
-		done <- err
-	}()
-	<-entered
-	cancel() // the only member leaves: the engine call must die with it
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("submit returned %v, want context.Canceled", err)
-	}
-	if err := b.drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
 }
 
 // ---- drain / health ----

@@ -3,7 +3,8 @@
 // completed request traces for /debug/requests, structured logging
 // (log/slog) with the -log-level/-log-format flag set, the lock-free
 // log2 latency histogram shared by the service and cluster tiers, and
-// Go runtime metric exporters for the Prometheus expositions.
+// the one Prometheus text-exposition writer every /metrics endpoint uses
+// (Exposition, Go runtime series included).
 //
 // Everything here is stdlib-only and safe for concurrent use. The hot
 // alignment path never allocates on behalf of this package: traces are
@@ -12,8 +13,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
 	"sync/atomic"
 )
@@ -77,7 +76,7 @@ func (h *Hist) Quantile(q float64) float64 {
 }
 
 // HistSnapshot is a point-in-time copy of a Hist, used to render one
-// Prometheus histogram series.
+// Prometheus histogram series (Exposition.Hist).
 type HistSnapshot struct {
 	Count   int64
 	Sum     int64 // nanoseconds
@@ -93,40 +92,4 @@ func (h *Hist) Snapshot() HistSnapshot {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
 	return s
-}
-
-// WriteHistHeader emits the # HELP / # TYPE preamble of one Prometheus
-// histogram metric family. Call once per family, then WriteSeries for
-// each label set.
-func WriteHistHeader(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-}
-
-// WriteSeries renders the cumulative _bucket{le="..."}, _sum, and
-// _count lines of one series in seconds. labels is either empty or a
-// pre-rendered comma-joined pair list such as `ref="alpha"` (no
-// braces); the le pair is appended to it.
-func (s HistSnapshot) WriteSeries(w io.Writer, name, labels string) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	var cum int64
-	next := 0
-	for e := promMinExp; e <= promMaxExp; e++ {
-		// Observations < 2^e ns occupy buckets [0, e); le is 2^e ns in
-		// seconds.
-		for ; next < e && next < histBuckets; next++ {
-			cum += s.Buckets[next]
-		}
-		le := float64(int64(1)<<e) / 1e9
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, fmt.Sprintf("%g", le), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, s.Count)
-	brace := "{" + labels + "}"
-	if labels == "" {
-		brace = ""
-	}
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, brace, float64(s.Sum)/1e9)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, brace, s.Count)
 }

@@ -198,8 +198,7 @@ func TestHistPrometheusSeries(t *testing.T) {
 	h.Observe(1 << 20)
 
 	var b bytes.Buffer
-	WriteHistHeader(&b, "x_duration_seconds", "test")
-	h.Snapshot().WriteSeries(&b, "x_duration_seconds", `ref="alpha"`)
+	NewExposition(&b).Histogram("x_duration_seconds", "test").Hist(h.Snapshot(), "ref", "alpha")
 	out := b.String()
 
 	if !strings.Contains(out, "# TYPE x_duration_seconds histogram\n") {
@@ -244,9 +243,38 @@ func TestHistPrometheusSeries(t *testing.T) {
 
 	// Unlabeled series render without braces on _sum/_count.
 	b.Reset()
-	h.Snapshot().WriteSeries(&b, "y", "")
+	NewExposition(&b).Histogram("y", "test").Hist(h.Snapshot())
 	if !strings.Contains(b.String(), "y_bucket{le=\"+Inf\"} 3\n") || !strings.Contains(b.String(), "y_count 3\n") {
 		t.Fatalf("unlabeled series:\n%s", b.String())
+	}
+}
+
+// ---- exposition writer ----
+
+func TestExpositionFamiliesAndLabels(t *testing.T) {
+	var b bytes.Buffer
+	m := NewExposition(&b)
+	m.Counter("x_total", "things counted").Int(7).Int(9, "ref", "alpha")
+	m.Gauge("x_bytes", "a size").Float(1234567, "shard", "0", "addr", `http://h:1/"q"`)
+	m.Gauge("x_up", "a flag").Bool(true).Bool(false, "shard", "1")
+	m.Summary("x_seconds", "quantiles").Float(0.25, "quantile", "0.5")
+	want := `# HELP x_total things counted
+# TYPE x_total counter
+x_total 7
+x_total{ref="alpha"} 9
+# HELP x_bytes a size
+# TYPE x_bytes gauge
+x_bytes{shard="0",addr="http://h:1/\"q\""} 1.234567e+06
+# HELP x_up a flag
+# TYPE x_up gauge
+x_up 1
+x_up{shard="1"} 0
+# HELP x_seconds quantiles
+# TYPE x_seconds summary
+x_seconds{quantile="0.5"} 0.25
+`
+	if got := b.String(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -254,7 +282,7 @@ func TestHistPrometheusSeries(t *testing.T) {
 
 func TestWriteRuntimeMetrics(t *testing.T) {
 	var b bytes.Buffer
-	WriteRuntimeMetrics(&b, "merserved")
+	NewExposition(&b).Runtime("merserved")
 	out := b.String()
 	for _, want := range []string{
 		"merserved_go_goroutines ",

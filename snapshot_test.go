@@ -3,13 +3,11 @@ package meraligner_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 
 	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/internal/genome"
@@ -137,118 +135,6 @@ func TestSnapshotTypedErrors(t *testing.T) {
 	defer a.Close()
 	if _, err := a.Align(context.Background(), ds.Reads[:1], meraligner.DefaultQueryOptions()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRecordSnapshotBaseline writes BENCH_snapshot.json — load-vs-rebuild
-// cold-start on the PR-1 engine workload, best of three each, plus the SAM
-// parity bit — when MERALIGNER_RECORD_BASELINE=1:
-//
-//	MERALIGNER_RECORD_BASELINE=1 go test -run TestRecordSnapshotBaseline .
-func TestRecordSnapshotBaseline(t *testing.T) {
-	if os.Getenv("MERALIGNER_RECORD_BASELINE") == "" {
-		t.Skip("set MERALIGNER_RECORD_BASELINE=1 to (re)record BENCH_snapshot.json")
-	}
-	ds := engineWorkload(t)
-	iopt := meraligner.DefaultIndexOptions(31)
-	threads := runtime.NumCPU()
-	path := filepath.Join(t.TempDir(), "index.merx")
-
-	var built *meraligner.Aligner
-	buildS := 1e18
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		a, err := meraligner.Build(threads, iopt, ds.Contigs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := time.Since(start).Seconds(); s < buildS {
-			buildS = s
-		}
-		built = a
-	}
-	if err := built.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	loadS := 1e18
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		a, err := meraligner.OpenThreads(threads, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := time.Since(start).Seconds(); s < loadS {
-			loadS = s
-		}
-		if i < 2 {
-			a.Close()
-			continue
-		}
-		// Parity on the recorded workload with the last opened mapping.
-		qopt := meraligner.DefaultQueryOptions()
-		qopt.CollectAlignments = true
-		want, err := built.Align(context.Background(), ds.Reads, qopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := a.Align(context.Background(), ds.Reads, qopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wantSAM, gotSAM bytes.Buffer
-		if err := meraligner.WriteSAM(&wantSAM, want, built.Targets(), ds.Reads); err != nil {
-			t.Fatal(err)
-		}
-		if err := meraligner.WriteSAM(&gotSAM, got, a.Targets(), ds.Reads); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wantSAM.Bytes(), gotSAM.Bytes()) {
-			t.Fatal("SAM from loaded snapshot differs from built index")
-		}
-		a.Close()
-	}
-
-	baseline := struct {
-		Workload      string  `json:"workload"`
-		K             int     `json:"k"`
-		Threads       int     `json:"threads"`
-		HostCPUs      int     `json:"host_cpus"`
-		GoOS          string  `json:"goos"`
-		GoArch        string  `json:"goarch"`
-		SnapshotBytes int64   `json:"snapshot_bytes"`
-		BuildS        float64 `json:"build_s"`
-		LoadS         float64 `json:"load_s"`
-		Speedup       float64 `json:"speedup"`
-		SAMIdentical  bool    `json:"sam_identical"`
-		Description   string  `json:"description"`
-	}{
-		Workload: "human-like 200kb, depth 6, k=31 (PR-1 engine workload)",
-		K:        31, Threads: threads, HostCPUs: runtime.NumCPU(),
-		GoOS: runtime.GOOS, GoArch: runtime.GOARCH,
-		SnapshotBytes: st.Size(),
-		BuildS:        buildS, LoadS: loadS, Speedup: buildS / loadS,
-		SAMIdentical: true,
-		Description: "index snapshot cold start: build_s is a full BuildIndex from " +
-			"in-memory contigs (extract+stage, drain, mark, seal), load_s is Open " +
-			"on a saved .merx (mmap + checksum verify + fragment-table rebuild); " +
-			"best of 3 each, same host. SAM output from the loaded index is " +
-			"byte-identical to the built one on the recorded workload",
-	}
-	out, err := json.MarshalIndent(baseline, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_snapshot.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("recorded BENCH_snapshot.json:\n%s", out)
-	if baseline.Speedup < 10 {
-		t.Errorf("snapshot load speedup %.1fx < 10x over rebuild on the PR-1 workload", baseline.Speedup)
 	}
 }
 
