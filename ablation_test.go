@@ -11,8 +11,9 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/lbl-repro/meraligner/internal/core"
 	"github.com/lbl-repro/meraligner/internal/genome"
+	"github.com/lbl-repro/meraligner/internal/sim"
+	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
 func ablationWorkload(b *testing.B) *genome.DataSet {
@@ -27,20 +28,20 @@ func ablationWorkload(b *testing.B) *genome.DataSet {
 	return ds
 }
 
-func runAblation(b *testing.B, ds *genome.DataSet, mutate func(*core.Options)) {
+func runAblation(b *testing.B, ds *genome.DataSet, mutate func(*sim.Options)) {
 	b.Helper()
-	mach := Edison(120)
-	opt := DefaultOptions(51)
+	mach := upc.Edison(120)
+	opt := sim.DefaultOptions(51)
 	mutate(&opt)
-	var sim float64
+	var total float64
 	for i := 0; i < b.N; i++ {
-		res, err := Align(mach, opt, ds.Contigs, ds.Reads)
+		res, err := sim.Run(mach, opt, ds.Contigs, ds.Reads)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim = res.TotalWall()
+		total = res.TotalWall()
 	}
-	b.ReportMetric(sim*1000, "sim_ms")
+	b.ReportMetric(total*1000, "sim_ms")
 }
 
 // BenchmarkAblationAggS sweeps the aggregation buffer size S.
@@ -48,7 +49,7 @@ func BenchmarkAblationAggS(b *testing.B) {
 	ds := ablationWorkload(b)
 	for _, s := range []int{1, 10, 100, 1000, 10000} {
 		b.Run(fmt.Sprintf("S=%d", s), func(b *testing.B) {
-			runAblation(b, ds, func(o *core.Options) { o.AggS = s })
+			runAblation(b, ds, func(o *sim.Options) { o.AggS = s })
 		})
 	}
 }
@@ -58,7 +59,7 @@ func BenchmarkAblationFragmentLen(b *testing.B) {
 	ds := ablationWorkload(b)
 	for _, f := range []int{0, 500, 1000, 2000, 8000} {
 		b.Run(fmt.Sprintf("F=%d", f), func(b *testing.B) {
-			runAblation(b, ds, func(o *core.Options) { o.FragmentLen = f })
+			runAblation(b, ds, func(o *sim.Options) { o.FragmentLen = f })
 		})
 	}
 }
@@ -68,7 +69,7 @@ func BenchmarkAblationCacheBudget(b *testing.B) {
 	ds := ablationWorkload(b)
 	for _, kb := range []int64{0, 64, 512, 4096, 32768} {
 		b.Run(fmt.Sprintf("cacheKB=%d", kb), func(b *testing.B) {
-			runAblation(b, ds, func(o *core.Options) {
+			runAblation(b, ds, func(o *sim.Options) {
 				o.SeedCacheBytes = kb << 10
 				o.TargetCacheBytes = kb << 10
 			})
@@ -87,7 +88,7 @@ func BenchmarkAblationMaxSeedHits(b *testing.B) {
 	}
 	for _, mh := range []int{0, 10, 100, 1000} {
 		b.Run(fmt.Sprintf("maxHits=%d", mh), func(b *testing.B) {
-			runAblation(b, ds, func(o *core.Options) { o.MaxSeedHits = mh })
+			runAblation(b, ds, func(o *sim.Options) { o.MaxSeedHits = mh })
 		})
 	}
 }

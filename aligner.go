@@ -10,17 +10,16 @@ import (
 	"github.com/lbl-repro/meraligner/internal/core"
 	"github.com/lbl-repro/meraligner/internal/dht"
 	"github.com/lbl-repro/meraligner/internal/merx"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
 // This file is the persistent half of the public API: build the seed index
 // once with Build, then serve query batches against the resident index with
 // (*Aligner).Align from any number of goroutines. The one-shot functions
-// (Align, AlignThreaded, AlignFiles) are convenience wrappers that compose
+// (AlignThreaded, AlignFiles) are convenience wrappers that compose
 // these two steps for a single batch.
 
 // Re-exported option halves: IndexOptions configures what Build constructs
-// (seed length, index construction mode, fragmentation, cache budgets);
+// (seed length, aggregation buffer size, fragmentation, exact matching);
 // QueryOptions configures a single Align call (sensitivity threshold,
 // stride, scoring, extension). See core.Options for the one-shot union.
 type (
@@ -82,7 +81,7 @@ func (a *Aligner) acquire() error {
 
 func (a *Aligner) release() { a.mu.RUnlock() }
 
-// Build constructs the seed index over targets with the threaded engine
+// Build constructs the seed index over targets with the execution engine
 // (§III of the paper: fragmentation, parallel seed extraction with
 // aggregating stores, lock-free drain, single-copy marking) and returns the
 // resident Aligner. threads is the worker-pool size used both for
@@ -160,8 +159,8 @@ func (a *Aligner) IndexOptions() IndexOptions { return a.ix.Options() }
 // build sealed the table.
 func (a *Aligner) IndexStats() dht.Stats { return a.ix.Stats() }
 
-// BuildPhases returns the wall-clock phase stats of index construction.
-func (a *Aligner) BuildPhases() []upc.PhaseStat { return a.ix.BuildPhases() }
+// BuildPhases returns the wall-clock phases of index construction.
+func (a *Aligner) BuildPhases() []core.Phase { return a.ix.BuildPhases() }
 
 // BuildWall is the end-to-end wall-clock seconds of index construction.
 func (a *Aligner) BuildWall() float64 { return a.ix.BuildWall() }

@@ -16,6 +16,8 @@ import (
 	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/internal/expt"
 	"github.com/lbl-repro/meraligner/internal/genome"
+	"github.com/lbl-repro/meraligner/internal/sim"
+	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
 func benchCfg() expt.Config {
@@ -81,11 +83,11 @@ func BenchmarkPipelineSimulated(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mach := meraligner.Edison(48)
-	opt := meraligner.DefaultOptions(31)
+	mach := upc.Edison(48)
+	opt := sim.DefaultOptions(31)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := meraligner.Align(mach, opt, ds.Contigs, ds.Reads); err != nil {
+		if _, err := sim.Run(mach, opt, ds.Contigs, ds.Reads); err != nil {
 			b.Fatal(err)
 		}
 	}

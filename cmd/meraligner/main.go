@@ -62,7 +62,9 @@ import (
 	"github.com/lbl-repro/meraligner/internal/buildinfo"
 	"github.com/lbl-repro/meraligner/internal/dhtnet"
 	"github.com/lbl-repro/meraligner/internal/seqio"
+	"github.com/lbl-repro/meraligner/internal/sim"
 	"github.com/lbl-repro/meraligner/internal/telemetry"
+	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
 func main() {
@@ -178,7 +180,6 @@ func main() {
 	qopt := meraligner.DefaultQueryOptions()
 	qopt.MaxSeedHits = *maxHits
 	qopt.MinScore = *minScore
-	qopt.Permute = !*noPermute
 	qopt.CollectAlignments = true
 	if *batchList == "" && *saveIndex == "" && *indexPath == "" && *shardSave == 0 && *dhtSave == 0 && *maxHits > 0 {
 		// One-shot runs know the threshold at build time; cap the stored
@@ -256,12 +257,14 @@ func main() {
 
 	// Simulated engine: one-shot pipeline, unchanged semantics.
 	if *engine == "sim" {
-		opt := meraligner.Options{IndexOptions: iopt, QueryOptions: qopt}
+		opt := sim.DefaultOptions(*k)
+		opt.Options = meraligner.Options{IndexOptions: iopt, QueryOptions: qopt}
+		opt.Permute = !*noPermute
 		res, targets, queries, err := alignSim(*simCores, *threads, opt, *targetsPath, *queriesPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := writeBatch(out, *samOut, nil, res, targets, queries); err != nil {
+		if err := writeBatch(out, *samOut, nil, &res.Results, targets, queries); err != nil {
 			log.Fatal(err)
 		}
 		if *verbose {
@@ -440,7 +443,7 @@ func writeBatch(out io.Writer, samOut bool, stream *meraligner.SAMStream, res *m
 }
 
 // alignSim runs the one-shot simulated pipeline over the input files.
-func alignSim(simCores, threads int, opt meraligner.Options, targetsPath, queriesPath string) (*meraligner.Results, []meraligner.Seq, []meraligner.Seq, error) {
+func alignSim(simCores, threads int, opt sim.Options, targetsPath, queriesPath string) (*sim.Results, []meraligner.Seq, []meraligner.Seq, error) {
 	targets, err := meraligner.ReadFasta(targetsPath)
 	if err != nil {
 		return nil, nil, nil, err
@@ -453,7 +456,7 @@ func alignSim(simCores, threads int, opt meraligner.Options, targetsPath, querie
 	if cores == 0 {
 		cores = threads
 	}
-	res, err := meraligner.Align(meraligner.Edison(cores), opt, targets, queries)
+	res, err := sim.Run(upc.Edison(cores), opt, targets, queries)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -9,8 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/internal/genome"
+	"github.com/lbl-repro/meraligner/internal/sim"
+	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
 func main() {
@@ -27,13 +28,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	mach := meraligner.Edison(*cores)
+	mach := upc.Edison(*cores)
 	fmt.Printf("simulated machine: %d cores = %d nodes x %d\n", mach.Threads, mach.Nodes(), mach.PPN)
 	fmt.Printf("workload: %d contigs (%d bp genome), %d reads\n\n",
 		len(ds.Contigs), profile.GenomeLen, len(ds.Reads))
 
-	opt := meraligner.DefaultOptions(51)
-	res, err := meraligner.Align(mach, opt, ds.Contigs, ds.Reads)
+	res, err := sim.Run(mach, sim.DefaultOptions(51), ds.Contigs, ds.Reads)
 	if err != nil {
 		log.Fatal(err)
 	}

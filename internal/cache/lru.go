@@ -1,8 +1,7 @@
-// Package cache implements the paper's per-node software caches (§III-B):
-// a seed-index cache holding lookup results for seeds owned by remote nodes,
-// and a target cache holding remote target fragments. Each node dedicates a
-// bounded number of bytes of its shared memory to each cache; any thread of
-// the node may hit entries populated by its 23 siblings.
+// Package cache provides the byte-budgeted LRU behind two users: the
+// paper's per-node software caches (§III-B), which internal/sim builds per
+// simulated node (a seed-index cache and a target cache, see sim.Group), and
+// the snapshot catalog's resident-index budget (internal/catalog).
 //
 // It also provides the analytic seed-reuse model behind Fig 7: with f
 // occurrences of a seed spread uniformly over m nodes, the probability that
@@ -17,8 +16,7 @@ import (
 	"sync"
 )
 
-// LRU is a byte-budgeted least-recently-used cache, safe for concurrent use
-// by the threads of one simulated node.
+// LRU is a byte-budgeted least-recently-used cache, safe for concurrent use.
 type LRU[K comparable, V any] struct {
 	mu   sync.Mutex
 	cap  int64

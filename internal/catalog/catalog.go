@@ -145,6 +145,22 @@ type instance struct {
 	retired atomic.Bool
 }
 
+// tryPin adds one pin unless the count already reached zero — the instance
+// was retired and its last Handle released, so the aligner is closed (or
+// closing) and must not be handed out again. Retirement runs under lmu, not
+// the entry lock, so only the count itself can arbitrate this race.
+func (i *instance) tryPin() bool {
+	for {
+		n := i.refs.Load()
+		if n == 0 {
+			return false
+		}
+		if i.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
 // unref drops one pin, closing the aligner on the last one. Aligner.Close
 // is itself drain-aware, so even a mis-sequenced release cannot unmap a
 // table under a running engine call.
@@ -302,15 +318,22 @@ func (c *Catalog) pin(e *entry) (inst, old *instance, err error) {
 		// mapping stays valid on every unix, and a catalog with traffic on
 		// a ref should not fail it because of a transient directory state.
 	}
-	if e.cur == nil {
-		next, oerr := c.open(e)
-		if oerr != nil {
-			return nil, nil, oerr
+	for {
+		if e.cur == nil {
+			next, oerr := c.open(e)
+			if oerr != nil {
+				return nil, nil, oerr
+			}
+			e.cur = next
 		}
-		e.cur = next
+		if e.cur.tryPin() { // the Handle's pin
+			return e.cur, old, nil
+		}
+		// A budget eviction retired and closed the instance after the
+		// retired check above (eviction holds lmu, not e.mu): reopen. A
+		// freshly opened instance is known only here, so the retry pins.
+		e.cur = nil
 	}
-	e.cur.refs.Add(1) // the Handle's pin
-	return e.cur, old, nil
 }
 
 // open maps e's snapshot file and returns the new instance holding the

@@ -4,24 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/lbl-repro/meraligner/internal/dht"
 	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/genome"
 	"github.com/lbl-repro/meraligner/internal/seqio"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
-
-func testMach(threads int) upc.MachineConfig {
-	cfg := upc.Edison(threads)
-	cfg.Workers = 4
-	return cfg
-}
 
 func testOptions(k int) Options {
 	opt := DefaultOptions(k)
 	opt.CollectAlignments = true
-	opt.SeedCacheBytes = 1 << 20
-	opt.TargetCacheBytes = 1 << 20
 	return opt
 }
 
@@ -115,9 +105,8 @@ func TestFragmentTableNoFragmentation(t *testing.T) {
 // must be among the reported alignments with a full-length score.
 func TestOracleErrorFreeReadsFound(t *testing.T) {
 	ds := testWorkload(t, 120_000, 4, 0)
-	mach := testMach(48)
 	opt := testOptions(31)
-	res, err := Run(mach, opt, ds.Contigs, ds.Reads)
+	res, err := RunThreaded(4, opt, ds.Contigs, ds.Reads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +161,8 @@ func TestOracleErrorFreeReadsFound(t *testing.T) {
 // Reads with a few errors must still be found via their error-free seeds.
 func TestReadsWithErrorsStillAlign(t *testing.T) {
 	ds := testWorkload(t, 100_000, 3, 0.005)
-	mach := testMach(24)
 	opt := testOptions(21)
-	res, err := Run(mach, opt, ds.Contigs, ds.Reads)
+	res, err := RunThreaded(4, opt, ds.Contigs, ds.Reads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,16 +176,15 @@ func TestReadsWithErrorsStillAlign(t *testing.T) {
 
 func TestExactMatchPathEngagesAndIsConsistent(t *testing.T) {
 	ds := testWorkload(t, 100_000, 4, 0.0052)
-	mach := testMach(24)
 
 	withOpt := testOptions(31)
-	resWith, err := Run(mach, withOpt, ds.Contigs, ds.Reads)
+	resWith, err := RunThreaded(4, withOpt, ds.Contigs, ds.Reads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withoutOpt := testOptions(31)
 	withoutOpt.ExactMatch = false
-	resWithout, err := Run(mach, withoutOpt, ds.Contigs, ds.Reads)
+	resWithout, err := RunThreaded(4, withoutOpt, ds.Contigs, ds.Reads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +254,7 @@ func TestReverseStrandReadsAlign(t *testing.T) {
 		reads = append(reads, seqio.Seq{Name: "r", Seq: g.Slice(pos, pos+100).ReverseComplement()})
 	}
 	opt := testOptions(21)
-	res, err := Run(testMach(8), opt, []seqio.Seq{contig}, reads)
+	res, err := RunThreaded(4, opt, []seqio.Seq{contig}, reads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +284,7 @@ func TestMaxSeedHitsLimitsWork(t *testing.T) {
 		opt := testOptions(21)
 		opt.ExactMatch = false
 		opt.MaxSeedHits = maxHits
-		res, err := Run(testMach(8), opt, []seqio.Seq{tg}, reads)
+		res, err := RunThreaded(4, opt, []seqio.Seq{tg}, reads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,147 +300,14 @@ func TestMaxSeedHitsLimitsWork(t *testing.T) {
 	}
 }
 
-func TestPermutationDoesNotChangeResults(t *testing.T) {
-	ds := testWorkload(t, 60_000, 3, 0.004)
-	base := testOptions(21)
-	base.Permute = false
-	perm := testOptions(21)
-	perm.Permute = true
-
-	r1, err := Run(testMach(16), base, ds.Contigs, ds.Reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(testMach(16), perm, ds.Contigs, ds.Reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.AlignedReads != r2.AlignedReads || r1.TotalAlignments != r2.TotalAlignments {
-		t.Errorf("permutation changed results: %d/%d vs %d/%d",
-			r1.AlignedReads, r1.TotalAlignments, r2.AlignedReads, r2.TotalAlignments)
-	}
-}
-
-func TestDeterminismWithSingleWorker(t *testing.T) {
-	ds := testWorkload(t, 40_000, 2, 0.004)
-	mach := testMach(8)
-	mach.Workers = 1
-	opt := testOptions(21)
-	r1, err := Run(mach, opt, ds.Contigs, ds.Reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(mach, opt, ds.Contigs, ds.Reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.TotalWall() != r2.TotalWall() {
-		t.Errorf("simulated time not deterministic: %v vs %v", r1.TotalWall(), r2.TotalWall())
-	}
-	if len(r1.Alignments) != len(r2.Alignments) {
-		t.Fatalf("alignment counts differ: %d vs %d", len(r1.Alignments), len(r2.Alignments))
-	}
-	for i := range r1.Alignments {
-		if r1.Alignments[i] != r2.Alignments[i] {
-			t.Fatalf("alignment %d differs", i)
-		}
-	}
-}
-
-func TestAggregatingBeatsFineGrainedEndToEnd(t *testing.T) {
-	ds := testWorkload(t, 60_000, 2, 0.004)
-	agg := testOptions(21)
-	fine := testOptions(21)
-	fine.Mode = dht.FineGrained
-
-	ra, err := Run(testMach(48), agg, ds.Contigs, ds.Reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := Run(testMach(48), fine, ds.Contigs, ds.Reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.IndexWall() >= rf.IndexWall() {
-		t.Errorf("aggregating index build (%v) not faster than fine-grained (%v)",
-			ra.IndexWall(), rf.IndexWall())
-	}
-	// Same table, same alignments.
-	if ra.TotalAlignments != rf.TotalAlignments {
-		t.Errorf("modes disagree on alignments: %d vs %d", ra.TotalAlignments, rf.TotalAlignments)
-	}
-}
-
 func TestShortQueriesSkipped(t *testing.T) {
 	ds := testWorkload(t, 30_000, 1, 0)
 	reads := []seqio.Seq{{Name: "short", Seq: dna.MustPack("ACGT")}}
-	res, err := Run(testMach(8), testOptions(21), ds.Contigs, reads)
+	res, err := RunThreaded(4, testOptions(21), ds.Contigs, reads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.AlignedReads != 0 || res.TotalAlignments != 0 {
 		t.Error("short query produced alignments")
-	}
-}
-
-func TestRunThreadedMatchesSimResults(t *testing.T) {
-	ds := testWorkload(t, 50_000, 2, 0.004)
-	opt := testOptions(21)
-	sim, err := Run(testMach(16), opt, ds.Contigs, ds.Reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	thr, err := RunThreaded(8, opt, ds.Contigs, ds.Reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.AlignedReads != thr.AlignedReads || sim.TotalAlignments != thr.TotalAlignments {
-		t.Errorf("threaded mode results differ: %d/%d vs %d/%d",
-			sim.AlignedReads, sim.TotalAlignments, thr.AlignedReads, thr.TotalAlignments)
-	}
-	if thr.TotalRealWall() <= 0 {
-		t.Error("threaded mode did not measure real time")
-	}
-	if _, err := RunThreaded(0, opt, ds.Contigs, ds.Reads); err == nil {
-		t.Error("threads=0 accepted")
-	}
-}
-
-func TestResultsAccessors(t *testing.T) {
-	ds := testWorkload(t, 30_000, 1, 0)
-	res, err := Run(testMach(8), testOptions(21), ds.Contigs, ds.Reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalWall() <= 0 {
-		t.Error("TotalWall <= 0")
-	}
-	if res.IndexWall() <= 0 || res.AlignWall() <= 0 || res.IOWall() <= 0 {
-		t.Error("phase accessors returned zero")
-	}
-	if _, ok := res.Phase(PhaseAlign); !ok {
-		t.Error("align phase missing")
-	}
-	if res.Summary() == "" {
-		t.Error("empty summary")
-	}
-}
-
-func BenchmarkAlignPhaseSimulated(b *testing.B) {
-	p := genome.HumanLike(200_000)
-	p.Depth = 4
-	p.InsertMean = 0
-	ds, err := genome.Generate(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mach := testMach(48)
-	mach.Workers = 8
-	opt := DefaultOptions(31)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(mach, opt, ds.Contigs, ds.Reads); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

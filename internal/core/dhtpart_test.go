@@ -67,7 +67,8 @@ func loadSeedShardSet(t *testing.T, ix *ThreadedIndex, count int) []*SeedShard {
 // TestSeedShardResolverParity is the core-level distributed-parity check:
 // aligning through a SeedResolver backed by saved-and-reloaded seed shards
 // must produce results identical to the local index — alignments, cigars,
-// per-read stats — across shard counts, both engines, and strides.
+// per-read stats — across shard counts, both entry points (pool and
+// serial), and strides.
 func TestSeedShardResolverParity(t *testing.T) {
 	ds := testWorkload(t, 60_000, 3, 0.005)
 	opt := testOptions(21)

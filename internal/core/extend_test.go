@@ -18,7 +18,7 @@ func TestPluggableExtendEngine(t *testing.T) {
 		atomic.AddInt64(&calls, 1)
 		return align.ExtendSeed(query, target, qOff, tOff, k, sc, pad)
 	}
-	res, err := Run(testMach(8), opt, ds.Contigs, ds.Reads)
+	res, err := RunThreaded(4, opt, ds.Contigs, ds.Reads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestPluggableExtendEngine(t *testing.T) {
 	opt2.Extend = func(query, target []byte, qOff, tOff, k int, sc align.Scoring, pad int) align.Result {
 		return align.Result{} // score 0: below any MinScore
 	}
-	res2, err := Run(testMach(8), opt2, ds.Contigs, ds.Reads)
+	res2, err := RunThreaded(4, opt2, ds.Contigs, ds.Reads)
 	if err != nil {
 		t.Fatal(err)
 	}

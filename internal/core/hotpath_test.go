@@ -2,51 +2,15 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"github.com/lbl-repro/meraligner/internal/seqio"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
-// This file guards the reworked query hot path: the rolling seed scanner,
-// the sealed flat seed table, and the per-strand striped-profile reuse —
-// end-to-end parity across engines and entry points, plus the
-// zero-allocations-per-read invariant of the serial path.
-
-// TestStatsOnlyParityAcrossEngines extends the engine parity suite to the
-// statistics-only mode — the path that drives the reusable striped profile
-// (AlignWindow) instead of the traceback extender — across both seed-length
-// regimes of the rolling scanner (single word and two-word).
-func TestStatsOnlyParityAcrossEngines(t *testing.T) {
-	ds := testWorkload(t, 60_000, 3, 0.005)
-	for _, k := range []int{21, 51} {
-		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
-			opt := testOptions(k)
-			opt.CollectAlignments = false
-			sim, err := Run(testMach(8), opt, ds.Contigs, ds.Reads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			thr, err := RunThreaded(3, opt, ds.Contigs, ds.Reads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sim.AlignedReads != thr.AlignedReads ||
-				sim.ExactPathReads != thr.ExactPathReads ||
-				sim.TotalAlignments != thr.TotalAlignments ||
-				sim.SWCalls != thr.SWCalls ||
-				sim.SeedLookups != thr.SeedLookups {
-				t.Errorf("stats-only summary differs:\nsim: %d/%d/%d/%d/%d\nthr: %d/%d/%d/%d/%d",
-					sim.AlignedReads, sim.ExactPathReads, sim.TotalAlignments, sim.SWCalls, sim.SeedLookups,
-					thr.AlignedReads, thr.ExactPathReads, thr.TotalAlignments, thr.SWCalls, thr.SeedLookups)
-			}
-			if thr.AlignedReads == 0 {
-				t.Fatal("workload aligned nothing; parity test is vacuous")
-			}
-		})
-	}
-}
+// This file guards the query hot path: the rolling seed scanner, the sealed
+// flat seed table, and the per-strand striped-profile reuse — parity across
+// entry points, the zero-allocations-per-read invariant of the serial path,
+// and the per-call overhead of QuerySerial.
 
 // TestQuerySerialMatchesQueryPool: the pool-free serial path (the service's
 // low-latency route and the zero-alloc benchmark subject) must produce
@@ -87,18 +51,14 @@ func TestQuerySerialMatchesQueryPool(t *testing.T) {
 
 // queryNoAllocFixture builds a sealed index and a ready-to-run serial
 // processor over a batch of reads that all carry at least one seed.
-func queryNoAllocFixture(tb testing.TB) (*queryProcessor, *upc.Thread, *threadStats, []seqio.Seq) {
+func queryNoAllocFixture(tb testing.TB) (*QueryProcessor, []seqio.Seq) {
 	ds := testWorkload(tb, 60_000, 2, 0.01)
 	opt := DefaultOptions(21) // statistics-only: CollectAlignments off
 	ix, err := BuildIndex(2, opt.IndexOptions, ds.Contigs)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	costs := upc.Edison(1)
-	costs.PPN = 1
-	th := upc.NewStandaloneThread(costs, 0)
-	qp := newQueryProcessor(costs, opt, threadedAccess{sx: ix.sx}, ix.ft)
-	st := &threadStats{}
+	qp := NewQueryProcessor(opt, threadedAccess{sx: ix.sx}, ix.ft)
 	var reads []seqio.Seq
 	for qi := range ds.Reads {
 		if ds.Reads[qi].Seq.Len() >= opt.K {
@@ -115,22 +75,22 @@ func queryNoAllocFixture(tb testing.TB) (*queryProcessor, *upc.Thread, *threadSt
 	// the workload exercises the general path (profile reuse), not just the
 	// exact-match shortcut.
 	for qi := range reads {
-		qp.process(th, st, int32(qi), reads[qi].Seq)
+		qp.Process(int32(qi), reads[qi].Seq)
 	}
-	if st.swCalls == 0 {
+	if qp.SWCalls == 0 {
 		tb.Fatal("fixture reads never reached Smith-Waterman; no-alloc run would be vacuous")
 	}
-	return qp, th, st, reads
+	return qp, reads
 }
 
 // TestQueryPathZeroAllocs asserts the invariant directly (so it runs in
 // every `go test` invocation, not only under -bench): after warm-up, the
 // serial statistics path performs ZERO heap allocations per read.
 func TestQueryPathZeroAllocs(t *testing.T) {
-	qp, th, st, reads := queryNoAllocFixture(t)
+	qp, reads := queryNoAllocFixture(t)
 	avg := testing.AllocsPerRun(50, func() {
 		for qi := range reads {
-			qp.process(th, st, int32(qi), reads[qi].Seq)
+			qp.Process(int32(qi), reads[qi].Seq)
 		}
 	})
 	if avg != 0 {
@@ -143,21 +103,61 @@ func TestQueryPathZeroAllocs(t *testing.T) {
 // and enforces the zero-allocs-per-read invariant under the benchmark
 // harness (CI runs it with -benchtime=1x as a smoke check).
 func BenchmarkQueryNoAlloc(b *testing.B) {
-	qp, th, st, reads := queryNoAllocFixture(b)
+	qp, reads := queryNoAllocFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(reads)
-		qp.process(th, st, int32(qi), reads[qi].Seq)
+		qp.Process(int32(qi), reads[qi].Seq)
 	}
 	b.StopTimer()
 	avg := testing.AllocsPerRun(20, func() {
 		for qi := range reads {
-			qp.process(th, st, int32(qi), reads[qi].Seq)
+			qp.Process(int32(qi), reads[qi].Seq)
 		}
 	})
 	if avg != 0 {
 		b.Fatalf("serial query path allocates %.2f objects per %d-read batch in steady state, want 0",
 			avg, len(reads))
+	}
+}
+
+// TestQuerySerialPerCallAllocs pins the per-call overhead of the service's
+// low-latency route: a 1-read batch resolved on the exact-match path may
+// allocate the processor, its two code buffers, and the Results — nothing
+// else. (Before the simulated machine moved out of this package every call
+// also built a fake UPC thread with its own rand source and a cost table.)
+func TestQuerySerialPerCallAllocs(t *testing.T) {
+	ds := testWorkload(t, 60_000, 2, 0)
+	opt := DefaultOptions(21)
+	ix, err := BuildIndex(2, opt.IndexOptions, ds.Contigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var batch []seqio.Seq
+	for qi := range ds.Reads {
+		res, err := ix.QuerySerial(ctx, opt.QueryOptions, ds.Reads[qi:qi+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ExactPathReads == 1 {
+			batch = ds.Reads[qi : qi+1]
+			break
+		}
+	}
+	if batch == nil {
+		t.Fatal("no exact-path read in an error-free workload")
+	}
+	// Five today: processor, fwd and rc codes, Results, its Phases. The race
+	// detector adds two; the old per-call scaffolding cost four more.
+	const maxAllocs = 8
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := ix.QuerySerial(ctx, opt.QueryOptions, batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > maxAllocs {
+		t.Fatalf("QuerySerial allocates %.0f objects for a 1-read exact-path batch, want <= %d", avg, maxAllocs)
 	}
 }

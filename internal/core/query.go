@@ -2,13 +2,12 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"github.com/lbl-repro/meraligner/internal/align"
-	"github.com/lbl-repro/meraligner/internal/cache"
 	"github.com/lbl-repro/meraligner/internal/dht"
 	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/kmer"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
 // candKey identifies a candidate alignment for deduplication: one target,
@@ -33,44 +32,49 @@ type foundKey struct {
 // more live candidates spills into a (reused) map instead of going O(n²).
 const seenSpill = 128
 
-// indexAccess abstracts the seed index and target store behind the aligning
-// phase, so the same per-query algorithm runs against either engine: the
-// simulated PGAS index (dht.Index through the software caches, charging the
-// cost model) or the threaded engine's in-memory sharded index (real data,
-// real time, no cost charging).
-type indexAccess interface {
+// IndexAccess is the seed index and target store as the aligning phase sees
+// them. The serving engine implements it over the sealed dht.Sharded table
+// (threadedAccess); the simulated machine of internal/sim implements it over
+// its PGAS index and per-node caches and charges its own clocks inside.
+type IndexAccess interface {
 	// Lookup resolves a canonical seed to its location list.
-	Lookup(th *upc.Thread, s kmer.Kmer) (dht.LookupResult, bool)
+	Lookup(s kmer.Kmer) (dht.LookupResult, bool)
 	// SingleCopy reports the fragment's single-copy-seeds flag (§IV-A).
 	SingleCopy(frag int32) bool
-	// FetchTarget accounts for bringing a target's sequence to the thread.
-	FetchTarget(th *upc.Thread, target int32, targetBytes, owner int)
+	// FetchTarget announces that the processor is about to read a target's
+	// sequence (targetBytes packed, fragment owned by owner).
+	FetchTarget(target int32, targetBytes, owner int)
 }
 
-// simAccess is the simulated-machine implementation: lookups go through the
-// per-node seed cache, target fetches through the target cache, and every
-// operation charges the thread's virtual clock.
-type simAccess struct {
-	ix *dht.Index
-	g  *cache.Group
-}
+// QueryProcessor holds the per-worker state of the aligning phase: the
+// reusable buffers of the per-read algorithm, the results it has produced so
+// far, and four plain counts of the work done. Every buffer is recycled
+// query to query, so the steady-state serial path performs zero allocations
+// per read (pinned by BenchmarkQueryNoAlloc).
+type QueryProcessor struct {
+	opt Options
+	acc IndexAccess
+	ft  *FragmentTable
 
-func (a simAccess) Lookup(th *upc.Thread, s kmer.Kmer) (dht.LookupResult, bool) {
-	return a.g.Lookup(th, a.ix, s)
-}
-func (a simAccess) SingleCopy(frag int32) bool { return a.ix.SingleCopy(int(frag)) }
-func (a simAccess) FetchTarget(th *upc.Thread, target int32, targetBytes, owner int) {
-	a.g.FetchTarget(th, target, targetBytes, owner)
-}
+	// Work done so far. A caller that models time (internal/sim) converts
+	// these to seconds; the serving engine only reports them.
+	SeedLookups int64 // seed-index lookups, local or remote
+	MemcmpBytes int64 // packed bytes compared on the exact-match path
+	SWCalls     int64 // Smith-Waterman invocations
+	SWCells     int64 // Smith-Waterman DP cells
 
-// queryProcessor holds the reusable per-thread state of the aligning phase.
-// Every buffer below is recycled query to query, so the steady-state serial
-// path performs zero allocations per read (pinned by BenchmarkQueryNoAlloc).
-type queryProcessor struct {
-	opt   Options
-	acc   indexAccess
-	ft    *FragmentTable
-	costs upc.MachineConfig // cost constants for the hot loop
+	// Results so far, folded into a Results by MergeProcessors.
+	aligned         int
+	exact           int
+	totalAlignments int64
+	alignments      []Alignment // non-nil iff alignment records are collected
+	tooShort        []int32     // query indices shorter than K
+
+	// err is the first remote-resolution failure this worker hit; once set
+	// the worker stops aligning and the whole call fails with it (the remote
+	// path has no partial-results mode — a lost seed shard must never
+	// silently degrade into missed alignments).
+	err error
 
 	scan    kmer.Scanner // rolling seed extraction over the current query
 	fwd, rc []byte       // unpacked query codes, forward and reverse complement
@@ -90,10 +94,10 @@ type queryProcessor struct {
 	foundRC   []bool
 	foundTg   []int32
 
-	// Remote-DHT state, active only when setResolver was called (the
-	// threaded engine with QueryOptions.SeedResolver set): each query's
-	// seeds are collected into seedBuf, resolved in one ResolveSeeds call,
-	// and consumed from ansBuf in lookup order.
+	// Remote-DHT state, active only when setResolver was called
+	// (QueryOptions.SeedResolver set): each query's seeds are collected into
+	// seedBuf, resolved in one ResolveSeeds call, and consumed from ansBuf in
+	// lookup order.
 	resolver SeedResolver
 	rctx     context.Context
 	seedBuf  []kmer.Kmer
@@ -101,14 +105,18 @@ type queryProcessor struct {
 	ansIdx   int
 }
 
-func newQueryProcessor(mach upc.MachineConfig, opt Options, acc indexAccess, ft *FragmentTable) *queryProcessor {
-	return &queryProcessor{opt: opt, acc: acc, ft: ft, costs: mach}
+// NewQueryProcessor returns a processor aligning against ft through acc.
+func NewQueryProcessor(opt Options, acc IndexAccess, ft *FragmentTable) *QueryProcessor {
+	qp := &QueryProcessor{opt: opt, acc: acc, ft: ft}
+	if opt.CollectAlignments {
+		qp.alignments = []Alignment{}
+	}
+	return qp
 }
 
 // setResolver activates the remote-DHT path: seed lookups resolve through r
-// under ctx instead of probing the local index. Only the threaded engine
-// calls this; the simulated engine always probes locally.
-func (qp *queryProcessor) setResolver(ctx context.Context, r SeedResolver) {
+// under ctx instead of probing the index.
+func (qp *QueryProcessor) setResolver(ctx context.Context, r SeedResolver) {
 	qp.resolver, qp.rctx = r, ctx
 }
 
@@ -116,7 +124,7 @@ func (qp *queryProcessor) setResolver(ctx context.Context, r SeedResolver) {
 // up — the first position, then every later position on the stride — and
 // resolves them in one ResolveSeeds call. The collection order IS the
 // consumption order of process, so lookupSeed can pop answers positionally.
-func (qp *queryProcessor) prefetchSeeds(q dna.Packed, stride int) error {
+func (qp *QueryProcessor) prefetchSeeds(q dna.Packed, stride int) error {
 	qp.seedBuf = qp.seedBuf[:0]
 	var sc kmer.Scanner
 	sc.Reset(q, qp.opt.K)
@@ -140,23 +148,22 @@ func (qp *queryProcessor) prefetchSeeds(q dna.Packed, stride int) error {
 	return qp.resolver.ResolveSeeds(qp.rctx, qp.seedBuf, qp.ansBuf)
 }
 
-// lookupSeed is the one seed-lookup site of the aligning phase: the local
-// index probe, or — on the remote path — the next prefetched answer. The
-// thread's lookup counter advances either way, so per-query statistics are
-// identical across the two paths.
-func (qp *queryProcessor) lookupSeed(th *upc.Thread, s kmer.Kmer) (dht.LookupResult, bool) {
+// lookupSeed is the one seed-lookup site of the aligning phase: the index
+// probe, or — on the remote path — the next prefetched answer. Lookups are
+// counted here, so the statistics are identical whatever answers them.
+func (qp *QueryProcessor) lookupSeed(s kmer.Kmer) (dht.LookupResult, bool) {
+	qp.SeedLookups++
 	if qp.resolver == nil {
-		return qp.acc.Lookup(th, s)
+		return qp.acc.Lookup(s)
 	}
 	a := qp.ansBuf[qp.ansIdx]
 	qp.ansIdx++
-	th.Counters.SeedLookups++
 	return a.Res, a.OK
 }
 
-// process aligns one query (Algorithm 1, lines 8-12, plus §IV
-// optimizations), charging the thread's cost model and accumulating into st.
-func (qp *queryProcessor) process(th *upc.Thread, st *threadStats, qi int32, q dna.Packed) {
+// Process aligns one query (Algorithm 1, lines 8-12, plus the §IV
+// optimizations) and accumulates its outcome in the processor.
+func (qp *QueryProcessor) Process(qi int32, q dna.Packed) {
 	opt := &qp.opt
 	L := q.Len()
 	if L < opt.K {
@@ -164,15 +171,14 @@ func (qp *queryProcessor) process(th *upc.Thread, st *threadStats, qi int32, q d
 		// typed status instead of silently dropping it, so callers (the
 		// service layer in particular) can distinguish "bad input" from
 		// "aligned nowhere".
-		st.tooShort = append(st.tooShort, qi)
+		qp.tooShort = append(qp.tooShort, qi)
 		return
 	}
-	mach := &qp.costs
 	if qp.resolver != nil {
 		// Remote path: resolve every seed of this query in one batched
 		// call before the per-seed loop consumes the answers positionally.
 		if err := qp.prefetchSeeds(q, opt.stride()); err != nil {
-			st.err = err
+			qp.err = err
 			return
 		}
 	}
@@ -199,22 +205,21 @@ func (qp *queryProcessor) process(th *upc.Thread, st *threadStats, qi int32, q d
 	var firstOK bool
 	var firstQRC bool
 	if opt.ExactMatch {
-		th.Compute(mach.SeedExtractCost)
 		var firstCanon kmer.Kmer
 		firstCanon, firstQRC = qp.scan.Canonical()
-		firstRes, firstOK = qp.lookupSeed(th, firstCanon)
+		firstRes, firstOK = qp.lookupSeed(firstCanon)
 		firstSeedChecked = true
 		if firstOK && firstRes.Count == 1 && len(firstRes.Locs) == 1 {
 			loc := firstRes.Locs[0]
 			if qp.acc.SingleCopy(loc.Frag) {
-				if a, ok := qp.tryExact(th, loc, firstQRC, L); ok {
+				if a, ok := qp.tryExact(loc, firstQRC, L); ok {
 					a.Query = qi
-					st.exact++
-					st.aligned++
-					st.totalAlignments++
-					if st.alignments != nil {
+					qp.exact++
+					qp.aligned++
+					qp.totalAlignments++
+					if qp.alignments != nil {
 						a.Cigar = align.Cigar{{Op: 'M', Len: L}}.String()
-						st.alignments = append(st.alignments, a)
+						qp.alignments = append(qp.alignments, a)
 					}
 					return // single lookup sufficed — minimal communication
 				}
@@ -225,31 +230,29 @@ func (qp *queryProcessor) process(th *upc.Thread, st *threadStats, qi int32, q d
 	// ---- General path: every seed, lookup, extend (lines 9-12) ----
 	stride := opt.stride()
 	if firstSeedChecked {
-		qp.seedHits(th, st, firstRes, firstOK, firstQRC, 0, L) // reuse the fast-path lookup
+		qp.seedHits(firstRes, firstOK, firstQRC, 0, L) // reuse the fast-path lookup
 	} else {
-		th.Compute(mach.SeedExtractCost)
 		canon, qrc := qp.scan.Canonical()
-		res, ok := qp.lookupSeed(th, canon)
-		qp.seedHits(th, st, res, ok, qrc, 0, L)
+		res, ok := qp.lookupSeed(canon)
+		qp.seedHits(res, ok, qrc, 0, L)
 	}
 	for qp.scan.Next() {
 		qoff := qp.scan.Offset()
 		if qoff%stride != 0 {
 			continue // the rolling update is O(1); only looked-up seeds pay
 		}
-		th.Compute(mach.SeedExtractCost)
 		canon, qrc := qp.scan.Canonical()
-		res, ok := qp.lookupSeed(th, canon)
-		qp.seedHits(th, st, res, ok, qrc, qoff, L)
+		res, ok := qp.lookupSeed(canon)
+		qp.seedHits(res, ok, qrc, qoff, L)
 	}
 
 	if len(qp.found) > 0 {
-		st.aligned++
+		qp.aligned++
 	}
 	for i, a := range qp.found {
-		st.totalAlignments++
-		if st.alignments != nil {
-			st.alignments = append(st.alignments, Alignment{
+		qp.totalAlignments++
+		if qp.alignments != nil {
+			qp.alignments = append(qp.alignments, Alignment{
 				Query:  qi,
 				Target: qp.foundTg[i],
 				RC:     qp.foundRC[i],
@@ -264,7 +267,7 @@ func (qp *queryProcessor) process(th *upc.Thread, st *threadStats, qi int32, q d
 
 // seedHits feeds one seed lookup's hits into candidate generation, applying
 // the §IV-C sensitivity threshold.
-func (qp *queryProcessor) seedHits(th *upc.Thread, st *threadStats, res dht.LookupResult, ok, qrc bool, qoff, L int) {
+func (qp *QueryProcessor) seedHits(res dht.LookupResult, ok, qrc bool, qoff, L int) {
 	if !ok {
 		return
 	}
@@ -272,7 +275,7 @@ func (qp *queryProcessor) seedHits(th *upc.Thread, st *threadStats, res dht.Look
 		return // §IV-C sensitivity threshold
 	}
 	for _, loc := range res.Locs {
-		qp.candidate(th, st, loc, qrc, qoff, L)
+		qp.candidate(loc, qrc, qoff, L)
 	}
 }
 
@@ -280,7 +283,7 @@ func (qp *queryProcessor) seedHits(th *upc.Thread, st *threadStats, res dht.Look
 // hit a single-copy-seed fragment exactly once; if the whole query matches
 // the target there with a plain comparison, Lemma 1 guarantees the
 // alignment is unique and no further lookups or Smith-Waterman are needed.
-func (qp *queryProcessor) tryExact(th *upc.Thread, loc dht.Loc, qrc bool, L int) (Alignment, bool) {
+func (qp *QueryProcessor) tryExact(loc dht.Loc, qrc bool, L int) (Alignment, bool) {
 	frag := qp.ft.Frags[loc.Frag]
 	rc := qrc != loc.RC
 	qoffEff := 0
@@ -292,9 +295,8 @@ func (qp *queryProcessor) tryExact(th *upc.Thread, loc dht.Loc, qrc bool, L int)
 	if tOff < 0 || tOff+L > len(tcodes) {
 		return Alignment{}, false // query overhangs the target: general path
 	}
-	qp.acc.FetchTarget(th, frag.Target, qp.ft.TargetPackedBytes(frag.Target), qp.ft.Owner(loc.Frag))
-	th.Compute(float64((L+3)/4) * qp.costs.MemcmpCost)
-	th.Counters.MemcmpBytes += int64((L + 3) / 4)
+	qp.acc.FetchTarget(frag.Target, qp.ft.TargetPackedBytes(frag.Target), qp.ft.Owner(loc.Frag))
+	qp.MemcmpBytes += int64((L + 3) / 4)
 	qc := qp.queryCodes(rc, L)
 	for i := 0; i < L; i++ {
 		if qc[i] != tcodes[tOff+i] {
@@ -314,7 +316,7 @@ func (qp *queryProcessor) tryExact(th *upc.Thread, loc dht.Loc, qrc bool, L int)
 // seenBefore records a candidate key, reporting whether it was already
 // present. Small candidate sets stay in the reusable slice; the rare
 // repeat-heavy query spills into the map (allocated once, cleared lazily).
-func (qp *queryProcessor) seenBefore(key candKey) bool {
+func (qp *QueryProcessor) seenBefore(key candKey) bool {
 	for i := range qp.seenList {
 		if qp.seenList[i] == key {
 			return true
@@ -335,10 +337,10 @@ func (qp *queryProcessor) seenBefore(key candKey) bool {
 }
 
 // candidate processes one seed hit on the general path: dedupe by
-// (target, strand, diagonal), fetch the target through the cache, and run
-// striped Smith-Waterman on the seed window with the query's per-strand
-// reusable profile.
-func (qp *queryProcessor) candidate(th *upc.Thread, st *threadStats, loc dht.Loc, qrc bool, qoff, L int) {
+// (target, strand, diagonal), fetch the target, and run striped
+// Smith-Waterman on the seed window with the query's per-strand reusable
+// profile.
+func (qp *QueryProcessor) candidate(loc dht.Loc, qrc bool, qoff, L int) {
 	frag := qp.ft.Frags[loc.Frag]
 	rc := qrc != loc.RC
 	qoffEff := qoff
@@ -352,7 +354,7 @@ func (qp *queryProcessor) candidate(th *upc.Thread, st *threadStats, loc dht.Loc
 	}
 
 	tcodes := qp.ft.TargetCodes(frag.Target)
-	qp.acc.FetchTarget(th, frag.Target, qp.ft.TargetPackedBytes(frag.Target), qp.ft.Owner(loc.Frag))
+	qp.acc.FetchTarget(frag.Target, qp.ft.TargetPackedBytes(frag.Target), qp.ft.Owner(loc.Frag))
 
 	winLo := seedT - qoffEff - qp.opt.ExtendPad
 	if winLo < 0 {
@@ -362,14 +364,11 @@ func (qp *queryProcessor) candidate(th *upc.Thread, st *threadStats, loc dht.Loc
 	if winHi > len(tcodes) {
 		winHi = len(tcodes)
 	}
-	cells := align.Cells(L, winHi-winLo)
-	th.Compute(qp.costs.SWSetupCost + float64(cells)*qp.costs.SWCellCost)
-	th.Counters.SWCells += cells
-	th.Counters.SWCalls++
-	st.swCalls++
+	qp.SWCells += align.Cells(L, winHi-winLo)
+	qp.SWCalls++
 
 	var res align.Result
-	if st.alignments == nil && qp.opt.Extend == nil {
+	if qp.alignments == nil && qp.opt.Extend == nil {
 		// Statistics-only runs use the striped score kernel (as the real
 		// code does); end-points are derived from the striped result, and
 		// the traceback is skipped entirely. The profile is built once per
@@ -404,7 +403,7 @@ func (qp *queryProcessor) candidate(th *upc.Thread, st *threadStats, loc dht.Loc
 
 // strandProfile returns the striped profile of the query on the requested
 // strand, building (or Reset-recycling) it on first use within the query.
-func (qp *queryProcessor) strandProfile(rc bool, L int) *align.Profile {
+func (qp *QueryProcessor) strandProfile(rc bool, L int) *align.Profile {
 	if rc {
 		if !qp.profRCOK {
 			qp.profRC.Reset(qp.queryCodes(true, L), qp.opt.Scoring)
@@ -421,12 +420,12 @@ func (qp *queryProcessor) strandProfile(rc bool, L int) *align.Profile {
 
 // queryCodes returns the query's code slice on the requested strand,
 // computing the reverse complement lazily.
-func (qp *queryProcessor) queryCodes(rc bool, L int) []byte {
+func (qp *QueryProcessor) queryCodes(rc bool, L int) []byte {
 	if !rc {
 		return qp.fwd
 	}
 	if len(qp.rc) != L {
-		qp.rc = qp.rc[:0]
+		qp.rc = slices.Grow(qp.rc[:0], L)
 		for i := L - 1; i >= 0; i-- {
 			qp.rc = append(qp.rc, 3-qp.fwd[i])
 		}

@@ -15,9 +15,9 @@ import (
 // re-indexed; per-query counters (AlignedReads, ExactPathReads,
 // TotalAlignments) are recomputed from the window. SWCalls and SeedLookups
 // are recovered from PerQuery when it was collected and are zero otherwise
-// (the engine only tracks them per call). Call-level snapshots — Phases,
-// cache counters, IndexStats, the communication split — describe the whole
-// engine call the window was part of and are carried through as-is.
+// (the engine only tracks them per call). Call-level snapshots — Phases and
+// IndexStats — describe the whole engine call the window was part of and
+// are carried through as-is.
 //
 // Slice requires the batch to have been run with CollectAlignments (the
 // alignment records are the only per-query source of the counters); it
@@ -28,13 +28,9 @@ func (r *Results) Slice(lo, hi int) *Results {
 		panic(fmt.Sprintf("core: Slice [%d,%d) out of range of %d reads", lo, hi, r.TotalReads))
 	}
 	out := &Results{
-		Phases:             r.Phases,
-		TotalReads:         hi - lo,
-		SeedCache:          r.SeedCache,
-		TargetCache:        r.TargetCache,
-		IndexStats:         r.IndexStats,
-		CommSeedLookupMax:  r.CommSeedLookupMax,
-		CommFetchTargetMax: r.CommFetchTargetMax,
+		Phases:     r.Phases,
+		TotalReads: hi - lo,
+		IndexStats: r.IndexStats,
 	}
 
 	a := r.Alignments

@@ -14,7 +14,6 @@ import (
 	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/merx"
 	"github.com/lbl-repro/meraligner/internal/seqio"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
 // This file persists a ThreadedIndex as a .merx snapshot and loads it back:
@@ -181,7 +180,7 @@ func LoadIndex(workers int, path string) (*ThreadedIndex, error) {
 		f.Close()
 		return nil, err
 	}
-	ix.buildPhases = []upc.PhaseStat{upc.RealPhaseStat(PhaseLoad, time.Since(start), upc.Counters{})}
+	ix.buildPhases = []Phase{{Name: PhaseLoad, RealWall: time.Since(start).Seconds()}}
 	return ix, nil
 }
 

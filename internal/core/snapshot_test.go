@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -294,5 +297,89 @@ func TestSaveDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(b1, b2) {
 		t.Error("two saves of the same index differ byte for byte")
+	}
+}
+
+// TestLegacyMetaStillLoads: snapshots written before the simulated machine
+// moved to internal/sim carry three more keys in META.index_options (Mode,
+// SeedCacheBytes, TargetCacheBytes). They describe the simulator, not the
+// index, so the loader ignores them — no format-version bump — and the
+// snapshot serves exactly as a freshly saved one does.
+func TestLegacyMetaStillLoads(t *testing.T) {
+	ds := testWorkload(t, 40_000, 2, 0.005)
+	opt := testOptions(21)
+	built, err := BuildIndex(2, opt.IndexOptions, ds.Contigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := json.Marshal(built.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacyMeta := fmt.Sprintf(`{
+ "tool": "meraligner",
+ "index_options": {
+  "K": 21,
+  "Mode": 0,
+  "AggS": 1000,
+  "SeedCacheBytes": 16777216,
+  "TargetCacheBytes": 6291456,
+  "ExactMatch": true,
+  "FragmentLen": 2000,
+  "MaxLocList": 0
+ },
+ "shards": %d,
+ "num_targets": %d,
+ "num_fragments": %d,
+ "stats": %s
+}
+`, built.sx.Shards(), len(ds.Contigs), built.ft.NumFragments(), stats)
+
+	path := filepath.Join(t.TempDir(), "legacy.merx")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := merx.NewWriter(f, snapLayout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range []struct {
+		tag   string
+		write func(io.Writer) error
+	}{
+		{sectionMeta, func(sw io.Writer) error { _, err := io.WriteString(sw, legacyMeta); return err }},
+		{sectionTargets, func(sw io.Writer) error { return writeTargets(sw, ds.Contigs) }},
+		{sectionDHT, func(sw io.Writer) error { _, err := built.sx.WriteTo(sw); return err }},
+	} {
+		if err := w.Section(sec.tag, sec.write); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := LoadIndex(2, path)
+	if err != nil {
+		t.Fatalf("legacy META rejected: %v", err)
+	}
+	defer loaded.Close()
+	if loaded.Options() != built.Options() {
+		t.Errorf("loaded options %+v, want %+v", loaded.Options(), built.Options())
+	}
+	want, err := built.Query(context.Background(), 2, opt.QueryOptions, ds.Reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.Query(context.Background(), 2, opt.QueryOptions, ds.Reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Alignments) == 0 || !reflect.DeepEqual(want.Alignments, got.Alignments) {
+		t.Fatalf("legacy snapshot serves %d alignments, fresh index %d (or they differ)", len(got.Alignments), len(want.Alignments))
 	}
 }

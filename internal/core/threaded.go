@@ -9,13 +9,12 @@ import (
 	"github.com/lbl-repro/meraligner/internal/dht"
 	"github.com/lbl-repro/meraligner/internal/kmer"
 	"github.com/lbl-repro/meraligner/internal/seqio"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
-// This file holds the shared plumbing of the threaded execution engine —
-// the worker pool, the wall-clock phase recorder, and the index adapter —
-// plus RunThreaded, the one-shot entry point. The engine itself is split
-// into its two halves in index.go: BuildIndex (seed-index construction,
+// This file holds the shared plumbing of the execution engine — the worker
+// pool, the wall-clock phase timer, and the index adapter — plus
+// RunThreaded, the one-shot entry point. The engine itself is split into
+// its two halves in index.go: BuildIndex (seed-index construction,
 // §III) and ThreadedIndex.Query (the aligning phase, §IV). RunThreaded
 // composes them, so a one-shot run and a build-once/serve-many service
 // execute literally the same code.
@@ -34,26 +33,21 @@ import (
 //	               match fast path (§IV-A) and the general seed-lookup +
 //	               striped Smith-Waterman path (§IV-B/V-B)
 //
-// Alignments are byte-identical to Run's on the same inputs: the sharded
-// index sorts entries with the same comparator as the simulated drain, so
-// location lists — and therefore candidate order, deduplication, and
-// scores — match exactly.
+// Alignments are byte-identical to the simulated machine's (internal/sim)
+// on the same inputs: the sharded index sorts entries with the same
+// comparator as the simulated drain (dht.SortEntries), so location lists —
+// and therefore candidate order, deduplication, and scores — match exactly.
 
-// threadedAccess adapts dht.Sharded to the indexAccess interface. Lookups
-// touch real memory only; no communication is simulated, but the measured
-// counters are maintained so Results are comparable across engines.
+// threadedAccess adapts the sealed dht.Sharded table to IndexAccess.
 type threadedAccess struct {
 	sx *dht.Sharded
 }
 
-func (a threadedAccess) Lookup(th *upc.Thread, s kmer.Kmer) (dht.LookupResult, bool) {
-	th.Counters.SeedLookups++
-	return a.sx.Lookup(s)
-}
-func (a threadedAccess) SingleCopy(frag int32) bool { return a.sx.SingleCopy(int(frag)) }
-func (a threadedAccess) FetchTarget(th *upc.Thread, target int32, targetBytes, owner int) {
-	// Target sequences live in shared memory; nothing to move.
-}
+func (a threadedAccess) Lookup(s kmer.Kmer) (dht.LookupResult, bool) { return a.sx.Lookup(s) }
+func (a threadedAccess) SingleCopy(frag int32) bool                  { return a.sx.SingleCopy(int(frag)) }
+
+// FetchTarget is a no-op: target sequences live in shared memory.
+func (a threadedAccess) FetchTarget(target int32, targetBytes, owner int) {}
 
 // chunk sizes for the dynamic work cursors: small enough to balance skewed
 // fragment lengths and per-read work, large enough to amortize the atomic.
@@ -105,39 +99,19 @@ func runPoolCtx(ctx context.Context, workers, n, chunk int, fn func(w, lo, hi in
 	wg.Wait()
 }
 
-// realPhases accumulates wall-clock PhaseStats for a threaded run.
-type realPhases struct {
-	phases []upc.PhaseStat
-	total  upc.Counters
-}
-
-// run measures fn and records it as a phase, folding in the per-worker
-// counters accumulated during the phase.
-func (r *realPhases) run(name string, threads []*upc.Thread, fn func()) {
-	var before upc.Counters
-	for _, t := range threads {
-		before.Add(t.Counters)
-	}
+// timePhase runs fn and appends its measured wall-clock phase to phases.
+func timePhase(phases []Phase, name string, fn func()) []Phase {
 	start := time.Now()
 	fn()
-	elapsed := time.Since(start)
-	var after upc.Counters
-	for _, t := range threads {
-		after.Add(t.Counters)
-	}
-	delta := after.Sub(before)
-	stat := upc.RealPhaseStat(name, elapsed, delta)
-	r.phases = append(r.phases, stat)
-	r.total.Add(delta)
+	return append(phases, Phase{Name: name, RealWall: time.Since(start).Seconds()})
 }
 
 // RunThreaded executes merAligner in shared-memory mode: a goroutine worker
 // pool builds a sharded seed index with the two-stage aggregating-stores
 // scheme and aligns query batches with the exact-match fast path and
 // striped Smith-Waterman. workers is the pool size (the paper's single-node
-// core count, Fig 11); workers <= 0 is an error. Alignments are identical
-// to Run's on the same inputs; Results.Phases carry measured wall-clock
-// times in both Wall and RealWall.
+// core count, Fig 11); workers <= 0 is an error. Results.Phases carry the
+// measured wall-clock time of every build phase and of the align phase.
 //
 // RunThreaded is BuildIndex + ThreadedIndex.Query composed: services that
 // reuse one index across many query batches call the two halves directly.
@@ -162,14 +136,4 @@ func RunThreaded(workers int, opt Options, targets, queries []seqio.Seq) (*Resul
 	}
 	res.Phases = append(ix.BuildPhases(), res.Phases...)
 	return res, nil
-}
-
-// TotalRealWall sums the real wall-clock seconds of all phases — the
-// measured end-to-end runtime in threaded mode.
-func (r *Results) TotalRealWall() float64 {
-	var s float64
-	for _, p := range r.Phases {
-		s += p.RealWall
-	}
-	return s
 }

@@ -4,61 +4,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/seqio"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
-
-// The engine's headline guarantee: alignments byte-identical to the
-// simulated pipeline on the same inputs — every field of every record,
-// across option variations that steer different code paths.
-func TestThreadedAlignmentsIdenticalToSim(t *testing.T) {
-	ds := testWorkload(t, 80_000, 3, 0.005)
-	cases := []struct {
-		name string
-		mut  func(*Options)
-	}{
-		{"default", func(o *Options) {}},
-		{"no-exact", func(o *Options) { o.ExactMatch = false }},
-		{"no-fragmentation", func(o *Options) { o.FragmentLen = 0 }},
-		{"capped-seeds", func(o *Options) { o.MaxSeedHits = 5 }},
-		{"strided", func(o *Options) { o.SeedStride = 3 }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			opt := testOptions(21)
-			tc.mut(&opt)
-			sim, err := Run(testMach(16), opt, ds.Contigs, ds.Reads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			thr, err := RunThreaded(3, opt, ds.Contigs, ds.Reads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sim.AlignedReads != thr.AlignedReads ||
-				sim.ExactPathReads != thr.ExactPathReads ||
-				sim.TotalAlignments != thr.TotalAlignments ||
-				sim.SWCalls != thr.SWCalls ||
-				sim.SeedLookups != thr.SeedLookups {
-				t.Errorf("summary stats differ:\nsim: %d/%d/%d/%d/%d\nthr: %d/%d/%d/%d/%d",
-					sim.AlignedReads, sim.ExactPathReads, sim.TotalAlignments, sim.SWCalls, sim.SeedLookups,
-					thr.AlignedReads, thr.ExactPathReads, thr.TotalAlignments, thr.SWCalls, thr.SeedLookups)
-			}
-			if len(sim.Alignments) != len(thr.Alignments) {
-				t.Fatalf("alignment counts differ: %d vs %d", len(sim.Alignments), len(thr.Alignments))
-			}
-			for i := range sim.Alignments {
-				if sim.Alignments[i] != thr.Alignments[i] {
-					t.Fatalf("alignment %d differs:\nsim: %+v\nthr: %+v",
-						i, sim.Alignments[i], thr.Alignments[i])
-				}
-			}
-		})
-	}
-}
 
 // Results must not depend on the worker count or on scheduling: any pool
 // size produces the same sorted alignment slice.
@@ -91,7 +40,7 @@ func TestThreadedDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// Phase stats must be genuine wall-clock measurements with real counters.
+// Phases must be genuine wall-clock measurements.
 func TestThreadedPhaseStats(t *testing.T) {
 	ds := testWorkload(t, 40_000, 2, 0.004)
 	opt := testOptions(21)
@@ -107,14 +56,12 @@ func TestThreadedPhaseStats(t *testing.T) {
 		if p.Name != wantPhases[i] {
 			t.Errorf("phase %d = %q, want %q", i, p.Name, wantPhases[i])
 		}
-		if p.RealWall <= 0 || p.Wall != p.RealWall {
-			t.Errorf("phase %q: Wall/RealWall not measured: %v/%v", p.Name, p.Wall, p.RealWall)
+		if p.RealWall <= 0 {
+			t.Errorf("phase %q: RealWall not measured: %v", p.Name, p.RealWall)
 		}
 	}
-	align, _ := res.Phase(PhaseAlign)
-	if align.Counters.SeedLookups == 0 || align.Counters.SeedLookups != res.SeedLookups {
-		t.Errorf("align-phase seed lookups not measured: %d vs %d",
-			align.Counters.SeedLookups, res.SeedLookups)
+	if res.SeedLookups == 0 {
+		t.Error("seed lookups not counted")
 	}
 	if res.TotalRealWall() <= 0 {
 		t.Error("TotalRealWall <= 0")
@@ -128,8 +75,10 @@ func TestThreadedPhaseStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := res.Phase(PhaseMark); ok {
-		t.Error("mark phase present with ExactMatch off")
+	for _, p := range res.Phases {
+		if p.Name == PhaseMark {
+			t.Error("mark phase present with ExactMatch off")
+		}
 	}
 }
 
@@ -145,9 +94,9 @@ func TestThreadedUsesMultipleGoroutines(t *testing.T) {
 	}
 	// With dynamic batching over thousands of reads, a 4-worker pool
 	// starves only if the pool is broken; SeedLookups are accumulated
-	// per-worker and summed, so equality with the sim run (checked in the
-	// parity test) plus a nonzero count here means the counters flowed
-	// through the per-worker threads.
+	// per-worker and summed, so equality with the simulated run (checked in
+	// internal/sim's parity test) plus a nonzero count here means the
+	// counts flowed through the per-worker processors.
 	if res.SeedLookups == 0 {
 		t.Fatal("no seed lookups measured")
 	}
@@ -210,7 +159,7 @@ func TestThreadedEmptyAndTinyInputs(t *testing.T) {
 	if res.TotalReads != 0 || res.TotalAlignments != 0 {
 		t.Error("empty run produced results")
 	}
-	// Queries shorter than K are skipped, as in the simulated engine.
+	// Queries shorter than K are skipped.
 	tg := []seqio.Seq{{Name: "c", Seq: dna.MustPack("ACGTACGTACGTACGTACGTACGTACGT")}}
 	qs := []seqio.Seq{{Name: "q", Seq: dna.MustPack("ACGT")}}
 	res, err = RunThreaded(2, opt, tg, qs)
@@ -219,13 +168,5 @@ func TestThreadedEmptyAndTinyInputs(t *testing.T) {
 	}
 	if res.TotalAlignments != 0 {
 		t.Error("short query aligned")
-	}
-}
-
-// RealPhaseStat plumbing: measured duration lands in both Wall and RealWall.
-func TestRealPhaseStat(t *testing.T) {
-	st := upc.RealPhaseStat("x", 250*time.Millisecond, upc.Counters{SWCalls: 7})
-	if st.Wall != 0.25 || st.RealWall != 0.25 || st.Counters.SWCalls != 7 {
-		t.Errorf("RealPhaseStat mangled fields: %+v", st)
 	}
 }

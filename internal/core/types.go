@@ -1,15 +1,21 @@
 // Package core implements merAligner itself: Algorithm 1 of the paper — a
-// fully parallel seed-and-extend aligner over the distributed seed index —
-// together with all four of its alignment optimizations: the exact-match
-// fast path built on single-copy-seed detection and target fragmentation
-// (§IV-A), load balancing by input permutation (§IV-B), the
-// max-alignments-per-seed sensitivity threshold (§IV-C), and per-node
-// software caching of seeds and targets (§III-B).
+// fully parallel seed-and-extend aligner over the seed index — together
+// with the alignment optimizations that are properties of the algorithm
+// rather than of a machine: the exact-match fast path built on
+// single-copy-seed detection and target fragmentation (§IV-A) and the
+// max-alignments-per-seed sensitivity threshold (§IV-C).
 //
-// Two execution modes are provided: Run executes on the simulated PGAS
-// machine of package upc (for the strong-scaling and ablation experiments),
-// and RunThreaded executes the same algorithm with real goroutines and
-// wall-clock time on the host (the single-node comparison of Fig 11).
+// There is one per-read procedure, QueryProcessor.Process, and it knows
+// nothing about time: it reads the seed index through the IndexAccess
+// interface and counts the work it did (seed lookups, compared bytes,
+// Smith-Waterman calls and cells). The serving engine in this package
+// (BuildIndex, ThreadedIndex.Query/QuerySerial, RunThreaded) runs it with
+// real goroutines over the sealed dht.Sharded table and measures wall-clock
+// time around it. The simulated PGAS machine of the paper's scaling figures
+// lives in internal/sim, which drives the same processor through its own
+// IndexAccess and converts the counts to simulated seconds afterwards. The
+// dependency runs one way only — sim imports core, never the reverse — so
+// nothing a server links knows the cost model.
 package core
 
 import (
@@ -17,27 +23,18 @@ import (
 	"fmt"
 
 	"github.com/lbl-repro/meraligner/internal/align"
-	"github.com/lbl-repro/meraligner/internal/cache"
 	"github.com/lbl-repro/meraligner/internal/dht"
 	"github.com/lbl-repro/meraligner/internal/kmer"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
 // IndexOptions is the build-time half of a merAligner configuration: every
 // knob that shapes the seed index itself — the fragment table, the
-// distributed hash table, the single-copy marking, and the cache budgets
-// sized against that index. Two runs with equal IndexOptions over the same
+// seed hash table and the single-copy marking. Two runs with equal IndexOptions over the same
 // targets build byte-identical indexes, whatever their query-time settings.
 type IndexOptions struct {
 	K int // seed length (paper: 51 for human/wheat, 19 for E. coli)
 
-	// Distributed index construction.
-	Mode dht.BuildMode // Aggregating (default) or FineGrained (Fig 8 ablation)
-	AggS int           // aggregation buffer size S (paper: 1000)
-
-	// Software caches, per-node byte budgets (Fig 9 ablation: set to 0).
-	SeedCacheBytes   int64
-	TargetCacheBytes int64
+	AggS int // aggregation buffer size S of index construction (paper: 1000)
 
 	// Exact-match optimization (Fig 10 ablation): marking single-copy
 	// fragments is an index-construction phase, so the fast path can only
@@ -65,12 +62,6 @@ type QueryOptions struct {
 	// skipped during candidate generation (0 = unlimited) — §IV-C.
 	MaxSeedHits int
 
-	// Load balancing (Table I): permute the query order before chunking.
-	// Only the simulated engine's static partition needs it; the threaded
-	// engine balances with dynamic work claims.
-	Permute     bool
-	PermuteSeed int64
-
 	// SeedStride looks up every SeedStride-th query seed on the general
 	// path (1 = every seed, the paper's behavior). Larger strides trade
 	// sensitivity for speed on scaled-down workloads.
@@ -83,14 +74,13 @@ type QueryOptions struct {
 	MinScore int
 
 	// CollectAlignments retains full alignment records (with cigars).
-	// Disable for large simulated runs where only statistics matter.
+	// Disable for large runs where only statistics matter.
 	CollectAlignments bool
 
 	// CollectPerQuery retains one QueryStat per query in Results.PerQuery
 	// (status, alignment count, Smith-Waterman calls, wall nanoseconds) —
 	// the per-read latency source behind a service's p50/p99 reporting.
-	// Honored by the threaded engine (Query/QuerySerial); the simulated
-	// engine ignores it, since its per-query time is virtual.
+	// Honored by Query/QuerySerial only.
 	CollectPerQuery bool
 
 	// Extend replaces the seed-extension engine (§VIII: "the Striped
@@ -100,12 +90,12 @@ type QueryOptions struct {
 	Extend ExtendFunc
 
 	// SeedResolver replaces the local seed-index probe with a remote
-	// resolver — the distributed-DHT seam. When set on a threaded-engine
+	// resolver — the distributed-DHT seam. When set on a Query/QuerySerial
 	// call, every query's seed lookups are collected up front and resolved
 	// in one ResolveSeeds call (which the network tier batches per owning
 	// node); extension and Smith-Waterman still run locally, and the
 	// results are bit-identical to local lookups against the same table.
-	// The simulated engine ignores it. Like Extend, this field is runtime
+	// Like Extend, this field is runtime
 	// wiring, not serialized configuration.
 	SeedResolver SeedResolver
 }
@@ -127,17 +117,10 @@ type SeedResolver interface {
 }
 
 // Options configures a one-shot merAligner run: both halves of the
-// configuration plus the I/O accounting knobs of the simulated engine. The
-// zero value is not usable; start from DefaultOptions.
+// configuration. The zero value is not usable; start from DefaultOptions.
 type Options struct {
 	IndexOptions
 	QueryOptions
-
-	// QueryBytesOnDisk/TargetBytesOnDisk let callers charge the I/O phases
-	// with realistic on-disk sizes (e.g. SeqDB files); when zero, the
-	// packed in-memory sizes are charged.
-	QueryBytesOnDisk  int64
-	TargetBytesOnDisk int64
 }
 
 // ExtendFunc is a pluggable seed-extension engine: it locally aligns query
@@ -149,13 +132,10 @@ type ExtendFunc func(query, target []byte, qOff, tOff, k int, sc align.Scoring, 
 // given seed length.
 func DefaultIndexOptions(k int) IndexOptions {
 	return IndexOptions{
-		K:                k,
-		Mode:             dht.Aggregating,
-		AggS:             1000,
-		SeedCacheBytes:   16 << 20, // scaled-down analogue of 16 GB/node
-		TargetCacheBytes: 6 << 20,  // scaled-down analogue of 6 GB/node
-		ExactMatch:       true,
-		FragmentLen:      2000,
+		K:           k,
+		AggS:        1000,
+		ExactMatch:  true,
+		FragmentLen: 2000,
 	}
 }
 
@@ -164,8 +144,6 @@ func DefaultQueryOptions() QueryOptions {
 	return QueryOptions{
 		Scoring:     align.DefaultScoring,
 		MaxSeedHits: 1000,
-		Permute:     true,
-		PermuteSeed: 12345,
 		SeedStride:  1,
 		ExtendPad:   24,
 	}
@@ -270,7 +248,7 @@ func (s QueryStatus) String() string {
 }
 
 // QueryStat is one query's aligning-phase account, collected when
-// QueryOptions.CollectPerQuery is set on a threaded-engine call.
+// QueryOptions.CollectPerQuery is set.
 type QueryStat struct {
 	Status      QueryStatus
 	Alignments  int32 // reported alignments for this query
@@ -294,11 +272,17 @@ type Alignment struct {
 	Cigar  string // only when Options.CollectAlignments
 }
 
+// Phase is one measured phase of a run: its name and the wall-clock seconds
+// it took on the host.
+type Phase struct {
+	Name     string
+	RealWall float64
+}
+
 // Results aggregates a complete run.
 type Results struct {
-	// Phase timings, in pipeline order. Wall is simulated seconds for Run
-	// and real seconds for RunThreaded.
-	Phases []upc.PhaseStat
+	// Phases are the measured phases, in pipeline order.
+	Phases []Phase
 
 	TotalReads      int
 	AlignedReads    int // reads with >= 1 reported alignment
@@ -314,71 +298,30 @@ type Results struct {
 	TooShort []int32
 
 	// PerQuery holds one stat record per query, indexed by query, when
-	// QueryOptions.CollectPerQuery was set on a threaded-engine call.
+	// QueryOptions.CollectPerQuery was set.
 	PerQuery []QueryStat
 
-	SeedCache   cache.CounterSnapshot
-	TargetCache cache.CounterSnapshot
-	IndexStats  dht.Stats
-
-	// Communication split of the align phase (Fig 9): simulated seconds of
-	// the slowest thread spent on seed lookups vs target fetches.
-	CommSeedLookupMax  float64
-	CommFetchTargetMax float64
+	IndexStats dht.Stats
 
 	Alignments []Alignment // populated when Options.CollectAlignments
 }
 
-// Phase returns the named phase, or false.
-func (r *Results) Phase(name string) (upc.PhaseStat, bool) {
-	for _, p := range r.Phases {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return upc.PhaseStat{}, false
-}
-
-// TotalWall sums all phase wall times (end-to-end runtime).
-func (r *Results) TotalWall() float64 {
+// realWall sums the wall-clock seconds of phases.
+func realWall(phases []Phase) float64 {
 	var s float64
-	for _, p := range r.Phases {
-		s += p.Wall
+	for _, p := range phases {
+		s += p.RealWall
 	}
 	return s
 }
 
-// IndexWall sums the index-construction phases (extract+stage, drain, mark).
-func (r *Results) IndexWall() float64 {
-	var s float64
-	for _, p := range r.Phases {
-		switch p.Name {
-		case PhaseExtract, PhaseDrain, PhaseMark:
-			s += p.Wall
-		}
-	}
-	return s
-}
-
-// AlignWall returns the aligning-phase wall time.
-func (r *Results) AlignWall() float64 {
-	p, _ := r.Phase(PhaseAlign)
-	return p.Wall
-}
-
-// IOWall sums the I/O phases.
-func (r *Results) IOWall() float64 {
-	var s float64
-	for _, p := range r.Phases {
-		if p.Name == PhaseReadTargets || p.Name == PhaseReadQueries {
-			s += p.Wall
-		}
-	}
-	return s
-}
+// TotalRealWall sums the wall-clock seconds of all phases — the measured
+// end-to-end runtime.
+func (r *Results) TotalRealWall() float64 { return realWall(r.Phases) }
 
 // Phase names, in pipeline order. PhaseLoad replaces the three
-// index-construction phases when the index comes from a snapshot.
+// index-construction phases when the index comes from a snapshot; the two
+// I/O phases exist on the simulated machine only (internal/sim).
 const (
 	PhaseReadTargets = "read targets (I/O)"
 	PhaseExtract     = "extract+stage seeds"

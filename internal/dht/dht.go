@@ -1,52 +1,26 @@
-// Package dht implements the paper's distributed seed index (§II-B, §III):
-// a hash table partitioned over all UPC threads, mapping each seed to the
-// list of (fragment, offset) locations it was extracted from.
-//
-// Construction supports both modes measured in Fig 8:
-//
-//   - FineGrained: the straightforward algorithm — every seed incurs a
-//     remote lock (global atomic) plus a small remote store into the owner's
-//     bucket. Fine-grained communication and fine-grained locking.
-//
-//   - Aggregating: the paper's "aggregating stores" optimization — each
-//     thread keeps an S-entry staging buffer per destination thread; a full
-//     buffer is shipped with ONE remote aggregate transfer into the
-//     destination's local-shared stack, whose write cursor is reserved with a
-//     single atomic_fetchadd. After a barrier every owner drains its own
-//     stack into its local buckets with zero communication and zero locks,
-//     which is what makes the resulting table lock-free. Memory grows by
-//     S x (n-1) staged entries per thread; messages and atomics shrink by S.
+// Package dht implements the seed index the servers link (§II-B, §III): a
+// hash table mapping each seed to the list of (fragment, offset) locations
+// it was extracted from, built with the paper's two-stage aggregating-stores
+// scheme on real goroutines (Sharded), sealed into a flat open-addressing
+// table (flat.go), persisted as a snapshot section (snapshot.go) and
+// hash-partitioned over seed-shard nodes (partition.go).
 //
 // The table also counts seed occurrences during the drain — the "cheap and
 // local operation" of §IV-A — and derives the single_copy_seeds flag per
 // target fragment that powers the exact-match optimization.
+//
+// The simulated PGAS realization of the same index — one partition per UPC
+// thread, with the cost model charged on every put, get and atomic — lives
+// in internal/sim. It shares this package's entry types and the SortEntries
+// comparator, and nothing else: it keeps its own table, which is what makes
+// it an independent reference for the flat table in the parity tests.
 package dht
 
 import (
-	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/lbl-repro/meraligner/internal/kmer"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
-
-// BuildMode selects the construction algorithm.
-type BuildMode int
-
-const (
-	// Aggregating is the optimized mode (aggregating stores, lock-free).
-	Aggregating BuildMode = iota
-	// FineGrained is the unoptimized baseline of Fig 8.
-	FineGrained
-)
-
-func (m BuildMode) String() string {
-	if m == Aggregating {
-		return "aggregating"
-	}
-	return "fine-grained"
-}
 
 // Loc is one occurrence of a seed: the fragment it was extracted from, the
 // offset of the seed's first base within that fragment, and whether the
@@ -75,10 +49,9 @@ type entry struct {
 	count int32 // total occurrences, == len(locs) unless list was capped
 }
 
-// buckets is one partition's seed table: a map from seed to a dense entry
-// slice. It is shared between the simulated Index (one per UPC thread) and
-// the concurrent Sharded index (one per shard); both drain into it from a
-// single goroutine, so insert needs no locking of its own.
+// buckets is one shard's build-time seed table: a map from seed to a dense
+// entry slice. Each shard is drained by a single goroutine, so insert needs
+// no locking of its own.
 type buckets struct {
 	m map[kmer.Kmer]int32
 	e []entry
@@ -109,11 +82,12 @@ func (bt *buckets) lookup(s kmer.Kmer) (LookupResult, bool) {
 	return LookupResult{Locs: ent.locs, Count: ent.count}, true
 }
 
-// sortEntries orders staged entries by (seed, fragment, offset, strand) so a
-// partition's contents are independent of ship interleaving. Both build
-// paths sort with this comparator, which is what makes the simulated and
-// threaded indexes byte-identical for the same input.
-func sortEntries(es []SeedEntry) {
+// SortEntries orders staged entries by (seed, fragment, offset, strand) so a
+// partition's contents are independent of ship interleaving. Every build
+// path — Sharded here, the simulated index in internal/sim — sorts with this
+// comparator, which is what makes their tables, and therefore the
+// alignments, byte-identical for the same input.
+func SortEntries(es []SeedEntry) {
 	sort.Slice(es, func(i, j int) bool {
 		a, b := es[i], es[j]
 		if a.Seed != b.Seed {
@@ -129,268 +103,10 @@ func sortEntries(es []SeedEntry) {
 	})
 }
 
-// ownerTable is the local part of the distributed table on one thread.
-type ownerTable struct {
-	mu sync.Mutex // contended only in FineGrained mode
-	buckets
-}
-
-// stack is one thread's pre-allocated local-shared stack: remote threads
-// append aggregate batches; the owner drains it after the barrier.
-type stack struct {
-	mu      sync.Mutex
-	entries []SeedEntry
-}
-
-// Config parameterizes index construction.
-type Config struct {
-	K          int       // seed length
-	Mode       BuildMode // Aggregating or FineGrained
-	S          int       // aggregation buffer size (entries); paper uses 1000
-	MaxLocList int       // cap on stored locations per seed; 0 = unlimited
-}
-
-// Index is the distributed seed index.
-type Index struct {
-	cfg  Config
-	mach upc.MachineConfig
-
-	owners []ownerTable
-	stacks []stack
-
-	// singleCopy[frag] is 1 while every seed of the fragment is uniquely
-	// located in it (Lemma 1's precondition); cleared during MarkSingleCopy.
-	singleCopy   []int32
-	numFragments int
-}
-
-// New creates an index distributed over the machine's threads, indexing
-// fragments 0..numFragments-1.
-func New(mach upc.MachineConfig, cfg Config, numFragments int) (*Index, error) {
-	if cfg.K <= 0 || cfg.K > kmer.MaxK {
-		return nil, fmt.Errorf("dht: seed length %d out of range", cfg.K)
-	}
-	if cfg.S <= 0 {
-		cfg.S = 1000 // the paper's setting
-	}
-	ix := &Index{
-		cfg:          cfg,
-		mach:         mach,
-		owners:       make([]ownerTable, mach.Threads),
-		stacks:       make([]stack, mach.Threads),
-		singleCopy:   make([]int32, numFragments),
-		numFragments: numFragments,
-	}
-	for i := range ix.owners {
-		ix.owners[i].buckets.m = make(map[kmer.Kmer]int32)
-	}
-	for i := range ix.singleCopy {
-		ix.singleCopy[i] = 1
-	}
-	return ix, nil
-}
-
-// K returns the seed length the index was built with.
-func (ix *Index) K() int { return ix.cfg.K }
-
-// Mode returns the construction mode.
-func (ix *Index) Mode() BuildMode { return ix.cfg.Mode }
-
-// OwnerOf returns the thread owning a seed: djb2(seed) mod THREADS, the
-// paper's seed-to-processor map.
-func (ix *Index) OwnerOf(s kmer.Kmer) int {
-	return int(s.Hash() % uint64(ix.mach.Threads))
-}
-
-// Builder stages seed insertions for one thread during construction.
-type Builder struct {
-	ix   *Index
-	t    *upc.Thread
-	bufs [][]SeedEntry // per destination, Aggregating mode only
-
-	// Flushes counts aggregate transfers issued (for tests and stats).
-	Flushes int64
-}
-
-// NewBuilder returns a Builder bound to simulated thread t.
-func (ix *Index) NewBuilder(t *upc.Thread) *Builder {
-	b := &Builder{ix: ix, t: t}
-	if ix.cfg.Mode == Aggregating {
-		b.bufs = make([][]SeedEntry, ix.mach.Threads)
-	}
-	return b
-}
-
-// Add inserts one seed occurrence. In Aggregating mode it is staged into
-// the per-destination buffer and shipped when S entries accumulate; in
-// FineGrained mode it is sent immediately with a lock + small message.
-func (b *Builder) Add(e SeedEntry) {
-	ix, t := b.ix, b.t
-	t.Compute(ix.mach.HashCost)
-	dst := ix.OwnerOf(e.Seed)
-
-	if ix.cfg.Mode == FineGrained {
-		// Straightforward algorithm: remote lock, remote store, remote
-		// unlock (unlock charged as part of the atomic pair), plus the
-		// insertion executed under the owner's bucket lock.
-		t.Atomic(dst)
-		t.Put(dst, WireBytes(ix.cfg.K))
-		ot := &ix.owners[dst]
-		ot.mu.Lock()
-		ix.insertLocked(ot, e)
-		ot.mu.Unlock()
-		// The insert work is done by the initiating thread via RDMA+lock
-		// in the unoptimized scheme; charge it the insert cost too.
-		t.Compute(ix.mach.InsertCost)
-		return
-	}
-
-	t.Compute(ix.mach.BufferCopyCost)
-	buf := append(b.bufs[dst], e)
-	if len(buf) >= ix.cfg.S {
-		b.ship(dst, buf)
-		buf = buf[:0]
-	}
-	b.bufs[dst] = buf
-}
-
-// ship performs one remote aggregate transfer of staged entries into dst's
-// local-shared stack: an atomic_fetchadd reserving the range, then a single
-// aggregate put.
-func (b *Builder) ship(dst int, batch []SeedEntry) {
-	if len(batch) == 0 {
-		return
-	}
-	ix, t := b.ix, b.t
-	t.Atomic(dst) // reserve cur_pos .. cur_pos+S-1 on the stack_ptr
-	t.Put(dst, len(batch)*WireBytes(ix.cfg.K))
-	st := &ix.stacks[dst]
-	st.mu.Lock()
-	st.entries = append(st.entries, batch...)
-	st.mu.Unlock()
-	b.Flushes++
-}
-
-// Flush ships every non-empty staging buffer; call before the barrier that
-// precedes draining.
-func (b *Builder) Flush() {
-	if b.ix.cfg.Mode != Aggregating {
-		return
-	}
-	for dst, buf := range b.bufs {
-		if len(buf) > 0 {
-			b.ship(dst, buf)
-			b.bufs[dst] = buf[:0]
-		}
-	}
-}
-
-// insertLocked adds one occurrence into an owner table. Caller holds ot.mu
-// or is the exclusive owner.
-func (ix *Index) insertLocked(ot *ownerTable, e SeedEntry) {
-	ot.buckets.insert(e, ix.cfg.MaxLocList)
-}
-
-// Drain empties thread t's local-shared stack into its local buckets —
-// purely local, lock-free work (§III-A). Entries are sorted first so the
-// table contents are independent of flush interleaving; the sort is a
-// simulation-reproducibility aid and is not charged to the cost model.
-func (ix *Index) Drain(t *upc.Thread) {
-	if ix.cfg.Mode != Aggregating {
-		return
-	}
-	st := &ix.stacks[t.ID]
-	es := st.entries
-	sortEntries(es)
-	ot := &ix.owners[t.ID]
-	for _, e := range es {
-		ix.insertLocked(ot, e)
-		t.Compute(ix.mach.InsertCost)
-	}
-	st.entries = nil
-}
-
-// MarkSingleCopy implements §IV-A: thread t visits its local seeds; every
-// seed occurring more than once anywhere clears the single_copy_seeds flag
-// of each fragment it appears in. Flag writes to fragments owned by other
-// threads are one-sided remote puts of one byte.
-func (ix *Index) MarkSingleCopy(t *upc.Thread) {
-	ot := &ix.owners[t.ID]
-	for i := range ot.e {
-		ent := &ot.e[i]
-		t.Compute(ix.mach.LookupCost) // visiting the local bucket
-		if ent.count <= 1 {
-			continue
-		}
-		for _, loc := range ent.locs {
-			fragOwner := int(loc.Frag) % ix.mach.Threads
-			t.Put(fragOwner, 1)
-			ix.clearSingleCopy(int(loc.Frag))
-		}
-	}
-}
-
-var clearMu sync.Mutex
-
-func (ix *Index) clearSingleCopy(frag int) {
-	// Plain store under a global mutex: writes are idempotent (always 0),
-	// the mutex only pacifies the race detector.
-	clearMu.Lock()
-	ix.singleCopy[frag] = 0
-	clearMu.Unlock()
-}
-
-// SingleCopy reports whether every seed of fragment frag is uniquely located
-// in it. Valid after MarkSingleCopy has run on all threads.
-func (ix *Index) SingleCopy(frag int) bool { return ix.singleCopy[frag] != 0 }
-
-// SingleCopyCount returns how many fragments kept the flag.
-func (ix *Index) SingleCopyCount() int {
-	n := 0
-	for _, f := range ix.singleCopy {
-		if f != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // LookupResult is the outcome of a seed lookup.
 type LookupResult struct {
 	Locs  []Loc // shared slice; callers must not modify
 	Count int32 // total occurrences (>= len(Locs) when the list was capped)
-}
-
-// lookupLocal probes the owner's table without charging communication.
-func (ix *Index) lookupLocal(owner int, s kmer.Kmer) (LookupResult, bool) {
-	return ix.owners[owner].buckets.lookup(s)
-}
-
-// Lookup performs a seed lookup from thread t, charging one local probe at
-// the owner plus the transfer of the result back to t (self and on-node
-// lookups are cheap; off-node ones pay remote latency). The seed-index
-// software cache, when used, wraps this method — see package cache.
-func (ix *Index) Lookup(t *upc.Thread, s kmer.Kmer) (LookupResult, bool) {
-	t.Counters.SeedLookups++
-	t.Compute(ix.mach.LookupCost)
-	owner := ix.OwnerOf(s)
-	res, ok := ix.lookupLocal(owner, s)
-	bytes := WireBytes(ix.cfg.K)
-	if ok {
-		bytes += len(res.Locs) * 9
-	}
-	t.Get(owner, bytes)
-	return res, ok
-}
-
-// LookupBytes returns the wire size of a lookup response with n locations;
-// exposed for the seed cache's cost accounting.
-func (ix *Index) LookupBytes(n int) int { return WireBytes(ix.cfg.K) + n*9 }
-
-// LookupNoCharge probes the table without touching the cost model — used
-// by oracles in tests and by the cache layer after it has charged costs.
-func (ix *Index) LookupNoCharge(s kmer.Kmer) (LookupResult, bool) {
-	return ix.lookupLocal(ix.OwnerOf(s), s)
 }
 
 // Stats summarizes the constructed index.
@@ -403,43 +119,4 @@ type Stats struct {
 	RepeatSeeds     int // distinct seeds with count > 1
 	SingleCopyFrags int
 	Fragments       int
-}
-
-// Stats scans the whole table (host-side, not charged to the cost model).
-func (ix *Index) Stats() Stats {
-	st := Stats{MinOwnerSeeds: -1, SingleCopyFrags: ix.SingleCopyCount(), Fragments: ix.numFragments}
-	for i := range ix.owners {
-		ot := &ix.owners[i]
-		n := len(ot.e)
-		st.DistinctSeeds += n
-		if n > st.MaxOwnerSeeds {
-			st.MaxOwnerSeeds = n
-		}
-		if st.MinOwnerSeeds < 0 || n < st.MinOwnerSeeds {
-			st.MinOwnerSeeds = n
-		}
-		for j := range ot.e {
-			st.TotalLocs += len(ot.e[j].locs)
-			if len(ot.e[j].locs) > st.MaxListLen {
-				st.MaxListLen = len(ot.e[j].locs)
-			}
-			if ot.e[j].count > 1 {
-				st.RepeatSeeds++
-			}
-		}
-	}
-	if st.MinOwnerSeeds < 0 {
-		st.MinOwnerSeeds = 0
-	}
-	return st
-}
-
-// PendingStackEntries reports staged-but-undrained entries; must be zero
-// after all threads Drain. Exposed for tests.
-func (ix *Index) PendingStackEntries() int {
-	n := 0
-	for i := range ix.stacks {
-		n += len(ix.stacks[i].entries)
-	}
-	return n
 }

@@ -48,8 +48,7 @@ const minFlatBits = 4
 // order (the drain's sorted order), so the sealed layout is deterministic
 // for a given table content. The order is reconstructed from the map's
 // seed→index pairs (index IS insertion order), so the build phase carries
-// no extra bookkeeping — the simulated Index shares buckets and never
-// compacts.
+// no extra bookkeeping.
 func buildFlat(bt *buckets) flatShard {
 	n := len(bt.e)
 	totalLocs := 0

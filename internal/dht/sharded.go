@@ -9,9 +9,8 @@ import (
 )
 
 // This file implements the shared-memory realization of the paper's
-// seed-index construction (§III-A) for the threaded execution engine: the
-// same two-stage aggregating-stores scheme as Index, but with real
-// goroutines and real atomics instead of the simulated machine.
+// seed-index construction (§III-A): the two-stage aggregating-stores scheme
+// with real goroutines and real atomics.
 //
 // Stage 1 (Add/Flush, concurrent): each worker stages seeds into S-entry
 // per-shard buffers; a full buffer is shipped with ONE reservation on a
@@ -21,12 +20,10 @@ import (
 // build path.
 //
 // Stage 2 (DrainShard, shard-parallel): after a barrier, each shard's
-// segments are collected, sorted with the same comparator as Index.Drain,
-// and inserted into the shard's private buckets by exactly one goroutine —
-// lock-free local work, as in the paper. The sort makes the table contents
-// (and therefore downstream alignments) byte-identical to the simulated
-// index built from the same entries, regardless of worker count or
-// scheduling.
+// segments are collected, sorted with SortEntries, and inserted into the
+// shard's private buckets by exactly one goroutine — lock-free local work,
+// as in the paper. The sort makes the table contents (and therefore
+// downstream alignments) independent of worker count and scheduling.
 
 // ShardedConfig parameterizes a concurrent build.
 type ShardedConfig struct {
@@ -43,7 +40,7 @@ type segment struct {
 	N     int32
 }
 
-// Sharded is the threaded engine's in-memory seed index.
+// Sharded is the in-memory seed index.
 type Sharded struct {
 	cfg ShardedConfig
 
@@ -217,7 +214,7 @@ func (sx *Sharded) DrainShard(s int) {
 	for _, sg := range sx.segsByShard[s] {
 		es = append(es, sx.arena[sg.Off:sg.Off+int64(sg.N)]...)
 	}
-	sortEntries(es)
+	SortEntries(es)
 	bt := &sx.shards[s]
 	for _, e := range es {
 		bt.insert(e, sx.cfg.MaxLocList)

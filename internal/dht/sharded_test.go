@@ -8,7 +8,6 @@ import (
 
 	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/kmer"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
 // randomEntries builds a deterministic entry set with repeats: numFrags
@@ -68,68 +67,6 @@ func buildSharded(t *testing.T, cfg ShardedConfig, es []SeedEntry, numFrags, wor
 		sx.MarkShard(s)
 	}
 	return sx
-}
-
-// buildSim builds the simulated Aggregating index from the same entries on
-// a single simulated thread.
-func buildSim(t *testing.T, cfg Config, es []SeedEntry, numFrags int) *Index {
-	t.Helper()
-	mach := upc.Edison(1)
-	mach.PPN = 1
-	ix, err := New(mach, cfg, numFrags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := upc.NewStandaloneThread(mach, 0)
-	b := ix.NewBuilder(th)
-	for _, e := range es {
-		b.Add(e)
-	}
-	b.Flush()
-	ix.Drain(th)
-	ix.MarkSingleCopy(th)
-	return ix
-}
-
-// The sharded index must agree with the simulated index entry for entry:
-// same location lists (same order), same counts, same single-copy flags —
-// this is what makes the two engines produce identical alignments.
-func TestShardedMatchesSimulatedIndex(t *testing.T) {
-	const k, numFrags = 21, 40
-	es := randomEntries(7, numFrags, 50, 300, k)
-	for _, maxLoc := range []int{0, 3} {
-		sx := buildSharded(t, ShardedConfig{K: k, S: 16, MaxLocList: maxLoc, Shards: 8}, es, numFrags, 4)
-		ix := buildSim(t, Config{K: k, Mode: Aggregating, S: 16, MaxLocList: maxLoc}, es, numFrags)
-
-		seen := map[kmer.Kmer]bool{}
-		for _, e := range es {
-			if seen[e.Seed] {
-				continue
-			}
-			seen[e.Seed] = true
-			sr, sok := sx.Lookup(e.Seed)
-			ir, iok := ix.LookupNoCharge(e.Seed)
-			if sok != iok {
-				t.Fatalf("maxLoc=%d: presence disagrees for %v", maxLoc, e.Seed)
-			}
-			if sr.Count != ir.Count {
-				t.Fatalf("maxLoc=%d: count %d != %d for %v", maxLoc, sr.Count, ir.Count, e.Seed)
-			}
-			if !reflect.DeepEqual(sr.Locs, ir.Locs) {
-				t.Fatalf("maxLoc=%d: loc lists differ for %v:\n%v\n%v", maxLoc, e.Seed, sr.Locs, ir.Locs)
-			}
-		}
-		for f := 0; f < numFrags; f++ {
-			if sx.SingleCopy(f) != ix.SingleCopy(f) {
-				t.Fatalf("maxLoc=%d: single-copy flag disagrees at frag %d", maxLoc, f)
-			}
-		}
-		ss, is := sx.Stats(), ix.Stats()
-		if ss.DistinctSeeds != is.DistinctSeeds || ss.TotalLocs != is.TotalLocs ||
-			ss.RepeatSeeds != is.RepeatSeeds || ss.SingleCopyFrags != is.SingleCopyFrags {
-			t.Fatalf("maxLoc=%d: stats differ:\n%+v\n%+v", maxLoc, ss, is)
-		}
-	}
 }
 
 // Table contents must not depend on how many workers staged the entries or
@@ -202,4 +139,13 @@ func TestShardedConcurrentLookup(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+func TestWireBytes(t *testing.T) {
+	if WireBytes(51) != 13+9 {
+		t.Errorf("WireBytes(51) = %d, want 22", WireBytes(51))
+	}
+	if WireBytes(19) != 5+9 {
+		t.Errorf("WireBytes(19) = %d, want 14", WireBytes(19))
+	}
 }

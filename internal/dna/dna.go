@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -158,6 +159,7 @@ func (p Packed) Codes() []byte {
 
 // AppendCodes appends the 2-bit codes of p to dst and returns it.
 func (p Packed) AppendCodes(dst []byte) []byte {
+	dst = slices.Grow(dst, p.n)
 	for i := 0; i < p.n; i++ {
 		dst = append(dst, p.CodeAt(i))
 	}

@@ -5,7 +5,6 @@ import (
 
 	"github.com/lbl-repro/meraligner/internal/core"
 	"github.com/lbl-repro/meraligner/internal/genome"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
 func runWorkload(t *testing.T, errRate float64) (*genome.DataSet, *core.Results) {
@@ -18,11 +17,9 @@ func runWorkload(t *testing.T, errRate float64) (*genome.DataSet, *core.Results)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach := upc.Edison(24)
-	mach.Workers = 4
 	opt := core.DefaultOptions(31)
 	opt.CollectAlignments = true
-	res, err := core.Run(mach, opt, ds.Contigs, ds.Reads)
+	res, err := core.RunThreaded(4, opt, ds.Contigs, ds.Reads)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,8 @@ import (
 	"math"
 	"strings"
 
-	"github.com/lbl-repro/meraligner/internal/core"
 	"github.com/lbl-repro/meraligner/internal/genome"
+	"github.com/lbl-repro/meraligner/internal/sim"
 )
 
 // Config controls workload scale for all experiments.
@@ -210,8 +210,8 @@ func efficiency(t0 float64, p0 int, t1 float64, p1 int) float64 {
 // scaledOptions returns the paper's k=51 configuration with the
 // max-alignments-per-seed threshold tightened for scaled genomes, whose
 // repeat copy numbers are large relative to genome size.
-func scaledOptions() core.Options {
-	opt := core.DefaultOptions(51)
+func scaledOptions() sim.Options {
+	opt := sim.DefaultOptions(51)
 	opt.MaxSeedHits = 50
 	return opt
 }

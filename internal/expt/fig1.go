@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"github.com/lbl-repro/meraligner/internal/baseline"
-	"github.com/lbl-repro/meraligner/internal/core"
 	"github.com/lbl-repro/meraligner/internal/genome"
+	"github.com/lbl-repro/meraligner/internal/sim"
 	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
@@ -45,7 +45,7 @@ func Fig1(cfg Config) (*Report, error) {
 			if prof.ReadLen < 102 {
 				opt.K = 51
 			}
-			res, err := core.Run(mach, opt, ds.Contigs, ds.Reads)
+			res, err := sim.Run(mach, opt, ds.Contigs, ds.Reads)
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/lbl-repro/meraligner/internal/core"
+	"github.com/lbl-repro/meraligner/internal/sim"
 	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
@@ -33,10 +34,10 @@ func Fig10(cfg Config) (*Report, error) {
 		mach.Workers = cfg.Workers
 		mach.Seed = cfg.Seed
 
-		run := func(exact bool) (*core.Results, upc.PhaseStat, error) {
+		run := func(exact bool) (*sim.Results, upc.PhaseStat, error) {
 			opt := scaledOptions()
 			opt.ExactMatch = exact
-			res, err := core.Run(mach, opt, ds.Contigs, ds.Reads)
+			res, err := sim.Run(mach, opt, ds.Contigs, ds.Reads)
 			if err != nil {
 				return nil, upc.PhaseStat{}, err
 			}

@@ -3,8 +3,7 @@ package expt
 import (
 	"fmt"
 
-	"github.com/lbl-repro/meraligner/internal/core"
-	"github.com/lbl-repro/meraligner/internal/dht"
+	"github.com/lbl-repro/meraligner/internal/sim"
 	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
@@ -36,20 +35,20 @@ func Fig8(cfg Config) (*Report, error) {
 		mach.Workers = cfg.Workers
 		mach.Seed = cfg.Seed
 
-		build := func(mode dht.BuildMode) (float64, error) {
+		build := func(mode sim.BuildMode) (float64, error) {
 			opt := scaledOptions()
 			opt.Mode = mode
-			res, err := core.Run(mach, opt, ds.Contigs, nil) // index phases only
+			res, err := sim.Run(mach, opt, ds.Contigs, nil) // index phases only
 			if err != nil {
 				return 0, err
 			}
 			return res.IndexWall(), nil
 		}
-		fine, err := build(dht.FineGrained)
+		fine, err := build(sim.FineGrained)
 		if err != nil {
 			return nil, err
 		}
-		agg, err := build(dht.Aggregating)
+		agg, err := build(sim.Aggregating)
 		if err != nil {
 			return nil, err
 		}

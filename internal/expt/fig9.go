@@ -3,7 +3,7 @@ package expt
 import (
 	"fmt"
 
-	"github.com/lbl-repro/meraligner/internal/core"
+	"github.com/lbl-repro/meraligner/internal/sim"
 	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
@@ -44,7 +44,7 @@ func Fig9(cfg Config) (*Report, error) {
 		mach.Workers = cfg.Workers
 		mach.Seed = cfg.Seed
 
-		run := func(withCache bool) (*core.Results, error) {
+		run := func(withCache bool) (*sim.Results, error) {
 			opt := scaledOptions()
 			// Caching is the variable under test; keep the exact-match
 			// optimization on, as the paper's Fig 9 runs do.
@@ -52,7 +52,7 @@ func Fig9(cfg Config) (*Report, error) {
 				opt.SeedCacheBytes = 0
 				opt.TargetCacheBytes = 0
 			}
-			return core.Run(mach, opt, ds.Contigs, ds.Reads)
+			return sim.Run(mach, opt, ds.Contigs, ds.Reads)
 		}
 		noCache, err := run(false)
 		if err != nil {

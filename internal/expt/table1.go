@@ -2,6 +2,7 @@ package expt
 
 import (
 	"github.com/lbl-repro/meraligner/internal/core"
+	"github.com/lbl-repro/meraligner/internal/sim"
 	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
@@ -37,7 +38,7 @@ func Table1(cfg Config) (*Report, error) {
 	run := func(permute bool) (upc.PhaseStat, error) {
 		opt := scaledOptions()
 		opt.Permute = permute
-		res, err := core.Run(mach, opt, ds.Contigs, ds.Reads)
+		res, err := sim.Run(mach, opt, ds.Contigs, ds.Reads)
 		if err != nil {
 			return upc.PhaseStat{}, err
 		}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"github.com/lbl-repro/meraligner/internal/baseline"
-	"github.com/lbl-repro/meraligner/internal/core"
+	"github.com/lbl-repro/meraligner/internal/sim"
 	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
@@ -34,7 +34,7 @@ func Table2(cfg Config) (*Report, error) {
 
 	// --- merAligner (simulated, fully parallel) ---
 	opt := scaledOptions()
-	mer, err := core.Run(mach, opt, ds.Contigs, ds.Reads)
+	mer, err := sim.Run(mach, opt, ds.Contigs, ds.Reads)
 	if err != nil {
 		return nil, err
 	}

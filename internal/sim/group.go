@@ -1,10 +1,17 @@
-package cache
+package sim
 
 import (
+	"github.com/lbl-repro/meraligner/internal/cache"
 	"github.com/lbl-repro/meraligner/internal/dht"
 	"github.com/lbl-repro/meraligner/internal/kmer"
 	"github.com/lbl-repro/meraligner/internal/upc"
 )
+
+// groupShards splits every per-node cache into independent LRU shards to
+// relieve host-side lock contention when many worker goroutines simulate
+// the threads of one node. Capacity is divided evenly, so the simulated
+// per-node budget is preserved.
+const groupShards = 16
 
 // Group holds the per-node seed-index caches and target caches of one run,
 // mirroring Fig 6: every node dedicates part of its shared memory to a seed
@@ -13,17 +20,11 @@ import (
 //
 // A Group with zero budgets degenerates to the "no cache" ablation of Fig 9:
 // every Lookup/FetchTarget pays the full remote cost.
-// groupShards splits every per-node cache into independent LRU shards to
-// relieve host-side lock contention when many worker goroutines simulate
-// the threads of one node. Capacity is divided evenly, so the simulated
-// per-node budget is preserved.
-const groupShards = 16
-
 type Group struct {
 	mach upc.MachineConfig
 	// seed[node*groupShards+shard], targ likewise.
-	seed []*LRU[kmer.Kmer, dht.LookupResult]
-	targ []*LRU[int32, struct{}]
+	seed []*cache.LRU[kmer.Kmer, dht.LookupResult]
+	targ []*cache.LRU[int32, struct{}]
 
 	// Per-thread communication-time attribution (Fig 9's split of the
 	// aligning phase into seed-lookup vs target-fetch communication).
@@ -39,32 +40,32 @@ func NewGroup(mach upc.MachineConfig, seedBytes, targetBytes int64) *Group {
 	n := mach.Nodes() * groupShards
 	g := &Group{
 		mach:       mach,
-		seed:       make([]*LRU[kmer.Kmer, dht.LookupResult], n),
-		targ:       make([]*LRU[int32, struct{}], n),
+		seed:       make([]*cache.LRU[kmer.Kmer, dht.LookupResult], n),
+		targ:       make([]*cache.LRU[int32, struct{}], n),
 		commSeed:   make([]float64, mach.Threads),
 		commTarget: make([]float64, mach.Threads),
 	}
 	for i := 0; i < n; i++ {
-		g.seed[i] = NewLRU[kmer.Kmer, dht.LookupResult](seedBytes / groupShards)
-		g.targ[i] = NewLRU[int32, struct{}](targetBytes / groupShards)
+		g.seed[i] = cache.NewLRU[kmer.Kmer, dht.LookupResult](seedBytes / groupShards)
+		g.targ[i] = cache.NewLRU[int32, struct{}](targetBytes / groupShards)
 	}
 	return g
 }
 
 // seedShard returns the node's seed-cache shard holding s.
-func (g *Group) seedShard(node int, s kmer.Kmer) *LRU[kmer.Kmer, dht.LookupResult] {
+func (g *Group) seedShard(node int, s kmer.Kmer) *cache.LRU[kmer.Kmer, dht.LookupResult] {
 	return g.seed[node*groupShards+int(s.Hash()>>32)%groupShards]
 }
 
 // targShard returns the node's target-cache shard holding frag.
-func (g *Group) targShard(node int, frag int32) *LRU[int32, struct{}] {
+func (g *Group) targShard(node int, frag int32) *cache.LRU[int32, struct{}] {
 	return g.targ[node*groupShards+int(uint32(frag)*2654435761)%groupShards]
 }
 
 // Lookup performs a seed-index lookup through the node's seed cache.
 // Cache hit: one on-node shared-memory access. Miss: the full remote lookup
 // via ix.Lookup, after which remote-owned results are cached on the node.
-func (g *Group) Lookup(t *upc.Thread, ix *dht.Index, s kmer.Kmer) (dht.LookupResult, bool) {
+func (g *Group) Lookup(t *upc.Thread, ix *Index, s kmer.Kmer) (dht.LookupResult, bool) {
 	before := t.Comm
 	defer func() { g.commSeed[t.ID] += t.Comm - before }()
 	owner := ix.OwnerOf(s)
@@ -75,7 +76,6 @@ func (g *Group) Lookup(t *upc.Thread, ix *dht.Index, s kmer.Kmer) (dht.LookupRes
 	}
 	sc := g.seedShard(t.Node, s)
 	if res, ok := sc.Get(s); ok {
-		t.Counters.SeedLookups++
 		t.Compute(g.mach.LookupCost)
 		t.Get(t.ID, 0) // served from the node's shared segment
 		return res, res.Count > 0
@@ -133,8 +133,8 @@ func (g *Group) CommTargetMax() float64 {
 }
 
 // SeedCounters sums seed-cache statistics over all nodes.
-func (g *Group) SeedCounters() CounterSnapshot {
-	var s CounterSnapshot
+func (g *Group) SeedCounters() cache.CounterSnapshot {
+	var s cache.CounterSnapshot
 	for _, c := range g.seed {
 		cs := c.Counters()
 		s.Hits += cs.Hits
@@ -145,8 +145,8 @@ func (g *Group) SeedCounters() CounterSnapshot {
 }
 
 // TargetCounters sums target-cache statistics over all nodes.
-func (g *Group) TargetCounters() CounterSnapshot {
-	var s CounterSnapshot
+func (g *Group) TargetCounters() cache.CounterSnapshot {
+	var s cache.CounterSnapshot
 	for _, c := range g.targ {
 		cs := c.Counters()
 		s.Hits += cs.Hits

@@ -1,28 +1,25 @@
-package dht
+package sim
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
+	"github.com/lbl-repro/meraligner/internal/dht"
 	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/kmer"
 	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
-func testMach(threads int) upc.MachineConfig {
-	cfg := upc.Edison(threads)
-	cfg.Workers = 4
-	return cfg
-}
-
 // buildFromFragments builds an index over the given fragments using the real
 // phase structure: extract+stage, barrier, drain, barrier, mark.
-func buildFromFragments(t testing.TB, mach upc.MachineConfig, cfg Config, frags []dna.Packed) (*Index, *upc.Machine) {
+func buildFromFragments(t testing.TB, mach upc.MachineConfig, cfg IndexConfig, frags []dna.Packed) (*Index, *upc.Machine) {
 	if t != nil {
 		t.Helper()
 	}
 	m := upc.MustNewMachine(mach)
-	ix, err := New(mach, cfg, len(frags))
+	ix, err := NewIndex(mach, cfg, len(frags))
 	if err != nil {
 		if t != nil {
 			t.Fatal(err)
@@ -34,7 +31,7 @@ func buildFromFragments(t testing.TB, mach upc.MachineConfig, cfg Config, frags 
 		lo, hi := mach.PartitionRange(len(frags), th.ID)
 		for f := lo; f < hi; f++ {
 			for off, s := range kmer.Extract(frags[f], cfg.K, nil) {
-				b.Add(SeedEntry{Seed: s, Loc: Loc{Frag: int32(f), Off: int32(off)}})
+				b.Add(dht.SeedEntry{Seed: s, Loc: dht.Loc{Frag: int32(f), Off: int32(off)}})
 			}
 		}
 		b.Flush()
@@ -45,11 +42,11 @@ func buildFromFragments(t testing.TB, mach upc.MachineConfig, cfg Config, frags 
 }
 
 // oracle builds the expected seed->locations multimap with a plain Go map.
-func oracle(frags []dna.Packed, k int) map[kmer.Kmer][]Loc {
-	want := make(map[kmer.Kmer][]Loc)
+func oracle(frags []dna.Packed, k int) map[kmer.Kmer][]dht.Loc {
+	want := make(map[kmer.Kmer][]dht.Loc)
 	for f, frag := range frags {
 		for off, s := range kmer.Extract(frag, k, nil) {
-			want[s] = append(want[s], Loc{Frag: int32(f), Off: int32(off)})
+			want[s] = append(want[s], dht.Loc{Frag: int32(f), Off: int32(off)})
 		}
 	}
 	return want
@@ -67,7 +64,7 @@ func randFrags(seed int64, n, minLen, maxLen int) []dna.Packed {
 func TestBuildMatchesOracleBothModes(t *testing.T) {
 	frags := randFrags(1, 40, 60, 300)
 	for _, mode := range []BuildMode{Aggregating, FineGrained} {
-		cfg := Config{K: 21, Mode: mode, S: 64}
+		cfg := IndexConfig{K: 21, Mode: mode, S: 64}
 		ix, _ := buildFromFragments(t, testMach(48), cfg, frags)
 		want := oracle(frags, 21)
 
@@ -83,7 +80,7 @@ func TestBuildMatchesOracleBothModes(t *testing.T) {
 			if int(res.Count) != len(locs) {
 				t.Fatalf("%v: count = %d, want %d", mode, res.Count, len(locs))
 			}
-			got := map[Loc]bool{}
+			got := map[dht.Loc]bool{}
 			for _, l := range res.Locs {
 				got[l] = true
 			}
@@ -101,8 +98,8 @@ func TestBuildMatchesOracleBothModes(t *testing.T) {
 
 func TestModesProduceIdenticalTables(t *testing.T) {
 	frags := randFrags(2, 30, 80, 200)
-	agg, _ := buildFromFragments(t, testMach(24), Config{K: 19, Mode: Aggregating, S: 32}, frags)
-	fine, _ := buildFromFragments(t, testMach(24), Config{K: 19, Mode: FineGrained}, frags)
+	agg, _ := buildFromFragments(t, testMach(24), IndexConfig{K: 19, Mode: Aggregating, S: 32}, frags)
+	fine, _ := buildFromFragments(t, testMach(24), IndexConfig{K: 19, Mode: FineGrained}, frags)
 	sa, sf := agg.Stats(), fine.Stats()
 	if sa.DistinctSeeds != sf.DistinctSeeds || sa.TotalLocs != sf.TotalLocs || sa.RepeatSeeds != sf.RepeatSeeds {
 		t.Errorf("mode disagreement: agg %+v vs fine %+v", sa, sf)
@@ -112,8 +109,8 @@ func TestModesProduceIdenticalTables(t *testing.T) {
 func TestAggregatingReducesMessagesAndAtomics(t *testing.T) {
 	frags := randFrags(3, 60, 100, 400)
 	const S = 100
-	_, mAgg := buildFromFragments(t, testMach(48), Config{K: 21, Mode: Aggregating, S: S}, frags)
-	_, mFine := buildFromFragments(t, testMach(48), Config{K: 21, Mode: FineGrained}, frags)
+	_, mAgg := buildFromFragments(t, testMach(48), IndexConfig{K: 21, Mode: Aggregating, S: S}, frags)
+	_, mFine := buildFromFragments(t, testMach(48), IndexConfig{K: 21, Mode: FineGrained}, frags)
 
 	ca, cf := mAgg.TotalCounters(), mFine.TotalCounters()
 	if ca.Atomics*2 >= cf.Atomics {
@@ -136,7 +133,7 @@ func TestAggregatingReducesMessagesAndAtomics(t *testing.T) {
 func TestFlushShipsPartialBuffers(t *testing.T) {
 	mach := testMach(8)
 	m := upc.MustNewMachine(mach)
-	ix, _ := New(mach, Config{K: 11, Mode: Aggregating, S: 1000000}, 1)
+	ix, _ := NewIndex(mach, IndexConfig{K: 11, Mode: Aggregating, S: 1000000}, 1)
 	frag := dna.Random(rand.New(rand.NewSource(4)), 500)
 	m.RunPhase("stage", func(th *upc.Thread) {
 		if th.ID != 0 {
@@ -144,7 +141,7 @@ func TestFlushShipsPartialBuffers(t *testing.T) {
 		}
 		b := ix.NewBuilder(th)
 		for off, s := range kmer.Extract(frag, 11, nil) {
-			b.Add(SeedEntry{Seed: s, Loc: Loc{Frag: 0, Off: int32(off)}})
+			b.Add(dht.SeedEntry{Seed: s, Loc: dht.Loc{Frag: 0, Off: int32(off)}})
 		}
 		if b.Flushes != 0 {
 			t.Errorf("premature flush with huge S")
@@ -168,7 +165,7 @@ func TestSingleCopyFlags(t *testing.T) {
 	f1 := dna.MustPack("TTTTAACC" + shared) // contains shared
 	f2 := dna.MustPack(shared + "CCGGAATT") // contains shared
 	frags := []dna.Packed{f0, f1, f2}
-	ix, _ := buildFromFragments(t, testMach(8), Config{K: 8, Mode: Aggregating, S: 16}, frags)
+	ix, _ := buildFromFragments(t, testMach(8), IndexConfig{K: 8, Mode: Aggregating, S: 16}, frags)
 
 	if !ix.SingleCopy(0) {
 		t.Error("fragment 0 should keep single-copy flag")
@@ -184,7 +181,7 @@ func TestSingleCopyFlags(t *testing.T) {
 func TestSingleCopyWithinFragmentRepeat(t *testing.T) {
 	// A fragment whose own seed repeats internally must lose the flag.
 	rep := dna.MustPack("ACGTACGTACGT") // 4-mer ACGT occurs at 0,4,8
-	ix, _ := buildFromFragments(t, testMach(4), Config{K: 4, Mode: Aggregating, S: 8}, []dna.Packed{rep})
+	ix, _ := buildFromFragments(t, testMach(4), IndexConfig{K: 4, Mode: Aggregating, S: 8}, []dna.Packed{rep})
 	if ix.SingleCopy(0) {
 		t.Error("internally repetitive fragment kept single-copy flag")
 	}
@@ -195,14 +192,14 @@ func TestMaxLocListCapsListButCounts(t *testing.T) {
 	frag := dna.MustPack("AAAAAAAAAAAAA") // 13 bases, 4-mer AAAA x10
 	mach := testMach(4)
 	m := upc.MustNewMachine(mach)
-	ix, _ := New(mach, Config{K: 4, Mode: Aggregating, S: 4, MaxLocList: 3}, 1)
+	ix, _ := NewIndex(mach, IndexConfig{K: 4, Mode: Aggregating, S: 4, MaxLocList: 3}, 1)
 	m.RunPhase("stage", func(th *upc.Thread) {
 		if th.ID != 0 {
 			return
 		}
 		b := ix.NewBuilder(th)
 		for off, s := range kmer.Extract(frag, 4, nil) {
-			b.Add(SeedEntry{Seed: s, Loc: Loc{Frag: 0, Off: int32(off)}})
+			b.Add(dht.SeedEntry{Seed: s, Loc: dht.Loc{Frag: 0, Off: int32(off)}})
 		}
 		b.Flush()
 	})
@@ -222,7 +219,7 @@ func TestMaxLocListCapsListButCounts(t *testing.T) {
 func TestLookupChargesCommunication(t *testing.T) {
 	frags := randFrags(5, 10, 100, 200)
 	mach := testMach(48)
-	ix, _ := buildFromFragments(t, testMach(48), Config{K: 15, Mode: Aggregating, S: 50}, frags)
+	ix, _ := buildFromFragments(t, testMach(48), IndexConfig{K: 15, Mode: Aggregating, S: 50}, frags)
 	seeds := kmer.Extract(frags[0], 15, nil)
 
 	m := upc.MustNewMachine(mach)
@@ -236,9 +233,6 @@ func TestLookupChargesCommunication(t *testing.T) {
 			}
 		}
 	})
-	if stat.Counters.SeedLookups != int64(len(seeds)) {
-		t.Errorf("SeedLookups = %d, want %d", stat.Counters.SeedLookups, len(seeds))
-	}
 	if stat.Counters.MsgsRemote == 0 {
 		t.Error("no remote lookups charged — djb2 should spread owners off-node")
 	}
@@ -251,7 +245,7 @@ func TestLookupChargesCommunication(t *testing.T) {
 
 func TestLookupMissingSeed(t *testing.T) {
 	frags := randFrags(6, 5, 100, 150)
-	ix, _ := buildFromFragments(t, testMach(8), Config{K: 31, Mode: Aggregating, S: 10}, frags)
+	ix, _ := buildFromFragments(t, testMach(8), IndexConfig{K: 31, Mode: Aggregating, S: 10}, frags)
 	// A 31-mer of all A repeated is vanishingly unlikely in 750 random bases.
 	if _, ok := ix.LookupNoCharge(kmer.MustFromString("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA")); ok {
 		t.Skip("pathological random content; skip")
@@ -260,17 +254,17 @@ func TestLookupMissingSeed(t *testing.T) {
 
 func TestNewRejectsBadK(t *testing.T) {
 	mach := testMach(4)
-	if _, err := New(mach, Config{K: 0}, 1); err == nil {
+	if _, err := NewIndex(mach, IndexConfig{K: 0}, 1); err == nil {
 		t.Error("K=0 accepted")
 	}
-	if _, err := New(mach, Config{K: 65}, 1); err == nil {
+	if _, err := NewIndex(mach, IndexConfig{K: 65}, 1); err == nil {
 		t.Error("K=65 accepted")
 	}
 }
 
 func TestOwnerDistribution(t *testing.T) {
 	frags := randFrags(7, 50, 200, 400)
-	ix, _ := buildFromFragments(t, testMach(48), Config{K: 21, Mode: Aggregating, S: 100}, frags)
+	ix, _ := buildFromFragments(t, testMach(48), IndexConfig{K: 21, Mode: Aggregating, S: 100}, frags)
 	st := ix.Stats()
 	if st.DistinctSeeds == 0 {
 		t.Fatal("empty index")
@@ -278,15 +272,6 @@ func TestOwnerDistribution(t *testing.T) {
 	mean := float64(st.DistinctSeeds) / 48
 	if float64(st.MaxOwnerSeeds) > 2*mean {
 		t.Errorf("max owner load %d vs mean %.0f — djb2 distribution too skewed", st.MaxOwnerSeeds, mean)
-	}
-}
-
-func TestWireBytes(t *testing.T) {
-	if WireBytes(51) != 13+9 {
-		t.Errorf("WireBytes(51) = %d, want 22", WireBytes(51))
-	}
-	if WireBytes(19) != 5+9 {
-		t.Errorf("WireBytes(19) = %d, want 14", WireBytes(19))
 	}
 }
 
@@ -302,13 +287,13 @@ func BenchmarkBuildAggregating(b *testing.B) {
 	mach.Workers = 8
 	for i := 0; i < b.N; i++ {
 		m := upc.MustNewMachine(mach)
-		ix, _ := New(mach, Config{K: 31, Mode: Aggregating, S: 1000}, len(frags))
+		ix, _ := NewIndex(mach, IndexConfig{K: 31, Mode: Aggregating, S: 1000}, len(frags))
 		m.RunPhase("stage", func(th *upc.Thread) {
 			bld := ix.NewBuilder(th)
 			lo, hi := mach.PartitionRange(len(frags), th.ID)
 			for f := lo; f < hi; f++ {
 				for off, s := range kmer.Extract(frags[f], 31, nil) {
-					bld.Add(SeedEntry{Seed: s, Loc: Loc{Frag: int32(f), Off: int32(off)}})
+					bld.Add(dht.SeedEntry{Seed: s, Loc: dht.Loc{Frag: int32(f), Off: int32(off)}})
 				}
 			}
 			bld.Flush()
@@ -319,11 +304,133 @@ func BenchmarkBuildAggregating(b *testing.B) {
 
 func BenchmarkLookup(b *testing.B) {
 	frags := randFrags(9, 50, 500, 1000)
-	ix, _ := buildFromFragments(nil, testMach(48), Config{K: 31, Mode: Aggregating, S: 1000}, frags)
+	ix, _ := buildFromFragments(nil, testMach(48), IndexConfig{K: 31, Mode: Aggregating, S: 1000}, frags)
 	seeds := kmer.Extract(frags[0], 31, nil)
 	th := upc.NewStandaloneThread(testMach(48), 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Lookup(th, seeds[i%len(seeds)])
+	}
+}
+
+// randomEntries builds a deterministic entry set with repeats: numFrags
+// fragments each contributing seedsPer seeds drawn from a pool small enough
+// that collisions (repeat seeds) occur.
+func randomEntries(seed int64, numFrags, seedsPer, pool, k int) []dht.SeedEntry {
+	rng := rand.New(rand.NewSource(seed))
+	poolSeeds := make([]kmer.Kmer, pool)
+	for i := range poolSeeds {
+		poolSeeds[i] = randomKmer(rng, k)
+	}
+	var es []dht.SeedEntry
+	for f := 0; f < numFrags; f++ {
+		for s := 0; s < seedsPer; s++ {
+			es = append(es, dht.SeedEntry{
+				Seed: poolSeeds[rng.Intn(pool)],
+				Loc:  dht.Loc{Frag: int32(f), Off: int32(s), RC: rng.Intn(2) == 1},
+			})
+		}
+	}
+	return es
+}
+
+func randomKmer(rng *rand.Rand, k int) kmer.Kmer {
+	codes := make([]byte, k)
+	for i := range codes {
+		codes[i] = byte(rng.Intn(4))
+	}
+	return kmer.FromPacked(dna.FromCodes(codes), 0, k)
+}
+
+// buildSharded stages entries through `workers` concurrent builders (each
+// taking an interleaved slice), then drains and marks every shard.
+func buildSharded(t *testing.T, cfg dht.ShardedConfig, es []dht.SeedEntry, numFrags, workers int) *dht.Sharded {
+	t.Helper()
+	sx, err := dht.NewSharded(cfg, numFrags, len(es), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			b := sx.NewBuilder()
+			for i := w; i < len(es); i += workers {
+				b.Add(es[i])
+			}
+			b.Flush()
+		}(w)
+	}
+	wg.Wait()
+	for s := 0; s < sx.Shards(); s++ {
+		sx.DrainShard(s)
+	}
+	for s := 0; s < sx.Shards(); s++ {
+		sx.MarkShard(s)
+	}
+	return sx
+}
+
+// buildSim builds the simulated Aggregating index from the same entries on
+// a single simulated thread.
+func buildSim(t *testing.T, cfg IndexConfig, es []dht.SeedEntry, numFrags int) *Index {
+	t.Helper()
+	mach := upc.Edison(1)
+	mach.PPN = 1
+	ix, err := NewIndex(mach, cfg, numFrags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := upc.NewStandaloneThread(mach, 0)
+	b := ix.NewBuilder(th)
+	for _, e := range es {
+		b.Add(e)
+	}
+	b.Flush()
+	ix.Drain(th)
+	ix.MarkSingleCopy(th)
+	return ix
+}
+
+// The servers' sharded index must agree with the simulated index entry for
+// entry — two independent tables sharing only the dht.SortEntries order:
+// same location lists (same order), same counts, same single-copy flags —
+// this is what makes the two engines produce identical alignments.
+func TestShardedMatchesSimulatedIndex(t *testing.T) {
+	const k, numFrags = 21, 40
+	es := randomEntries(7, numFrags, 50, 300, k)
+	for _, maxLoc := range []int{0, 3} {
+		sx := buildSharded(t, dht.ShardedConfig{K: k, S: 16, MaxLocList: maxLoc, Shards: 8}, es, numFrags, 4)
+		ix := buildSim(t, IndexConfig{K: k, Mode: Aggregating, S: 16, MaxLocList: maxLoc}, es, numFrags)
+
+		seen := map[kmer.Kmer]bool{}
+		for _, e := range es {
+			if seen[e.Seed] {
+				continue
+			}
+			seen[e.Seed] = true
+			sr, sok := sx.Lookup(e.Seed)
+			ir, iok := ix.LookupNoCharge(e.Seed)
+			if sok != iok {
+				t.Fatalf("maxLoc=%d: presence disagrees for %v", maxLoc, e.Seed)
+			}
+			if sr.Count != ir.Count {
+				t.Fatalf("maxLoc=%d: count %d != %d for %v", maxLoc, sr.Count, ir.Count, e.Seed)
+			}
+			if !reflect.DeepEqual(sr.Locs, ir.Locs) {
+				t.Fatalf("maxLoc=%d: loc lists differ for %v:\n%v\n%v", maxLoc, e.Seed, sr.Locs, ir.Locs)
+			}
+		}
+		for f := 0; f < numFrags; f++ {
+			if sx.SingleCopy(f) != ix.SingleCopy(f) {
+				t.Fatalf("maxLoc=%d: single-copy flag disagrees at frag %d", maxLoc, f)
+			}
+		}
+		ss, is := sx.Stats(), ix.Stats()
+		if ss.DistinctSeeds != is.DistinctSeeds || ss.TotalLocs != is.TotalLocs ||
+			ss.RepeatSeeds != is.RepeatSeeds || ss.SingleCopyFrags != is.SingleCopyFrags {
+			t.Fatalf("maxLoc=%d: stats differ:\n%+v\n%+v", maxLoc, ss, is)
+		}
 	}
 }

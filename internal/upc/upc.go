@@ -133,25 +133,6 @@ type Counters struct {
 	IOOps       int64
 }
 
-// Sub returns c - o, field-wise — the events that happened between two
-// snapshots.
-func (c Counters) Sub(o Counters) Counters {
-	return Counters{
-		MsgsRemote:  c.MsgsRemote - o.MsgsRemote,
-		MsgsNode:    c.MsgsNode - o.MsgsNode,
-		MsgsLocal:   c.MsgsLocal - o.MsgsLocal,
-		BytesRemote: c.BytesRemote - o.BytesRemote,
-		BytesNode:   c.BytesNode - o.BytesNode,
-		Atomics:     c.Atomics - o.Atomics,
-		SWCells:     c.SWCells - o.SWCells,
-		SWCalls:     c.SWCalls - o.SWCalls,
-		MemcmpBytes: c.MemcmpBytes - o.MemcmpBytes,
-		SeedLookups: c.SeedLookups - o.SeedLookups,
-		IOBytes:     c.IOBytes - o.IOBytes,
-		IOOps:       c.IOOps - o.IOOps,
-	}
-}
-
 // Add accumulates other into c.
 func (c *Counters) Add(o Counters) {
 	c.MsgsRemote += o.MsgsRemote
@@ -257,9 +238,7 @@ type PhaseStat struct {
 	Name string
 	Wall float64 // max thread clock, NIC- and FS-bounded
 
-	// RealWall is the host wall-clock time the phase took to execute.
-	// Meaningful when the machine runs one worker per simulated thread
-	// (threaded mode, Fig 11); otherwise it is just simulation overhead.
+	// RealWall is the host wall-clock time the phase took to simulate.
 	RealWall float64
 
 	MaxComp, AvgComp float64
@@ -274,21 +253,6 @@ type PhaseStat struct {
 	FSBound  float64 // filesystem aggregate lower bound
 
 	Counters Counters // summed over threads
-}
-
-// RealPhaseStat builds the PhaseStat of a phase that executed for real on
-// the host (the threaded engine): Wall and RealWall are both the measured
-// wall-clock duration, and the simulated clock components are zero — time
-// is observed, not synthesized. Counters still carry the measured event
-// totals, exactly as in simulated phases.
-func RealPhaseStat(name string, elapsed time.Duration, counters Counters) PhaseStat {
-	sec := elapsed.Seconds()
-	return PhaseStat{
-		Name:     name,
-		Wall:     sec,
-		RealWall: sec,
-		Counters: counters,
-	}
 }
 
 // Machine is the simulated PGAS machine.

@@ -12,17 +12,12 @@
 //	a, err := meraligner.Build(8, meraligner.DefaultIndexOptions(19), targets)
 //	res, err := a.Align(ctx, reads, meraligner.DefaultQueryOptions())
 //
-// Two one-shot convenience wrappers run both halves for a single batch:
-//
-//   - Align runs the full pipeline on a simulated PGAS machine (any number
-//     of "cores" on 24-core nodes with an Edison-like cost model); results
-//     carry both the alignments and the simulated per-phase timings used to
-//     regenerate the paper's evaluation.
-//
-//   - AlignThreaded runs the identical pipeline with real goroutines on the
-//     host and reports measured wall-clock phase times (the paper's
-//     single-node shared-memory configuration). It is exactly Build
-//     followed by one Align call.
+// AlignThreaded and AlignFiles are one-shot convenience wrappers — exactly
+// Build followed by one Align call — reporting measured wall-clock phase
+// times (the paper's single-node shared-memory configuration). The
+// simulated PGAS machine behind the paper's scaling figures is not part of
+// this package: it lives in internal/sim and drives the same per-read
+// algorithm from outside.
 //
 // targets and reads are seqio.Seq slices (see ReadFasta/ReadQueries, which
 // read FASTA/FASTQ/SeqDB and transparently decompress gzip).
@@ -37,7 +32,6 @@ import (
 	"github.com/lbl-repro/meraligner/internal/core"
 	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/seqio"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
 // Re-exported core types: Options configures a run, Results carries
@@ -48,7 +42,6 @@ type (
 	Alignment = core.Alignment
 	Seq       = seqio.Seq
 	Scoring   = align.Scoring
-	Machine   = upc.MachineConfig
 )
 
 // DefaultOptions returns the paper's configuration for seed length k
@@ -58,18 +51,9 @@ func DefaultOptions(k int) Options { return core.DefaultOptions(k) }
 // DefaultScoring is the commonly employed scoring scheme used throughout.
 var DefaultScoring = align.DefaultScoring
 
-// Edison returns a simulated-machine description approximating a Cray XC30
-// partition with the given total core count (24 cores per node).
-func Edison(cores int) Machine { return upc.Edison(cores) }
-
-// Align runs the full merAligner pipeline on the given simulated machine.
-func Align(mach Machine, opt Options, targets, queries []Seq) (*Results, error) {
-	return core.Run(mach, opt, targets, queries)
-}
-
 // AlignThreaded runs the pipeline with real goroutines on the host (the
-// single-node shared-memory mode); Results phase stats carry genuine
-// wall-clock times in RealWall. It is a one-shot convenience wrapper:
+// single-node shared-memory mode); Results phases carry genuine wall-clock
+// times in RealWall. It is a one-shot convenience wrapper:
 // exactly Build followed by a single (*Aligner).Align call. Services that
 // align many batches should call those two halves directly and reuse the
 // index.

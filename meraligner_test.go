@@ -10,6 +10,8 @@ import (
 
 	"github.com/lbl-repro/meraligner/internal/genome"
 	"github.com/lbl-repro/meraligner/internal/seqio"
+	"github.com/lbl-repro/meraligner/internal/sim"
+	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
 func apiWorkload(t testing.TB) *genome.DataSet {
@@ -25,16 +27,16 @@ func apiWorkload(t testing.TB) *genome.DataSet {
 
 func TestAlignSimulated(t *testing.T) {
 	ds := apiWorkload(t)
-	mach := Edison(48)
+	mach := upc.Edison(48)
 	mach.Workers = 4
-	opt := DefaultOptions(31)
+	opt := sim.DefaultOptions(31)
 	opt.CollectAlignments = true
-	res, err := Align(mach, opt, ds.Contigs, ds.Reads)
+	res, err := sim.Run(mach, opt, ds.Contigs, ds.Reads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.AlignedReads == 0 || len(res.Alignments) == 0 {
-		t.Fatal("nothing aligned through the public API")
+		t.Fatal("nothing aligned on the simulated machine")
 	}
 	if res.TotalWall() <= 0 {
 		t.Error("no simulated time")
