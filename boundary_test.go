@@ -1,6 +1,7 @@
 package meraligner_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -27,6 +28,49 @@ func TestImportBoundary(t *testing.T) {
 	}
 	mayImport := []string{"internal/sim/", "internal/expt/", "internal/baseline/", "cmd/merbench/", "cmd/meraligner/", "examples/"}
 
+	eachSourceFile(t, parser.ImportsOnly, func(slashed string, f *ast.File) {
+		for _, p := range mayImport {
+			if strings.HasPrefix(slashed, p) {
+				return
+			}
+		}
+		for _, imp := range f.Imports {
+			if ip, _ := strconv.Unquote(imp.Path.Value); simOnly[ip] {
+				t.Errorf("%s imports %s: the simulator depends on the engine, never the reverse", slashed, ip)
+			}
+		}
+	})
+}
+
+// TestOneSAMRenderer holds the output face to one module: the strand and
+// secondary flag bits are what a function must touch to build a SAM record
+// for a hit, so exactly one non-test file — seqio's renderer — may name
+// them. A second renderer cannot quietly reappear beside it.
+func TestOneSAMRenderer(t *testing.T) {
+	users := map[string][]string{"FlagReverse": nil, "FlagSecondary": nil}
+	eachSourceFile(t, parser.SkipObjectResolution, func(slashed string, f *ast.File) {
+		seen := map[string]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if _, flag := users[id.Name]; flag && !seen[id.Name] {
+					seen[id.Name] = true
+					users[id.Name] = append(users[id.Name], slashed)
+				}
+			}
+			return true
+		})
+	})
+	for name, files := range users {
+		if len(files) != 1 || files[0] != "internal/seqio/sam.go" {
+			t.Errorf("seqio.%s is named in %v; only internal/seqio/sam.go may build SAM records", name, files)
+		}
+	}
+}
+
+// eachSourceFile parses every non-test Go file of this module (bench/ is its
+// own module) and hands it to fn under its slash-separated path.
+func eachSourceFile(t *testing.T, mode parser.Mode, fn func(slashed string, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -34,28 +78,18 @@ func TestImportBoundary(t *testing.T) {
 		}
 		if d.IsDir() {
 			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir // bench/ is its own module
+				return filepath.SkipDir
 			}
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		slashed := filepath.ToSlash(path)
-		for _, p := range mayImport {
-			if strings.HasPrefix(slashed, p) {
-				return nil
-			}
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(fset, path, nil, mode)
 		if err != nil {
 			return err
 		}
-		for _, imp := range f.Imports {
-			if ip, _ := strconv.Unquote(imp.Path.Value); simOnly[ip] {
-				t.Errorf("%s imports %s: the simulator depends on the engine, never the reverse", slashed, ip)
-			}
-		}
+		fn(filepath.ToSlash(path), f)
 		return nil
 	})
 	if err != nil {

@@ -25,11 +25,12 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
 	meraligner "github.com/lbl-repro/meraligner"
+	"github.com/lbl-repro/meraligner/internal/seqio"
 	"github.com/lbl-repro/meraligner/internal/telemetry"
 )
 
@@ -48,60 +49,20 @@ type AlignRequest struct {
 }
 
 // Alignment is one reported hit of a read, in wire terms: the target is
-// named, the strand is "+"/"-", and intervals are half-open as in the
-// native API.
-type Alignment struct {
-	Target string `json:"target"`
-	Strand string `json:"strand"`
-	Score  int    `json:"score"`
-	QStart int    `json:"qstart"`
-	QEnd   int    `json:"qend"`
-	TStart int    `json:"tstart"`
-	TEnd   int    `json:"tend"`
-	Cigar  string `json:"cigar,omitempty"`
-	Exact  bool   `json:"exact,omitempty"`
-	// NM is the SAM edit distance of the alignment, computed server-side
-	// (the server holds the target bases; a scatter/gather router does
-	// not). -1 when underivable — the SAM writer then omits the tag.
-	NM int `json:"nm"`
-}
+// named, the strand is "+"/"-", intervals are half-open as in the native
+// API, and NM is the SAM edit distance computed server-side (the server
+// holds the target bases; a scatter/gather router does not), -1 when
+// underivable. It is the output module's hit record itself: what a server
+// renders as SAM and what it puts on the wire are one value, so a router
+// renders SAM from decoded alignments with the server's own renderer.
+type Alignment = meraligner.Hit
 
-// CanonicalizeAlignments sorts one read's wire alignments into the
-// canonical deterministic output order — the wire-side twin of the root
-// package's CanonicalizeAlignments, comparing the same keys through their
-// wire spellings (target by name; strand "+" before "-"). A router merging
-// per-shard alignment lists applies this and lands on exactly the order a
-// single whole-reference server emits.
-func CanonicalizeAlignments(as []Alignment) {
-	if len(as) < 2 {
-		return
-	}
-	sort.SliceStable(as, func(i, j int) bool {
-		x, y := &as[i], &as[j]
-		if x.Score != y.Score {
-			return x.Score > y.Score
-		}
-		if x.Target != y.Target {
-			return x.Target < y.Target
-		}
-		if x.TStart != y.TStart {
-			return x.TStart < y.TStart
-		}
-		if x.Strand != y.Strand {
-			return x.Strand == "+"
-		}
-		if x.QStart != y.QStart {
-			return x.QStart < y.QStart
-		}
-		if x.QEnd != y.QEnd {
-			return x.QEnd < y.QEnd
-		}
-		if x.TEnd != y.TEnd {
-			return x.TEnd < y.TEnd
-		}
-		return x.Cigar < y.Cigar
-	})
-}
+// CanonicalizeAlignments sorts one read's wire alignments into the canonical
+// output order (score descending, then target name, position, strand, query
+// interval, cigar). A server's own responses arrive in it; a router merging
+// per-shard lists applies it and lands on exactly the order a single
+// whole-reference server emits.
+func CanonicalizeAlignments(as []Alignment) { slices.SortStableFunc(as, seqio.CompareHits) }
 
 // Read statuses on the wire (ReadResult.Status).
 const (

@@ -9,18 +9,21 @@
 // difference, which is the point: sharding is an operational decision, not
 // an API change.
 //
-// Identity rests on three legs, each owned elsewhere and composed here:
-// shards keep global target names and per-target coordinates (no rebasing),
-// every server canonicalizes each read's alignments with one shared rule
-// (client.CanonicalizeAlignments), and shard responses carry the
-// server-computed NM so SAM records render without target bases. The
+// Identity is not something the router keeps; it falls out of there being
+// one output module (internal/seqio: the Hit record, CompareHits,
+// AppendSAMRead). A node resolves each engine record to a hit — target by
+// global name, per-target coordinates (shards never rebase), NM computed
+// against the target's bases — and renders it, as SAM or, encoded as it is,
+// as the wire alignment. The router decodes those same records, sorts the
+// concatenation of the shards' lists with the same comparator and calls the
+// same renderer: no target bases needed, no record format of its own. The
 // router's own jobs are the global header (assembled from the shards'
 // GET /v1/targets catalogs at warmup) and the merge (merge.go); admission,
 // tracing, the draining gate and response plumbing are the single node's own
 // (internal/service's Lifecycle and helpers), so a rejected request gets the
 // same 400 body a single node would send.
 //
-// Endpoints mirror a single-index merserved:
+// Endpoints are those of a single-index merserved:
 //
 //	POST /v1/align   scatter, gather, merge (JSON, or SAM via Accept)
 //	GET  /v1/stats   RouterStats: request counters plus per-shard health

@@ -233,14 +233,20 @@ func waitReady(t *testing.T, rt *Router) {
 	}
 }
 
-// post sends one align request and returns status, body, and headers.
+// post sends one align request and returns status and body.
 func post(t *testing.T, url string, reads []meraligner.Seq, accept string) (int, []byte) {
+	t.Helper()
+	return postTo(t, url+"/v1/align", reads, accept)
+}
+
+// postTo is post against a full endpoint URL (/v1/align or /v1/align/stream).
+func postTo(t *testing.T, endpoint string, reads []meraligner.Seq, accept string) (int, []byte) {
 	t.Helper()
 	payload, err := json.Marshal(client.AlignRequest{Reads: client.FromSeqs(reads)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/align", bytes.NewReader(payload))
+	req, err := http.NewRequest(http.MethodPost, endpoint, bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,22 +2,24 @@ package cluster
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
 	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/client"
+	"github.com/lbl-repro/meraligner/internal/seqio"
 )
 
 // Merge semantics: one read, N shard verdicts, one deterministic outcome.
 //
 // Shards hold disjoint target slices of one reference, so their alignment
 // lists for a read never overlap; the merged list is the concatenation,
-// re-sorted into the canonical output order every server emits
-// (client.CanonicalizeAlignments: score desc, then target name, position,
-// strand, query interval, cigar). Because a single whole-reference node
-// sorts its own output with the same rule, the merged document is
-// byte-identical to the single node's — the property the e2e tests pin.
+// re-sorted by the one comparator every output face sorts with
+// (seqio.CompareHits, reached through client.CanonicalizeAlignments).
+// Because a single whole-reference node orders its own hits by that same
+// function, the merged document is byte-identical to the single node's —
+// the property the e2e tests pin.
 //
 // Status merging: too_short wins (every shard has the same K, so one shard
 // saying too-short means all did — but one vote suffices and never loses
@@ -105,4 +107,23 @@ func mergeResults(reads []meraligner.Seq, per []*client.AlignResponse) []client.
 		}
 	}
 	return out
+}
+
+// writeSAM renders one response's merged results as a complete SAM
+// document: global header over refs, then each read's records in request
+// order; comments become @CO lines after @PG. The router holds no target
+// bases and needs none: a wire alignment is the hit record seqio's renderer
+// takes (name, coordinates, shard-computed NM), and the merged lists are
+// already in its order.
+func writeSAM(w io.Writer, refs []seqio.SAMRef, reads []meraligner.Seq, results []client.ReadResult, comments []string) error {
+	sw, err := seqio.NewSAMWriter(w, refs, comments...)
+	if err != nil {
+		return err
+	}
+	for i, q := range reads {
+		if err := sw.WriteRead(q.Name, q.Seq, q.Qual, results[i].Alignments); err != nil {
+			return err
+		}
+	}
+	return sw.Flush()
 }

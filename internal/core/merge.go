@@ -20,6 +20,7 @@ func MergeProcessors(res *Results, qps []*QueryProcessor, collected bool) {
 	sort.Slice(res.TooShort, func(i, j int) bool { return res.TooShort[i] < res.TooShort[j] })
 	if collected {
 		sortAlignments(res.Alignments)
+		res.queryOrdered = true
 	}
 }
 

@@ -1,9 +1,29 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
+
+// Window returns the alignment records of queries [lo, hi), in query order:
+// two binary searches into the order every engine emits, so a coalesced
+// call's member windows each cost their own size, not the call's. The
+// result aliases r.Alignments. A Results built by hand (no engine vouches
+// for its order) is checked, and when out of order read through a copy
+// stably sorted by query.
+func (r *Results) Window(lo, hi int) []Alignment {
+	a := r.Alignments
+	byQuery := func(x, y Alignment) int { return cmp.Compare(x.Query, y.Query) }
+	if !r.queryOrdered && !slices.IsSortedFunc(a, byQuery) {
+		a = slices.Clone(a)
+		slices.SortStableFunc(a, byQuery)
+	}
+	i := sort.Search(len(a), func(i int) bool { return a[i].Query >= int32(lo) })
+	j := sort.Search(len(a), func(i int) bool { return a[i].Query >= int32(hi) })
+	return a[i:max(i, j)]
+}
 
 // Slice returns the results of queries [lo, hi) of this batch as a
 // standalone Results with query indices rebased to start at zero — the
@@ -20,27 +40,19 @@ import (
 // are carried through as-is.
 //
 // Slice requires the batch to have been run with CollectAlignments (the
-// alignment records are the only per-query source of the counters); it
-// relies on Results.Alignments being in the canonical sorted order every
-// engine produces.
+// alignment records are the only per-query source of the counters).
 func (r *Results) Slice(lo, hi int) *Results {
 	if lo < 0 || hi < lo || hi > r.TotalReads {
 		panic(fmt.Sprintf("core: Slice [%d,%d) out of range of %d reads", lo, hi, r.TotalReads))
 	}
 	out := &Results{
-		Phases:     r.Phases,
-		TotalReads: hi - lo,
-		IndexStats: r.IndexStats,
+		Phases:       r.Phases,
+		TotalReads:   hi - lo,
+		IndexStats:   r.IndexStats,
+		Alignments:   slices.Clone(r.Window(lo, hi)),
+		queryOrdered: true,
 	}
-
-	a := r.Alignments
-	i := sort.Search(len(a), func(i int) bool { return a[i].Query >= int32(lo) })
-	j := sort.Search(len(a), func(i int) bool { return a[i].Query >= int32(hi) })
-	if j > i {
-		out.Alignments = make([]Alignment, j-i)
-		copy(out.Alignments, a[i:j])
-	}
-	out.TotalAlignments = int64(j - i)
+	out.TotalAlignments = int64(len(out.Alignments))
 	lastQ := int32(-1)
 	for k := range out.Alignments {
 		al := &out.Alignments[k]

@@ -303,7 +303,15 @@ type Results struct {
 
 	IndexStats dht.Stats
 
-	Alignments []Alignment // populated when Options.CollectAlignments
+	// Alignments is populated when Options.CollectAlignments, sorted by
+	// query and then by every other field (MergeProcessors). Window reads
+	// per-query ranges out of that order.
+	Alignments []Alignment
+
+	// queryOrdered records that an engine put Alignments in query order, so
+	// Window may binary-search without looking at every record first. A
+	// hand-built Results leaves it unset and is checked instead.
+	queryOrdered bool
 }
 
 // realWall sums the wall-clock seconds of phases.

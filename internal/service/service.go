@@ -47,6 +47,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -529,9 +530,42 @@ func (t *tenant) alignBatch(ctx context.Context, reads []meraligner.Seq) (*engin
 // sequences are normalized exactly as this service does (N bases replaced
 // with A, bases packed), so any front end using this — the scatter/gather
 // router included — hands the engine, and re-serializes to other nodes,
-// byte-identical reads. Bodies over maxBytes surface as *http.MaxBytesError
-// (parseStatus maps them to 413).
+// byte-identical reads. Names and qualities are copied into SAM records
+// verbatim, so either path rejects a read whose name is not 1-254 graphic
+// ASCII bytes free of '@' (SAM's QNAME alphabet: a leading '@' would pass
+// for a header line) or whose qualities are not empty or one graphic ASCII
+// byte per base: a tab or newline there would forge fields or whole
+// records. Bodies over maxBytes surface as *http.MaxBytesError (parseStatus
+// maps them to 413).
 func ParseReads(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]meraligner.Seq, error) {
+	reads, err := decodeReads(w, r, maxBytes)
+	if err != nil {
+		return nil, err
+	}
+	for i := range reads {
+		q := &reads[i]
+		if n := len(q.Name); n < 1 || n > 254 || !graphic(q.Name) || strings.Contains(q.Name, "@") {
+			return nil, fmt.Errorf("read %d: name must be 1-254 printable ASCII bytes with no spaces and no '@'", i)
+		}
+		if n := len(q.Qual); (n != 0 && n != q.Seq.Len()) || !graphic(q.Qual) {
+			return nil, fmt.Errorf("read %d (%s): qual must be empty or one printable ASCII byte per base", i, q.Name)
+		}
+	}
+	return reads, nil
+}
+
+// graphic reports whether s is all '!'..'~': what SAM allows in QNAME/QUAL.
+func graphic[T string | []byte](s T) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '!' || s[i] > '~' {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeReads is ParseReads before validation: either body format to reads.
+func decodeReads(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]meraligner.Seq, error) {
 	body := http.MaxBytesReader(w, r.Body, maxBytes)
 	ct := r.Header.Get("Content-Type")
 	if strings.Contains(ct, "json") {
@@ -763,43 +797,30 @@ func (t *tenant) engineError(w http.ResponseWriter, r *http.Request, err error) 
 	}
 }
 
-// buildResponse renders a window as the JSON wire response, naming targets
-// from the engine call's own pinned index (hot-swap safe). Each read's
-// alignments are canonically ordered and carry a server-computed NM, so the
-// wire document is fully self-contained: a scatter/gather router can merge
-// shard responses and render SAM records byte-identical to this node's own
-// without ever seeing the target bases.
+// buildResponse renders a window as the JSON wire response: the same hits
+// the SAM face renders (meraligner.ReadHits, resolved against the engine
+// call's own pinned index — hot-swap safe), which are the wire alignments.
+// They arrive canonically ordered with NM computed, so the document is
+// self-contained: a scatter/gather router can merge shard responses and
+// render SAM records byte-identical to this node's own without ever seeing
+// the target bases.
 func buildResponse(win *window) *client.AlignResponse {
-	res := win.Result.res.Slice(win.Lo, win.Hi)
-	reads := win.Result.reads[win.Lo:win.Hi]
-	targets := win.Result.targets
-	out := &client.AlignResponse{Reads: make([]client.ReadResult, len(reads))}
-	for i := range reads {
-		out.Reads[i] = client.ReadResult{Name: reads[i].Name, Status: client.StatusUnmapped}
-	}
-	for _, a := range res.Alignments {
-		rr := &out.Reads[a.Query]
-		rr.Status = client.StatusOK
-		strand := "+"
-		if a.RC {
-			strand = "-"
+	call := win.Result
+	out := &client.AlignResponse{Reads: make([]client.ReadResult, win.Hi-win.Lo)}
+	meraligner.ReadHits(call.res, call.targets, call.reads, win.Lo, win.Hi, func(qi int, hits []meraligner.Hit) {
+		rr := &out.Reads[qi-win.Lo]
+		rr.Name, rr.Status = call.reads[qi].Name, client.StatusUnmapped
+		if len(hits) > 0 {
+			rr.Status, rr.Alignments = client.StatusOK, slices.Clone(hits)
 		}
-		rr.Alignments = append(rr.Alignments, client.Alignment{
-			Target: targets[a.Target].Name,
-			Strand: strand,
-			Score:  int(a.Score),
-			QStart: int(a.QStart), QEnd: int(a.QEnd),
-			TStart: int(a.TStart), TEnd: int(a.TEnd),
-			Cigar: a.Cigar,
-			Exact: a.Exact,
-			NM:    meraligner.AlignmentNM(reads[a.Query], targets[a.Target], a),
-		})
-	}
-	for i := range out.Reads {
-		client.CanonicalizeAlignments(out.Reads[i].Alignments)
-	}
-	for _, qi := range res.TooShort {
-		out.Reads[qi].Status = client.StatusTooShort
+	})
+	short := call.res.TooShort // sorted by query
+	first, _ := slices.BinarySearch(short, int32(win.Lo))
+	for _, qi := range short[first:] {
+		if int(qi) >= win.Hi {
+			break
+		}
+		out.Reads[int(qi)-win.Lo].Status = client.StatusTooShort
 	}
 	return out
 }

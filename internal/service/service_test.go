@@ -29,7 +29,7 @@ var (
 	fixErr     error
 )
 
-func fixture(t *testing.T) (*meraligner.Aligner, []meraligner.Seq) {
+func fixture(t testing.TB) (*meraligner.Aligner, []meraligner.Seq) {
 	t.Helper()
 	fixOnce.Do(func() {
 		p := genome.EColiLike()

@@ -35,11 +35,14 @@ import (
 )
 
 // Re-exported core types: Options configures a run, Results carries
-// alignments plus per-phase statistics, Alignment is one reported hit.
+// alignments plus per-phase statistics, Alignment is one reported hit as
+// the engine records it (query and target by index), Hit the same hit in
+// output terms (target by name, NM computed — see ReadHits).
 type (
 	Options   = core.Options
 	Results   = core.Results
 	Alignment = core.Alignment
+	Hit       = seqio.Hit
 	Seq       = seqio.Seq
 	Scoring   = align.Scoring
 )

@@ -3,9 +3,9 @@ package meraligner
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 
-	"github.com/lbl-repro/meraligner/internal/align"
 	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/seqio"
 )
@@ -17,7 +17,7 @@ import (
 //
 // Records carry a real NM (edit distance) tag computed from the cigar and
 // the sequences, and local alignments get soft clips so the cigar spans the
-// full read — valid SAM for downstream tools.
+// read — valid SAM for downstream tools.
 type SAMStream struct {
 	sw      *seqio.SAMWriter
 	targets []Seq
@@ -26,7 +26,11 @@ type SAMStream struct {
 // NewSAMStream writes the @HD/@SQ/@PG header for targets and returns the
 // stream. The same targets must be the set the alignments refer to.
 func NewSAMStream(w io.Writer, targets []Seq) (*SAMStream, error) {
-	sw, err := seqio.NewSAMWriter(w, targets, "meraligner", "1.0")
+	refs := make([]seqio.SAMRef, len(targets))
+	for i, t := range targets {
+		refs[i] = seqio.SAMRef{Name: t.Name, Len: t.Seq.Len()}
+	}
+	sw, err := seqio.NewSAMWriter(w, refs)
 	if err != nil {
 		return nil, err
 	}
@@ -45,247 +49,118 @@ func (s *SAMStream) WriteBatch(res *Results, queries []Seq) error {
 // their alignments straight out of the full batch's res — the rendering
 // half of coalesced-batch demuxing: a server that glued several requests
 // into one engine call streams each request's SAM records from the shared
-// Results without slicing it first. Record content is identical to a
-// WriteBatch over just those queries.
+// Results without slicing it first, at a cost that depends on the window,
+// not on the call. Record content is identical to a WriteBatch over just
+// those queries.
 func (s *SAMStream) WriteRange(res *Results, queries []Seq, lo, hi int) error {
 	if lo < 0 || hi < lo || hi > len(queries) {
 		return fmt.Errorf("meraligner: SAM range [%d,%d) out of range of %d queries", lo, hi, len(queries))
 	}
-	// Group the window's alignments per query (they are sorted by query
-	// after a run, but grouping keeps this correct for any order).
-	byQuery := make(map[int32][]Alignment, hi-lo)
-	for _, a := range res.Alignments {
-		if a.Query >= int32(lo) && a.Query < int32(hi) {
-			byQuery[a.Query] = append(byQuery[a.Query], a)
-		}
-	}
-	for qi := lo; qi < hi; qi++ {
-		if err := s.writeQuery(queries[qi], byQuery[int32(qi)]); err != nil {
-			return err
-		}
-	}
-	return nil
+	var err error // the writer's error is sticky, so the last one tells
+	ReadHits(res, s.targets, queries, lo, hi, func(qi int, hits []Hit) {
+		q := &queries[qi]
+		err = s.sw.WriteRead(q.Name, q.Seq, q.Qual, hits)
+	})
+	return err
 }
 
 // Flush flushes buffered output; call once after the final batch.
 func (s *SAMStream) Flush() error { return s.sw.Flush() }
 
-// CanonicalizeAlignments sorts one read's alignments into the canonical
-// deterministic output order: score descending, then target name, target
-// start, strand (forward first), query start, query end, target end, and
-// finally cigar. The engine's raw order depends on seed traversal and is
-// not reconstructible from the records themselves; every output face (SAM
-// here, the JSON wire response in internal/service, and the scatter/gather
-// router merging per-shard results in internal/cluster) applies this one
-// rule, so any server topology over the same index contents emits
-// byte-identical documents. Every tie-break key is wire-visible — the
-// comparison never touches target indexes or sequences — which is exactly
-// what lets a router that only sees wire alignments reproduce the order.
-func CanonicalizeAlignments(targets []Seq, as []Alignment) {
-	if len(as) < 2 {
-		return
+// ReadHits resolves the engine's records for the queries [lo, hi) of a
+// batch into output terms: fn runs once per query, in order, with that
+// read's hits — target named, NM computed against the target's bases — in
+// the canonical order (seqio.CompareHits) every output face emits, so the
+// first hit is the read's primary record. A read that aligned nowhere gets
+// an empty list. The slice is reused between calls; fn must copy what it
+// keeps. This is the only reading of engine records on the way out: SAM
+// (WriteRange) appends each read's hits as records, a JSON response
+// encodes them as they are.
+func ReadHits(res *Results, targets, queries []Seq, lo, hi int, fn func(qi int, hits []Hit)) {
+	as := res.Window(lo, hi)
+	var hits []Hit
+	for qi := lo; qi < hi; qi++ {
+		hits = hits[:0]
+		for ; len(as) > 0 && as[0].Query == int32(qi); as = as[1:] {
+			a, t, strand := &as[0], &targets[as[0].Target], "+"
+			if a.RC {
+				strand = "-"
+			}
+			hits = append(hits, Hit{
+				Target: t.Name, Strand: strand, Score: int(a.Score),
+				QStart: int(a.QStart), QEnd: int(a.QEnd),
+				TStart: int(a.TStart), TEnd: int(a.TEnd),
+				Cigar: a.Cigar, Exact: a.Exact,
+				NM: editDistance(queries[qi].Seq, t.Seq, a),
+			})
+		}
+		slices.SortStableFunc(hits, seqio.CompareHits)
+		fn(qi, hits)
 	}
-	sort.SliceStable(as, func(i, j int) bool {
-		x, y := &as[i], &as[j]
-		if x.Score != y.Score {
-			return x.Score > y.Score
-		}
-		nx, ny := targets[x.Target].Name, targets[y.Target].Name
-		if nx != ny {
-			return nx < ny
-		}
-		if x.TStart != y.TStart {
-			return x.TStart < y.TStart
-		}
-		if x.RC != y.RC {
-			return !x.RC
-		}
-		if x.QStart != y.QStart {
-			return x.QStart < y.QStart
-		}
-		if x.QEnd != y.QEnd {
-			return x.QEnd < y.QEnd
-		}
-		if x.TEnd != y.TEnd {
-			return x.TEnd < y.TEnd
-		}
-		return x.Cigar < y.Cigar
-	})
 }
 
-// AlignmentNM computes the SAM NM tag (edit distance) of one alignment of
-// read q against target t: mismatches inside M runs plus all inserted and
-// deleted bases, walked from the cigar exactly as the SAM writer does. An
-// empty cigar means a pure match of QEnd-QStart bases (the exact-path
-// convention). Returns -1 when the tag cannot be derived — unparseable
-// cigar or coordinates outside either sequence — matching the writer's
-// omit-the-tag convention. Shard servers compute this so a router can
-// render SAM records without holding any target bases.
-func AlignmentNM(q Seq, t Seq, a Alignment) int {
-	body := a.Cigar
-	if body == "" {
-		body = fmt.Sprintf("%dM", a.QEnd-a.QStart)
-	}
-	ops, ok := parseCigar(body)
-	if !ok {
+// editDistance is the SAM NM tag of alignment a of read q against target t:
+// mismatches inside M runs plus all inserted and deleted bases, walked from
+// the cigar over the read's aligned strand (from a.QStart) and the target
+// window [a.TStart, a.TEnd). An empty cigar is one M run of QEnd-QStart
+// bases (the exact-path convention). Both sequences are read in place
+// through CodeAt, so the walk allocates nothing. Returns -1 — the
+// omit-the-tag convention — when the cigar is malformed or oversteps either
+// sequence, or the target window lies outside t.
+func editDistance(q, t dna.Packed, a *Alignment) int {
+	if a.TStart < 0 || int(a.TEnd) > t.Len() || a.TStart > a.TEnd {
 		return -1
 	}
-	seq := q.Seq
-	if a.RC {
-		seq = seq.ReverseComplement()
+	cigar := a.Cigar
+	if cigar == "" {
+		var run [24]byte // short and local: the conversion stays on the stack
+		cigar = string(append(strconv.AppendInt(run[:0], int64(a.QEnd-a.QStart), 10), 'M'))
 	}
-	if int(a.TStart) < 0 || int(a.TEnd) > t.Seq.Len() || a.TStart > a.TEnd {
-		return -1
-	}
-	nm, ok := editDistance(ops, seq.Codes(), int(a.QStart), t.Seq, int(a.TStart), int(a.TEnd))
-	if !ok {
-		return -1
+	L, qp, tp, tEnd, nm := q.Len(), int(a.QStart), int(a.TStart), int(a.TEnd), 0
+	for cigar != "" {
+		op, n, rest, ok := nextCigarOp(cigar)
+		if !ok {
+			return -1
+		}
+		cigar = rest
+		if op != 'D' { // M and I consume the read
+			if qp+n > L {
+				return -1
+			}
+			qp += n
+		}
+		if op != 'I' { // M and D consume the target
+			if tp+n > tEnd {
+				return -1
+			}
+			tp += n
+		}
+		if op != 'M' {
+			nm += n
+			continue
+		}
+		for i := 1; i <= n; i++ {
+			qc := q.CodeAt(qp - i)
+			if a.RC {
+				qc = dna.ComplementCode(q.CodeAt(L - 1 - qp + i))
+			}
+			if qc != t.CodeAt(tp-i) {
+				nm++
+			}
+		}
 	}
 	return nm
 }
 
-func (s *SAMStream) writeQuery(q Seq, as []Alignment) error {
-	CanonicalizeAlignments(s.targets, as)
-	if len(as) == 0 {
-		return s.sw.Write(seqio.SAMRecord{
-			QName: q.Name, Flag: seqio.FlagUnmapped,
-			Seq: q.Seq.String(), Qual: string(q.Qual),
-			TagAS: -1, TagNM: -1,
-		})
+// nextCigarOp splits the first run off a SAM-style run-length cigar of
+// M/I/D operations: its op, its nonzero length and the rest.
+func nextCigarOp(s string) (op byte, n int, rest string, ok bool) {
+	i := 0
+	for ; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
+		n = n*10 + int(s[i]-'0')
 	}
-	best := 0
-	for i, a := range as {
-		if a.Score > as[best].Score {
-			best = i
-		}
+	if i == 0 || i == len(s) || n == 0 || (s[i] != 'M' && s[i] != 'I' && s[i] != 'D') {
+		return 0, 0, "", false
 	}
-	L := q.Seq.Len()
-	var fwdCodes, rcCodes []byte // lazily unpacked per strand
-	for i, a := range as {
-		flag := 0
-		seq := q.Seq
-		if a.RC {
-			flag |= seqio.FlagReverse
-			seq = seq.ReverseComplement()
-		}
-		if i != best {
-			flag |= seqio.FlagSecondary
-		}
-		qual := string(q.Qual)
-		if a.RC && qual != "" {
-			b := []byte(qual)
-			for l, r := 0, len(b)-1; l < r; l, r = l+1, r-1 {
-				b[l], b[r] = b[r], b[l]
-			}
-			qual = string(b)
-		}
-		mapq := 60
-		if len(as) > 1 {
-			mapq = 3
-		}
-		body := a.Cigar
-		if body == "" {
-			body = fmt.Sprintf("%dM", a.QEnd-a.QStart)
-		}
-		nm := -1
-		if ops, ok := parseCigar(body); ok {
-			qc := fwdCodes
-			if a.RC {
-				if rcCodes == nil {
-					rcCodes = seq.Codes()
-				}
-				qc = rcCodes
-			} else {
-				if fwdCodes == nil {
-					fwdCodes = q.Seq.Codes()
-					qc = fwdCodes
-				}
-			}
-			tSeq := s.targets[a.Target].Seq
-			if int(a.TStart) >= 0 && int(a.TEnd) <= tSeq.Len() && a.TStart <= a.TEnd {
-				if v, ok := editDistance(ops, qc, int(a.QStart), tSeq, int(a.TStart), int(a.TEnd)); ok {
-					nm = v
-				}
-			}
-		}
-		// Soft-clip the unaligned read ends so the cigar spans the read.
-		cigar := body
-		if a.QStart > 0 {
-			cigar = fmt.Sprintf("%dS%s", a.QStart, cigar)
-		}
-		if int(a.QEnd) < L {
-			cigar = fmt.Sprintf("%s%dS", cigar, L-int(a.QEnd))
-		}
-		if err := s.sw.Write(seqio.SAMRecord{
-			QName: q.Name, Flag: flag,
-			RName: s.targets[a.Target].Name,
-			Pos:   int(a.TStart) + 1, MapQ: mapq,
-			Cigar: cigar,
-			Seq:   seq.String(), Qual: qual,
-			TagAS: int(a.Score), TagNM: nm,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parseCigar decodes a SAM-style run-length cigar of M/I/D operations.
-func parseCigar(s string) (align.Cigar, bool) {
-	var out align.Cigar
-	n, digits := 0, false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= '0' && c <= '9' {
-			n = n*10 + int(c-'0')
-			digits = true
-			continue
-		}
-		if !digits || n == 0 || (c != 'M' && c != 'I' && c != 'D') {
-			return nil, false
-		}
-		out = append(out, align.CigarOp{Op: c, Len: n})
-		n, digits = 0, false
-	}
-	return out, !digits && len(out) > 0
-}
-
-// editDistance walks the cigar over the aligned-strand query codes qc
-// (starting at qStart) and the target window [tStart, tEnd) of t, counting
-// mismatches in M runs plus all inserted and deleted bases — the SAM NM
-// tag. Target bases are read in place through CodeAt, so the output hot
-// path allocates nothing per record. Reports false when the cigar
-// oversteps either sequence.
-func editDistance(ops align.Cigar, qc []byte, qStart int, t dna.Packed, tStart, tEnd int) (int, bool) {
-	qp, tp, nm := qStart, tStart, 0
-	for _, op := range ops {
-		switch op.Op {
-		case 'M':
-			if qp+op.Len > len(qc) || tp+op.Len > tEnd {
-				return 0, false
-			}
-			for i := 0; i < op.Len; i++ {
-				if qc[qp+i] != t.CodeAt(tp+i) {
-					nm++
-				}
-			}
-			qp += op.Len
-			tp += op.Len
-		case 'I': // extra query bases relative to the target
-			if qp+op.Len > len(qc) {
-				return 0, false
-			}
-			nm += op.Len
-			qp += op.Len
-		case 'D': // target bases skipped by the query
-			if tp+op.Len > tEnd {
-				return 0, false
-			}
-			nm += op.Len
-			tp += op.Len
-		default:
-			return 0, false
-		}
-	}
-	return nm, true
+	return s[i], n, s[i+1:], true
 }

@@ -2,12 +2,29 @@ package meraligner
 
 import (
 	"bytes"
+	"context"
+	"io"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/lbl-repro/meraligner/internal/align"
 	"github.com/lbl-repro/meraligner/internal/dna"
 )
+
+// cigarRuns splits a whole cigar with nextCigarOp, the way editDistance does.
+func cigarRuns(s string) (align.Cigar, bool) {
+	var out align.Cigar
+	for s != "" {
+		op, n, rest, ok := nextCigarOp(s)
+		if !ok {
+			return nil, false
+		}
+		out = append(out, align.CigarOp{Op: op, Len: n})
+		s = rest
+	}
+	return out, len(out) > 0
+}
 
 func TestParseCigarAcceptsWellFormed(t *testing.T) {
 	for _, tc := range []struct {
@@ -19,18 +36,19 @@ func TestParseCigarAcceptsWellFormed(t *testing.T) {
 		{"12M", "12M"},
 		{"1M1I1D1M", "1M1I1D1M"},
 	} {
-		ops, ok := parseCigar(tc.in)
+		ops, ok := cigarRuns(tc.in)
 		if !ok {
-			t.Errorf("parseCigar(%q): rejected, want accepted", tc.in)
+			t.Errorf("cigar %q: rejected, want accepted", tc.in)
 			continue
 		}
 		if got := ops.String(); got != tc.want {
-			t.Errorf("parseCigar(%q) round-trips to %q, want %q", tc.in, got, tc.want)
+			t.Errorf("cigar %q round-trips to %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }
 
 func TestParseCigarRejectsMalformed(t *testing.T) {
+	long := dna.MustPack("ACGTACGTACGTACGTACGT")
 	for _, in := range []string{
 		"",      // empty
 		"M",     // op with no count
@@ -45,25 +63,20 @@ func TestParseCigarRejectsMalformed(t *testing.T) {
 		"4H5M",  // hard clip
 		"5M \t", // garbage tail
 	} {
-		if ops, ok := parseCigar(in); ok {
-			t.Errorf("parseCigar(%q): accepted as %v, want rejected", in, ops)
+		if ops, ok := cigarRuns(in); ok {
+			t.Errorf("cigar %q: accepted as %v, want rejected", in, ops)
+		}
+		if in == "" {
+			continue // to editDistance an empty cigar is the exact path's one M run
+		}
+		if nm := editDistance(long, long, &Alignment{Cigar: in, QEnd: 20, TEnd: 20}); nm != -1 {
+			t.Errorf("editDistance over cigar %q = %d, want -1 (tag omitted)", in, nm)
 		}
 	}
 }
 
-// mustOps parses a known-good cigar for the editDistance tests.
-func mustOps(t *testing.T, s string) align.Cigar {
-	t.Helper()
-	ops, ok := parseCigar(s)
-	if !ok {
-		t.Fatalf("parseCigar(%q) rejected a well-formed test cigar", s)
-	}
-	return ops
-}
-
 func TestEditDistance(t *testing.T) {
 	tgt := dna.MustPack("ACGTACGTACGT")
-	codes := func(s string) []byte { return dna.MustPack(s).Codes() }
 	for _, tc := range []struct {
 		name   string
 		cigar  string
@@ -87,12 +100,19 @@ func TestEditDistance(t *testing.T) {
 		{"target window overstepped by D", "4M2D", "ACGT", 0, 0, 5, 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, ok := editDistance(mustOps(t, tc.cigar), codes(tc.q), tc.qStart, tgt, tc.tStart, tc.tEnd)
-			if ok != tc.ok {
-				t.Fatalf("editDistance ok=%v, want %v", ok, tc.ok)
+			if !tc.ok {
+				tc.want = -1
 			}
-			if ok && got != tc.want {
+			q := dna.MustPack(tc.q)
+			a := Alignment{Cigar: tc.cigar, QStart: int32(tc.qStart), TStart: int32(tc.tStart), TEnd: int32(tc.tEnd)}
+			if got := editDistance(q, tgt, &a); got != tc.want {
 				t.Fatalf("editDistance=%d, want %d", got, tc.want)
+			}
+			// The reverse strand is walked in place: the read's reverse
+			// complement aligned forward is the read aligned RC.
+			a.RC = true
+			if got := editDistance(q.ReverseComplement(), tgt, &a); got != tc.want {
+				t.Fatalf("editDistance on the reverse strand=%d, want %d", got, tc.want)
 			}
 		})
 	}
@@ -101,9 +121,13 @@ func TestEditDistance(t *testing.T) {
 func TestEditDistanceRejectsUnknownOp(t *testing.T) {
 	// Hard clips (and any other op) cannot be charged against either
 	// sequence; the walker must bail out rather than guess.
-	ops := align.Cigar{{Op: 'H', Len: 2}, {Op: 'M', Len: 2}}
-	if _, ok := editDistance(ops, dna.MustPack("ACGT").Codes(), 0, dna.MustPack("ACGT"), 0, 4); ok {
-		t.Fatal("editDistance accepted a cigar with a hard-clip op")
+	acgt := dna.MustPack("ACGT")
+	if nm := editDistance(acgt, acgt, &Alignment{Cigar: "2H2M", QEnd: 4, TEnd: 4}); nm != -1 {
+		t.Fatalf("editDistance accepted a cigar with a hard-clip op: NM %d", nm)
+	}
+	// A window outside the target omits the tag too.
+	if nm := editDistance(acgt, acgt, &Alignment{Cigar: "4M", QEnd: 4, TStart: 2, TEnd: 6}); nm != -1 {
+		t.Fatalf("editDistance accepted a target window past the target: NM %d", nm)
 	}
 }
 
@@ -234,6 +258,20 @@ func TestWriteRangeMatchesWriteBatch(t *testing.T) {
 		t.Fatalf("WriteRange windows diverge from WriteBatch:\nfull:\n%s\nranged:\n%s",
 			strings.Join(full, "\n"), strings.Join(ranged, "\n"))
 	}
+	// A hand-built Results in any record order renders the same windows:
+	// only an engine's Results is trusted to be in query order.
+	a := res.Alignments
+	shuffled := &Results{TotalReads: len(queries), Alignments: []Alignment{a[3], a[2], a[0], a[1]}}
+	ranged = nil
+	for _, w := range [][2]int{{0, 1}, {1, 3}, {3, 4}} {
+		ranged = append(ranged, samBody(t, func(s *SAMStream) error {
+			return s.WriteRange(shuffled, queries, w[0], w[1])
+		}, targets)...)
+	}
+	if strings.Join(full, "\n") != strings.Join(ranged, "\n") {
+		t.Fatalf("WriteRange over shuffled records diverges from WriteBatch:\nfull:\n%s\nranged:\n%s",
+			strings.Join(full, "\n"), strings.Join(ranged, "\n"))
+	}
 	if _, err := NewSAMStream(&bytes.Buffer{}, targets); err != nil {
 		t.Fatal(err)
 	}
@@ -241,5 +279,39 @@ func TestWriteRangeMatchesWriteBatch(t *testing.T) {
 	s, _ := NewSAMStream(&buf, targets)
 	if err := s.WriteRange(res, queries, 2, 9); err == nil {
 		t.Fatal("WriteRange accepted an out-of-range window")
+	}
+}
+
+// TestWriteBatchAllocs bounds the output path's allocations for one
+// exact-path read rendered into a warm stream. The parent of the commit that
+// introduced seqio.AppendSAMRead measured 11 allocations here (fmt.Sprintf
+// cigars, String() bases, a map per window, a reflect swapper per sort).
+func TestWriteBatchAllocs(t *testing.T) {
+	tgt := dna.Random(rand.New(rand.NewSource(5)), 5000)
+	targets := []Seq{{Name: "ctg0", Seq: tgt}}
+	al, err := Build(1, DefaultIndexOptions(19), targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := []Seq{{Name: "r0", Seq: tgt.Slice(1000, 1100), Qual: bytes.Repeat([]byte("I"), 100)}}
+	q := DefaultQueryOptions()
+	q.CollectAlignments = true
+	res, err := al.Align(context.Background(), reads, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Alignments) != 1 || !res.Alignments[0].Exact {
+		t.Fatalf("fixture read did not take the exact path: %+v", res.Alignments)
+	}
+	s, err := NewSAMStream(io.Discard, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteBatch(res, reads); err != nil { // warm the stream's buffer
+		t.Fatal(err)
+	}
+	const parent = 11
+	if n := testing.AllocsPerRun(200, func() { s.WriteBatch(res, reads) }); n >= parent || n > 1 {
+		t.Errorf("WriteBatch allocates %v times per exact read; the parent measured %d and the hit list is the only allocation left", n, parent)
 	}
 }
