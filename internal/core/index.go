@@ -45,8 +45,9 @@ type ThreadedIndex struct {
 
 // BuildIndex constructs the seed index over targets
 // exactly once: fragment the targets (§IV-A), extract and stage seeds with
-// the aggregating-stores scheme (§III-A), drain the shards lock-free, and
-// mark single-copy fragments. workers is the goroutine pool size for the
+// the aggregating-stores scheme (§III-A), drain each shard lock-free into
+// its flat table (sort, then one run-length pass), and mark single-copy
+// fragments. workers is the goroutine pool size for the
 // construction phases only; queries may later run with any worker count.
 func BuildIndex(workers int, opt IndexOptions, targets []seqio.Seq) (*ThreadedIndex, error) {
 	if workers <= 0 {
@@ -99,7 +100,7 @@ func BuildIndex(workers int, opt IndexOptions, targets []seqio.Seq) (*ThreadedIn
 		}
 	})
 
-	// ---- Phase 2: drain shards into local buckets (lock-free) ----
+	// ---- Phase 2: drain each shard into its flat table (lock-free) ----
 	phases = timePhase(phases, PhaseDrain, func() {
 		runPool(workers, sx.Shards(), 1, func(w, lo, hi int) {
 			for s := lo; s < hi; s++ {
@@ -119,8 +120,9 @@ func BuildIndex(workers int, opt IndexOptions, targets []seqio.Seq) (*ThreadedIn
 		})
 	}
 
-	// Seal: release the build arena, freeze the table, and snapshot its
-	// stats once so per-query Results don't rescan the whole index.
+	// Seal: release the staging arena and freeze the table (the drain already
+	// wrote it in its final form), and snapshot its stats once so per-query
+	// Results don't rescan the whole index.
 	sx.Seal()
 	return &ThreadedIndex{
 		opt:         opt,
@@ -141,9 +143,9 @@ func (ix *ThreadedIndex) Targets() []seqio.Seq { return ix.targets }
 // Stats returns the index statistics snapshot taken at seal time.
 func (ix *ThreadedIndex) Stats() dht.Stats { return ix.stats }
 
-// ResidentBytes estimates the resident memory footprint of the sealed index
-// (hash table and location lists; the fragment table's unpacked target
-// codes are counted separately via TargetCodesBytes).
+// ResidentBytes is the exact resident memory footprint of the sealed index
+// (slot arrays, location arenas, single-copy flags; the fragment table's
+// unpacked target codes are counted separately via TargetCodesBytes).
 func (ix *ThreadedIndex) ResidentBytes() int64 { return ix.sx.ResidentBytes() }
 
 // TargetCodesBytes is the footprint of the unpacked target code slices held
@@ -156,8 +158,11 @@ func (ix *ThreadedIndex) TargetCodesBytes() int64 {
 	return n
 }
 
-// BuildPhases returns the wall-clock phase stats of index construction
-// (extract+stage, drain, and mark when the exact-match optimization is on).
+// BuildPhases returns the wall-clock phase stats of index construction:
+// extract+stage, drain (gather, sort and table write — all of the table's
+// construction cost), and mark when the exact-match optimization is on. Seal
+// and the stats scan that follow are not a phase; they cost what the whole
+// build took beyond BuildWall.
 func (ix *ThreadedIndex) BuildPhases() []Phase {
 	return append([]Phase(nil), ix.buildPhases...)
 }

@@ -1,12 +1,21 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/lbl-repro/meraligner/internal/dht"
+	"github.com/lbl-repro/meraligner/internal/dna"
+	"github.com/lbl-repro/meraligner/internal/seqio"
 )
 
 // Build once + N queries must be byte-identical to N one-shot RunThreaded
@@ -241,4 +250,103 @@ func TestBuildIndexValidation(t *testing.T) {
 	if _, err := RunThreaded(2, clash, ds.Contigs, ds.Reads[:10]); err == nil {
 		t.Error("RunThreaded accepted unlimited MaxSeedHits on a truncated index")
 	}
+}
+
+// syntheticContigs returns n random contigs of length bases each.
+func syntheticContigs(seed int64, n, length int) []seqio.Seq {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]seqio.Seq, n)
+	for i := range out {
+		codes := make([]byte, length)
+		for j := range codes {
+			codes[j] = byte(rng.Intn(4))
+		}
+		out[i] = seqio.Seq{Name: fmt.Sprintf("c%d", i), Seq: dna.FromCodes(codes)}
+	}
+	return out
+}
+
+// TestBuildSaveDeterministic: the same targets and options must produce the
+// same snapshot bytes whatever the build's worker count and schedule — the
+// determinism docs/INDEX_FORMAT.md promises. (Workers 1, 2 and 4 all get
+// DefaultShards = 16, so the table shape is the same by design; what used to
+// differ was in-record padding carried over from the staging buffers.)
+func TestBuildSaveDeterministic(t *testing.T) {
+	ds := testWorkload(t, 300_000, 1, 0)
+	iopt := testOptions(21).IndexOptions
+	dir := t.TempDir()
+	var ref []byte
+	for _, workers := range []int{1, 2, 4} {
+		ix, err := BuildIndex(workers, iopt, ds.Contigs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("w%d.merx", workers))
+		if err := ix.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		if !bytes.Equal(got, ref) {
+			diff := 0
+			for i := range got {
+				if i >= len(ref) || got[i] != ref[i] {
+					diff++
+				}
+			}
+			t.Errorf("snapshot built with %d workers differs from the 1-worker build in %d of %d bytes", workers, diff, len(got))
+		}
+	}
+}
+
+// TestBuildIndexAllocs: a build allocates per shard (gather buffer, slot
+// array, arena), per worker and shard (a staging buffer grown by append to S
+// entries) and per fragment (extract copies each fragment's packed bases) —
+// never per seed. The parent of this test's commit allocated a location
+// slice for every distinct seed: ~400 000 at the larger size here.
+func TestBuildIndexAllocs(t *testing.T) {
+	const workers, contigs = 2, 4
+	iopt := DefaultIndexOptions(19)
+	shards := dht.DefaultShards(workers)
+	for _, length := range []int{20_000, 200_000} {
+		targets := syntheticContigs(7, contigs, length)
+		var ix *ThreadedIndex
+		allocs := testing.AllocsPerRun(1, func() {
+			var err error
+			if ix, err = BuildIndex(workers, iopt, targets); err != nil {
+				t.Fatal(err)
+			}
+		})
+		bound := float64(16*shards + 16*workers*shards + ix.ft.NumFragments() + 64)
+		t.Logf("%d x %d bp, %d seeds: %.0f allocations per BuildIndex (bound %.0f)", contigs, length, ix.Stats().DistinctSeeds, allocs, bound)
+		if allocs > bound {
+			t.Errorf("%d x %d bp: BuildIndex allocates %.0f objects, want <= %.0f independent of the seed count", contigs, length, allocs, bound)
+		}
+	}
+}
+
+// BenchmarkBuildIndex times one whole index build (fragment, extract+stage,
+// drain, mark, seal) over a 1 Mbp synthetic reference at k = 19.
+func BenchmarkBuildIndex(b *testing.B) {
+	const workers, k = 2, 19
+	targets := syntheticContigs(11, 8, 125_000)
+	seeds := 0
+	for _, tg := range targets {
+		seeds += tg.Seq.Len() - k + 1
+	}
+	iopt := DefaultIndexOptions(k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildIndex(workers, iopt, targets); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(seeds), "ns/seed")
 }

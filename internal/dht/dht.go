@@ -1,8 +1,8 @@
 // Package dht implements the seed index the servers link (§II-B, §III): a
 // hash table mapping each seed to the list of (fragment, offset) locations
 // it was extracted from, built with the paper's two-stage aggregating-stores
-// scheme on real goroutines (Sharded), sealed into a flat open-addressing
-// table (flat.go), persisted as a snapshot section (snapshot.go) and
+// scheme on real goroutines (Sharded), drained into one flat open-addressing
+// table per shard (flat.go), persisted as a snapshot section (snapshot.go) and
 // hash-partitioned over seed-shard nodes (partition.go).
 //
 // The table also counts seed occurrences during the drain — the "cheap and
@@ -17,7 +17,8 @@
 package dht
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/lbl-repro/meraligner/internal/kmer"
 )
@@ -43,63 +44,32 @@ type SeedEntry struct {
 // length k: the 2-bit packed seed, two 32-bit integers and a strand byte.
 func WireBytes(k int) int { return kmer.PackedBytes(k) + 9 }
 
-// entry is the stored value for one distinct seed.
-type entry struct {
-	locs  []Loc
-	count int32 // total occurrences, == len(locs) unless list was capped
-}
-
-// buckets is one shard's build-time seed table: a map from seed to a dense
-// entry slice. Each shard is drained by a single goroutine, so insert needs
-// no locking of its own.
-type buckets struct {
-	m map[kmer.Kmer]int32
-	e []entry
-}
-
-// insert adds one occurrence, capping the stored location list at maxLoc
-// entries (0 = unlimited) while still counting every occurrence.
-func (bt *buckets) insert(e SeedEntry, maxLoc int) {
-	if idx, ok := bt.m[e.Seed]; ok {
-		ent := &bt.e[idx]
-		ent.count++
-		if maxLoc == 0 || len(ent.locs) < maxLoc {
-			ent.locs = append(ent.locs, e.Loc)
-		}
-		return
-	}
-	bt.m[e.Seed] = int32(len(bt.e))
-	bt.e = append(bt.e, entry{locs: []Loc{e.Loc}, count: 1})
-}
-
-// lookup probes the partition.
-func (bt *buckets) lookup(s kmer.Kmer) (LookupResult, bool) {
-	idx, ok := bt.m[s]
-	if !ok {
-		return LookupResult{}, false
-	}
-	ent := &bt.e[idx]
-	return LookupResult{Locs: ent.locs, Count: ent.count}, true
-}
-
 // SortEntries orders staged entries by (seed, fragment, offset, strand) so a
 // partition's contents are independent of ship interleaving. Every build
 // path — Sharded here, the simulated index in internal/sim — sorts with this
 // comparator, which is what makes their tables, and therefore the
 // alignments, byte-identical for the same input.
 func SortEntries(es []SeedEntry) {
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
+	slices.SortFunc(es, func(a, b SeedEntry) int {
 		if a.Seed != b.Seed {
-			return a.Seed.Less(b.Seed)
+			if a.Seed.Less(b.Seed) {
+				return -1
+			}
+			return 1
 		}
-		if a.Loc.Frag != b.Loc.Frag {
-			return a.Loc.Frag < b.Loc.Frag
+		if c := cmp.Compare(a.Loc.Frag, b.Loc.Frag); c != 0 {
+			return c
 		}
-		if a.Loc.Off != b.Loc.Off {
-			return a.Loc.Off < b.Loc.Off
+		if c := cmp.Compare(a.Loc.Off, b.Loc.Off); c != 0 {
+			return c
 		}
-		return !a.Loc.RC && b.Loc.RC
+		if a.Loc.RC == b.Loc.RC {
+			return 0
+		}
+		if b.Loc.RC {
+			return -1
+		}
+		return 1
 	})
 }
 

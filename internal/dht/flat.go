@@ -1,23 +1,24 @@
 package dht
 
 import (
+	"fmt"
+	"math"
 	"unsafe"
 
 	"github.com/lbl-repro/meraligner/internal/kmer"
 )
 
-// This file implements the sealed, read-only form of the sharded seed index:
-// at Seal each shard's build structures (a Go map plus per-entry location
-// slices) are compacted into an open-addressing flat table over one
-// contiguous location arena. Lookups then cost one hash, a short linear
-// probe over densely packed 32-byte slots, and a bounds-checked slice of the
-// arena — no map probes, no per-entry pointer chasing, no slice headers
-// scattered across the heap. The layout is the SNAP-style cache-friendly
-// seed table; the contents (location lists, their order, and occurrence
-// counts) are bit-identical to the pre-compaction buckets, which the parity
-// tests assert directly.
+// This file implements the one form of a shard's seed table: an
+// open-addressing flat table over one contiguous location arena, written
+// once by the shard's drain (newFlatShard) and read-only from then on.
+// Lookups cost one hash, a short linear probe over densely packed 32-byte
+// slots, and a bounds-checked slice of the arena — no map probes, no
+// per-entry pointer chasing, no slice headers scattered across the heap. The
+// layout is the SNAP-style cache-friendly seed table; the contents (location
+// lists, their order, and occurrence counts) are checked against a naive
+// map oracle and against the simulated index in the parity tests.
 
-// flatEntry is one occupied slot of the sealed table. n == 0 marks an empty
+// flatEntry is one occupied slot of the table. n == 0 marks an empty
 // slot: every present seed stores at least one location, even when the list
 // was capped by MaxLocList.
 type flatEntry struct {
@@ -27,7 +28,7 @@ type flatEntry struct {
 	cnt  int32 // total occurrences (>= n when the list was capped)
 }
 
-// flatShard is one partition of the sealed index: a power-of-two
+// flatShard is one partition of the index: a power-of-two
 // open-addressing slot array plus the shard's packed location arena.
 type flatShard struct {
 	shift uint // 64 - log2(len(slots)); slot of hash h is (h*fibMix)>>shift
@@ -44,46 +45,80 @@ const fibMix = 0x9E3779B97F4A7C15
 // minFlatBits keeps even tiny shards at a sane table size.
 const minFlatBits = 4
 
-// buildFlat compacts one shard's buckets. Entries are placed in insertion
-// order (the drain's sorted order), so the sealed layout is deterministic
-// for a given table content. The order is reconstructed from the map's
-// seed→index pairs (index IS insertion order), so the build phase carries
-// no extra bookkeeping.
-func buildFlat(bt *buckets) flatShard {
-	n := len(bt.e)
-	totalLocs := 0
-	for i := range bt.e {
-		totalLocs += len(bt.e[i].locs)
+// newFlatShard builds shard id's table from its staged entries, which must
+// be in SortEntries order. Equal seeds are then adjacent, so one counting
+// pass sizes the slot array and the arena exactly and one run-length pass
+// fills them: each run stores its first maxLoc locations (0 = all) and counts
+// every occurrence. Seeds are placed in sorted order, so the layout is a
+// function of the table content alone. Slots and locations are written field
+// by field into zeroed memory: the in-record padding a snapshot dumps is
+// zero by construction, whatever the staging buffers held.
+func newFlatShard(id int, es []SeedEntry, maxLoc int) flatShard {
+	if maxLoc == 0 {
+		maxLoc = math.MaxInt
 	}
-	keys := make([]kmer.Kmer, n)
-	for seed, idx := range bt.m {
-		keys[idx] = seed
+	distinct, stored, longest := 0, 0, 0
+	for i := 0; i < len(es); {
+		run := runLen(es[i:])
+		distinct++
+		stored += min(run, maxLoc)
+		longest = max(longest, run)
+		i += run
 	}
+	checkShardCounts(id, int64(stored), int64(longest))
+
 	bits := uint(minFlatBits)
-	// Load factor <= 0.75: n <= 0.75 * 2^bits.
-	for 4*n > 3*(1<<bits) {
+	// Load factor <= 0.75: distinct <= 0.75 * 2^bits.
+	for 4*distinct > 3*(1<<bits) {
 		bits++
 	}
 	fs := flatShard{
 		shift: 64 - bits,
 		slots: make([]flatEntry, 1<<bits),
-		locs:  make([]Loc, 0, totalLocs),
+		locs:  make([]Loc, stored),
 	}
 	mask := 1<<bits - 1
-	for idx, seed := range keys {
-		ent := &bt.e[idx]
-		off := int32(len(fs.locs))
-		fs.locs = append(fs.locs, ent.locs...)
-		i := int(seed.Hash() * fibMix >> fs.shift)
-		for fs.slots[i].n != 0 {
-			i = (i + 1) & mask
+	off := 0
+	for i := 0; i < len(es); {
+		run := runLen(es[i:])
+		n := min(run, maxLoc)
+		for j := 0; j < n; j++ {
+			src, dst := &es[i+j].Loc, &fs.locs[off+j]
+			dst.Frag, dst.Off, dst.RC = src.Frag, src.Off, src.RC
 		}
-		fs.slots[i] = flatEntry{seed: seed, off: off, n: int32(len(ent.locs)), cnt: ent.count}
+		seed := es[i].Seed
+		p := int(seed.Hash() * fibMix >> fs.shift)
+		for fs.slots[p].n != 0 {
+			p = (p + 1) & mask
+		}
+		e := &fs.slots[p]
+		e.seed, e.off, e.n, e.cnt = seed, int32(off), int32(n), int32(run)
+		off += n
+		i += run
 	}
 	return fs
 }
 
-// lookup probes the sealed shard. h must be s.Hash(), computed once by the
+// runLen returns how many leading entries of the non-empty es share es[0]'s
+// seed.
+func runLen(es []SeedEntry) int {
+	n := 1
+	for n < len(es) && es[n].Seed == es[0].Seed {
+		n++
+	}
+	return n
+}
+
+// checkShardCounts panics when one shard's contents outgrow the int32 fields
+// of flatEntry: off and n index the location arena, cnt holds a run length.
+func checkShardCounts(shard int, stored, longestRun int64) {
+	if stored > math.MaxInt32 || longestRun > math.MaxInt32 {
+		panic(fmt.Sprintf("dht: sharded location arena overflow (shard %d: %d stored locations, longest run %d, limit %d): too few shards",
+			shard, stored, longestRun, math.MaxInt32))
+	}
+}
+
+// lookup probes the shard. h must be s.Hash(), computed once by the
 // caller (which also derived the shard id from it). The returned Locs slice
 // is capacity-limited so a caller's append cannot clobber the neighbouring
 // entry's locations in the shared arena.
@@ -106,13 +141,13 @@ func (fs *flatShard) lookup(s kmer.Kmer, h uint64) (LookupResult, bool) {
 	}
 }
 
-// Exact per-element sizes of the sealed layout, used by ResidentBytes.
+// Exact per-element sizes of the flat layout, used by ResidentBytes.
 const (
 	flatEntryBytes = int64(unsafe.Sizeof(flatEntry{}))
 	locBytes       = int64(unsafe.Sizeof(Loc{}))
 )
 
-// residentBytes is the exact footprint of this shard's sealed structures:
+// residentBytes is the exact footprint of this shard's structures:
 // the slot array plus the location arena (allocated at exact capacity).
 func (fs *flatShard) residentBytes() int64 {
 	return int64(len(fs.slots))*flatEntryBytes + int64(cap(fs.locs))*locBytes

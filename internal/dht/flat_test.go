@@ -1,89 +1,155 @@
 package dht
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
-	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"github.com/lbl-repro/meraligner/internal/kmer"
 )
 
-// sealedWorkload builds a sharded index from a randomized entry set and
-// returns it along with probe seeds: every distinct present seed plus a set
-// of absent ones.
-func sealedWorkload(t *testing.T, seed int64, maxLoc int) (*Sharded, []kmer.Kmer, []kmer.Kmer) {
-	t.Helper()
-	const k, numFrags = 21, 60
-	es := randomEntries(seed, numFrags, 40, 400, k)
-	sx := buildSharded(t, ShardedConfig{K: k, S: 64, MaxLocList: maxLoc, Shards: 16}, es, numFrags, 3)
+// oracleEntry is what the naive reference table holds for one seed.
+type oracleEntry struct {
+	locs  []Loc
+	count int32
+}
 
-	present := map[kmer.Kmer]struct{}{}
-	for _, e := range es {
-		present[e.Seed] = struct{}{}
+// naiveOracle is the test-only reference the flat table is checked against:
+// a plain Go map filled one entry at a time from the entries in (seed, frag,
+// off, strand) order — sorted here with its own reflection-based comparator,
+// so it also pins the order SortEntries produces — with every list capped at
+// maxLoc (0 = unlimited) and every occurrence counted.
+func naiveOracle(es []SeedEntry, maxLoc int) map[kmer.Kmer]oracleEntry {
+	sorted := append([]SeedEntry(nil), es...)
+	sort.Slice(sorted, func(i, j int) bool {
+		a, b := sorted[i], sorted[j]
+		if a.Seed != b.Seed {
+			return a.Seed.Less(b.Seed)
+		}
+		if a.Loc.Frag != b.Loc.Frag {
+			return a.Loc.Frag < b.Loc.Frag
+		}
+		if a.Loc.Off != b.Loc.Off {
+			return a.Loc.Off < b.Loc.Off
+		}
+		return !a.Loc.RC && b.Loc.RC
+	})
+	m := map[kmer.Kmer]oracleEntry{}
+	for _, e := range sorted {
+		ent := m[e.Seed]
+		ent.count++
+		if maxLoc == 0 || len(ent.locs) < maxLoc {
+			ent.locs = append(ent.locs, e.Loc)
+		}
+		m[e.Seed] = ent
 	}
-	var hits []kmer.Kmer
-	for s := range present {
-		hits = append(hits, s)
+	return m
+}
+
+// oracleStats derives the Stats a table over oracle must report: per-shard
+// seed counts from ShardOf, single-copy flags from the stored locations of
+// repeated seeds (§IV-A).
+func oracleStats(sx *Sharded, oracle map[kmer.Kmer]oracleEntry, numFrags int) Stats {
+	st := Stats{Fragments: numFrags}
+	perShard := make([]int, sx.Shards())
+	repeated := make([]bool, numFrags)
+	for seed, ent := range oracle {
+		perShard[sx.ShardOf(seed)]++
+		st.DistinctSeeds++
+		st.TotalLocs += len(ent.locs)
+		st.MaxListLen = max(st.MaxListLen, len(ent.locs))
+		if ent.count > 1 {
+			st.RepeatSeeds++
+			for _, l := range ent.locs {
+				repeated[l.Frag] = true
+			}
+		}
 	}
-	rng := rand.New(rand.NewSource(seed + 1))
+	st.MaxOwnerSeeds, st.MinOwnerSeeds = slices.Max(perShard), slices.Min(perShard)
+	for _, r := range repeated {
+		if !r {
+			st.SingleCopyFrags++
+		}
+	}
+	return st
+}
+
+// checkAgainstOracle asserts that every oracle seed looks up to the oracle's
+// list and count, that absent seeds miss, and that Stats agree.
+func checkAgainstOracle(t *testing.T, label string, sx *Sharded, oracle map[kmer.Kmer]oracleEntry, misses []kmer.Kmer, numFrags int) {
+	t.Helper()
+	for s, w := range oracle {
+		res, ok := sx.Lookup(s)
+		if !ok {
+			t.Fatalf("%s seed %v: staged seed missing", label, s)
+		}
+		if res.Count != w.count {
+			t.Fatalf("%s seed %v: count=%d, oracle count=%d", label, s, res.Count, w.count)
+		}
+		if !slices.Equal(res.Locs, w.locs) {
+			t.Fatalf("%s seed %v: locs %v, oracle locs %v", label, s, res.Locs, w.locs)
+		}
+	}
+	for _, s := range misses {
+		if _, ok := sx.Lookup(s); ok {
+			t.Fatalf("%s seed %v: absent seed found", label, s)
+		}
+	}
+	if got, want := sx.Stats(), oracleStats(sx, oracle, numFrags); got != want {
+		t.Fatalf("%s stats diverged:\ntable:  %+v\noracle: %+v", label, got, want)
+	}
+}
+
+// absentSeeds draws n seeds that are not keys of oracle.
+func absentSeeds(rng *rand.Rand, oracle map[kmer.Kmer]oracleEntry, k, n int) []kmer.Kmer {
 	var misses []kmer.Kmer
-	for len(misses) < 200 {
+	for len(misses) < n {
 		s := randomKmer(rng, k)
-		if _, ok := present[s]; !ok {
+		if _, ok := oracle[s]; !ok {
 			misses = append(misses, s)
 		}
 	}
-	return sx, hits, misses
+	return misses
 }
 
-// TestSealedLookupMatchesBuckets is the compaction parity oracle: for every
-// present seed and a batch of absent ones, the sealed flat table must return
-// exactly the LookupResult the pre-compaction buckets returned — same
-// location lists in the same order, same occurrence counts, same misses.
+const sealedK, sealedFrags = 21, 60
+
+// sealedWorkload builds a sharded index from a randomized entry set and
+// returns it (drained and marked, not yet sealed) along with its oracle and a
+// set of absent probe seeds.
+func sealedWorkload(t *testing.T, seed int64, maxLoc int) (*Sharded, map[kmer.Kmer]oracleEntry, []kmer.Kmer) {
+	t.Helper()
+	es := randomEntries(seed, sealedFrags, 40, 400, sealedK)
+	sx := buildSharded(t, ShardedConfig{K: sealedK, S: 64, MaxLocList: maxLoc, Shards: 16}, es, sealedFrags, 3)
+	oracle := naiveOracle(es, maxLoc)
+	return sx, oracle, absentSeeds(rand.New(rand.NewSource(seed+1)), oracle, sealedK, 200)
+}
+
+// TestSealedLookupMatchesBuckets is the table parity oracle: for every
+// present seed and a batch of absent ones, the flat table must return exactly
+// what the naive map holds — same location lists in the same order, same
+// occurrence counts, same misses — both as the drain left it and after Seal.
 func TestSealedLookupMatchesBuckets(t *testing.T) {
 	for _, maxLoc := range []int{0, 3} {
-		sx, hits, misses := sealedWorkload(t, 11, maxLoc)
-
-		type want struct {
-			locs  []Loc
-			count int32
-			ok    bool
-		}
-		expect := make(map[kmer.Kmer]want, len(hits)+len(misses))
-		record := func(s kmer.Kmer) {
-			res, ok := sx.Lookup(s)
-			expect[s] = want{locs: append([]Loc(nil), res.Locs...), count: res.Count, ok: ok}
-		}
-		for _, s := range hits {
-			record(s)
-		}
-		for _, s := range misses {
-			record(s)
-		}
-
+		sx, oracle, misses := sealedWorkload(t, 11, maxLoc)
+		checkAgainstOracle(t, fmt.Sprintf("maxLoc=%d drained", maxLoc), sx, oracle, misses, sealedFrags)
 		sx.Seal()
-		for s, w := range expect {
-			res, ok := sx.Lookup(s)
-			if ok != w.ok {
-				t.Fatalf("maxLoc=%d seed %v: sealed ok=%v, buckets ok=%v", maxLoc, s, ok, w.ok)
-			}
-			if res.Count != w.count {
-				t.Fatalf("maxLoc=%d seed %v: sealed count=%d, buckets count=%d", maxLoc, s, res.Count, w.count)
-			}
-			if len(res.Locs) != len(w.locs) || (len(w.locs) > 0 && !reflect.DeepEqual(res.Locs, w.locs)) {
-				t.Fatalf("maxLoc=%d seed %v: sealed locs %v, buckets locs %v", maxLoc, s, res.Locs, w.locs)
-			}
-		}
+		checkAgainstOracle(t, fmt.Sprintf("maxLoc=%d sealed", maxLoc), sx, oracle, misses, sealedFrags)
 	}
 }
 
 // TestSealedLocsCapacityLimited: an append on a returned location list must
 // not clobber the neighbouring entry in the shared arena.
 func TestSealedLocsCapacityLimited(t *testing.T) {
-	sx, hits, _ := sealedWorkload(t, 13, 0)
+	sx, oracle, _ := sealedWorkload(t, 13, 0)
 	sx.Seal()
-	for _, s := range hits[:10] {
+	for s := range oracle {
 		res, ok := sx.Lookup(s)
 		if !ok {
 			t.Fatal("present seed missing after seal")
@@ -95,15 +161,17 @@ func TestSealedLocsCapacityLimited(t *testing.T) {
 	}
 }
 
-// TestSealedStatsMatchBuckets: Stats computed from the flat layout must
-// equal Stats computed from the build-time buckets.
+// TestSealedStatsMatchBuckets: Stats scanned from the flat layout must equal
+// the Stats derived from the naive map, and Seal must not change them.
 func TestSealedStatsMatchBuckets(t *testing.T) {
-	sx, _, _ := sealedWorkload(t, 17, 0)
-	before := sx.Stats()
+	sx, oracle, _ := sealedWorkload(t, 17, 0)
+	want := oracleStats(sx, oracle, sealedFrags)
+	if got := sx.Stats(); got != want {
+		t.Fatalf("stats before Seal:\ntable:  %+v\noracle: %+v", got, want)
+	}
 	sx.Seal()
-	after := sx.Stats()
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("stats diverged across Seal:\nbuckets: %+v\nflat:    %+v", before, after)
+	if got := sx.Stats(); got != want {
+		t.Fatalf("stats after Seal:\ntable:  %+v\noracle: %+v", got, want)
 	}
 }
 
@@ -140,19 +208,12 @@ func TestResidentBytesExact(t *testing.T) {
 	}
 }
 
-// TestSealIdempotent: a second Seal must be a no-op — recompacting the
-// already-released build buckets would wipe the table.
+// TestSealIdempotent: a second Seal must be a no-op.
 func TestSealIdempotent(t *testing.T) {
-	sx, hits, _ := sealedWorkload(t, 23, 0)
+	sx, oracle, misses := sealedWorkload(t, 23, 0)
 	sx.Seal()
-	before := sx.Stats()
 	sx.Seal()
-	if after := sx.Stats(); !reflect.DeepEqual(before, after) {
-		t.Fatalf("double Seal changed the table:\nfirst:  %+v\nsecond: %+v", before, after)
-	}
-	if _, ok := sx.Lookup(hits[0]); !ok {
-		t.Fatal("present seed lost after double Seal")
-	}
+	checkAgainstOracle(t, "double Seal", sx, oracle, misses, sealedFrags)
 }
 
 // TestSealedEmptyShards: an index with no entries (or with empty shards)
@@ -177,58 +238,142 @@ func TestSealedEmptyShards(t *testing.T) {
 	}
 }
 
-// BenchmarkSealedLookup compares the sealed flat-table probe against the
-// build-time map probe on the same content and probe mix (90% hits).
+// BenchmarkSealedLookup times the flat-table probe on a 50k-seed table with a
+// 90%-hit probe mix.
 func BenchmarkSealedLookup(b *testing.B) {
 	const k, numFrags = 31, 80
-	build := func() (*Sharded, []kmer.Kmer) {
-		rng := rand.New(rand.NewSource(5))
-		pool := make([]kmer.Kmer, 50_000)
-		for i := range pool {
-			pool[i] = randomKmer(rng, k)
+	rng := rand.New(rand.NewSource(5))
+	pool := make([]kmer.Kmer, 50_000)
+	for i := range pool {
+		pool[i] = randomKmer(rng, k)
+	}
+	sx, err := NewSharded(ShardedConfig{K: k, S: 1000, Shards: 16}, numFrags, 120_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bd := sx.NewBuilder()
+	for i := 0; i < 120_000; i++ {
+		bd.Add(SeedEntry{
+			Seed: pool[rng.Intn(len(pool))],
+			Loc:  Loc{Frag: int32(i % numFrags), Off: int32(i), RC: i%2 == 0},
+		})
+	}
+	bd.Flush()
+	for s := 0; s < sx.Shards(); s++ {
+		sx.DrainShard(s)
+	}
+	sx.Seal()
+	probes := make([]kmer.Kmer, 4096)
+	for i := range probes {
+		if rng.Intn(10) == 0 {
+			probes[i] = randomKmer(rng, k) // likely miss
+		} else {
+			probes[i] = pool[rng.Intn(len(pool))]
 		}
-		es := make([]SeedEntry, 0, 120_000)
-		for i := 0; i < 120_000; i++ {
-			es = append(es, SeedEntry{
-				Seed: pool[rng.Intn(len(pool))],
-				Loc:  Loc{Frag: int32(i % numFrags), Off: int32(i), RC: i%2 == 0},
-			})
-		}
-		sx, err := NewSharded(ShardedConfig{K: k, S: 1000, Shards: 16}, numFrags, len(es), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bd := sx.NewBuilder()
-		for _, e := range es {
-			bd.Add(e)
-		}
-		bd.Flush()
-		for s := 0; s < sx.Shards(); s++ {
-			sx.DrainShard(s)
-		}
-		probes := make([]kmer.Kmer, 4096)
-		for i := range probes {
-			if rng.Intn(10) == 0 {
-				probes[i] = randomKmer(rng, k) // likely miss
-			} else {
-				probes[i] = pool[rng.Intn(len(pool))]
+	}
+	b.ResetTimer()
+	var locs int
+	for i := 0; i < b.N; i++ {
+		res, _ := sx.Lookup(probes[i%len(probes)])
+		locs += len(res.Locs)
+	}
+	_ = locs
+}
+
+// TestPropertyDrainMatchesOracle: over random entry sets with heavy repeats,
+// every list cap, shard count and staging size, built by 1-4 concurrent
+// builders shipping in shuffled order, the table must hold exactly what the
+// naive map holds, report the exact footprint, respect the load factor, and
+// be the same bytes — slot by slot, location by location, padding included —
+// whatever the builder count.
+func TestPropertyDrainMatchesOracle(t *testing.T) {
+	const k, numFrags = 19, 12
+	rng := rand.New(rand.NewSource(29))
+	for _, maxLoc := range []int{0, 1, 3} {
+		for _, shards := range []int{1, 3, 16} {
+			for _, S := range []int{1, 7, 1000} {
+				// A pool far smaller than the entry count: most seeds repeat,
+				// many past any cap.
+				es := randomEntries(rng.Int63(), numFrags, 50+rng.Intn(100), 20+rng.Intn(200), k)
+				oracle := naiveOracle(es, maxLoc)
+				misses := absentSeeds(rng, oracle, k, 50)
+				cfg := ShardedConfig{K: k, S: S, MaxLocList: maxLoc, Shards: shards}
+				var ref *Sharded
+				for builders := 1; builders <= 4; builders++ {
+					label := fmt.Sprintf("maxLoc=%d shards=%d S=%d builders=%d", maxLoc, shards, S, builders)
+					rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+					sx := stageSharded(t, cfg, es, numFrags, builders)
+					// Staged entries travel by memmove, so their padding holds
+					// whatever the staging buffers held: make that worst case
+					// deterministic.
+					entryBytes := int(unsafe.Sizeof(SeedEntry{}))
+					for j, raw := 0, rawBytes(sx.arena); j < len(raw); j++ {
+						if j%entryBytes >= int(unsafe.Offsetof(SeedEntry{}.Loc))+9 {
+							raw[j] = 0xA5
+						}
+					}
+					drainAndMark(sx)
+					checkAgainstOracle(t, label, sx, oracle, misses, numFrags)
+
+					want := int64(4 * numFrags)
+					for i := range sx.flat {
+						fs := &sx.flat[i]
+						want += int64(len(fs.slots))*FlatEntryWireBytes + int64(cap(fs.locs))*LocWireBytes
+						occupied := 0
+						for j := range fs.slots {
+							if fs.slots[j].n != 0 {
+								occupied++
+							}
+						}
+						if 4*occupied > 3*len(fs.slots) {
+							t.Fatalf("%s shard %d: %d of %d slots occupied, load factor > 0.75", label, i, occupied, len(fs.slots))
+						}
+						for j, b := range rawBytes(fs.locs) {
+							if j%LocWireBytes >= 9 && b != 0 {
+								t.Fatalf("%s shard %d: non-zero padding byte %d in location %d", label, i, j%LocWireBytes, j/LocWireBytes)
+							}
+						}
+						for j, b := range rawBytes(fs.slots) {
+							if j%FlatEntryWireBytes >= 28 && b != 0 {
+								t.Fatalf("%s shard %d: non-zero padding byte %d in slot %d", label, i, j%FlatEntryWireBytes, j/FlatEntryWireBytes)
+							}
+						}
+					}
+					if got := sx.ResidentBytes(); got != want {
+						t.Fatalf("%s: ResidentBytes=%d, structures hold %d", label, got, want)
+					}
+
+					if ref == nil {
+						ref = sx
+						continue
+					}
+					for i := range sx.flat {
+						if sx.flat[i].shift != ref.flat[i].shift ||
+							!bytes.Equal(rawBytes(sx.flat[i].slots), rawBytes(ref.flat[i].slots)) ||
+							!bytes.Equal(rawBytes(sx.flat[i].locs), rawBytes(ref.flat[i].locs)) {
+							t.Fatalf("%s: shard %d differs from the 1-builder table", label, i)
+						}
+					}
+				}
 			}
 		}
-		return sx, probes
 	}
+}
 
-	run := func(b *testing.B, sx *Sharded, probes []kmer.Kmer) {
-		var locs int
-		for i := 0; i < b.N; i++ {
-			res, _ := sx.Lookup(probes[i%len(probes)])
-			locs += len(res.Locs)
-		}
-		_ = locs
+// TestShardCountsGuard: a shard whose stored locations or longest run would
+// wrap the int32 slot fields must panic naming the shard and the count, and
+// the largest representable shard must not.
+func TestShardCountsGuard(t *testing.T) {
+	checkShardCounts(0, math.MaxInt32, math.MaxInt32)
+	for _, c := range [][2]int64{{math.MaxInt32 + 1, 1}, {3, math.MaxInt32 + 1}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "arena overflow") || !strings.Contains(msg, "shard 7") || !strings.Contains(msg, "2147483648") {
+					t.Errorf("checkShardCounts(7, %d, %d) panicked with %q", c[0], c[1], msg)
+				}
+			}()
+			checkShardCounts(7, c[0], c[1])
+		}()
 	}
-
-	sxMap, probes := build()
-	b.Run("map", func(b *testing.B) { run(b, sxMap, probes) })
-	sxFlat, _ := build()
-	sxFlat.Seal()
-	b.Run("flat", func(b *testing.B) { run(b, sxFlat, probes) })
 }

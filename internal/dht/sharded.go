@@ -20,10 +20,13 @@ import (
 // build path.
 //
 // Stage 2 (DrainShard, shard-parallel): after a barrier, each shard's
-// segments are collected, sorted with SortEntries, and inserted into the
-// shard's private buckets by exactly one goroutine — lock-free local work,
-// as in the paper. The sort makes the table contents (and therefore
-// downstream alignments) independent of worker count and scheduling.
+// segments are gathered into one exactly sized buffer, sorted with
+// SortEntries, and run-length encoded straight into the shard's flat table
+// (flat.go) by exactly one goroutine — lock-free local work, as in the
+// paper. There is no intermediate build form: what the drain writes is what
+// lookups probe and what a snapshot dumps. The sort makes the table bytes
+// (and therefore downstream alignments) independent of worker count and
+// scheduling.
 
 // ShardedConfig parameterizes a concurrent build.
 type ShardedConfig struct {
@@ -57,12 +60,10 @@ type Sharded struct {
 	groupOnce   sync.Once
 	segsByShard [][]segment
 
-	shards []buckets
-
-	// flat holds the sealed, read-only form of each shard — built by Seal,
-	// after which shards' build structures are released. Publication is
-	// ordinary (non-atomic): Seal happens-before every concurrent Lookup,
-	// because unsynchronized lookups are only legal on a sealed index.
+	// flat[s] is shard s's table, written once by DrainShard(s) (or aliasing
+	// a snapshot, see OpenMapped) and read-only from then on. Publication is
+	// ordinary (non-atomic): the drain barrier happens-before every
+	// concurrent Lookup.
 	flat []flatShard
 
 	// singleCopy[frag] is 1 while every seed of the fragment is uniquely
@@ -108,12 +109,9 @@ func NewSharded(cfg ShardedConfig, numFragments, totalSeeds, workers int) (*Shar
 		// partial per shard at Flush: totalSeeds/S + workers*Shards bounds
 		// the segment count.
 		segs:         make([]segment, totalSeeds/cfg.S+workers*cfg.Shards),
-		shards:       make([]buckets, cfg.Shards),
+		flat:         make([]flatShard, cfg.Shards),
 		singleCopy:   make([]int32, numFragments),
 		numFragments: numFragments,
-	}
-	for i := range sx.shards {
-		sx.shards[i].m = make(map[kmer.Kmer]int32)
 	}
 	for i := range sx.singleCopy {
 		sx.singleCopy[i] = 1
@@ -192,68 +190,60 @@ func (b *ShardedBuilder) Flush() {
 	}
 }
 
-// groupSegments buckets the published segments by shard — one linear pass,
-// shared by all DrainShard calls via groupOnce. All ships happen-before the
-// drain barrier, so the segment array is immutable here.
+// groupSegments buckets the published segments by shard — two linear passes
+// (count, then place into one backing array), shared by all DrainShard calls
+// via groupOnce. All ships happen-before the drain barrier, so the segment
+// array is immutable here.
 func (sx *Sharded) groupSegments() {
+	segs := sx.segs[:sx.segCur.Load()]
+	counts := make([]int, sx.cfg.Shards)
+	for _, sg := range segs {
+		counts[sg.Shard]++
+	}
+	backing := make([]segment, len(segs))
 	sx.segsByShard = make([][]segment, sx.cfg.Shards)
-	for i := 0; i < int(sx.segCur.Load()); i++ {
-		sg := sx.segs[i]
+	for s, n := range counts {
+		sx.segsByShard[s], backing = backing[:0:n], backing[n:]
+	}
+	for _, sg := range segs {
 		sx.segsByShard[sg.Shard] = append(sx.segsByShard[sg.Shard], sg)
 	}
 }
 
-// DrainShard collects shard s's segments from the arena, sorts them, and
-// inserts them into the shard's buckets. Exactly one goroutine may drain a
-// given shard; different shards drain concurrently with no coordination
-// beyond the one-time segment grouping.
+// DrainShard gathers shard s's segments from the arena into one buffer sized
+// from their lengths, sorts it, and writes the shard's flat table from the
+// sorted runs (newFlatShard). Exactly one goroutine may drain a given shard;
+// different shards drain concurrently with no coordination beyond the
+// one-time segment grouping.
 func (sx *Sharded) DrainShard(s int) {
 	sx.mustBeMutable("DrainShard")
 	sx.groupOnce.Do(sx.groupSegments)
-	var es []SeedEntry
+	n := 0
+	for _, sg := range sx.segsByShard[s] {
+		n += int(sg.N)
+	}
+	es := make([]SeedEntry, 0, n)
 	for _, sg := range sx.segsByShard[s] {
 		es = append(es, sx.arena[sg.Off:sg.Off+int64(sg.N)]...)
 	}
 	SortEntries(es)
-	bt := &sx.shards[s]
-	for _, e := range es {
-		bt.insert(e, sx.cfg.MaxLocList)
-	}
+	sx.flat[s] = newFlatShard(s, es, sx.cfg.MaxLocList)
 }
 
-// ReleaseArena frees the staging arena after every shard has drained.
-func (sx *Sharded) ReleaseArena() {
-	sx.arena = nil
-	sx.segs = nil
-	sx.segsByShard = nil
-}
-
-// Seal marks construction complete: the staging arena is released, each
-// shard's map+bucket structure is compacted into its flat open-addressing
-// form (see flat.go), the build-time buckets are freed, and the table
-// becomes immutable — any number of goroutines may Lookup without
+// Seal marks construction complete: the staging arena is released and the
+// table — already in its final flat form, shard by shard, since the drain —
+// becomes immutable: any number of goroutines may Lookup without
 // synchronization for the rest of the index's life. Further builder or
 // drain activity is a bug; NewBuilder, builder ships (Add on a full
 // buffer, Flush), DrainShard, and MarkShard panic after Seal. Seal is
-// idempotent: once sealed, further calls are no-ops (the build buckets are
-// already gone, so recompacting would wipe the table).
+// idempotent: once sealed, further calls are no-ops.
 func (sx *Sharded) Seal() {
 	if sx.sealed.Load() {
 		return
 	}
-	sx.ReleaseArena()
-	flat := make([]flatShard, len(sx.shards))
-	var wg sync.WaitGroup
-	for i := range sx.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			flat[i] = buildFlat(&sx.shards[i])
-			sx.shards[i] = buckets{} // release the build map and entry slices
-		}(i)
-	}
-	wg.Wait()
-	sx.flat = flat
+	sx.arena = nil
+	sx.segs = nil
+	sx.segsByShard = nil
 	sx.sealed.Store(true)
 }
 
@@ -266,31 +256,15 @@ func (sx *Sharded) mustBeMutable(op string) {
 	}
 }
 
-// ResidentBytes reports the steady-state memory footprint of the index. On
-// a sealed index it is EXACT for the structures the index owns: the flat
-// slot arrays, the location arenas (allocated at exact capacity), and the
-// single-copy flags — the number a serving process should budget per
-// resident index. Before Seal it falls back to an estimate of the build-time
-// buckets (entries, location slices, map overhead, and the key list).
+// ResidentBytes reports the steady-state memory footprint of the index,
+// EXACT for the structures the index owns: the flat slot arrays, the
+// location arenas (allocated at exact capacity), and the single-copy flags —
+// the number a serving process should budget per resident index. The
+// staging arena, which Seal releases, is not part of it.
 func (sx *Sharded) ResidentBytes() int64 {
 	n := int64(len(sx.singleCopy)) * 4
-	if sx.flat != nil {
-		for i := range sx.flat {
-			n += sx.flat[i].residentBytes()
-		}
-		return n
-	}
-	const (
-		entryBytes = 8 + 3*8 + 8 // kmer + locs slice header + count/padding
-		mapBytes   = 24          // rough per-entry map overhead (key+value+meta)
-	)
-	for i := range sx.shards {
-		bt := &sx.shards[i]
-		n += int64(len(bt.e)) * entryBytes
-		n += int64(len(bt.m)) * mapBytes
-		for j := range bt.e {
-			n += int64(len(bt.e[j].locs)) * locBytes
-		}
+	for i := range sx.flat {
+		n += sx.flat[i].residentBytes()
 	}
 	return n
 }
@@ -300,13 +274,13 @@ func (sx *Sharded) ResidentBytes() int64 {
 // writes are idempotent atomic stores, so shards mark concurrently.
 func (sx *Sharded) MarkShard(s int) {
 	sx.mustBeMutable("MarkShard")
-	bt := &sx.shards[s]
-	for i := range bt.e {
-		ent := &bt.e[i]
-		if ent.count <= 1 {
+	fs := &sx.flat[s]
+	for i := range fs.slots {
+		e := &fs.slots[i]
+		if e.cnt <= 1 {
 			continue
 		}
-		for _, loc := range ent.locs {
+		for _, loc := range fs.locs[e.off : e.off+e.n] {
 			atomic.StoreInt32(&sx.singleCopy[loc.Frag], 0)
 		}
 	}
@@ -314,16 +288,11 @@ func (sx *Sharded) MarkShard(s int) {
 
 // Lookup probes the table. Safe for concurrent use once construction (all
 // DrainShard/MarkShard calls) has completed; the table is immutable from
-// then on. On a sealed index the probe hits the flat compact layout and the
-// seed is hashed exactly once, shared between shard selection and the
-// in-shard slot index.
+// then on. The seed is hashed exactly once, shared between shard selection
+// and the in-shard slot index.
 func (sx *Sharded) Lookup(s kmer.Kmer) (LookupResult, bool) {
 	h := s.Hash()
-	shard := h % uint64(sx.cfg.Shards)
-	if sx.flat != nil {
-		return sx.flat[shard].lookup(s, h)
-	}
-	return sx.shards[shard].lookup(s)
+	return sx.flat[h%uint64(sx.cfg.Shards)].lookup(s, h)
 }
 
 // SingleCopy reports whether every seed of fragment frag is uniquely
@@ -343,63 +312,30 @@ func (sx *Sharded) SingleCopyCount() int {
 	return n
 }
 
-// Stats scans the whole table (host-side). It works on both forms: the
-// build-time buckets before Seal and the flat compact layout after.
+// Stats scans the whole table (host-side): every occupied slot of every
+// shard.
 func (sx *Sharded) Stats() Stats {
-	st := Stats{MinOwnerSeeds: -1, SingleCopyFrags: sx.SingleCopyCount(), Fragments: sx.numFragments}
-	if sx.flat != nil {
-		for i := range sx.flat {
-			fs := &sx.flat[i]
-			n := 0
-			for j := range fs.slots {
-				e := &fs.slots[j]
-				if e.n == 0 {
-					continue
-				}
-				n++
-				st.TotalLocs += int(e.n)
-				if int(e.n) > st.MaxListLen {
-					st.MaxListLen = int(e.n)
-				}
-				if e.cnt > 1 {
-					st.RepeatSeeds++
-				}
+	st := Stats{SingleCopyFrags: sx.SingleCopyCount(), Fragments: sx.numFragments}
+	for i := range sx.flat {
+		fs := &sx.flat[i]
+		n := 0
+		for j := range fs.slots {
+			e := &fs.slots[j]
+			if e.n == 0 {
+				continue
 			}
-			st.DistinctSeeds += n
-			if n > st.MaxOwnerSeeds {
-				st.MaxOwnerSeeds = n
-			}
-			if st.MinOwnerSeeds < 0 || n < st.MinOwnerSeeds {
-				st.MinOwnerSeeds = n
-			}
-		}
-		if st.MinOwnerSeeds < 0 {
-			st.MinOwnerSeeds = 0
-		}
-		return st
-	}
-	for i := range sx.shards {
-		bt := &sx.shards[i]
-		n := len(bt.e)
-		st.DistinctSeeds += n
-		if n > st.MaxOwnerSeeds {
-			st.MaxOwnerSeeds = n
-		}
-		if st.MinOwnerSeeds < 0 || n < st.MinOwnerSeeds {
-			st.MinOwnerSeeds = n
-		}
-		for j := range bt.e {
-			st.TotalLocs += len(bt.e[j].locs)
-			if len(bt.e[j].locs) > st.MaxListLen {
-				st.MaxListLen = len(bt.e[j].locs)
-			}
-			if bt.e[j].count > 1 {
+			n++
+			st.TotalLocs += int(e.n)
+			st.MaxListLen = max(st.MaxListLen, int(e.n))
+			if e.cnt > 1 {
 				st.RepeatSeeds++
 			}
 		}
-	}
-	if st.MinOwnerSeeds < 0 {
-		st.MinOwnerSeeds = 0
+		st.DistinctSeeds += n
+		st.MaxOwnerSeeds = max(st.MaxOwnerSeeds, n)
+		if i == 0 || n < st.MinOwnerSeeds {
+			st.MinOwnerSeeds = n
+		}
 	}
 	return st
 }

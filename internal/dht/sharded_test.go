@@ -39,9 +39,27 @@ func randomKmer(rng *rand.Rand, k int) kmer.Kmer {
 	return kmer.FromPacked(dna.FromCodes(codes), 0, k)
 }
 
-// buildSharded stages entries through `workers` concurrent builders (each
-// taking an interleaved slice), then drains and marks every shard.
+// buildSharded stages entries with stageSharded, then drains and marks every
+// shard.
 func buildSharded(t *testing.T, cfg ShardedConfig, es []SeedEntry, numFrags, workers int) *Sharded {
+	t.Helper()
+	sx := stageSharded(t, cfg, es, numFrags, workers)
+	drainAndMark(sx)
+	return sx
+}
+
+func drainAndMark(sx *Sharded) {
+	for s := 0; s < sx.Shards(); s++ {
+		sx.DrainShard(s)
+	}
+	for s := 0; s < sx.Shards(); s++ {
+		sx.MarkShard(s)
+	}
+}
+
+// stageSharded stages entries through `workers` concurrent builders (each
+// taking an interleaved slice) up to the drain barrier.
+func stageSharded(t *testing.T, cfg ShardedConfig, es []SeedEntry, numFrags, workers int) *Sharded {
 	t.Helper()
 	sx, err := NewSharded(cfg, numFrags, len(es), workers)
 	if err != nil {
@@ -60,12 +78,6 @@ func buildSharded(t *testing.T, cfg ShardedConfig, es []SeedEntry, numFrags, wor
 		}(w)
 	}
 	wg.Wait()
-	for s := 0; s < sx.Shards(); s++ {
-		sx.DrainShard(s)
-	}
-	for s := 0; s < sx.Shards(); s++ {
-		sx.MarkShard(s)
-	}
 	return sx
 }
 

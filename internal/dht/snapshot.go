@@ -10,7 +10,7 @@ import (
 	"github.com/lbl-repro/meraligner/internal/kmer"
 )
 
-// This file serializes the sealed index. The sealed form (flat.go) is
+// This file serializes the sealed index. The flat table (flat.go) is
 // already a serialization-ready memory image — per-shard slot arrays of
 // fixed-size flatEntry structs over contiguous Loc arenas — so WriteTo dumps
 // those arrays verbatim and OpenMapped reconstructs a sealed Sharded whose
@@ -253,7 +253,7 @@ func OpenMapped(blob []byte) (*Sharded, error) {
 		// Every slot's location range must stay inside this shard's arena so
 		// sealed lookups can slice it unchecked — and at least one slot must
 		// be empty, because lookup's linear probe terminates only on an
-		// empty slot or a seed match (buildFlat guarantees load <= 0.75; a
+		// empty slot or a seed match (newFlatShard guarantees load <= 0.75; a
 		// crafted full table would make lookups of absent seeds spin
 		// forever).
 		occupied := int64(0)

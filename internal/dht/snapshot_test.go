@@ -94,7 +94,7 @@ func mustPanic(t *testing.T, op string, fn func()) {
 	fn()
 }
 
-// TestWriteToRequiresSealed: the build-time bucket form is never
+// TestWriteToRequiresSealed: an index still under construction is never
 // serialized.
 func TestWriteToRequiresSealed(t *testing.T) {
 	const k, numFrags = 21, 10
