@@ -67,6 +67,33 @@ func TestOneSAMRenderer(t *testing.T) {
 	}
 }
 
+// TestE2EDriverIsBlackBox holds the real-binary driver to a binary's public
+// surface: files under internal/e2e (all _test.go, behind the e2e tag) import
+// only the standard library, the client package and internal/faultinject. A
+// check there cannot reach a handler in-process; the in-package suites do
+// that and stay where they are.
+func TestE2EDriverIsBlackBox(t *testing.T) {
+	const mod = "github.com/lbl-repro/meraligner"
+	files, err := filepath.Glob("internal/e2e/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no driver files under internal/e2e (err %v)", err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			ip, _ := strconv.Unquote(imp.Path.Value)
+			first, _, _ := strings.Cut(ip, "/")
+			if strings.Contains(first, ".") && ip != mod+"/client" && ip != mod+"/internal/faultinject" {
+				t.Errorf("%s imports %s: the e2e driver is black-box", filepath.ToSlash(path), ip)
+			}
+		}
+	}
+}
+
 // eachSourceFile parses every non-test Go file of this module (bench/ is its
 // own module) and hands it to fn under its slash-separated path.
 func eachSourceFile(t *testing.T, mode parser.Mode, fn func(slashed string, f *ast.File)) {

@@ -20,7 +20,7 @@
 // runtime (SetLatency, SetErrorRate, ...), so one test can walk a replica
 // through healthy → failing → healed without restarting anything, and
 // KillActive resets every live connection at once to simulate a process
-// kill. cmd/chaosproxy wraps a Proxy for shell-driven CI smoke tests.
+// kill.
 package faultinject
 
 import (
@@ -70,13 +70,7 @@ type Stats struct {
 // (host:port). seed fixes the fault schedule: the same seed and the same
 // sequence of connections yield the same injected faults.
 func New(target string, seed uint64) (*Proxy, error) {
-	return Listen("127.0.0.1:0", target, seed)
-}
-
-// Listen is New with an explicit listen address (cmd/chaosproxy's face;
-// use ":0" forms for a kernel-assigned port).
-func Listen(addr, target string, seed uint64) (*Proxy, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}

@@ -31,6 +31,12 @@ import (
 //	app := ...                 // build or map the index, assemble the tier
 //	p.Serve(app)               // swap in, serve until signaled, drain
 
+// readHeaderTimeout bounds how long either listener waits for a request's
+// header: a client that connects and never finishes it must not hold a
+// goroutine and a descriptor for the life of the process. Bodies and
+// streamed responses stay untimed.
+const readHeaderTimeout = 10 * time.Second
+
 // ProcessFlags holds the values of the shared flag block.
 type ProcessFlags struct {
 	Addr         string
@@ -133,7 +139,7 @@ func (p *Process) Listen() {
 	if p.flags.Verbose {
 		handler = logRequests(handler)
 	}
-	p.hs = &http.Server{Handler: handler}
+	p.hs = &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	p.ctx, p.stopSignals = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	p.served = make(chan error, 1)
 	go func() { p.served <- p.hs.Serve(ln) }()
@@ -152,7 +158,8 @@ func (p *Process) Serve(app App) {
 			p.Fatal(fmt.Errorf("-debug-addr: %w", err))
 		}
 		p.Logger.Info("debug listening on " + dln.Addr().String())
-		go func() { _ = http.Serve(dln, telemetry.NewDebugMux(app.TraceRing())) }()
+		ds := &http.Server{Handler: telemetry.NewDebugMux(app.TraceRing()), ReadHeaderTimeout: readHeaderTimeout}
+		go func() { _ = ds.Serve(dln) }()
 	}
 	select {
 	case err := <-p.served:
