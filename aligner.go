@@ -105,32 +105,20 @@ func BuildFiles(threads int, opt IndexOptions, targetPath string) (*Aligner, err
 	return Build(threads, opt, targets)
 }
 
-// alignSerialMax is the batch size at or below which Align skips the worker
-// pool and aligns in-line on the calling goroutine: single-read and tiny
-// service requests are latency-bound, and pool setup dwarfs their work.
-const alignSerialMax = 16
-
 // Align aligns one batch of queries against the resident index (the
 // aligning phase of Algorithm 1 with the exact-match fast path, seed-hit
-// threshold, and striped Smith-Waterman). It is safe to call concurrently:
-// every call owns its worker pool and result buffers. Cancellation is
-// honored between work chunks — when ctx is done, Align stops claiming
-// query batches and returns ctx.Err(). Results carry this call's
-// wall-clock align-phase stat; alignments are byte-identical to a one-shot
-// AlignThreaded run over the same inputs and options.
-//
-// Tiny batches (at most alignSerialMax reads) take a cheap serial path with
-// no worker pool — same algorithm, same results, a fraction of the per-call
-// overhead. Use AlignWorkers to force a pool of a specific size.
+// threshold, and Smith-Waterman extension of every candidate: full-matrix
+// with traceback when alignments are collected, the striped kernel on
+// statistics-only calls). It is safe to call concurrently: every call owns
+// its worker pool and result buffers. The pool is the Build-time thread
+// count but never more than one worker per 256 reads, so a batch of at most
+// 256 reads runs on the calling goroutine. Cancellation is honored between
+// work chunks — when ctx is done, Align stops claiming query batches and
+// returns ctx.Err(). Results carry this call's wall-clock align-phase stat;
+// alignments are byte-identical to a one-shot AlignThreaded run over the
+// same inputs and options.
 func (a *Aligner) Align(ctx context.Context, queries []Seq, opt QueryOptions) (*Results, error) {
-	if err := a.acquire(); err != nil {
-		return nil, err
-	}
-	defer a.release()
-	if len(queries) <= alignSerialMax {
-		return a.ix.QuerySerial(ctx, opt, queries)
-	}
-	return a.ix.Query(ctx, a.threads, opt, queries)
+	return a.AlignWorkers(ctx, a.threads, queries, opt)
 }
 
 // AlignWorkers is Align with an explicit worker-pool size for this call,

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/lbl-repro/meraligner/internal/dna"
+	"github.com/lbl-repro/meraligner/internal/genome"
 	"github.com/lbl-repro/meraligner/internal/seqio"
 )
 
@@ -95,6 +96,51 @@ func TestAlignerContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := a.Align(ctx, ds.Reads, DefaultQueryOptions()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestAlignPerCallAllocs pins the per-call overhead of the latency-bound
+// route, a single-read request: a 1-read batch resolved on the exact-match
+// path runs on the calling goroutine of a 4-thread Aligner and allocates
+// nothing per worker it cannot use.
+func TestAlignPerCallAllocs(t *testing.T) {
+	p := genome.HumanLike(60_000)
+	p.Depth, p.ErrorRate, p.InsertMean = 2, 0, 0
+	ds, err := genome.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Build(4, DefaultIndexOptions(21), ds.Contigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, opt := context.Background(), DefaultQueryOptions()
+	var batch []Seq
+	for qi := range ds.Reads {
+		res, err := a.Align(ctx, ds.Reads[qi:qi+1], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ExactPathReads == 1 {
+			batch = ds.Reads[qi : qi+1]
+			break
+		}
+	}
+	if batch == nil {
+		t.Fatal("no exact-path read in an error-free workload")
+	}
+	// Six today: the processor, its code buffer, the pool's processor slice
+	// and closure, the Results and its Phases. The race detector adds one.
+	// Separate forward and reverse-complement buffers cost one more (two
+	// under the race detector, which would exceed the bound).
+	const maxAllocs = 8
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := a.Align(ctx, batch, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > maxAllocs {
+		t.Fatalf("Align allocates %.0f objects for a 1-read exact-path batch, want <= %d", avg, maxAllocs)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -47,12 +48,41 @@ func TestImportBoundary(t *testing.T) {
 // for a hit, so exactly one non-test file — seqio's renderer — may name
 // them. A second renderer cannot quietly reappear beside it.
 func TestOneSAMRenderer(t *testing.T) {
-	users := map[string][]string{"FlagReverse": nil, "FlagSecondary": nil}
+	for name, files := range filesNaming(t, nil, "FlagReverse", "FlagSecondary") {
+		if len(files) != 1 || files[0] != "internal/seqio/sam.go" {
+			t.Errorf("seqio.%s is named in %v; only internal/seqio/sam.go may build SAM records", name, files)
+		}
+	}
+}
+
+// TestOneFrontDoor holds both align tiers, merserved and merrouted, to one
+// front door: the queue's direct path and its overload error are what a
+// serving core must touch to route a request and to answer a full queue
+// with 429, so exactly one non-test file of the two packages may name them.
+func TestOneFrontDoor(t *testing.T) {
+	for name, files := range filesNaming(t, []string{"internal/service/", "internal/cluster/"}, "Direct", "ErrOverloaded") {
+		if len(files) != 1 || files[0] != "internal/service/front.go" {
+			t.Errorf("%s is named in %v; only internal/service/front.go may serve or refuse an align request", name, files)
+		}
+	}
+}
+
+// filesNaming maps each name to the non-test files under dirs (every
+// directory when dirs is nil) whose code names it.
+func filesNaming(t *testing.T, dirs []string, names ...string) map[string][]string {
+	t.Helper()
+	users := map[string][]string{}
+	for _, name := range names {
+		users[name] = nil
+	}
 	eachSourceFile(t, parser.SkipObjectResolution, func(slashed string, f *ast.File) {
+		if dirs != nil && !slices.ContainsFunc(dirs, func(d string) bool { return strings.HasPrefix(slashed, d) }) {
+			return
+		}
 		seen := map[string]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if _, flag := users[id.Name]; flag && !seen[id.Name] {
+			if id, ok := n.(*ast.Ident); ok && !seen[id.Name] {
+				if _, want := users[id.Name]; want {
 					seen[id.Name] = true
 					users[id.Name] = append(users[id.Name], slashed)
 				}
@@ -60,11 +90,7 @@ func TestOneSAMRenderer(t *testing.T) {
 			return true
 		})
 	})
-	for name, files := range users {
-		if len(files) != 1 || files[0] != "internal/seqio/sam.go" {
-			t.Errorf("seqio.%s is named in %v; only internal/seqio/sam.go may build SAM records", name, files)
-		}
-	}
+	return users
 }
 
 // TestE2EDriverIsBlackBox holds the real-binary driver to a binary's public

@@ -95,20 +95,15 @@ func main() {
 		pol.MaxAttempts = *retries
 	}
 	rt, err := cluster.New(cluster.Config{
+		FrontConfig:      p.Front(),
 		Shards:           shards,
 		Degraded:         *degraded,
 		Retry:            pol,
 		CallTimeout:      *callTimeout,
-		MaxBatch:         pf.MaxBatch,
-		MaxWait:          pf.MaxWait,
-		QueueReads:       pf.QueueReads,
 		HealthInterval:   *healthEvery,
 		BreakerThreshold: *breakerN,
 		HedgeAfter:       *hedgeAfter,
-		MinDeadline:      pf.MinDeadline,
 		Version:          buildinfo.Version,
-		Logger:           p.Logger,
-		SlowRequest:      pf.SlowRequest(),
 	})
 	if err != nil {
 		p.Fatal(err)

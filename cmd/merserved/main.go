@@ -141,16 +141,11 @@ func main() {
 	qopt.MaxSeedHits = *maxHits
 	qopt.MinScore = *minScore
 	cfg := service.Config{
+		FrontConfig:       p.Front(),
 		Query:             qopt,
-		MaxBatch:          pf.MaxBatch,
-		MaxWait:           pf.MaxWait,
-		QueueReads:        pf.QueueReads,
 		Workers:           *threads,
 		MaxInflightPerRef: *maxInflight,
-		MinDeadline:       pf.MinDeadline,
 		Version:           buildinfo.Version,
-		Logger:            logger,
-		SlowRequest:       pf.SlowRequest(),
 	}
 	if *indexDir != "" {
 		cfg.IndexDir = *indexDir

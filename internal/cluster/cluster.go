@@ -18,10 +18,10 @@
 // concatenation of the shards' lists with the same comparator and calls the
 // same renderer: no target bases needed, no record format of its own. The
 // router's own jobs are the global header (assembled from the shards'
-// GET /v1/targets catalogs at warmup) and the merge (merge.go); admission,
-// tracing, the draining gate and response plumbing are the single node's own
-// (internal/service's Lifecycle and helpers), so a rejected request gets the
-// same 400 body a single node would send.
+// GET /v1/targets catalogs at warmup) and the merge (merge.go). Admission,
+// the queue, request accounting, the status map, tracing and the draining
+// gate are the single node's own (internal/service's Front and Lifecycle),
+// so a refused request gets the status and body a single node would send.
 //
 // Endpoints are those of a single-index merserved:
 //
@@ -51,7 +51,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -101,20 +100,9 @@ type Config struct {
 	// Retry.AttemptTimeout unless that is already set.
 	CallTimeout time.Duration
 
-	// Micro-batcher knobs, as in service.Config: MaxBatch caps reads per
-	// scatter (default 256; requests at least that big skip the queue),
-	// MaxWait caps queue-holding behind a busy fleet (default 2ms; negative
-	// disables), QueueReads bounds admission (default 4*MaxBatch).
-	MaxBatch   int
-	MaxWait    time.Duration
-	QueueReads int
-
-	// RetryAfter is the backoff hint sent with 429s and warming 503s.
-	// Default 500ms.
-	RetryAfter time.Duration
-
-	// MaxRequestBytes bounds a request body. Default 64 MiB.
-	MaxRequestBytes int64
+	// The front door, as in service.Config: one queue of scatters (MaxBatch
+	// reads each), admission, logging.
+	service.FrontConfig
 
 	// HealthInterval paces the per-replica /readyz probes. Default 2s.
 	// Probes gate traffic: they feed the merrouted_replica_up gauge, bias
@@ -134,29 +122,12 @@ type Config struct {
 	// is not doubled over. Zero disables hedging.
 	HedgeAfter time.Duration
 
-	// MinDeadline, when > 0, enables deadline admission: an align request
-	// whose propagated X-Deadline-Ms budget is below it is rejected with
-	// 503 instead of scattering work the caller will have abandoned.
-	MinDeadline time.Duration
-
 	// Version is reported in /v1/stats (ldflags-injected by cmd/merrouted).
 	Version string
 
 	// HTTPClient overrides the shard clients' *http.Client (transport
 	// limits, test doubles).
 	HTTPClient *http.Client
-
-	// Logger receives the router's structured logs (request completions at
-	// debug, slow requests at warn, shard health transitions). Nil discards.
-	Logger *slog.Logger
-
-	// SlowRequest, when positive, logs a full span trace at warn level for
-	// any request that takes at least this long.
-	SlowRequest time.Duration
-
-	// TraceCapacity bounds the /debug/requests ring of completed request
-	// traces. Zero means telemetry.DefaultRingCapacity.
-	TraceCapacity int
 }
 
 func (c Config) withDefaults() Config {
@@ -171,27 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retry.AttemptTimeout <= 0 {
 		c.Retry.AttemptTimeout = c.CallTimeout
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	switch {
-	case c.MaxWait == 0:
-		c.MaxWait = 2 * time.Millisecond
-	case c.MaxWait < 0:
-		c.MaxWait = 0
-	}
-	if c.QueueReads <= 0 {
-		c.QueueReads = 4 * c.MaxBatch
-	}
-	if c.QueueReads < c.MaxBatch {
-		c.QueueReads = c.MaxBatch
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 500 * time.Millisecond
-	}
-	if c.MaxRequestBytes <= 0 {
-		c.MaxRequestBytes = 64 << 20
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
@@ -215,10 +165,10 @@ type fleetCatalog struct {
 type Router struct {
 	*service.Lifecycle
 
-	cfg  Config
-	mux  *http.ServeMux
-	coal *coalesce.Coalescer[meraligner.Seq, *gather]
-	st   *routerStats
+	cfg   Config
+	mux   *http.ServeMux
+	front *service.Front[*gather]
+	st    routerStats
 
 	sets []*shardSet
 
@@ -244,7 +194,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: unknown degraded policy %q (want %q or %q)", cfg.Degraded, DegradedFail, DegradedPartial)
 	}
 	cfg = cfg.withDefaults()
-	rt := &Router{cfg: cfg, st: newRouterStats()}
+	rt := &Router{cfg: cfg}
 	rt.Lifecycle = service.NewLifecycle(cfg.Logger, cfg.SlowRequest, cfg.TraceCapacity)
 	rt.baseCtx, rt.cancel = context.WithCancel(context.Background())
 	opts := []client.Option{}
@@ -266,13 +216,11 @@ func New(cfg Config) (*Router, error) {
 		}
 		rt.sets = append(rt.sets, ss)
 	}
-	rt.coal = coalesce.New(rt.baseCtx, coalesce.Config[meraligner.Seq, *gather]{
-		Call:     rt.scatter,
-		MaxBatch: cfg.MaxBatch,
-		MaxWait:  cfg.MaxWait,
-		Capacity: cfg.QueueReads,
-		Stats:    &rt.st.Stats,
-		Prepare:  scatterCarrier,
+	rt.front = service.NewFront(rt.baseCtx, cfg.FrontConfig, service.Tier[*gather]{
+		Call:    rt.scatter,
+		Prepare: scatterCarrier,
+		Record:  recordScatter,
+		Status:  rt.shardStatus,
 	})
 
 	mux := http.NewServeMux()
@@ -308,7 +256,7 @@ func (rt *Router) Ready() bool { return rt.cat.Load() != nil }
 // aborted and ctx's error is returned.
 func (rt *Router) Drain(ctx context.Context) error {
 	rt.StartDrain()
-	err := rt.coal.Drain(ctx)
+	err := rt.front.Drain(ctx)
 	if err == nil {
 		err = rt.WaitIdle(ctx)
 	}
@@ -321,7 +269,7 @@ func (rt *Router) Drain(ctx context.Context) error {
 func (rt *Router) Close() {
 	rt.StartDrain()
 	rt.cancel()
-	rt.coal.Close()
+	rt.front.Close()
 	rt.bg.Wait()
 }
 
@@ -500,29 +448,6 @@ func (rt *Router) scatter(ctx context.Context, reads []meraligner.Seq) (*gather,
 	return g, nil
 }
 
-// serve is the request-serving core: big requests scatter directly with the
-// caller's context, small ones ride the coalescer; accounting matches the
-// single node's (requests/reads count served work only).
-func (rt *Router) serve(ctx context.Context, reads []meraligner.Seq) (*coalesce.Window[*gather], error) {
-	start := time.Now()
-	var win *coalesce.Window[*gather]
-	var err error
-	if len(reads) >= rt.cfg.MaxBatch {
-		if win, err = rt.coal.Direct(ctx, reads); err == nil {
-			rt.st.ObserveBatch(1, len(reads))
-		}
-	} else {
-		win, err = rt.coal.Submit(ctx, reads)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rt.st.requests.Add(1)
-	rt.st.reads.Add(int64(len(reads)))
-	rt.st.reqLatency.Observe(time.Since(start).Nanoseconds())
-	return win, nil
-}
-
 // ---- HTTP handlers ----
 
 func (rt *Router) handleAlign(w http.ResponseWriter, r *http.Request) {
@@ -531,30 +456,16 @@ func (rt *Router) handleAlign(w http.ResponseWriter, r *http.Request) {
 		rt.warming(w, r)
 		return
 	}
-	admitStart := time.Now()
-	r, cancel, ok := service.AdmitDeadline(w, r, rt.cfg.MinDeadline, rt.cfg.RetryAfter, &rt.st.deadlineRejected)
-	if !ok {
-		return
-	}
-	defer cancel()
-	reads, ok := service.AdmitReads(w, r, rt.cfg.MaxRequestBytes, cat.k, &rt.st.tooShort, admitStart)
-	if !ok {
-		return
-	}
-	win, err := rt.serve(r.Context(), reads)
-	if err != nil {
-		rt.routerError(w, r, err)
-		return
-	}
-	tr := telemetry.TraceFrom(r.Context())
-	recordScatter(tr, win)
-	results := win.Result.results[win.Lo:win.Hi]
-	degraded := win.Result.degraded
-	if len(degraded) > 0 {
-		rt.st.degradedServed.Add(1)
-	}
-	renderStart := time.Now()
-	if service.WantsSAM(r) {
+	rt.front.Align(w, r, cat.k, func(w http.ResponseWriter, r *http.Request, reads []meraligner.Seq, win *coalesce.Window[*gather]) {
+		results := win.Result.results[win.Lo:win.Hi]
+		degraded := win.Result.degraded
+		if len(degraded) > 0 {
+			rt.st.degradedServed.Add(1)
+		}
+		if !service.WantsSAM(r) {
+			service.WriteJSON(w, r, http.StatusOK, &client.AlignResponse{Reads: results, DegradedShards: degraded})
+			return
+		}
 		w.Header().Set("Content-Type", "text/x-sam")
 		body, finish := service.MaybeGzip(w, r)
 		var comments []string
@@ -564,12 +475,7 @@ func (rt *Router) handleAlign(w http.ResponseWriter, r *http.Request) {
 		if werr := writeSAM(body, cat.refs, reads, results, comments); werr == nil {
 			_ = finish()
 		}
-	} else {
-		service.WriteJSON(w, r, http.StatusOK, &client.AlignResponse{Reads: results, DegradedShards: degraded})
-	}
-	if tr != nil {
-		tr.Add("render", renderStart, time.Since(renderStart), nil)
-	}
+	})
 }
 
 // degradedComment is the @CO annotation of a partial SAM response.
@@ -577,31 +483,21 @@ func degradedComment(degraded []string) string {
 	return "degraded: results missing from shard(s) " + strings.Join(degraded, ", ")
 }
 
-// routerError maps serving failures onto HTTP statuses, mirroring the
-// single node's engineError for the shared cases.
-func (rt *Router) routerError(w http.ResponseWriter, r *http.Request, err error) {
+// shardStatus is the router's own failure status: a lost shard (fail
+// policy, or every shard under partial) is a counted 502 naming it.
+func (rt *Router) shardStatus(err error) (int, string) {
 	var se *ShardError
-	switch {
-	case errors.Is(err, coalesce.ErrOverloaded):
-		rt.st.rejected.Add(1)
-		w.Header().Set("Retry-After", service.RetryAfterSeconds(rt.cfg.RetryAfter))
-		service.WriteError(w, r, http.StatusTooManyRequests, &client.ErrorResponse{Error: "overloaded: admission queue full"})
-	case errors.Is(err, coalesce.ErrDraining):
-		service.WriteError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
-	case errors.As(err, &se):
-		rt.st.failedRequests.Add(1)
-		service.WriteError(w, r, http.StatusBadGateway, &client.ErrorResponse{Error: se.Error()})
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// Client is gone; nothing useful to write.
-	default:
-		service.WriteError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
+	if !errors.As(err, &se) {
+		return 0, ""
 	}
+	rt.st.failedRequests.Add(1)
+	return http.StatusBadGateway, se.Error()
 }
 
 // warming answers 503 with a Retry-After while the fleet catalog is not yet
 // assembled.
 func (rt *Router) warming(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Retry-After", service.RetryAfterSeconds(rt.cfg.RetryAfter))
+	w.Header().Set("Retry-After", service.RetryAfter)
 	msg := "warming: fleet catalog not ready"
 	if note := rt.warmNote.Load(); note != nil {
 		msg = "warming: " + *note
@@ -612,11 +508,10 @@ func (rt *Router) warming(w http.ResponseWriter, r *http.Request) {
 // Stats renders the live RouterStats document (the /v1/stats body), also
 // available in-process for embedders and benchmarks.
 func (rt *Router) Stats() client.RouterStats {
-	st := rt.st.snapshot()
+	st := rt.st.snapshot(rt.front.Stats())
 	st.Version = rt.cfg.Version
 	st.Draining = rt.Draining()
 	st.Degraded = rt.cfg.Degraded
-	st.QueueReads = int64(rt.coal.QueuedItems())
 	if cat := rt.cat.Load(); cat != nil {
 		st.Ready = true
 		st.K = cat.k
@@ -663,6 +558,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for i, ss := range rt.sets {
 		shardLat[i] = ss.lat.Snapshot()
 	}
-	writeMetrics(body, rt.Stats(), rt.st.reqLatency.Snapshot(), shardLat)
+	writeMetrics(body, rt.Stats(), rt.front.Latency(), shardLat)
 	_ = finish()
 }

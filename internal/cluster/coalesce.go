@@ -13,20 +13,12 @@ import (
 // shared scatters, so the per-scatter cost — one HTTP round-trip per shard —
 // is paid once per batching window instead of once per request. What remains
 // here is the router-specific dressing: the scatter span-context carrier,
-// and the trace-replay of a window into a request's telemetry.
+// and the rpc spans of a window's scatter in a request's telemetry.
 
 // recordScatter replays one request's window of a scatter into its trace:
-// the queue wait as a batch_wait span, then one rpc span per shard call of
-// the scatter (with the carrier trace ID as Link, so shard-side logs can be
-// joined).
+// one rpc span per shard call of the scatter (with the carrier trace ID as
+// Link, so shard-side logs can be joined).
 func recordScatter(tr *telemetry.Trace, w *coalesce.Window[*gather]) {
-	if tr == nil {
-		return
-	}
-	tr.Add("batch_wait", w.Enq, w.Disp.Sub(w.Enq), func(sp *telemetry.Span) {
-		sp.Requests = w.Requests
-		sp.Reads = w.Hi - w.Lo
-	})
 	for i := range w.Result.calls {
 		c := &w.Result.calls[i]
 		tr.Add("rpc", c.start, c.dur, func(sp *telemetry.Span) {

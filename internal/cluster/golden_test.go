@@ -91,7 +91,7 @@ func TestGoldenOutputFaces(t *testing.T) {
 	defer whole.Close()
 
 	serve := func(al *meraligner.Aligner) string {
-		srv, err := service.New(service.Config{Aligner: al, Query: queryOpts(), Workers: 2, MaxBatch: 16, Version: "test"})
+		srv, err := service.New(service.Config{Aligner: al, Query: queryOpts(), Workers: 2, FrontConfig: service.FrontConfig{MaxBatch: 16}, Version: "test"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,71 +4,53 @@ import (
 	"io"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"github.com/lbl-repro/meraligner/client"
-	"github.com/lbl-repro/meraligner/internal/coalesce"
 	"github.com/lbl-repro/meraligner/internal/telemetry"
 )
 
 // Router observability: lock-free counters and the shared telemetry.Hist
-// latency histograms, mirroring internal/service's scheme (same bucket
-// layout, same quantile estimator) so a merrouted dashboard reads like a
+// latency histograms; the request counters and histogram are the front
+// door's, the same as merserved's, so a merrouted dashboard reads like a
 // merserved one.
 
-// routerStats aggregates the router's live counters; the embedded
-// coalesce.Stats are the scatter queue's own (batches, coalescing,
-// cancellations).
+// routerStats are the router's own counters; the request and queue ones
+// are its front door's.
 type routerStats struct {
-	start time.Time
-
-	requests atomic.Int64 // align requests served to completion
-	rejected atomic.Int64 // 429s (admission queue full)
-	reads    atomic.Int64 // reads accepted for scattering
-	tooShort atomic.Int64 // reads rejected as shorter than K
-
 	degradedServed atomic.Int64 // partial responses served (partial policy)
 	failedRequests atomic.Int64 // requests failed on shard errors
 
-	primaries        atomic.Int64 // first-choice replica launches (hedge budget base)
-	failovers        atomic.Int64 // launches on another replica after a failure
-	hedges           atomic.Int64 // speculative second-replica launches
-	hedgeWins        atomic.Int64 // hedges that answered before the primary
-	deadlineRejected atomic.Int64 // requests rejected as doomed by their deadline
-
-	coalesce.Stats
-
-	reqLatency telemetry.Hist // request wall time, enqueue -> response ready
+	primaries atomic.Int64 // first-choice replica launches (hedge budget base)
+	failovers atomic.Int64 // launches on another replica after a failure
+	hedges    atomic.Int64 // speculative second-replica launches
+	hedgeWins atomic.Int64 // hedges that answered before the primary
 }
 
-func newRouterStats() *routerStats { return &routerStats{start: time.Now()} }
-
-// snapshot renders the wire RouterStats counters (identity, readiness, and
-// the shard list are filled in by the Router).
-func (s *routerStats) snapshot() client.RouterStats {
-	st := client.RouterStats{
-		Requests:         s.requests.Load(),
-		Rejected:         s.rejected.Load(),
-		Canceled:         s.Canceled.Load(),
-		Reads:            s.reads.Load(),
-		TooShort:         s.tooShort.Load(),
+// snapshot renders the wire RouterStats counters from the front door's and
+// its own (identity, readiness, and the shard list are filled in by the
+// Router).
+func (s *routerStats) snapshot(front client.Stats) client.RouterStats {
+	return client.RouterStats{
+		Requests:         front.Requests,
+		Rejected:         front.Rejected,
+		Canceled:         front.Canceled,
+		Reads:            front.Reads,
+		TooShort:         front.TooShort,
 		DegradedServed:   s.degradedServed.Load(),
 		FailedRequests:   s.failedRequests.Load(),
+		Batches:          front.Batches,
+		BatchedReads:     front.BatchedReads,
+		CoalescedBatches: front.CoalescedBatches,
+		MeanBatchReads:   front.MeanBatchReads,
+		MaxBatchReads:    front.MaxBatchReads,
+		QueueReads:       front.QueueReads,
 		Failovers:        s.failovers.Load(),
 		Hedges:           s.hedges.Load(),
 		HedgeWins:        s.hedgeWins.Load(),
-		DeadlineRejected: s.deadlineRejected.Load(),
-		Batches:          s.Batches.Load(),
-		BatchedReads:     s.Items.Load(),
-		CoalescedBatches: s.Coalesced.Load(),
-		MaxBatchReads:    s.MaxItems.Load(),
-		RequestP50Ms:     s.reqLatency.Quantile(0.50) / 1e6,
-		RequestP99Ms:     s.reqLatency.Quantile(0.99) / 1e6,
+		DeadlineRejected: front.DeadlineRejected,
+		RequestP50Ms:     front.RequestP50Ms,
+		RequestP99Ms:     front.RequestP99Ms,
 	}
-	if st.Batches > 0 {
-		st.MeanBatchReads = float64(st.BatchedReads) / float64(st.Batches)
-	}
-	return st
 }
 
 // writeMetrics renders the router's Prometheus text exposition:

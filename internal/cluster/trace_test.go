@@ -97,7 +97,7 @@ func TestEndToEndTraceAcrossTiers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := service.New(service.Config{Aligner: sa, Query: queryOpts(), Workers: 2, Version: "test", Logger: lg})
+		srv, err := service.New(service.Config{Aligner: sa, Query: queryOpts(), Workers: 2, Version: "test", FrontConfig: service.FrontConfig{Logger: lg}})
 		if err != nil {
 			t.Fatal(err)
 		}

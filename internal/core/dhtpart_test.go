@@ -101,16 +101,17 @@ func TestSeedShardResolverParity(t *testing.T) {
 			t.Fatalf("count=%d: counters differ: local %+v, resolver %+v", count, want, got)
 		}
 
-		sGot, err := ix.QuerySerial(context.Background(), ropt, ds.Reads[:25])
+		// A batch of one chunk runs on the calling goroutine.
+		sGot, err := ix.Query(context.Background(), 2, ropt, ds.Reads[:25])
 		if err != nil {
 			t.Fatal(err)
 		}
-		sWant, err := ix.QuerySerial(context.Background(), qopt, ds.Reads[:25])
+		sWant, err := ix.Query(context.Background(), 2, qopt, ds.Reads[:25])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(sWant.Alignments, sGot.Alignments) {
-			t.Fatalf("count=%d: serial-path alignments differ", count)
+			t.Fatalf("count=%d: inline-path alignments differ", count)
 		}
 	}
 }
@@ -177,8 +178,8 @@ func TestSeedResolverErrorAborts(t *testing.T) {
 		t.Fatalf("Query surfaced %v, want the resolver error", err)
 	}
 	qopt.SeedResolver = &failingResolver{inner: &shardSetResolver{shards: shards}, after: 5}
-	if _, err := ix.QuerySerial(context.Background(), qopt, ds.Reads); err == nil || err.Error() != "seed shard unreachable" {
-		t.Fatalf("QuerySerial surfaced %v, want the resolver error", err)
+	if _, err := ix.Query(context.Background(), 1, qopt, ds.Reads); err == nil || err.Error() != "seed shard unreachable" {
+		t.Fatalf("one-worker Query surfaced %v, want the resolver error", err)
 	}
 }
 

@@ -8,14 +8,16 @@ import (
 )
 
 // This file guards the query hot path: the rolling seed scanner, the sealed
-// flat seed table, and the per-strand striped-profile reuse — parity across
-// entry points, the zero-allocations-per-read invariant of the serial path,
-// and the per-call overhead of QuerySerial.
+// flat seed table, and the per-strand striped-profile reuse — parity between
+// the pool and the calling goroutine, and the zero-allocations-per-read
+// invariant of the serial path. The per-call overhead of a 1-read call is
+// pinned through Aligner.Align (TestAlignPerCallAllocs).
 
-// TestQuerySerialMatchesQueryPool: the pool-free serial path (the service's
-// low-latency route and the zero-alloc benchmark subject) must produce
-// byte-identical Results to the worker-pool path on the same sealed index.
-func TestQuerySerialMatchesQueryPool(t *testing.T) {
+// TestQueryInlineMatchesPool: one worker runs the batch on the calling
+// goroutine (the route of every batch of at most alignBatch reads) and must
+// produce byte-identical Results to the worker pool on the same sealed
+// index.
+func TestQueryInlineMatchesPool(t *testing.T) {
 	ds := testWorkload(t, 60_000, 3, 0.005)
 	opt := testOptions(21)
 	ix, err := BuildIndex(3, opt.IndexOptions, ds.Contigs)
@@ -26,7 +28,10 @@ func TestQuerySerialMatchesQueryPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := ix.QuerySerial(context.Background(), opt.QueryOptions, ds.Reads)
+	if len(ds.Reads) <= 2*alignBatch {
+		t.Fatalf("%d reads: too few for a three-worker pool", len(ds.Reads))
+	}
+	serial, err := ix.Query(context.Background(), 1, opt.QueryOptions, ds.Reads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,45 +124,5 @@ func BenchmarkQueryNoAlloc(b *testing.B) {
 	if avg != 0 {
 		b.Fatalf("serial query path allocates %.2f objects per %d-read batch in steady state, want 0",
 			avg, len(reads))
-	}
-}
-
-// TestQuerySerialPerCallAllocs pins the per-call overhead of the service's
-// low-latency route: a 1-read batch resolved on the exact-match path may
-// allocate the processor, its two code buffers, and the Results — nothing
-// else. (Before the simulated machine moved out of this package every call
-// also built a fake UPC thread with its own rand source and a cost table.)
-func TestQuerySerialPerCallAllocs(t *testing.T) {
-	ds := testWorkload(t, 60_000, 2, 0)
-	opt := DefaultOptions(21)
-	ix, err := BuildIndex(2, opt.IndexOptions, ds.Contigs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	var batch []seqio.Seq
-	for qi := range ds.Reads {
-		res, err := ix.QuerySerial(ctx, opt.QueryOptions, ds.Reads[qi:qi+1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.ExactPathReads == 1 {
-			batch = ds.Reads[qi : qi+1]
-			break
-		}
-	}
-	if batch == nil {
-		t.Fatal("no exact-path read in an error-free workload")
-	}
-	// Five today: processor, fwd and rc codes, Results, its Phases. The race
-	// detector adds two; the old per-call scaffolding cost four more.
-	const maxAllocs = 8
-	avg := testing.AllocsPerRun(100, func() {
-		if _, err := ix.QuerySerial(ctx, opt.QueryOptions, batch); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > maxAllocs {
-		t.Fatalf("QuerySerial allocates %.0f objects for a 1-read exact-path batch, want <= %d", avg, maxAllocs)
 	}
 }

@@ -172,9 +172,10 @@ func (ix *ThreadedIndex) BuildWall() float64 { return realWall(ix.buildPhases) }
 
 // Query aligns one batch of queries against the resident index (the
 // aligning phase of Algorithm 1 with the §IV optimizations), using a pool
-// of workers goroutines. It is safe to call concurrently from any number of
-// goroutines: every call owns its processors and result buffers, and the
-// index itself is immutable.
+// of at most workers goroutines: one per alignBatch queries, and none
+// beyond the calling goroutine for a batch that small. It is safe to call
+// concurrently from any number of goroutines: every call owns its
+// processors and result buffers, and the index itself is immutable.
 //
 // Cancellation is honored between work chunks: when ctx is done, workers
 // stop claiming query batches and Query returns ctx.Err() without results.
@@ -187,12 +188,16 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 	if err := ix.checkQuery(opt); err != nil {
 		return nil, err
 	}
+	workers = poolWorkers(workers, len(queries), alignBatch)
 	// On the remote-DHT path a resolver failure on any worker aborts the
 	// whole call: the failing worker cancels qctx so its peers stop claiming
 	// chunks, and the resolver error (not the derived cancellation) is
-	// surfaced.
-	qctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// surfaced. A lone worker has no peers to stop.
+	qctx, cancel := ctx, context.CancelFunc(func() {})
+	if workers > 1 {
+		qctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+	}
 	qps := make([]*QueryProcessor, workers)
 	for w := range qps {
 		qps[w] = ix.newProcessor(qctx, opt)
@@ -209,32 +214,6 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 		}
 	})
 	return ix.results(ctx, opt, qps, perQuery, len(queries), time.Since(start))
-}
-
-// QuerySerial is the low-latency path for tiny batches: it aligns queries
-// on the calling goroutine with one reusable processor — no worker pool, no
-// chunk scheduling — checking ctx between queries. A network service
-// answering single-read requests is bound by per-call overhead, not
-// parallel throughput; this path strips the overhead while producing
-// Results identical to Query's on the same input (same algorithm, same
-// canonical merge).
-func (ix *ThreadedIndex) QuerySerial(ctx context.Context, opt QueryOptions, queries []seqio.Seq) (*Results, error) {
-	if err := ix.checkQuery(opt); err != nil {
-		return nil, err
-	}
-	qp := ix.newProcessor(ctx, opt)
-	perQuery := newPerQuery(opt, len(queries))
-	start := time.Now()
-	done := ctx.Done()
-	for qi := 0; qi < len(queries) && qp.err == nil; qi++ {
-		select {
-		case <-done:
-			return nil, ctx.Err()
-		default:
-		}
-		qp.processStat(int32(qi), queries[qi].Seq, perQuery)
-	}
-	return ix.results(ctx, opt, []*QueryProcessor{qp}, perQuery, len(queries), time.Since(start))
 }
 
 // checkQuery validates one call's options against the resident index.
@@ -286,8 +265,8 @@ func (qp *QueryProcessor) processStat(qi int32, q dna.Packed, perQuery []QuerySt
 	}
 }
 
-// results is the shared tail of Query and QuerySerial: surface a resolver or
-// cancellation error, else merge the workers into one Results.
+// results is Query's tail: surface a resolver or cancellation error, else
+// merge the workers into one Results.
 func (ix *ThreadedIndex) results(ctx context.Context, opt QueryOptions, qps []*QueryProcessor, perQuery []QueryStat, reads int, elapsed time.Duration) (*Results, error) {
 	for _, qp := range qps {
 		if qp.err != nil {

@@ -78,6 +78,9 @@ type QueryProcessor struct {
 
 	scan    kmer.Scanner // rolling seed extraction over the current query
 	fwd, rc []byte       // unpacked query codes, forward and reverse complement
+	// codes backs both (one allocation, not two); fwd is capped at L, so an
+	// append to it reallocates instead of overwriting rc.
+	codes []byte
 
 	// Candidate dedupe: a reusable linear-scan slice, spilling into a lazily
 	// allocated map on the rare candidate-heavy query.
@@ -182,8 +185,9 @@ func (qp *QueryProcessor) Process(qi int32, q dna.Packed) {
 			return
 		}
 	}
-	qp.fwd = q.AppendCodes(qp.fwd[:0])
-	qp.rc = qp.rc[:0]
+	// rc fills the spare half of codes lazily (queryCodes).
+	qp.codes = q.AppendCodes(slices.Grow(qp.codes[:0], 2*L))
+	qp.fwd, qp.rc = qp.codes[:L:L], qp.codes[L:L]
 	qp.seenList = qp.seenList[:0]
 	if len(qp.seenMap) > 0 {
 		clear(qp.seenMap)
@@ -425,7 +429,6 @@ func (qp *QueryProcessor) queryCodes(rc bool, L int) []byte {
 		return qp.fwd
 	}
 	if len(qp.rc) != L {
-		qp.rc = slices.Grow(qp.rc[:0], L)
 		for i := L - 1; i >= 0; i-- {
 			qp.rc = append(qp.rc, 3-qp.fwd[i])
 		}

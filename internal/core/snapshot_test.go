@@ -71,17 +71,18 @@ func TestSnapshotQueryParity(t *testing.T) {
 		t.Fatalf("result counters differ: built %+v, loaded %+v", want, got)
 	}
 
-	// The serial path and the load-time phase accounting must work too.
-	sGot, err := loaded.QuerySerial(context.Background(), opt.QueryOptions, ds.Reads[:20])
+	// The inline path (a batch of one chunk) and the load-time phase
+	// accounting must work too.
+	sGot, err := loaded.Query(context.Background(), 2, opt.QueryOptions, ds.Reads[:20])
 	if err != nil {
 		t.Fatal(err)
 	}
-	sWant, err := built.QuerySerial(context.Background(), opt.QueryOptions, ds.Reads[:20])
+	sWant, err := built.Query(context.Background(), 2, opt.QueryOptions, ds.Reads[:20])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sWant.Alignments, sGot.Alignments) {
-		t.Fatal("serial-path alignments differ between built and loaded index")
+		t.Fatal("inline-path alignments differ between built and loaded index")
 	}
 	phases := loaded.BuildPhases()
 	if len(phases) != 1 || phases[0].Name != PhaseLoad {

@@ -31,7 +31,9 @@ import (
 //	               flags with idempotent atomic stores (§IV-A)
 //	align          workers pull query batches; each query runs the exact-
 //	               match fast path (§IV-A) and the general seed-lookup +
-//	               striped Smith-Waterman path (§IV-B/V-B)
+//	               extension path (§IV-B): full-matrix Smith-Waterman with
+//	               traceback (align.Local) when alignments are collected,
+//	               the striped kernel (§V-B) on statistics-only runs
 //
 // Alignments are byte-identical to the simulated machine's (internal/sim)
 // on the same inputs: the sharded index sorts entries with the same
@@ -56,8 +58,8 @@ const (
 	alignBatch   = 256 // queries per claim
 )
 
-// runPool runs fn on workers goroutines until claims are exhausted: each
-// fn(w, lo, hi) call owns items [lo, hi) of an n-item sequence, claimed
+// runPool runs fn on up to workers goroutines until claims are exhausted:
+// each fn(w, lo, hi) call owns items [lo, hi) of an n-item sequence, claimed
 // chunk-at-a-time from a shared atomic cursor (guided self-scheduling, the
 // shared-memory analogue of the paper's per-thread block partition).
 func runPool(workers, n, chunk int, fn func(w, lo, hi int)) {
@@ -69,9 +71,22 @@ func runPool(workers, n, chunk int, fn func(w, lo, hi int)) {
 // context's nil done channel never fires, so uncancellable pools pay only
 // the polling select). In-flight chunks finish — chunks are small
 // (extractChunk/alignBatch items) — so the pool drains promptly rather than
-// mid-item.
+// mid-item. The pool is never wider than the input has chunks, and a pool
+// of one runs on the calling goroutine: a worker with nothing to claim, or a
+// goroutine started only to be waited for, is pure overhead.
 func runPoolCtx(ctx context.Context, workers, n, chunk int, fn func(w, lo, hi int)) {
 	done := ctx.Done()
+	if workers = poolWorkers(workers, n, chunk); workers == 1 {
+		for lo := 0; lo < n; lo += chunk {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			fn(0, lo, min(lo+chunk, n))
+		}
+		return
+	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -99,6 +114,12 @@ func runPoolCtx(ctx context.Context, workers, n, chunk int, fn func(w, lo, hi in
 	wg.Wait()
 }
 
+// poolWorkers is the width runPoolCtx gives a pool of workers over n items
+// claimed chunk at a time: at most one worker per chunk, at least one.
+func poolWorkers(workers, n, chunk int) int {
+	return max(1, min(workers, (n+chunk-1)/chunk))
+}
+
 // timePhase runs fn and appends its measured wall-clock phase to phases.
 func timePhase(phases []Phase, name string, fn func()) []Phase {
 	start := time.Now()
@@ -109,7 +130,7 @@ func timePhase(phases []Phase, name string, fn func()) []Phase {
 // RunThreaded executes merAligner in shared-memory mode: a goroutine worker
 // pool builds a sharded seed index with the two-stage aggregating-stores
 // scheme and aligns query batches with the exact-match fast path and
-// striped Smith-Waterman. workers is the pool size (the paper's single-node
+// Smith-Waterman extension. workers is the pool size (the paper's single-node
 // core count, Fig 11); workers <= 0 is an error. Results.Phases carry the
 // measured wall-clock time of every build phase and of the align phase.
 //

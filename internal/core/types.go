@@ -9,7 +9,7 @@
 // nothing about time: it reads the seed index through the IndexAccess
 // interface and counts the work it did (seed lookups, compared bytes,
 // Smith-Waterman calls and cells). The serving engine in this package
-// (BuildIndex, ThreadedIndex.Query/QuerySerial, RunThreaded) runs it with
+// (BuildIndex, ThreadedIndex.Query, RunThreaded) runs it with
 // real goroutines over the sealed dht.Sharded table and measures wall-clock
 // time around it. The simulated PGAS machine of the paper's scaling figures
 // lives in internal/sim, which drives the same processor through its own
@@ -80,17 +80,19 @@ type QueryOptions struct {
 	// CollectPerQuery retains one QueryStat per query in Results.PerQuery
 	// (status, alignment count, Smith-Waterman calls, wall nanoseconds) —
 	// the per-read latency source behind a service's p50/p99 reporting.
-	// Honored by Query/QuerySerial only.
+	// Honored by ThreadedIndex.Query only.
 	CollectPerQuery bool
 
 	// Extend replaces the seed-extension engine (§VIII: "the Striped
 	// Smith-Waterman local alignment engine could easily be replaced with
-	// any other local alignment software tool"). nil uses the built-in
-	// striped Smith-Waterman via align.ExtendSeed.
+	// any other local alignment software tool"). nil uses align.ExtendSeed:
+	// full-matrix Smith-Waterman with traceback (align.Local) on the seed
+	// window. A nil Extend on a statistics-only call (CollectAlignments off)
+	// scores with the striped SWAR kernel instead, which needs no traceback.
 	Extend ExtendFunc
 
 	// SeedResolver replaces the local seed-index probe with a remote
-	// resolver — the distributed-DHT seam. When set on a Query/QuerySerial
+	// resolver — the distributed-DHT seam. When set on a ThreadedIndex.Query
 	// call, every query's seed lookups are collected up front and resolved
 	// in one ResolveSeeds call (which the network tier batches per owning
 	// node); extension and Smith-Waterman still run locally, and the

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/lbl-repro/meraligner/internal/kmer"
@@ -69,58 +70,69 @@ func TestOwnerSkewBound(t *testing.T) {
 // TestPartitionCoversTable checks that partitioning a sealed table across N
 // owners is exact: every seed resolves bit-identically at exactly its
 // owner's partition and misses everywhere else, and the single-copy flags
-// survive in every partition.
+// survive in every partition. Internal shard counts are drawn at random, and
+// each is split every way Partition accepts up to one owner past it, so
+// non-divisors, count == Shards and an owner with no shard are all covered.
 func TestPartitionCoversTable(t *testing.T) {
 	const numFrags = 16
 	es := randomEntries(11, numFrags, 200, 600, 21)
-	cfg := ShardedConfig{K: 21, S: 64, Shards: 16}
-	sx := buildSharded(t, cfg, es, numFrags, 3)
-	sx.Seal()
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 6; trial++ {
+		cfg := ShardedConfig{K: 21, S: 64, Shards: 1 + rng.Intn(40)}
+		sx := buildSharded(t, cfg, es, numFrags, 3)
+		sx.Seal()
+		for count := 1; count <= cfg.Shards+1; count++ {
+			checkPartition(t, sx, es, numFrags, count)
+		}
+	}
+}
 
-	for _, count := range []int{1, 2, 4} {
-		parts := make([]*Sharded, count)
-		for id := range parts {
-			p, err := sx.Partition(id, count)
-			if err != nil {
-				t.Fatalf("Partition(%d, %d): %v", id, count, err)
-			}
-			parts[id] = p
+// checkPartition splits sx across count owners and checks every seed of es
+// and every single-copy flag against the full table.
+func checkPartition(t *testing.T, sx *Sharded, es []SeedEntry, numFrags, count int) {
+	t.Helper()
+	parts := make([]*Sharded, count)
+	for id := range parts {
+		p, err := sx.Partition(id, count)
+		if err != nil {
+			t.Fatalf("shards=%d: Partition(%d, %d): %v", sx.Shards(), id, count, err)
 		}
-		seen := map[kmer.Kmer]bool{}
-		for _, e := range es {
-			if seen[e.Seed] {
-				continue
-			}
-			seen[e.Seed] = true
-			want, ok := sx.Lookup(e.Seed)
-			if !ok {
-				t.Fatalf("seed missing from full table")
-			}
-			owner := OwnerOf(e.Seed, sx.Shards(), count)
-			for id, p := range parts {
-				got, ok := p.Lookup(e.Seed)
-				if id == owner {
-					if !ok {
-						t.Fatalf("count=%d: owner %d misses its own seed", count, id)
-					}
-					if got.Count != want.Count || len(got.Locs) != len(want.Locs) {
-						t.Fatalf("count=%d: owner %d result differs: %+v vs %+v", count, id, got, want)
-					}
-					for i := range got.Locs {
-						if got.Locs[i] != want.Locs[i] {
-							t.Fatalf("count=%d: owner %d loc %d differs", count, id, i)
-						}
-					}
-				} else if ok {
-					t.Fatalf("count=%d: non-owner %d answered for owner %d's seed", count, id, owner)
-				}
-			}
+		parts[id] = p
+	}
+	seen := map[kmer.Kmer]bool{}
+	for _, e := range es {
+		if seen[e.Seed] {
+			continue
 		}
+		seen[e.Seed] = true
+		want, ok := sx.Lookup(e.Seed)
+		if !ok {
+			t.Fatalf("seed missing from full table")
+		}
+		owner := OwnerOf(e.Seed, sx.Shards(), count)
 		for id, p := range parts {
-			for f := 0; f < numFrags; f++ {
-				if p.SingleCopy(f) != sx.SingleCopy(f) {
-					t.Fatalf("count=%d: partition %d single-copy flag %d differs", count, id, f)
+			got, ok := p.Lookup(e.Seed)
+			if id == owner {
+				if !ok {
+					t.Fatalf("shards=%d count=%d: owner %d misses its own seed", sx.Shards(), count, id)
 				}
+				if got.Count != want.Count || len(got.Locs) != len(want.Locs) {
+					t.Fatalf("shards=%d count=%d: owner %d result differs: %+v vs %+v", sx.Shards(), count, id, got, want)
+				}
+				for i := range got.Locs {
+					if got.Locs[i] != want.Locs[i] {
+						t.Fatalf("shards=%d count=%d: owner %d loc %d differs", sx.Shards(), count, id, i)
+					}
+				}
+			} else if ok {
+				t.Fatalf("shards=%d count=%d: non-owner %d answered for owner %d's seed", sx.Shards(), count, id, owner)
+			}
+		}
+	}
+	for id, p := range parts {
+		for f := 0; f < numFrags; f++ {
+			if p.SingleCopy(f) != sx.SingleCopy(f) {
+				t.Fatalf("shards=%d count=%d: partition %d single-copy flag %d differs", sx.Shards(), count, id, f)
 			}
 		}
 	}

@@ -9,6 +9,8 @@
 //	go test -tags e2e ./internal/e2e                      # all six scenarios
 //	go test -tags e2e ./internal/e2e -run '^TestCluster$' # one of them
 //
+// TestFlagSurface pins every binary's flag names beside them.
+//
 // It imports only the standard library, the public client package and
 // internal/faultinject (TestE2EDriverIsBlackBox holds that line): a check
 // here can pass only through a binary's public surface.

@@ -4,17 +4,13 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/client"
 	"github.com/lbl-repro/meraligner/internal/telemetry"
 )
@@ -207,73 +203,6 @@ func (l *Lifecycle) finishTrace(tr *telemetry.Trace, sw *telemetry.StatusRecorde
 	l.Logger.Debug("request", attrs...)
 }
 
-// ---- admission ----
-
-// AdmitDeadline applies deadline admission to a request that propagates an
-// X-Deadline-Ms budget: a budget below min (when min > 0) is refused with
-// 503 + Retry-After and counted in rejected — work the caller will have
-// abandoned before it finishes — and an accepted budget bounds the returned
-// request's context, so a doomed call cannot outlive its caller (and shard
-// RPCs inherit and re-propagate the remaining time). ok false means the
-// response is written. Requests without the header pass unchanged; call
-// cancel when the request is done.
-func AdmitDeadline(w http.ResponseWriter, r *http.Request, min, retryAfter time.Duration, rejected *atomic.Int64) (_ *http.Request, cancel context.CancelFunc, ok bool) {
-	budget, has := client.DeadlineFromHeader(r.Header)
-	if !has {
-		return r, func() {}, true
-	}
-	if min > 0 && budget < min {
-		rejected.Add(1)
-		w.Header().Set("Retry-After", RetryAfterSeconds(retryAfter))
-		WriteError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{
-			Error: fmt.Sprintf("deadline budget %s below the %s admission floor: rejecting doomed work", budget, min)})
-		return nil, nil, false
-	}
-	if budget <= 0 {
-		return r, func() {}, true
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	return r.WithContext(ctx), cancel, true
-}
-
-// AdmitReads parses an align request body (ParseReads under maxBytes) and
-// validates the batch: non-empty, and every read long enough to carry a
-// seed of length k. Too-short reads are a client error (HTTP 400) carrying
-// the typed per-read detail — the service-side face of the engine's
-// QueryTooShort status (same rule: length < K) — and are counted in
-// tooShort. On success the request's trace gains its admission span,
-// measured from start. ok false means the error response is written.
-func AdmitReads(w http.ResponseWriter, r *http.Request, maxBytes int64, k int, tooShort *atomic.Int64, start time.Time) (reads []meraligner.Seq, ok bool) {
-	reads, err := ParseReads(w, r, maxBytes)
-	if err != nil {
-		WriteError(w, r, parseStatus(err), &client.ErrorResponse{Error: err.Error()})
-		return nil, false
-	}
-	if len(reads) == 0 {
-		WriteError(w, r, http.StatusBadRequest, &client.ErrorResponse{Error: "empty request: no reads"})
-		return nil, false
-	}
-	var short []string
-	for i := range reads {
-		if reads[i].Seq.Len() < k {
-			short = append(short, reads[i].Name)
-		}
-	}
-	if short != nil {
-		tooShort.Add(int64(len(short)))
-		WriteError(w, r, http.StatusBadRequest, &client.ErrorResponse{
-			Error:    fmt.Sprintf("%d read(s) shorter than the seed length K=%d cannot be aligned", len(short), k),
-			TooShort: short,
-		})
-		return nil, false
-	}
-	if tr := telemetry.TraceFrom(r.Context()); tr != nil {
-		tr.AddReads(len(reads))
-		tr.Add("admission", start, time.Since(start), func(sp *telemetry.Span) { sp.Reads = len(reads) })
-	}
-	return reads, true
-}
-
 // ---- response plumbing ----
 
 // MaybeGzip wraps the response in gzip when the client accepts it. finish
@@ -313,10 +242,4 @@ func WriteError(w http.ResponseWriter, r *http.Request, code int, er *client.Err
 // WantsSAM reports whether the request asked for SAM output.
 func WantsSAM(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), "sam")
-}
-
-// RetryAfterSeconds renders a Retry-After header value (whole seconds,
-// rounded up).
-func RetryAfterSeconds(d time.Duration) string {
-	return strconv.Itoa(int((d + time.Second - 1) / time.Second))
 }

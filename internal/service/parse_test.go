@@ -76,9 +76,43 @@ func TestParseReadsRejectsSAMInjection(t *testing.T) {
 	}
 }
 
+// TestParseReadsCapsReadLength: a read over maxReadBases is refused with a
+// 400 naming it, in either body format, before an engine call could size
+// extension matrices by it; a read at the cap is served.
+func TestParseReadsCapsReadLength(t *testing.T) {
+	_, reads := fixture(t)
+	_, ts := newTestServer(t, nil)
+	post := func(ct, body string) (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/align", ct, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.String()
+	}
+	ok := reads[0].Seq.String()
+	atCap := strings.Repeat("ACGT", maxReadBases/4)
+	over := atCap + "A"
+	for _, tc := range []struct{ what, ct, body string }{
+		{"JSON", "application/json", `{"reads":[{"name":"ok","seq":"` + ok + `"},{"name":"long","seq":"` + over + `"}]}`},
+		{"FASTQ", "text/x-fastq", "@ok\n" + ok + "\n+\n" + strings.Repeat("I", len(ok)) + "\n@long\n" + over + "\n+\n" + strings.Repeat("I", len(over)) + "\n"},
+	} {
+		code, body := post(tc.ct, tc.body)
+		if code != http.StatusBadRequest || !strings.Contains(body, "read 1 (long)") || !strings.Contains(body, "read limit") {
+			t.Errorf("%s: %d-base read: status %d body %q, want 400 naming read 1", tc.what, len(over), code, body)
+		}
+	}
+	if code, body := post("application/json", `{"reads":[{"name":"cap","seq":"`+atCap+`"}]}`); code != http.StatusOK {
+		t.Errorf("%d-base read: status %d body %q, want 200", len(atCap), code, body)
+	}
+}
+
 // FuzzParseReads holds the request surface to the SAM face: whatever
 // ParseReads accepts — JSON, FASTQ or gzip — renders to exactly one
-// well-formed line per expected record, named as the request named it.
+// well-formed line per expected record, named as the request named it, and
+// no read over the length cap.
 func FuzzParseReads(f *testing.F) {
 	al, reads := fixture(f)
 	seq := reads[0].Seq.String()
@@ -111,10 +145,15 @@ func FuzzParseReads(f *testing.F) {
 				t.Fatalf("ParseReads accepted %d reads from a JSON body that decodes to %d (%v)", len(reads), len(wire.Reads), err)
 			}
 		}
-		for _, r := range reads {
-			if r.Seq.Len() > 400 {
-				return // keep the engine call small
+		small := true
+		for i, r := range reads {
+			if n := r.Seq.Len(); n > maxReadBases {
+				t.Fatalf("ParseReads accepted read %d of %d bases, over the %d-base cap", i, n, maxReadBases)
 			}
+			small = small && r.Seq.Len() <= 400
+		}
+		if !small {
+			return // keep the engine call small
 		}
 		res, err := al.Align(context.Background(), reads, queryOpts())
 		if err != nil {

@@ -29,6 +29,7 @@ import (
 //	p := pf.Init("merserved")  // logger, -version, -cpuprofile
 //	p.Listen()                 // "listening on"; every endpoint 503 warming
 //	app := ...                 // build or map the index, assemble the tier
+//	                           // with p.Front() as its front-door block
 //	p.Serve(app)               // swap in, serve until signaled, drain
 
 // readHeaderTimeout bounds how long either listener waits for a request's
@@ -40,17 +41,17 @@ const readHeaderTimeout = 10 * time.Second
 // ProcessFlags holds the values of the shared flag block.
 type ProcessFlags struct {
 	Addr         string
-	MaxBatch     int
-	MaxWait      time.Duration
-	QueueReads   int
 	DrainTimeout time.Duration
 	DebugAddr    string
-	MinDeadline  time.Duration
 	Verbose      bool
 
-	slowMs int
-	build  *buildinfo.Flags
-	logs   *telemetry.LogOptions
+	maxBatch    int
+	maxWait     time.Duration
+	queueReads  int
+	minDeadline time.Duration
+	slowMs      int
+	build       *buildinfo.Flags
+	logs        *telemetry.LogOptions
 }
 
 // RegisterProcessFlags adds the shared flag block (-addr -max-batch
@@ -60,22 +61,17 @@ type ProcessFlags struct {
 func RegisterProcessFlags(fs *flag.FlagSet, defaultAddr string) *ProcessFlags {
 	f := &ProcessFlags{}
 	fs.StringVar(&f.Addr, "addr", defaultAddr, "listen address (use :0 for a random port)")
-	fs.IntVar(&f.MaxBatch, "max-batch", 256, "max reads per coalesced call")
-	fs.DurationVar(&f.MaxWait, "max-wait", 2*time.Millisecond, "max wait behind a busy call before an overlapping one dispatches (negative disables window-holding)")
-	fs.IntVar(&f.QueueReads, "queue", 0, "admission bound on queued reads (0 = 4*max-batch)")
+	fs.IntVar(&f.maxBatch, "max-batch", 256, "max reads per coalesced call")
+	fs.DurationVar(&f.maxWait, "max-wait", 2*time.Millisecond, "max wait behind a busy call before an overlapping one dispatches (negative disables window-holding)")
+	fs.IntVar(&f.queueReads, "queue", 0, "admission bound on queued reads (0 = 4*max-batch)")
 	fs.DurationVar(&f.DrainTimeout, "drain-timeout", 30*time.Second, "graceful drain deadline on SIGTERM")
 	fs.IntVar(&f.slowMs, "slow-request-ms", 0, "log a full span trace at warn for requests at least this slow (0 disables)")
 	fs.StringVar(&f.DebugAddr, "debug-addr", "", "private debug listener with /debug/pprof/ and /debug/requests (bind to localhost only; empty disables)")
-	fs.DurationVar(&f.MinDeadline, "min-deadline", 0, "reject requests whose propagated X-Deadline-Ms budget is below this (0 disables)")
+	fs.DurationVar(&f.minDeadline, "min-deadline", 0, "reject requests whose propagated X-Deadline-Ms budget is below this (0 disables)")
 	fs.BoolVar(&f.Verbose, "v", false, "log per-request summaries")
 	f.build = buildinfo.Register(fs)
 	f.logs = telemetry.RegisterLogFlags(fs)
 	return f
-}
-
-// SlowRequest is the -slow-request-ms threshold as a duration.
-func (f *ProcessFlags) SlowRequest() time.Duration {
-	return time.Duration(f.slowMs) * time.Millisecond
 }
 
 // App is what a Process serves: one of the HTTP tiers.
@@ -115,6 +111,20 @@ func (f *ProcessFlags) Init(name string) *Process {
 		log.Fatal(err)
 	}
 	return &Process{Logger: logger, flags: f, stopProfile: stop}
+}
+
+// Front is the front-door block the flags and the logger configure, for
+// either tier's Config.
+func (p *Process) Front() FrontConfig {
+	f := p.flags
+	return FrontConfig{
+		MaxBatch:    f.maxBatch,
+		MaxWait:     f.maxWait,
+		QueueReads:  f.queueReads,
+		MinDeadline: f.minDeadline,
+		Logger:      p.Logger,
+		SlowRequest: time.Duration(f.slowMs) * time.Millisecond,
+	}
 }
 
 // Fatal logs err, flushes the CPU profile and exits 1.

@@ -35,8 +35,6 @@ type SeedShardServer struct {
 	shard *core.SeedShard
 	mux   *http.ServeMux
 
-	maxBody int64
-
 	lookups  atomic.Int64 // lookup calls served to completion
 	seeds    atomic.Int64 // seeds resolved across those calls
 	misses   atomic.Int64 // seeds that resolved absent
@@ -51,25 +49,18 @@ type SeedShardConfig struct {
 
 	// Logger receives request logs. Nil discards.
 	Logger *slog.Logger
-
-	// MaxBodyBytes bounds the lookup request body. Default: exactly one
-	// full frame of dhtnet.MaxLookupBatch seeds.
-	MaxBodyBytes int64
 }
+
+// maxLookupBody bounds a lookup request body: exactly one full frame of
+// dhtnet.MaxLookupBatch seeds.
+const maxLookupBody = 16 + dhtnet.MaxLookupBatch*16
 
 // NewSeedShard builds the server for one seed shard.
 func NewSeedShard(cfg SeedShardConfig) (*SeedShardServer, error) {
 	if cfg.Shard == nil {
 		return nil, fmt.Errorf("service: seed-shard server needs a shard")
 	}
-	s := &SeedShardServer{
-		Lifecycle: NewLifecycle(cfg.Logger, 0, 0),
-		shard:     cfg.Shard,
-		maxBody:   cfg.MaxBodyBytes,
-	}
-	if s.maxBody <= 0 {
-		s.maxBody = 16 + int64(dhtnet.MaxLookupBatch)*16
-	}
+	s := &SeedShardServer{Lifecycle: NewLifecycle(cfg.Logger, 0, 0), shard: cfg.Shard}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/lookup", s.Traced(s.handleLookup))
 	mux.HandleFunc("GET /v1/shardinfo", s.handleShardInfo)
@@ -115,11 +106,11 @@ func (s *SeedShardServer) handleLookup(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		r = r.WithContext(ctx)
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxLookupBody))
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
-		s.error(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("lookup body exceeds %d bytes", s.maxBody))
+		s.error(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("lookup body exceeds %d bytes", maxLookupBody))
 		return
 	case err != nil:
 		s.error(w, http.StatusBadRequest, "reading lookup body: "+err.Error())

@@ -132,7 +132,7 @@ func TestSeedShardLookupParity(t *testing.T) {
 // length mismatch, misrouted seed — and the 413 for oversized bodies.
 func TestSeedShardRejections(t *testing.T) {
 	shards, _, _ := seedShardFleet(t, 2)
-	srv, err := NewSeedShard(SeedShardConfig{Shard: shards[1], MaxBodyBytes: 1 << 20})
+	srv, err := NewSeedShard(SeedShardConfig{Shard: shards[1]})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@
 //	                             plus every active reference's stats
 //	GET  /healthz, /metrics      as above; metrics carry a ref label
 //
-// Each reference owns its micro-batching queue (internal/coalesce): small
+// Each reference owns a front door (Front, shared with merrouted): small
 // requests coalesce per reference, requests of MaxBatch reads or more skip
 // the queue and run directly with the request's own context. Responses are
 // byte-identical to a local Align call over the same reads against the
@@ -38,13 +38,13 @@
 package service
 
 import (
+	"cmp"
 	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"runtime"
 	"slices"
@@ -95,80 +95,22 @@ type Config struct {
 
 	Query meraligner.QueryOptions // CollectAlignments/CollectPerQuery are forced on
 
-	// Micro-batcher knobs: the latency/throughput trade. Batching is
-	// continuous — an idle engine dispatches immediately, and arrivals
-	// coalesce while a call is in flight. MaxBatch caps reads per engine
-	// call; MaxWait caps how long a queued request waits behind a busy
-	// engine before an overlapping call dispatches anyway (zero means the
-	// 2ms default; negative disables window-holding). MaxBatch 1 is the
-	// no-coalescing ablation (one engine call per request) the service
-	// benchmark measures against. In catalog mode each reference gets its
-	// own batcher with these knobs.
-	MaxBatch int           // default 256
-	MaxWait  time.Duration // default 2ms; < 0 disables window-holding
-
-	// Admission control: reads allowed in the queue (per reference) before
-	// new requests are rejected with 429. Default 4*MaxBatch.
-	QueueReads int
+	// The front door (queue, admission, logging); in catalog mode each
+	// reference gets its own queue with these knobs.
+	FrontConfig
 
 	// Workers is the engine pool size of coalesced calls (default: the
 	// Aligner's build-time thread count in single-index mode, the host CPU
 	// count in catalog mode).
 	Workers int
 
-	// RetryAfter is the backoff hint sent with 429s. Default 500ms.
-	RetryAfter time.Duration
-
-	// MinDeadline, when > 0, enables deadline admission: an align request
-	// whose propagated X-Deadline-Ms budget is below it is rejected with
-	// 503 instead of computing an answer the caller will have stopped
-	// waiting for. Requests without the header are never deadline-rejected.
-	MinDeadline time.Duration
-
-	// MaxRequestBytes bounds a request body. Default 64 MiB.
-	MaxRequestBytes int64
-
 	// Version is reported in /v1/stats (ldflags-injected by cmd/merserved).
 	Version string
-
-	// Logger receives the service's structured request logs (per-request
-	// debug lines, slow-request warnings). nil logs nothing.
-	Logger *slog.Logger
-
-	// SlowRequest, when > 0, logs the full span trace of any align
-	// request slower than this at warn level (the -slow-request-ms flag).
-	SlowRequest time.Duration
-
-	// TraceCapacity bounds the /debug/requests ring of completed request
-	// traces. <= 0 means telemetry.DefaultRingCapacity.
-	TraceCapacity int
 }
 
+// withDefaults fills the server's own zero values; the front-door block is
+// defaulted once, by NewFront.
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	switch {
-	case c.MaxWait == 0:
-		c.MaxWait = 2 * time.Millisecond
-	case c.MaxWait < 0:
-		c.MaxWait = 0 // explicit opt-out of window-holding
-	}
-	if c.QueueReads <= 0 {
-		c.QueueReads = 4 * c.MaxBatch
-	}
-	if c.QueueReads < c.MaxBatch {
-		// A queue smaller than MaxBatch would permanently 429 requests
-		// sized between the two (too big to ever queue, too small for the
-		// direct path) even on an idle server.
-		c.QueueReads = c.MaxBatch
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 500 * time.Millisecond
-	}
-	if c.MaxRequestBytes <= 0 {
-		c.MaxRequestBytes = 64 << 20
-	}
 	if c.IndexDir != "" && c.SwapPoll == 0 {
 		c.SwapPoll = time.Second
 	}
@@ -196,16 +138,17 @@ type Server struct {
 	cancel  context.CancelFunc
 }
 
-// tenant is the serving state of one reference: its micro-batching queue,
-// stats, inflight quota, and the Source resolving its current index. A
-// tenant is permanent once created — it survives eviction and hot-swap of
-// the index underneath (the catalog hands out a fresh pin per engine call).
+// tenant is the serving state of one reference: its front door, per-read
+// engine latency, inflight quota, and the Source resolving its current
+// index. A tenant is permanent once created — it survives eviction and
+// hot-swap of the index underneath (the catalog hands out a fresh pin per
+// engine call).
 type tenant struct {
-	s   *Server
-	ref string // "" in single-index mode
-	src catalog.Source
-	co  *coalesce.Coalescer[meraligner.Seq, *engineCall]
-	st  *serverStats
+	s         *Server
+	ref       string // "" in single-index mode
+	src       catalog.Source
+	front     *Front[*engineCall]
+	alignRead telemetry.Hist // per-read engine nanos (engine PerQuery stats)
 
 	inflight atomic.Int64 // align requests being served (quota)
 
@@ -274,18 +217,16 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newTenant wires one reference's queue and stats. The queue's results pin
-// the index they were computed on (engineCall), so Release drops the pin
-// once the last member response has rendered.
+// newTenant wires one reference's front door. Its results pin the index
+// they were computed on (engineCall), so Release drops the pin once the
+// last member response has rendered.
 func (s *Server) newTenant(ref string, src catalog.Source) *tenant {
-	t := &tenant{s: s, ref: ref, src: src, st: newServerStats()}
-	t.co = coalesce.New(s.baseCtx, coalesce.Config[meraligner.Seq, *engineCall]{
-		Call:     t.alignBatch,
-		MaxBatch: s.cfg.MaxBatch,
-		MaxWait:  s.cfg.MaxWait,
-		Capacity: s.cfg.QueueReads,
-		Stats:    &t.st.Stats,
-		Release:  func(c *engineCall) { c.pin.Release() },
+	t := &tenant{s: s, ref: ref, src: src}
+	t.front = NewFront(s.baseCtx, s.cfg.FrontConfig, Tier[*engineCall]{
+		Call:    t.alignBatch,
+		Release: func(c *engineCall) { c.pin.Release() },
+		Record:  recordEngine,
+		Status:  catalogStatus,
 	})
 	return t
 }
@@ -363,12 +304,14 @@ func (s *Server) refHandler(h func(*tenant, http.ResponseWriter, *http.Request))
 	}
 }
 
-// dispatch applies the per-reference inflight quota around one handler.
+// dispatch names the reference in the request's trace and applies its
+// inflight quota around one handler.
 func (s *Server) dispatch(t *tenant, h func(*tenant, http.ResponseWriter, *http.Request), w http.ResponseWriter, r *http.Request) {
+	if tr := telemetry.TraceFrom(r.Context()); tr != nil {
+		tr.SetRef(t.ref)
+	}
 	if !t.enterInflight() {
-		t.st.rejected.Add(1)
-		w.Header().Set("Retry-After", RetryAfterSeconds(s.cfg.RetryAfter))
-		WriteError(w, r, http.StatusTooManyRequests, &client.ErrorResponse{Error: "overloaded: per-reference inflight limit reached"})
+		t.front.refuse(w, r, "overloaded: per-reference inflight limit reached")
 		return
 	}
 	defer t.exitInflight()
@@ -395,18 +338,28 @@ func (t *tenant) exitInflight() {
 	}
 }
 
-// acquireError maps a catalog acquisition failure to its HTTP status.
-func (s *Server) acquireError(w http.ResponseWriter, r *http.Request, err error) {
+// catalogStatus maps a catalog failure to its HTTP status: an unknown
+// reference (or one whose snapshot vanished between admission and the
+// engine call) is 404, a closed catalog is draining.
+func catalogStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, catalog.ErrUnknownRef):
-		WriteError(w, r, http.StatusNotFound, &client.ErrorResponse{Error: err.Error()})
+		return http.StatusNotFound, err.Error()
 	case errors.Is(err, catalog.ErrCatalogClosed):
-		WriteError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
-	default:
-		// A present but unreadable snapshot (corrupt, incompatible): the
-		// typed merx error names the failing section.
-		WriteError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
+		return http.StatusServiceUnavailable, "draining"
 	}
+	return 0, ""
+}
+
+// acquireError answers a catalog acquisition failure. Beyond catalogStatus
+// it is a present but unreadable snapshot (corrupt, incompatible), a 500
+// whose typed merx error names the failing section.
+func (s *Server) acquireError(w http.ResponseWriter, r *http.Request, err error) {
+	code, msg := catalogStatus(err)
+	if code == 0 {
+		code, msg = http.StatusInternalServerError, err.Error()
+	}
+	WriteError(w, r, code, &client.ErrorResponse{Error: msg})
 }
 
 // ServeHTTP implements http.Handler.
@@ -426,20 +379,14 @@ func (s *Server) Drain(ctx context.Context) error {
 	var wg sync.WaitGroup
 	for i, t := range ts {
 		wg.Add(1)
-		go func(i int, t *tenant) {
+		go func() {
 			defer wg.Done()
-			errs[i] = t.co.Drain(ctx)
-		}(i, t)
+			errs[i] = t.front.Drain(ctx)
+		}()
 	}
 	wg.Wait()
 	errs[len(ts)] = s.WaitIdle(ctx)
-	var failed error
-	for _, err := range errs {
-		if err != nil {
-			failed = err
-			break
-		}
-	}
+	failed := cmp.Or(errs...) // the first failure
 	if failed != nil {
 		s.cancel() // abort in-flight engine calls
 	}
@@ -456,7 +403,7 @@ func (s *Server) Close() {
 	s.StartDrain()
 	s.cancel()
 	for _, t := range s.allTenants() {
-		t.co.Close()
+		t.front.Close()
 	}
 	if s.cat != nil {
 		s.cat.Close()
@@ -485,18 +432,9 @@ type engineCall struct {
 // targets.
 type window = coalesce.Window[*engineCall]
 
-// recordWindow adds a request's queue-wait and engine spans to tr: the
-// batch_wait span is the coalesce wait (enqueue to dispatch), the engine
-// span the shared call itself, annotated with the call's aggregate read
-// stats.
-func recordWindow(tr *telemetry.Trace, w *window) {
-	if tr == nil {
-		return
-	}
-	tr.Add("batch_wait", w.Enq, w.Disp.Sub(w.Enq), func(sp *telemetry.Span) {
-		sp.Requests = w.Requests
-		sp.Reads = w.Hi - w.Lo
-	})
+// recordEngine adds a request's engine span to tr: the shared call itself,
+// annotated with the call's aggregate read stats.
+func recordEngine(tr *telemetry.Trace, w *window) {
 	tr.Add("engine", w.Disp, w.Done.Sub(w.Disp), func(sp *telemetry.Span) {
 		sp.Requests = w.Requests
 		sp.Reads = len(w.Result.reads)
@@ -518,7 +456,9 @@ func (t *tenant) alignBatch(ctx context.Context, reads []meraligner.Seq) (*engin
 		h.Release()
 		return nil, err
 	}
-	t.st.observePerQuery(res.PerQuery)
+	for i := range res.PerQuery {
+		t.alignRead.Observe(res.PerQuery[i].Nanos)
+	}
 	return &engineCall{res: res, reads: reads, targets: al.Targets(), pin: h}, nil
 }
 
@@ -535,8 +475,11 @@ func (t *tenant) alignBatch(ctx context.Context, reads []meraligner.Seq) (*engin
 // ASCII bytes free of '@' (SAM's QNAME alphabet: a leading '@' would pass
 // for a header line) or whose qualities are not empty or one graphic ASCII
 // byte per base: a tab or newline there would forge fields or whole
-// records. Bodies over maxBytes surface as *http.MaxBytesError (parseStatus
-// maps them to 413).
+// records. A read longer than maxReadBases is refused too: extension
+// allocates three int32 matrices of (read+1) x (window+1) cells, so one
+// long read that misses the exact path could exhaust the process. Bodies
+// over maxBytes surface as *http.MaxBytesError (parseStatus maps them to
+// 413).
 func ParseReads(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]meraligner.Seq, error) {
 	reads, err := decodeReads(w, r, maxBytes)
 	if err != nil {
@@ -550,9 +493,17 @@ func ParseReads(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]meral
 		if n := len(q.Qual); (n != 0 && n != q.Seq.Len()) || !graphic(q.Qual) {
 			return nil, fmt.Errorf("read %d (%s): qual must be empty or one printable ASCII byte per base", i, q.Name)
 		}
+		if n := q.Seq.Len(); n > maxReadBases {
+			return nil, fmt.Errorf("read %d (%s): %d bases, over the %d-base read limit", i, q.Name, n, maxReadBases)
+		}
 	}
 	return reads, nil
 }
+
+// maxReadBases bounds one read: ~13 MB of extension matrices against a
+// window ExtendPad-widened on both sides. Short-read workloads are 100-150
+// bases.
+const maxReadBases = 1024
 
 // graphic reports whether s is all '!'..'~': what SAM allows in QNAME/QUAL.
 func graphic[T string | []byte](s T) bool {
@@ -649,152 +600,44 @@ func packWire(seq string) (dna.Packed, error) {
 	return dna.PackBytes(b)
 }
 
-// admit runs the shared parse-and-validate front half against this tenant.
-// K is the tenant's last-observed seed length; the engine itself re-checks,
-// so a hot-swap changing K mid-request degrades to the engine's per-read
-// status rather than a wrong rejection.
-func (t *tenant) admit(w http.ResponseWriter, r *http.Request, start time.Time) ([]meraligner.Seq, bool) {
-	if tr := telemetry.TraceFrom(r.Context()); tr != nil {
-		tr.SetRef(t.ref)
-	}
-	return AdmitReads(w, r, t.s.cfg.MaxRequestBytes, int(t.k.Load()), &t.st.tooShort, start)
-}
-
 // ---- /v1/align and /v1/{ref}/align ----
 
+// handleAlign serves one batch through the front door. K is the tenant's
+// last-observed seed length; the engine itself re-checks, so a hot-swap
+// changing K mid-request degrades to the engine's per-read status rather
+// than a wrong rejection.
 func (t *tenant) handleAlign(w http.ResponseWriter, r *http.Request) {
-	s := t.s
-	admitStart := time.Now()
-	r, cancel, ok := AdmitDeadline(w, r, s.cfg.MinDeadline, s.cfg.RetryAfter, &t.st.deadlineRejected)
-	if !ok {
-		return
-	}
-	defer cancel()
-	reads, ok := t.admit(w, r, admitStart)
-	if !ok {
-		return
-	}
-	win, err := t.serve(r.Context(), reads)
-	if err != nil {
-		t.engineError(w, r, err)
-		return
-	}
-	defer win.Release() // response rendered: the index pin may drop
-	tr := telemetry.TraceFrom(r.Context())
-	recordWindow(tr, win)
-
-	render := time.Now()
-	if WantsSAM(r) {
-		writeSAM(w, r, win)
-	} else {
-		WriteJSON(w, r, http.StatusOK, buildResponse(win))
-	}
-	if tr != nil {
-		tr.Add("render", render, time.Since(render), nil)
-	}
-}
-
-// serve is the request-serving core shared by the HTTP handler and
-// AlignBatched: big requests run directly with the caller's context (no
-// coalescing to gain; a disconnect cancels the engine call itself) and
-// count as a batch of one request, so stats stay comparable across paths;
-// small requests go through the queue. Request accounting and latency
-// observation happen here so both faces report identically. The returned
-// window holds a reference on its engine call; the caller must Release it
-// after rendering.
-func (t *tenant) serve(ctx context.Context, reads []meraligner.Seq) (*window, error) {
-	start := time.Now()
-	var win *window
-	var err error
-	if len(reads) >= t.s.cfg.MaxBatch {
-		if win, err = t.co.Direct(ctx, reads); err == nil {
-			t.st.ObserveBatch(1, len(reads))
+	t.front.Align(w, r, int(t.k.Load()), func(w http.ResponseWriter, r *http.Request, _ []meraligner.Seq, win *window) {
+		if WantsSAM(r) {
+			writeSAM(w, r, win)
+		} else {
+			WriteJSON(w, r, http.StatusOK, buildResponse(win))
 		}
-	} else {
-		win, err = t.co.Submit(ctx, reads)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Counted only on success: requests/reads are served work, not offered
-	// load (rejections are the separate `rejected` counter).
-	t.st.requests.Add(1)
-	t.st.reads.Add(int64(len(reads)))
-	t.st.reqLatency.Observe(time.Since(start).Nanoseconds())
-	return win, nil
+	})
 }
 
 // AlignBatched submits one request's reads through the single-index
 // service exactly as POST /v1/align does — micro-batching, admission
 // control, stats — but in-process, with no HTTP in the path. Embedders and
 // the service benchmark use it to measure or reuse the serving core
-// directly. Errors: coalesce.ErrOverloaded (the 429 case),
-// coalesce.ErrDraining (the 503 case), or the caller's context error.
-// Catalog-mode servers use AlignBatchedRef.
+// directly. Its share of the coalesced Results comes back rebased into a
+// standalone, heap-only value. Errors: coalesce.ErrOverloaded (the 429
+// case), coalesce.ErrDraining (the 503 case), or the caller's context
+// error.
 func (s *Server) AlignBatched(ctx context.Context, reads []meraligner.Seq) (*meraligner.Results, error) {
 	if s.single == nil {
-		return nil, errors.New("service: AlignBatched needs single-index mode; use AlignBatchedRef")
+		return nil, errors.New("service: AlignBatched needs single-index mode")
 	}
-	return s.single.alignBatched(ctx, reads)
-}
-
-// AlignBatchedRef is AlignBatched against one reference of a catalog-mode
-// server: the in-process face of POST /v1/{ref}/align. Unknown references
-// fail with an error matching catalog.ErrUnknownRef.
-func (s *Server) AlignBatchedRef(ctx context.Context, ref string, reads []meraligner.Seq) (*meraligner.Results, error) {
-	if s.single != nil {
-		if ref != "" {
-			return nil, errors.New("service: single-index mode serves no named references")
-		}
-		return s.single.alignBatched(ctx, reads)
-	}
-	hdl, err := s.cat.Acquire(ref)
-	if err != nil {
-		return nil, err
-	}
-	t, err := s.tenantFor(ref)
-	if err != nil {
-		hdl.Release()
-		return nil, err
-	}
-	t.noteIndex(hdl.Aligner())
-	hdl.Release()
-	return t.alignBatched(ctx, reads)
-}
-
-// alignBatched serves one in-process request and rebases its share of the
-// coalesced Results into a standalone, heap-only value.
-func (t *tenant) alignBatched(ctx context.Context, reads []meraligner.Seq) (*meraligner.Results, error) {
-	if !t.s.Enter() {
+	if !s.Enter() {
 		return nil, coalesce.ErrDraining
 	}
-	defer t.s.Exit()
-	win, err := t.serve(ctx, reads)
+	defer s.Exit()
+	win, err := s.single.front.serve(ctx, reads)
 	if err != nil {
 		return nil, err
 	}
 	defer win.Release()
 	return win.Result.res.Slice(win.Lo, win.Hi), nil // heap-only: outlives the pin
-}
-
-// engineError maps queue/engine failures onto HTTP statuses.
-func (t *tenant) engineError(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, coalesce.ErrOverloaded):
-		t.st.rejected.Add(1)
-		w.Header().Set("Retry-After", RetryAfterSeconds(t.s.cfg.RetryAfter))
-		WriteError(w, r, http.StatusTooManyRequests, &client.ErrorResponse{Error: "overloaded: admission queue full"})
-	case errors.Is(err, coalesce.ErrDraining), errors.Is(err, catalog.ErrCatalogClosed):
-		WriteError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
-	case errors.Is(err, catalog.ErrUnknownRef):
-		// The snapshot vanished between admission and the engine call.
-		WriteError(w, r, http.StatusNotFound, &client.ErrorResponse{Error: err.Error()})
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// Client is gone; nothing useful to write. net/http drops the
-		// connection. (Counted by the queue when it noticed first.)
-	default:
-		WriteError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
-	}
 }
 
 // buildResponse renders a window as the JSON wire response: the same hits
@@ -847,19 +690,16 @@ func writeSAM(w http.ResponseWriter, r *http.Request, win *window) {
 
 // ---- /v1/align/stream and /v1/{ref}/align/stream ----
 
-// handleAlignStream aligns the batch in MaxBatch-read chunks, flushing each
-// chunk's results as soon as the engine returns them: NDJSON ReadResult
-// lines, or an incrementally-written SAM document under Accept: text/x-sam.
-// The request's own context is propagated into every chunk's engine call,
-// so a disconnect cancels the remaining work.
+// handleAlignStream aligns the batch in MaxBatch-read chunks (Front.stream),
+// flushing each chunk's results as soon as the engine returns them: NDJSON
+// ReadResult lines, or an incrementally-written SAM document under Accept:
+// text/x-sam. The request's own context is propagated into every chunk's
+// engine call, so a disconnect cancels the remaining work.
 func (t *tenant) handleAlignStream(w http.ResponseWriter, r *http.Request) {
-	s := t.s
-	reads, ok := t.admit(w, r, time.Now())
+	reads, ok := t.front.admitReads(w, r, int(t.k.Load()), time.Now())
 	if !ok {
 		return
 	}
-	tr := telemetry.TraceFrom(r.Context())
-	start := time.Now()
 
 	sam := WantsSAM(r)
 	if sam {
@@ -868,84 +708,50 @@ func (t *tenant) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	body, finish := MaybeGzip(w, r)
-	flush := func() {
+
+	// The SAM header is deferred until the first chunk succeeds, so a
+	// first-chunk admission failure can still answer with a real status.
+	var stream *meraligner.SAMStream
+	var streamTargets []meraligner.Seq // the header's target set
+	enc := json.NewEncoder(body)
+	if t.front.stream(w, r, reads, func(win *window) (err error) {
+		if !sam {
+			for _, rr := range buildResponse(win).Reads {
+				if err := enc.Encode(rr); err != nil {
+					return err
+				}
+			}
+		} else if stream == nil {
+			streamTargets = win.Result.targets
+			if stream, err = meraligner.NewSAMStream(body, streamTargets); err != nil {
+				return err
+			}
+		} else if !sameTargets(streamTargets, win.Result.targets) {
+			// A hot-swap replaced the reference mid-stream: the SAM header
+			// already written names the old target set, and this chunk's
+			// records index the new one. Mixing them would be silent
+			// corruption — abort the connection so the client retries
+			// against the swapped index.
+			panic(http.ErrAbortHandler)
+		}
+		if sam {
+			if err := stream.WriteRange(win.Result.res, win.Result.reads, win.Lo, win.Hi); err != nil {
+				return err
+			}
+			if err := stream.Flush(); err != nil {
+				return err
+			}
+		}
 		if gz, ok := body.(*gzip.Writer); ok {
 			gz.Flush()
 		}
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
+		return nil
+	}) {
+		_ = finish()
 	}
-
-	// The SAM header is deferred until the first chunk succeeds, so a
-	// first-chunk admission failure can still answer with a real status.
-	var stream *meraligner.SAMStream
-	var streamTargets []meraligner.Seq // the header's target set
-	var err error
-	enc := json.NewEncoder(body)
-	// Chunks ride the micro-batching queue like any other request, so streams are
-	// subject to the same admission bound (and partial chunks coalesce with
-	// other traffic). One chunk is in flight per stream at a time — the
-	// stream's own backpressure.
-	chunkSize := min(s.cfg.MaxBatch, s.cfg.QueueReads)
-	wrote := false
-	for lo := 0; lo < len(reads); lo += chunkSize {
-		hi := min(lo+chunkSize, len(reads))
-		chunk := reads[lo:hi]
-		win, aerr := t.co.Submit(r.Context(), chunk)
-		if aerr != nil {
-			if !wrote {
-				// Nothing sent yet: a real status can still go out.
-				t.engineError(w, r, aerr)
-				return
-			}
-			if errors.Is(aerr, coalesce.ErrOverloaded) {
-				t.st.rejected.Add(1)
-			}
-			// Mid-stream with the client still healthy: a plain return
-			// would end the chunked body cleanly and the truncation would
-			// be invisible. Abort the connection so the client sees a
-			// transport error, not a short success.
-			panic(http.ErrAbortHandler)
-		}
-		t.st.reads.Add(int64(len(chunk)))
-		recordWindow(tr, win)     // per-chunk batch_wait + engine spans (span cap applies)
-		if werr := func() error { // win.Release() per chunk, panic-safe
-			defer win.Release()
-			if sam {
-				if stream == nil {
-					streamTargets = win.Result.targets
-					if stream, err = meraligner.NewSAMStream(body, streamTargets); err != nil {
-						return err
-					}
-				} else if !sameTargets(streamTargets, win.Result.targets) {
-					// A hot-swap replaced the reference mid-stream: the SAM
-					// header already written names the old target set, and
-					// this chunk's records index the new one. Mixing them
-					// would be silent corruption — abort the connection so
-					// the client retries against the swapped index.
-					panic(http.ErrAbortHandler)
-				}
-				if err := stream.WriteRange(win.Result.res, win.Result.reads, win.Lo, win.Hi); err != nil {
-					return err
-				}
-				return stream.Flush()
-			}
-			for _, rr := range buildResponse(win).Reads {
-				if err := enc.Encode(rr); err != nil {
-					return err
-				}
-			}
-			return nil
-		}(); werr != nil {
-			return
-		}
-		wrote = true
-		flush()
-	}
-	t.st.requests.Add(1) // served in full (chunk reads counted as they went)
-	t.st.reqLatency.Observe(time.Since(start).Nanoseconds())
-	_ = finish()
 }
 
 // sameTargets reports whether two target sets are the same backing slice
@@ -983,8 +789,8 @@ func (s *Server) handleRefStats(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, ri := range refs {
 		if ri.Ref == ref {
-			st := client.Stats{Ref: ref, Version: s.cfg.Version, Draining: s.Draining(),
-				MaxBatch: s.cfg.MaxBatch, MaxWaitMs: float64(s.cfg.MaxWait) / float64(time.Millisecond)}
+			st := s.stats()
+			st.Ref = ref
 			WriteJSON(w, r, http.StatusOK, st)
 			return
 		}
@@ -1019,8 +825,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		refs = append(refs, refMetrics{
 			ref:   t.ref,
 			st:    t.snapshotStats(),
-			req:   t.st.reqLatency.Snapshot(),
-			align: t.st.alignRead.Snapshot(),
+			req:   t.front.Latency(),
+			align: t.alignRead.Snapshot(),
 		})
 	}
 	writeMetrics(body, refs, cat)
@@ -1067,20 +873,24 @@ func (s *Server) handleRefTargets(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, r, http.StatusOK, resp)
 }
 
+// stats is a stats document carrying only the server's identity and the
+// batching knobs every reference's front door runs with.
+func (s *Server) stats() client.Stats {
+	st := s.cfg.FrontConfig.withDefaults().knobs()
+	st.Version, st.Draining = s.cfg.Version, s.Draining()
+	return st
+}
+
 // snapshotStats renders one tenant's wire Stats.
 func (t *tenant) snapshotStats() client.Stats {
-	s := t.s
-	st := t.st.snapshot()
-	st.Ref = t.ref
-	st.Version = s.cfg.Version
-	st.Draining = s.Draining()
-	st.QueueReads = int64(t.co.QueuedItems())
+	st := t.front.Stats()
+	st.Ref, st.Version, st.Draining = t.ref, t.s.cfg.Version, t.s.Draining()
+	st.AlignReadP50Us = t.alignRead.Quantile(0.50) / 1e3
+	st.AlignReadP99Us = t.alignRead.Quantile(0.99) / 1e3
 	st.K = int(t.k.Load())
 	st.DistinctSeeds = t.distinctSeeds.Load()
 	st.TotalLocs = t.totalLocs.Load()
 	st.ResidentBytes = t.resident.Load()
-	st.MaxBatch = s.cfg.MaxBatch
-	st.MaxWaitMs = float64(s.cfg.MaxWait) / float64(time.Millisecond)
 	return st
 }
 
@@ -1092,8 +902,7 @@ func (s *Server) Snapshot() client.Stats {
 	if s.single != nil {
 		return s.single.snapshotStats()
 	}
-	agg := client.Stats{Version: s.cfg.Version, Draining: s.Draining(),
-		MaxBatch: s.cfg.MaxBatch, MaxWaitMs: float64(s.cfg.MaxWait) / float64(time.Millisecond)}
+	agg := s.stats()
 	for _, t := range s.allTenants() {
 		st := t.snapshotStats()
 		agg.Requests += st.Requests

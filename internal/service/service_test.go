@@ -12,11 +12,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/client"
+	"github.com/lbl-repro/meraligner/internal/align"
 	"github.com/lbl-repro/meraligner/internal/genome"
 )
 
@@ -103,9 +105,27 @@ func TestConcurrentSingleReadsCoalesceAndMatchDirectAlign(t *testing.T) {
 	if len(reads) < n {
 		t.Fatalf("fixture too small: %d reads", len(reads))
 	}
-	_, ts := newTestServer(t, func(c *Config) {
-		c.MaxBatch = n
-		c.MaxWait = 500 * time.Millisecond
+	// Batching is continuous: requests coalesce only behind an in-flight
+	// engine call. A blocker read (one substitution, so it misses the exact
+	// path) holds the engine in a gated extension while n single-read posts
+	// queue behind it; MaxBatch 2n keeps the queue from dispatching early.
+	var entered atomic.Int32
+	open := make(chan struct{})
+	defer func() {
+		select {
+		case <-open:
+		default:
+			close(open)
+		}
+	}()
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.MaxBatch = 2 * n
+		c.MaxWait = 5 * time.Second
+		c.Query.Extend = func(query, target []byte, qOff, tOff, k int, sc align.Scoring, pad int) align.Result {
+			entered.Add(1)
+			<-open
+			return align.ExtendSeed(query, target, qOff, tOff, k, sc, pad)
+		}
 	})
 	cl := client.New(ts.URL)
 
@@ -116,54 +136,57 @@ func TestConcurrentSingleReadsCoalesceAndMatchDirectAlign(t *testing.T) {
 		wants[i] = directSAM(t, al, []meraligner.Seq{reads[i]})
 	}
 
-	// Batching is continuous: coalescing needs requests to overlap an
-	// in-flight engine call, so on a slow host one round of n concurrent
-	// posts may land fully serialized. Every round re-checks byte identity;
-	// rounds repeat (bounded) until the stats show a coalesced batch.
-	const maxRounds = 10
-	rounds := 0
-	var st *client.Stats
-	for ; rounds < maxRounds; rounds++ {
-		var wg sync.WaitGroup
-		errs := make([]error, n)
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				got, err := cl.AlignSAM(context.Background(), client.AlignRequest{
-					Reads: client.FromSeqs([]meraligner.Seq{reads[i]}),
-				})
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if !bytes.Equal(got, wants[i]) {
-					errs[i] = fmt.Errorf("read %d: service SAM diverges from direct Align\ngot:\n%s\nwant:\n%s", i, got, wants[i])
-				}
-			}(i)
+	var tg meraligner.Seq // the longest target
+	for _, s := range al.Targets() {
+		if s.Seq.Len() > tg.Seq.Len() {
+			tg = s
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
+	}
+	b := []byte(tg.Seq.String()[500:600])
+	b[50] = "CAAA"[strings.IndexByte("ACGT", b[50])]
+	blocker, err := meraligner.NewSeq("blocker", string(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, n+1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, errs[n] = cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs([]meraligner.Seq{blocker})})
+	}()
+	waitUntil(t, "the blocker to hold the engine", func() bool { return entered.Load() > 0 })
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := cl.AlignSAM(context.Background(), client.AlignRequest{
+				Reads: client.FromSeqs([]meraligner.Seq{reads[i]}),
+			})
+			if err == nil && !bytes.Equal(got, wants[i]) {
+				err = fmt.Errorf("read %d: service SAM diverges from direct Align\ngot:\n%s\nwant:\n%s", i, got, wants[i])
 			}
-		}
-		var err error
-		if st, err = cl.Stats(context.Background()); err != nil {
+			errs[i] = err
+		}()
+	}
+	waitUntil(t, "the posts to queue", func() bool { return srv.single.front.co.QueuedItems() == n })
+	close(open)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			t.Fatal(err)
 		}
-		if st.MaxBatchReads >= 2 {
-			break
-		}
 	}
-	if st.MaxBatchReads < 2 {
-		t.Fatalf("no coalescing observed in %d rounds of %d concurrent single-read posts: %+v", maxRounds, n, st)
+	st, err := cl.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.CoalescedBatches < 1 {
-		t.Fatalf("stats report no coalesced batches: %+v", st)
+	if st.MaxBatchReads != n || st.CoalescedBatches != 1 {
+		// One call for the blocker, one for the n queued posts.
+		t.Fatalf("want the %d queued posts coalesced into one batch: %+v", n, st)
 	}
-	if want := int64((rounds + 1) * n); st.Requests != want || st.Reads != want {
-		t.Fatalf("request accounting off: requests=%d reads=%d, want %d each", st.Requests, st.Reads, want)
+	if st.Requests != n+1 || st.Reads != n+1 {
+		t.Fatalf("request accounting off: requests=%d reads=%d, want %d each", st.Requests, st.Reads, n+1)
 	}
 	if st.RequestP50Ms <= 0 || st.AlignReadP50Us <= 0 {
 		t.Fatalf("latency quantiles missing: %+v", st)
@@ -375,13 +398,13 @@ func TestAdmissionQueueFull429(t *testing.T) {
 		_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(mega)})
 		busy <- err
 	}()
-	waitUntil(t, "the engine to go busy", func() bool { return srv.single.co.Inflight() > 0 })
+	waitUntil(t, "the engine to go busy", func() bool { return srv.single.front.co.Inflight() > 0 })
 	queued := make(chan error, 1)
 	go func() {
 		_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(reads[:big])})
 		queued <- err
 	}()
-	waitUntil(t, "the queue to fill", func() bool { return srv.single.co.QueuedItems() == big })
+	waitUntil(t, "the queue to fill", func() bool { return srv.single.front.co.QueuedItems() == big })
 
 	_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(reads[:8])})
 	var re *client.RetryError
@@ -406,14 +429,28 @@ func TestAdmissionQueueFull429(t *testing.T) {
 	}
 }
 
+// oversizedBody is a FASTQ body just over the request bound, streamed so
+// neither side holds it: one-base records whose '+' lines are padded to
+// 512 KiB, so the server's line scanner never buffers more than one line.
+func oversizedBody() io.Reader {
+	rec := []byte("@r\nA\n+" + strings.Repeat("x", 1<<19) + "\nI\n")
+	parts := make([]io.Reader, maxRequestBytes/len(rec)+2)
+	for i := range parts {
+		parts[i] = bytes.NewReader(rec)
+	}
+	return io.MultiReader(parts...)
+}
+
 func TestOversizedBody413(t *testing.T) {
-	_, reads := fixture(t)
-	_, ts := newTestServer(t, func(c *Config) { c.MaxRequestBytes = 64 })
-	cl := client.New(ts.URL)
-	_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(reads[:4])})
-	var se *client.StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body returned %v, want 413 (split-and-retry signal, not 400)", err)
+	_, ts := newTestServer(t, nil)
+	resp, err := http.Post(ts.URL+"/v1/align", "text/x-fastq", oversizedBody())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "request body too large") {
+		t.Fatalf("oversized body returned %d %s, want 413 (split-and-retry signal, not 400)", resp.StatusCode, body)
 	}
 }
 

@@ -2,73 +2,10 @@ package service
 
 import (
 	"io"
-	"sync/atomic"
-	"time"
 
-	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/client"
-	"github.com/lbl-repro/meraligner/internal/coalesce"
 	"github.com/lbl-repro/meraligner/internal/telemetry"
 )
-
-// Lock-free service statistics: atomic counters plus the shared
-// telemetry.Hist latency histograms. Everything here is written on hot
-// paths by many goroutines and read whole by /v1/stats and /metrics, so
-// there are no locks — only atomics; snapshots are merely
-// consistent-enough, which is all an observability endpoint needs.
-
-// serverStats aggregates one reference's live counters; the embedded
-// coalesce.Stats are the queue's own (batches, coalescing, cancellations).
-type serverStats struct {
-	start time.Time
-
-	requests         atomic.Int64 // align requests served to completion (any endpoint)
-	rejected         atomic.Int64 // 429s
-	reads            atomic.Int64 // reads accepted into the engine
-	tooShort         atomic.Int64 // reads rejected as shorter than K
-	deadlineRejected atomic.Int64 // 503s: propagated deadline below MinDeadline
-
-	coalesce.Stats
-
-	reqLatency telemetry.Hist // request wall time, enqueue -> results ready
-	alignRead  telemetry.Hist // per-read engine nanos (engine PerQuery stats)
-}
-
-func newServerStats() *serverStats { return &serverStats{start: time.Now()} }
-
-// observePerQuery folds the engine's per-query stats of one call into the
-// per-read latency histogram.
-func (s *serverStats) observePerQuery(pq []meraligner.QueryStat) {
-	for i := range pq {
-		s.alignRead.Observe(pq[i].Nanos)
-	}
-}
-
-// snapshot renders the wire Stats (everything except server/index identity,
-// which the Server fills in).
-func (s *serverStats) snapshot() client.Stats {
-	st := client.Stats{
-		UptimeSeconds:    time.Since(s.start).Seconds(),
-		Requests:         s.requests.Load(),
-		Rejected:         s.rejected.Load(),
-		Canceled:         s.Canceled.Load(),
-		Reads:            s.reads.Load(),
-		TooShort:         s.tooShort.Load(),
-		DeadlineRejected: s.deadlineRejected.Load(),
-		Batches:          s.Batches.Load(),
-		BatchedReads:     s.Items.Load(),
-		CoalescedBatches: s.Coalesced.Load(),
-		MaxBatchReads:    s.MaxItems.Load(),
-		RequestP50Ms:     s.reqLatency.Quantile(0.50) / 1e6,
-		RequestP99Ms:     s.reqLatency.Quantile(0.99) / 1e6,
-		AlignReadP50Us:   s.alignRead.Quantile(0.50) / 1e3,
-		AlignReadP99Us:   s.alignRead.Quantile(0.99) / 1e3,
-	}
-	if st.Batches > 0 {
-		st.MeanBatchReads = float64(st.BatchedReads) / float64(st.Batches)
-	}
-	return st
-}
 
 // refMetrics is one reference's snapshot for the exposition. ref "" (the
 // single-index server) emits unlabeled series, preserving the historical
