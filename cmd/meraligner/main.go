@@ -24,7 +24,7 @@
 //	meraligner -targets contigs.fa -batches r1.fq,r2.fq.gz,r3.fq -sam
 //	meraligner -targets contigs.fa -save-index contigs.merx
 //	meraligner -index contigs.merx -queries reads.fq -sam
-//	meraligner -targets contigs.fa -shard-save 3 -o shards/
+//	meraligner -index contigs.merx -shard-save 3 -o shards/
 //	meraligner -targets contigs.fa -dht-save 3 -o dht/
 //	meraligner -index contigs.merx -queries reads.fq -sam \
 //	           -dht-nodes http://n0:8491,http://n1:8491,http://n2:8491
@@ -33,7 +33,10 @@
 // shard snapshots (shard-000.merx, ...) under the -o directory, each a
 // normal single-node index over its slice plus its fleet identity (the
 // SHRD section) — the producer half of the distributed tier served by
-// merserved shards behind a merrouted router.
+// merserved shards behind a merrouted router. Like -dht-save, it carves the
+// one sealed index that -targets builds or -index maps: every shard keeps
+// the whole reference's seed counts and single-copy flags, so the fleet
+// answers as one whole-reference node does.
 //
 // -dht-save partitions the seed table by hash into N seed-shard snapshots
 // (seed-shard-000.merx, ...) under the -o directory — the producer half of
@@ -75,7 +78,7 @@ func main() {
 		targetsPath = flag.String("targets", "", "FASTA file of target sequences (contigs)")
 		indexPath   = flag.String("index", "", "load a .merx index snapshot instead of building from -targets")
 		saveIndex   = flag.String("save-index", "", "write the sealed index as a .merx snapshot (usable without -queries/-batches)")
-		shardSave   = flag.Int("shard-save", 0, "partition -targets into N shard snapshots under the -o directory (shard-000.merx, ...) for a merrouted fleet")
+		shardSave   = flag.Int("shard-save", 0, "partition the reference (-targets or -index) into N shard snapshots under the -o directory (shard-000.merx, ...) for a merrouted fleet")
 		dhtSave     = flag.Int("dht-save", 0, "hash-partition the seed table into N seed-shard snapshots under the -o directory (seed-shard-000.merx, ...) for a merserved -seed-shard fleet")
 		dhtNodes    = flag.String("dht-nodes", "", "comma-separated seed-shard base URLs in owner order; seed lookups resolve remotely against this fleet")
 		queriesPath = flag.String("queries", "", "FASTQ or SeqDB file of query reads (one batch)")
@@ -120,35 +123,29 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *shardSave != 0 {
-		switch {
-		case *shardSave < 0:
-			log.Fatalf("-shard-save wants a positive shard count, got %d", *shardSave)
-		case *targetsPath == "":
-			log.Fatal("-shard-save builds each shard from scratch and requires -targets")
-		case *queriesPath != "" || *batchList != "" || *saveIndex != "" || *dhtSave != 0:
-			log.Fatal("-shard-save is a standalone producer; drop -queries/-batches/-save-index/-dht-save")
-		case *engine == "sim":
-			log.Fatal("index snapshots require the threaded engine")
-		case *outPath == "":
-			log.Fatal("-shard-save needs -o naming the output directory")
-		}
-	}
+	// The fleet producers: -shard-save cuts the reference, -dht-save the seed
+	// table, both from the one index -targets builds or -index maps.
+	producer, parts := "-shard-save", *shardSave
 	if *dhtSave != 0 {
+		producer, parts = "-dht-save", *dhtSave
+	}
+	if parts != 0 {
 		switch {
-		case *dhtSave < 0:
-			log.Fatalf("-dht-save wants a positive owner count, got %d", *dhtSave)
+		case *shardSave != 0 && *dhtSave != 0:
+			log.Fatal("use at most one of -shard-save / -dht-save")
+		case parts < 0:
+			log.Fatalf("%s wants a positive count, got %d", producer, parts)
 		case *queriesPath != "" || *batchList != "" || *saveIndex != "":
-			log.Fatal("-dht-save is a standalone producer; drop -queries/-batches/-save-index")
+			log.Fatalf("%s is a standalone producer; drop -queries/-batches/-save-index", producer)
 		case *engine == "sim":
 			log.Fatal("index snapshots require the threaded engine")
 		case *outPath == "":
-			log.Fatal("-dht-save needs -o naming the output directory")
+			log.Fatalf("%s needs -o naming the output directory", producer)
 		}
 	}
 	if *dhtNodes != "" {
 		switch {
-		case *shardSave != 0 || *dhtSave != 0:
+		case parts != 0:
 			log.Fatal("-dht-nodes is a query-time option; it cannot be combined with the snapshot producers")
 		case *engine == "sim":
 			log.Fatal("-dht-nodes requires the threaded engine")
@@ -181,7 +178,7 @@ func main() {
 	qopt.MaxSeedHits = *maxHits
 	qopt.MinScore = *minScore
 	qopt.CollectAlignments = true
-	if *batchList == "" && *saveIndex == "" && *indexPath == "" && *shardSave == 0 && *dhtSave == 0 && *maxHits > 0 {
+	if *batchList == "" && *saveIndex == "" && *indexPath == "" && parts == 0 && *maxHits > 0 {
 		// One-shot runs know the threshold at build time; cap the stored
 		// location lists just past it. Batch mode and saved snapshots keep
 		// full lists so the resident index stays valid for any future
@@ -189,45 +186,19 @@ func main() {
 		iopt.MaxLocList = *maxHits + 1
 	}
 
-	// Shard producer: cut the reference into N self-contained snapshots for
-	// a scatter/gather fleet (-o is the output directory here, not a file).
-	if *shardSave > 0 {
-		targets, err := meraligner.ReadFasta(*targetsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		paths, err := meraligner.SaveShards(*threads, iopt, targets, *shardSave, *outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, p := range paths {
-			fmt.Println(p)
-		}
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "%d shard snapshot(s) over %d targets written to %s in %.3fs\n",
-				len(paths), len(targets), *outPath, time.Since(start).Seconds())
-		}
-		return
-	}
-
-	// Seed-shard producer: hash-partition one sealed seed table into N
-	// self-contained snapshots for a merserved -seed-shard fleet. Unlike
-	// -shard-save this works from a mapped -index too: the table is
-	// partitioned, not rebuilt.
-	if *dhtSave > 0 {
-		var a *meraligner.Aligner
-		if *indexPath != "" {
-			a, err = meraligner.OpenThreads(*threads, *indexPath)
-		} else {
-			a, err = meraligner.BuildFiles(*threads, iopt, *targetsPath)
-		}
+	// Fleet producers: -o is the output directory here, not a file.
+	if parts != 0 {
+		a, err := openAligner(*threads, iopt, *indexPath, *targetsPath)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer a.Close()
 		start := time.Now()
-		paths, err := a.SaveSeedShards(*outPath, *dhtSave)
+		save := a.SaveShards
+		if *dhtSave != 0 {
+			save = a.SaveSeedShards
+		}
+		paths, err := save(*outPath, parts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -235,9 +206,8 @@ func main() {
 			fmt.Println(p)
 		}
 		if *verbose {
-			fp, _ := a.SeedPartitionFingerprint(*dhtSave)
-			fmt.Fprintf(os.Stderr, "%d seed-shard snapshot(s) (k=%d, %d internal shards, fingerprint %#x) written to %s in %.3fs\n",
-				len(paths), a.IndexOptions().K, a.SeedTableShards(), fp, *outPath, time.Since(start).Seconds())
+			fmt.Fprintf(os.Stderr, "%d snapshot(s) (k=%d, %d internal shards) over %d targets written to %s in %.3fs\n",
+				len(paths), a.IndexOptions().K, a.SeedTableShards(), len(a.Targets()), *outPath, time.Since(start).Seconds())
 		}
 		return
 	}
@@ -311,12 +281,7 @@ func main() {
 		f.Close()
 	}
 
-	var a *meraligner.Aligner
-	if *indexPath != "" {
-		a, err = meraligner.OpenThreads(*threads, *indexPath)
-	} else {
-		a, err = meraligner.BuildFiles(*threads, iopt, *targetsPath)
-	}
+	a, err := openAligner(*threads, iopt, *indexPath, *targetsPath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -426,6 +391,15 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+}
+
+// openAligner maps the -index snapshot when one is named, else builds the
+// index over the -targets FASTA.
+func openAligner(threads int, iopt meraligner.IndexOptions, indexPath, targetsPath string) (*meraligner.Aligner, error) {
+	if indexPath != "" {
+		return meraligner.OpenThreads(threads, indexPath)
+	}
+	return meraligner.BuildFiles(threads, iopt, targetsPath)
 }
 
 // writeBatch emits one batch's records: through the shared SAM stream when

@@ -86,6 +86,25 @@ func TestMergeMappedOnExactlyOneShard(t *testing.T) {
 	}
 }
 
+// TestMergeExactHitStandsAlone: the shard owning a read's exact hit returns
+// it alone, as a whole-reference node's exact path does; another shard's
+// general path may still find a secondary in a repeat copy it holds. The
+// merge keeps the exact hit and drops the rest.
+func TestMergeExactHitStandsAlone(t *testing.T) {
+	reads := []meraligner.Seq{mkread("r", "ACGTACGTACGT")}
+	exact := client.Alignment{Target: "ctg2", Strand: "+", Score: 12, QEnd: 12, TStart: 7, TEnd: 19, Cigar: "12M", Exact: true}
+	secondary := client.Alignment{Target: "ctg9", Strand: "-", Score: 9, QStart: 3, QEnd: 12, TStart: 40, TEnd: 49, Cigar: "9M"}
+	per := []*client.AlignResponse{
+		{Reads: []client.ReadResult{{Name: "r", Status: client.StatusUnmapped}}},
+		{Reads: []client.ReadResult{{Name: "r", Status: client.StatusOK, Alignments: []client.Alignment{exact}}}},
+		{Reads: []client.ReadResult{{Name: "r", Status: client.StatusOK, Alignments: []client.Alignment{secondary}}}},
+	}
+	out := mergeResults(reads, per)
+	if out[0].Status != client.StatusOK || len(out[0].Alignments) != 1 || out[0].Alignments[0] != exact {
+		t.Fatalf("merged = %+v, want shard 1's exact hit alone", out[0])
+	}
+}
+
 func TestMergeTooShortPropagates(t *testing.T) {
 	reads := []meraligner.Seq{mkread("r", "ACG")}
 	per := []*client.AlignResponse{

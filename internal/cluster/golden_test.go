@@ -29,9 +29,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden fr
 // goldenReads is a fixed repeat-rich workload: a wheat-like profile (25 %
 // of the genome in copies of a few repeat units, 3 % substitution errors,
 // both strands) whose reads get asymmetric qualities, plus one read with a
-// deletion, one with an insertion, and one that aligns nowhere. On this
-// reference the 3-shard fleet agrees with the single node, so the router's
-// documents share the single node's golden files.
+// deletion, one with an insertion, and one that aligns nowhere. The 3-shard
+// fleet agrees with the single node, here as on any reference, so the
+// router's documents share the single node's golden files.
 func goldenReads(t *testing.T) (contigs, reads []meraligner.Seq) {
 	t.Helper()
 	p := genome.WheatLike(40_000)
@@ -71,6 +71,22 @@ func goldenReads(t *testing.T) (contigs, reads []meraligner.Seq) {
 	return ds.Contigs, reads
 }
 
+// serveAligner serves al as one merserved node with query options q, 16
+// reads a batch, and returns its base URL.
+func serveAligner(t *testing.T, al *meraligner.Aligner, q meraligner.QueryOptions) string {
+	t.Helper()
+	srv, err := service.New(service.Config{Aligner: al, Query: q, Workers: 2, FrontConfig: service.FrontConfig{MaxBatch: 16}, Version: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	return ts.URL
+}
+
 // goldenPost posts reads as a JSON align request and returns the 200 body.
 func goldenPost(t *testing.T, endpoint, accept string, reads []meraligner.Seq) []byte {
 	t.Helper()
@@ -90,19 +106,7 @@ func TestGoldenOutputFaces(t *testing.T) {
 	}
 	defer whole.Close()
 
-	serve := func(al *meraligner.Aligner) string {
-		srv, err := service.New(service.Config{Aligner: al, Query: queryOpts(), Workers: 2, FrontConfig: service.FrontConfig{MaxBatch: 16}, Version: "test"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv)
-		t.Cleanup(func() {
-			ts.Close()
-			srv.Close()
-		})
-		return ts.URL
-	}
-	single := serve(whole)
+	single := serveAligner(t, whole, queryOpts())
 	paths, err := meraligner.SaveShards(2, iopt, contigs, 3, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +118,7 @@ func TestGoldenOutputFaces(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { sa.Close() })
-		fleet = append(fleet, serve(sa))
+		fleet = append(fleet, serveAligner(t, sa, queryOpts()))
 	}
 	rt, rts := newRouter(t, fleet, nil)
 	waitReady(t, rt)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -20,6 +21,12 @@ import (
 // Because a single whole-reference node orders its own hits by that same
 // function, the merged document is byte-identical to the single node's —
 // the property the e2e tests pin.
+//
+// One exception: a read with an exact hit keeps that hit alone, as the node
+// returns straight after a successful exact path (§IV-A). Only the shard
+// holding the hit's target takes that path (its seed counts and single-copy
+// flags are the whole reference's); the others may find secondaries in
+// copies of a repeat the read runs into.
 //
 // Status merging: too_short wins (every shard has the same K, so one shard
 // saying too-short means all did — but one vote suffices and never loses
@@ -101,6 +108,10 @@ func mergeResults(reads []meraligner.Seq, per []*client.AlignResponse) []client.
 		}
 	}
 	for i := range out {
+		hits := out[i].Alignments
+		if j := slices.IndexFunc(hits, func(h client.Alignment) bool { return h.Exact }); j >= 0 {
+			hits[0], out[i].Alignments = hits[j], hits[:1]
+		}
 		client.CanonicalizeAlignments(out[i].Alignments)
 		if len(out[i].Alignments) > 0 && out[i].Status != client.StatusTooShort {
 			out[i].Status = client.StatusOK

@@ -18,10 +18,16 @@ import (
 
 // randomHits draws one read's hits from value sets small enough that every
 // comparator key ties somewhere: both strands, clips, indels, cigar-less
-// exact hits. Exact and NM follow from the keys, as they do for real hits
-// (two hits that tie on every key are the same alignment).
+// hits. As from the engine, a read gets either one exact hit or only
+// non-exact ones, and NM follows from the keys (two hits that tie on every
+// key are the same alignment).
 func randomHits(rng *rand.Rand, readLen int) []seqio.Hit {
-	hits := make([]seqio.Hit, rng.Intn(8))
+	n := rng.Intn(8)
+	exact := n > 0 && rng.Intn(4) == 0
+	if exact {
+		n = 1
+	}
+	hits := make([]seqio.Hit, n)
 	for i := range hits {
 		h := seqio.Hit{
 			Target: []string{"ctgA", "ctgB", "ctg10"}[rng.Intn(3)],
@@ -32,7 +38,7 @@ func randomHits(rng *rand.Rand, readLen int) []seqio.Hit {
 			Cigar:  []string{"", "12M", "5M1I6M2D3M", "5M2I5M2D3M"}[rng.Intn(4)],
 		}
 		h.TEnd = h.TStart + h.QEnd - h.QStart + rng.Intn(2)
-		h.Exact = h.Cigar == ""
+		h.Exact = exact
 		h.NM = (h.Score+h.TStart/100+h.QStart+h.TEnd+len(h.Cigar))%5 - 1
 		hits[i] = h
 	}

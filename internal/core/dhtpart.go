@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"github.com/lbl-repro/meraligner/internal/dht"
@@ -66,41 +65,18 @@ func SeedShardPath(dir string, id int) string {
 // snapshot passes the normal loaders too: LoadIndex opens it as a
 // (partial-table) index, LoadSeedShard as a lookup shard.
 func (ix *ThreadedIndex) SaveSeedShards(dir string, count int) ([]string, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("core: seed-shard count must be positive, got %d", count)
-	}
-	if ix.shard != nil {
-		return nil, fmt.Errorf("core: cannot seed-shard a reference shard (%d/%d): partition the whole reference", ix.shard.ID, ix.shard.Count)
-	}
-	fp, err := ix.sx.PartitionFingerprint(count)
+	fp, err := ix.sx.PartitionFingerprint(count) // refuses count < 1
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: saving seed shards: %w", err)
-	}
-	paths := make([]string, count)
-	for id := 0; id < count; id++ {
+	return ix.saveFleet(dir, "seed-shard", count, func(id int) (string, snapshotPart, error) {
 		p, err := ix.sx.Partition(id, count)
 		if err != nil {
-			return nil, err
-		}
-		meta := snapshotMeta{
-			Tool:         "meraligner",
-			Index:        ix.opt,
-			Shards:       p.Shards(),
-			NumTargets:   len(ix.targets),
-			NumFragments: ix.ft.NumFragments(),
-			Stats:        p.Stats(),
+			return "", snapshotPart{}, err
 		}
 		info := SeedShardInfo{ID: id, Count: count, K: ix.opt.K, Shards: p.Shards(), Fingerprint: fp}
-		path := SeedShardPath(dir, id)
-		if err := writeSnapshot(path, meta, ix.targets, p, nil, &info); err != nil {
-			return nil, err
-		}
-		paths[id] = path
-	}
-	return paths, nil
+		return SeedShardPath(dir, id), snapshotPart{targets: ix.targets, sx: p, seed: &info}, nil
+	})
 }
 
 // SeedTableShards returns the internal shard count of the seed table: the

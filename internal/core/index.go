@@ -32,7 +32,7 @@ type ThreadedIndex struct {
 	stats       dht.Stats // computed once at seal time
 
 	// shard identifies this index as one slice of a sharded reference
-	// (SetShardInfo / the snapshot's "SHRD" section); nil for a whole
+	// (the snapshot's "SHRD" section, written by SaveShards); nil for a whole
 	// reference.
 	shard *ShardInfo
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -268,39 +267,47 @@ func syntheticContigs(seed int64, n, length int) []seqio.Seq {
 
 // TestBuildSaveDeterministic: the same targets and options must produce the
 // same snapshot bytes whatever the build's worker count and schedule — the
-// determinism docs/INDEX_FORMAT.md promises. (Workers 1, 2 and 4 all get
-// DefaultShards = 16, so the table shape is the same by design; what used to
-// differ was in-record padding carried over from the staging buffers.)
+// determinism docs/INDEX_FORMAT.md promises — for the whole index and for
+// each of its reference shards. (Workers 1, 2 and 4 all get DefaultShards =
+// 16, so the table shape is the same by design; what used to differ was
+// in-record padding carried over from the staging buffers.)
 func TestBuildSaveDeterministic(t *testing.T) {
 	ds := testWorkload(t, 300_000, 1, 0)
 	iopt := testOptions(21).IndexOptions
-	dir := t.TempDir()
-	var ref []byte
+	var ref [][]byte
 	for _, workers := range []int{1, 2, 4} {
 		ix, err := BuildIndex(workers, iopt, ds.Contigs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(dir, fmt.Sprintf("w%d.merx", workers))
-		if err := ix.Save(path); err != nil {
+		dir := t.TempDir()
+		whole := filepath.Join(dir, "whole.merx")
+		if err := ix.Save(whole); err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(path)
+		shards, err := ix.SaveShards(dir, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var files [][]byte
+		for _, path := range append([]string{whole}, shards...) {
+			files = append(files, readBytes(t, path))
+		}
 		if ref == nil {
-			ref = got
+			ref = files
 			continue
 		}
-		if !bytes.Equal(got, ref) {
+		for i, got := range files {
+			if bytes.Equal(got, ref[i]) {
+				continue
+			}
 			diff := 0
-			for i := range got {
-				if i >= len(ref) || got[i] != ref[i] {
+			for j := range got {
+				if j >= len(ref[i]) || got[j] != ref[i][j] {
 					diff++
 				}
 			}
-			t.Errorf("snapshot built with %d workers differs from the 1-worker build in %d of %d bytes", workers, diff, len(got))
+			t.Errorf("snapshot %d (0 = whole, then shards) built with %d workers differs from the 1-worker build in %d of %d bytes", i, workers, diff, len(got))
 		}
 	}
 }

@@ -2,17 +2,19 @@ package core
 
 import (
 	"fmt"
+	"path/filepath"
 
 	"github.com/lbl-repro/meraligner/internal/seqio"
 )
 
 // Reference sharding: a whole reference partitioned into N contiguous
-// target ranges, each built into a normal single-node index plus a ShardInfo
-// recording its place in the fleet (persisted as the snapshot's "SHRD"
-// section). Targets keep their global names, and SAM/wire coordinates are
-// per-target, so a shard's alignments are already globally addressed — the
-// bases fields exist so a router (or operator) can verify fleet consistency
-// and reason about global target/fragment ids without opening every shard.
+// target ranges, each written as a normal single-node index over its slice
+// plus a ShardInfo recording its place in the fleet (persisted as the
+// snapshot's "SHRD" section). Targets keep their global names, and SAM/wire
+// coordinates are per-target, so a shard's alignments are already globally
+// addressed — the bases fields exist so a router (or operator) can verify
+// fleet consistency and reason about global target/fragment ids without
+// opening every shard.
 
 // ShardInfo is one shard's identity within a sharded reference.
 type ShardInfo struct {
@@ -49,33 +51,28 @@ func (ix *ThreadedIndex) ShardInfo() *ShardInfo {
 	return &si
 }
 
-// SetShardInfo stamps the index as one shard of a sharded reference; Save
-// then persists the identity in the snapshot's "SHRD" section. Used by the
-// shard producer right after building the slice's index.
-func (ix *ThreadedIndex) SetShardInfo(si ShardInfo) error {
-	if err := si.Validate(); err != nil {
-		return err
+// SaveShards cuts the reference into n contiguous, base-balanced target
+// slices (ShardRanges) and writes one self-contained snapshot per slice
+// into dir (shard-000.merx ...), returning the paths in shard order. Each
+// shard's table is this index's carved to the slice (dht.Restrict), so a
+// shard takes every §IV-A and §IV-C decision a whole-reference node takes.
+func (ix *ThreadedIndex) SaveShards(dir string, n int) ([]string, error) {
+	ranges, err := ShardRanges(ix.targets, n)
+	if err != nil {
+		return nil, err
 	}
-	ix.shard = &si
-	return nil
-}
-
-// CountTargetFragments returns the number of fragments the fragmentation of
-// BuildFragmentTable produces for one target of L bases with seed length k
-// and fragment length F — the per-target step of computing a shard's
-// FragmentBase without building the whole-reference table.
-func CountTargetFragments(L, k, F int) int {
-	if F == 0 || L <= F {
-		return 1
-	}
-	n, step := 0, F-k+1
-	for s := 0; s < L; s += step {
-		n++
-		if s+F >= L {
-			break
+	return ix.saveFleet(dir, "shard", n, func(id int) (string, snapshotPart, error) {
+		lo, hi := ranges[id][0], ranges[id][1]
+		fragLo, _ := ix.ft.FragRange(int32(lo))
+		_, fragHi := ix.ft.FragRange(int32(hi - 1))
+		sx, err := ix.sx.Restrict(int(fragLo), int(fragHi))
+		if err != nil {
+			return "", snapshotPart{}, err
 		}
-	}
-	return n
+		info := ShardInfo{ID: id, Count: n, TargetBase: lo, FragmentBase: int(fragLo)}
+		path := filepath.Join(dir, fmt.Sprintf("shard-%03d.merx", id))
+		return path, snapshotPart{targets: ix.targets[lo:hi], sx: sx, shard: &info}, nil
+	})
 }
 
 // ShardRanges partitions targets into n contiguous ranges balanced by total

@@ -65,15 +65,41 @@ type snapshotMeta struct {
 // path only after a successful sync, so a crashed or failed Save never
 // leaves a half-written snapshot where a loader might find it.
 func (ix *ThreadedIndex) Save(path string) error {
-	meta := snapshotMeta{
-		Tool:         "meraligner",
-		Index:        ix.opt,
-		Shards:       ix.sx.Shards(),
-		NumTargets:   len(ix.targets),
-		NumFragments: ix.ft.NumFragments(),
-		Stats:        ix.stats,
+	return writeSnapshot(path, ix.opt, snapshotPart{targets: ix.targets, sx: ix.sx, shard: ix.shard})
+}
+
+// snapshotPart is what one snapshot holds besides the build options: the
+// targets, the seed table over them, and at most one fleet identity.
+type snapshotPart struct {
+	targets []seqio.Seq
+	sx      *dht.Sharded
+	shard   *ShardInfo     // SHRD: one slice of a sharded reference
+	seed    *SeedShardInfo // DHTP: one owner of a hash-partitioned table
+}
+
+// saveFleet is the one producer loop of SaveShards and SaveSeedShards: it
+// refuses to cut a reference shard again, creates dir, and writes each
+// part(id), id below count, to the path part names, returning the paths. A
+// failure partway leaves the finished files on disk.
+func (ix *ThreadedIndex) saveFleet(dir, kind string, count int, part func(id int) (string, snapshotPart, error)) ([]string, error) {
+	if ix.shard != nil {
+		return nil, fmt.Errorf("core: cannot %s a reference shard (%d/%d): partition the whole reference", kind, ix.shard.ID, ix.shard.Count)
 	}
-	return writeSnapshot(path, meta, ix.targets, ix.sx, ix.shard, nil)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("core: saving %ss: %w", kind, err)
+	}
+	paths := make([]string, count)
+	for id := range paths {
+		path, p, err := part(id)
+		if err != nil {
+			return nil, err
+		}
+		paths[id] = path
+		if err := writeSnapshot(path, ix.opt, p); err != nil {
+			return nil, err
+		}
+	}
+	return paths, nil
 }
 
 // jsonSection writes v as indented JSON — the encoding of every metadata
@@ -89,10 +115,12 @@ func jsonSection(sw io.Writer, v any) error {
 }
 
 // writeSnapshot is the shared section-writing path of every snapshot
-// flavor: whole-reference and reference-shard saves (Save) and seed-shard
-// saves (SaveSeedShards) differ only in which table they serialize and
-// which optional identity sections ride along.
-func writeSnapshot(path string, meta snapshotMeta, targets []seqio.Seq, sx *dht.Sharded, shard *ShardInfo, part *SeedShardInfo) (err error) {
+// flavor: whole-index saves (Save) and the parts of both fleets (saveFleet)
+// differ only in which targets and table they serialize and which optional
+// identity section rides along. META describes the part's own table.
+func writeSnapshot(path string, opt IndexOptions, p snapshotPart) (err error) {
+	st := p.sx.Stats()
+	meta := snapshotMeta{Tool: "meraligner", Index: opt, Shards: p.sx.Shards(), NumTargets: len(p.targets), NumFragments: st.Fragments, Stats: st}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".merx-tmp-*")
 	if err != nil {
 		return fmt.Errorf("core: saving index: %w", err)
@@ -113,26 +141,26 @@ func writeSnapshot(path string, meta snapshotMeta, targets []seqio.Seq, sx *dht.
 		return err
 	}
 	if err = w.Section(sectionTargets, func(sw io.Writer) error {
-		return writeTargets(sw, targets)
+		return writeTargets(sw, p.targets)
 	}); err != nil {
 		return err
 	}
 	if err = w.Section(sectionDHT, func(sw io.Writer) error {
-		_, werr := sx.WriteTo(sw)
+		_, werr := p.sx.WriteTo(sw)
 		return werr
 	}); err != nil {
 		return err
 	}
-	if shard != nil {
+	if p.shard != nil {
 		if err = w.Section(sectionShard, func(sw io.Writer) error {
-			return jsonSection(sw, *shard)
+			return jsonSection(sw, *p.shard)
 		}); err != nil {
 			return err
 		}
 	}
-	if part != nil {
+	if p.seed != nil {
 		if err = w.Section(sectionDHTPart, func(sw io.Writer) error {
-			return jsonSection(sw, *part)
+			return jsonSection(sw, *p.seed)
 		}); err != nil {
 			return err
 		}

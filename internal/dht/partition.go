@@ -18,7 +18,8 @@ import (
 // saved under one mapping and queried under another process's idea of the
 // same mapping, so ShardOwner/OwnerOf are pinned by golden tests in
 // partition_test.go — a refactor that changes them silently re-partitions
-// every saved fleet.
+// every saved fleet. Restrict carves the same sealed table by fragment
+// range instead, for reference shards.
 
 // ShardOwner returns the owner of internal shard id among count owners.
 func ShardOwner(shard, count int) int { return shard % count }
@@ -68,6 +69,58 @@ func (sx *Sharded) Partition(id, count int) (*Sharded, error) {
 	}
 	p.sealed.Store(true)
 	return p, nil
+}
+
+// Restrict carves the fragment range [fragLo, fragHi) out of a sealed index:
+// a new sealed *Sharded with the same configuration holding, for every seed
+// with a stored location in the range, those locations in stored order with
+// Frag rebased by -fragLo, under the seed's whole-table count. Seeds with no
+// stored location in the range are absent. The single-copy flags are the
+// range's slice of the receiver's, so the §IV-A gate and the §IV-C threshold
+// decide as over the whole table. The full range reproduces the receiver.
+func (sx *Sharded) Restrict(fragLo, fragHi int) (*Sharded, error) {
+	if !sx.sealed.Load() {
+		return nil, fmt.Errorf("dht: Restrict on an unsealed index")
+	}
+	if fragLo < 0 || fragLo > fragHi || fragHi > sx.numFragments {
+		return nil, fmt.Errorf("dht: fragment range [%d,%d) outside 0..%d", fragLo, fragHi, sx.numFragments)
+	}
+	r := &Sharded{
+		cfg:          sx.cfg,
+		singleCopy:   sx.singleCopy[fragLo:fragHi:fragHi],
+		numFragments: fragHi - fragLo,
+		flat:         make([]flatShard, len(sx.flat)),
+	}
+	for s := range sx.flat {
+		r.flat[s] = sx.flat[s].restrict(s, int32(fragLo), int32(fragHi))
+	}
+	r.sealed.Store(true)
+	return r, nil
+}
+
+// restrict is Restrict for one internal shard.
+func (fs *flatShard) restrict(id int, lo, hi int32) flatShard {
+	var es []SeedEntry
+	for i := range fs.slots {
+		e := &fs.slots[i]
+		if e.n == 0 {
+			continue
+		}
+		for _, l := range fs.locs[e.off : e.off+e.n] {
+			if l.Frag >= lo && l.Frag < hi {
+				es = append(es, SeedEntry{Seed: e.seed, Loc: Loc{Frag: l.Frag - lo, Off: l.Off, RC: l.RC}})
+			}
+		}
+	}
+	SortEntries(es)
+	out := newFlatShard(id, es, 0)
+	for i := range out.slots {
+		if e := &out.slots[i]; e.n != 0 {
+			res, _ := fs.lookup(e.seed, e.seed.Hash())
+			e.cnt = res.Count
+		}
+	}
+	return out
 }
 
 // PartitionFingerprint digests the partition-relevant shape of the FULL

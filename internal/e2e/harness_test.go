@@ -19,12 +19,7 @@
 //
 //	alpha, beta  ecoli 120 kbp, seeds 1 and 2, 2,400 reads   Snapshot, Service, Catalog
 //	ecoli        ecoli 600 kbp, 13 contigs, 12,000 reads     Cluster, Chaos, DHT
-//	wheat        wheat 600 kbp, 25 % repeats, 8,000 reads    Snapshot, DHT
-//	(no wheat)   Cluster, Chaos: reference shards re-derive seed counts and
-//	             single-copy marks from their slice of the table (ROADMAP
-//	             1(a)), so routed output is pinned on the repeat-poor
-//	             reference only; the seed DHT and a snapshot hold the
-//	             global table and carry no such caveat.
+//	wheat        wheat 600 kbp, 25 % repeats, 8,000 reads    Snapshot, Cluster, Chaos, DHT
 package e2e
 
 import (

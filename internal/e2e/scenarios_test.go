@@ -28,14 +28,6 @@ import (
 // smokeReads is the batch the service-face checks post (head -n 400).
 const smokeReads = 100
 
-// jsonIdentityReads bounds the batch on which a router's JSON must be
-// byte-identical to a single node's. SAM identity holds on the full read set
-// and is asserted there; on the JSON face 253 of ecoli's 12,000 reads differ
-// in the `exact` flag alone, because each reference shard re-derives
-// single-copy marks from its slice (ROADMAP 1(a)). The first 100 reads hold
-// today; the PR that fixes 1(a) raises this to the full 12,000.
-const jsonIdentityReads = 100
-
 // readHeaderTimeout mirrors internal/service's constant of the same name.
 const readHeaderTimeout = 10 * time.Second
 
@@ -256,51 +248,71 @@ func shardReference(t *testing.T, w workload, n int) []string {
 }
 
 // TestCluster: merrouted over three reference shards answers byte for byte
-// what one whole-reference node does, and a dead shard is a 502 or an
+// what one whole-reference node does, on a repeat-poor and a repeat-rich
+// reference; shards cut from a mapped snapshot are the shards cut from
+// FASTA, and a shard is never cut again; a dead shard is a 502 or an
 // annotated partial answer, by policy — never silent loss.
 func TestCluster(t *testing.T) {
 	scenario(t)
-	var shards []*proc
-	var fleet []string
-	for i, path := range shardReference(t, ecoli, 3) {
-		shards = append(shards, start(t, fmt.Sprint("shard", i), "merserved", "-index", path))
-		fleet = append(fleet, shards[i].URL)
-	}
-	single := start(t, "single", "merserved", "-targets", ecoli.contigs, "-k", k)
-	ready(t, append(fleet, single.URL)...)
-	router := start(t, "router", "merrouted", "-shards", strings.Join(fleet, ","), "-debug-addr", "127.0.0.1:0")
-	partial := start(t, "partial", "merrouted", "-shards", strings.Join(fleet, ","), "-degraded", "partial")
-	ready(t, router.URL, partial.URL)
+	for _, w := range []workload{ecoli, wheat} {
+		t.Run(w.name, func(t *testing.T) {
+			paths := shardReference(t, w, 3)
+			dir := t.TempDir()
+			whole := filepath.Join(dir, "whole.merx")
+			mustRun(t, "meraligner", "-targets", w.contigs, "-k", k, "-save-index", whole)
+			mustRun(t, "meraligner", "-index", whole, "-shard-save", "3", "-o", dir)
+			for i, path := range paths {
+				same(t, fmt.Sprintf("shard %d from -index and from -targets", i), readFile(t, filepath.Join(dir, filepath.Base(path))), readFile(t, path))
+			}
+			if out, err := run("meraligner", "-index", paths[0], "-shard-save", "2", "-o", t.TempDir()); err == nil {
+				t.Error("a reference shard was sharded again")
+			} else {
+				has(t, "stderr", []byte(out), "cannot shard a reference shard")
+			}
 
-	// The contract: SAM and JSON byte-identical to one node.
-	routedSAM := align(t, router.URL+v1Align, sam, ecoli.fastq)
-	same(t, "routed.sam and single.sam", routedSAM, align(t, single.URL+v1Align, sam, ecoli.fastq))
-	has(t, "routed.sam", routedSAM, "AS:i:")
-	batch := firstReads(ecoli.fastq, jsonIdentityReads)
-	same(t, "routed.json and single.json", align(t, router.URL+v1Align, jsonT, batch), align(t, single.URL+v1Align, jsonT, batch))
-	metrics := get(t, router.URL+"/metrics")
-	has(t, "/metrics", metrics, `merrouted_shard_up{shard="0"`)
-	has(t, "/metrics", metrics, "_bucket{le=")
+			var shards []*proc
+			var fleet []string
+			for i, path := range paths {
+				shards = append(shards, start(t, fmt.Sprint("shard", i), "merserved", "-index", path))
+				fleet = append(fleet, shards[i].URL)
+			}
+			single := start(t, "single", "merserved", "-targets", w.contigs, "-k", k)
+			ready(t, append(fleet, single.URL)...)
+			router := start(t, "router", "merrouted", "-shards", strings.Join(fleet, ","), "-debug-addr", "127.0.0.1:0")
+			partial := start(t, "partial", "merrouted", "-shards", strings.Join(fleet, ","), "-degraded", "partial")
+			ready(t, router.URL, partial.URL)
 
-	// A caller-supplied request ID is echoed by the router and its trace
-	// lands in the debug listener's ring.
-	const id = "feedfacecafebeef0123456789abcdef"
-	echoesRequestID(t, router.URL+v1Align, batch, id)
-	has(t, "/debug/requests", get(t, "http://"+router.listenAddr("debug listening on ")+"/debug/requests"), id)
+			// The contract: SAM and JSON byte-identical to one node, on every read.
+			routedSAM := align(t, router.URL+v1Align, sam, w.fastq)
+			same(t, "routed.sam and single.sam", routedSAM, align(t, single.URL+v1Align, sam, w.fastq))
+			has(t, "routed.sam", routedSAM, "AS:i:")
+			same(t, "routed.json and single.json", align(t, router.URL+v1Align, jsonT, w.fastq), align(t, single.URL+v1Align, jsonT, w.fastq))
+			metrics := get(t, router.URL+"/metrics")
+			has(t, "/metrics", metrics, `merrouted_shard_up{shard="0"`)
+			has(t, "/metrics", metrics, "_bucket{le=")
 
-	// Kill one shard: the fail policy answers 502, the partial policy
-	// serves the survivors, annotated.
-	shards[1].Kill()
-	r, err := post(router.URL+v1Align, batch)
-	if err != nil || r.status != http.StatusBadGateway {
-		t.Fatalf("fail policy: status %d, err %v\n%s", r.status, err, r.body)
-	}
-	has(t, "502 body", r.body, "shard(s) unavailable")
-	matches(t, "degraded.sam", align(t, partial.URL+v1Align, sam, batch), "^@CO\tdegraded: results missing from shard\\(s\\)")
-	has(t, "degraded.json", align(t, partial.URL+v1Align, jsonT, batch), `"degraded_shards"`)
+			// A caller-supplied request ID is echoed by the router and its trace
+			// lands in the debug listener's ring.
+			const id = "feedfacecafebeef0123456789abcdef"
+			batch := firstReads(w.fastq, smokeReads)
+			echoesRequestID(t, router.URL+v1Align, batch, id)
+			has(t, "/debug/requests", get(t, "http://"+router.listenAddr("debug listening on ")+"/debug/requests"), id)
 
-	for _, p := range []*proc{router, partial, single, shards[0], shards[2]} {
-		p.Term()
+			// Kill one shard: the fail policy answers 502, the partial policy
+			// serves the survivors, annotated.
+			shards[1].Kill()
+			r, err := post(router.URL+v1Align, batch)
+			if err != nil || r.status != http.StatusBadGateway {
+				t.Fatalf("fail policy: status %d, err %v\n%s", r.status, err, r.body)
+			}
+			has(t, "502 body", r.body, "shard(s) unavailable")
+			matches(t, "degraded.sam", align(t, partial.URL+v1Align, sam, batch), "^@CO\tdegraded: results missing from shard\\(s\\)")
+			has(t, "degraded.json", align(t, partial.URL+v1Align, jsonT, batch), `"degraded_shards"`)
+
+			for _, p := range []*proc{router, partial, single, shards[0], shards[2]} {
+				p.Term()
+			}
+		})
 	}
 }
 
@@ -308,89 +320,94 @@ func TestCluster(t *testing.T) {
 // 100ms injected latency (so proxied RPCs are long-lived). Mid-load the
 // three proxies are killed, staggered; the router must fail over with zero
 // failed requests and byte-identical SAM, mark the dead replicas down and
-// count the failovers.
+// count the failovers. It runs on a repeat-poor and a repeat-rich
+// reference.
 func TestChaos(t *testing.T) {
 	scenario(t)
-	var servers []*proc
-	var proxies []*faultinject.Proxy
-	var specs []string
-	for s, path := range shardReference(t, ecoli, 3) {
-		a := start(t, fmt.Sprint("shard", s, "-a"), "merserved", "-index", path)
-		b := start(t, fmt.Sprint("shard", s, "-b"), "merserved", "-index", path)
-		ready(t, a.URL, b.URL)
-		px, err := faultinject.New(strings.TrimPrefix(a.URL, "http://"), uint64(7+s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer px.Close()
-		px.SetLatency(100 * time.Millisecond)
-		ready(t, px.URL()) // readiness through the proxy proves the fault path forwards
-		servers, proxies = append(servers, a, b), append(proxies, px)
-		specs = append(specs, px.URL()+"|"+b.URL)
-	}
-	single := start(t, "single", "merserved", "-targets", ecoli.contigs, "-k", k)
-	ready(t, single.URL)
-	router := start(t, "router", "merrouted", "-shards", strings.Join(specs, ","),
-		"-breaker-threshold", "2", "-health-interval", "200ms", "-hedge-after", "1s")
-	ready(t, router.URL)
-
-	// Byte-identity before any fault, on the full read set.
-	wantFull := align(t, single.URL+v1Align, sam, ecoli.fastq)
-	same(t, "routed.sam and single.sam", align(t, router.URL+v1Align, sam, ecoli.fastq), wantFull)
-
-	// Sustained concurrent load: 3 clients x 12 requests. Replica 0 of every
-	// shard dies mid-flight, staggered: proxy s once 9(s+1) of the 36
-	// requests have been answered, so every kill lands under load whatever
-	// the host's speed.
-	batch := firstReads(ecoli.fastq, smokeReads)
-	want := align(t, single.URL+v1Align, sam, batch)
-	var load sync.WaitGroup
-	var answered atomic.Int32
-	for c := 1; c <= 3; c++ {
-		load.Add(1)
-		go func() {
-			defer load.Done()
-			for i := 1; i <= 12; i++ {
-				r, err := post(router.URL+v1Align, batch, "Accept", sam)
-				answered.Add(1)
-				if err != nil || r.status != http.StatusOK {
-					t.Errorf("client %d request %d failed during chaos: status %d, err %v", c, i, r.status, err)
-				} else if !bytes.Equal(r.body, want) {
-					t.Errorf("client %d request %d: SAM differs from the single node's", c, i)
+	for _, w := range []workload{ecoli, wheat} {
+		t.Run(w.name, func(t *testing.T) {
+			var servers []*proc
+			var proxies []*faultinject.Proxy
+			var specs []string
+			for s, path := range shardReference(t, w, 3) {
+				a := start(t, fmt.Sprint("shard", s, "-a"), "merserved", "-index", path)
+				b := start(t, fmt.Sprint("shard", s, "-b"), "merserved", "-index", path)
+				ready(t, a.URL, b.URL)
+				px, err := faultinject.New(strings.TrimPrefix(a.URL, "http://"), uint64(7+s))
+				if err != nil {
+					t.Fatal(err)
 				}
+				defer px.Close()
+				px.SetLatency(100 * time.Millisecond)
+				ready(t, px.URL()) // readiness through the proxy proves the fault path forwards
+				servers, proxies = append(servers, a, b), append(proxies, px)
+				specs = append(specs, px.URL()+"|"+b.URL)
 			}
-		}()
-	}
-	for s, px := range proxies {
-		for answered.Load() < int32(9*(s+1)) {
-			time.Sleep(time.Millisecond)
-		}
-		px.Close() // closes the listener and resets every live connection
-	}
-	load.Wait()
+			single := start(t, "single", "merserved", "-targets", w.contigs, "-k", k)
+			ready(t, single.URL)
+			router := start(t, "router", "merrouted", "-shards", strings.Join(specs, ","),
+				"-breaker-threshold", "2", "-health-interval", "200ms", "-hedge-after", "1s")
+			ready(t, router.URL)
 
-	// The survivor-only fleet still answers byte-identically.
-	same(t, "after.sam and single.sam", align(t, router.URL+v1Align, sam, ecoli.fastq), wantFull)
+			// Byte-identity before any fault, on the full read set.
+			wantFull := align(t, single.URL+v1Align, sam, w.fastq)
+			same(t, "routed.sam and single.sam", align(t, router.URL+v1Align, sam, w.fastq), wantFull)
 
-	// The router logged the up->down flips, probes show the killed
-	// replicas down and the survivors up, failed-over scatters were
-	// counted, and /v1/stats carries the per-replica breakdown.
-	time.Sleep(time.Second) // let the 200ms probes observe every dead replica
-	router.logged("replica down")
-	metrics := get(t, router.URL+"/metrics")
-	for s := range proxies {
-		matches(t, "/metrics", metrics, fmt.Sprintf(`^merrouted_replica_up\{shard="%d",replica="0",.*\} 0$`, s))
-		matches(t, "/metrics", metrics, fmt.Sprintf(`^merrouted_replica_up\{shard="%d",replica="1",.*\} 1$`, s))
-		has(t, "/metrics", metrics, fmt.Sprintf(`merrouted_replica_state{shard="%d",replica="0",`, s))
-	}
-	matches(t, "/metrics", metrics, `^merrouted_failovers_total [1-9]`)
-	stats := get(t, router.URL+"/v1/stats")
-	for _, field := range []string{`"replicas":`, `"up":false`, `"failovers":`} {
-		has(t, "/v1/stats", stats, field)
-	}
+			// Sustained concurrent load: 3 clients x 12 requests. Replica 0 of every
+			// shard dies mid-flight, staggered: proxy s once 9(s+1) of the 36
+			// requests have been answered, so every kill lands under load whatever
+			// the host's speed.
+			batch := firstReads(w.fastq, smokeReads)
+			want := align(t, single.URL+v1Align, sam, batch)
+			var load sync.WaitGroup
+			var answered atomic.Int32
+			for c := 1; c <= 3; c++ {
+				load.Add(1)
+				go func() {
+					defer load.Done()
+					for i := 1; i <= 12; i++ {
+						r, err := post(router.URL+v1Align, batch, "Accept", sam)
+						answered.Add(1)
+						if err != nil || r.status != http.StatusOK {
+							t.Errorf("client %d request %d failed during chaos: status %d, err %v", c, i, r.status, err)
+						} else if !bytes.Equal(r.body, want) {
+							t.Errorf("client %d request %d: SAM differs from the single node's", c, i)
+						}
+					}
+				}()
+			}
+			for s, px := range proxies {
+				for answered.Load() < int32(9*(s+1)) {
+					time.Sleep(time.Millisecond)
+				}
+				px.Close() // closes the listener and resets every live connection
+			}
+			load.Wait()
 
-	for _, p := range append(servers, single, router) {
-		p.Term()
+			// The survivor-only fleet still answers byte-identically.
+			same(t, "after.sam and single.sam", align(t, router.URL+v1Align, sam, w.fastq), wantFull)
+
+			// The router logged the up->down flips, probes show the killed
+			// replicas down and the survivors up, failed-over scatters were
+			// counted, and /v1/stats carries the per-replica breakdown.
+			time.Sleep(time.Second) // let the 200ms probes observe every dead replica
+			router.logged("replica down")
+			metrics := get(t, router.URL+"/metrics")
+			for s := range proxies {
+				matches(t, "/metrics", metrics, fmt.Sprintf(`^merrouted_replica_up\{shard="%d",replica="0",.*\} 0$`, s))
+				matches(t, "/metrics", metrics, fmt.Sprintf(`^merrouted_replica_up\{shard="%d",replica="1",.*\} 1$`, s))
+				has(t, "/metrics", metrics, fmt.Sprintf(`merrouted_replica_state{shard="%d",replica="0",`, s))
+			}
+			matches(t, "/metrics", metrics, `^merrouted_failovers_total [1-9]`)
+			stats := get(t, router.URL+"/v1/stats")
+			for _, field := range []string{`"replicas":`, `"up":false`, `"failovers":`} {
+				has(t, "/v1/stats", stats, field)
+			}
+
+			for _, p := range append(servers, single, router) {
+				p.Term()
+			}
+		})
 	}
 }
 

@@ -1,24 +1,20 @@
 package meraligner
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
+import "github.com/lbl-repro/meraligner/internal/core"
 
-	"github.com/lbl-repro/meraligner/internal/core"
-)
-
-// Reference sharding: the producer half of the distributed alignment tier.
-// SaveShards cuts one reference into N contiguous, base-balanced target
-// slices and writes each as a self-contained .merx snapshot — a normal
-// single-node index over its slice plus a SHRD section recording the
-// shard's place in the fleet. Each snapshot is served by an ordinary
-// merserved; a scatter/gather router (internal/cluster, cmd/merrouted)
-// fans queries across the fleet and merges per-read results back into the
-// exact output a single whole-reference node would have produced. Targets
-// keep their global names and per-target coordinates, so shard alignments
-// need no rebasing — the SHRD offsets exist for fleet-consistency checks
-// and for reasoning about global target/fragment ids.
+// Fleet producers: the producer half of both distributed tiers, each
+// carving the one sealed index into N self-contained .merx snapshots.
+// Aligner.SaveShards cuts the reference into contiguous, base-balanced
+// target slices, each a normal index over its slice (with whole-reference
+// seed counts and single-copy flags) plus a SHRD section naming its place in
+// the fleet; merserved serves each, and a router (internal/cluster,
+// cmd/merrouted) merges their per-read results into the output of one
+// whole-reference node. Aligner.SaveSeedShards cuts the seed table by hash:
+// every snapshot carries the whole reference but only the seeds its owner
+// position holds — the paper's distributed hash table as N files, served by
+// `merserved -seed-shard` to a query node (meraligner -dht-nodes) that
+// resolves seeds through internal/dhtnet. Both fleets' output is
+// byte-identical to one node's; docs/INDEX_FORMAT.md specifies SHRD and DHTP.
 
 // ShardInfo is one shard's identity within a sharded reference: its
 // position, the fleet size, and the global target/fragment offsets of its
@@ -32,51 +28,60 @@ func (a *Aligner) ShardInfo() *ShardInfo {
 	return a.ix.ShardInfo()
 }
 
-// ShardRanges computes the contiguous [lo, hi) target ranges SaveShards
-// would build, balanced by total bases (the partition of §II-A). Exposed so
-// tooling can predict or display a sharding without building anything.
-func ShardRanges(targets []Seq, n int) ([][2]int, error) {
-	return core.ShardRanges(targets, n)
+// SaveShards partitions the resident index's reference into n shards and
+// writes one snapshot per shard under dir as shard-000.merx,
+// shard-001.merx, ..., returning the written paths in shard order. Every
+// shard carries the index's build options (a router refuses mixed-K
+// fleets). A reference shard cannot be sharded again. Snapshot writes are
+// atomic, but the set is not transactional: a failure partway leaves the
+// already-written shards on disk for the caller to clean up or resume over.
+func (a *Aligner) SaveShards(dir string, n int) ([]string, error) {
+	if err := a.acquire(); err != nil {
+		return nil, err
+	}
+	defer a.release()
+	return a.ix.SaveShards(dir, n)
 }
 
-// SaveShards partitions targets into n shards and writes one index
-// snapshot per shard under dir as shard-000.merx, shard-001.merx, ...,
-// returning the written paths in shard order. Each shard's index is built
-// independently with opt (identical K and build options across the fleet —
-// a router refuses mixed-K fleets); threads sizes each build's worker pool.
-// Snapshot writes are atomic, but the set is not transactional: a failure
-// partway leaves the already-written shards on disk for the caller to
-// clean up or resume over.
+// SaveShards builds the index over targets once with opt on threads
+// workers and writes its n reference shards under dir (Aligner.SaveShards).
 func SaveShards(threads int, opt IndexOptions, targets []Seq, n int, dir string) ([]string, error) {
-	ranges, err := core.ShardRanges(targets, n)
+	a, err := Build(threads, opt, targets)
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("meraligner: creating shard directory: %w", err)
+	defer a.Close()
+	return a.SaveShards(dir, n)
+}
+
+// SeedShardInfo is one seed shard's identity within a partitioned DHT:
+// owner position, fleet size, seed length, internal shard count, and the
+// partition fingerprint every sibling must share.
+type SeedShardInfo = core.SeedShardInfo
+
+// SeedShardPath names seed shard id within dir, the layout SaveSeedShards
+// produces (seed-shard-000.merx, ...).
+func SeedShardPath(dir string, id int) string { return core.SeedShardPath(dir, id) }
+
+// SaveSeedShards hash-partitions the resident index's seed table across
+// count owner nodes and writes one self-contained snapshot per owner under
+// dir, returning the paths in owner order. Writes are atomic per file; a
+// failure partway leaves the finished shards on disk.
+func (a *Aligner) SaveSeedShards(dir string, count int) ([]string, error) {
+	if err := a.acquire(); err != nil {
+		return nil, err
 	}
-	paths := make([]string, 0, n)
-	targetBase, fragmentBase := 0, 0
-	for id, r := range ranges {
-		slice := targets[r[0]:r[1]]
-		ix, err := core.BuildIndex(threads, opt, slice)
-		if err != nil {
-			return paths, fmt.Errorf("meraligner: building shard %d/%d: %w", id, n, err)
-		}
-		if err := ix.SetShardInfo(core.ShardInfo{
-			ID: id, Count: n, TargetBase: targetBase, FragmentBase: fragmentBase,
-		}); err != nil {
-			return paths, err
-		}
-		path := filepath.Join(dir, fmt.Sprintf("shard-%03d.merx", id))
-		if err := ix.Save(path); err != nil {
-			return paths, fmt.Errorf("meraligner: saving shard %d/%d: %w", id, n, err)
-		}
-		paths = append(paths, path)
-		targetBase += len(slice)
-		for _, t := range slice {
-			fragmentBase += core.CountTargetFragments(t.Seq.Len(), opt.K, opt.FragmentLen)
-		}
-	}
-	return paths, nil
+	defer a.release()
+	return a.ix.SaveSeedShards(dir, count)
+}
+
+// SeedTableShards returns the internal shard count of the resident seed
+// table — the routing input a seed-lookup client needs alongside K.
+func (a *Aligner) SeedTableShards() int { return a.ix.SeedTableShards() }
+
+// SeedPartitionFingerprint returns the fingerprint a count-way seed-shard
+// fleet built from this index must report; a query node verifies it against
+// every node before trusting remote answers.
+func (a *Aligner) SeedPartitionFingerprint(count int) (uint64, error) {
+	return a.ix.SeedPartitionFingerprint(count)
 }

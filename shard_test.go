@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	meraligner "github.com/lbl-repro/meraligner"
+	"github.com/lbl-repro/meraligner/internal/core"
 	"github.com/lbl-repro/meraligner/internal/genome"
 )
 
@@ -25,42 +26,6 @@ func shardWorkload(t *testing.T) *genome.DataSet {
 	return ds
 }
 
-func TestShardRangesCoverAndBalance(t *testing.T) {
-	ds := shardWorkload(t)
-	const n = 3
-	ranges, err := meraligner.ShardRanges(ds.Contigs, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranges) != n {
-		t.Fatalf("%d ranges for %d shards", len(ranges), n)
-	}
-	// Contiguous cover of [0, len(targets)), no shard empty.
-	at := 0
-	for i, r := range ranges {
-		if r[0] != at || r[1] <= r[0] {
-			t.Fatalf("range %d = %v, want contiguous nonempty from %d", i, r, at)
-		}
-		at = r[1]
-	}
-	if at != len(ds.Contigs) {
-		t.Fatalf("ranges end at %d, want %d", at, len(ds.Contigs))
-	}
-}
-
-func TestShardRangesErrors(t *testing.T) {
-	ds := shardWorkload(t)
-	if _, err := meraligner.ShardRanges(ds.Contigs, 0); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := meraligner.ShardRanges(ds.Contigs, -2); err == nil {
-		t.Error("negative n accepted")
-	}
-	if _, err := meraligner.ShardRanges(ds.Contigs, len(ds.Contigs)+1); err == nil {
-		t.Error("more shards than targets accepted")
-	}
-}
-
 // TestSaveShardsRoundTrip is the shard producer contract: every snapshot
 // reopens as a normal aligner whose targets are exactly its slice of the
 // global target list, stamped with a consistent fleet identity.
@@ -77,7 +42,7 @@ func TestSaveShardsRoundTrip(t *testing.T) {
 	if len(paths) != n {
 		t.Fatalf("%d paths for %d shards", len(paths), n)
 	}
-	ranges, err := meraligner.ShardRanges(ds.Contigs, n)
+	ranges, err := core.ShardRanges(ds.Contigs, n)
 	if err != nil {
 		t.Fatal(err)
 	}
