@@ -4,14 +4,16 @@ package meraligner_test
 // property of the whole tier is that aligning with seed lookups resolved
 // against a remote seed-shard fleet produces byte-identical SAM to the
 // local engine — across shard counts, client batch shapes (including the
-// single-seed and the >MaxBatch direct paths), seed lengths, and location-
-// list caps. Seed partitioning must be invisible to alignment output.
+// >MaxBatch direct path and a queue bound smaller than one claim's group),
+// worker counts, seed lengths, and location-list caps. Seed partitioning
+// must be invisible to alignment output.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -52,7 +54,7 @@ func dhtParityWorkload(t *testing.T) *genome.DataSet {
 
 // serveSeedFleet partitions al's seed table into count shard snapshots,
 // serves each over httptest, and returns a warmed dhtnet client.
-func serveSeedFleet(t *testing.T, al *meraligner.Aligner, count, maxBatch int) *dhtnet.Client {
+func serveSeedFleet(t *testing.T, al *meraligner.Aligner, count, maxBatch, queueSeeds int) *dhtnet.Client {
 	t.Helper()
 	paths, err := al.SaveSeedShards(t.TempDir(), count)
 	if err != nil {
@@ -84,6 +86,7 @@ func serveSeedFleet(t *testing.T, al *meraligner.Aligner, count, maxBatch int) *
 		Fingerprint: fp,
 		MaxBatch:    maxBatch,
 		MaxWait:     500 * time.Microsecond,
+		QueueSeeds:  queueSeeds,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,10 +98,10 @@ func serveSeedFleet(t *testing.T, al *meraligner.Aligner, count, maxBatch int) *
 	return c
 }
 
-// alignSAM runs one Align call and renders the result as SAM bytes.
-func alignSAM(t *testing.T, al *meraligner.Aligner, ds *genome.DataSet, qopt meraligner.QueryOptions) []byte {
+// alignSAM runs one AlignWorkers call and renders the result as SAM bytes.
+func alignSAM(t *testing.T, al *meraligner.Aligner, ds *genome.DataSet, workers int, qopt meraligner.QueryOptions) []byte {
 	t.Helper()
-	res, err := al.Align(context.Background(), ds.Reads, qopt)
+	res, err := al.AlignWorkers(context.Background(), workers, ds.Reads, qopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +127,8 @@ func TestDHTNetAlignmentParity(t *testing.T) {
 		{k: 21, count: 1, maxBatch: 0, maxHits: 0},
 		{k: 21, count: 2, maxBatch: 0, maxHits: 0},
 		{k: 21, count: 4, maxBatch: 0, maxHits: 0},
-		{k: 21, count: 2, maxBatch: 1, maxHits: 0},  // every seed its own frame
-		{k: 21, count: 2, maxBatch: 16, maxHits: 0}, // per-read groups exceed MaxBatch → direct path
+		{k: 21, count: 2, maxBatch: 1, maxHits: 0},  // every group on the direct path
+		{k: 21, count: 2, maxBatch: 16, maxHits: 0}, // claim groups exceed MaxBatch → direct path
 		{k: 21, count: 4, maxBatch: 0, maxHits: 4},  // location-list cap applied remotely
 		{k: 51, count: 2, maxBatch: 0, maxHits: 0},
 		{k: 51, count: 2, maxBatch: 16, maxHits: 4},
@@ -161,14 +164,14 @@ func TestDHTNetAlignmentParity(t *testing.T) {
 			bk := key{tc.k, tc.maxHits}
 			want, ok := baselines[bk]
 			if !ok {
-				want = alignSAM(t, al, ds, qoptFor(tc.maxHits))
+				want = alignSAM(t, al, ds, al.Threads(), qoptFor(tc.maxHits))
 				baselines[bk] = want
 			}
 
-			c := serveSeedFleet(t, al, tc.count, tc.maxBatch)
+			c := serveSeedFleet(t, al, tc.count, tc.maxBatch, 0)
 			qopt := qoptFor(tc.maxHits)
 			qopt.SeedResolver = c
-			got := alignSAM(t, al, ds, qopt)
+			got := alignSAM(t, al, ds, al.Threads(), qopt)
 
 			if !bytes.Equal(want, got) {
 				// Locate the first divergent line for a readable failure.
@@ -197,6 +200,34 @@ func TestDHTNetAlignmentParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDHTNetClaimGroupsOverQueueBound: the engine resolves a whole claim of
+// reads per ResolveSeeds call, so one owner's group can exceed the per-owner
+// queue bound (QueueSeeds). The client answers such a group on the direct
+// path instead of failing the call with the queue's refusal.
+func TestDHTNetClaimGroupsOverQueueBound(t *testing.T) {
+	ds := dhtParityWorkload(t)
+	ds.Reads = slices.Concat(ds.Reads, ds.Reads, ds.Reads) // 1,200 reads: five claims
+	al, err := meraligner.Build(4, meraligner.DefaultIndexOptions(21), ds.Contigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { al.Close() })
+	qopt := meraligner.DefaultQueryOptions()
+	qopt.CollectAlignments = true
+	want := alignSAM(t, al, ds, 1, qopt)
+	for _, workers := range []int{1, 4} {
+		c := serveSeedFleet(t, al, 2, 0, 64)
+		rq := qopt
+		rq.SeedResolver = c
+		if got := alignSAM(t, al, ds, workers, rq); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: remote SAM differs from local", workers)
+		}
+		if st := c.Stats(); st.Direct == 0 {
+			t.Fatalf("workers=%d: no group overflowed the 64-seed queue: %+v", workers, st)
+		}
 	}
 }
 

@@ -55,8 +55,10 @@ func TestQueryInlineMatchesPool(t *testing.T) {
 }
 
 // queryNoAllocFixture builds a sealed index and a ready-to-run serial
-// processor over a batch of reads that all carry at least one seed.
-func queryNoAllocFixture(tb testing.TB) (*QueryProcessor, []seqio.Seq) {
+// processor over a batch of reads that all carry at least one seed. With
+// remote set, the processor resolves seeds through loaded seed shards, a
+// claim at a time (prefetchClaim), as the engine's remote path does.
+func queryNoAllocFixture(tb testing.TB, remote bool) (*QueryProcessor, []seqio.Seq) {
 	ds := testWorkload(tb, 60_000, 2, 0.01)
 	opt := DefaultOptions(21) // statistics-only: CollectAlignments off
 	ix, err := BuildIndex(2, opt.IndexOptions, ds.Contigs)
@@ -64,6 +66,9 @@ func queryNoAllocFixture(tb testing.TB) (*QueryProcessor, []seqio.Seq) {
 		tb.Fatal(err)
 	}
 	qp := NewQueryProcessor(opt, threadedAccess{sx: ix.sx}, ix.ft)
+	if remote {
+		qp.setResolver(context.Background(), &shardSetResolver{shards: loadSeedShardSet(tb, ix, 2)})
+	}
 	var reads []seqio.Seq
 	for qi := range ds.Reads {
 		if ds.Reads[qi].Seq.Len() >= opt.K {
@@ -79,28 +84,45 @@ func queryNoAllocFixture(tb testing.TB) (*QueryProcessor, []seqio.Seq) {
 	// Warm every reusable buffer and pin the fixture's other assumption:
 	// the workload exercises the general path (profile reuse), not just the
 	// exact-match shortcut.
-	for qi := range reads {
-		qp.Process(int32(qi), reads[qi].Seq)
-	}
+	processClaim(qp, reads)
 	if qp.SWCalls == 0 {
 		tb.Fatal("fixture reads never reached Smith-Waterman; no-alloc run would be vacuous")
 	}
 	return qp, reads
 }
 
+// processClaim runs one claim through qp: the remote prefetch (a no-op on
+// the local path), then Process on every read.
+func processClaim(qp *QueryProcessor, reads []seqio.Seq) {
+	qp.prefetchClaim(reads)
+	for qi := range reads {
+		qp.Process(int32(qi), reads[qi].Seq)
+	}
+}
+
 // TestQueryPathZeroAllocs asserts the invariant directly (so it runs in
 // every `go test` invocation, not only under -bench): after warm-up, the
-// serial statistics path performs ZERO heap allocations per read.
+// serial statistics path — and on the remote path the claim's prefetch with
+// it — performs ZERO heap allocations per read. The remote processor does
+// the local one's work exactly, comparisons included.
 func TestQueryPathZeroAllocs(t *testing.T) {
-	qp, reads := queryNoAllocFixture(t)
-	avg := testing.AllocsPerRun(50, func() {
-		for qi := range reads {
-			qp.Process(int32(qi), reads[qi].Seq)
+	local, reads := queryNoAllocFixture(t, false)
+	remote, _ := queryNoAllocFixture(t, true)
+	if remote.err != nil {
+		t.Fatal(remote.err)
+	}
+	if local.SeedLookups != remote.SeedLookups || local.MemcmpBytes != remote.MemcmpBytes ||
+		local.SWCalls != remote.SWCalls || local.SWCells != remote.SWCells {
+		t.Fatalf("remote work %d/%d/%d/%d differs from local %d/%d/%d/%d (lookups/memcmp/SW calls/cells)",
+			remote.SeedLookups, remote.MemcmpBytes, remote.SWCalls, remote.SWCells,
+			local.SeedLookups, local.MemcmpBytes, local.SWCalls, local.SWCells)
+	}
+	for name, qp := range map[string]*QueryProcessor{"local": local, "remote": remote} {
+		avg := testing.AllocsPerRun(50, func() { processClaim(qp, reads) })
+		if avg != 0 {
+			t.Fatalf("%s serial query path allocates %.2f objects per %d-read claim in steady state, want 0",
+				name, avg, len(reads))
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("serial query path allocates %.2f objects per %d-read batch in steady state, want 0",
-			avg, len(reads))
 	}
 }
 
@@ -108,7 +130,7 @@ func TestQueryPathZeroAllocs(t *testing.T) {
 // and enforces the zero-allocs-per-read invariant under the benchmark
 // harness (CI runs it with -benchtime=1x as a smoke check).
 func BenchmarkQueryNoAlloc(b *testing.B) {
-	qp, reads := queryNoAllocFixture(b)
+	qp, reads := queryNoAllocFixture(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -206,6 +206,7 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 	start := time.Now()
 	runPoolCtx(qctx, workers, len(queries), alignBatch, func(w, lo, hi int) {
 		qp := qps[w]
+		qp.prefetchClaim(queries[lo:hi])
 		for qi := lo; qi < hi && qp.err == nil; qi++ {
 			qp.processStat(int32(qi), queries[qi].Seq, perQuery)
 		}

@@ -8,6 +8,7 @@ import (
 	"github.com/lbl-repro/meraligner/internal/dht"
 	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/kmer"
+	"github.com/lbl-repro/meraligner/internal/seqio"
 )
 
 // candKey identifies a candidate alignment for deduplication: one target,
@@ -98,14 +99,18 @@ type QueryProcessor struct {
 	foundTg   []int32
 
 	// Remote-DHT state, active only when setResolver was called
-	// (QueryOptions.SeedResolver set): each query's seeds are collected into
-	// seedBuf, resolved in one ResolveSeeds call, and consumed from ansBuf in
-	// lookup order.
+	// (QueryOptions.SeedResolver set): prefetchClaim resolves a whole claim of
+	// queries in at most two ResolveSeeds calls before Process sees any of
+	// them; Process then consumes ansBuf and exactBuf in order.
 	resolver SeedResolver
 	rctx     context.Context
-	seedBuf  []kmer.Kmer
-	ansBuf   []SeedAnswer
+	seedBuf  []kmer.Kmer  // the seeds one resolve phase ships
+	slotBuf  []int32      // each shipped seed's answer position in ansBuf
+	phaseAns []SeedAnswer // one phase's answers, in seedBuf order
+	ansBuf   []SeedAnswer // the claim's answers, in Process's lookup order
 	ansIdx   int
+	exactBuf []Alignment // the claim's exact-path verdicts, one per query with L >= K
+	exactIdx int
 }
 
 // NewQueryProcessor returns a processor aligning against ft through acc.
@@ -123,32 +128,99 @@ func (qp *QueryProcessor) setResolver(ctx context.Context, r SeedResolver) {
 	qp.resolver, qp.rctx = r, ctx
 }
 
-// prefetchSeeds collects every canonical seed the current query will look
-// up — the first position, then every later position on the stride — and
-// resolves them in one ResolveSeeds call. The collection order IS the
-// consumption order of process, so lookupSeed can pop answers positionally.
-func (qp *QueryProcessor) prefetchSeeds(q dna.Packed, stride int) error {
-	qp.seedBuf = qp.seedBuf[:0]
-	var sc kmer.Scanner
-	sc.Reset(q, qp.opt.K)
-	sc.Next()
-	canon, _ := sc.Canonical()
-	qp.seedBuf = append(qp.seedBuf, canon)
-	for sc.Next() {
-		if sc.Offset()%stride != 0 {
+// prefetchClaim resolves every seed a claim of queries will look up before
+// Process sees any of them — §III-A's aggregation, ahead of the wire — in at
+// most two ResolveSeeds calls:
+//
+//  1. with the exact path on, the first seed of every query, then the exact
+//     check (§IV-A) on each answer;
+//  2. the remaining stride seeds of every query the exact path did not
+//     settle (with it off, every seed of every query: one call in all).
+//
+// A settled query costs one remote seed, and no seed is shipped that Process
+// does not read. The answers land in ansBuf in Process's lookup order, so
+// lookupSeed pops them positionally. A no-op on the local path and after a
+// failure, which it records in qp.err.
+func (qp *QueryProcessor) prefetchClaim(claim []seqio.Seq) {
+	if qp.resolver == nil || qp.err != nil {
+		return
+	}
+	K, stride, exact := qp.opt.K, qp.opt.stride(), qp.opt.ExactMatch
+	qp.ansBuf, qp.exactBuf = qp.ansBuf[:0], qp.exactBuf[:0]
+	qp.ansIdx, qp.exactIdx = 0, 0
+	var first []SeedAnswer
+	if exact {
+		qp.seedBuf = qp.seedBuf[:0]
+		for _, r := range claim {
+			if r.Seq.Len() >= K {
+				qp.scan.Reset(r.Seq, K)
+				qp.scan.Next()
+				canon, _ := qp.scan.Canonical()
+				qp.seedBuf = append(qp.seedBuf, canon)
+			}
+		}
+		if first, qp.err = qp.resolvePhase(); qp.err != nil {
+			return
+		}
+	}
+	qp.seedBuf, qp.slotBuf = qp.seedBuf[:0], qp.slotBuf[:0]
+	for _, r := range claim {
+		L := r.Seq.Len()
+		if L < K {
 			continue
 		}
-		canon, _ := sc.Canonical()
-		qp.seedBuf = append(qp.seedBuf, canon)
+		qp.scan.Reset(r.Seq, K)
+		qp.scan.Next()
+		canon, qrc := qp.scan.Canonical()
+		if exact {
+			a := first[0]
+			first = first[1:]
+			qp.ansBuf = append(qp.ansBuf, a)
+			qp.loadCodes(r.Seq)
+			v, _ := qp.exactHit(a.Res, a.OK, qrc, L)
+			qp.exactBuf = append(qp.exactBuf, v)
+			if v.Exact {
+				continue
+			}
+		} else {
+			qp.want(canon)
+		}
+		for qp.scan.Next() {
+			if qp.scan.Offset()%stride == 0 {
+				canon, _ := qp.scan.Canonical()
+				qp.want(canon)
+			}
+		}
 	}
+	rest, err := qp.resolvePhase()
+	if err != nil {
+		qp.err = err
+		return
+	}
+	for i, a := range rest {
+		qp.ansBuf[qp.slotBuf[i]] = a
+	}
+}
+
+// want queues seed s for the next resolve phase and reserves its answer's
+// slot in ansBuf.
+func (qp *QueryProcessor) want(s kmer.Kmer) {
+	qp.seedBuf = append(qp.seedBuf, s)
+	qp.slotBuf = append(qp.slotBuf, int32(len(qp.ansBuf)))
+	qp.ansBuf = append(qp.ansBuf, SeedAnswer{})
+}
+
+// resolvePhase ships seedBuf in one ResolveSeeds call and returns the
+// answers in seedBuf order. An empty phase makes no call.
+func (qp *QueryProcessor) resolvePhase() ([]SeedAnswer, error) {
 	n := len(qp.seedBuf)
-	if cap(qp.ansBuf) < n {
-		qp.ansBuf = make([]SeedAnswer, n)
+	if n == 0 {
+		return nil, nil
 	}
-	qp.ansBuf = qp.ansBuf[:n]
-	clear(qp.ansBuf)
-	qp.ansIdx = 0
-	return qp.resolver.ResolveSeeds(qp.rctx, qp.seedBuf, qp.ansBuf)
+	qp.phaseAns = slices.Grow(qp.phaseAns[:0], n)[:n]
+	clear(qp.phaseAns)
+	err := qp.resolver.ResolveSeeds(qp.rctx, qp.seedBuf, qp.phaseAns)
+	return qp.phaseAns, err
 }
 
 // lookupSeed is the one seed-lookup site of the aligning phase: the index
@@ -177,17 +249,7 @@ func (qp *QueryProcessor) Process(qi int32, q dna.Packed) {
 		qp.tooShort = append(qp.tooShort, qi)
 		return
 	}
-	if qp.resolver != nil {
-		// Remote path: resolve every seed of this query in one batched
-		// call before the per-seed loop consumes the answers positionally.
-		if err := qp.prefetchSeeds(q, opt.stride()); err != nil {
-			qp.err = err
-			return
-		}
-	}
-	// rc fills the spare half of codes lazily (queryCodes).
-	qp.codes = q.AppendCodes(slices.Grow(qp.codes[:0], 2*L))
-	qp.fwd, qp.rc = qp.codes[:L:L], qp.codes[L:L]
+	qp.loadCodes(q)
 	qp.seenList = qp.seenList[:0]
 	if len(qp.seenMap) > 0 {
 		clear(qp.seenMap)
@@ -204,42 +266,25 @@ func (qp *QueryProcessor) Process(qi int32, q dna.Packed) {
 	qp.scan.Next()
 
 	// ---- Exact-match fast path (§IV-A) ----
-	firstSeedChecked := false
-	var firstRes dht.LookupResult
-	var firstOK bool
-	var firstQRC bool
+	canon, qrc := qp.scan.Canonical()
+	res, ok := qp.lookupSeed(canon)
 	if opt.ExactMatch {
-		var firstCanon kmer.Kmer
-		firstCanon, firstQRC = qp.scan.Canonical()
-		firstRes, firstOK = qp.lookupSeed(firstCanon)
-		firstSeedChecked = true
-		if firstOK && firstRes.Count == 1 && len(firstRes.Locs) == 1 {
-			loc := firstRes.Locs[0]
-			if qp.acc.SingleCopy(loc.Frag) {
-				if a, ok := qp.tryExact(loc, firstQRC, L); ok {
-					a.Query = qi
-					qp.exact++
-					qp.aligned++
-					qp.totalAlignments++
-					if qp.alignments != nil {
-						a.Cigar = align.Cigar{{Op: 'M', Len: L}}.String()
-						qp.alignments = append(qp.alignments, a)
-					}
-					return // single lookup sufficed — minimal communication
-				}
+		if a, hit := qp.exactPath(res, ok, qrc, L); hit {
+			a.Query = qi
+			qp.exact++
+			qp.aligned++
+			qp.totalAlignments++
+			if qp.alignments != nil {
+				a.Cigar = align.Cigar{{Op: 'M', Len: L}}.String()
+				qp.alignments = append(qp.alignments, a)
 			}
+			return // single lookup sufficed — minimal communication
 		}
 	}
 
 	// ---- General path: every seed, lookup, extend (lines 9-12) ----
+	qp.seedHits(res, ok, qrc, 0, L) // the first seed's lookup, reused
 	stride := opt.stride()
-	if firstSeedChecked {
-		qp.seedHits(firstRes, firstOK, firstQRC, 0, L) // reuse the fast-path lookup
-	} else {
-		canon, qrc := qp.scan.Canonical()
-		res, ok := qp.lookupSeed(canon)
-		qp.seedHits(res, ok, qrc, 0, L)
-	}
 	for qp.scan.Next() {
 		qoff := qp.scan.Offset()
 		if qoff%stride != 0 {
@@ -281,6 +326,37 @@ func (qp *QueryProcessor) seedHits(res dht.LookupResult, ok, qrc bool, qoff, L i
 	for _, loc := range res.Locs {
 		qp.candidate(loc, qrc, qoff, L)
 	}
+}
+
+// exactPath is Process's §IV-A decision for the current query, given its
+// first seed's lookup. On the remote path prefetchClaim has already made it
+// (it must, to know which queries phase 2 resolves), so the verdict is
+// replayed rather than compared twice.
+func (qp *QueryProcessor) exactPath(res dht.LookupResult, ok, qrc bool, L int) (Alignment, bool) {
+	if qp.resolver == nil {
+		return qp.exactHit(res, ok, qrc, L)
+	}
+	a := qp.exactBuf[qp.exactIdx]
+	qp.exactIdx++
+	return a, a.Exact
+}
+
+// exactHit is the exact-path predicate: the first seed is stored exactly
+// once, in a single-copy-seed fragment, and the whole query matches the
+// target there (tryExact). The query's codes must be loaded.
+func (qp *QueryProcessor) exactHit(res dht.LookupResult, ok, qrc bool, L int) (Alignment, bool) {
+	if !ok || res.Count != 1 || len(res.Locs) != 1 || !qp.acc.SingleCopy(res.Locs[0].Frag) {
+		return Alignment{}, false
+	}
+	return qp.tryExact(res.Locs[0], qrc, L)
+}
+
+// loadCodes unpacks q into fwd; rc fills the spare half of codes lazily
+// (queryCodes).
+func (qp *QueryProcessor) loadCodes(q dna.Packed) {
+	L := q.Len()
+	qp.codes = q.AppendCodes(slices.Grow(qp.codes[:0], 2*L))
+	qp.fwd, qp.rc = qp.codes[:L:L], qp.codes[L:L]
 }
 
 // tryExact attempts the single-lookup exact match: the query's first seed

@@ -80,7 +80,9 @@ type QueryOptions struct {
 	// CollectPerQuery retains one QueryStat per query in Results.PerQuery
 	// (status, alignment count, Smith-Waterman calls, wall nanoseconds) —
 	// the per-read latency source behind a service's p50/p99 reporting.
-	// Honored by ThreadedIndex.Query only.
+	// Honored by ThreadedIndex.Query only. With a SeedResolver set, a read's
+	// nanoseconds exclude the wait for its seeds, which is paid once per
+	// claim of reads before any of them is aligned.
 	CollectPerQuery bool
 
 	// Extend replaces the seed-extension engine (§VIII: "the Striped
@@ -93,12 +95,13 @@ type QueryOptions struct {
 
 	// SeedResolver replaces the local seed-index probe with a remote
 	// resolver — the distributed-DHT seam. When set on a ThreadedIndex.Query
-	// call, every query's seed lookups are collected up front and resolved
-	// in one ResolveSeeds call (which the network tier batches per owning
-	// node); extension and Smith-Waterman still run locally, and the
-	// results are bit-identical to local lookups against the same table.
-	// Like Extend, this field is runtime
-	// wiring, not serialized configuration.
+	// call, each worker resolves a whole claim of queries (up to 256) before
+	// aligning them, in at most two ResolveSeeds calls (which the network
+	// tier batches per owning node): the first seed of every query, then the
+	// remaining seeds of the queries the exact path did not settle.
+	// Extension and Smith-Waterman still run locally, and the results are
+	// bit-identical to local lookups against the same table. Like Extend,
+	// this field is runtime wiring, not serialized configuration.
 	SeedResolver SeedResolver
 }
 
@@ -113,7 +116,11 @@ type SeedAnswer struct {
 // Implementations must fill out[i] for every seeds[i] (len(out) ==
 // len(seeds)) or return an error; a missing seed is out[i].OK == false, so
 // "unknown" is never silently conflated with "absent". The engine calls it
-// once per query with every seed the query will look up, in lookup order.
+// at most twice per claim of queries, and every seed it ships is one the
+// engine looks up: first the first seed of every query in the claim, then
+// the remaining seeds, in lookup order, of every query the exact path did
+// not settle (one call in all when the index has the exact path off). An
+// empty phase makes no call.
 type SeedResolver interface {
 	ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []SeedAnswer) error
 }
@@ -257,7 +264,7 @@ type QueryStat struct {
 	Exact       bool  // resolved entirely by the exact-match fast path
 	SWCalls     int32 // Smith-Waterman invocations
 	SeedLookups int32 // seed-index lookups
-	Nanos       int64 // wall nanoseconds spent aligning this query
+	Nanos       int64 // wall nanoseconds spent aligning this query (remote seed resolution excluded)
 }
 
 // Alignment is one reported query-to-target local alignment.

@@ -76,7 +76,8 @@ type Config struct {
 	// Default 200µs.
 	MaxWait time.Duration
 
-	// QueueSeeds bounds each owner's admitted backlog. Default 8*MaxBatch.
+	// QueueSeeds bounds each owner's queued backlog; a group that would
+	// overflow it takes the direct path instead. Default 8*MaxBatch.
 	QueueSeeds int
 
 	// Retry shapes per-call retries (zero value = client defaults: 3
@@ -134,17 +135,18 @@ type Stats struct {
 	Seeds        int64 // seeds resolved through ResolveSeeds
 	Batches      int64 // coalesced lookup calls that succeeded
 	BatchedSeeds int64 // seeds those calls carried
-	Direct       int64 // direct-path (>= MaxBatch) calls
+	Direct       int64 // direct-path calls (>= MaxBatch, or refused by the queue)
 	Retries      int64 // attempts beyond the first, across all owners
 	Degraded     int64 // calls rejected or failed as DegradedError
 }
 
 // Client resolves seed lookups against a fleet of seed-shard nodes. It
-// implements core.SeedResolver: the engine hands it every seed of a read in
-// lookup order, the client stages them per owning node, flushes through a
-// per-owner micro-batching queue (concurrent reads share round-trips), and
-// merges the answers back positionally. One Client serves any number of
-// concurrent queries; Close releases the queues.
+// implements core.SeedResolver: the engine hands it the seeds of a whole
+// claim of reads at once (the first seeds, then the rest of the reads the
+// exact path did not settle), the client stages them per owning node,
+// flushes through a per-owner micro-batching queue (concurrent workers share
+// round-trips), and merges the answers back positionally. One Client serves
+// any number of concurrent queries; Close releases the queues.
 type Client struct {
 	cfg    Config
 	owners []*ownerConn
@@ -293,13 +295,18 @@ func (c *Client) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []core
 func (oc *ownerConn) resolve(ctx context.Context, group []kmer.Kmer, out []core.SeedAnswer, idx []int) error {
 	var win *coalesce.Window[[]LookupAnswer]
 	var err error
-	if len(group) >= oc.c.cfg.MaxBatch {
-		// A submission already at batch size gains nothing from queueing
-		// behind the window: call through on the direct path.
+	direct := len(group) >= oc.c.cfg.MaxBatch
+	if !direct {
+		win, err = oc.co.Submit(ctx, group)
+		direct = errors.Is(err, coalesce.ErrOverloaded)
+	}
+	if direct {
+		// A group already at batch size gains nothing from queueing behind
+		// the window, and one the admission bound refuses is still owed its
+		// answers — the engine already bounds in-flight work to one
+		// resolution per worker: call through on the direct path.
 		oc.c.direct.Add(1)
 		win, err = oc.co.Direct(ctx, group)
-	} else {
-		win, err = oc.co.Submit(ctx, group)
 	}
 	if err != nil {
 		return err

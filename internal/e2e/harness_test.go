@@ -33,6 +33,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -377,6 +378,21 @@ func has(t *testing.T, what string, doc []byte, text string) {
 	if !bytes.Contains(doc, []byte(text)) {
 		t.Errorf("%s has no %q:\n%.2000s", what, text, doc)
 	}
+}
+
+// sample is the integer value of the first /metrics sample line whose
+// series (name and labels) matches the regexp series.
+func sample(t *testing.T, what string, doc []byte, series string) int {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + series + ` (\d+)$`).FindSubmatch(doc)
+	if m == nil {
+		t.Fatalf("%s has no integer sample of %q:\n%.2000s", what, series, doc)
+	}
+	n, err := strconv.Atoi(string(m[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // matches is grep -q: pattern is a regexp in multi-line mode, so ^ and $

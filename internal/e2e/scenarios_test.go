@@ -440,6 +440,16 @@ func TestDHT(t *testing.T) {
 			metrics := get(t, nodes[0].URL+"/metrics")
 			matches(t, "/metrics", metrics, `^merserved_seedshard_lookup_requests_total\{[^}]*\} [1-9]`)
 			matches(t, "/metrics", metrics, `^merserved_seedshard_seeds_total\{[^}]*\} [1-9]`)
+			// The engine resolves a claim of 256 reads in at most two calls
+			// (first seeds, then the rest of the reads the exact path did not
+			// settle), so no node serves more than two requests per claim.
+			claims := (bytes.Count(w.fastq, []byte("\n"))/4 + 255) / 256
+			for i, n := range nodes {
+				what := fmt.Sprintf("node%d /metrics", i)
+				if got := sample(t, what, get(t, n.URL+"/metrics"), `merserved_seedshard_lookup_requests_total\{[^}]*\}`); got > 2*claims {
+					t.Errorf("%s: %d lookup requests for %d claims of reads, want at most %d", what, got, claims, 2*claims)
+				}
+			}
 
 			nodes[1].Kill()
 			out, err := run("meraligner", append(alignArgs, "-dht-nodes", strings.Join(fleet, ","), "-o", os.DevNull)...)
