@@ -1,5 +1,7 @@
-// Package align implements local sequence alignment: a textbook affine-gap
-// Smith-Waterman reference and a striped Smith-Waterman in the style of the
+// Package align implements local sequence alignment: affine-gap
+// Smith-Waterman with traceback (Local: two rolling score rows and one
+// direction byte per cell, in pooled scratch), its score-only reference
+// (Score), and a striped Smith-Waterman in the style of the
 // SSW library the paper incorporates (§V-B), with SIMD lanes emulated by
 // SWAR arithmetic on 64-bit words (8 x 8-bit lanes, rescued to 4 x 16-bit
 // lanes on overflow, exactly SSW's protocol).
@@ -9,7 +11,10 @@ package align
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+	"strconv"
+	"sync"
+	"unicode/utf8"
 )
 
 // Scoring holds affine-gap alignment parameters. Penalties are positive
@@ -55,11 +60,13 @@ type Cigar []CigarOp
 
 // String renders the cigar in SAM style, e.g. "37M1I63M".
 func (c Cigar) String() string {
-	var sb strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for _, op := range c {
-		fmt.Fprintf(&sb, "%d%c", op.Len, op.Op)
+		b = strconv.AppendInt(b, int64(op.Len), 10)
+		b = utf8.AppendRune(b, rune(op.Op))
 	}
-	return sb.String()
+	return string(b)
 }
 
 // QuerySpan returns the number of query bases the cigar consumes (M + I).
@@ -128,102 +135,184 @@ func Score(query, target []byte, sc Scoring) int {
 // Local computes the full local alignment with traceback, returning score,
 // end-points and cigar. The highest-scoring cell is chosen; among equals the
 // one with the smallest (TEnd, QEnd) wins, matching the scan order.
+//
+// The scores live in two rolling rows (H and E; F is a scalar), so the only
+// matrix is one direction byte per cell, and all of it is pooled scratch:
+// a non-zero Result costs one allocation, its Cigar.
 func Local(query, target []byte, sc Scoring) Result {
 	n, m := len(query), len(target)
 	if n == 0 || m == 0 {
 		return Result{}
 	}
-	// Full matrices for traceback: H, E, F as (m+1) x (n+1).
-	w := n + 1
-	H := make([]int32, (m+1)*w)
-	E := make([]int32, (m+1)*w)
-	F := make([]int32, (m+1)*w)
-	const negInf = int32(-1 << 28)
-	for j := 0; j < w; j++ {
-		E[j] = negInf
-		F[j] = negInf
-	}
-	for i := 1; i <= m; i++ {
-		E[i*w] = negInf
-		F[i*w] = negInf
-	}
+	s := localPool.Get().(*localScratch)
+	defer localPool.Put(s)
+	s.reset(query, m, sc)
+
+	// A gap's first base costs the open and one extend.
+	gapOpen, gapExt := int32(sc.GapOpen+sc.GapExtend), int32(sc.GapExtend)
 	var best int32
 	bi, bj := 0, 0
-	go_, ge := int32(sc.GapOpen+sc.GapExtend), int32(sc.GapExtend)
-	for i := 1; i <= m; i++ {
-		row, prow := i*w, (i-1)*w
-		for j := 1; j <= n; j++ {
-			e := max(E[prow+j]-ge, H[prow+j]-go_)
-			f := max(F[row+j-1]-ge, H[row+j-1]-go_)
-			h := max(0, H[prow+j-1]+int32(sc.score(query[j-1], target[i-1])), e, f)
-			E[row+j] = e
-			F[row+j] = f
-			H[row+j] = h
-			if h > best {
-				best, bi, bj = h, i, j
-			}
+	for i := 0; i < m; i++ {
+		rowBest, rowJ := localRow(s.h, s.e, s.profRow(target[i], query, sc), s.dir[i*n:(i+1)*n], gapOpen, gapExt)
+		if rowBest > best {
+			best, bi, bj = rowBest, i+1, rowJ+1
 		}
 	}
 	if best == 0 {
 		return Result{}
 	}
-	// Traceback from (bi, bj) until H == 0.
-	var ops []CigarOp
-	pushOp := func(op byte) {
-		if len(ops) > 0 && ops[len(ops)-1].Op == op {
-			ops[len(ops)-1].Len++
-			return
-		}
-		ops = append(ops, CigarOp{Op: op, Len: 1})
-	}
+
+	// Traceback from (bi, bj), 1-based as in the DP, until H == 0: stop
+	// first, then M, then E, then F, and a gap open beats a gap extend.
+	ops := s.ops[:0]
 	i, j := bi, bj
 	state := byte('H')
 	for i > 0 && j > 0 {
-		row, prow := i*w, (i-1)*w
+		d := s.dir[(i-1)*n+j-1]
+		var op byte
 		switch state {
 		case 'H':
-			h := H[row+j]
-			if h == 0 {
-				i, j = 0, 0 // terminate
+			switch {
+			case d&dirStop != 0:
+				i, j = 0, 0
+				continue
+			case d&dirDiag != 0:
+				op = 'M'
+				i, j = i-1, j-1
+			case d&dirE != 0:
+				state = 'E'
+				continue
+			default:
+				state = 'F'
 				continue
 			}
-			switch {
-			case h == H[prow+j-1]+int32(sc.score(query[j-1], target[i-1])):
-				pushOp('M')
-				i, j = i-1, j-1
-			case h == E[row+j]:
-				state = 'E'
-			case h == F[row+j]:
-				state = 'F'
-			default:
-				// h == 0 handled above; unreachable for valid DP.
-				i, j = 0, 0
-			}
 		case 'E': // gap in query consuming target ('D')
-			pushOp('D')
-			if E[row+j] == H[prow+j]-go_ {
+			op = 'D'
+			if d&dirEOpen != 0 {
 				state = 'H'
 			}
 			i--
 		case 'F': // gap in target consuming query ('I')
-			pushOp('I')
-			if F[row+j] == H[row+j-1]-go_ {
+			op = 'I'
+			if d&dirFOpen != 0 {
 				state = 'H'
 			}
 			j--
 		}
-		if state == 'H' && i > 0 && j > 0 && H[i*w+j] == 0 {
-			break
+		if k := len(ops) - 1; k >= 0 && ops[k].Op == op {
+			ops[k].Len++
+		} else {
+			ops = append(ops, CigarOp{Op: op, Len: 1})
 		}
 	}
-	// ops were collected end->start; reverse.
-	for l, r := 0, len(ops)-1; l < r; l, r = l+1, r-1 {
-		ops[l], ops[r] = ops[r], ops[l]
+	s.ops = ops
+	// ops were collected end->start; the one allocation is their reversal.
+	cigar := make(Cigar, len(ops))
+	for k, op := range ops {
+		cigar[len(ops)-1-k] = op
 	}
-	res := Result{Score: int(best), QEnd: bj, TEnd: bi, Cigar: ops}
-	res.QStart = bj - res.Cigar.QuerySpan()
-	res.TStart = bi - res.Cigar.TargetSpan()
+	res := Result{Score: int(best), QEnd: bj, TEnd: bi, Cigar: cigar}
+	res.QStart = bj - cigar.QuerySpan()
+	res.TStart = bi - cigar.TargetSpan()
 	return res
+}
+
+// Direction bits, one byte per DP cell: which terms the cell's H equals,
+// and whether its E and F came from opening a gap. F needs no bit of its
+// own: a positive H that is neither diagonal nor E is F.
+const (
+	dirStop  = 1 << iota // H == 0: the alignment starts after this cell
+	dirDiag              // H == diag + s: a match/mismatch step
+	dirE                 // H == E: a gap consuming target
+	dirEOpen             // E == H(up) - open: the gap opened here
+	dirFOpen             // F == H(left) - open: the gap opened here
+)
+
+// negInf is the score of an impossible gap state; far enough from int32's
+// floor that subtracting penalties cannot wrap.
+const negInf = int32(-1 << 28)
+
+// localScratch is Local's working storage, reused across calls through
+// localPool so that a steady stream of extensions allocates only results.
+type localScratch struct {
+	h, e []int32   // rolling H and E rows, one entry per query base
+	prof []int32   // query profile: row b scores every query base against target base b (rows 0-3; row 4 is built per other byte)
+	dir  []byte    // direction bytes, row-major over (target, query)
+	ops  []CigarOp // traceback, end to start
+}
+
+var localPool = sync.Pool{New: func() any { return new(localScratch) }}
+
+// reset sizes the scratch for an n-base query against an m-base target,
+// clears the score rows and builds profile rows 0-3.
+func (s *localScratch) reset(query []byte, m int, sc Scoring) {
+	n := len(query)
+	s.h = slices.Grow(s.h[:0], n)[:n]
+	s.e = slices.Grow(s.e[:0], n)[:n]
+	s.prof = slices.Grow(s.prof[:0], 5*n)[:5*n]
+	s.dir = slices.Grow(s.dir[:0], m*n)[:m*n]
+	clear(s.h)
+	for j := range s.e {
+		s.e[j] = negInf
+	}
+	for b := range 4 {
+		row := s.prof[b*n : (b+1)*n]
+		for j, q := range query {
+			row[j] = int32(sc.score(q, byte(b)))
+		}
+	}
+}
+
+// profRow returns the profile row for target base b. Rows 0-3 were built by
+// reset; any other byte gets row 4, built now, so Local scores every byte
+// value exactly as a == b comparison would.
+func (s *localScratch) profRow(b byte, query []byte, sc Scoring) []int32 {
+	n := len(query)
+	if b < 4 {
+		return s.prof[int(b)*n : (int(b)+1)*n]
+	}
+	row := s.prof[4*n : 5*n]
+	for j, q := range query {
+		row[j] = int32(sc.score(q, b))
+	}
+	return row
+}
+
+// localRow advances the DP by one target base. On entry h and e hold the
+// previous row; on return they hold this one, dir holds a direction byte per
+// cell, and best/bestJ are the row's first strict maximum (bestJ is -1 when
+// every cell is 0). The loop is branch-free: max compiles to CMOV and the
+// comparisons to SETcc.
+func localRow(h, e, prof []int32, dir []byte, gapOpen, gapExt int32) (best int32, bestJ int) {
+	n := len(h)
+	e, prof, dir = e[:n], prof[:n], dir[:n]
+	bestJ = -1
+	var diag, left int32 // H of the previous row and of this row at column 0
+	f := negInf
+	for j := range n {
+		up := h[j]
+		eOpen, eExt := up-gapOpen, e[j]-gapExt
+		fOpen, fExt := left-gapOpen, f-gapExt
+		ec := max(eExt, eOpen)
+		f = max(fExt, fOpen)
+		d := diag + prof[j]
+		hc := max(0, d, ec, f)
+		e[j], h[j] = ec, hc
+		dir[j] = bit(hc == 0) | bit(hc == d)<<1 | bit(hc == ec)<<2 | bit(eOpen >= eExt)<<3 | bit(fOpen >= fExt)<<4
+		if hc > best {
+			best, bestJ = hc, j
+		}
+		diag, left = up, hc
+	}
+	return best, bestJ
+}
+
+// bit converts a comparison to 0 or 1 without a branch.
+func bit(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Cells returns the number of DP cells an (n x m) alignment evaluates; used

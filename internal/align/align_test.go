@@ -3,6 +3,7 @@ package align
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +166,262 @@ func TestLocalCigarRescoresProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// localOracle is the textbook three-matrix Local that the rolling-row kernel
+// replaced, kept verbatim as the reference every Result is compared with:
+// full (m+1) x (n+1) H, E and F matrices, traced back through the stored
+// scores.
+func localOracle(query, target []byte, sc Scoring) Result {
+	n, m := len(query), len(target)
+	if n == 0 || m == 0 {
+		return Result{}
+	}
+	// Full matrices for traceback: H, E, F as (m+1) x (n+1).
+	w := n + 1
+	H := make([]int32, (m+1)*w)
+	E := make([]int32, (m+1)*w)
+	F := make([]int32, (m+1)*w)
+	const negInf = int32(-1 << 28)
+	for j := 0; j < w; j++ {
+		E[j] = negInf
+		F[j] = negInf
+	}
+	for i := 1; i <= m; i++ {
+		E[i*w] = negInf
+		F[i*w] = negInf
+	}
+	var best int32
+	bi, bj := 0, 0
+	go_, ge := int32(sc.GapOpen+sc.GapExtend), int32(sc.GapExtend)
+	for i := 1; i <= m; i++ {
+		row, prow := i*w, (i-1)*w
+		for j := 1; j <= n; j++ {
+			e := max(E[prow+j]-ge, H[prow+j]-go_)
+			f := max(F[row+j-1]-ge, H[row+j-1]-go_)
+			h := max(0, H[prow+j-1]+int32(sc.score(query[j-1], target[i-1])), e, f)
+			E[row+j] = e
+			F[row+j] = f
+			H[row+j] = h
+			if h > best {
+				best, bi, bj = h, i, j
+			}
+		}
+	}
+	if best == 0 {
+		return Result{}
+	}
+	// Traceback from (bi, bj) until H == 0.
+	var ops []CigarOp
+	pushOp := func(op byte) {
+		if len(ops) > 0 && ops[len(ops)-1].Op == op {
+			ops[len(ops)-1].Len++
+			return
+		}
+		ops = append(ops, CigarOp{Op: op, Len: 1})
+	}
+	i, j := bi, bj
+	state := byte('H')
+	for i > 0 && j > 0 {
+		row, prow := i*w, (i-1)*w
+		switch state {
+		case 'H':
+			h := H[row+j]
+			if h == 0 {
+				i, j = 0, 0 // terminate
+				continue
+			}
+			switch {
+			case h == H[prow+j-1]+int32(sc.score(query[j-1], target[i-1])):
+				pushOp('M')
+				i, j = i-1, j-1
+			case h == E[row+j]:
+				state = 'E'
+			case h == F[row+j]:
+				state = 'F'
+			default:
+				// h == 0 handled above; unreachable for valid DP.
+				i, j = 0, 0
+			}
+		case 'E': // gap in query consuming target ('D')
+			pushOp('D')
+			if E[row+j] == H[prow+j]-go_ {
+				state = 'H'
+			}
+			i--
+		case 'F': // gap in target consuming query ('I')
+			pushOp('I')
+			if F[row+j] == H[row+j-1]-go_ {
+				state = 'H'
+			}
+			j--
+		}
+		if state == 'H' && i > 0 && j > 0 && H[i*w+j] == 0 {
+			break
+		}
+	}
+	// ops were collected end->start; reverse.
+	for l, r := 0, len(ops)-1; l < r; l, r = l+1, r-1 {
+		ops[l], ops[r] = ops[r], ops[l]
+	}
+	res := Result{Score: int(best), QEnd: bj, TEnd: bi, Cigar: ops}
+	res.QStart = bj - res.Cigar.QuerySpan()
+	res.TStart = bi - res.Cigar.TargetSpan()
+	return res
+}
+
+// oracleScorings spans the regimes the kernel's tie rules meet: the default,
+// cheap gaps, expensive opens, free opens, costly mismatches and free
+// mismatches.
+var oracleScorings = []Scoring{
+	DefaultScoring,
+	{Match: 2, Mismatch: 1, GapOpen: 1, GapExtend: 1},
+	{Match: 5, Mismatch: 4, GapOpen: 10, GapExtend: 1},
+	{Match: 1, Mismatch: 1, GapOpen: 0, GapExtend: 1},
+	{Match: 2, Mismatch: 3, GapOpen: 2, GapExtend: 1},
+	{Match: 1, Mismatch: 0, GapOpen: 0, GapExtend: 1},
+}
+
+// mutate copies src with substitutions, insertions and deletions, each at
+// rate per base.
+func mutate(rng *rand.Rand, src []byte, rate float64) []byte {
+	out := make([]byte, 0, len(src)+8)
+	for _, b := range src {
+		switch r := rng.Float64(); {
+		case r < rate:
+			out = append(out, byte(rng.Intn(4)))
+		case r < 2*rate:
+			out = append(out, b, byte(rng.Intn(4)))
+		case r < 3*rate:
+		default:
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// oracleCase draws one (query, target) pair: unrelated random codes, a
+// mutated substring with indels, or a tandem repeat whose many equal-scoring
+// cells exercise the tie-breaks.
+func oracleCase(rng *rand.Rand) (q, tg []byte) {
+	switch rng.Intn(3) {
+	case 0:
+		return randCodes(rng, 1+rng.Intn(120)), randCodes(rng, 1+rng.Intn(200))
+	case 1:
+		tg = randCodes(rng, 20+rng.Intn(250))
+		start := rng.Intn(len(tg) / 2)
+		end := start + 1 + rng.Intn(len(tg)-start)
+		return mutate(rng, tg[start:end], 0.05), tg
+	default:
+		unit := randCodes(rng, 1+rng.Intn(6))
+		for len(tg) < 30+rng.Intn(200) {
+			tg = append(tg, unit...)
+		}
+		q = mutate(rng, tg[rng.Intn(len(tg)/2):], 0.03)
+		if len(q) == 0 {
+			q = unit
+		}
+		return q, tg
+	}
+}
+
+// TestLocalMatchesOracle: the rolling-row kernel returns exactly the
+// three-matrix Result — score, both endpoints and cigar — on random,
+// indel-mutated and tandem-repeat inputs under every oracle scoring.
+func TestLocalMatchesOracle(t *testing.T) {
+	trials := 2000
+	if testing.Short() {
+		trials = 300
+	}
+	rng := rand.New(rand.NewSource(30))
+	for _, sc := range oracleScorings {
+		for trial := range trials {
+			q, tg := oracleCase(rng)
+			if got, want := Local(q, tg, sc), localOracle(q, tg, sc); !reflect.DeepEqual(got, want) {
+				t.Fatalf("sc=%+v trial=%d q=%v t=%v:\n got  %+v\n want %+v", sc, trial, q, tg, got, want)
+			}
+		}
+	}
+}
+
+// TestLocalOtherBytes: Local scores bytes outside the 2-bit alphabet by
+// equality, as the oracle does.
+func TestLocalOtherBytes(t *testing.T) {
+	q := []byte{0, 1, 7, 2, 3, 7, 7, 1}
+	tg := []byte{3, 0, 1, 7, 2, 3, 7, 9, 1, 255}
+	for _, sc := range oracleScorings {
+		if got, want := Local(q, tg, sc), localOracle(q, tg, sc); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sc=%+v: got %+v, want %+v", sc, got, want)
+		}
+	}
+}
+
+// FuzzLocal checks Local against localOracle on arbitrary 2-bit inputs of up
+// to 300 bases, under the oracle scoring the seed byte picks.
+func FuzzLocal(f *testing.F) {
+	f.Add([]byte("ACGTACGTAC"), []byte("TTACGTAGGTACTT"), byte(0))
+	f.Add([]byte{0, 1, 0, 1, 0, 1}, []byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1}, byte(3))
+	f.Add([]byte{2, 2, 2}, []byte{1, 1}, byte(5))
+	f.Fuzz(func(t *testing.T, q, tg []byte, pick byte) {
+		const capLen = 300
+		q, tg = q[:min(len(q), capLen)], tg[:min(len(tg), capLen)]
+		for i := range q {
+			q[i] &= 3
+		}
+		for i := range tg {
+			tg[i] &= 3
+		}
+		sc := oracleScorings[int(pick)%len(oracleScorings)]
+		if got, want := Local(q, tg, sc), localOracle(q, tg, sc); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sc=%+v q=%v t=%v:\n got  %+v\n want %+v", sc, q, tg, got, want)
+		}
+	})
+}
+
+// TestLocalSteadyStateAllocs: once the pool is warm, a non-zero Result costs
+// exactly its cigar and a zero one costs nothing, through Local and
+// ExtendSeed alike.
+func TestLocalSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	q, tg := benchSeqs(150, 198)
+	disjoint := codes("AAAAAAAAAAAA")
+	other := codes("CCCCCCCCCCCCCCCCCCCC")
+	cases := []struct {
+		name string
+		fn   func() Result
+		want float64
+	}{
+		{"Local", func() Result { return Local(q, tg, DefaultScoring) }, 1},
+		{"ExtendSeed", func() Result { return ExtendSeed(q, tg, 0, 24, 21, DefaultScoring, 24) }, 1},
+		{"Local zero", func() Result { return Local(disjoint, other, DefaultScoring) }, 0},
+		{"ExtendSeed zero", func() Result { return ExtendSeed(disjoint, other, 0, 4, 4, DefaultScoring, 24) }, 0},
+	}
+	for _, c := range cases {
+		if r := c.fn(); (r.Score != 0) != (c.want == 1) {
+			t.Fatalf("%s: score %d, want a %v result", c.name, r.Score, c.want == 1)
+		}
+		if got := testing.AllocsPerRun(100, func() { c.fn() }); got != c.want {
+			t.Errorf("%s: %.2f allocs/run, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+func TestCigarString(t *testing.T) {
+	for _, c := range []struct {
+		cigar Cigar
+		want  string
+	}{
+		{nil, ""},
+		{Cigar{{Op: 'M', Len: 150}}, "150M"},
+		{Cigar{{Op: 'M', Len: 37}, {Op: 'I', Len: 1}, {Op: 'M', Len: 63}, {Op: 'D', Len: 2}, {Op: 'M', Len: 5}}, "37M1I63M2D5M"},
+		{Cigar{{Op: 'D', Len: 1234567}, {Op: 'M', Len: 0}}, "1234567D0M"},
+	} {
+		if got := c.cigar.String(); got != c.want {
+			t.Errorf("%v.String() = %q, want %q", []CigarOp(c.cigar), got, c.want)
+		}
 	}
 }
 
@@ -441,7 +698,8 @@ func TestCells(t *testing.T) {
 func benchSeqs(qLen, tLen int) ([]byte, []byte) {
 	rng := rand.New(rand.NewSource(13))
 	tg := randCodes(rng, tLen)
-	q := append([]byte(nil), tg[tLen/4:tLen/4+qLen]...)
+	start := (tLen - qLen) / 2 // the query sits mid-window, as ExtendSeed centres it
+	q := append([]byte(nil), tg[start:start+qLen]...)
 	for i := range q {
 		if rng.Float64() < 0.01 {
 			q[i] = byte(rng.Intn(4))
@@ -486,6 +744,27 @@ func BenchmarkLocalWithTraceback100x200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Local(q, tg, DefaultScoring)
 	}
+}
+
+// BenchmarkLocal150x198 is one extension at the bench's shape: a 150-base
+// read against its 198-base window (the read plus ExtendPad 24 each side).
+func BenchmarkLocal150x198(b *testing.B) {
+	benchLocal(b, Local)
+}
+
+// BenchmarkLocalOracle150x198 is the same extension through the three-matrix
+// oracle, the baseline BenchmarkLocal150x198's B/op is read against.
+func BenchmarkLocalOracle150x198(b *testing.B) {
+	benchLocal(b, localOracle)
+}
+
+func benchLocal(b *testing.B, local func(q, tg []byte, sc Scoring) Result) {
+	q, tg := benchSeqs(150, 198)
+	b.ReportAllocs()
+	for b.Loop() {
+		local(q, tg, DefaultScoring)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(Cells(len(q), len(tg))), "ns/cell")
 }
 
 // The package's entry points (ExtendSeed, StripedScore, Local, and shared

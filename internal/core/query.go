@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"slices"
+	"strconv"
 
 	"github.com/lbl-repro/meraligner/internal/align"
 	"github.com/lbl-repro/meraligner/internal/dht"
@@ -275,7 +276,8 @@ func (qp *QueryProcessor) Process(qi int32, q dna.Packed) {
 			qp.aligned++
 			qp.totalAlignments++
 			if qp.alignments != nil {
-				a.Cigar = align.Cigar{{Op: 'M', Len: L}}.String()
+				var buf [24]byte // "<L>M"
+				a.Cigar = string(append(strconv.AppendInt(buf[:0], int64(L), 10), 'M'))
 				qp.alignments = append(qp.alignments, a)
 			}
 			return // single lookup sufficed — minimal communication

@@ -31,7 +31,7 @@ import (
 //	               flags with idempotent atomic stores (§IV-A)
 //	align          workers pull query batches; each query runs the exact-
 //	               match fast path (§IV-A) and the general seed-lookup +
-//	               extension path (§IV-B): full-matrix Smith-Waterman with
+//	               extension path (§IV-B): Smith-Waterman with
 //	               traceback (align.Local) when alignments are collected,
 //	               the striped kernel (§V-B) on statistics-only runs
 //

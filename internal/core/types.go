@@ -88,8 +88,8 @@ type QueryOptions struct {
 	// Extend replaces the seed-extension engine (§VIII: "the Striped
 	// Smith-Waterman local alignment engine could easily be replaced with
 	// any other local alignment software tool"). nil uses align.ExtendSeed:
-	// full-matrix Smith-Waterman with traceback (align.Local) on the seed
-	// window. A nil Extend on a statistics-only call (CollectAlignments off)
+	// Smith-Waterman with traceback (align.Local: rolling score rows, one
+	// direction byte per cell) on the seed window. A nil Extend on a statistics-only call (CollectAlignments off)
 	// scores with the striped SWAR kernel instead, which needs no traceback.
 	Extend ExtendFunc
 
