@@ -107,12 +107,12 @@ func BuildFiles(threads int, opt IndexOptions, targetPath string) (*Aligner, err
 
 // Align aligns one batch of queries against the resident index (the
 // aligning phase of Algorithm 1 with the exact-match fast path, seed-hit
-// threshold, and Smith-Waterman extension of every candidate: full-matrix
-// with traceback when alignments are collected, the striped kernel on
-// statistics-only calls). It is safe to call concurrently: every call owns
-// its worker pool and result buffers. The pool is the Build-time thread
-// count but never more than one worker per 256 reads, so a batch of at most
-// 256 reads runs on the calling goroutine. Cancellation is honored between
+// threshold, and Smith-Waterman extension of every candidate: with
+// traceback when alignments are collected, score-only on statistics-only
+// calls). It is safe to call concurrently: every call owns its worker pool
+// and result buffers. The pool is the Build-time thread count but never
+// more than one worker per 256 reads, so a batch of at most 256 reads runs
+// on the calling goroutine. Cancellation is honored between
 // work chunks — when ctx is done, Align stops claiming query batches and
 // returns ctx.Err(). Results carry this call's wall-clock align-phase stat;
 // alignments are byte-identical to a one-shot AlignThreaded run over the

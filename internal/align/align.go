@@ -1,10 +1,14 @@
 // Package align implements local sequence alignment: affine-gap
-// Smith-Waterman with traceback (Local: two rolling score rows and one
-// direction byte per cell, in pooled scratch), its score-only reference
-// (Score), and a striped Smith-Waterman in the style of the
-// SSW library the paper incorporates (§V-B), with SIMD lanes emulated by
-// SWAR arithmetic on 64-bit words (8 x 8-bit lanes, rescued to 4 x 16-bit
-// lanes on overflow, exactly SSW's protocol).
+// Smith-Waterman over two rolling score rows and one direction byte per
+// cell. Local traces the best cell back to a cigar, on pooled scratch; a
+// Scorer stops at the best cell, on scratch it owns, for runs that keep only
+// statistics. Both run the same row function, so they agree on score and
+// end-points.
+//
+// The paper extends seeds with SSW's SIMD striped kernel (§V-B). An
+// emulation of it in SWAR arithmetic on 64-bit words, score-only, ran only
+// 1.1-1.6x faster than this scalar kernel with traceback, and was removed:
+// this one kernel stands in for SSW.
 //
 // Sequences are slices of 2-bit base codes (see package dna), not ASCII.
 package align
@@ -101,37 +105,6 @@ type Result struct {
 	Cigar  Cigar
 }
 
-// Score computes the score-only local alignment of query vs target with the
-// reference O(mn) affine-gap dynamic program. It is the oracle the striped
-// implementation is verified against.
-func Score(query, target []byte, sc Scoring) int {
-	n, m := len(query), len(target)
-	if n == 0 || m == 0 {
-		return 0
-	}
-	// H, E over a rolling column; F computed on the fly.
-	H := make([]int, n+1)
-	E := make([]int, n+1)
-	negInf := -1 << 30
-	for j := 0; j <= n; j++ {
-		E[j] = negInf
-	}
-	best := 0
-	for i := 1; i <= m; i++ {
-		diag := 0 // H[i-1][0]
-		F := negInf
-		for j := 1; j <= n; j++ {
-			E[j] = max(E[j]-sc.GapExtend, H[j]-sc.GapOpen-sc.GapExtend)
-			F = max(F-sc.GapExtend, H[j-1]-sc.GapOpen-sc.GapExtend)
-			h := max(0, diag+sc.score(query[j-1], target[i-1]), E[j], F)
-			diag = H[j]
-			H[j] = h
-			best = max(best, h)
-		}
-	}
-	return best
-}
-
 // Local computes the full local alignment with traceback, returning score,
 // end-points and cigar. The highest-scoring cell is chosen; among equals the
 // one with the smallest (TEnd, QEnd) wins, matching the scan order.
@@ -146,18 +119,7 @@ func Local(query, target []byte, sc Scoring) Result {
 	}
 	s := localPool.Get().(*localScratch)
 	defer localPool.Put(s)
-	s.reset(query, m, sc)
-
-	// A gap's first base costs the open and one extend.
-	gapOpen, gapExt := int32(sc.GapOpen+sc.GapExtend), int32(sc.GapExtend)
-	var best int32
-	bi, bj := 0, 0
-	for i := 0; i < m; i++ {
-		rowBest, rowJ := localRow(s.h, s.e, s.profRow(target[i], query, sc), s.dir[i*n:(i+1)*n], gapOpen, gapExt)
-		if rowBest > best {
-			best, bi, bj = rowBest, i+1, rowJ+1
-		}
-	}
+	best, bi, bj := s.fill(query, target, sc, true)
 	if best == 0 {
 		return Result{}
 	}
@@ -217,6 +179,24 @@ func Local(query, target []byte, sc Scoring) Result {
 	return res
 }
 
+// Scorer is Local without the traceback, on scratch it owns. Score finds
+// the same best cell as Local, so the same Score, QEnd and TEnd; QStart,
+// TStart and Cigar stay zero, and a score of 0 gives the zero Result. It
+// keeps O(query) scratch, grown to the longest query scored, so a caller
+// that scores window after window (a query processor) allocates nothing in
+// steady state. The zero value is ready to use; a Scorer is not safe for
+// concurrent use.
+type Scorer struct{ s localScratch }
+
+// Score aligns query against target and reports the best cell.
+func (z *Scorer) Score(query, target []byte, sc Scoring) Result {
+	if len(query) == 0 || len(target) == 0 {
+		return Result{}
+	}
+	best, bi, bj := z.s.fill(query, target, sc, false)
+	return Result{Score: int(best), QEnd: bj, TEnd: bi}
+}
+
 // Direction bits, one byte per DP cell: which terms the cell's H equals,
 // and whether its E and F came from opening a gap. F needs no bit of its
 // own: a positive H that is neither diagonal nor E is F.
@@ -232,8 +212,9 @@ const (
 // floor that subtracting penalties cannot wrap.
 const negInf = int32(-1 << 28)
 
-// localScratch is Local's working storage, reused across calls through
-// localPool so that a steady stream of extensions allocates only results.
+// localScratch is the DP's working storage, reused across calls (through
+// localPool by Local, kept by a Scorer) so that a steady stream of
+// extensions allocates only results.
 type localScratch struct {
 	h, e []int32   // rolling H and E rows, one entry per query base
 	prof []int32   // query profile: row b scores every query base against target base b (rows 0-3; row 4 is built per other byte)
@@ -243,14 +224,37 @@ type localScratch struct {
 
 var localPool = sync.Pool{New: func() any { return new(localScratch) }}
 
-// reset sizes the scratch for an n-base query against an m-base target,
-// clears the score rows and builds profile rows 0-3.
-func (s *localScratch) reset(query []byte, m int, sc Scoring) {
+// fill runs the DP of query against target, one localRow per target base,
+// and returns the best cell: its score and its 1-based (target, query)
+// coordinates, the first among equals in row-major order ((0, 0) when every
+// cell is 0). With trace, s.dir keeps the direction bytes of every cell for
+// a traceback; without, each row's bytes overwrite the last's.
+func (s *localScratch) fill(query, target []byte, sc Scoring, trace bool) (best int32, bi, bj int) {
+	n, m := len(query), len(target)
+	rows, step := 1, 0
+	if trace {
+		rows, step = m, n
+	}
+	s.reset(query, rows, sc)
+	// A gap's first base costs the open and one extend.
+	gapOpen, gapExt := int32(sc.GapOpen+sc.GapExtend), int32(sc.GapExtend)
+	for i := 0; i < m; i++ {
+		rowBest, rowJ := localRow(s.h, s.e, s.profRow(target[i], query, sc), s.dir[i*step:i*step+n], gapOpen, gapExt)
+		if rowBest > best {
+			best, bi, bj = rowBest, i+1, rowJ+1
+		}
+	}
+	return best, bi, bj
+}
+
+// reset sizes the scratch for an n-base query and rows rows of direction
+// bytes, clears the score rows and builds profile rows 0-3.
+func (s *localScratch) reset(query []byte, rows int, sc Scoring) {
 	n := len(query)
 	s.h = slices.Grow(s.h[:0], n)[:n]
 	s.e = slices.Grow(s.e[:0], n)[:n]
 	s.prof = slices.Grow(s.prof[:0], 5*n)[:5*n]
-	s.dir = slices.Grow(s.dir[:0], m*n)[:m*n]
+	s.dir = slices.Grow(s.dir[:0], rows*n)[:rows*n]
 	clear(s.h)
 	for j := range s.e {
 		s.e[j] = negInf

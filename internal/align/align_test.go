@@ -20,6 +20,37 @@ func randCodes(rng *rand.Rand, n int) []byte {
 	return out
 }
 
+// Score computes the score-only local alignment of query vs target with the
+// reference O(mn) affine-gap dynamic program: the independent score the
+// kernel's Results are checked against.
+func Score(query, target []byte, sc Scoring) int {
+	n, m := len(query), len(target)
+	if n == 0 || m == 0 {
+		return 0
+	}
+	// H, E over a rolling column; F computed on the fly.
+	H := make([]int, n+1)
+	E := make([]int, n+1)
+	negInf := -1 << 30
+	for j := 0; j <= n; j++ {
+		E[j] = negInf
+	}
+	best := 0
+	for i := 1; i <= m; i++ {
+		diag := 0 // H[i-1][0]
+		F := negInf
+		for j := 1; j <= n; j++ {
+			E[j] = max(E[j]-sc.GapExtend, H[j]-sc.GapOpen-sc.GapExtend)
+			F = max(F-sc.GapExtend, H[j-1]-sc.GapOpen-sc.GapExtend)
+			h := max(0, diag+sc.score(query[j-1], target[i-1]), E[j], F)
+			diag = H[j]
+			H[j] = h
+			best = max(best, h)
+		}
+	}
+	return best
+}
+
 func TestScoringValidate(t *testing.T) {
 	if err := DefaultScoring.Validate(); err != nil {
 		t.Errorf("default scoring invalid: %v", err)
@@ -326,43 +357,61 @@ func oracleCase(rng *rand.Rand) (q, tg []byte) {
 	}
 }
 
+// scoreOnly is the part of a Result a Scorer reports: the best cell, no
+// traceback. The zero Result maps to itself.
+func scoreOnly(r Result) Result { return Result{Score: r.Score, QEnd: r.QEnd, TEnd: r.TEnd} }
+
+// checkOracle fails t unless Local returns localOracle's Result and z, a
+// Scorer reused across calls, returns its score-only part.
+func checkOracle(t *testing.T, z *Scorer, q, tg []byte, sc Scoring, what string) {
+	t.Helper()
+	want := localOracle(q, tg, sc)
+	if got := Local(q, tg, sc); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Local, sc=%+v q=%v t=%v:\n got  %+v\n want %+v", what, sc, q, tg, got, want)
+	}
+	if got := z.Score(q, tg, sc); !reflect.DeepEqual(got, scoreOnly(want)) {
+		t.Fatalf("%s: Scorer, sc=%+v q=%v t=%v:\n got  %+v\n want %+v", what, sc, q, tg, got, scoreOnly(want))
+	}
+}
+
 // TestLocalMatchesOracle: the rolling-row kernel returns exactly the
 // three-matrix Result — score, both endpoints and cigar — on random,
-// indel-mutated and tandem-repeat inputs under every oracle scoring.
+// indel-mutated and tandem-repeat inputs under every oracle scoring, and
+// a Scorer returns the same score and end-points.
 func TestLocalMatchesOracle(t *testing.T) {
 	trials := 2000
 	if testing.Short() {
 		trials = 300
 	}
 	rng := rand.New(rand.NewSource(30))
+	var z Scorer
 	for _, sc := range oracleScorings {
 		for trial := range trials {
 			q, tg := oracleCase(rng)
-			if got, want := Local(q, tg, sc), localOracle(q, tg, sc); !reflect.DeepEqual(got, want) {
-				t.Fatalf("sc=%+v trial=%d q=%v t=%v:\n got  %+v\n want %+v", sc, trial, q, tg, got, want)
-			}
+			checkOracle(t, &z, q, tg, sc, fmt.Sprintf("trial %d", trial))
 		}
 	}
 }
 
-// TestLocalOtherBytes: Local scores bytes outside the 2-bit alphabet by
-// equality, as the oracle does.
+// TestLocalOtherBytes: Local and Scorer score bytes outside the 2-bit
+// alphabet by equality, as the oracle does.
 func TestLocalOtherBytes(t *testing.T) {
 	q := []byte{0, 1, 7, 2, 3, 7, 7, 1}
 	tg := []byte{3, 0, 1, 7, 2, 3, 7, 9, 1, 255}
+	var z Scorer
 	for _, sc := range oracleScorings {
-		if got, want := Local(q, tg, sc), localOracle(q, tg, sc); !reflect.DeepEqual(got, want) {
-			t.Fatalf("sc=%+v: got %+v, want %+v", sc, got, want)
-		}
+		checkOracle(t, &z, q, tg, sc, "other bytes")
 	}
 }
 
-// FuzzLocal checks Local against localOracle on arbitrary 2-bit inputs of up
-// to 300 bases, under the oracle scoring the seed byte picks.
+// FuzzLocal checks Local and Scorer against localOracle on arbitrary
+// 2-bit inputs of up to 300 bases, under the oracle scoring the seed byte
+// picks.
 func FuzzLocal(f *testing.F) {
 	f.Add([]byte("ACGTACGTAC"), []byte("TTACGTAGGTACTT"), byte(0))
 	f.Add([]byte{0, 1, 0, 1, 0, 1}, []byte{0, 1, 0, 1, 0, 1, 0, 1, 0, 1}, byte(3))
 	f.Add([]byte{2, 2, 2}, []byte{1, 1}, byte(5))
+	var z Scorer
 	f.Fuzz(func(t *testing.T, q, tg []byte, pick byte) {
 		const capLen = 300
 		q, tg = q[:min(len(q), capLen)], tg[:min(len(tg), capLen)]
@@ -372,16 +421,13 @@ func FuzzLocal(f *testing.F) {
 		for i := range tg {
 			tg[i] &= 3
 		}
-		sc := oracleScorings[int(pick)%len(oracleScorings)]
-		if got, want := Local(q, tg, sc), localOracle(q, tg, sc); !reflect.DeepEqual(got, want) {
-			t.Fatalf("sc=%+v q=%v t=%v:\n got  %+v\n want %+v", sc, q, tg, got, want)
-		}
+		checkOracle(t, &z, q, tg, oracleScorings[int(pick)%len(oracleScorings)], "fuzz")
 	})
 }
 
 // TestLocalSteadyStateAllocs: once the pool is warm, a non-zero Result costs
 // exactly its cigar and a zero one costs nothing, through Local and
-// ExtendSeed alike.
+// ExtendSeed alike; a Scorer costs nothing either way.
 func TestLocalSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
@@ -389,19 +435,23 @@ func TestLocalSteadyStateAllocs(t *testing.T) {
 	q, tg := benchSeqs(150, 198)
 	disjoint := codes("AAAAAAAAAAAA")
 	other := codes("CCCCCCCCCCCCCCCCCCCC")
+	var z Scorer
 	cases := []struct {
-		name string
-		fn   func() Result
-		want float64
+		name    string
+		fn      func() Result
+		nonZero bool
+		want    float64
 	}{
-		{"Local", func() Result { return Local(q, tg, DefaultScoring) }, 1},
-		{"ExtendSeed", func() Result { return ExtendSeed(q, tg, 0, 24, 21, DefaultScoring, 24) }, 1},
-		{"Local zero", func() Result { return Local(disjoint, other, DefaultScoring) }, 0},
-		{"ExtendSeed zero", func() Result { return ExtendSeed(disjoint, other, 0, 4, 4, DefaultScoring, 24) }, 0},
+		{"Local", func() Result { return Local(q, tg, DefaultScoring) }, true, 1},
+		{"ExtendSeed", func() Result { return ExtendSeed(q, tg, 0, 24, 21, DefaultScoring, 24) }, true, 1},
+		{"Scorer", func() Result { return z.Score(q, tg, DefaultScoring) }, true, 0},
+		{"Local zero", func() Result { return Local(disjoint, other, DefaultScoring) }, false, 0},
+		{"ExtendSeed zero", func() Result { return ExtendSeed(disjoint, other, 0, 4, 4, DefaultScoring, 24) }, false, 0},
+		{"Scorer zero", func() Result { return z.Score(disjoint, other, DefaultScoring) }, false, 0},
 	}
 	for _, c := range cases {
-		if r := c.fn(); (r.Score != 0) != (c.want == 1) {
-			t.Fatalf("%s: score %d, want a %v result", c.name, r.Score, c.want == 1)
+		if r := c.fn(); (r.Score != 0) != c.nonZero {
+			t.Fatalf("%s: score %d, want a non-zero result: %v", c.name, r.Score, c.nonZero)
 		}
 		if got := testing.AllocsPerRun(100, func() { c.fn() }); got != c.want {
 			t.Errorf("%s: %.2f allocs/run, want %v", c.name, got, c.want)
@@ -421,221 +471,6 @@ func TestCigarString(t *testing.T) {
 	} {
 		if got := c.cigar.String(); got != c.want {
 			t.Errorf("%v.String() = %q, want %q", []CigarOp(c.cigar), got, c.want)
-		}
-	}
-}
-
-// --- SWAR primitive tests ---
-
-func TestSWARAddSat(t *testing.T) {
-	for _, s := range []laneSpec{spec8, spec16} {
-		rng := rand.New(rand.NewSource(int64(s.bits)))
-		for trial := 0; trial < 2000; trial++ {
-			x, y := rng.Uint64(), rng.Uint64()
-			got := s.addsat(x, y)
-			for l := 0; l < s.lanes; l++ {
-				sh := uint(l) * s.bits
-				a := (x >> sh) & s.max
-				b := (y >> sh) & s.max
-				want := a + b
-				if want > s.max {
-					want = s.max
-				}
-				if g := (got >> sh) & s.max; g != want {
-					t.Fatalf("bits=%d lane %d: addsat(%#x,%#x) lane = %#x, want %#x", s.bits, l, a, b, g, want)
-				}
-			}
-		}
-	}
-}
-
-func TestSWARSubSat(t *testing.T) {
-	for _, s := range []laneSpec{spec8, spec16} {
-		rng := rand.New(rand.NewSource(int64(s.bits) + 1))
-		for trial := 0; trial < 2000; trial++ {
-			x, y := rng.Uint64(), rng.Uint64()
-			got := s.subsat(x, y)
-			for l := 0; l < s.lanes; l++ {
-				sh := uint(l) * s.bits
-				a := (x >> sh) & s.max
-				b := (y >> sh) & s.max
-				want := uint64(0)
-				if a > b {
-					want = a - b
-				}
-				if g := (got >> sh) & s.max; g != want {
-					t.Fatalf("bits=%d lane %d: subsat(%#x,%#x) = %#x, want %#x", s.bits, l, a, b, g, want)
-				}
-			}
-		}
-	}
-}
-
-func TestSWARMaxAndGE(t *testing.T) {
-	for _, s := range []laneSpec{spec8, spec16} {
-		rng := rand.New(rand.NewSource(int64(s.bits) + 2))
-		for trial := 0; trial < 2000; trial++ {
-			x, y := rng.Uint64(), rng.Uint64()
-			gotMax := s.maxu(x, y)
-			ge := s.geMask(x, y)
-			anyGT := s.anyGT(x, y)
-			wantAny := false
-			for l := 0; l < s.lanes; l++ {
-				sh := uint(l) * s.bits
-				a := (x >> sh) & s.max
-				b := (y >> sh) & s.max
-				want := max(a, b)
-				if g := (gotMax >> sh) & s.max; g != want {
-					t.Fatalf("bits=%d: maxu lane %d = %#x, want %#x", s.bits, l, g, want)
-				}
-				bit := (ge >> (sh + s.bits - 1)) & 1
-				if (a >= b) != (bit == 1) {
-					t.Fatalf("bits=%d: geMask lane %d wrong for %#x vs %#x", s.bits, l, a, b)
-				}
-				if a > b {
-					wantAny = true
-				}
-			}
-			if anyGT != wantAny {
-				t.Fatalf("bits=%d: anyGT = %v, want %v", s.bits, anyGT, wantAny)
-			}
-		}
-	}
-}
-
-func TestSWARFillExpandShift(t *testing.T) {
-	if spec8.fill(0xAB) != 0xABABABABABABABAB {
-		t.Error("fill8 broken")
-	}
-	if spec16.fill(0x1234) != 0x1234123412341234 {
-		t.Error("fill16 broken")
-	}
-	if spec8.expand(0x8080000000000080) != 0xFFFF0000000000FF {
-		t.Errorf("expand8 = %#x", spec8.expand(0x8080000000000080))
-	}
-	if spec8.shiftLanes(0x01020304050607FF) != 0x020304050607FF00 {
-		t.Error("shiftLanes8 broken")
-	}
-	if hiBitCount(spec8, 0x8080808080808080) != 8 {
-		t.Error("hiBitCount broken")
-	}
-}
-
-// --- Striped vs reference equivalence ---
-
-func TestStripedMatchesReferenceRandom(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		q := randCodes(rng, 1+rng.Intn(150))
-		tg := randCodes(rng, 1+rng.Intn(300))
-		want := Score(q, tg, DefaultScoring)
-		got := StripedScore(q, tg, DefaultScoring)
-		return got.Score == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestStripedMatchesReferenceSimilarSequences(t *testing.T) {
-	// The realistic case: query is a mutated substring of the target.
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 200; trial++ {
-		tg := randCodes(rng, 300+rng.Intn(300))
-		start := rng.Intn(len(tg) - 120)
-		q := append([]byte(nil), tg[start:start+100+rng.Intn(20)]...)
-		for i := range q {
-			if rng.Float64() < 0.03 {
-				q[i] = byte(rng.Intn(4))
-			}
-		}
-		want := Score(q, tg, DefaultScoring)
-		got := StripedScore(q, tg, DefaultScoring)
-		if got.Score != want {
-			t.Fatalf("trial %d: striped %d != reference %d", trial, got.Score, want)
-		}
-	}
-}
-
-func TestStripedMatchesReferenceVariedScoring(t *testing.T) {
-	scorings := []Scoring{
-		{Match: 1, Mismatch: 3, GapOpen: 5, GapExtend: 2},
-		{Match: 2, Mismatch: 1, GapOpen: 1, GapExtend: 1},
-		{Match: 5, Mismatch: 4, GapOpen: 10, GapExtend: 1},
-		{Match: 1, Mismatch: 1, GapOpen: 0, GapExtend: 1},
-	}
-	rng := rand.New(rand.NewSource(7))
-	for _, sc := range scorings {
-		for trial := 0; trial < 60; trial++ {
-			q := randCodes(rng, 1+rng.Intn(90))
-			tg := randCodes(rng, 1+rng.Intn(150))
-			want := Score(q, tg, sc)
-			got := StripedScore(q, tg, sc)
-			if got.Score != want {
-				t.Fatalf("scoring %+v: striped %d != reference %d (q=%v t=%v)", sc, got.Score, want, q, tg)
-			}
-		}
-	}
-}
-
-func TestStriped16BitRescue(t *testing.T) {
-	// A long perfect match with Match=2 exceeds 255 and must overflow into
-	// the 16-bit kernel with a correct score.
-	rng := rand.New(rand.NewSource(8))
-	q := randCodes(rng, 400)
-	sc := Scoring{Match: 2, Mismatch: 3, GapOpen: 5, GapExtend: 2}
-	res := StripedScore(q, q, sc)
-	if !res.Overflow || res.UsedLanes != 16 {
-		t.Errorf("expected 8-bit overflow, got %+v", res)
-	}
-	if res.Score != 800 {
-		t.Errorf("score = %d, want 800", res.Score)
-	}
-}
-
-func TestStripedNearSaturationBoundary(t *testing.T) {
-	// Scores straddling the 8-bit boundary (255-bias) must stay exact.
-	rng := rand.New(rand.NewSource(9))
-	sc := DefaultScoring // bias = 3, boundary at 252
-	for n := 245; n <= 260; n++ {
-		q := randCodes(rng, n)
-		res := StripedScore(q, q, sc)
-		if res.Score != n {
-			t.Errorf("n=%d: score %d (overflow=%v)", n, res.Score, res.Overflow)
-		}
-	}
-}
-
-func TestStripedTEnd(t *testing.T) {
-	tg := codes("TTTTTACGTACGTTT")
-	q := codes("ACGTACG")
-	res := StripedScore(q, tg, DefaultScoring)
-	if res.Score != 7 {
-		t.Fatalf("score = %d, want 7", res.Score)
-	}
-	if res.TEnd != 12 {
-		t.Errorf("TEnd = %d, want 12", res.TEnd)
-	}
-}
-
-func TestStripedEmpty(t *testing.T) {
-	if r := StripedScore(nil, codes("ACGT"), DefaultScoring); r.Score != 0 {
-		t.Error("empty query")
-	}
-	if r := StripedScore(codes("ACGT"), nil, DefaultScoring); r.Score != 0 {
-		t.Error("empty target")
-	}
-}
-
-func TestProfileReuseAcrossTargets(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	q := randCodes(rng, 100)
-	p := NewProfile(q, DefaultScoring)
-	for i := 0; i < 20; i++ {
-		tg := randCodes(rng, 200)
-		want := Score(q, tg, DefaultScoring)
-		if got := p.Align(tg); got.Score != want {
-			t.Fatalf("reused profile: %d != %d", got.Score, want)
 		}
 	}
 }
@@ -717,26 +552,6 @@ func BenchmarkReferenceSW100x200(b *testing.B) {
 	}
 }
 
-func BenchmarkStripedSW100x200(b *testing.B) {
-	q, tg := benchSeqs(100, 200)
-	p := NewProfile(q, DefaultScoring)
-	b.SetBytes(int64(len(q) * len(tg)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Align(tg)
-	}
-}
-
-func BenchmarkStripedSW250x500(b *testing.B) {
-	q, tg := benchSeqs(250, 500)
-	p := NewProfile(q, DefaultScoring)
-	b.SetBytes(int64(len(q) * len(tg)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Align(tg)
-	}
-}
-
 func BenchmarkLocalWithTraceback100x200(b *testing.B) {
 	q, tg := benchSeqs(100, 200)
 	b.SetBytes(int64(len(q) * len(tg)))
@@ -767,10 +582,10 @@ func benchLocal(b *testing.B, local func(q, tg []byte, sc Scoring) Result) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(Cells(len(q), len(tg))), "ns/cell")
 }
 
-// The package's entry points (ExtendSeed, StripedScore, Local, and shared
-// Profiles) must be safe for concurrent use: the threaded engine runs them
-// from many worker goroutines against shared target slices. Run under -race
-// in CI's race job.
+// The package's entry points (ExtendSeed, Local, and a Scorer per goroutine)
+// must be safe for concurrent use: the threaded engine runs them from many
+// worker goroutines against shared target slices. Run under -race in CI's
+// race job.
 func TestConcurrentEntryPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	target := randCodes(rng, 4000)
@@ -781,31 +596,20 @@ func TestConcurrentEntryPoints(t *testing.T) {
 		q[rng.Intn(len(q))] = byte(rng.Intn(4)) // maybe a substitution
 		queries[i] = q
 	}
-	// A shared profile exercised from every goroutine alongside the
-	// stateless kernels. The query is long enough that its perfect match
-	// saturates the 8-bit kernel, so every goroutine races into the lazy
-	// 16-bit rescue on first use — the hazard once16 guards.
-	long := append([]byte(nil), target[100:500]...)
-	shared := NewProfile(long, DefaultScoring)
-	want := 400 * DefaultScoring.Match
 
 	done := make(chan error, 8)
 	for w := 0; w < 8; w++ {
 		go func(w int) {
+			var z Scorer
 			for i, q := range queries {
-				sr := StripedScore(q, target, DefaultScoring)
 				lr := Local(q, target, DefaultScoring)
-				if sr.Score != lr.Score {
-					done <- fmt.Errorf("worker %d query %d: striped %d != local %d", w, i, sr.Score, lr.Score)
+				if sr := z.Score(q, target, DefaultScoring); !reflect.DeepEqual(sr, scoreOnly(lr)) {
+					done <- fmt.Errorf("worker %d query %d: Scorer %+v != Local's %+v", w, i, sr, scoreOnly(lr))
 					return
 				}
 				er := ExtendSeed(q, target, 0, 0, 21, DefaultScoring, 16)
 				if er.Score > lr.Score {
 					done <- fmt.Errorf("worker %d query %d: window score %d exceeds full %d", w, i, er.Score, lr.Score)
-					return
-				}
-				if got := shared.Align(target).Score; got != want {
-					done <- fmt.Errorf("worker %d: shared profile score changed: %d != %d", w, got, want)
 					return
 				}
 			}

@@ -8,10 +8,11 @@ import (
 )
 
 // This file guards the query hot path: the rolling seed scanner, the sealed
-// flat seed table, and the per-strand striped-profile reuse — parity between
-// the pool and the calling goroutine, and the zero-allocations-per-read
-// invariant of the serial path. The per-call overhead of a 1-read call is
-// pinned through Aligner.Align (TestAlignPerCallAllocs).
+// flat seed table, and score-only Smith-Waterman on the processor's own
+// scratch — parity between the pool and the calling goroutine, and the
+// zero-allocations-per-read invariant of the serial path. The per-call
+// overhead of a 1-read call is pinned through Aligner.Align
+// (TestAlignPerCallAllocs).
 
 // TestQueryInlineMatchesPool: one worker runs the batch on the calling
 // goroutine (the route of every batch of at most alignBatch reads) and must
@@ -82,7 +83,7 @@ func queryNoAllocFixture(tb testing.TB, remote bool) (*QueryProcessor, []seqio.S
 		tb.Fatal("not enough full-length reads for the no-alloc fixture")
 	}
 	// Warm every reusable buffer and pin the fixture's other assumption:
-	// the workload exercises the general path (profile reuse), not just the
+	// the workload exercises the general path (Smith-Waterman), not just the
 	// exact-match shortcut.
 	processClaim(qp, reads)
 	if qp.SWCalls == 0 {

@@ -89,10 +89,9 @@ type QueryProcessor struct {
 	seenList []candKey
 	seenMap  map[candKey]struct{}
 
-	// Striped profiles, built at most once per (query, strand) and reused
-	// across every candidate window of the query (the SSW lifecycle).
-	profFwd, profRC     align.Profile
-	profFwdOK, profRCOK bool
+	// Score-only Smith-Waterman for statistics-only runs, on scratch kept
+	// across every candidate window the processor scores.
+	sw align.Scorer
 
 	found     []align.Result // alignments of the current query
 	foundKeys []foundKey     // their dedupe keys (packed, scanned linearly)
@@ -255,7 +254,6 @@ func (qp *QueryProcessor) Process(qi int32, q dna.Packed) {
 	if len(qp.seenMap) > 0 {
 		clear(qp.seenMap)
 	}
-	qp.profFwdOK, qp.profRCOK = false, false
 	qp.found = qp.found[:0]
 	qp.foundKeys = qp.foundKeys[:0]
 	qp.foundRC = qp.foundRC[:0]
@@ -419,9 +417,9 @@ func (qp *QueryProcessor) seenBefore(key candKey) bool {
 }
 
 // candidate processes one seed hit on the general path: dedupe by
-// (target, strand, diagonal), fetch the target, and run striped
-// Smith-Waterman on the seed window with the query's per-strand reusable
-// profile.
+// (target, strand, diagonal), fetch the target, and run Smith-Waterman on
+// the seed window: with traceback when alignments are kept, score-only on a
+// statistics-only run.
 func (qp *QueryProcessor) candidate(loc dht.Loc, qrc bool, qoff, L int) {
 	frag := qp.ft.Frags[loc.Frag]
 	rc := qrc != loc.RC
@@ -451,11 +449,10 @@ func (qp *QueryProcessor) candidate(loc dht.Loc, qrc bool, qoff, L int) {
 
 	var res align.Result
 	if qp.alignments == nil && qp.opt.Extend == nil {
-		// Statistics-only runs use the striped score kernel (as the real
-		// code does); end-points are derived from the striped result, and
-		// the traceback is skipped entirely. The profile is built once per
-		// (query, strand) and reused across every candidate window.
-		sr := qp.strandProfile(rc, L).AlignWindow(tcodes[winLo:winHi])
+		// Statistics-only runs need no cigar, so the same DP stops at the
+		// best cell. Its target end keys the dedupe below in place of the
+		// start a traceback would give.
+		sr := qp.sw.Score(qp.queryCodes(rc, L), tcodes[winLo:winHi], qp.opt.Scoring)
 		res = align.Result{Score: sr.Score, TStart: winLo + sr.TEnd, TEnd: winLo + sr.TEnd}
 	} else {
 		qc := qp.queryCodes(rc, L)
@@ -481,23 +478,6 @@ func (qp *QueryProcessor) candidate(loc dht.Loc, qrc bool, qoff, L int) {
 	qp.foundKeys = append(qp.foundKeys, key)
 	qp.foundRC = append(qp.foundRC, rc)
 	qp.foundTg = append(qp.foundTg, frag.Target)
-}
-
-// strandProfile returns the striped profile of the query on the requested
-// strand, building (or Reset-recycling) it on first use within the query.
-func (qp *QueryProcessor) strandProfile(rc bool, L int) *align.Profile {
-	if rc {
-		if !qp.profRCOK {
-			qp.profRC.Reset(qp.queryCodes(true, L), qp.opt.Scoring)
-			qp.profRCOK = true
-		}
-		return &qp.profRC
-	}
-	if !qp.profFwdOK {
-		qp.profFwd.Reset(qp.fwd, qp.opt.Scoring)
-		qp.profFwdOK = true
-	}
-	return &qp.profFwd
 }
 
 // queryCodes returns the query's code slice on the requested strand,

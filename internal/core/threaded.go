@@ -33,7 +33,8 @@ import (
 //	               match fast path (§IV-A) and the general seed-lookup +
 //	               extension path (§IV-B): Smith-Waterman with
 //	               traceback (align.Local) when alignments are collected,
-//	               the striped kernel (§V-B) on statistics-only runs
+//	               the same DP score-only (align.Scorer) on
+//	               statistics-only runs
 //
 // Alignments are byte-identical to the simulated machine's (internal/sim)
 // on the same inputs: the sharded index sorts entries with the same

@@ -89,8 +89,9 @@ type QueryOptions struct {
 	// Smith-Waterman local alignment engine could easily be replaced with
 	// any other local alignment software tool"). nil uses align.ExtendSeed:
 	// Smith-Waterman with traceback (align.Local: rolling score rows, one
-	// direction byte per cell) on the seed window. A nil Extend on a statistics-only call (CollectAlignments off)
-	// scores with the striped SWAR kernel instead, which needs no traceback.
+	// direction byte per cell) on the seed window. A nil Extend on a
+	// statistics-only call (CollectAlignments off) runs the same DP without
+	// the traceback (align.Scorer).
 	Extend ExtendFunc
 
 	// SeedResolver replaces the local seed-index probe with a remote

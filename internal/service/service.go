@@ -475,11 +475,10 @@ func (t *tenant) alignBatch(ctx context.Context, reads []meraligner.Seq) (*engin
 // ASCII bytes free of '@' (SAM's QNAME alphabet: a leading '@' would pass
 // for a header line) or whose qualities are not empty or one graphic ASCII
 // byte per base: a tab or newline there would forge fields or whole
-// records. A read longer than maxReadBases is refused too: extension
-// allocates three int32 matrices of (read+1) x (window+1) cells, so one
-// long read that misses the exact path could exhaust the process. Bodies
-// over maxBytes surface as *http.MaxBytesError (parseStatus maps them to
-// 413).
+// records. A read longer than maxReadBases is refused too: extension keeps
+// one direction byte per (read x window) cell, so one long read that misses
+// the exact path could exhaust the process. Bodies over maxBytes surface as
+// *http.MaxBytesError (parseStatus maps them to 413).
 func ParseReads(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]meraligner.Seq, error) {
 	reads, err := decodeReads(w, r, maxBytes)
 	if err != nil {
@@ -500,9 +499,9 @@ func ParseReads(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]meral
 	return reads, nil
 }
 
-// maxReadBases bounds one read: ~13 MB of extension matrices against a
-// window ExtendPad-widened on both sides. Short-read workloads are 100-150
-// bases.
+// maxReadBases bounds one read: ~1.1 MB of extension direction bytes
+// against a window ExtendPad-widened on both sides (1,024 x (1,024 + 2*24)).
+// It is an input bound; short-read workloads are 100-150 bases.
 const maxReadBases = 1024
 
 // graphic reports whether s is all '!'..'~': what SAM allows in QNAME/QUAL.

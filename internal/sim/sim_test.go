@@ -235,36 +235,62 @@ func TestThreadedAlignmentsIdenticalToSim(t *testing.T) {
 }
 
 // TestStatsOnlyParityAcrossEngines extends the engine parity suite to the
-// statistics-only mode — the path that drives the reusable striped profile
-// (AlignWindow) instead of the traceback extender — across both seed-length
-// regimes of the rolling scanner (single word and two-word).
+// statistics-only mode — where candidates are scored by align.Scorer
+// instead of extended with traceback — across both seed-length regimes of
+// the rolling scanner (single word and two-word), on a human-like and a
+// repeat-rich wheat-like reference. The stats-only simulator, the stats-only
+// threaded engine and a threaded run that collects alignments must report
+// the same counters: dropping the traceback changes no outcome.
 func TestStatsOnlyParityAcrossEngines(t *testing.T) {
-	ds := testWorkload(t, 60_000, 3, 0.005)
-	for _, k := range []int{21, 51} {
-		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
-			opt := testOptions(k)
-			opt.CollectAlignments = false
-			sim, err := Run(testMach(8), opt, ds.Contigs, ds.Reads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			thr, err := core.RunThreaded(3, opt.Options, ds.Contigs, ds.Reads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sim.AlignedReads != thr.AlignedReads ||
-				sim.ExactPathReads != thr.ExactPathReads ||
-				sim.TotalAlignments != thr.TotalAlignments ||
-				sim.SWCalls != thr.SWCalls ||
-				sim.SeedLookups != thr.SeedLookups {
-				t.Errorf("stats-only summary differs:\nsim: %d/%d/%d/%d/%d\nthr: %d/%d/%d/%d/%d",
-					sim.AlignedReads, sim.ExactPathReads, sim.TotalAlignments, sim.SWCalls, sim.SeedLookups,
-					thr.AlignedReads, thr.ExactPathReads, thr.TotalAlignments, thr.SWCalls, thr.SeedLookups)
-			}
-			if thr.AlignedReads == 0 {
-				t.Fatal("workload aligned nothing; parity test is vacuous")
-			}
-		})
+	wheat := genome.WheatLike(60_000)
+	wheat.Depth, wheat.ErrorRate, wheat.InsertMean = 3, 0.01, 0
+	wheatDS, err := genome.Generate(wheat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures := []struct {
+		name string
+		ds   *genome.DataSet
+	}{
+		{"", testWorkload(t, 60_000, 3, 0.005)},
+		{"wheat_", wheatDS},
+	}
+	for _, fx := range fixtures {
+		for _, k := range []int{21, 51} {
+			t.Run(fmt.Sprintf("%sk%d", fx.name, k), func(t *testing.T) {
+				ds := fx.ds
+				opt := testOptions(k)
+				opt.CollectAlignments = false
+				sim, err := Run(testMach(8), opt, ds.Contigs, ds.Reads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				thr, err := core.RunThreaded(3, opt.Options, ds.Contigs, ds.Reads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt.CollectAlignments = true
+				col, err := core.RunThreaded(3, opt.Options, ds.Contigs, ds.Reads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				counters := func(r *core.Results) [5]int64 {
+					return [5]int64{int64(r.AlignedReads), int64(r.ExactPathReads), r.TotalAlignments, r.SWCalls, r.SeedLookups}
+				}
+				want := counters(col)
+				for _, run := range []struct {
+					name string
+					res  *core.Results
+				}{{"stats-only sim", &sim.Results}, {"stats-only threaded", thr}} {
+					if got := counters(run.res); got != want {
+						t.Errorf("%s summary differs from the collecting run (aligned/exact/alignments/SW calls/lookups):\n got  %v\n want %v", run.name, got, want)
+					}
+				}
+				if col.AlignedReads == 0 || col.SWCalls == 0 {
+					t.Fatal("workload aligned nothing or ran no Smith-Waterman; parity test is vacuous")
+				}
+			})
+		}
 	}
 }
 

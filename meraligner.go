@@ -3,9 +3,9 @@
 // short-read aligner whose every phase — I/O, seed-index construction, and
 // alignment — is parallel, built on a distributed hash table with the
 // paper's aggregating-stores optimization, per-node software caches, an
-// exact-match fast path, and Smith-Waterman extension (full-matrix with
-// traceback for alignment records; the striped kernel for statistics-only
-// runs).
+// exact-match fast path, and Smith-Waterman extension (one affine-gap
+// kernel, with traceback for alignment records and score-only for
+// statistics-only runs).
 //
 // The primary API is persistent: Build constructs the seed index over the
 // targets exactly once, and the resulting Aligner serves any number of
