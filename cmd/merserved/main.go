@@ -188,7 +188,8 @@ func main() {
 
 // parseBytes parses a human byte size: a plain integer (bytes) or one with
 // a K/M/G/T suffix, optionally written as KiB/MiB/GiB/TiB (binary units
-// either way). Empty means 0 (unlimited).
+// either way). Empty means 0 (unlimited). NaN, infinities and sizes that
+// overflow int64 are refused.
 func parseBytes(s string) (int64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -209,8 +210,10 @@ func parseBytes(s string) (int64, error) {
 		shift, num = 40, num[:len(num)-1]
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(num), 64)
-	if err != nil || v < 0 {
+	v *= float64(int64(1) << shift)
+	// !(v >= 0) also refuses NaN; 2^63 and up (Inf too) overflows int64.
+	if err != nil || !(v >= 0) || v >= 1<<63 {
 		return 0, fmt.Errorf("not a byte size: %q", s)
 	}
-	return int64(v * float64(int64(1)<<shift)), nil
+	return int64(v), nil
 }

@@ -3,10 +3,9 @@ package meraligner_test
 // Distributed-parity harness for the network seed DHT: the acceptance
 // property of the whole tier is that aligning with seed lookups resolved
 // against a remote seed-shard fleet produces byte-identical SAM to the
-// local engine — across shard counts, client batch shapes (including the
-// >MaxBatch direct path and a queue bound smaller than one claim's group),
-// worker counts, seed lengths, and location-list caps. Seed partitioning
-// must be invisible to alignment output.
+// local engine — across shard counts, concurrent claims from several
+// workers, seed lengths, and location-list caps. Seed partitioning must be
+// invisible to alignment output.
 
 import (
 	"bytes"
@@ -54,7 +53,7 @@ func dhtParityWorkload(t *testing.T) *genome.DataSet {
 
 // serveSeedFleet partitions al's seed table into count shard snapshots,
 // serves each over httptest, and returns a warmed dhtnet client.
-func serveSeedFleet(t *testing.T, al *meraligner.Aligner, count, maxBatch, queueSeeds int) *dhtnet.Client {
+func serveSeedFleet(t *testing.T, al *meraligner.Aligner, count int) *dhtnet.Client {
 	t.Helper()
 	paths, err := al.SaveSeedShards(t.TempDir(), count)
 	if err != nil {
@@ -84,9 +83,6 @@ func serveSeedFleet(t *testing.T, al *meraligner.Aligner, count, maxBatch, queue
 		K:           al.IndexOptions().K,
 		Shards:      al.SeedTableShards(),
 		Fingerprint: fp,
-		MaxBatch:    maxBatch,
-		MaxWait:     500 * time.Microsecond,
-		QueueSeeds:  queueSeeds,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,25 +109,22 @@ func alignSAM(t *testing.T, al *meraligner.Aligner, ds *genome.DataSet, workers 
 }
 
 // TestDHTNetAlignmentParity is the distributed-parity table: every
-// (k, shard count, batch shape, MaxSeedHits cap) combination must emit
+// (k, shard count, MaxSeedHits cap) combination must emit
 // SAM byte-identical to the purely local engine.
 func TestDHTNetAlignmentParity(t *testing.T) {
 	ds := dhtParityWorkload(t)
 
 	cases := []struct {
-		k        int
-		count    int // seed-shard fleet size
-		maxBatch int // client MaxBatch; 0 = default coalesced path
-		maxHits  int // QueryOptions.MaxSeedHits cap; 0 = uncapped
+		k       int
+		count   int // seed-shard fleet size
+		maxHits int // QueryOptions.MaxSeedHits cap; 0 = uncapped
 	}{
-		{k: 21, count: 1, maxBatch: 0, maxHits: 0},
-		{k: 21, count: 2, maxBatch: 0, maxHits: 0},
-		{k: 21, count: 4, maxBatch: 0, maxHits: 0},
-		{k: 21, count: 2, maxBatch: 1, maxHits: 0},  // every group on the direct path
-		{k: 21, count: 2, maxBatch: 16, maxHits: 0}, // claim groups exceed MaxBatch → direct path
-		{k: 21, count: 4, maxBatch: 0, maxHits: 4},  // location-list cap applied remotely
-		{k: 51, count: 2, maxBatch: 0, maxHits: 0},
-		{k: 51, count: 2, maxBatch: 16, maxHits: 4},
+		{k: 21, count: 1, maxHits: 0},
+		{k: 21, count: 2, maxHits: 0},
+		{k: 21, count: 4, maxHits: 0},
+		{k: 21, count: 4, maxHits: 4}, // location-list cap applied remotely
+		{k: 51, count: 2, maxHits: 0},
+		{k: 51, count: 2, maxHits: 4},
 	}
 
 	// Local baselines are shared across fleet shapes: one per (k, maxHits).
@@ -158,7 +151,7 @@ func TestDHTNetAlignmentParity(t *testing.T) {
 	}
 
 	for _, tc := range cases {
-		name := fmt.Sprintf("k=%d/shards=%d/maxBatch=%d/maxHits=%d", tc.k, tc.count, tc.maxBatch, tc.maxHits)
+		name := fmt.Sprintf("k=%d/shards=%d/maxHits=%d", tc.k, tc.count, tc.maxHits)
 		t.Run(name, func(t *testing.T) {
 			al := aligners[tc.k]
 			bk := key{tc.k, tc.maxHits}
@@ -168,7 +161,7 @@ func TestDHTNetAlignmentParity(t *testing.T) {
 				baselines[bk] = want
 			}
 
-			c := serveSeedFleet(t, al, tc.count, tc.maxBatch, 0)
+			c := serveSeedFleet(t, al, tc.count)
 			qopt := qoptFor(tc.maxHits)
 			qopt.SeedResolver = c
 			got := alignSAM(t, al, ds, al.Threads(), qopt)
@@ -185,29 +178,17 @@ func TestDHTNetAlignmentParity(t *testing.T) {
 				t.Fatalf("SAM length diverges: local %d bytes, remote %d bytes", len(want), len(got))
 			}
 
-			st := c.Stats()
-			if st.Seeds == 0 {
-				t.Fatal("remote run resolved no seeds — resolver was not exercised")
-			}
-			switch {
-			case tc.maxBatch == 16:
-				if st.Direct == 0 {
-					t.Fatalf("maxBatch=16 never took the direct path: %+v", st)
-				}
-			case tc.maxBatch == 0:
-				if st.BatchedSeeds == 0 {
-					t.Fatalf("default config never coalesced: %+v", st)
-				}
+			if st := c.Stats(); st.Seeds == 0 || st.BatchedSeeds != st.Seeds {
+				t.Fatalf("remote run did not send every seed it resolved over the wire: %+v", st)
 			}
 		})
 	}
 }
 
-// TestDHTNetClaimGroupsOverQueueBound: the engine resolves a whole claim of
-// reads per ResolveSeeds call, so one owner's group can exceed the per-owner
-// queue bound (QueueSeeds). The client answers such a group on the direct
-// path instead of failing the call with the queue's refusal.
-func TestDHTNetClaimGroupsOverQueueBound(t *testing.T) {
+// TestDHTNetConcurrentClaims: the engine resolves a whole claim of reads per
+// ResolveSeeds call, and several workers resolve claims against one client
+// at once. Five claims at 1 and 4 workers emit the local engine's SAM.
+func TestDHTNetConcurrentClaims(t *testing.T) {
 	ds := dhtParityWorkload(t)
 	ds.Reads = slices.Concat(ds.Reads, ds.Reads, ds.Reads) // 1,200 reads: five claims
 	al, err := meraligner.Build(4, meraligner.DefaultIndexOptions(21), ds.Contigs)
@@ -219,14 +200,10 @@ func TestDHTNetClaimGroupsOverQueueBound(t *testing.T) {
 	qopt.CollectAlignments = true
 	want := alignSAM(t, al, ds, 1, qopt)
 	for _, workers := range []int{1, 4} {
-		c := serveSeedFleet(t, al, 2, 0, 64)
 		rq := qopt
-		rq.SeedResolver = c
+		rq.SeedResolver = serveSeedFleet(t, al, 2)
 		if got := alignSAM(t, al, ds, workers, rq); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: remote SAM differs from local", workers)
-		}
-		if st := c.Stats(); st.Direct == 0 {
-			t.Fatalf("workers=%d: no group overflowed the 64-seed queue: %+v", workers, st)
 		}
 	}
 }

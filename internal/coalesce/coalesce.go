@@ -1,14 +1,14 @@
 // Package coalesce implements the continuous micro-batching queue shared by
-// every network tier of meraligner: concurrent small submissions glue into
+// meraligner's two serving tiers: concurrent small submissions glue into
 // shared calls, so a per-call cost — an engine dispatch, an HTTP round-trip
-// per shard, a seed-lookup RPC per owner — is paid once per batching window
-// instead of once per submitter. This is the paper's aggregating-stores
-// idea (§III-A) in the MICA/SNAP serving shape: one queue, parameterized
-// over the item type and the call result, so the align server
-// (internal/service, items = reads, result = a pinned engine call), the
-// scatter/gather router (internal/cluster, items = reads) and the
-// network-DHT client (internal/dhtnet, items = seed lookups) run literally
-// the same code.
+// per shard — is paid once per batching window instead of once per
+// submitter. This is the paper's aggregating-stores idea (§III-A) in the
+// MICA/SNAP serving shape: one queue, parameterized over the item type and
+// the call result, so the align server (internal/service, items = reads,
+// result = a pinned engine call) and the scatter/gather router
+// (internal/cluster, items = reads) run literally the same code. The
+// network-DHT client needs no queue: the engine already hands it a whole
+// claim's seed lookups per call.
 //
 // Batching is continuous, not clocked: when no call is in flight the next
 // queued submission dispatches immediately (an idle engine is never held

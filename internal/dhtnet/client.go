@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/lbl-repro/meraligner/client"
-	"github.com/lbl-repro/meraligner/internal/coalesce"
 	"github.com/lbl-repro/meraligner/internal/core"
 	"github.com/lbl-repro/meraligner/internal/dht"
 	"github.com/lbl-repro/meraligner/internal/kmer"
@@ -67,19 +66,6 @@ type Config struct {
 	// to agree with itself".
 	Fingerprint uint64
 
-	// MaxBatch is the seed count per coalesced lookup call; submissions of
-	// MaxBatch or more bypass the queue on the direct path. Default 4096,
-	// capped at MaxLookupBatch.
-	MaxBatch int
-
-	// MaxWait is the batching window held open behind a busy call.
-	// Default 200µs.
-	MaxWait time.Duration
-
-	// QueueSeeds bounds each owner's queued backlog; a group that would
-	// overflow it takes the direct path instead. Default 8*MaxBatch.
-	QueueSeeds int
-
 	// Retry shapes per-call retries (zero value = client defaults: 3
 	// attempts, 50ms backoff doubling to 2s, 20% jitter).
 	Retry client.RetryPolicy
@@ -106,18 +92,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Shards < 1 {
 		return cfg, fmt.Errorf("dhtnet: internal shard count %d must be positive", cfg.Shards)
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 4096
-	}
-	if cfg.MaxBatch > MaxLookupBatch {
-		cfg.MaxBatch = MaxLookupBatch
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = 200 * time.Microsecond
-	}
-	if cfg.QueueSeeds <= 0 {
-		cfg.QueueSeeds = 8 * cfg.MaxBatch
-	}
 	if cfg.BreakerThreshold <= 0 {
 		cfg.BreakerThreshold = 5
 	}
@@ -133,9 +107,9 @@ func (cfg Config) withDefaults() (Config, error) {
 // Stats is a point-in-time snapshot of the client's counters.
 type Stats struct {
 	Seeds        int64 // seeds resolved through ResolveSeeds
-	Batches      int64 // coalesced lookup calls that succeeded
-	BatchedSeeds int64 // seeds those calls carried
-	Direct       int64 // direct-path calls (>= MaxBatch, or refused by the queue)
+	Batches      int64 // lookup frames answered
+	BatchedSeeds int64 // seeds those frames carried
+	Direct       int64 // always 0: there is no direct path; kept while the benchmark reads it
 	Retries      int64 // attempts beyond the first, across all owners
 	Degraded     int64 // calls rejected or failed as DegradedError
 }
@@ -143,28 +117,27 @@ type Stats struct {
 // Client resolves seed lookups against a fleet of seed-shard nodes. It
 // implements core.SeedResolver: the engine hands it the seeds of a whole
 // claim of reads at once (the first seeds, then the rest of the reads the
-// exact path did not settle), the client stages them per owning node,
-// flushes through a per-owner micro-batching queue (concurrent workers share
-// round-trips), and merges the answers back positionally. One Client serves
-// any number of concurrent queries; Close releases the queues.
+// exact path did not settle) — that claim is the one place lookups are
+// aggregated. The client stages the seeds per owning node, sends each
+// owner's group as one lookup call, and merges the answers back
+// positionally. One Client serves any number of concurrent queries.
 type Client struct {
 	cfg    Config
 	owners []*ownerConn
 
-	seeds    atomic.Int64
-	direct   atomic.Int64
-	retries  atomic.Int64
-	degraded atomic.Int64
+	seeds       atomic.Int64
+	frames      atomic.Int64
+	framedSeeds atomic.Int64
+	retries     atomic.Int64
+	degraded    atomic.Int64
 }
 
-// ownerConn is the per-node state: the coalescing queue and the breaker.
+// ownerConn is the per-node state: its address and its breaker.
 type ownerConn struct {
 	c    *Client
 	id   int
 	addr string
-	co   *coalesce.Coalescer[kmer.Kmer, []LookupAnswer]
 	br   breaker
-	st   coalesce.Stats
 }
 
 // New builds a client for the fleet described by cfg. It performs no I/O;
@@ -179,39 +152,24 @@ func New(cfg Config) (*Client, error) {
 		oc := &ownerConn{c: c, id: i, addr: addr}
 		oc.br.threshold = cfg.BreakerThreshold
 		oc.br.cooldown = cfg.BreakerCooldown
-		oc.co = coalesce.New(context.Background(), coalesce.Config[kmer.Kmer, []LookupAnswer]{
-			Call:     oc.lookup,
-			MaxBatch: cfg.MaxBatch,
-			MaxWait:  cfg.MaxWait,
-			Capacity: cfg.QueueSeeds,
-			Stats:    &oc.st,
-		})
 		c.owners[i] = oc
 	}
 	return c, nil
 }
 
-// Close shuts the per-owner queues down. In-flight submissions complete
-// with ErrDraining; the client must not be used after.
-func (c *Client) Close() {
-	for _, oc := range c.owners {
-		oc.co.Close()
-	}
-}
+// Close is a no-op: the client holds no queues or goroutines between
+// calls, so there is nothing to stop. Callers may still defer it.
+func (c *Client) Close() {}
 
 // Stats snapshots the client's counters.
 func (c *Client) Stats() Stats {
-	st := Stats{
-		Seeds:    c.seeds.Load(),
-		Direct:   c.direct.Load(),
-		Retries:  c.retries.Load(),
-		Degraded: c.degraded.Load(),
+	return Stats{
+		Seeds:        c.seeds.Load(),
+		Batches:      c.frames.Load(),
+		BatchedSeeds: c.framedSeeds.Load(),
+		Retries:      c.retries.Load(),
+		Degraded:     c.degraded.Load(),
 	}
-	for _, oc := range c.owners {
-		st.Batches += oc.st.Batches.Load()
-		st.BatchedSeeds += oc.st.Items.Load()
-	}
-	return st
 }
 
 // Warm verifies the fleet's identity before any alignment runs: every node
@@ -249,10 +207,11 @@ func (c *Client) Warm(ctx context.Context) error {
 }
 
 // ResolveSeeds implements core.SeedResolver: every seeds[i] is routed to
-// its owning node by hash, staged into that node's batching queue, and the
-// answer written to out[i]. Owners are contacted concurrently; the first
-// failure aborts the whole resolution (typed DegradedError for a lost
-// node — never a silent miss).
+// its owning node by hash, staged into that node's group, and the answer
+// written to out[i]. Owners are contacted concurrently, one lookup call per
+// owner under ctx; any failure fails the whole resolution (typed
+// DegradedError for a lost node — never a silent miss — or ctx's own error
+// when the caller gave up).
 func (c *Client) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []core.SeedAnswer) error {
 	if len(out) != len(seeds) {
 		return fmt.Errorf("dhtnet: out/seeds length mismatch: %d vs %d", len(out), len(seeds))
@@ -261,9 +220,6 @@ func (c *Client) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []core
 		return nil
 	}
 	c.seeds.Add(int64(len(seeds)))
-	if len(c.owners) == 1 {
-		return c.owners[0].resolve(ctx, seeds, out, nil)
-	}
 
 	// Stage per owner, preserving each seed's position for the merge.
 	perSeeds := make([][]kmer.Kmer, len(c.owners))
@@ -283,51 +239,23 @@ func (c *Client) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []core
 		wg.Add(1)
 		go func(oc *ownerConn, group []kmer.Kmer, idx []int) {
 			defer wg.Done()
-			errs[oc.id] = oc.resolve(ctx, group, out, idx)
+			answers, err := oc.lookup(ctx, group)
+			for i, a := range answers {
+				out[idx[i]] = core.SeedAnswer{Res: a.Res, OK: a.OK}
+			}
+			errs[oc.id] = err
 		}(c.owners[o], group, perIdx[o])
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-// resolve answers one owner's share of a resolution. idx maps the group's
-// positions back into out; nil means identity (single-owner fast path).
-func (oc *ownerConn) resolve(ctx context.Context, group []kmer.Kmer, out []core.SeedAnswer, idx []int) error {
-	var win *coalesce.Window[[]LookupAnswer]
-	var err error
-	direct := len(group) >= oc.c.cfg.MaxBatch
-	if !direct {
-		win, err = oc.co.Submit(ctx, group)
-		direct = errors.Is(err, coalesce.ErrOverloaded)
-	}
-	if direct {
-		// A group already at batch size gains nothing from queueing behind
-		// the window, and one the admission bound refuses is still owed its
-		// answers — the engine already bounds in-flight work to one
-		// resolution per worker: call through on the direct path.
-		oc.c.direct.Add(1)
-		win, err = oc.co.Direct(ctx, group)
-	}
-	if err != nil {
-		return err
-	}
-	answers := win.Result[win.Lo:win.Hi]
-	if idx == nil {
-		for i, a := range answers {
-			out[i] = core.SeedAnswer{Res: a.Res, OK: a.OK}
-		}
-		return nil
-	}
-	for i, a := range answers {
-		out[idx[i]] = core.SeedAnswer{Res: a.Res, OK: a.OK}
-	}
-	return nil
-}
-
-// lookup is the coalesced call: one POST /v1/lookup round-trip for a batch
-// of seeds, with breaker gating, bounded retries, deadline propagation and
-// trace injection. Batches above the wire bound split into sequential
-// frames (only the direct path can produce them).
+// lookup answers one owner's group: POST /v1/lookup round-trips with
+// breaker gating, bounded retries, deadline propagation and trace
+// injection. A group above the wire bound splits into sequential frames of
+// at most MaxLookupBatch seeds. A failure after the caller canceled or
+// timed out ctx is not evidence against the node: it returns ctx's error
+// and leaves the breaker as it was.
 func (oc *ownerConn) lookup(ctx context.Context, seeds []kmer.Kmer) ([]LookupAnswer, error) {
 	if !oc.br.allow() {
 		oc.c.degraded.Add(1)
@@ -337,10 +265,16 @@ func (oc *ownerConn) lookup(ctx context.Context, seeds []kmer.Kmer) ([]LookupAns
 	for lo := 0; lo < len(seeds); lo += MaxLookupBatch {
 		hi := min(lo+MaxLookupBatch, len(seeds))
 		if err := oc.lookupFrame(ctx, seeds[lo:hi], answers[lo:hi]); err != nil {
+			if ctx.Err() != nil {
+				oc.br.release()
+				return nil, ctx.Err()
+			}
 			oc.br.failure()
 			oc.c.degraded.Add(1)
 			return nil, &DegradedError{Owner: oc.id, Addr: oc.addr, Err: err}
 		}
+		oc.c.frames.Add(1)
+		oc.c.framedSeeds.Add(int64(hi - lo))
 	}
 	oc.br.success()
 	return answers, nil
@@ -441,6 +375,14 @@ func (b *breaker) allow() bool {
 func (b *breaker) success() {
 	b.mu.Lock()
 	b.failures = 0
+	b.probing = false
+	b.mu.Unlock()
+}
+
+// release ends a call that proved nothing about the node (the caller gave
+// up): a half-open probe slot is freed without counting an outcome.
+func (b *breaker) release() {
+	b.mu.Lock()
 	b.probing = false
 	b.mu.Unlock()
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ import (
 
 // fakeShard is an in-memory seed-shard node: a map-backed table plus the
 // identity endpoint, speaking the real wire protocol. It lets the client
-// tests control batching, failures, and identity lies without a real index.
+// tests control framing, failures, and identity lies without a real index.
 type fakeShard struct {
 	id, count, shards int
 	k                 int
@@ -32,6 +33,7 @@ type fakeShard struct {
 	batches  [][]kmer.Kmer
 	failNext int // answer this many lookup calls with 503 first
 	hardFail bool
+	held     chan struct{} // when set, lookups signal it and hang until the client goes away
 }
 
 func (fs *fakeShard) info() core.SeedShardInfo {
@@ -62,7 +64,13 @@ func (fs *fakeShard) handler() http.Handler {
 		}
 		fs.mu.Lock()
 		fs.batches = append(fs.batches, seeds)
+		held := fs.held
 		fs.mu.Unlock()
+		if held != nil {
+			held <- struct{}{}
+			<-r.Context().Done()
+			return
+		}
 		answers := make([]LookupAnswer, len(seeds))
 		for i, s := range seeds {
 			if res, ok := fs.table[s]; ok {
@@ -92,7 +100,7 @@ func fleet(t *testing.T, n int, mod func(cfg *Config)) ([]*fakeShard, *Client) {
 		o := dht.OwnerOf(s, shards, n)
 		shardsList[o].table[s] = dht.LookupResult{Locs: []dht.Loc{{Frag: int32(s.Lo % 97), Off: int32(s.Hi % 89)}}, Count: 1}
 	}
-	cfg := Config{Owners: owners, K: k, Shards: shards, Fingerprint: 0xfeed, MaxWait: 2 * time.Millisecond}
+	cfg := Config{Owners: owners, K: k, Shards: shards, Fingerprint: 0xfeed}
 	if mod != nil {
 		mod(&cfg)
 	}
@@ -144,50 +152,79 @@ func TestClientResolvesAcrossOwners(t *testing.T) {
 	}
 }
 
-// TestClientCoalesces: concurrent submissions share round-trips — the
-// whole point of the per-owner micro-batcher.
-func TestClientCoalesces(t *testing.T) {
-	shards, c := fleet(t, 1, func(cfg *Config) {
-		cfg.MaxBatch = 256
-		cfg.MaxWait = 20 * time.Millisecond
-	})
-	seeds := testSeeds(t)
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			out := make([]core.SeedAnswer, 4)
-			if err := c.ResolveSeeds(context.Background(), seeds[g*4:g*4+4], out); err != nil {
-				t.Error(err)
-			}
-		}(g)
+// TestClientSplitsFrames: a group above the wire bound goes out as
+// sequential frames of at most MaxLookupBatch seeds and still answers
+// positionally.
+func TestClientSplitsFrames(t *testing.T) {
+	shards, c := fleet(t, 1, nil)
+	pool := testSeeds(t)
+	seeds := make([]kmer.Kmer, 2*MaxLookupBatch+1)
+	for i := range seeds {
+		seeds[i] = pool[i%len(pool)]
 	}
-	wg.Wait()
-	shards[0].mu.Lock()
-	calls := len(shards[0].batches)
-	shards[0].mu.Unlock()
-	if calls >= 16 {
-		t.Fatalf("16 submissions cost %d round-trips: no coalescing", calls)
-	}
-	if st := c.Stats(); st.Seeds != 64 || st.BatchedSeeds != 64 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-// TestClientDirectPath: a submission at or above MaxBatch bypasses the
-// queue, splitting into wire-bound frames, and still answers positionally.
-func TestClientDirectPath(t *testing.T) {
-	shards, c := fleet(t, 1, func(cfg *Config) { cfg.MaxBatch = 8 })
-	seeds := testSeeds(t) // 64 >= MaxBatch(8): direct
 	out := resolveAll(t, c, seeds)
 	for i, s := range seeds {
 		if want, ok := shards[0].table[s]; out[i].OK != ok || (ok && out[i].Res.Locs[0] != want.Locs[0]) {
 			t.Fatalf("seed %d mismatch", i)
 		}
 	}
-	if st := c.Stats(); st.Direct == 0 {
-		t.Fatalf("direct path not taken: %+v", st)
+	shards[0].mu.Lock()
+	var sizes []int
+	for _, b := range shards[0].batches {
+		sizes = append(sizes, len(b))
+	}
+	shards[0].mu.Unlock()
+	if want := []int{MaxLookupBatch, MaxLookupBatch, 1}; !slices.Equal(sizes, want) {
+		t.Fatalf("frames carried %v seeds, want %v", sizes, want)
+	}
+	if st := c.Stats(); st.Batches != 3 || st.BatchedSeeds != int64(len(seeds)) {
+		t.Fatalf("stats %+v, want 3 frames carrying %d seeds", st, len(seeds))
+	}
+}
+
+// TestClientCallerCancelKeepsBreakerClosed: a call the caller cancels —
+// before it starts or while the node holds it — fails with the caller's
+// own error and is not evidence against the node: a threshold-1 breaker
+// stays closed and the next live call succeeds.
+func TestClientCallerCancelKeepsBreakerClosed(t *testing.T) {
+	for _, variant := range []string{"pre-canceled", "canceled-in-flight"} {
+		t.Run(variant, func(t *testing.T) {
+			shards, c := fleet(t, 1, func(cfg *Config) {
+				cfg.Retry.MaxAttempts = 1
+				cfg.BreakerThreshold = 1
+				cfg.BreakerCooldown = time.Hour
+			})
+			// A claim-sized group: 4,096 seeds, the 64 test seeds repeated.
+			seeds := slices.Repeat(testSeeds(t), 64)
+			out := make([]core.SeedAnswer, len(seeds))
+			ctx, cancel := context.WithCancel(context.Background())
+			if variant == "pre-canceled" {
+				cancel()
+			} else {
+				held := make(chan struct{})
+				shards[0].mu.Lock()
+				shards[0].held = held
+				shards[0].mu.Unlock()
+				go func() {
+					<-held
+					shards[0].mu.Lock()
+					shards[0].held = nil
+					shards[0].mu.Unlock()
+					cancel()
+				}()
+			}
+			err := c.ResolveSeeds(ctx, seeds, out)
+			cancel()
+			if !errors.Is(err, context.Canceled) || errors.Is(err, ErrDegraded) {
+				t.Fatalf("err = %v, want context.Canceled and not ErrDegraded", err)
+			}
+			if got := resolveAll(t, c, seeds); !got[0].OK {
+				t.Fatal("live call after a canceled one missed")
+			}
+			if st := c.Stats(); st.Degraded != 0 {
+				t.Fatalf("caller cancellation counted as degraded: %+v", st)
+			}
+		})
 	}
 }
 

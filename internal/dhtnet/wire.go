@@ -2,11 +2,12 @@
 // hash table: a query node resolves seed lookups against a fleet of
 // seed-shard servers (merserved -seed-shard), each owning the internal
 // shards with shard % count == id of one sealed table (see dht.Partition).
-// Lookups are staged per owning node and flushed through the generic
-// micro-batcher — the paper's software aggregation of remote stores, reborn
-// as batched RPCs — so the per-lookup network cost is paid once per batching
-// window. Extension and Smith-Waterman stay at the querying node; output is
-// byte-identical to the local engine.
+// The engine aggregates a whole claim of reads' lookups into one call — the
+// paper's software aggregation of remote stores, reborn as batched RPCs —
+// and the client stages that call's seeds per owning node, so the
+// per-lookup network cost is paid once per owner per call. Extension and
+// Smith-Waterman stay at the querying node; output is byte-identical to the
+// local engine.
 //
 // This file defines the batched binary lookup protocol (the body format of
 // POST /v1/lookup). Both frames are little-endian and fixed-layout, so a

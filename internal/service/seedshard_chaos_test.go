@@ -65,10 +65,9 @@ func chaosSeedFleet(t *testing.T, count int, mod func(cfg *dhtnet.Config)) ([]*c
 		owners[i] = px.URL()
 	}
 	cfg := dhtnet.Config{
-		Owners:  owners,
-		K:       al.IndexOptions().K,
-		Shards:  al.SeedTableShards(),
-		MaxWait: time.Millisecond,
+		Owners: owners,
+		K:      al.IndexOptions().K,
+		Shards: al.SeedTableShards(),
 		Retry: client.RetryPolicy{
 			MaxAttempts:    3,
 			BaseDelay:      2 * time.Millisecond,

@@ -60,7 +60,6 @@ func seedShardFleet(t *testing.T, count int) ([]*core.SeedShard, []*SeedShardSer
 		K:           al.IndexOptions().K,
 		Shards:      al.SeedTableShards(),
 		Fingerprint: fp,
-		MaxWait:     time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
