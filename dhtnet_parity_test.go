@@ -3,9 +3,10 @@ package meraligner_test
 // Distributed-parity harness for the network seed DHT: the acceptance
 // property of the whole tier is that aligning with seed lookups resolved
 // against a remote seed-shard fleet produces byte-identical SAM to the
-// local engine — across shard counts, concurrent claims from several
-// workers, seed lengths, and location-list caps. Seed partitioning must be
-// invisible to alignment output.
+// local engine — across shard counts, the size of the seed groups handed to
+// the client per call, concurrent claims from several workers, seed
+// lengths, and location-list caps. Seed partitioning must be invisible to
+// alignment output.
 
 import (
 	"bytes"
@@ -21,6 +22,7 @@ import (
 	"github.com/lbl-repro/meraligner/internal/core"
 	"github.com/lbl-repro/meraligner/internal/dhtnet"
 	"github.com/lbl-repro/meraligner/internal/genome"
+	"github.com/lbl-repro/meraligner/internal/kmer"
 	"github.com/lbl-repro/meraligner/internal/service"
 )
 
@@ -108,23 +110,44 @@ func alignSAM(t *testing.T, al *meraligner.Aligner, ds *genome.DataSet, workers 
 	return buf.Bytes()
 }
 
+// splitResolver hands the client each claim's seeds in groups of at most
+// max, one ResolveSeeds call per group, so the parity table can vary how
+// finely a caller batches its lookups.
+type splitResolver struct {
+	inner core.SeedResolver
+	max   int
+}
+
+func (r splitResolver) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []core.SeedAnswer) error {
+	for lo := 0; lo < len(seeds); lo += r.max {
+		hi := min(lo+r.max, len(seeds))
+		if err := r.inner.ResolveSeeds(ctx, seeds[lo:hi], out[lo:hi]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestDHTNetAlignmentParity is the distributed-parity table: every
-// (k, shard count, MaxSeedHits cap) combination must emit
+// (k, shard count, seed group size, MaxSeedHits cap) combination must emit
 // SAM byte-identical to the purely local engine.
 func TestDHTNetAlignmentParity(t *testing.T) {
 	ds := dhtParityWorkload(t)
 
 	cases := []struct {
-		k       int
-		count   int // seed-shard fleet size
-		maxHits int // QueryOptions.MaxSeedHits cap; 0 = uncapped
+		k        int
+		count    int // seed-shard fleet size
+		maxBatch int // most seeds per ResolveSeeds call; 0 = the engine's whole claim
+		maxHits  int // QueryOptions.MaxSeedHits cap; 0 = uncapped
 	}{
-		{k: 21, count: 1, maxHits: 0},
-		{k: 21, count: 2, maxHits: 0},
-		{k: 21, count: 4, maxHits: 0},
-		{k: 21, count: 4, maxHits: 4}, // location-list cap applied remotely
-		{k: 51, count: 2, maxHits: 0},
-		{k: 51, count: 2, maxHits: 4},
+		{k: 21, count: 1, maxBatch: 0, maxHits: 0},
+		{k: 21, count: 2, maxBatch: 0, maxHits: 0},
+		{k: 21, count: 4, maxBatch: 0, maxHits: 0},
+		{k: 21, count: 2, maxBatch: 1, maxHits: 0},  // one seed, hence one frame, per call
+		{k: 21, count: 2, maxBatch: 16, maxHits: 0}, // claim groups split across many calls
+		{k: 21, count: 4, maxBatch: 0, maxHits: 4},  // location-list cap applied remotely
+		{k: 51, count: 2, maxBatch: 0, maxHits: 0},
+		{k: 51, count: 2, maxBatch: 16, maxHits: 4},
 	}
 
 	// Local baselines are shared across fleet shapes: one per (k, maxHits).
@@ -151,7 +174,7 @@ func TestDHTNetAlignmentParity(t *testing.T) {
 	}
 
 	for _, tc := range cases {
-		name := fmt.Sprintf("k=%d/shards=%d/maxHits=%d", tc.k, tc.count, tc.maxHits)
+		name := fmt.Sprintf("k=%d/shards=%d/maxBatch=%d/maxHits=%d", tc.k, tc.count, tc.maxBatch, tc.maxHits)
 		t.Run(name, func(t *testing.T) {
 			al := aligners[tc.k]
 			bk := key{tc.k, tc.maxHits}
@@ -164,6 +187,9 @@ func TestDHTNetAlignmentParity(t *testing.T) {
 			c := serveSeedFleet(t, al, tc.count)
 			qopt := qoptFor(tc.maxHits)
 			qopt.SeedResolver = c
+			if tc.maxBatch > 0 {
+				qopt.SeedResolver = splitResolver{inner: c, max: tc.maxBatch}
+			}
 			got := alignSAM(t, al, ds, al.Threads(), qopt)
 
 			if !bytes.Equal(want, got) {
@@ -178,8 +204,12 @@ func TestDHTNetAlignmentParity(t *testing.T) {
 				t.Fatalf("SAM length diverges: local %d bytes, remote %d bytes", len(want), len(got))
 			}
 
-			if st := c.Stats(); st.Seeds == 0 || st.BatchedSeeds != st.Seeds {
+			st := c.Stats()
+			if st.Seeds == 0 || st.BatchedSeeds != st.Seeds {
 				t.Fatalf("remote run did not send every seed it resolved over the wire: %+v", st)
+			}
+			if tc.maxBatch == 1 && st.Batches != st.Seeds {
+				t.Fatalf("maxBatch=1: want one frame per seed: %+v", st)
 			}
 		})
 	}
