@@ -42,8 +42,8 @@
 // (seed-shard-000.merx, ...) under the -o directory — the producer half of
 // the distributed seed DHT. Each snapshot is served by `merserved
 // -seed-shard`; -dht-nodes lists the fleet in owner order and makes this
-// aligner resolve seed lookups remotely against it (batched, retried,
-// breaker-protected — see internal/dhtnet) while extending and scoring
+// aligner resolve seed lookups remotely against it (batched, retried, each
+// attempt timed out — see internal/dhtnet) while extending and scoring
 // locally, with output byte-identical to a fully local run. The local
 // -index/-targets still provides the reference sequences; its mmap'd seed
 // table pages are simply never touched.

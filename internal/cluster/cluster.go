@@ -311,10 +311,7 @@ func (rt *Router) assembleCatalog(ctx context.Context) (*fleetCatalog, error) {
 		wg.Add(1)
 		go func(i int, ss *shardSet) {
 			defer wg.Done()
-			resps[i], errs[i] = ss.targets(ctx, rt.cfg.Retry)
-			if errs[i] == nil && len(ss.replicas) > 1 {
-				errs[i] = ss.validateReplicas(ctx, rt.cfg.Retry, resps[i])
-			}
+			resps[i], errs[i] = ss.catalog(ctx, rt.cfg.Retry)
 		}(i, ss)
 	}
 	wg.Wait()
@@ -347,39 +344,6 @@ func (rt *Router) assembleCatalog(ctx context.Context) (*fleetCatalog, error) {
 		targetBase += len(resp.Targets)
 	}
 	return cat, nil
-}
-
-// validateReplicas checks that every reachable replica of the set serves
-// the same catalog as want: replicas are interchangeable by contract, and
-// a replica holding the wrong slice would silently corrupt merges after a
-// failover. Unreachable replicas pass — they may still be starting, and
-// the breaker keeps traffic away until they prove themselves.
-func (ss *shardSet) validateReplicas(ctx context.Context, pol client.RetryPolicy, want *client.TargetsResponse) error {
-	for _, rep := range ss.replicas {
-		var got *client.TargetsResponse
-		err := pol.Do(ctx, func(actx context.Context) error {
-			r, rerr := rep.cl.Targets(actx)
-			if rerr != nil {
-				return rerr
-			}
-			got = r
-			return nil
-		})
-		if err != nil {
-			continue
-		}
-		if got.K != want.K || len(got.Targets) != len(want.Targets) {
-			return fmt.Errorf("replica %d (%s): serves K=%d with %d targets, set expects K=%d with %d — replicas of one shard must serve the same snapshot",
-				rep.idx, rep.addr, got.K, len(got.Targets), want.K, len(want.Targets))
-		}
-		for j := range got.Targets {
-			if got.Targets[j] != want.Targets[j] {
-				return fmt.Errorf("replica %d (%s): target %d is %q (len %d), set expects %q (len %d) — replicas of one shard must serve the same snapshot",
-					rep.idx, rep.addr, j, got.Targets[j].Name, got.Targets[j].Length, want.Targets[j].Name, want.Targets[j].Length)
-			}
-		}
-	}
-	return nil
 }
 
 // health is one replica's readiness probe loop. Probes gate traffic: they

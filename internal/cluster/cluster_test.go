@@ -514,6 +514,37 @@ func TestRouterWarmsUntilFleetReachable(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesMismatchedReplicas: two "replicas" of one shard that
+// serve different slices keep the router not-ready, and /readyz names the
+// replica that disagrees with the set's first answer.
+func TestRouterRefusesMismatchedReplicas(t *testing.T) {
+	fleet := newFleet(t)
+	rt, rts := newRouter(t, []string{fleet[0] + "|" + fleet[1]}, nil)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get(rts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("readyz = %d %q, want 503", resp.StatusCode, body)
+		}
+		want := fmt.Sprintf("replica 1 (%s): ", fleet[1])
+		if strings.Contains(string(body), want) && strings.Contains(string(body), "replicas of one shard must serve the same snapshot") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("readyz = %q, want it to name %q as serving a different snapshot", body, want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if rt.Ready() {
+		t.Fatal("router ready over mismatched replicas")
+	}
+}
+
 // flakyShard is a minimal fake shard: a fixed catalog, and an align handler
 // that rejects the first `fail` calls with 503 before serving.
 func flakyShard(t *testing.T, fail int) (*httptest.Server, *atomic.Int64) {

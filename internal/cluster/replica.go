@@ -253,29 +253,44 @@ func (ss *shardSet) pick(tried map[*replica]bool) *replica {
 	return cands[i]
 }
 
-// targets fetches the shard's reference catalog through the first replica
-// that answers (warmup path; not counted as align traffic).
-func (ss *shardSet) targets(ctx context.Context, pol client.RetryPolicy) (*client.TargetsResponse, error) {
+// catalog fetches the shard's reference catalog from each replica once
+// (warmup path; not counted as align traffic). The first answer becomes
+// the set's catalog and every later answer must equal it: replicas are
+// interchangeable by contract, and one holding the wrong slice would
+// silently corrupt merges after a failover. Unreachable replicas pass —
+// they may still be starting, and the breaker keeps traffic away until
+// they prove themselves — as long as one replica answers.
+func (ss *shardSet) catalog(ctx context.Context, pol client.RetryPolicy) (*client.TargetsResponse, error) {
+	var want *client.TargetsResponse
 	var lastErr error
 	for _, rep := range ss.replicas {
-		var resp *client.TargetsResponse
+		var got *client.TargetsResponse
 		err := pol.Do(ctx, func(actx context.Context) error {
 			r, rerr := rep.cl.Targets(actx)
-			if rerr != nil {
-				return rerr
-			}
-			resp = r
-			return nil
+			got = r
+			return rerr
 		})
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = fmt.Errorf("replica %d (%s): %w", rep.idx, rep.addr, err)
-		if ctx.Err() != nil {
-			break
+		switch {
+		case err != nil:
+			lastErr = fmt.Errorf("replica %d (%s): %w", rep.idx, rep.addr, err)
+		case want == nil:
+			want = got
+		case got.K != want.K || len(got.Targets) != len(want.Targets):
+			return nil, fmt.Errorf("replica %d (%s): serves K=%d with %d targets, set expects K=%d with %d — replicas of one shard must serve the same snapshot",
+				rep.idx, rep.addr, got.K, len(got.Targets), want.K, len(want.Targets))
+		default:
+			for j := range got.Targets {
+				if got.Targets[j] != want.Targets[j] {
+					return nil, fmt.Errorf("replica %d (%s): target %d is %q (len %d), set expects %q (len %d) — replicas of one shard must serve the same snapshot",
+						rep.idx, rep.addr, j, got.Targets[j].Name, got.Targets[j].Length, want.Targets[j].Name, want.Targets[j].Length)
+				}
+			}
 		}
 	}
-	return nil, lastErr
+	if want == nil {
+		return nil, lastErr
+	}
+	return want, nil
 }
 
 // status renders the set's wire status: per-replica detail plus the

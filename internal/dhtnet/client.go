@@ -19,23 +19,21 @@ import (
 	"github.com/lbl-repro/meraligner/internal/telemetry"
 )
 
-// ErrDegraded matches every failure caused by a seed-shard node being
-// unreachable or tripped: the query node refuses to silently degrade into
-// missed alignments (a lost shard's seeds would just "miss"), so the whole
-// alignment call fails with a typed error naming the shard.
+// ErrDegraded matches every failure caused by a seed-shard node that stayed
+// unreachable or broken through the retry policy: the query node refuses to
+// silently degrade into missed alignments (a lost shard's seeds would just
+// "miss"), so the whole alignment call fails with a typed error naming the
+// shard.
 var ErrDegraded = errors.New("dhtnet: seed shard degraded")
 
 // DegradedError reports which seed-shard node failed and why.
 type DegradedError struct {
 	Owner int    // owner position within the fleet
 	Addr  string // the node's base URL
-	Err   error  // the underlying failure (nil when the breaker is open)
+	Err   error  // the underlying failure, never nil
 }
 
 func (e *DegradedError) Error() string {
-	if e.Err == nil {
-		return fmt.Sprintf("dhtnet: seed shard %d (%s) degraded: circuit open", e.Owner, e.Addr)
-	}
 	return fmt.Sprintf("dhtnet: seed shard %d (%s) degraded: %v", e.Owner, e.Addr, e.Err)
 }
 
@@ -67,20 +65,20 @@ type Config struct {
 	Fingerprint uint64
 
 	// Retry shapes per-call retries (zero value = client defaults: 3
-	// attempts, 50ms backoff doubling to 2s, 20% jitter).
+	// attempts, 50ms backoff doubling to 2s, 20% jitter); an unset
+	// AttemptTimeout becomes defaultAttemptTimeout.
 	Retry client.RetryPolicy
-
-	// BreakerThreshold is the consecutive-failure count that opens an
-	// owner's circuit. Default 5.
-	BreakerThreshold int
-
-	// BreakerCooldown is how long an open circuit rejects immediately
-	// before admitting one probe. Default 1s.
-	BreakerCooldown time.Duration
 
 	// HTTPClient overrides http.DefaultClient (tests, custom transports).
 	HTTPClient *http.Client
 }
+
+// defaultAttemptTimeout bounds one lookup or identity attempt when
+// Config.Retry leaves AttemptTimeout unset — the same per-RPC default the
+// router gives each shard call — so a node that accepts a request and never
+// answers costs a bounded retry ladder, not a caller with no deadline
+// blocked forever.
+const defaultAttemptTimeout = 15 * time.Second
 
 func (cfg Config) withDefaults() (Config, error) {
 	if len(cfg.Owners) == 0 {
@@ -92,11 +90,8 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Shards < 1 {
 		return cfg, fmt.Errorf("dhtnet: internal shard count %d must be positive", cfg.Shards)
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 5
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = time.Second
+	if cfg.Retry.AttemptTimeout <= 0 {
+		cfg.Retry.AttemptTimeout = defaultAttemptTimeout
 	}
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = http.DefaultClient
@@ -111,7 +106,7 @@ type Stats struct {
 	BatchedSeeds int64 // seeds those frames carried
 	Direct       int64 // always 0: there is no direct path; kept while the benchmark reads it
 	Retries      int64 // attempts beyond the first, across all owners
-	Degraded     int64 // calls rejected or failed as DegradedError
+	Degraded     int64 // owner lookups failed as DegradedError
 }
 
 // Client resolves seed lookups against a fleet of seed-shard nodes. It
@@ -132,12 +127,11 @@ type Client struct {
 	degraded    atomic.Int64
 }
 
-// ownerConn is the per-node state: its address and its breaker.
+// ownerConn is one node of the fleet: its owner position and address.
 type ownerConn struct {
 	c    *Client
 	id   int
 	addr string
-	br   breaker
 }
 
 // New builds a client for the fleet described by cfg. It performs no I/O;
@@ -149,10 +143,7 @@ func New(cfg Config) (*Client, error) {
 	}
 	c := &Client{cfg: cfg, owners: make([]*ownerConn, len(cfg.Owners))}
 	for i, addr := range cfg.Owners {
-		oc := &ownerConn{c: c, id: i, addr: addr}
-		oc.br.threshold = cfg.BreakerThreshold
-		oc.br.cooldown = cfg.BreakerCooldown
-		c.owners[i] = oc
+		c.owners[i] = &ownerConn{c: c, id: i, addr: addr}
 	}
 	return c, nil
 }
@@ -251,32 +242,25 @@ func (c *Client) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []core
 }
 
 // lookup answers one owner's group: POST /v1/lookup round-trips with
-// breaker gating, bounded retries, deadline propagation and trace
-// injection. A group above the wire bound splits into sequential frames of
-// at most MaxLookupBatch seeds. A failure after the caller canceled or
-// timed out ctx is not evidence against the node: it returns ctx's error
-// and leaves the breaker as it was.
+// bounded retries, deadline propagation and trace injection. A group above
+// the wire bound splits into sequential frames of at most MaxLookupBatch
+// seeds. A frame that still fails once the retry policy gives up fails the
+// group as a DegradedError — unless the caller canceled or timed out ctx,
+// which is not evidence against the node: then it returns ctx's error.
 func (oc *ownerConn) lookup(ctx context.Context, seeds []kmer.Kmer) ([]LookupAnswer, error) {
-	if !oc.br.allow() {
-		oc.c.degraded.Add(1)
-		return nil, &DegradedError{Owner: oc.id, Addr: oc.addr}
-	}
 	answers := make([]LookupAnswer, len(seeds))
 	for lo := 0; lo < len(seeds); lo += MaxLookupBatch {
 		hi := min(lo+MaxLookupBatch, len(seeds))
 		if err := oc.lookupFrame(ctx, seeds[lo:hi], answers[lo:hi]); err != nil {
 			if ctx.Err() != nil {
-				oc.br.release()
 				return nil, ctx.Err()
 			}
-			oc.br.failure()
 			oc.c.degraded.Add(1)
 			return nil, &DegradedError{Owner: oc.id, Addr: oc.addr, Err: err}
 		}
 		oc.c.frames.Add(1)
 		oc.c.framedSeeds.Add(int64(hi - lo))
 	}
-	oc.br.success()
 	return answers, nil
 }
 
@@ -338,61 +322,4 @@ func (oc *ownerConn) shardInfo(ctx context.Context) (core.SeedShardInfo, error) 
 		return json.Unmarshal(raw, &info)
 	})
 	return info, err
-}
-
-// breaker is a consecutive-failure circuit breaker: threshold consecutive
-// call failures open it, an open breaker rejects immediately for cooldown,
-// then admits one half-open probe whose outcome closes or re-opens it. It
-// exists so a dead node costs one failed batch per cooldown instead of a
-// full retry ladder per read.
-type breaker struct {
-	threshold int
-	cooldown  time.Duration
-
-	mu       sync.Mutex
-	failures int
-	openedAt time.Time
-	probing  bool
-}
-
-// allow reports whether a call may proceed.
-func (b *breaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.failures < b.threshold {
-		return true
-	}
-	if time.Since(b.openedAt) < b.cooldown {
-		return false
-	}
-	if b.probing {
-		return false // one probe at a time while half-open
-	}
-	b.probing = true
-	return true
-}
-
-func (b *breaker) success() {
-	b.mu.Lock()
-	b.failures = 0
-	b.probing = false
-	b.mu.Unlock()
-}
-
-// release ends a call that proved nothing about the node (the caller gave
-// up): a half-open probe slot is freed without counting an outcome.
-func (b *breaker) release() {
-	b.mu.Lock()
-	b.probing = false
-	b.mu.Unlock()
-}
-
-func (b *breaker) failure() {
-	b.mu.Lock()
-	b.failures++
-	b.probing = false
-	if b.failures >= b.threshold {
-		b.openedAt = time.Now()
-	}
-	b.mu.Unlock()
 }

@@ -182,18 +182,14 @@ func TestClientSplitsFrames(t *testing.T) {
 	}
 }
 
-// TestClientCallerCancelKeepsBreakerClosed: a call the caller cancels —
-// before it starts or while the node holds it — fails with the caller's
-// own error and is not evidence against the node: a threshold-1 breaker
-// stays closed and the next live call succeeds.
-func TestClientCallerCancelKeepsBreakerClosed(t *testing.T) {
+// TestClientCallerCancelIsNotDegraded: a call the caller cancels — before
+// it starts or while the node holds it — fails with the caller's own error,
+// not a DegradedError, is not counted as degraded, and the next live call
+// succeeds.
+func TestClientCallerCancelIsNotDegraded(t *testing.T) {
 	for _, variant := range []string{"pre-canceled", "canceled-in-flight"} {
 		t.Run(variant, func(t *testing.T) {
-			shards, c := fleet(t, 1, func(cfg *Config) {
-				cfg.Retry.MaxAttempts = 1
-				cfg.BreakerThreshold = 1
-				cfg.BreakerCooldown = time.Hour
-			})
+			shards, c := fleet(t, 1, func(cfg *Config) { cfg.Retry.MaxAttempts = 1 })
 			// A claim-sized group: 4,096 seeds, the 64 test seeds repeated.
 			seeds := slices.Repeat(testSeeds(t), 64)
 			out := make([]core.SeedAnswer, len(seeds))
@@ -243,91 +239,64 @@ func TestClientRetries(t *testing.T) {
 	}
 }
 
-// TestClientDegraded: a dead node exhausts retries, fails typed, and trips
-// the breaker so subsequent calls fail fast without a retry ladder.
+// TestClientDegraded: a dead node exhausts retries and fails typed,
+// naming its owner position; its healthy sibling keeps answering.
 func TestClientDegraded(t *testing.T) {
-	shards, c := fleet(t, 2, func(cfg *Config) {
-		cfg.Retry.BaseDelay = time.Millisecond
-		cfg.BreakerThreshold = 2
-		cfg.BreakerCooldown = time.Hour
-	})
+	shards, c := fleet(t, 2, func(cfg *Config) { cfg.Retry.BaseDelay = time.Millisecond })
 	shards[1].mu.Lock()
 	shards[1].hardFail = true
 	shards[1].mu.Unlock()
 
-	// Find seeds owned by node 1.
-	var owned []kmer.Kmer
+	owned := [2][]kmer.Kmer{}
 	for _, s := range testSeeds(t) {
-		if dht.OwnerOf(s, 16, 2) == 1 {
-			owned = append(owned, s)
-		}
+		o := dht.OwnerOf(s, 16, 2)
+		owned[o] = append(owned[o], s)
 	}
-	out := make([]core.SeedAnswer, len(owned))
+	out := make([]core.SeedAnswer, len(owned[1]))
+	err := c.ResolveSeeds(context.Background(), owned[1], out)
 	var de *DegradedError
-	for i := 0; i < 3; i++ { // trip the breaker
-		err := c.ResolveSeeds(context.Background(), owned, out)
-		if !errors.Is(err, ErrDegraded) || !errors.As(err, &de) {
-			t.Fatalf("attempt %d: err = %v, want DegradedError", i, err)
-		}
+	if !errors.Is(err, ErrDegraded) || !errors.As(err, &de) {
+		t.Fatalf("err = %v, want DegradedError", err)
 	}
-	if de.Owner != 1 {
-		t.Fatalf("degraded owner %d, want 1", de.Owner)
+	if de.Owner != 1 || de.Err == nil {
+		t.Fatalf("degraded owner %d (err %v), want owner 1 with its cause", de.Owner, de.Err)
 	}
-	// Breaker now open: the failure is immediate (no HTTP attempt).
-	shards[1].mu.Lock()
-	calls := len(shards[1].batches)
-	shards[1].mu.Unlock()
-	err := c.ResolveSeeds(context.Background(), owned, out)
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatalf("open breaker: err = %v", err)
+	if st := c.Stats(); st.Degraded != 1 || st.Retries != 2 {
+		t.Fatalf("stats %+v, want 1 degraded lookup after 2 retries", st)
 	}
-	shards[1].mu.Lock()
-	after := len(shards[1].batches)
-	shards[1].mu.Unlock()
-	if after != calls {
-		t.Fatal("open breaker still dialed the node")
-	}
-	// The healthy node keeps answering.
-	healthy := resolveAll(t, c, func() []kmer.Kmer {
-		var hs []kmer.Kmer
-		for _, s := range testSeeds(t) {
-			if dht.OwnerOf(s, 16, 2) == 0 {
-				hs = append(hs, s)
-			}
-		}
-		return hs
-	}())
-	if !healthy[0].OK {
-		t.Fatal("healthy node affected by sibling's breaker")
+	if healthy := resolveAll(t, c, owned[0]); !healthy[0].OK {
+		t.Fatal("healthy node affected by its sibling's failure")
 	}
 }
 
-// TestBreakerHalfOpen: after the cooldown one probe goes through and a
-// success closes the circuit.
-func TestBreakerHalfOpen(t *testing.T) {
+// TestNewBoundsEachAttempt: a zero Retry gets a 15s attempt bound (the
+// router's per-call default), so a node that accepts a lookup and never
+// answers cannot hold a caller with no deadline forever; an explicit
+// AttemptTimeout is kept, and a hung node then fails typed once the retry
+// ladder runs out.
+func TestNewBoundsEachAttempt(t *testing.T) {
+	for _, tc := range []struct {
+		set, want time.Duration
+	}{{0, 15 * time.Second}, {250 * time.Millisecond, 250 * time.Millisecond}} {
+		c, err := New(Config{Owners: []string{"http://127.0.0.1:1"}, K: 21, Shards: 16, Retry: client.RetryPolicy{AttemptTimeout: tc.set}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.cfg.Retry.AttemptTimeout; got != tc.want {
+			t.Fatalf("AttemptTimeout %v gave %v, want %v", tc.set, got, tc.want)
+		}
+	}
+
 	shards, c := fleet(t, 1, func(cfg *Config) {
-		cfg.Retry.BaseDelay = time.Millisecond
-		cfg.Retry.MaxAttempts = 1
-		cfg.BreakerThreshold = 1
-		cfg.BreakerCooldown = 30 * time.Millisecond
+		cfg.Retry = client.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, AttemptTimeout: 20 * time.Millisecond}
 	})
 	shards[0].mu.Lock()
-	shards[0].failNext = 1
+	shards[0].held = make(chan struct{}, 2) // one signal per attempt
 	shards[0].mu.Unlock()
-	seeds := testSeeds(t)[:2]
-	out := make([]core.SeedAnswer, len(seeds))
-	if err := c.ResolveSeeds(context.Background(), seeds, out); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := c.ResolveSeeds(context.Background(), seeds, out); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("breaker should be open: %v", err)
-	}
-	time.Sleep(40 * time.Millisecond)
-	if err := c.ResolveSeeds(context.Background(), seeds, out); err != nil {
-		t.Fatalf("half-open probe failed: %v", err)
-	}
-	if err := c.ResolveSeeds(context.Background(), seeds, out); err != nil {
-		t.Fatalf("closed circuit failed: %v", err)
+	out := make([]core.SeedAnswer, 4)
+	err := c.ResolveSeeds(context.Background(), testSeeds(t)[:4], out)
+	if !errors.Is(err, ErrDegraded) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("hung node: err = %v, want DegradedError wrapping the attempt deadline", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package seqio
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -141,19 +142,30 @@ func OpenSeqDB(r io.ReaderAt) (*DB, error) {
 	if nChunks > 1<<32 {
 		return nil, fmt.Errorf("seqio: implausible chunk count %d", nChunks)
 	}
-	idx := make([]byte, nChunks*indexEntry)
-	if _, err := r.ReadAt(idx, int64(indexOff)); err != nil {
-		return nil, fmt.Errorf("seqio: reading SeqDB index: %w", err)
-	}
-	db.chunks = make([]ChunkInfo, nChunks)
-	for i := range db.chunks {
-		e := idx[i*indexEntry:]
-		db.chunks[i] = ChunkInfo{
+	// Stream the index rather than sizing a buffer from the header: a forged
+	// chunk count then fails on a short read, not on a huge allocation.
+	idx := bufio.NewReader(io.NewSectionReader(r, int64(indexOff), int64(nChunks*indexEntry)))
+	var e [indexEntry]byte
+	for i := uint64(0); i < nChunks; i++ {
+		if _, err := io.ReadFull(idx, e[:]); err != nil {
+			return nil, fmt.Errorf("seqio: reading SeqDB index: %w", err)
+		}
+		c := ChunkInfo{
 			Off:   binary.LittleEndian.Uint64(e[0:]),
 			Size:  binary.LittleEndian.Uint64(e[8:]),
 			First: binary.LittleEndian.Uint64(e[16:]),
 			Count: binary.LittleEndian.Uint64(e[24:]),
 		}
+		// A chunk's payload lies between the header and the index, and
+		// no record is empty, so ReadChunk can size its buffers from the
+		// entry without trusting it further.
+		if c.Off < headerSize || c.Off > indexOff || c.Size > indexOff-c.Off {
+			return nil, fmt.Errorf("seqio: chunk %d (%d bytes at %d) lies outside the payload [%d, %d)", i, c.Size, c.Off, headerSize, indexOff)
+		}
+		if c.Count > c.Size {
+			return nil, fmt.Errorf("seqio: chunk %d claims %d records in %d bytes", i, c.Count, c.Size)
+		}
+		db.chunks = append(db.chunks, c)
 	}
 	return db, nil
 }
@@ -192,13 +204,16 @@ func (db *DB) ReadChunk(i int) ([]Seq, error) {
 	return out, nil
 }
 
+// decodeRecord decodes the record at raw[pos:]. Every length is an
+// untrusted uvarint: it is compared, as a uint64, with the bytes left before
+// it is converted to int, so no value can wrap into a negative slice bound.
 func decodeRecord(raw []byte, pos int) (Seq, int, error) {
 	nameLen, n := binary.Uvarint(raw[pos:])
 	if n <= 0 {
 		return Seq{}, 0, fmt.Errorf("corrupt name length at %d", pos)
 	}
 	pos += n
-	if pos+int(nameLen) > len(raw) {
+	if nameLen > uint64(len(raw)-pos) {
 		return Seq{}, 0, fmt.Errorf("truncated name at %d", pos)
 	}
 	name := string(raw[pos : pos+int(nameLen)])
@@ -208,17 +223,18 @@ func decodeRecord(raw []byte, pos int) (Seq, int, error) {
 		return Seq{}, 0, fmt.Errorf("corrupt sequence length at %d", pos)
 	}
 	pos += n
-	packedLen := (int(seqLen) + 3) / 4
-	if pos+packedLen+1 > len(raw) {
+	packed := seqLen/4 + (seqLen%4+3)/4  // 2-bit bases, rounded up to a byte
+	if packed+1 > uint64(len(raw)-pos) { // +1: the quality flag
 		return Seq{}, 0, fmt.Errorf("truncated sequence at %d", pos)
 	}
+	packedLen := int(packed)
 	p := packedFromBytes(raw[pos:pos+packedLen], int(seqLen))
 	pos += packedLen
 	qualFlag := raw[pos]
 	pos++
 	var qual []byte
 	if qualFlag == 1 {
-		if pos+int(seqLen) > len(raw) {
+		if seqLen > uint64(len(raw)-pos) {
 			return Seq{}, 0, fmt.Errorf("truncated quality at %d", pos)
 		}
 		qual = append([]byte(nil), raw[pos:pos+int(seqLen)]...)

@@ -2,9 +2,11 @@ package seqio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -356,5 +358,84 @@ func BenchmarkFastqParse(b *testing.B) {
 		if _, err := ReadFastq(bytes.NewReader(raw), ParseOptions{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSeqDBCorruptIndex: a forged chunk index entry is refused by OpenSeqDB
+// (or, failing that, by ReadChunk) with an error — never a panic from a
+// length taken on trust.
+func TestSeqDBCorruptIndex(t *testing.T) {
+	f := tempFile(t)
+	if _, err := WriteSeqDB(f, randomSeqs(7, 20, 30, 40, true), 10); err != nil {
+		t.Fatal(err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := make([]byte, st.Size())
+	if _, err := f.ReadAt(valid, 0); err != nil {
+		t.Fatal(err)
+	}
+	indexOff := binary.LittleEndian.Uint64(valid[24:])
+	entry0 := valid[indexOff:] // chunk 0: off, size, first, count
+	off0 := binary.LittleEndian.Uint64(entry0[0:])
+	for _, tc := range []struct {
+		name  string
+		field int // byte offset within the entry
+		value uint64
+	}{
+		{"huge count", 24, 1 << 62},
+		{"count above size", 24, binary.LittleEndian.Uint64(entry0[8:]) + 1},
+		{"huge size", 8, 1 << 62},
+		{"size past the index", 8, indexOff - off0 + 1},
+		{"offset inside the header", 0, headerSize - 1},
+		{"offset past the index", 0, indexOff + 1},
+		{"offset wraps", 0, ^uint64(0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := bytes.Clone(valid)
+			binary.LittleEndian.PutUint64(raw[indexOff+uint64(tc.field):], tc.value)
+			db, err := OpenSeqDB(bytes.NewReader(raw))
+			if err != nil {
+				return
+			}
+			for i := 0; i < db.NumChunks(); i++ {
+				if _, err := db.ReadChunk(i); err != nil {
+					return
+				}
+			}
+			t.Fatal("corrupt index entry accepted")
+		})
+	}
+}
+
+// TestSeqDBForgedChunkCount: a header claiming far more chunks than the
+// file holds fails on the short index read without first allocating an
+// index buffer of the claimed size.
+func TestSeqDBForgedChunkCount(t *testing.T) {
+	f := tempFile(t)
+	if _, err := WriteSeqDB(f, randomSeqs(8, 20, 30, 40, false), 10); err != nil {
+		t.Fatal(err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, st.Size())
+	if _, err := f.ReadAt(raw, 0); err != nil {
+		t.Fatal(err)
+	}
+	const forged = 1 << 20 // a 32 MiB index, were it believed
+	binary.LittleEndian.PutUint64(raw[16:], forged)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = OpenSeqDB(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged chunk count accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > forged*indexEntry/8 {
+		t.Fatalf("OpenSeqDB allocated %d bytes for a forged chunk count", grew)
 	}
 }

@@ -74,7 +74,6 @@ func chaosSeedFleet(t *testing.T, count int, mod func(cfg *dhtnet.Config)) ([]*c
 			MaxDelay:       20 * time.Millisecond,
 			AttemptTimeout: 2 * time.Second,
 		},
-		BreakerCooldown: 50 * time.Millisecond,
 	}
 	if mod != nil {
 		mod(&cfg)
@@ -149,7 +148,7 @@ func TestSeedShardChaosTransientFaults(t *testing.T) {
 	}
 	t.Logf("transient window: %d ok, %d typed-degraded", ok.Load(), degraded.Load())
 
-	// Window over: the fleet recovers (breaker half-open probes succeed).
+	// Window over: the fleet recovers (the next call's retries succeed).
 	proxies[1].SetErrorRate(0)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -234,7 +233,7 @@ func TestSeedShardChaosKilledNode(t *testing.T) {
 	}
 	checkAnswers(t, shards, alive, out)
 
-	// Node returns: breaker half-open probe readmits it.
+	// Node returns: the next lookup reaches it again.
 	proxies[2].SetBlackhole(false)
 	deadline = time.Now().Add(5 * time.Second)
 	for {
