@@ -104,28 +104,24 @@ type ErrorResponse struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// Stats is the JSON body of GET /v1/stats (single-index servers) and of
-// GET /v1/{ref}/stats (catalog servers): the service's live counters,
-// micro-batcher observations, and latency quantiles, plus the resident
-// index's identity.
-type Stats struct {
-	// Ref names the reference these stats belong to on a multi-genome
-	// catalog server; empty on a single-index server.
-	Ref string `json:"ref,omitempty"`
-
-	Version       string  `json:"version"`
+// FrontStats is the align front door's report: request accounting,
+// micro-batcher observations, request latency quantiles and the effective
+// batching knobs. merserved and merrouted share one front door, so both
+// stats documents embed this one struct, and its keys sit at the top level
+// of either JSON body.
+type FrontStats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	Draining      bool    `json:"draining"`
 
 	// Request accounting.
 	Requests         int64 `json:"requests"`
-	Rejected         int64 `json:"rejected"` // 429s (admission queue full)
+	Rejected         int64 `json:"rejected"` // 429s (queue full or inflight limit)
 	Canceled         int64 `json:"canceled"` // client disconnects
-	Reads            int64 `json:"reads"`    // reads accepted into the engine
+	Reads            int64 `json:"reads"`    // reads accepted for alignment
 	TooShort         int64 `json:"too_short_reads"`
 	DeadlineRejected int64 `json:"deadline_rejected"` // 503s: propagated deadline below the admission floor
 
-	// Micro-batcher observations. MeanBatchReads > 1 is the signature of
+	// Micro-batcher observations: one batch is one engine call (merserved)
+	// or one scatter (merrouted). MeanBatchReads > 1 is the signature of
 	// coalescing actually happening under concurrent single-read load.
 	Batches          int64   `json:"batches"`
 	BatchedReads     int64   `json:"batched_reads"`
@@ -134,10 +130,29 @@ type Stats struct {
 	MaxBatchReads    int64   `json:"max_batch_reads"`
 	QueueReads       int64   `json:"queue_reads"` // queued right now
 
-	// Latency quantiles: request wall time (enqueue to response ready) and
-	// per-read engine time (from the engine's per-query stats).
-	RequestP50Ms   float64 `json:"request_p50_ms"`
-	RequestP99Ms   float64 `json:"request_p99_ms"`
+	// Request wall time quantiles (enqueue to response ready).
+	RequestP50Ms float64 `json:"request_p50_ms"`
+	RequestP99Ms float64 `json:"request_p99_ms"`
+
+	// Effective batching knobs.
+	MaxBatch  int     `json:"max_batch"`
+	MaxWaitMs float64 `json:"max_wait_ms"`
+}
+
+// Stats is the JSON body of GET /v1/stats (single-index servers) and of
+// GET /v1/{ref}/stats (catalog servers): the front door's report plus the
+// per-read engine latency and the resident index's identity.
+type Stats struct {
+	// Ref names the reference these stats belong to on a multi-genome
+	// catalog server; empty on a single-index server.
+	Ref string `json:"ref,omitempty"`
+
+	Version  string `json:"version"`
+	Draining bool   `json:"draining"`
+
+	FrontStats
+
+	// Per-read engine time quantiles (from the engine's per-query stats).
 	AlignReadP50Us float64 `json:"align_read_p50_us"`
 	AlignReadP99Us float64 `json:"align_read_p99_us"`
 
@@ -146,10 +161,6 @@ type Stats struct {
 	DistinctSeeds int64 `json:"distinct_seeds"`
 	TotalLocs     int64 `json:"total_locs"`
 	ResidentBytes int64 `json:"resident_bytes"`
-
-	// Effective batching knobs.
-	MaxBatch  int     `json:"max_batch"`
-	MaxWaitMs float64 `json:"max_wait_ms"`
 }
 
 // TargetInfo is one reference sequence of a GET /v1/targets body: its name
@@ -224,33 +235,21 @@ type ShardStatus struct {
 }
 
 // RouterStats is the JSON body of GET /v1/stats on a scatter/gather router
-// (merrouted): request/coalescing counters shaped like a single node's
-// Stats, plus the degraded-policy counters and per-shard health.
+// (merrouted): the front door's report, as on a single node, plus the
+// degraded-policy and replica counters and per-shard health.
 type RouterStats struct {
 	Version  string `json:"version"`
 	Draining bool   `json:"draining"`
 	Ready    bool   `json:"ready"`    // global target catalog assembled
 	Degraded string `json:"degraded"` // configured policy: "fail" or "partial"
 
-	Requests         int64   `json:"requests"`
-	Rejected         int64   `json:"rejected"`
-	Canceled         int64   `json:"canceled"`
-	Reads            int64   `json:"reads"`
-	TooShort         int64   `json:"too_short_reads"`
-	DegradedServed   int64   `json:"degraded_requests"` // partial responses served
-	FailedRequests   int64   `json:"failed_requests"`   // requests failed on shard errors
-	Batches          int64   `json:"batches"`
-	BatchedReads     int64   `json:"batched_reads"`
-	CoalescedBatches int64   `json:"coalesced_batches"`
-	MeanBatchReads   float64 `json:"mean_batch_reads"`
-	MaxBatchReads    int64   `json:"max_batch_reads"`
-	QueueReads       int64   `json:"queue_reads"`
-	Failovers        int64   `json:"failovers"`         // scatters re-launched on another replica after a failure
-	Hedges           int64   `json:"hedges"`            // speculative second-replica launches
-	HedgeWins        int64   `json:"hedge_wins"`        // hedges that answered before the primary
-	DeadlineRejected int64   `json:"deadline_rejected"` // requests rejected as already doomed by their deadline
-	RequestP50Ms     float64 `json:"request_p50_ms"`
-	RequestP99Ms     float64 `json:"request_p99_ms"`
+	FrontStats
+
+	DegradedServed int64 `json:"degraded_requests"` // partial responses served
+	FailedRequests int64 `json:"failed_requests"`   // requests failed on shard errors
+	Failovers      int64 `json:"failovers"`         // scatters re-launched on another replica after a failure
+	Hedges         int64 `json:"hedges"`            // speculative second-replica launches
+	HedgeWins      int64 `json:"hedge_wins"`        // hedges that answered before the primary
 
 	K      int           `json:"k"`
 	Shards []ShardStatus `json:"shards"`
@@ -432,23 +431,12 @@ func (c *Client) AlignStream(ctx context.Context, req AlignRequest, fn func(Read
 	return sc.Err()
 }
 
-// Stats fetches the service's live statistics.
+// Stats fetches the service's live statistics (GET /v1/stats; with a
+// WithRef scope, GET /v1/{ref}/stats).
 func (c *Client) Stats(ctx context.Context) (*Stats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.v1("/stats"), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, c.asError(resp)
-	}
 	var out Stats
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decoding stats: %w", err)
+	if err := c.getJSON(ctx, c.v1("/stats"), &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }
@@ -491,21 +479,7 @@ func (c *Client) Targets(ctx context.Context) (*TargetsResponse, error) {
 // error while it is still opening or warming its index (503), draining, or
 // unreachable. Orchestrators and routers gate traffic on it; Health stays
 // the liveness probe.
-func (c *Client) Ready(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return c.asError(resp)
-	}
-	return nil
-}
+func (c *Client) Ready(ctx context.Context) error { return c.probe(ctx, "/readyz") }
 
 // HeaderDeadlineMs propagates the caller's remaining time budget down one
 // hop, in integer milliseconds. The client stamps it from the attempt
@@ -569,8 +543,12 @@ func (c *Client) getJSON(ctx context.Context, url string, out any) error {
 
 // Health probes /healthz: nil when serving, an error when unreachable or
 // draining.
-func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
+func (c *Client) Health(ctx context.Context) error { return c.probe(ctx, "/healthz") }
+
+// probe makes one GET of a server-wide probe path: nil on 200, the typed
+// error otherwise. A probe reports the state right now, so it never retries.
+func (c *Client) probe(ctx context.Context, path string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return err
 	}

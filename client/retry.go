@@ -39,6 +39,13 @@ type RetryPolicy struct {
 	AttemptTimeout time.Duration
 }
 
+// DefaultAttemptTimeout bounds one attempt of the fleet's own RPCs — the
+// router's shard calls and the seed-lookup client's calls — when their
+// RetryPolicy leaves AttemptTimeout unset, so a peer that accepts a request
+// and never answers costs a bounded retry ladder, not a caller blocked
+// forever. A Client's WithRetry policy keeps the field's own zero meaning.
+const DefaultAttemptTimeout = 15 * time.Second
+
 // DefaultRetryPolicy returns the defaults spelled out on the fields: 3
 // attempts, 50ms doubling to a 2s cap, 20% jitter, no per-attempt timeout.
 func DefaultRetryPolicy() RetryPolicy {

@@ -288,3 +288,34 @@ func TestClientWithoutRetrySingleAttempt(t *testing.T) {
 		t.Fatalf("server saw %d calls, want 1", calls.Load())
 	}
 }
+
+// TestClientStatsRetriesAndPropagatesDeadline: Stats is a GET like Refs and
+// Targets, so it rides out a 503 under WithRetry and stamps the caller's
+// deadline on every attempt.
+func TestClientStatsRetriesAndPropagatesDeadline(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		if r.URL.Path != "/v1/alpha/stats" || r.Header.Get(HeaderDeadlineMs) == "" {
+			t.Errorf("GET %s with %s %q, want /v1/alpha/stats carrying the deadline", r.URL.Path, HeaderDeadlineMs, r.Header.Get(HeaderDeadlineMs))
+		}
+		if calls.Load() == 1 {
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		json.NewEncoder(w).Encode(Stats{Ref: "alpha", FrontStats: FrontStats{Requests: 7}})
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cl := NewRef(ts.URL, "alpha", WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}))
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Ref != "alpha" || st.Requests != 7 || calls.Load() != 2 {
+		t.Fatalf("stats %+v after %d calls, want alpha with 7 requests after 2", st, calls.Load())
+	}
+}

@@ -30,8 +30,9 @@
 // races a shard RPC still unanswered after that long against a second
 // replica, first response winning, budget-capped at ~10% of RPCs.
 //
-// Shard RPCs get a per-call timeout and bounded jittered retries honoring
-// Retry-After; a shard whose replicas all stay down is handled per
+// Shard RPCs get bounded jittered retries honoring Retry-After (-retries
+// attempts), each attempt under -call-timeout (the retry policy's
+// AttemptTimeout); a shard whose replicas all stay down is handled per
 // -degraded: "fail" (default) fails requests with 502, "partial" serves
 // the surviving shards' results annotated with degraded_shards (JSON) / an
 // @CO line (SAM) and counted in metrics. -min-deadline, when positive,
@@ -67,7 +68,7 @@ func main() {
 	var (
 		shardsFlag  = flag.String("shards", "", "comma-separated shard base URLs in shard order, each optionally a |-separated replica set (required)")
 		degraded    = flag.String("degraded", cluster.DegradedFail, "shard-failure policy: fail (502) or partial (serve surviving shards, annotated)")
-		callTimeout = flag.Duration("call-timeout", 15*time.Second, "per-attempt timeout of one shard RPC")
+		callTimeout = flag.Duration("call-timeout", client.DefaultAttemptTimeout, "per-attempt timeout of one shard RPC")
 		retries     = flag.Int("retries", 3, "max attempts per shard RPC")
 		healthEvery = flag.Duration("health-interval", 2*time.Second, "replica readiness probe interval")
 		breakerN    = flag.Int("breaker-threshold", 3, "consecutive failures opening a replica's circuit breaker (negative disables)")
@@ -90,16 +91,11 @@ func main() {
 	}
 
 	p.Listen()
-	pol := client.DefaultRetryPolicy()
-	if *retries > 0 {
-		pol.MaxAttempts = *retries
-	}
 	rt, err := cluster.New(cluster.Config{
 		FrontConfig:      p.Front(),
 		Shards:           shards,
 		Degraded:         *degraded,
-		Retry:            pol,
-		CallTimeout:      *callTimeout,
+		Retry:            client.RetryPolicy{MaxAttempts: *retries, AttemptTimeout: *callTimeout},
 		HealthInterval:   *healthEvery,
 		BreakerThreshold: *breakerN,
 		HedgeAfter:       *hedgeAfter,

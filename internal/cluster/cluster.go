@@ -26,7 +26,7 @@
 // Endpoints are those of a single-index merserved:
 //
 //	POST /v1/align   scatter, gather, merge (JSON, or SAM via Accept)
-//	GET  /v1/stats   RouterStats: request counters plus per-shard health
+//	GET  /v1/stats   RouterStats: the front door's report plus per-shard health
 //	GET  /v1/targets the assembled global reference catalog
 //	GET  /healthz    200 serving, 503 draining
 //	GET  /readyz     503 until the fleet catalog is assembled and validated
@@ -92,13 +92,11 @@ type Config struct {
 	Degraded string
 
 	// Retry bounds the per-shard RPC retries (client.RetryPolicy semantics:
-	// capped jittered exponential backoff, Retry-After honored). Zero-valued
-	// fields default; MaxAttempts <= 0 means DefaultRetryPolicy's.
+	// capped jittered exponential backoff, Retry-After honored). Each zero
+	// field defaults on its own, as RetryPolicy.Do has it; AttemptTimeout,
+	// the cap on one RPC attempt to one shard (-call-timeout), defaults to
+	// client.DefaultAttemptTimeout.
 	Retry client.RetryPolicy
-
-	// CallTimeout caps one RPC attempt to one shard. Default 15s; it becomes
-	// Retry.AttemptTimeout unless that is already set.
-	CallTimeout time.Duration
 
 	// The front door, as in service.Config: one queue of scatters (MaxBatch
 	// reads each), admission, logging.
@@ -134,14 +132,8 @@ func (c Config) withDefaults() Config {
 	if c.Degraded == "" {
 		c.Degraded = DegradedFail
 	}
-	if c.CallTimeout <= 0 {
-		c.CallTimeout = 15 * time.Second
-	}
-	if c.Retry.MaxAttempts <= 0 {
-		c.Retry = client.DefaultRetryPolicy()
-	}
 	if c.Retry.AttemptTimeout <= 0 {
-		c.Retry.AttemptTimeout = c.CallTimeout
+		c.Retry.AttemptTimeout = client.DefaultAttemptTimeout
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
@@ -472,10 +464,17 @@ func (rt *Router) warming(w http.ResponseWriter, r *http.Request) {
 // Stats renders the live RouterStats document (the /v1/stats body), also
 // available in-process for embedders and benchmarks.
 func (rt *Router) Stats() client.RouterStats {
-	st := rt.st.snapshot(rt.front.Stats())
-	st.Version = rt.cfg.Version
-	st.Draining = rt.Draining()
-	st.Degraded = rt.cfg.Degraded
+	st := client.RouterStats{
+		Version:        rt.cfg.Version,
+		Draining:       rt.Draining(),
+		Degraded:       rt.cfg.Degraded,
+		FrontStats:     rt.front.Stats(),
+		DegradedServed: rt.st.degradedServed.Load(),
+		FailedRequests: rt.st.failedRequests.Load(),
+		Failovers:      rt.st.failovers.Load(),
+		Hedges:         rt.st.hedges.Load(),
+		HedgeWins:      rt.st.hedgeWins.Load(),
+	}
 	if cat := rt.cat.Load(); cat != nil {
 		st.Ready = true
 		st.K = cat.k
@@ -522,6 +521,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for i, ss := range rt.sets {
 		shardLat[i] = ss.lat.Snapshot()
 	}
-	writeMetrics(body, rt.Stats(), rt.front.Latency(), shardLat)
+	writeMetrics(body, rt.Stats(), rt.front, shardLat)
 	_ = finish()
 }

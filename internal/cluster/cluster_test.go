@@ -604,6 +604,31 @@ func TestShardRetriesHonor503AndAreCounted(t *testing.T) {
 	}
 }
 
+// TestRouterKeepsPartialRetryPolicy: a Retry that sets some fields keeps
+// them — only an unset AttemptTimeout is filled, with the per-call default —
+// and the fields left zero default in RetryPolicy.Do: a shard failing every
+// attempt sees MaxAttempts' default of 3.
+func TestRouterKeepsPartialRetryPolicy(t *testing.T) {
+	ts, calls := flakyShard(t, 1<<30)
+	rt, rts := newRouter(t, []string{ts.URL}, func(c *Config) {
+		c.Retry = client.RetryPolicy{AttemptTimeout: time.Second, BaseDelay: 7 * time.Millisecond}
+	})
+	if want := (client.RetryPolicy{AttemptTimeout: time.Second, BaseDelay: 7 * time.Millisecond}); rt.cfg.Retry != want {
+		t.Fatalf("router runs with Retry %+v, want the caller's %+v", rt.cfg.Retry, want)
+	}
+	zero, _ := newRouter(t, []string{ts.URL}, func(c *Config) { c.Retry = client.RetryPolicy{} })
+	if want := (client.RetryPolicy{AttemptTimeout: client.DefaultAttemptTimeout}); zero.cfg.Retry != want {
+		t.Fatalf("an unset Retry runs as %+v, want %+v", zero.cfg.Retry, want)
+	}
+	waitReady(t, rt)
+	if code, body := post(t, rts.URL, []meraligner.Seq{mkread("r", "ACGTACGT")}, "application/json"); code != http.StatusBadGateway {
+		t.Fatalf("status = %d, body %s; want 502 from a shard that always fails", code, body)
+	}
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("shard saw %d align attempts, want the default 3", got)
+	}
+}
+
 func TestRouterStatsAndMetricsSurface(t *testing.T) {
 	ts, _ := flakyShard(t, 0)
 	rt, rts := newRouter(t, []string{ts.URL}, nil)
@@ -636,7 +661,8 @@ func TestRouterStatsAndMetricsSurface(t *testing.T) {
 		"merrouted_reads_total 1",
 		"merrouted_ready 1",
 		`merrouted_shard_calls_total{shard="0",addr=`,
-		"merrouted_shard_call_latency_seconds{",
+		"merrouted_request_duration_seconds_count 1\n",
+		`merrouted_shard_call_duration_seconds_bucket{shard="0",addr=`,
 	} {
 		if !strings.Contains(string(mbody), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, mbody)

@@ -16,6 +16,7 @@ import (
 	"github.com/lbl-repro/meraligner/client"
 	"github.com/lbl-repro/meraligner/internal/align"
 	"github.com/lbl-repro/meraligner/internal/service"
+	"github.com/lbl-repro/meraligner/internal/telemetry"
 )
 
 // gatedQuery is queryOpts with an extension that blocks until open is
@@ -194,12 +195,58 @@ func TestRouterRefusesLikeSingleNode(t *testing.T) {
 	if want.code != http.StatusTooManyRequests || got != want {
 		t.Errorf("queue full:\nrouter %+v\nsingle %+v", got, want)
 	}
+
+	// The same requests went through the same door, so both tiers report
+	// the same front-door counters and export the same front-door families.
+	var singleSt client.Stats
+	var routerSt client.RouterStats
+	getStats(t, single, &singleSt)
+	getStats(t, rts.URL, &routerSt)
+	counters := func(f client.FrontStats) client.FrontStats {
+		f.UptimeSeconds, f.RequestP50Ms, f.RequestP99Ms = 0, 0, 0 // timings, not counts
+		return f
+	}
+	if s, r := counters(singleSt.FrontStats), counters(routerSt.FrontStats); s != r || s.Requests != 2 || s.Rejected != 1 || s.DeadlineRejected != 1 {
+		t.Errorf("front-door counters:\nrouter %+v\nsingle %+v\nwant equal, 2 requests, 1 rejected, 1 deadline-rejected", r, s)
+	}
+	var vocab bytes.Buffer
+	service.WriteFrontMetrics(telemetry.NewExposition(&vocab), "x", []*service.Front[int](nil), nil)
+	frontFamilies := map[string]bool{}
+	for _, line := range strings.Split(vocab.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			frontFamilies[strings.TrimPrefix(f[2], "x")] = true
+		}
+	}
+	if len(frontFamilies) != 13 {
+		t.Fatalf("front door writes %d families, want 13: %v", len(frontFamilies), frontFamilies)
+	}
+	for prefix, url := range map[string]string{"merserved": single, "merrouted": rts.URL} {
+		scraped := map[string]bool{}
+		scrapeFamilies(t, url, scraped)
+		for name := range frontFamilies {
+			if !scraped[prefix+name] {
+				t.Errorf("%s /metrics lacks the front-door family %s%s", prefix, prefix, name)
+			}
+		}
+	}
+}
+
+// getStats decodes url's /v1/stats into out.
+func getStats(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRouterMaxWaitEffective: the router's front door resolves MaxWait as
-// merserved's does — unset is 2ms, negative disables window-holding. (The
-// router's /v1/stats carries no batching knobs; the front door's own stats
-// report the value its queue runs with.)
+// merserved's does — unset is 2ms, negative disables window-holding — and
+// its /v1/stats reports the value the queue runs with.
 func TestRouterMaxWaitEffective(t *testing.T) {
 	shards := newFleet(t)
 	for _, tc := range []struct{ set, want time.Duration }{
@@ -207,9 +254,11 @@ func TestRouterMaxWaitEffective(t *testing.T) {
 		{-1, 0},
 		{7 * time.Millisecond, 7 * time.Millisecond},
 	} {
-		rt, _ := newRouter(t, shards, func(c *Config) { c.MaxWait = tc.set })
-		if got, want := rt.front.Stats().MaxWaitMs, float64(tc.want)/float64(time.Millisecond); got != want {
-			t.Errorf("MaxWait %v: the router's front door runs with %vms, want %vms", tc.set, got, want)
+		_, ts := newRouter(t, shards, func(c *Config) { c.MaxWait = tc.set })
+		var st client.RouterStats
+		getStats(t, ts.URL, &st)
+		if got, want := st.MaxWaitMs, float64(tc.want)/float64(time.Millisecond); got != want || st.MaxBatch != 256 {
+			t.Errorf("MaxWait %v: the router's /v1/stats reports max_wait_ms %v (max_batch %d), want %v (256)", tc.set, got, st.MaxBatch, want)
 		}
 	}
 }

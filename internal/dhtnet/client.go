@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/lbl-repro/meraligner/client"
 	"github.com/lbl-repro/meraligner/internal/core"
@@ -66,19 +65,12 @@ type Config struct {
 
 	// Retry shapes per-call retries (zero value = client defaults: 3
 	// attempts, 50ms backoff doubling to 2s, 20% jitter); an unset
-	// AttemptTimeout becomes defaultAttemptTimeout.
+	// AttemptTimeout becomes client.DefaultAttemptTimeout.
 	Retry client.RetryPolicy
 
 	// HTTPClient overrides http.DefaultClient (tests, custom transports).
 	HTTPClient *http.Client
 }
-
-// defaultAttemptTimeout bounds one lookup or identity attempt when
-// Config.Retry leaves AttemptTimeout unset — the same per-RPC default the
-// router gives each shard call — so a node that accepts a request and never
-// answers costs a bounded retry ladder, not a caller with no deadline
-// blocked forever.
-const defaultAttemptTimeout = 15 * time.Second
 
 func (cfg Config) withDefaults() (Config, error) {
 	if len(cfg.Owners) == 0 {
@@ -91,7 +83,7 @@ func (cfg Config) withDefaults() (Config, error) {
 		return cfg, fmt.Errorf("dhtnet: internal shard count %d must be positive", cfg.Shards)
 	}
 	if cfg.Retry.AttemptTimeout <= 0 {
-		cfg.Retry.AttemptTimeout = defaultAttemptTimeout
+		cfg.Retry.AttemptTimeout = client.DefaultAttemptTimeout
 	}
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = http.DefaultClient

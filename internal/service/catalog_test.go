@@ -535,8 +535,12 @@ func TestCatalogStatsRefsAndMetrics(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown ref align status %d, want 404", resp.StatusCode)
 	}
-	if srv.Snapshot().Requests != 2 {
-		t.Fatalf("aggregate Snapshot.Requests = %d, want 2", srv.Snapshot().Requests)
+	var served int64
+	for _, st := range srv.CatalogSnapshot().Refs {
+		served += st.Requests
+	}
+	if served != 2 {
+		t.Fatalf("CatalogSnapshot Refs served %d requests, want 2", served)
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")

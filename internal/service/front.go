@@ -87,9 +87,9 @@ func (c FrontConfig) withDefaults() FrontConfig {
 	return c
 }
 
-// knobs is a stats document carrying only the effective batching knobs.
-func (c FrontConfig) knobs() client.Stats {
-	return client.Stats{MaxBatch: c.MaxBatch, MaxWaitMs: float64(c.MaxWait) / float64(time.Millisecond)}
+// knobs is a front-door report carrying only the effective batching knobs.
+func (c FrontConfig) knobs() client.FrontStats {
+	return client.FrontStats{MaxBatch: c.MaxBatch, MaxWaitMs: float64(c.MaxWait) / float64(time.Millisecond)}
 }
 
 // Tier is what an align tier plugs into its front door.
@@ -346,9 +346,10 @@ func (f *Front[R]) fail(w http.ResponseWriter, r *http.Request, err error) {
 	WriteError(w, r, code, &client.ErrorResponse{Error: msg})
 }
 
-// Stats renders the front door's counters, queue observations, request
-// latency quantiles and batching knobs; the tier fills in the rest.
-func (f *Front[R]) Stats() client.Stats {
+// Stats renders the front door's report: its counters, queue observations,
+// request latency quantiles and batching knobs. Both tiers' stats documents
+// embed it as it is.
+func (f *Front[R]) Stats() client.FrontStats {
 	st := f.cfg.knobs()
 	st.UptimeSeconds = time.Since(f.start).Seconds()
 	st.Requests = f.requests.Load()
@@ -370,5 +371,50 @@ func (f *Front[R]) Stats() client.Stats {
 	return st
 }
 
-// Latency snapshots the request wall-time histogram for the exposition.
-func (f *Front[R]) Latency() telemetry.HistSnapshot { return f.latency.Snapshot() }
+// WriteFrontMetrics writes a tier's front-door metric families — the
+// request and batching counters and gauges, and the request wall-time
+// histogram — named prefix_*, with one series per front door labelled by
+// labels[i]. merserved passes one front per reference, merrouted its one;
+// the families are listed here alone, so both tiers export the same ones.
+func WriteFrontMetrics[R any](m *telemetry.Exposition, prefix string, fronts []*Front[R], labels [][]string) {
+	sts := make([]client.FrontStats, len(fronts))
+	for i, f := range fronts {
+		sts[i] = f.Stats()
+	}
+	for _, c := range []struct {
+		name, help string
+		v          func(*client.FrontStats) int64
+	}{
+		{"_requests_total", "align requests served to completion", func(st *client.FrontStats) int64 { return st.Requests }},
+		{"_rejected_total", "requests rejected with 429 (queue full or inflight limit)", func(st *client.FrontStats) int64 { return st.Rejected }},
+		{"_canceled_total", "requests canceled by client disconnect", func(st *client.FrontStats) int64 { return st.Canceled }},
+		{"_reads_total", "reads accepted for alignment", func(st *client.FrontStats) int64 { return st.Reads }},
+		{"_too_short_reads_total", "reads rejected as shorter than K", func(st *client.FrontStats) int64 { return st.TooShort }},
+		{"_deadline_rejected_total", "requests rejected as already doomed by their propagated deadline", func(st *client.FrontStats) int64 { return st.DeadlineRejected }},
+		{"_batches_total", "batches served (engine calls or scatters, coalesced and direct)", func(st *client.FrontStats) int64 { return st.Batches }},
+		{"_batched_reads_total", "reads across those batches", func(st *client.FrontStats) int64 { return st.BatchedReads }},
+		{"_coalesced_batches_total", "batches serving >= 2 requests", func(st *client.FrontStats) int64 { return st.CoalescedBatches }},
+	} {
+		m.Counter(prefix+c.name, c.help)
+		for i := range sts {
+			m.Int(c.v(&sts[i]), labels[i]...)
+		}
+	}
+	for _, g := range []struct {
+		name, help string
+		v          func(*client.FrontStats) float64
+	}{
+		{"_batch_reads_max", "largest batch", func(st *client.FrontStats) float64 { return float64(st.MaxBatchReads) }},
+		{"_batch_reads_mean", "mean reads per batch", func(st *client.FrontStats) float64 { return st.MeanBatchReads }},
+		{"_queue_reads", "reads queued for the next batching window", func(st *client.FrontStats) float64 { return float64(st.QueueReads) }},
+	} {
+		m.Gauge(prefix+g.name, g.help)
+		for i := range sts {
+			m.Float(g.v(&sts[i]), labels[i]...)
+		}
+	}
+	m.Histogram(prefix+"_request_duration_seconds", "request wall time histogram")
+	for i, f := range fronts {
+		m.Hist(f.latency.Snapshot(), labels[i]...)
+	}
+}

@@ -58,6 +58,6 @@ func TestMaxWaitEffectiveEverywhere(t *testing.T) {
 			t.Errorf("MaxWait %v: catalog front runs with %v, want %v", tc.set, got, tc.want)
 		}
 		check("queried /v1/{ref}/stats", fetch(rc))
-		check("catalog Snapshot", cat.Snapshot())
+		check("CatalogSnapshot Refs", cat.CatalogSnapshot().Refs[0])
 	}
 }

@@ -819,16 +819,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		c := s.catalogCounters()
 		cat = &c
 	}
-	refs := make([]refMetrics, 0, 1)
-	for _, t := range s.allTenants() {
-		refs = append(refs, refMetrics{
-			ref:   t.ref,
-			st:    t.snapshotStats(),
-			req:   t.front.Latency(),
-			align: t.alignRead.Snapshot(),
-		})
-	}
-	writeMetrics(body, refs, cat)
+	writeMetrics(body, s.allTenants(), cat)
 	_ = finish()
 }
 
@@ -875,55 +866,35 @@ func (s *Server) handleRefTargets(w http.ResponseWriter, r *http.Request) {
 // stats is a stats document carrying only the server's identity and the
 // batching knobs every reference's front door runs with.
 func (s *Server) stats() client.Stats {
-	st := s.cfg.FrontConfig.withDefaults().knobs()
-	st.Version, st.Draining = s.cfg.Version, s.Draining()
-	return st
+	return client.Stats{Version: s.cfg.Version, Draining: s.Draining(), FrontStats: s.cfg.FrontConfig.withDefaults().knobs()}
 }
 
-// snapshotStats renders one tenant's wire Stats.
+// snapshotStats renders one tenant's wire Stats: its front door's report
+// plus the reference's own fields.
 func (t *tenant) snapshotStats() client.Stats {
-	st := t.front.Stats()
-	st.Ref, st.Version, st.Draining = t.ref, t.s.cfg.Version, t.s.Draining()
-	st.AlignReadP50Us = t.alignRead.Quantile(0.50) / 1e3
-	st.AlignReadP99Us = t.alignRead.Quantile(0.99) / 1e3
-	st.K = int(t.k.Load())
-	st.DistinctSeeds = t.distinctSeeds.Load()
-	st.TotalLocs = t.totalLocs.Load()
-	st.ResidentBytes = t.resident.Load()
-	return st
+	return client.Stats{
+		Ref:            t.ref,
+		Version:        t.s.cfg.Version,
+		Draining:       t.s.Draining(),
+		FrontStats:     t.front.Stats(),
+		AlignReadP50Us: t.alignRead.Quantile(0.50) / 1e3,
+		AlignReadP99Us: t.alignRead.Quantile(0.99) / 1e3,
+		K:              int(t.k.Load()),
+		DistinctSeeds:  t.distinctSeeds.Load(),
+		TotalLocs:      t.totalLocs.Load(),
+		ResidentBytes:  t.resident.Load(),
+	}
 }
 
-// Snapshot returns the current wire Stats, also available in-process for
-// embedders and benchmarks. In single-index mode this is the /v1/stats
-// body. In catalog mode it is the counter sum across references (latency
-// quantiles are per-reference; see CatalogSnapshot).
+// Snapshot returns the single-index server's wire Stats (the /v1/stats
+// body), also available in-process for embedders and benchmarks. A catalog
+// server's per-reference stats are its CatalogSnapshot's Refs; there
+// Snapshot carries only the server's identity and batching knobs.
 func (s *Server) Snapshot() client.Stats {
-	if s.single != nil {
-		return s.single.snapshotStats()
+	if s.single == nil {
+		return s.stats()
 	}
-	agg := s.stats()
-	for _, t := range s.allTenants() {
-		st := t.snapshotStats()
-		agg.Requests += st.Requests
-		agg.Rejected += st.Rejected
-		agg.Canceled += st.Canceled
-		agg.Reads += st.Reads
-		agg.TooShort += st.TooShort
-		agg.Batches += st.Batches
-		agg.BatchedReads += st.BatchedReads
-		agg.CoalescedBatches += st.CoalescedBatches
-		agg.QueueReads += st.QueueReads
-		if st.MaxBatchReads > agg.MaxBatchReads {
-			agg.MaxBatchReads = st.MaxBatchReads
-		}
-		if st.UptimeSeconds > agg.UptimeSeconds {
-			agg.UptimeSeconds = st.UptimeSeconds
-		}
-	}
-	if agg.Batches > 0 {
-		agg.MeanBatchReads = float64(agg.BatchedReads) / float64(agg.Batches)
-	}
-	return agg
+	return s.single.snapshotStats()
 }
 
 // catalogCounters maps the catalog's lifecycle stats to the wire type.

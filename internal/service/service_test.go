@@ -559,7 +559,9 @@ func TestMetricsExposition(t *testing.T) {
 		"merserved_reads_total 1",
 		"merserved_batches_total",
 		"merserved_resident_bytes",
-		"merserved_request_latency_seconds{quantile=\"0.99\"}",
+		"merserved_request_duration_seconds_bucket{le=\"+Inf\"} 1\n",
+		"merserved_request_duration_seconds_count 1\n",
+		"merserved_align_read_duration_seconds_count 1\n",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics lacks %q:\n%s", want, body)

@@ -33,9 +33,6 @@ func (e *Exposition) Counter(name, help string) *Exposition { return e.family(na
 // Gauge starts a gauge family.
 func (e *Exposition) Gauge(name, help string) *Exposition { return e.family(name, help, "gauge") }
 
-// Summary starts a summary family (the historical quantile series).
-func (e *Exposition) Summary(name, help string) *Exposition { return e.family(name, help, "summary") }
-
 // Histogram starts a native cumulative histogram family; add its series
 // with Hist.
 func (e *Exposition) Histogram(name, help string) *Exposition {

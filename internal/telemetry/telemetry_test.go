@@ -257,7 +257,6 @@ func TestExpositionFamiliesAndLabels(t *testing.T) {
 	m.Counter("x_total", "things counted").Int(7).Int(9, "ref", "alpha")
 	m.Gauge("x_bytes", "a size").Float(1234567, "shard", "0", "addr", `http://h:1/"q"`)
 	m.Gauge("x_up", "a flag").Bool(true).Bool(false, "shard", "1")
-	m.Summary("x_seconds", "quantiles").Float(0.25, "quantile", "0.5")
 	want := `# HELP x_total things counted
 # TYPE x_total counter
 x_total 7
@@ -269,9 +268,6 @@ x_bytes{shard="0",addr="http://h:1/\"q\""} 1.234567e+06
 # TYPE x_up gauge
 x_up 1
 x_up{shard="1"} 0
-# HELP x_seconds quantiles
-# TYPE x_seconds summary
-x_seconds{quantile="0.5"} 0.25
 `
 	if got := b.String(); got != want {
 		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
