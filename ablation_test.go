@@ -1,9 +1,10 @@
 package meraligner
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// aggregation buffer size S (a tuning parameter, §III-A), the target
-// fragmentation length F (§IV-A), the per-node cache budgets (§III-B), and
-// the max-alignments-per-seed threshold (§IV-C). Each reports the simulated
+// Ablation benchmarks for the design choices the paper tunes, run on the
+// simulated machine (internal/sim): the aggregation buffer size S (a tuning
+// parameter, §III-A), the target fragmentation length F (§IV-A), the
+// per-node cache budgets (§III-B), and the max-alignments-per-seed threshold
+// (§IV-C). Each reports the simulated
 // end-to-end time as "sim_s" so parameter effects are visible in one
 // `go test -bench=Ablation` run.
 

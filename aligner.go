@@ -19,9 +19,9 @@ import (
 // these two steps for a single batch.
 
 // Re-exported option halves: IndexOptions configures what Build constructs
-// (seed length, aggregation buffer size, fragmentation, exact matching);
+// (seed length, fragmentation, exact matching);
 // QueryOptions configures a single Align call (sensitivity threshold,
-// stride, scoring, extension). See core.Options for the one-shot union.
+// scoring, extension). See core.Options for the one-shot union.
 type (
 	IndexOptions = core.IndexOptions
 	QueryOptions = core.QueryOptions

@@ -178,13 +178,6 @@ func main() {
 	qopt.MaxSeedHits = *maxHits
 	qopt.MinScore = *minScore
 	qopt.CollectAlignments = true
-	if *batchList == "" && *saveIndex == "" && *indexPath == "" && parts == 0 && *maxHits > 0 {
-		// One-shot runs know the threshold at build time; cap the stored
-		// location lists just past it. Batch mode and saved snapshots keep
-		// full lists so the resident index stays valid for any future
-		// threshold.
-		iopt.MaxLocList = *maxHits + 1
-	}
 
 	// Fleet producers: -o is the output directory here, not a file.
 	if parts != 0 {

@@ -562,7 +562,8 @@ func BenchmarkLocalWithTraceback100x200(b *testing.B) {
 }
 
 // BenchmarkLocal150x198 is one extension at the bench's shape: a 150-base
-// read against its 198-base window (the read plus ExtendPad 24 each side).
+// read against its 198-base window (the read plus the engine's 24-base pad
+// on each side).
 func BenchmarkLocal150x198(b *testing.B) {
 	benchLocal(b, Local)
 }

@@ -42,11 +42,6 @@ func TestOptionsValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("FragmentLen <= K accepted")
 	}
-	bad = testOptions(21)
-	bad.SeedStride = -1
-	if bad.Validate() == nil {
-		t.Error("negative stride accepted")
-	}
 }
 
 func TestFragmentTableInvariants(t *testing.T) {

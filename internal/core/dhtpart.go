@@ -146,13 +146,9 @@ func loadSeedShardFrom(f *merx.File) (*SeedShard, error) {
 	if err := info.Validate(); err != nil {
 		return nil, &merx.CorruptError{Path: f.Path(), Section: sectionDHTPart, Reason: err.Error()}
 	}
-	dhtBytes, err := f.SectionData(sectionDHT)
+	sx, err := openTable(f)
 	if err != nil {
 		return nil, err
-	}
-	sx, err := dht.OpenMapped(dhtBytes)
-	if err != nil {
-		return nil, &merx.CorruptError{Path: f.Path(), Section: sectionDHT, Reason: err.Error()}
 	}
 	if sx.K() != info.K || sx.Shards() != info.Shards {
 		return nil, &merx.CorruptError{Path: f.Path(), Section: sectionDHTPart, Reason: fmt.Sprintf(

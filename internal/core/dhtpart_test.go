@@ -220,36 +220,6 @@ func TestSeedResolverAggregatesPerClaim(t *testing.T) {
 	}
 }
 
-// TestSeedShardResolverParityStride covers the stride > 1 seed schedule:
-// the prefetch pass must collect exactly the seeds the general path looks
-// up, so a stride mismatch would misalign the answer buffer and change
-// output.
-func TestSeedShardResolverParityStride(t *testing.T) {
-	ds := testWorkload(t, 40_000, 2, 0.01)
-	opt := testOptions(21)
-	ix, err := BuildIndex(2, opt.IndexOptions, ds.Contigs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := loadSeedShardSet(t, ix, 3)
-	for _, stride := range []int{1, 3, 7} {
-		qopt := opt.QueryOptions
-		qopt.SeedStride = stride
-		want, err := ix.Query(context.Background(), 2, qopt, ds.Reads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qopt.SeedResolver = &shardSetResolver{shards: shards}
-		got, err := ix.Query(context.Background(), 2, qopt, ds.Reads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want.Alignments, got.Alignments) {
-			t.Fatalf("stride=%d: alignments differ", stride)
-		}
-	}
-}
-
 // failingResolver passes the first `after` ResolveSeeds calls through, then
 // fails every phase-2 call — recognized by shipping more seeds than a claim
 // has reads (engine workers call it concurrently).

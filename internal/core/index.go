@@ -43,12 +43,14 @@ type ThreadedIndex struct {
 	snap *merx.File
 }
 
-// BuildIndex constructs the seed index over targets
-// exactly once: fragment the targets (§IV-A), extract and stage seeds with
-// the aggregating-stores scheme (§III-A), drain each shard lock-free into
-// its flat table (sort, then one run-length pass), and mark single-copy
-// fragments. workers is the goroutine pool size for the
-// construction phases only; queries may later run with any worker count.
+// BuildIndex constructs the seed index over targets exactly once: fragment
+// the targets (§IV-A), extract and stage seeds with the aggregating-stores
+// scheme (§III-A, at dht's default S = 1000), drain each shard lock-free
+// into its flat table (sort, then one run-length pass), and mark
+// single-copy fragments. Every location of every seed is stored, so the
+// index answers any MaxSeedHits threshold. workers is the goroutine pool
+// size for the construction phases only; queries may later run with any
+// worker count.
 func BuildIndex(workers int, opt IndexOptions, targets []seqio.Seq) (*ThreadedIndex, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("core: threads must be positive, got %d", workers)
@@ -66,10 +68,8 @@ func BuildIndex(workers int, opt IndexOptions, targets []seqio.Seq) (*ThreadedIn
 			totalSeeds += n
 		}
 	}
-	sx, err := dht.NewSharded(dht.ShardedConfig{
-		K: opt.K, S: opt.AggS, MaxLocList: opt.MaxLocList,
-		Shards: dht.DefaultShards(workers),
-	}, ft.NumFragments(), totalSeeds, workers)
+	sx, err := dht.NewSharded(dht.ShardedConfig{K: opt.K, Shards: dht.DefaultShards(workers)},
+		ft.NumFragments(), totalSeeds, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +185,7 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 	if workers <= 0 {
 		return nil, fmt.Errorf("core: threads must be positive, got %d", workers)
 	}
-	if err := ix.checkQuery(opt); err != nil {
+	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	workers = poolWorkers(workers, len(queries), alignBatch)
@@ -215,14 +215,6 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 		}
 	})
 	return ix.results(ctx, opt, qps, perQuery, len(queries), time.Since(start))
-}
-
-// checkQuery validates one call's options against the resident index.
-func (ix *ThreadedIndex) checkQuery(opt QueryOptions) error {
-	if err := opt.Validate(); err != nil {
-		return err
-	}
-	return ix.opt.checkQueryCompat(opt)
 }
 
 // newProcessor returns one worker's processor over the sealed table,

@@ -22,7 +22,6 @@ import (
 func TestBuildOnceQueryManyMatchesRunThreaded(t *testing.T) {
 	ds := testWorkload(t, 80_000, 3, 0.005)
 	opt := testOptions(21)
-	opt.MaxLocList = opt.MaxSeedHits + 1 // what the one-shot wrapper picks
 
 	ix, err := BuildIndex(3, opt.IndexOptions, ds.Contigs)
 	if err != nil {
@@ -189,28 +188,49 @@ func TestQueryPerCallPhaseStats(t *testing.T) {
 	}
 }
 
-// A truncated index (MaxLocList) must refuse queries whose threshold needs
-// complete location lists.
-func TestQueryRejectsThresholdBeyondStoredLists(t *testing.T) {
-	ds := testWorkload(t, 30_000, 1, 0)
-	iopt := testOptions(21).IndexOptions
-	iopt.MaxLocList = 6
-	ix, err := BuildIndex(2, iopt, ds.Contigs)
+// TestOneShotRunUsesTheBuiltIndex: RunThreaded is BuildIndex + Query with
+// the caller's options untouched, so a one-shot run stores every location
+// of a repeated seed whatever its threshold, and aligns exactly as a
+// build-once index queried at that threshold.
+func TestOneShotRunUsesTheBuiltIndex(t *testing.T) {
+	const copies = 12
+	contigs := syntheticContigs(5, copies, 300)
+	unit := syntheticContigs(6, 1, 60)[0].Seq.Codes()
+	for i := range contigs {
+		codes := contigs[i].Seq.Codes()
+		copy(codes[100:], unit)
+		contigs[i].Seq = dna.FromCodes(codes)
+	}
+	c0 := contigs[0].Seq.Codes()
+	reads := []seqio.Seq{
+		{Name: "spans", Seq: dna.FromCodes(c0[60:200])},
+		{Name: "inside", Seq: dna.FromCodes(unit[5:55])},
+		{Name: "unique", Seq: dna.FromCodes(contigs[7].Seq.Codes()[180:280])},
+	}
+	opt := testOptions(21)
+	ix, err := BuildIndex(2, opt.IndexOptions, contigs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qopt := testOptions(21).QueryOptions
-	qopt.MaxSeedHits = 5 // <= cap: fine
-	if _, err := ix.Query(context.Background(), 2, qopt, ds.Reads[:10]); err != nil {
-		t.Fatalf("MaxSeedHits below cap rejected: %v", err)
+	if st := ix.Stats(); st.MaxListLen != copies {
+		t.Fatalf("built index MaxListLen = %d, want %d", st.MaxListLen, copies)
 	}
-	qopt.MaxSeedHits = 7 // beyond cap
-	if _, err := ix.Query(context.Background(), 2, qopt, ds.Reads[:10]); err == nil {
-		t.Error("MaxSeedHits beyond MaxLocList accepted")
-	}
-	qopt.MaxSeedHits = 0 // unlimited needs full lists
-	if _, err := ix.Query(context.Background(), 2, qopt, ds.Reads[:10]); err == nil {
-		t.Error("unlimited MaxSeedHits accepted on truncated index")
+	for _, hits := range []int{0, 5, 100} {
+		opt.MaxSeedHits = hits
+		want, err := ix.Query(context.Background(), 2, opt.QueryOptions, reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunThreaded(2, opt, contigs, reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.IndexStats.TotalLocs != want.IndexStats.TotalLocs || got.IndexStats.MaxListLen != want.IndexStats.MaxListLen {
+			t.Errorf("MaxSeedHits=%d: one-shot index stats %+v, built %+v", hits, got.IndexStats, want.IndexStats)
+		}
+		if !reflect.DeepEqual(got.Alignments, want.Alignments) {
+			t.Errorf("MaxSeedHits=%d: one-shot alignments differ from the built index's:\n%v\n%v", hits, got.Alignments, want.Alignments)
+		}
 	}
 }
 
@@ -233,21 +253,9 @@ func TestBuildIndexValidation(t *testing.T) {
 		t.Error("query workers=0 accepted")
 	}
 	badQ := testOptions(21).QueryOptions
-	badQ.SeedStride = -1
+	badQ.Scoring.Match = 0
 	if _, err := ix.Query(context.Background(), 2, badQ, ds.Reads); err == nil {
 		t.Error("invalid query options accepted")
-	}
-
-	// One-shot Options catch the truncation/threshold mismatch up front.
-	clash := testOptions(21)
-	clash.MaxLocList = 5
-	clash.MaxSeedHits = 10
-	if clash.Validate() == nil {
-		t.Error("MaxSeedHits > MaxLocList accepted by Options.Validate")
-	}
-	clash.MaxSeedHits = 0
-	if _, err := RunThreaded(2, clash, ds.Contigs, ds.Reads[:10]); err == nil {
-		t.Error("RunThreaded accepted unlimited MaxSeedHits on a truncated index")
 	}
 }
 

@@ -30,6 +30,10 @@ type foundKey struct {
 	rc     bool
 }
 
+// extendPad widens the Smith-Waterman window by this many target bases on
+// each side of the seed diagonal, so an alignment may carry indels.
+const extendPad = 24
+
 // seenSpill bounds the linear-scan candidate dedupe; the rare query with
 // more live candidates spills into a (reused) map instead of going O(n²).
 const seenSpill = 128
@@ -134,7 +138,7 @@ func (qp *QueryProcessor) setResolver(ctx context.Context, r SeedResolver) {
 //
 //  1. with the exact path on, the first seed of every query, then the exact
 //     check (§IV-A) on each answer;
-//  2. the remaining stride seeds of every query the exact path did not
+//  2. the remaining seeds of every query the exact path did not
 //     settle (with it off, every seed of every query: one call in all).
 //
 // A settled query costs one remote seed, and no seed is shipped that Process
@@ -145,7 +149,7 @@ func (qp *QueryProcessor) prefetchClaim(claim []seqio.Seq) {
 	if qp.resolver == nil || qp.err != nil {
 		return
 	}
-	K, stride, exact := qp.opt.K, qp.opt.stride(), qp.opt.ExactMatch
+	K, exact := qp.opt.K, qp.opt.ExactMatch
 	qp.ansBuf, qp.exactBuf = qp.ansBuf[:0], qp.exactBuf[:0]
 	qp.ansIdx, qp.exactIdx = 0, 0
 	var first []SeedAnswer
@@ -186,10 +190,8 @@ func (qp *QueryProcessor) prefetchClaim(claim []seqio.Seq) {
 			qp.want(canon)
 		}
 		for qp.scan.Next() {
-			if qp.scan.Offset()%stride == 0 {
-				canon, _ := qp.scan.Canonical()
-				qp.want(canon)
-			}
+			canon, _ := qp.scan.Canonical()
+			qp.want(canon)
 		}
 	}
 	rest, err := qp.resolvePhase()
@@ -284,15 +286,10 @@ func (qp *QueryProcessor) Process(qi int32, q dna.Packed) {
 
 	// ---- General path: every seed, lookup, extend (lines 9-12) ----
 	qp.seedHits(res, ok, qrc, 0, L) // the first seed's lookup, reused
-	stride := opt.stride()
 	for qp.scan.Next() {
-		qoff := qp.scan.Offset()
-		if qoff%stride != 0 {
-			continue // the rolling update is O(1); only looked-up seeds pay
-		}
 		canon, qrc := qp.scan.Canonical()
 		res, ok := qp.lookupSeed(canon)
-		qp.seedHits(res, ok, qrc, qoff, L)
+		qp.seedHits(res, ok, qrc, qp.scan.Offset(), L)
 	}
 
 	if len(qp.found) > 0 {
@@ -436,11 +433,11 @@ func (qp *QueryProcessor) candidate(loc dht.Loc, qrc bool, qoff, L int) {
 	tcodes := qp.ft.TargetCodes(frag.Target)
 	qp.acc.FetchTarget(frag.Target, qp.ft.TargetPackedBytes(frag.Target), qp.ft.Owner(loc.Frag))
 
-	winLo := seedT - qoffEff - qp.opt.ExtendPad
+	winLo := seedT - qoffEff - extendPad
 	if winLo < 0 {
 		winLo = 0
 	}
-	winHi := seedT + (L - qoffEff) + qp.opt.ExtendPad
+	winHi := seedT + (L - qoffEff) + extendPad
 	if winHi > len(tcodes) {
 		winHi = len(tcodes)
 	}
@@ -460,7 +457,7 @@ func (qp *QueryProcessor) candidate(loc dht.Loc, qrc bool, qoff, L int) {
 		if extend == nil {
 			extend = align.ExtendSeed
 		}
-		res = extend(qc, tcodes, qoffEff, seedT, qp.opt.K, qp.opt.Scoring, qp.opt.ExtendPad)
+		res = extend(qc, tcodes, qoffEff, seedT, qp.opt.K, qp.opt.Scoring, extendPad)
 	}
 
 	if res.Score < qp.opt.minScore() {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -47,9 +48,8 @@ var snapLayout = merx.Layout{
 // snapshotMeta is the "META" section: everything about the index that is
 // not bulk data, as JSON so the fingerprint stays debuggable with any
 // inspection tool. Index carries the exact IndexOptions of the build —
-// loading restores them verbatim, so query-compatibility checks (K, the
-// MaxLocList/MaxSeedHits constraint) behave identically on built and
-// loaded indexes. Stats restores the seal-time statistics snapshot without
+// loading restores them verbatim, so a loaded index reports the options it
+// was built with. Stats restores the seal-time statistics snapshot without
 // rescanning the mapped table.
 type snapshotMeta struct {
 	Tool         string       `json:"tool"`
@@ -191,9 +191,10 @@ func writeSnapshot(path string, opt IndexOptions, p snapshotPart) (err error) {
 // Failures are typed: a damaged file (truncation, checksum mismatch,
 // impossible offsets) returns an error matching merx.ErrCorrupt that names
 // the failing section, and a file this build cannot use (not a snapshot,
-// future format version, different struct layout, or options that fail
-// validation) returns one matching merx.ErrIncompatible. A loaded index
-// must be released with Close when no longer needed.
+// future format version, different struct layout, options that fail
+// validation, or a seed table with capped location lists) returns one
+// matching merx.ErrIncompatible. A loaded index must be released with Close
+// when no longer needed.
 func LoadIndex(workers int, path string) (*ThreadedIndex, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("core: threads must be positive, got %d", workers)
@@ -244,13 +245,9 @@ func loadFrom(workers int, f *merx.File) (*ThreadedIndex, error) {
 		return nil, &merx.CorruptError{Path: f.Path(), Section: sectionTargets, Reason: fmt.Sprintf("%d targets decoded, metadata says %d", len(targets), meta.NumTargets)}
 	}
 
-	dhtBytes, err := f.SectionData(sectionDHT)
+	sx, err := openTable(f)
 	if err != nil {
 		return nil, err
-	}
-	sx, err := dht.OpenMapped(dhtBytes)
-	if err != nil {
-		return nil, &merx.CorruptError{Path: f.Path(), Section: sectionDHT, Reason: err.Error()}
 	}
 	if sx.K() != meta.Index.K || sx.Shards() != meta.Shards {
 		return nil, &merx.CorruptError{Path: f.Path(), Section: sectionDHT, Reason: fmt.Sprintf(
@@ -297,6 +294,24 @@ func loadFrom(workers int, f *merx.File) (*ThreadedIndex, error) {
 		shard:   shard,
 		snap:    f,
 	}, nil
+}
+
+// openTable maps the snapshot's DHTS section as a sealed seed table. A
+// table written with capped location lists cannot answer every threshold:
+// it is refused as incompatible, any other failure as corrupt.
+func openTable(f *merx.File) (*dht.Sharded, error) {
+	blob, err := f.SectionData(sectionDHT)
+	if err != nil {
+		return nil, err
+	}
+	sx, err := dht.OpenMapped(blob)
+	if errors.Is(err, dht.ErrCappedTable) {
+		return nil, &merx.IncompatibleError{Path: f.Path(), Reason: err.Error()}
+	}
+	if err != nil {
+		return nil, &merx.CorruptError{Path: f.Path(), Section: sectionDHT, Reason: err.Error()}
+	}
+	return sx, nil
 }
 
 // Mapped reports whether this index aliases a loaded snapshot (true after

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/lbl-repro/meraligner/internal/merx"
@@ -117,26 +119,77 @@ func TestSnapshotTargetsPreserved(t *testing.T) {
 	}
 }
 
-// TestSnapshotMaxLocListEnforced: a loaded truncated index must reject
-// incompatible MaxSeedHits exactly like the built one.
-func TestSnapshotMaxLocListEnforced(t *testing.T) {
-	ds := testWorkload(t, 30_000, 1, 0)
-	opt := testOptions(21)
-	iopt := opt.IndexOptions
-	iopt.MaxLocList = 5
-	built, err := BuildIndex(2, iopt, ds.Contigs)
+// rewriteSnapshot copies the snapshot at src to dst section by section
+// through merx.Writer, replacing the payload of every section patch names.
+func rewriteSnapshot(t *testing.T, src, dst string, patch map[string]func([]byte) []byte) {
+	t.Helper()
+	in, err := merx.Open(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, _ := saveLoad(t, built, 2)
-	qopt := opt.QueryOptions
-	qopt.MaxSeedHits = 100 // exceeds the stored MaxLocList
-	if _, err := loaded.Query(context.Background(), 1, qopt, ds.Reads[:5]); err == nil {
-		t.Fatal("loaded index accepted MaxSeedHits beyond its MaxLocList")
+	defer in.Close()
+	out, err := os.Create(dst)
+	if err != nil {
+		t.Fatal(err)
 	}
-	qopt.MaxSeedHits = 5
-	if _, err := loaded.Query(context.Background(), 1, qopt, ds.Reads[:5]); err != nil {
-		t.Fatalf("compatible MaxSeedHits rejected: %v", err)
+	defer out.Close()
+	w, err := merx.NewWriter(out, snapLayout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range in.Sections() {
+		data := sec.Data
+		if fn := patch[sec.Tag]; fn != nil {
+			data = fn(bytes.Clone(data))
+		}
+		if err := w.Section(sec.Tag, func(sw io.Writer) error { _, err := sw.Write(data); return err }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCappedSnapshotRefused: a seed table whose DHTS header word 12 is
+// nonzero was written with capped location lists. It cannot answer every
+// threshold, so both loaders refuse it as incompatible, not corrupt.
+func TestCappedSnapshotRefused(t *testing.T) {
+	ds := testWorkload(t, 30_000, 1, 0)
+	built, err := BuildIndex(2, testOptions(21).IndexOptions, ds.Contigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	whole := filepath.Join(dir, "whole.merx")
+	if err := built.Save(whole); err != nil {
+		t.Fatal(err)
+	}
+	seeds, err := built.SaveSeedShards(filepath.Join(dir, "seeds"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped := map[string]func([]byte) []byte{sectionDHT: func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[12:], 6)
+		return b
+	}}
+	for name, tc := range map[string]struct {
+		src  string
+		load func(string) (io.Closer, error)
+	}{
+		"LoadIndex":     {whole, func(p string) (io.Closer, error) { return LoadIndex(2, p) }},
+		"LoadSeedShard": {seeds[0], func(p string) (io.Closer, error) { return LoadSeedShard(p) }},
+	} {
+		path := filepath.Join(dir, name+".merx")
+		rewriteSnapshot(t, tc.src, path, capped)
+		c, err := tc.load(path)
+		if err == nil {
+			c.Close()
+			t.Fatalf("%s accepted a capped seed table", name)
+		}
+		if !errors.Is(err, merx.ErrIncompatible) || errors.Is(err, merx.ErrCorrupt) || !strings.Contains(err.Error(), "capped") {
+			t.Errorf("%s: %v, want merx.ErrIncompatible naming the capped lists", name, err)
+		}
 	}
 }
 
@@ -301,11 +354,12 @@ func TestSaveDeterministic(t *testing.T) {
 	}
 }
 
-// TestLegacyMetaStillLoads: snapshots written before the simulated machine
-// moved to internal/sim carry three more keys in META.index_options (Mode,
-// SeedCacheBytes, TargetCacheBytes). They describe the simulator, not the
-// index, so the loader ignores them — no format-version bump — and the
-// snapshot serves exactly as a freshly saved one does.
+// TestLegacyMetaStillLoads: older snapshots carry more keys in
+// META.index_options: Mode, SeedCacheBytes and TargetCacheBytes from before
+// the simulated machine moved to internal/sim, and AggS and MaxLocList from
+// before the index had one shape. None of them shapes what the loader reads,
+// so it ignores them — no format-version bump — and the snapshot serves
+// exactly as a freshly saved one does.
 func TestLegacyMetaStillLoads(t *testing.T) {
 	ds := testWorkload(t, 40_000, 2, 0.005)
 	opt := testOptions(21)
@@ -336,33 +390,14 @@ func TestLegacyMetaStillLoads(t *testing.T) {
 }
 `, built.sx.Shards(), len(ds.Contigs), built.ft.NumFragments(), stats)
 
-	path := filepath.Join(t.TempDir(), "legacy.merx")
-	f, err := os.Create(path)
-	if err != nil {
+	dir := t.TempDir()
+	fresh, path := filepath.Join(dir, "fresh.merx"), filepath.Join(dir, "legacy.merx")
+	if err := built.Save(fresh); err != nil {
 		t.Fatal(err)
 	}
-	w, err := merx.NewWriter(f, snapLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sec := range []struct {
-		tag   string
-		write func(io.Writer) error
-	}{
-		{sectionMeta, func(sw io.Writer) error { _, err := io.WriteString(sw, legacyMeta); return err }},
-		{sectionTargets, func(sw io.Writer) error { return writeTargets(sw, ds.Contigs) }},
-		{sectionDHT, func(sw io.Writer) error { _, err := built.sx.WriteTo(sw); return err }},
-	} {
-		if err := w.Section(sec.tag, sec.write); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	rewriteSnapshot(t, fresh, path, map[string]func([]byte) []byte{
+		sectionMeta: func([]byte) []byte { return []byte(legacyMeta) },
+	})
 
 	loaded, err := LoadIndex(2, path)
 	if err != nil {

@@ -141,14 +141,7 @@ func RunThreaded(workers int, opt Options, targets, queries []seqio.Seq) (*Resul
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	iopt := opt.IndexOptions
-	if iopt.MaxLocList == 0 && opt.MaxSeedHits > 0 {
-		// One-shot runs know the sensitivity threshold at build time, so
-		// they can cap stored location lists just past it (the pre-split
-		// engine's memory behavior). Persistent indexes keep full lists.
-		iopt.MaxLocList = opt.MaxSeedHits + 1
-	}
-	ix, err := BuildIndex(workers, iopt, targets)
+	ix, err := BuildIndex(workers, opt.IndexOptions, targets)
 	if err != nil {
 		return nil, err
 	}

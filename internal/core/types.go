@@ -34,22 +34,11 @@ import (
 type IndexOptions struct {
 	K int // seed length (paper: 51 for human/wheat, 19 for E. coli)
 
-	AggS int // aggregation buffer size S of index construction (paper: 1000)
-
 	// Exact-match optimization (Fig 10 ablation): marking single-copy
 	// fragments is an index-construction phase, so the fast path can only
 	// be used at query time when the index was built with it.
 	ExactMatch  bool
 	FragmentLen int // target fragmentation length F (0 disables fragmentation)
-
-	// MaxLocList caps the stored location list per seed (0 = store every
-	// occurrence). Occurrence COUNTS stay exact either way, so the §IV-C
-	// MaxSeedHits threshold still filters correctly — but a query may only
-	// use MaxSeedHits <= MaxLocList (enforced by Query), since a seed
-	// passing the threshold must have its complete list. One-shot runs set
-	// this to MaxSeedHits+1 automatically; persistent indexes meant to
-	// serve arbitrary thresholds should leave it 0.
-	MaxLocList int
 }
 
 // QueryOptions is the query-time half of a merAligner configuration: the
@@ -61,14 +50,6 @@ type QueryOptions struct {
 	// Sensitivity threshold: seeds occurring more often than this are
 	// skipped during candidate generation (0 = unlimited) — §IV-C.
 	MaxSeedHits int
-
-	// SeedStride looks up every SeedStride-th query seed on the general
-	// path (1 = every seed, the paper's behavior). Larger strides trade
-	// sensitivity for speed on scaled-down workloads.
-	SeedStride int
-
-	// ExtendPad widens the Smith-Waterman window around the seed diagonal.
-	ExtendPad int
 
 	// MinScore filters reported alignments; 0 defaults to K (a bare seed).
 	MinScore int
@@ -143,7 +124,6 @@ type ExtendFunc func(query, target []byte, qOff, tOff, k int, sc align.Scoring, 
 func DefaultIndexOptions(k int) IndexOptions {
 	return IndexOptions{
 		K:           k,
-		AggS:        1000,
 		ExactMatch:  true,
 		FragmentLen: 2000,
 	}
@@ -154,8 +134,6 @@ func DefaultQueryOptions() QueryOptions {
 	return QueryOptions{
 		Scoring:     align.DefaultScoring,
 		MaxSeedHits: 1000,
-		SeedStride:  1,
-		ExtendPad:   24,
 	}
 }
 
@@ -175,46 +153,18 @@ func (o IndexOptions) Validate() error {
 	if o.FragmentLen != 0 && o.FragmentLen <= o.K {
 		return fmt.Errorf("core: FragmentLen %d must exceed K %d", o.FragmentLen, o.K)
 	}
-	if o.MaxLocList < 0 {
-		return fmt.Errorf("core: negative MaxLocList")
-	}
 	return nil
 }
 
 // Validate reports query-time option errors.
-func (o QueryOptions) Validate() error {
-	if err := o.Scoring.Validate(); err != nil {
-		return err
-	}
-	if o.SeedStride < 0 {
-		return fmt.Errorf("core: negative SeedStride")
-	}
-	return nil
-}
+func (o QueryOptions) Validate() error { return o.Scoring.Validate() }
 
-// checkQueryCompat reports the one cross-half constraint: a truncated index
-// (MaxLocList > 0) cannot serve a MaxSeedHits threshold that needs complete
-// location lists — a seed passing the threshold must have every stored
-// occurrence. Enforced up front by Options.Validate for one-shot runs and
-// per call by ThreadedIndex.Query for resident indexes.
-func (o IndexOptions) checkQueryCompat(q QueryOptions) error {
-	if o.MaxLocList > 0 && (q.MaxSeedHits == 0 || q.MaxSeedHits > o.MaxLocList) {
-		return fmt.Errorf("core: MaxSeedHits %d needs complete location lists but the index stores at most %d (IndexOptions.MaxLocList)",
-			q.MaxSeedHits, o.MaxLocList)
-	}
-	return nil
-}
-
-// Validate reports option errors in either half, plus the cross-half
-// truncation/threshold constraint a one-shot run can check up front.
+// Validate reports option errors in either half.
 func (o Options) Validate() error {
 	if err := o.IndexOptions.Validate(); err != nil {
 		return err
 	}
-	if err := o.QueryOptions.Validate(); err != nil {
-		return err
-	}
-	return o.IndexOptions.checkQueryCompat(o.QueryOptions)
+	return o.QueryOptions.Validate()
 }
 
 func (o Options) minScore() int {
@@ -222,13 +172,6 @@ func (o Options) minScore() int {
 		return o.MinScore
 	}
 	return o.K
-}
-
-func (o Options) stride() int {
-	if o.SeedStride <= 0 {
-		return 1
-	}
-	return o.SeedStride
 }
 
 // QueryStatus classifies how the aligning phase admitted one query.

@@ -76,7 +76,7 @@ func SortEntries(es []SeedEntry) {
 // LookupResult is the outcome of a seed lookup.
 type LookupResult struct {
 	Locs  []Loc // shared slice; callers must not modify
-	Count int32 // total occurrences (>= len(Locs) when the list was capped)
+	Count int32 // total occurrences (> len(Locs) on a Restrict carve or in the simulator's capped lists)
 }
 
 // Stats summarizes the constructed index.

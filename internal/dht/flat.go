@@ -19,13 +19,12 @@ import (
 // map oracle and against the simulated index in the parity tests.
 
 // flatEntry is one occupied slot of the table. n == 0 marks an empty
-// slot: every present seed stores at least one location, even when the list
-// was capped by MaxLocList.
+// slot: every present seed stores at least one location.
 type flatEntry struct {
 	seed kmer.Kmer
 	off  int32 // first location in the shard's arena
 	n    int32 // stored locations (list length)
-	cnt  int32 // total occurrences (>= n when the list was capped)
+	cnt  int32 // total occurrences: n, or the whole reference's count on a Restrict carve
 }
 
 // flatShard is one partition of the index: a power-of-two
@@ -48,24 +47,17 @@ const minFlatBits = 4
 // newFlatShard builds shard id's table from its staged entries, which must
 // be in SortEntries order. Equal seeds are then adjacent, so one counting
 // pass sizes the slot array and the arena exactly and one run-length pass
-// fills them: each run stores its first maxLoc locations (0 = all) and counts
-// every occurrence. Seeds are placed in sorted order, so the layout is a
-// function of the table content alone. Slots and locations are written field
-// by field into zeroed memory: the in-record padding a snapshot dumps is
-// zero by construction, whatever the staging buffers held.
-func newFlatShard(id int, es []SeedEntry, maxLoc int) flatShard {
-	if maxLoc == 0 {
-		maxLoc = math.MaxInt
-	}
-	distinct, stored, longest := 0, 0, 0
-	for i := 0; i < len(es); {
-		run := runLen(es[i:])
+// fills them, storing every location of each run. Seeds are placed in
+// sorted order, so the layout is a function of the table content alone.
+// Slots and locations are written field by field into zeroed memory: the
+// in-record padding a snapshot dumps is zero by construction, whatever the
+// staging buffers held.
+func newFlatShard(id int, es []SeedEntry) flatShard {
+	distinct := 0
+	for i := 0; i < len(es); i += runLen(es[i:]) {
 		distinct++
-		stored += min(run, maxLoc)
-		longest = max(longest, run)
-		i += run
 	}
-	checkShardCounts(id, int64(stored), int64(longest))
+	checkShardCounts(id, int64(len(es)))
 
 	bits := uint(minFlatBits)
 	// Load factor <= 0.75: distinct <= 0.75 * 2^bits.
@@ -75,13 +67,12 @@ func newFlatShard(id int, es []SeedEntry, maxLoc int) flatShard {
 	fs := flatShard{
 		shift: 64 - bits,
 		slots: make([]flatEntry, 1<<bits),
-		locs:  make([]Loc, stored),
+		locs:  make([]Loc, len(es)),
 	}
 	mask := 1<<bits - 1
 	off := 0
 	for i := 0; i < len(es); {
-		run := runLen(es[i:])
-		n := min(run, maxLoc)
+		n := runLen(es[i:])
 		for j := 0; j < n; j++ {
 			src, dst := &es[i+j].Loc, &fs.locs[off+j]
 			dst.Frag, dst.Off, dst.RC = src.Frag, src.Off, src.RC
@@ -92,9 +83,9 @@ func newFlatShard(id int, es []SeedEntry, maxLoc int) flatShard {
 			p = (p + 1) & mask
 		}
 		e := &fs.slots[p]
-		e.seed, e.off, e.n, e.cnt = seed, int32(off), int32(n), int32(run)
+		e.seed, e.off, e.n, e.cnt = seed, int32(off), int32(n), int32(n)
 		off += n
-		i += run
+		i += n
 	}
 	return fs
 }
@@ -110,11 +101,12 @@ func runLen(es []SeedEntry) int {
 }
 
 // checkShardCounts panics when one shard's contents outgrow the int32 fields
-// of flatEntry: off and n index the location arena, cnt holds a run length.
-func checkShardCounts(shard int, stored, longestRun int64) {
-	if stored > math.MaxInt32 || longestRun > math.MaxInt32 {
-		panic(fmt.Sprintf("dht: sharded location arena overflow (shard %d: %d stored locations, longest run %d, limit %d): too few shards",
-			shard, stored, longestRun, math.MaxInt32))
+// of flatEntry: off and n index the location arena, and cnt, a run length,
+// never exceeds the stored locations of the table it was counted in.
+func checkShardCounts(shard int, stored int64) {
+	if stored > math.MaxInt32 {
+		panic(fmt.Sprintf("dht: sharded location arena overflow (shard %d: %d stored locations, limit %d): too few shards",
+			shard, stored, math.MaxInt32))
 	}
 }
 

@@ -23,9 +23,9 @@ type oracleEntry struct {
 // naiveOracle is the test-only reference the flat table is checked against:
 // a plain Go map filled one entry at a time from the entries in (seed, frag,
 // off, strand) order — sorted here with its own reflection-based comparator,
-// so it also pins the order SortEntries produces — with every list capped at
-// maxLoc (0 = unlimited) and every occurrence counted.
-func naiveOracle(es []SeedEntry, maxLoc int) map[kmer.Kmer]oracleEntry {
+// so it also pins the order SortEntries produces — with every occurrence
+// stored and counted.
+func naiveOracle(es []SeedEntry) map[kmer.Kmer]oracleEntry {
 	sorted := append([]SeedEntry(nil), es...)
 	sort.Slice(sorted, func(i, j int) bool {
 		a, b := sorted[i], sorted[j]
@@ -44,9 +44,7 @@ func naiveOracle(es []SeedEntry, maxLoc int) map[kmer.Kmer]oracleEntry {
 	for _, e := range sorted {
 		ent := m[e.Seed]
 		ent.count++
-		if maxLoc == 0 || len(ent.locs) < maxLoc {
-			ent.locs = append(ent.locs, e.Loc)
-		}
+		ent.locs = append(ent.locs, e.Loc)
 		m[e.Seed] = ent
 	}
 	return m
@@ -123,11 +121,11 @@ const sealedK, sealedFrags = 21, 60
 // sealedWorkload builds a sharded index from a randomized entry set and
 // returns it (drained and marked, not yet sealed) along with its oracle and a
 // set of absent probe seeds.
-func sealedWorkload(t *testing.T, seed int64, maxLoc int) (*Sharded, map[kmer.Kmer]oracleEntry, []kmer.Kmer) {
+func sealedWorkload(t *testing.T, seed int64) (*Sharded, map[kmer.Kmer]oracleEntry, []kmer.Kmer) {
 	t.Helper()
 	es := randomEntries(seed, sealedFrags, 40, 400, sealedK)
-	sx := buildSharded(t, ShardedConfig{K: sealedK, S: 64, MaxLocList: maxLoc, Shards: 16}, es, sealedFrags, 3)
-	oracle := naiveOracle(es, maxLoc)
+	sx := buildSharded(t, ShardedConfig{K: sealedK, S: 64, Shards: 16}, es, sealedFrags, 3)
+	oracle := naiveOracle(es)
 	return sx, oracle, absentSeeds(rand.New(rand.NewSource(seed+1)), oracle, sealedK, 200)
 }
 
@@ -136,18 +134,16 @@ func sealedWorkload(t *testing.T, seed int64, maxLoc int) (*Sharded, map[kmer.Km
 // what the naive map holds — same location lists in the same order, same
 // occurrence counts, same misses — both as the drain left it and after Seal.
 func TestSealedLookupMatchesBuckets(t *testing.T) {
-	for _, maxLoc := range []int{0, 3} {
-		sx, oracle, misses := sealedWorkload(t, 11, maxLoc)
-		checkAgainstOracle(t, fmt.Sprintf("maxLoc=%d drained", maxLoc), sx, oracle, misses, sealedFrags)
-		sx.Seal()
-		checkAgainstOracle(t, fmt.Sprintf("maxLoc=%d sealed", maxLoc), sx, oracle, misses, sealedFrags)
-	}
+	sx, oracle, misses := sealedWorkload(t, 11)
+	checkAgainstOracle(t, "drained", sx, oracle, misses, sealedFrags)
+	sx.Seal()
+	checkAgainstOracle(t, "sealed", sx, oracle, misses, sealedFrags)
 }
 
 // TestSealedLocsCapacityLimited: an append on a returned location list must
 // not clobber the neighbouring entry in the shared arena.
 func TestSealedLocsCapacityLimited(t *testing.T) {
-	sx, oracle, _ := sealedWorkload(t, 13, 0)
+	sx, oracle, _ := sealedWorkload(t, 13)
 	sx.Seal()
 	for s := range oracle {
 		res, ok := sx.Lookup(s)
@@ -164,7 +160,7 @@ func TestSealedLocsCapacityLimited(t *testing.T) {
 // TestSealedStatsMatchBuckets: Stats scanned from the flat layout must equal
 // the Stats derived from the naive map, and Seal must not change them.
 func TestSealedStatsMatchBuckets(t *testing.T) {
-	sx, oracle, _ := sealedWorkload(t, 17, 0)
+	sx, oracle, _ := sealedWorkload(t, 17)
 	want := oracleStats(sx, oracle, sealedFrags)
 	if got := sx.Stats(); got != want {
 		t.Fatalf("stats before Seal:\ntable:  %+v\noracle: %+v", got, want)
@@ -179,38 +175,36 @@ func TestSealedStatsMatchBuckets(t *testing.T) {
 // byte, what the flat structures actually hold (slot arrays at their
 // allocated length, arenas at capacity, the single-copy flag array).
 func TestResidentBytesExact(t *testing.T) {
-	for _, maxLoc := range []int{0, 5} {
-		sx, _, _ := sealedWorkload(t, 19, maxLoc)
-		sx.Seal()
+	sx, _, _ := sealedWorkload(t, 19)
+	sx.Seal()
 
-		var want int64
-		for i := range sx.flat {
-			fs := &sx.flat[i]
-			want += int64(len(fs.slots)) * int64(unsafe.Sizeof(flatEntry{}))
-			want += int64(cap(fs.locs)) * int64(unsafe.Sizeof(Loc{}))
-		}
-		want += int64(len(sx.singleCopy)) * int64(unsafe.Sizeof(int32(0)))
+	var want int64
+	for i := range sx.flat {
+		fs := &sx.flat[i]
+		want += int64(len(fs.slots)) * int64(unsafe.Sizeof(flatEntry{}))
+		want += int64(cap(fs.locs)) * int64(unsafe.Sizeof(Loc{}))
+	}
+	want += int64(len(sx.singleCopy)) * int64(unsafe.Sizeof(int32(0)))
 
-		if got := sx.ResidentBytes(); got != want {
-			t.Fatalf("maxLoc=%d: ResidentBytes=%d, structures hold %d", maxLoc, got, want)
-		}
+	if got := sx.ResidentBytes(); got != want {
+		t.Fatalf("ResidentBytes=%d, structures hold %d", got, want)
+	}
 
-		// Sanity-bound the number against the content: it must cover at
-		// least the packed payload (slots for every distinct seed + every
-		// stored location) and, with a <= 0.75 load factor plus the power-of-
-		// two rounding, at most ~8x the minimal slot bytes plus the arena.
-		st := sx.Stats()
-		minBytes := int64(st.DistinctSeeds)*int64(unsafe.Sizeof(flatEntry{})) +
-			int64(st.TotalLocs)*int64(unsafe.Sizeof(Loc{}))
-		if got := sx.ResidentBytes(); got < minBytes || got > 8*minBytes+int64(len(sx.singleCopy)*4)+int64(len(sx.flat))*(1<<minFlatBits)*int64(unsafe.Sizeof(flatEntry{})) {
-			t.Fatalf("maxLoc=%d: ResidentBytes=%d implausible for payload %d", maxLoc, got, minBytes)
-		}
+	// Sanity-bound the number against the content: it must cover at
+	// least the packed payload (slots for every distinct seed + every
+	// stored location) and, with a <= 0.75 load factor plus the power-of-
+	// two rounding, at most ~8x the minimal slot bytes plus the arena.
+	st := sx.Stats()
+	minBytes := int64(st.DistinctSeeds)*int64(unsafe.Sizeof(flatEntry{})) +
+		int64(st.TotalLocs)*int64(unsafe.Sizeof(Loc{}))
+	if got := sx.ResidentBytes(); got < minBytes || got > 8*minBytes+int64(len(sx.singleCopy)*4)+int64(len(sx.flat))*(1<<minFlatBits)*int64(unsafe.Sizeof(flatEntry{})) {
+		t.Fatalf("ResidentBytes=%d implausible for payload %d", got, minBytes)
 	}
 }
 
 // TestSealIdempotent: a second Seal must be a no-op.
 func TestSealIdempotent(t *testing.T) {
-	sx, oracle, misses := sealedWorkload(t, 23, 0)
+	sx, oracle, misses := sealedWorkload(t, 23)
 	sx.Seal()
 	sx.Seal()
 	checkAgainstOracle(t, "double Seal", sx, oracle, misses, sealedFrags)
@@ -281,7 +275,7 @@ func BenchmarkSealedLookup(b *testing.B) {
 }
 
 // TestPropertyDrainMatchesOracle: over random entry sets with heavy repeats,
-// every list cap, shard count and staging size, built by 1-4 concurrent
+// every shard count and staging size, built by 1-4 concurrent
 // builders shipping in shuffled order, the table must hold exactly what the
 // naive map holds, report the exact footprint, respect the load factor, and
 // be the same bytes — slot by slot, location by location, padding included —
@@ -289,70 +283,67 @@ func BenchmarkSealedLookup(b *testing.B) {
 func TestPropertyDrainMatchesOracle(t *testing.T) {
 	const k, numFrags = 19, 12
 	rng := rand.New(rand.NewSource(29))
-	for _, maxLoc := range []int{0, 1, 3} {
-		for _, shards := range []int{1, 3, 16} {
-			for _, S := range []int{1, 7, 1000} {
-				// A pool far smaller than the entry count: most seeds repeat,
-				// many past any cap.
-				es := randomEntries(rng.Int63(), numFrags, 50+rng.Intn(100), 20+rng.Intn(200), k)
-				oracle := naiveOracle(es, maxLoc)
-				misses := absentSeeds(rng, oracle, k, 50)
-				cfg := ShardedConfig{K: k, S: S, MaxLocList: maxLoc, Shards: shards}
-				var ref *Sharded
-				for builders := 1; builders <= 4; builders++ {
-					label := fmt.Sprintf("maxLoc=%d shards=%d S=%d builders=%d", maxLoc, shards, S, builders)
-					rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
-					sx := stageSharded(t, cfg, es, numFrags, builders)
-					// Staged entries travel by memmove, so their padding holds
-					// whatever the staging buffers held: make that worst case
-					// deterministic.
-					entryBytes := int(unsafe.Sizeof(SeedEntry{}))
-					for j, raw := 0, rawBytes(sx.arena); j < len(raw); j++ {
-						if j%entryBytes >= int(unsafe.Offsetof(SeedEntry{}.Loc))+9 {
-							raw[j] = 0xA5
-						}
+	for _, shards := range []int{1, 3, 16} {
+		for _, S := range []int{1, 7, 1000} {
+			// A pool far smaller than the entry count: most seeds repeat.
+			es := randomEntries(rng.Int63(), numFrags, 50+rng.Intn(100), 20+rng.Intn(200), k)
+			oracle := naiveOracle(es)
+			misses := absentSeeds(rng, oracle, k, 50)
+			cfg := ShardedConfig{K: k, S: S, Shards: shards}
+			var ref *Sharded
+			for builders := 1; builders <= 4; builders++ {
+				label := fmt.Sprintf("shards=%d S=%d builders=%d", shards, S, builders)
+				rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+				sx := stageSharded(t, cfg, es, numFrags, builders)
+				// Staged entries travel by memmove, so their padding holds
+				// whatever the staging buffers held: make that worst case
+				// deterministic.
+				entryBytes := int(unsafe.Sizeof(SeedEntry{}))
+				for j, raw := 0, rawBytes(sx.arena); j < len(raw); j++ {
+					if j%entryBytes >= int(unsafe.Offsetof(SeedEntry{}.Loc))+9 {
+						raw[j] = 0xA5
 					}
-					drainAndMark(sx)
-					checkAgainstOracle(t, label, sx, oracle, misses, numFrags)
+				}
+				drainAndMark(sx)
+				checkAgainstOracle(t, label, sx, oracle, misses, numFrags)
 
-					want := int64(4 * numFrags)
-					for i := range sx.flat {
-						fs := &sx.flat[i]
-						want += int64(len(fs.slots))*FlatEntryWireBytes + int64(cap(fs.locs))*LocWireBytes
-						occupied := 0
-						for j := range fs.slots {
-							if fs.slots[j].n != 0 {
-								occupied++
-							}
-						}
-						if 4*occupied > 3*len(fs.slots) {
-							t.Fatalf("%s shard %d: %d of %d slots occupied, load factor > 0.75", label, i, occupied, len(fs.slots))
-						}
-						for j, b := range rawBytes(fs.locs) {
-							if j%LocWireBytes >= 9 && b != 0 {
-								t.Fatalf("%s shard %d: non-zero padding byte %d in location %d", label, i, j%LocWireBytes, j/LocWireBytes)
-							}
-						}
-						for j, b := range rawBytes(fs.slots) {
-							if j%FlatEntryWireBytes >= 28 && b != 0 {
-								t.Fatalf("%s shard %d: non-zero padding byte %d in slot %d", label, i, j%FlatEntryWireBytes, j/FlatEntryWireBytes)
-							}
+				want := int64(4 * numFrags)
+				for i := range sx.flat {
+					fs := &sx.flat[i]
+					want += int64(len(fs.slots))*FlatEntryWireBytes + int64(cap(fs.locs))*LocWireBytes
+					occupied := 0
+					for j := range fs.slots {
+						if fs.slots[j].n != 0 {
+							occupied++
 						}
 					}
-					if got := sx.ResidentBytes(); got != want {
-						t.Fatalf("%s: ResidentBytes=%d, structures hold %d", label, got, want)
+					if 4*occupied > 3*len(fs.slots) {
+						t.Fatalf("%s shard %d: %d of %d slots occupied, load factor > 0.75", label, i, occupied, len(fs.slots))
 					}
+					for j, b := range rawBytes(fs.locs) {
+						if j%LocWireBytes >= 9 && b != 0 {
+							t.Fatalf("%s shard %d: non-zero padding byte %d in location %d", label, i, j%LocWireBytes, j/LocWireBytes)
+						}
+					}
+					for j, b := range rawBytes(fs.slots) {
+						if j%FlatEntryWireBytes >= 28 && b != 0 {
+							t.Fatalf("%s shard %d: non-zero padding byte %d in slot %d", label, i, j%FlatEntryWireBytes, j/FlatEntryWireBytes)
+						}
+					}
+				}
+				if got := sx.ResidentBytes(); got != want {
+					t.Fatalf("%s: ResidentBytes=%d, structures hold %d", label, got, want)
+				}
 
-					if ref == nil {
-						ref = sx
-						continue
-					}
-					for i := range sx.flat {
-						if sx.flat[i].shift != ref.flat[i].shift ||
-							!bytes.Equal(rawBytes(sx.flat[i].slots), rawBytes(ref.flat[i].slots)) ||
-							!bytes.Equal(rawBytes(sx.flat[i].locs), rawBytes(ref.flat[i].locs)) {
-							t.Fatalf("%s: shard %d differs from the 1-builder table", label, i)
-						}
+				if ref == nil {
+					ref = sx
+					continue
+				}
+				for i := range sx.flat {
+					if sx.flat[i].shift != ref.flat[i].shift ||
+						!bytes.Equal(rawBytes(sx.flat[i].slots), rawBytes(ref.flat[i].slots)) ||
+						!bytes.Equal(rawBytes(sx.flat[i].locs), rawBytes(ref.flat[i].locs)) {
+						t.Fatalf("%s: shard %d differs from the 1-builder table", label, i)
 					}
 				}
 			}
@@ -360,20 +351,16 @@ func TestPropertyDrainMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestShardCountsGuard: a shard whose stored locations or longest run would
-// wrap the int32 slot fields must panic naming the shard and the count, and
-// the largest representable shard must not.
+// TestShardCountsGuard: a shard whose stored locations would wrap the int32
+// slot fields must panic naming the shard and the count, and the largest
+// representable shard must not.
 func TestShardCountsGuard(t *testing.T) {
-	checkShardCounts(0, math.MaxInt32, math.MaxInt32)
-	for _, c := range [][2]int64{{math.MaxInt32 + 1, 1}, {3, math.MaxInt32 + 1}} {
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "arena overflow") || !strings.Contains(msg, "shard 7") || !strings.Contains(msg, "2147483648") {
-					t.Errorf("checkShardCounts(7, %d, %d) panicked with %q", c[0], c[1], msg)
-				}
-			}()
-			checkShardCounts(7, c[0], c[1])
-		}()
-	}
+	checkShardCounts(0, math.MaxInt32)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "arena overflow") || !strings.Contains(msg, "shard 7") || !strings.Contains(msg, "2147483648") {
+			t.Errorf("checkShardCounts(7, 2147483648) panicked with %q", msg)
+		}
+	}()
+	checkShardCounts(7, math.MaxInt32+1)
 }

@@ -13,7 +13,7 @@ func fuzzSeedBlob(f *testing.F) []byte {
 	f.Helper()
 	const k, numFrags = 21, 8
 	es := randomEntries(7, numFrags, 12, 40, k)
-	sx, err := NewSharded(ShardedConfig{K: k, S: 16, MaxLocList: 4, Shards: 4}, numFrags, len(es), 1)
+	sx, err := NewSharded(ShardedConfig{K: k, S: 16, Shards: 4}, numFrags, len(es), 1)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func (fs *flatShard) restrict(id int, lo, hi int32) flatShard {
 		}
 	}
 	SortEntries(es)
-	out := newFlatShard(id, es, 0)
+	out := newFlatShard(id, es)
 	for i := range out.slots {
 		if e := &out.slots[i]; e.n != 0 {
 			res, _ := fs.lookup(e.seed, e.seed.Hash())

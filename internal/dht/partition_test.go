@@ -192,7 +192,7 @@ func TestPartitionErrors(t *testing.T) {
 }
 
 // TestPropertyRestrictMatchesOracle: over random entry sets with heavy
-// repeats, every list cap and several shard counts, carving a fragment range
+// repeats and several shard counts, carving a fragment range
 // — empty at either edge, the full range, random ones between — must hold
 // exactly the naive oracle filtered to the range: the whole table's stored
 // locations inside it, rebased, under whole-table counts, with the range's
@@ -201,62 +201,60 @@ func TestPartitionErrors(t *testing.T) {
 func TestPropertyRestrictMatchesOracle(t *testing.T) {
 	const k, numFrags = 19, 12
 	rng := rand.New(rand.NewSource(31))
-	for _, maxLoc := range []int{0, 1, 3} {
-		for _, shards := range []int{1, 3, 16} {
-			es := randomEntries(rng.Int63(), numFrags, 50+rng.Intn(100), 20+rng.Intn(200), k)
-			sx := buildSharded(t, ShardedConfig{K: k, S: 7, MaxLocList: maxLoc, Shards: shards}, es, numFrags, 2)
-			sx.Seal()
-			oracle := naiveOracle(es, maxLoc)
-			misses := absentSeeds(rng, oracle, k, 20)
-			ranges := [][2]int{{0, 0}, {numFrags, numFrags}, {0, numFrags}}
-			for range 6 {
-				lo := rng.Intn(numFrags + 1)
-				ranges = append(ranges, [2]int{lo, lo + rng.Intn(numFrags-lo+1)})
-			}
-			for _, r := range ranges {
-				lo, hi := r[0], r[1]
-				label := fmt.Sprintf("maxLoc=%d shards=%d range=[%d,%d)", maxLoc, shards, lo, hi)
-				got, err := sx.Restrict(lo, hi)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				want := map[kmer.Kmer]oracleEntry{}
-				absent := slices.Clone(misses)
-				for seed, ent := range oracle {
-					var locs []Loc
-					for _, l := range ent.locs {
-						if int(l.Frag) >= lo && int(l.Frag) < hi {
-							l.Frag -= int32(lo)
-							locs = append(locs, l)
-						}
-					}
-					if locs == nil {
-						absent = append(absent, seed)
-						continue
-					}
-					want[seed] = oracleEntry{locs: locs, count: ent.count}
-				}
-				checkAgainstOracle(t, label, got, want, absent, hi-lo)
-				for f := lo; f < hi; f++ {
-					if got.SingleCopy(f-lo) != sx.SingleCopy(f) {
-						t.Fatalf("%s: single-copy flag of fragment %d differs from the whole table's", label, f)
-					}
-				}
-			}
-			full, err := sx.Restrict(0, numFrags)
+	for _, shards := range []int{1, 3, 16} {
+		es := randomEntries(rng.Int63(), numFrags, 50+rng.Intn(100), 20+rng.Intn(200), k)
+		sx := buildSharded(t, ShardedConfig{K: k, S: 7, Shards: shards}, es, numFrags, 2)
+		sx.Seal()
+		oracle := naiveOracle(es)
+		misses := absentSeeds(rng, oracle, k, 20)
+		ranges := [][2]int{{0, 0}, {numFrags, numFrags}, {0, numFrags}}
+		for range 6 {
+			lo := rng.Intn(numFrags + 1)
+			ranges = append(ranges, [2]int{lo, lo + rng.Intn(numFrags-lo+1)})
+		}
+		for _, r := range ranges {
+			lo, hi := r[0], r[1]
+			label := fmt.Sprintf("shards=%d range=[%d,%d)", shards, lo, hi)
+			got, err := sx.Restrict(lo, hi)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			var a, b bytes.Buffer
-			if _, err := sx.WriteTo(&a); err != nil {
-				t.Fatal(err)
+			want := map[kmer.Kmer]oracleEntry{}
+			absent := slices.Clone(misses)
+			for seed, ent := range oracle {
+				var locs []Loc
+				for _, l := range ent.locs {
+					if int(l.Frag) >= lo && int(l.Frag) < hi {
+						l.Frag -= int32(lo)
+						locs = append(locs, l)
+					}
+				}
+				if locs == nil {
+					absent = append(absent, seed)
+					continue
+				}
+				want[seed] = oracleEntry{locs: locs, count: ent.count}
 			}
-			if _, err := full.WriteTo(&b); err != nil {
-				t.Fatal(err)
+			checkAgainstOracle(t, label, got, want, absent, hi-lo)
+			for f := lo; f < hi; f++ {
+				if got.SingleCopy(f-lo) != sx.SingleCopy(f) {
+					t.Fatalf("%s: single-copy flag of fragment %d differs from the whole table's", label, f)
+				}
 			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatalf("maxLoc=%d shards=%d: the full-range carve writes different bytes from its source", maxLoc, shards)
-			}
+		}
+		full, err := sx.Restrict(0, numFrags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a, b bytes.Buffer
+		if _, err := sx.WriteTo(&a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := full.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("shards=%d: the full-range carve writes different bytes from its source", shards)
 		}
 	}
 }

@@ -30,10 +30,9 @@ import (
 
 // ShardedConfig parameterizes a concurrent build.
 type ShardedConfig struct {
-	K          int // seed length
-	S          int // staging buffer size per (worker, shard); paper uses 1000
-	MaxLocList int // cap on stored locations per seed; 0 = unlimited
-	Shards     int // table partitions; 0 picks a default from the worker count
+	K      int // seed length
+	S      int // staging buffer size per (worker, shard); 0 = the paper's 1000
+	Shards int // table partitions; 0 picks a default from the worker count
 }
 
 // segment records one shipped batch: arena[Off:Off+N] belongs to Shard.
@@ -227,7 +226,7 @@ func (sx *Sharded) DrainShard(s int) {
 		es = append(es, sx.arena[sg.Off:sg.Off+int64(sg.N)]...)
 	}
 	SortEntries(es)
-	sx.flat[s] = newFlatShard(s, es, sx.cfg.MaxLocList)
+	sx.flat[s] = newFlatShard(s, es)
 }
 
 // Seal marks construction complete: the staging arena is released and the

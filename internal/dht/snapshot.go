@@ -2,6 +2,7 @@ package dht
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -22,7 +23,7 @@ import (
 // integer little-endian, every array 64-byte aligned relative to the blob
 // start) is specified field by field in docs/INDEX_FORMAT.md:
 //
-//	header (64 B): version, K, shards, maxLocList, numFragments,
+//	header (64 B): version, K, shards, reserved (0), numFragments,
 //	               singleCopyOff, dirOff
 //	singleCopy:    numFragments x i32
 //	directory:     shards x 48 B {shift, slotsLen, slotsOff, locsLen, locsOff}
@@ -50,6 +51,11 @@ var (
 	_ = [1]struct{}{}[unsafe.Sizeof(flatEntry{})-FlatEntryWireBytes]
 	_ = [1]struct{}{}[unsafe.Sizeof(Loc{})-LocWireBytes]
 )
+
+// ErrCappedTable is matched (via errors.Is) by OpenMapped's refusal of a
+// table whose header word 12 is nonzero: it was written by a build that
+// capped location lists, so it cannot answer every MaxSeedHits threshold.
+var ErrCappedTable = errors.New("dht: snapshot table stores capped location lists")
 
 const (
 	snapVersion    = 1
@@ -123,7 +129,6 @@ func (sx *Sharded) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint32(hdr[0:], snapVersion)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(sx.cfg.K))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(shards))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(sx.cfg.MaxLocList))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(sx.numFragments))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(singleCopyOff))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(dirOff))
@@ -201,12 +206,14 @@ func OpenMapped(blob []byte) (*Sharded, error) {
 	}
 	k := int(binary.LittleEndian.Uint32(blob[4:]))
 	shards := int(binary.LittleEndian.Uint32(blob[8:]))
-	maxLocList := int(binary.LittleEndian.Uint32(blob[12:]))
 	numFragments := int64(binary.LittleEndian.Uint64(blob[16:]))
 	singleCopyOff := int64(binary.LittleEndian.Uint64(blob[24:]))
 	dirOff := int64(binary.LittleEndian.Uint64(blob[32:]))
 	if k <= 0 || k > kmer.MaxK {
 		return nil, fmt.Errorf("dht: snapshot seed length %d out of range 1..%d", k, kmer.MaxK)
+	}
+	if capped := binary.LittleEndian.Uint32(blob[12:]); capped != 0 {
+		return nil, fmt.Errorf("%w (header word 12 is %d)", ErrCappedTable, capped)
 	}
 	if shards <= 0 || shards > maxSnapShards {
 		return nil, fmt.Errorf("dht: snapshot shard count %d out of range", shards)
@@ -224,7 +231,7 @@ func OpenMapped(blob []byte) (*Sharded, error) {
 	}
 
 	sx := &Sharded{
-		cfg:          ShardedConfig{K: k, MaxLocList: maxLocList, Shards: shards},
+		cfg:          ShardedConfig{K: k, Shards: shards},
 		flat:         make([]flatShard, shards),
 		singleCopy:   singleCopy,
 		numFragments: int(numFragments),

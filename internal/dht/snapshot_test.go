@@ -42,32 +42,30 @@ func snapshotRoundTrip(t *testing.T, sx *Sharded) *Sharded {
 func TestSnapshotRoundTrip(t *testing.T) {
 	const k, numFrags = 21, 40
 	es := randomEntries(11, numFrags, 50, 300, k)
-	for _, maxLoc := range []int{0, 3} {
-		sx := buildSharded(t, ShardedConfig{K: k, S: 16, MaxLocList: maxLoc, Shards: 8}, es, numFrags, 4)
-		sx.Seal()
-		m := snapshotRoundTrip(t, sx)
+	sx := buildSharded(t, ShardedConfig{K: k, S: 16, Shards: 8}, es, numFrags, 4)
+	sx.Seal()
+	m := snapshotRoundTrip(t, sx)
 
-		if m.K() != sx.K() || m.Shards() != sx.Shards() || !m.Sealed() {
-			t.Fatalf("mapped index K=%d shards=%d sealed=%v, want K=%d shards=%d sealed", m.K(), m.Shards(), m.Sealed(), sx.K(), sx.Shards())
+	if m.K() != sx.K() || m.Shards() != sx.Shards() || !m.Sealed() {
+		t.Fatalf("mapped index K=%d shards=%d sealed=%v, want K=%d shards=%d sealed", m.K(), m.Shards(), m.Sealed(), sx.K(), sx.Shards())
+	}
+	for _, e := range es {
+		want, wok := sx.Lookup(e.Seed)
+		got, gok := m.Lookup(e.Seed)
+		if wok != gok || want.Count != got.Count || !reflect.DeepEqual(want.Locs, got.Locs) {
+			t.Fatalf("seed %v: mapped lookup %+v/%v, want %+v/%v", e.Seed, got, gok, want, wok)
 		}
-		for _, e := range es {
-			want, wok := sx.Lookup(e.Seed)
-			got, gok := m.Lookup(e.Seed)
-			if wok != gok || want.Count != got.Count || !reflect.DeepEqual(want.Locs, got.Locs) {
-				t.Fatalf("maxLoc=%d seed %v: mapped lookup %+v/%v, want %+v/%v", maxLoc, e.Seed, got, gok, want, wok)
-			}
+	}
+	for f := 0; f < numFrags; f++ {
+		if m.SingleCopy(f) != sx.SingleCopy(f) {
+			t.Fatalf("fragment %d: mapped SingleCopy %v, want %v", f, m.SingleCopy(f), sx.SingleCopy(f))
 		}
-		for f := 0; f < numFrags; f++ {
-			if m.SingleCopy(f) != sx.SingleCopy(f) {
-				t.Fatalf("fragment %d: mapped SingleCopy %v, want %v", f, m.SingleCopy(f), sx.SingleCopy(f))
-			}
-		}
-		if got, want := m.Stats(), sx.Stats(); got != want {
-			t.Errorf("mapped stats %+v, want %+v", got, want)
-		}
-		if got, want := m.ResidentBytes(), sx.ResidentBytes(); got != want {
-			t.Errorf("mapped ResidentBytes %d, want %d", got, want)
-		}
+	}
+	if got, want := m.Stats(), sx.Stats(); got != want {
+		t.Errorf("mapped stats %+v, want %+v", got, want)
+	}
+	if got, want := m.ResidentBytes(), sx.ResidentBytes(); got != want {
+		t.Errorf("mapped ResidentBytes %d, want %d", got, want)
 	}
 }
 
@@ -131,6 +129,7 @@ func TestOpenMappedRejectsDamage(t *testing.T) {
 		{"bad version", func(b []byte) []byte { b[0] = 99; return b }, "version"},
 		{"bad K", func(b []byte) []byte { b[4] = 0xFF; b[5] = 0xFF; return b }, "seed length"},
 		{"bad shards", func(b []byte) []byte { b[8], b[9], b[10], b[11] = 0xFF, 0xFF, 0xFF, 0x7F; return b }, "shard count"},
+		{"capped lists", func(b []byte) []byte { b[12] = 6; return b }, "capped"},
 	}
 	for _, tc := range cases {
 		blob := tc.mangle(alignedCopy(good))

@@ -276,8 +276,8 @@ func (oc *ownerConn) lookupFrame(ctx context.Context, seeds []kmer.Kmer, out []L
 			return err
 		}
 		defer resp.Body.Close()
-		// Responses are bounded by the server's own location-list caps; the
-		// read limit is a backstop against a misbehaving peer, not a budget.
+		// A response carries every stored location of the seeds asked for;
+		// the read limit is a backstop against a misbehaving peer, not a budget.
 		raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<28))
 		if err != nil {
 			return err

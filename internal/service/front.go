@@ -151,16 +151,11 @@ func (f *Front[R]) Close() { f.co.Close() }
 // seed length k, the queue or the direct path, then render under a render
 // span. Every refusal and failure is answered here.
 func (f *Front[R]) Align(w http.ResponseWriter, r *http.Request, k int, render func(http.ResponseWriter, *http.Request, []meraligner.Seq, *coalesce.Window[R])) {
-	admitStart := time.Now()
-	r, cancel, ok := f.admitDeadline(w, r)
+	r, reads, cancel, ok := f.admit(w, r, k)
 	if !ok {
 		return
 	}
 	defer cancel()
-	reads, ok := f.admitReads(w, r, k, admitStart)
-	if !ok {
-		return
-	}
 	win, err := f.serve(r.Context(), reads)
 	if err != nil {
 		f.fail(w, r, err)
@@ -189,45 +184,37 @@ func (f *Front[R]) record(tr *telemetry.Trace, win *coalesce.Window[R]) {
 	f.tier.Record(tr, win)
 }
 
-// admitDeadline applies deadline admission to a request that propagates an
-// X-Deadline-Ms budget: a budget below MinDeadline is refused with 503 and
-// counted — work the caller will have abandoned before it finishes — and an
-// accepted budget bounds the returned request's context, so a doomed call
-// cannot outlive its caller (and shard RPCs inherit and re-propagate the
-// remaining time). ok false means the response is written; otherwise call
-// cancel when the request is done.
-func (f *Front[R]) admitDeadline(w http.ResponseWriter, r *http.Request) (_ *http.Request, cancel context.CancelFunc, ok bool) {
+// admit is the one admission path of both align endpoints, Align and the
+// streaming handler. Deadline admission first: a request that propagates an
+// X-Deadline-Ms budget below MinDeadline is refused with 503 and counted —
+// work the caller will have abandoned before it finishes. Then the body:
+// it must parse (ParseReads) into a non-empty batch of reads each long
+// enough to carry a seed of length k. Too-short reads are a client error
+// (HTTP 400) carrying the typed per-read detail — the service-side face of
+// the engine's QueryTooShort status (same rule: length < K) — and are
+// counted. On success the request's trace gains its admission span, and an
+// accepted budget, counted from arrival, bounds the returned request's
+// context, so a doomed call cannot outlive its caller (and shard RPCs
+// inherit and re-propagate the remaining time). ok false means the response
+// is written; otherwise call cancel when the request is done.
+func (f *Front[R]) admit(w http.ResponseWriter, r *http.Request, k int) (_ *http.Request, reads []meraligner.Seq, cancel context.CancelFunc, ok bool) {
+	start := time.Now()
 	budget, has := client.DeadlineFromHeader(r.Header)
 	if min := f.cfg.MinDeadline; has && min > 0 && budget < min {
 		f.deadlineRejected.Add(1)
 		w.Header().Set("Retry-After", RetryAfter)
 		WriteError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{
 			Error: fmt.Sprintf("deadline budget %s below the %s admission floor: rejecting doomed work", budget, min)})
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
-	if !has || budget <= 0 {
-		return r, func() {}, true
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	return r.WithContext(ctx), cancel, true
-}
-
-// admitReads parses an align request body (ParseReads) and validates the
-// batch: non-empty, and every read long enough to carry a seed of length k.
-// Too-short reads are a client error (HTTP 400) carrying the typed per-read
-// detail — the service-side face of the engine's QueryTooShort status (same
-// rule: length < K) — and are counted. On success the request's trace gains
-// its admission span, measured from start. ok false means the response is
-// written.
-func (f *Front[R]) admitReads(w http.ResponseWriter, r *http.Request, k int, start time.Time) (reads []meraligner.Seq, ok bool) {
 	reads, err := ParseReads(w, r, maxRequestBytes)
 	if err != nil {
 		WriteError(w, r, parseStatus(err), &client.ErrorResponse{Error: err.Error()})
-		return nil, false
+		return nil, nil, nil, false
 	}
 	if len(reads) == 0 {
 		WriteError(w, r, http.StatusBadRequest, &client.ErrorResponse{Error: "empty request: no reads"})
-		return nil, false
+		return nil, nil, nil, false
 	}
 	var short []string
 	for i := range reads {
@@ -241,13 +228,17 @@ func (f *Front[R]) admitReads(w http.ResponseWriter, r *http.Request, k int, sta
 			Error:    fmt.Sprintf("%d read(s) shorter than the seed length K=%d cannot be aligned", len(short), k),
 			TooShort: short,
 		})
-		return nil, false
+		return nil, nil, nil, false
 	}
 	if tr := telemetry.TraceFrom(r.Context()); tr != nil {
 		tr.AddReads(len(reads))
 		tr.Add("admission", start, time.Since(start), func(sp *telemetry.Span) { sp.Reads = len(reads) })
 	}
-	return reads, true
+	if !has || budget <= 0 {
+		return r, reads, func() {}, true
+	}
+	ctx, cancel := context.WithDeadline(r.Context(), start.Add(budget))
+	return r.WithContext(ctx), reads, cancel, true
 }
 
 // serve routes one request's reads: MaxBatch or more run directly under the

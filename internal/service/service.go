@@ -500,7 +500,8 @@ func ParseReads(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]meral
 }
 
 // maxReadBases bounds one read: ~1.1 MB of extension direction bytes
-// against a window ExtendPad-widened on both sides (1,024 x (1,024 + 2*24)).
+// against a window the engine widens by 24 bases on both sides
+// (1,024 x (1,024 + 2*24)).
 // It is an input bound; short-read workloads are 100-150 bases.
 const maxReadBases = 1024
 
@@ -689,16 +690,18 @@ func writeSAM(w http.ResponseWriter, r *http.Request, win *window) {
 
 // ---- /v1/align/stream and /v1/{ref}/align/stream ----
 
-// handleAlignStream aligns the batch in MaxBatch-read chunks (Front.stream),
+// handleAlignStream admits the request as Align does (Front.admit: deadline,
+// then body), then aligns the batch in MaxBatch-read chunks (Front.stream),
 // flushing each chunk's results as soon as the engine returns them: NDJSON
 // ReadResult lines, or an incrementally-written SAM document under Accept:
 // text/x-sam. The request's own context is propagated into every chunk's
 // engine call, so a disconnect cancels the remaining work.
 func (t *tenant) handleAlignStream(w http.ResponseWriter, r *http.Request) {
-	reads, ok := t.front.admitReads(w, r, int(t.k.Load()), time.Now())
+	r, reads, cancel, ok := t.front.admit(w, r, int(t.k.Load()))
 	if !ok {
 		return
 	}
+	defer cancel()
 
 	sam := WantsSAM(r)
 	if sam {

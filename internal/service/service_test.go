@@ -572,17 +572,20 @@ func TestMetricsExposition(t *testing.T) {
 // TestDeadlineAdmission: with MinDeadline set, an align request whose
 // propagated X-Deadline-Ms budget is below the floor is rejected with 503
 // before any parsing, counted, and exported; a comfortable budget is
-// admitted normally, and requests without the header are untouched.
+// admitted normally, and requests without the header are untouched. Both
+// align endpoints share the one admission path, so every case holds for
+// /v1/align and /v1/align/stream alike.
 func TestDeadlineAdmission(t *testing.T) {
 	_, reads := fixture(t)
 	_, ts := newTestServer(t, func(c *Config) { c.MinDeadline = 50 * time.Millisecond })
+	endpoints := []string{"/v1/align", "/v1/align/stream"}
 
-	send := func(deadlineMs string) (int, []byte) {
+	send := func(path, deadlineMs string) (int, []byte) {
 		payload, err := json.Marshal(client.AlignRequest{Reads: client.FromSeqs(reads[:1])})
 		if err != nil {
 			t.Fatal(err)
 		}
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/align", bytes.NewReader(payload))
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -599,9 +602,10 @@ func TestDeadlineAdmission(t *testing.T) {
 		return resp.StatusCode, body
 	}
 
-	code, body := send("5")
-	if code != http.StatusServiceUnavailable || !strings.Contains(string(body), "doomed") {
-		t.Fatalf("doomed request = %d %q, want 503 rejection", code, body)
+	for _, path := range endpoints {
+		if code, body := send(path, "5"); code != http.StatusServiceUnavailable || !strings.Contains(string(body), "doomed") {
+			t.Fatalf("%s: doomed request = %d %q, want 503 rejection", path, code, body)
+		}
 	}
 	sresp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -612,17 +616,19 @@ func TestDeadlineAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	sresp.Body.Close()
-	if st.DeadlineRejected != 1 {
-		t.Fatalf("deadline_rejected = %d, want 1", st.DeadlineRejected)
+	if st.DeadlineRejected != int64(len(endpoints)) {
+		t.Fatalf("deadline_rejected = %d, want %d (one per endpoint)", st.DeadlineRejected, len(endpoints))
 	}
-	if code, body = send("5000"); code != http.StatusOK {
-		t.Fatalf("well-budgeted request = %d, body %s", code, body)
-	}
-	if code, body = send(""); code != http.StatusOK {
-		t.Fatalf("headerless request = %d, body %s", code, body)
-	}
-	if code, body = send("garbage"); code != http.StatusOK {
-		t.Fatalf("malformed-header request = %d, body %s (malformed must read as absent)", code, body)
+	for _, path := range endpoints {
+		for _, tc := range []struct{ header, what string }{
+			{"5000", "well-budgeted"},
+			{"", "headerless"},
+			{"garbage", "malformed-header (malformed must read as absent)"},
+		} {
+			if code, body := send(path, tc.header); code != http.StatusOK {
+				t.Fatalf("%s: %s request = %d, body %s", path, tc.what, code, body)
+			}
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -631,7 +637,7 @@ func TestDeadlineAdmission(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	mbody, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(mbody), "merserved_deadline_rejected_total 1") {
-		t.Fatalf("/metrics lacks deadline rejection counter:\n%s", mbody)
+	if want := fmt.Sprintf("merserved_deadline_rejected_total %d", len(endpoints)); !strings.Contains(string(mbody), want) {
+		t.Fatalf("/metrics lacks %q:\n%s", want, mbody)
 	}
 }

@@ -400,37 +400,35 @@ func buildSim(t *testing.T, cfg IndexConfig, es []dht.SeedEntry, numFrags int) *
 func TestShardedMatchesSimulatedIndex(t *testing.T) {
 	const k, numFrags = 21, 40
 	es := randomEntries(7, numFrags, 50, 300, k)
-	for _, maxLoc := range []int{0, 3} {
-		sx := buildSharded(t, dht.ShardedConfig{K: k, S: 16, MaxLocList: maxLoc, Shards: 8}, es, numFrags, 4)
-		ix := buildSim(t, IndexConfig{K: k, Mode: Aggregating, S: 16, MaxLocList: maxLoc}, es, numFrags)
+	sx := buildSharded(t, dht.ShardedConfig{K: k, S: 16, Shards: 8}, es, numFrags, 4)
+	ix := buildSim(t, IndexConfig{K: k, Mode: Aggregating, S: 16}, es, numFrags)
 
-		seen := map[kmer.Kmer]bool{}
-		for _, e := range es {
-			if seen[e.Seed] {
-				continue
-			}
-			seen[e.Seed] = true
-			sr, sok := sx.Lookup(e.Seed)
-			ir, iok := ix.LookupNoCharge(e.Seed)
-			if sok != iok {
-				t.Fatalf("maxLoc=%d: presence disagrees for %v", maxLoc, e.Seed)
-			}
-			if sr.Count != ir.Count {
-				t.Fatalf("maxLoc=%d: count %d != %d for %v", maxLoc, sr.Count, ir.Count, e.Seed)
-			}
-			if !reflect.DeepEqual(sr.Locs, ir.Locs) {
-				t.Fatalf("maxLoc=%d: loc lists differ for %v:\n%v\n%v", maxLoc, e.Seed, sr.Locs, ir.Locs)
-			}
+	seen := map[kmer.Kmer]bool{}
+	for _, e := range es {
+		if seen[e.Seed] {
+			continue
 		}
-		for f := 0; f < numFrags; f++ {
-			if sx.SingleCopy(f) != ix.SingleCopy(f) {
-				t.Fatalf("maxLoc=%d: single-copy flag disagrees at frag %d", maxLoc, f)
-			}
+		seen[e.Seed] = true
+		sr, sok := sx.Lookup(e.Seed)
+		ir, iok := ix.LookupNoCharge(e.Seed)
+		if sok != iok {
+			t.Fatalf("presence disagrees for %v", e.Seed)
 		}
-		ss, is := sx.Stats(), ix.Stats()
-		if ss.DistinctSeeds != is.DistinctSeeds || ss.TotalLocs != is.TotalLocs ||
-			ss.RepeatSeeds != is.RepeatSeeds || ss.SingleCopyFrags != is.SingleCopyFrags {
-			t.Fatalf("maxLoc=%d: stats differ:\n%+v\n%+v", maxLoc, ss, is)
+		if sr.Count != ir.Count {
+			t.Fatalf("count %d != %d for %v", sr.Count, ir.Count, e.Seed)
 		}
+		if !reflect.DeepEqual(sr.Locs, ir.Locs) {
+			t.Fatalf("loc lists differ for %v:\n%v\n%v", e.Seed, sr.Locs, ir.Locs)
+		}
+	}
+	for f := 0; f < numFrags; f++ {
+		if sx.SingleCopy(f) != ix.SingleCopy(f) {
+			t.Fatalf("single-copy flag disagrees at frag %d", f)
+		}
+	}
+	ss, is := sx.Stats(), ix.Stats()
+	if ss.DistinctSeeds != is.DistinctSeeds || ss.TotalLocs != is.TotalLocs ||
+		ss.RepeatSeeds != is.RepeatSeeds || ss.SingleCopyFrags != is.SingleCopyFrags {
+		t.Fatalf("stats differ:\n%+v\n%+v", ss, is)
 	}
 }

@@ -37,6 +37,10 @@ type Options struct {
 	// or FineGrained (Fig 8 ablation).
 	Mode BuildMode
 
+	// AggS is the aggregation buffer size S of index construction (paper:
+	// 1000). It shapes the build's communication, never the index.
+	AggS int
+
 	// Software caches, per-node byte budgets (Fig 9 ablation: set to 0).
 	SeedCacheBytes   int64
 	TargetCacheBytes int64
@@ -58,6 +62,7 @@ func DefaultOptions(k int) Options {
 	return Options{
 		Options:          core.DefaultOptions(k),
 		Mode:             Aggregating,
+		AggS:             1000,
 		SeedCacheBytes:   16 << 20, // scaled-down analogue of 16 GB/node
 		TargetCacheBytes: 6 << 20,  // scaled-down analogue of 6 GB/node
 		Permute:          true,
@@ -159,8 +164,10 @@ func buildIndex(m *upc.Machine, mach upc.MachineConfig, opt Options, targets []s
 	// single-copy marking phase and the fast path are gated on ExactMatch.
 	ft := core.BuildFragmentTable(targets, opt.K, opt.FragmentLen, mach.Threads)
 
-	maxLoc := opt.MaxLocList
-	if maxLoc == 0 && opt.MaxSeedHits > 0 {
+	// Lists stored just past the §IV-C threshold: counts stay exact, so
+	// every seed the threshold admits has its whole list.
+	maxLoc := 0
+	if opt.MaxSeedHits > 0 {
 		maxLoc = opt.MaxSeedHits + 1
 	}
 	ix, err := NewIndex(mach, IndexConfig{K: opt.K, Mode: opt.Mode, S: opt.AggS, MaxLocList: maxLoc}, ft.NumFragments())

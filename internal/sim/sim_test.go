@@ -198,7 +198,6 @@ func TestThreadedAlignmentsIdenticalToSim(t *testing.T) {
 		{"no-exact", func(o *Options) { o.ExactMatch = false }},
 		{"no-fragmentation", func(o *Options) { o.FragmentLen = 0 }},
 		{"capped-seeds", func(o *Options) { o.MaxSeedHits = 5 }},
-		{"strided", func(o *Options) { o.SeedStride = 3 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -291,18 +290,6 @@ func TestStatsOnlyParityAcrossEngines(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// A truncated index with an unservable threshold is rejected up front, as
-// core.RunThreaded rejects it.
-func TestRunRejectsUnservableThreshold(t *testing.T) {
-	ds := testWorkload(t, 30_000, 1, 0)
-	clash := testOptions(21)
-	clash.MaxLocList = 5
-	clash.MaxSeedHits = 10
-	if _, err := Run(testMach(8), clash, ds.Contigs, ds.Reads[:10]); err == nil {
-		t.Error("simulated Run accepted a truncated index with an unservable threshold")
 	}
 }
 
