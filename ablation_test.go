@@ -5,8 +5,8 @@ package meraligner
 // parameter, §III-A), the target fragmentation length F (§IV-A), the
 // per-node cache budgets (§III-B), and the max-alignments-per-seed threshold
 // (§IV-C). Each reports the simulated
-// end-to-end time as "sim_s" so parameter effects are visible in one
-// `go test -bench=Ablation` run.
+// end-to-end time in milliseconds as "sim_ms" so parameter effects are
+// visible in one `go test -bench=Ablation` run.
 
 import (
 	"fmt"

@@ -7,8 +7,9 @@ package meraligner_test
 //
 //	go test -bench=. -benchmem
 //
-// The shapes (who wins, by what factor) match the paper; see EXPERIMENTS.md
-// for the full-size numbers.
+// The shapes (who wins, by what factor) match the paper; the experiments
+// themselves live in internal/expt, and `go run ./cmd/merbench` runs them at
+// full size.
 
 import (
 	"testing"

@@ -101,12 +101,58 @@ func processClaim(qp *QueryProcessor, reads []seqio.Seq) {
 	}
 }
 
+// exactCollectFixture builds a sealed index and a serial processor that
+// collects alignment records, with a batch of error-free reads that each
+// took the exact path (§IV-A) on the warm-up run.
+func exactCollectFixture(tb testing.TB) (*QueryProcessor, []seqio.Seq) {
+	ds := testWorkload(tb, 60_000, 2, 0)
+	opt := testOptions(21)
+	ix, err := BuildIndex(2, opt.IndexOptions, ds.Contigs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	qp := NewQueryProcessor(opt, threadedAccess{sx: ix.sx}, ix.ft)
+	var reads []seqio.Seq
+	for qi := 0; qi < len(ds.Reads) && len(reads) < 64; qi++ {
+		if ds.Reads[qi].Seq.Len() < opt.K {
+			continue
+		}
+		exact := qp.exact
+		qp.Process(int32(qi), ds.Reads[qi].Seq)
+		if qp.exact > exact {
+			reads = append(reads, ds.Reads[qi])
+		}
+	}
+	if len(reads) < 16 {
+		tb.Fatal("not enough exact-path reads for the collecting no-alloc fixture")
+	}
+	return qp, reads
+}
+
 // TestQueryPathZeroAllocs asserts the invariant directly (so it runs in
 // every `go test` invocation, not only under -bench): after warm-up, the
 // serial statistics path — and on the remote path the claim's prefetch with
 // it — performs ZERO heap allocations per read. The remote processor does
-// the local one's work exactly, comparisons included.
+// the local one's work exactly, comparisons included. A collecting run of
+// exact-path reads allocates nothing either — no cigar per read — beyond
+// the growth of its record list, which is reset between runs.
 func TestQueryPathZeroAllocs(t *testing.T) {
+	collect, exactReads := exactCollectFixture(t)
+	run := func() {
+		collect.alignments = collect.alignments[:0]
+		processClaim(collect, exactReads)
+	}
+	if avg := testing.AllocsPerRun(50, run); avg != 0 {
+		t.Fatalf("collecting exact path allocates %.2f objects per %d-read claim in steady state, want 0",
+			avg, len(exactReads))
+	}
+	exact0 := collect.exact
+	run()
+	if collect.exact-exact0 != len(exactReads) || len(collect.alignments) != len(exactReads) {
+		t.Fatalf("exact-path fixture left the exact path: %d of %d reads exact, %d records",
+			collect.exact-exact0, len(exactReads), len(collect.alignments))
+	}
+
 	local, reads := queryNoAllocFixture(t, false)
 	remote, _ := queryNoAllocFixture(t, true)
 	if remote.err != nil {

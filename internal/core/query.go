@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"slices"
 	"strconv"
@@ -115,6 +116,10 @@ type QueryProcessor struct {
 	ansIdx   int
 	exactBuf []Alignment // the claim's exact-path verdicts, one per query with L >= K
 	exactIdx int
+
+	// The exact-path cigar of the last read length (exactCigar).
+	exactLen int
+	exactCig string
 }
 
 // NewQueryProcessor returns a processor aligning against ft through acc.
@@ -276,8 +281,7 @@ func (qp *QueryProcessor) Process(qi int32, q dna.Packed) {
 			qp.aligned++
 			qp.totalAlignments++
 			if qp.alignments != nil {
-				var buf [24]byte // "<L>M"
-				a.Cigar = string(append(strconv.AppendInt(buf[:0], int64(L), 10), 'M'))
+				a.Cigar = qp.exactCigar(L)
 				qp.alignments = append(qp.alignments, a)
 			}
 			return // single lookup sufficed — minimal communication
@@ -309,6 +313,16 @@ func (qp *QueryProcessor) Process(qi int32, q dna.Packed) {
 			})
 		}
 	}
+}
+
+// exactCigar returns "<L>M", the cigar of an exact-path hit, built once per
+// read length: reads of one run share a length, so the string is shared too.
+func (qp *QueryProcessor) exactCigar(L int) string {
+	if L != qp.exactLen {
+		qp.exactLen = L
+		qp.exactCig = strconv.Itoa(L) + "M"
+	}
+	return qp.exactCig
 }
 
 // seedHits feeds one seed lookup's hits into candidate generation, applying
@@ -374,11 +388,8 @@ func (qp *QueryProcessor) tryExact(loc dht.Loc, qrc bool, L int) (Alignment, boo
 	}
 	qp.acc.FetchTarget(frag.Target, qp.ft.TargetPackedBytes(frag.Target), qp.ft.Owner(loc.Frag))
 	qp.MemcmpBytes += int64((L + 3) / 4)
-	qc := qp.queryCodes(rc, L)
-	for i := 0; i < L; i++ {
-		if qc[i] != tcodes[tOff+i] {
-			return Alignment{}, false
-		}
+	if !bytes.Equal(qp.queryCodes(rc, L), tcodes[tOff:tOff+L]) {
+		return Alignment{}, false
 	}
 	return Alignment{
 		Target: frag.Target,

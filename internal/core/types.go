@@ -256,9 +256,12 @@ type Results struct {
 
 	IndexStats dht.Stats
 
-	// Alignments is populated when Options.CollectAlignments, sorted by
-	// query and then by every other field (MergeProcessors). Window reads
-	// per-query ranges out of that order.
+	// Alignments is populated when Options.CollectAlignments, in query
+	// order and, within a read, in a total order over every other field
+	// (MergeProcessors: placed by a counting pass over Query, each read's
+	// run sorted). Window reads per-query ranges out of that order. An
+	// exact-path record's Cigar is "<L>M", one string shared by the reads
+	// of a processor that have its length.
 	Alignments []Alignment
 
 	// queryOrdered records that an engine put Alignments in query order, so

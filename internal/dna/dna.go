@@ -8,6 +8,7 @@
 package dna
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -39,6 +40,14 @@ var codeToBase = [4]byte{'A', 'C', 'G', 'T'}
 // complement is the bitwise NOT of the code (3 - code).
 var complement = [4]byte{T, G, C, A}
 
+// Unpacking tables: entry b holds the four bases of packed byte b, one per
+// byte of a little-endian word, so one table load and one 4-byte store
+// unpack four bases. codeQuads holds their codes, baseQuads their ASCII,
+// and rcBaseQuads the ASCII of their complements in reverse order (byte 0
+// is the complement of base 3) — a packed byte's share of a reverse
+// complement.
+var codeQuads, baseQuads, rcBaseQuads [256]uint32
+
 func init() {
 	for i := range baseToCode {
 		baseToCode[i] = 0xFF
@@ -47,6 +56,14 @@ func init() {
 	baseToCode['C'], baseToCode['c'] = C, C
 	baseToCode['G'], baseToCode['g'] = G, G
 	baseToCode['T'], baseToCode['t'] = T, T
+	for b := range 256 {
+		for j := range 4 {
+			c := byte(b>>(2*j)) & 3
+			codeQuads[b] |= uint32(c) << (8 * j)
+			baseQuads[b] |= uint32(codeToBase[c]) << (8 * j)
+			rcBaseQuads[b] |= uint32(codeToBase[complement[c]]) << (8 * (3 - j))
+		}
+	}
 }
 
 // CodeOf returns the 2-bit code of an ASCII base, or 0xFF if invalid.
@@ -149,19 +166,49 @@ func (p Packed) String() string {
 }
 
 // Codes unpacks the sequence into a fresh slice of 2-bit codes.
-func (p Packed) Codes() []byte {
-	out := make([]byte, p.n)
-	for i := range out {
-		out[i] = p.CodeAt(i)
-	}
-	return out
-}
+func (p Packed) Codes() []byte { return p.AppendCodes(make([]byte, 0, p.n)) }
 
 // AppendCodes appends the 2-bit codes of p to dst and returns it.
-func (p Packed) AppendCodes(dst []byte) []byte {
-	dst = slices.Grow(dst, p.n)
-	for i := 0; i < p.n; i++ {
-		dst = append(dst, p.CodeAt(i))
+func (p Packed) AppendCodes(dst []byte) []byte { return p.appendQuads(dst, &codeQuads) }
+
+// AppendBases appends the ASCII bases of p to dst and returns it: the
+// String text without the allocation.
+func (p Packed) AppendBases(dst []byte) []byte { return p.appendQuads(dst, &baseQuads) }
+
+// appendQuads appends one table word per packed byte, four bases at a time,
+// and the last byte's leading bases one by one.
+func (p Packed) appendQuads(dst []byte, tab *[256]uint32) []byte {
+	n, full := len(dst), p.n>>2
+	dst = slices.Grow(dst, p.n)[:n+p.n]
+	out := dst[n:]
+	for i, b := range p.data[:full] {
+		binary.LittleEndian.PutUint32(out[4*i:], tab[b])
+	}
+	if rem := p.n & 3; rem != 0 {
+		w := tab[p.data[full]]
+		for j := range rem {
+			out[4*full+j] = byte(w >> (8 * j))
+		}
+	}
+	return dst
+}
+
+// AppendRevCompBases appends the ASCII bases of p's reverse complement to
+// dst and returns it, without building the reverse complement: the last
+// packed byte's leading bases first, then every full byte from the back.
+func (p Packed) AppendRevCompBases(dst []byte) []byte {
+	n, full, rem := len(dst), p.n>>2, p.n&3
+	dst = slices.Grow(dst, p.n)[:n+p.n]
+	out := dst[n:]
+	if rem != 0 {
+		w := rcBaseQuads[p.data[full]]
+		for j := range rem {
+			out[j] = byte(w >> (8 * (3 - (rem - 1 - j))))
+		}
+		out = out[rem:]
+	}
+	for i := range full {
+		binary.LittleEndian.PutUint32(out[4*i:], rcBaseQuads[p.data[full-1-i]])
 	}
 	return dst
 }

@@ -283,6 +283,54 @@ func TestCodeBaseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendUnpackMatchesCodeAt holds the four-at-a-time unpackers to the
+// per-base accessor they replace: AppendCodes to the CodeAt loop,
+// AppendBases to its BaseOf form, AppendRevCompBases to the complement of
+// that form read backwards. Every length 0-67 covers every tail of a last
+// packed byte, on fresh, Sliced (aligned and unaligned start) and
+// FromPackedBytes-wrapped sequences, each appended after a prefix that must
+// survive.
+func TestAppendUnpackMatchesCodeAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	prefix := []byte("pre")
+	for n := 0; n <= 67; n++ {
+		long := Random(rng, n+9)
+		wrapped, err := FromPackedBytes(append([]byte(nil), long.Slice(0, n).Bytes()...), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forms := map[string]Packed{
+			"random":  Random(rng, n),
+			"slice@0": long.Slice(0, n),
+			"slice@4": long.Slice(4, 4+n),
+			"slice@7": long.Slice(7, 7+n),
+			"mapped":  wrapped,
+		}
+		for name, p := range forms {
+			var codes, bases, rcBases []byte
+			for i := 0; i < p.Len(); i++ {
+				codes = append(codes, p.CodeAt(i))
+				bases = append(bases, BaseOf(p.CodeAt(i)))
+			}
+			for i := p.Len() - 1; i >= 0; i-- {
+				rcBases = append(rcBases, BaseOf(ComplementCode(p.CodeAt(i))))
+			}
+			check := func(what string, got, want []byte) {
+				t.Helper()
+				if string(got) != string(prefix)+string(want) {
+					t.Errorf("n=%d %s: %s = %q, want %q", n, name, what, got, string(prefix)+string(want))
+				}
+			}
+			check("AppendCodes", p.AppendCodes(append([]byte(nil), prefix...)), codes)
+			check("AppendBases", p.AppendBases(append([]byte(nil), prefix...)), bases)
+			check("AppendRevCompBases", p.AppendRevCompBases(append([]byte(nil), prefix...)), rcBases)
+			if got := string(p.AppendRevCompBases(nil)); got != p.ReverseComplement().String() {
+				t.Errorf("n=%d %s: AppendRevCompBases = %q, ReverseComplement = %q", n, name, got, p.ReverseComplement().String())
+			}
+		}
+	}
+}
+
 func BenchmarkPack(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	s := []byte(randSeq(rng, 10000))

@@ -135,13 +135,9 @@ func appendReadEnd(dst []byte, seq dna.Packed, qual []byte, rc bool, score, nm i
 	case n == 0:
 		dst = append(dst, '*')
 	case rc:
-		for i := n - 1; i >= 0; i-- {
-			dst = append(dst, dna.BaseOf(dna.ComplementCode(seq.CodeAt(i))))
-		}
+		dst = seq.AppendRevCompBases(dst)
 	default:
-		for i := 0; i < n; i++ {
-			dst = append(dst, seq.BaseAt(i))
-		}
+		dst = seq.AppendBases(dst)
 	}
 	dst = append(dst, '\t')
 	switch {

@@ -69,7 +69,8 @@ func (s *SAMStream) Flush() error { return s.sw.Flush() }
 
 // ReadHits resolves the engine's records for the queries [lo, hi) of a
 // batch into output terms: fn runs once per query, in order, with that
-// read's hits — target named, NM computed against the target's bases — in
+// read's hits — target named, NM computed against the target's bases (an
+// exact-path hit's is 0 by construction: tryExact compared it whole) — in
 // the canonical order (seqio.CompareHits) every output face emits, so the
 // first hit is the read's primary record. A read that aligned nowhere gets
 // an empty list. The slice is reused between calls; fn must copy what it
@@ -86,12 +87,15 @@ func ReadHits(res *Results, targets, queries []Seq, lo, hi int, fn func(qi int, 
 			if a.RC {
 				strand = "-"
 			}
+			nm := 0 // the exact path compared every base: nothing to walk
+			if !a.Exact {
+				nm = editDistance(queries[qi].Seq, t.Seq, a)
+			}
 			hits = append(hits, Hit{
 				Target: t.Name, Strand: strand, Score: int(a.Score),
 				QStart: int(a.QStart), QEnd: int(a.QEnd),
 				TStart: int(a.TStart), TEnd: int(a.TEnd),
-				Cigar: a.Cigar, Exact: a.Exact,
-				NM: editDistance(queries[qi].Seq, t.Seq, a),
+				Cigar: a.Cigar, Exact: a.Exact, NM: nm,
 			})
 		}
 		slices.SortStableFunc(hits, seqio.CompareHits)
