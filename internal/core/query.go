@@ -334,8 +334,8 @@ func (qp *QueryProcessor) seedHits(res dht.LookupResult, ok, qrc bool, qoff, L i
 	if qp.opt.MaxSeedHits > 0 && int(res.Count) > qp.opt.MaxSeedHits {
 		return // §IV-C sensitivity threshold
 	}
-	for _, loc := range res.Locs {
-		qp.candidate(loc, qrc, qoff, L)
+	for i := range res.Len() {
+		qp.candidate(res.At(i), qrc, qoff, L)
 	}
 }
 
@@ -356,10 +356,14 @@ func (qp *QueryProcessor) exactPath(res dht.LookupResult, ok, qrc bool, L int) (
 // once, in a single-copy-seed fragment, and the whole query matches the
 // target there (tryExact). The query's codes must be loaded.
 func (qp *QueryProcessor) exactHit(res dht.LookupResult, ok, qrc bool, L int) (Alignment, bool) {
-	if !ok || res.Count != 1 || len(res.Locs) != 1 || !qp.acc.SingleCopy(res.Locs[0].Frag) {
+	if !ok || res.Count != 1 || res.Len() != 1 {
 		return Alignment{}, false
 	}
-	return qp.tryExact(res.Locs[0], qrc, L)
+	loc := res.At(0)
+	if !qp.acc.SingleCopy(loc.Frag) {
+		return Alignment{}, false
+	}
+	return qp.tryExact(loc, qrc, L)
 }
 
 // loadCodes unpacks q into fwd; rc fills the spare half of codes lazily

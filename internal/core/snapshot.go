@@ -297,15 +297,16 @@ func loadFrom(workers int, f *merx.File) (*ThreadedIndex, error) {
 }
 
 // openTable maps the snapshot's DHTS section as a sealed seed table. A
-// table written with capped location lists cannot answer every threshold:
-// it is refused as incompatible, any other failure as corrupt.
+// table in another version's layout, or written with capped location lists
+// (which cannot answer every threshold), is refused as incompatible; any
+// other failure as corrupt.
 func openTable(f *merx.File) (*dht.Sharded, error) {
 	blob, err := f.SectionData(sectionDHT)
 	if err != nil {
 		return nil, err
 	}
 	sx, err := dht.OpenMapped(blob)
-	if errors.Is(err, dht.ErrCappedTable) {
+	if errors.Is(err, dht.ErrTableVersion) || errors.Is(err, dht.ErrCappedTable) {
 		return nil, &merx.IncompatibleError{Path: f.Path(), Reason: err.Error()}
 	}
 	if err != nil {

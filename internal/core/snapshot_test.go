@@ -155,6 +155,28 @@ func rewriteSnapshot(t *testing.T, src, dst string, patch map[string]func([]byte
 // nonzero was written with capped location lists. It cannot answer every
 // threshold, so both loaders refuse it as incompatible, not corrupt.
 func TestCappedSnapshotRefused(t *testing.T) {
+	checkTableRefused(t, "capped", func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[12:], 6)
+		return b
+	})
+}
+
+// TestTableVersionRefused: a snapshot whose DHTS version word is 1 — the
+// 32-byte-slot layout — under valid CRCs is intact but unreadable by this
+// build, so both loaders refuse it as incompatible, not corrupt.
+func TestTableVersionRefused(t *testing.T) {
+	checkTableRefused(t, "version 1", func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[0:], 1)
+		return b
+	})
+}
+
+// checkTableRefused saves a whole snapshot and a seed shard, rewrites their
+// DHTS sections with patch under fresh CRCs, and requires LoadIndex and
+// LoadSeedShard to refuse both as merx.ErrIncompatible, not merx.ErrCorrupt,
+// naming want.
+func checkTableRefused(t *testing.T, want string, patch func([]byte) []byte) {
+	t.Helper()
 	ds := testWorkload(t, 30_000, 1, 0)
 	built, err := BuildIndex(2, testOptions(21).IndexOptions, ds.Contigs)
 	if err != nil {
@@ -169,10 +191,6 @@ func TestCappedSnapshotRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped := map[string]func([]byte) []byte{sectionDHT: func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[12:], 6)
-		return b
-	}}
 	for name, tc := range map[string]struct {
 		src  string
 		load func(string) (io.Closer, error)
@@ -181,14 +199,14 @@ func TestCappedSnapshotRefused(t *testing.T) {
 		"LoadSeedShard": {seeds[0], func(p string) (io.Closer, error) { return LoadSeedShard(p) }},
 	} {
 		path := filepath.Join(dir, name+".merx")
-		rewriteSnapshot(t, tc.src, path, capped)
+		rewriteSnapshot(t, tc.src, path, map[string]func([]byte) []byte{sectionDHT: patch})
 		c, err := tc.load(path)
 		if err == nil {
 			c.Close()
-			t.Fatalf("%s accepted a capped seed table", name)
+			t.Fatalf("%s accepted a %s seed table", name, want)
 		}
-		if !errors.Is(err, merx.ErrIncompatible) || errors.Is(err, merx.ErrCorrupt) || !strings.Contains(err.Error(), "capped") {
-			t.Errorf("%s: %v, want merx.ErrIncompatible naming the capped lists", name, err)
+		if !errors.Is(err, merx.ErrIncompatible) || errors.Is(err, merx.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v, want merx.ErrIncompatible naming %q", name, err, want)
 		}
 	}
 }

@@ -73,10 +73,32 @@ func SortEntries(es []SeedEntry) {
 	})
 }
 
-// LookupResult is the outcome of a seed lookup.
+// LookupResult is the outcome of a seed lookup: the seed's stored
+// locations and its total occurrence count. A seed the table stores once,
+// with count 1, carries that location inline — no arena slice, no
+// allocation — so read the locations through Len and At: Locs alone holds
+// only a list-stored seed's.
 type LookupResult struct {
-	Locs  []Loc // shared slice; callers must not modify
-	Count int32 // total occurrences (> len(Locs) on a Restrict carve or in the simulator's capped lists)
+	Locs  []Loc  // a list-stored seed's locations, shared: callers must not modify; nil when inline
+	Count int32  // total occurrences (> Len() on a Restrict carve or in the simulator's capped lists)
+	frag  int32  // the inline location's fragment
+	word  uint32 // the inline location's Off<<2 | RC<<1 | 1, as its slot stores it; 0 when none is inline
+}
+
+// Len returns the number of stored locations.
+func (r LookupResult) Len() int {
+	if r.word != 0 {
+		return 1
+	}
+	return len(r.Locs)
+}
+
+// At returns stored location i, 0 <= i < Len(), in stored order.
+func (r LookupResult) At(i int) Loc {
+	if r.word != 0 && i == 0 {
+		return Loc{Frag: r.frag, Off: int32(r.word >> 2), RC: r.word&slotRC != 0}
+	}
+	return r.Locs[i]
 }
 
 // Stats summarizes the constructed index.

@@ -78,6 +78,15 @@ func oracleStats(sx *Sharded, oracle map[kmer.Kmer]oracleEntry, numFrags int) St
 	return st
 }
 
+// resultLocs collects a lookup result's stored locations through Len and At.
+func resultLocs(r LookupResult) []Loc {
+	var locs []Loc
+	for i := range r.Len() {
+		locs = append(locs, r.At(i))
+	}
+	return locs
+}
+
 // checkAgainstOracle asserts that every oracle seed looks up to the oracle's
 // list and count, that absent seeds miss, and that Stats agree.
 func checkAgainstOracle(t *testing.T, label string, sx *Sharded, oracle map[kmer.Kmer]oracleEntry, misses []kmer.Kmer, numFrags int) {
@@ -90,8 +99,8 @@ func checkAgainstOracle(t *testing.T, label string, sx *Sharded, oracle map[kmer
 		if res.Count != w.count {
 			t.Fatalf("%s seed %v: count=%d, oracle count=%d", label, s, res.Count, w.count)
 		}
-		if !slices.Equal(res.Locs, w.locs) {
-			t.Fatalf("%s seed %v: locs %v, oracle locs %v", label, s, res.Locs, w.locs)
+		if got := resultLocs(res); !slices.Equal(got, w.locs) {
+			t.Fatalf("%s seed %v: locs %v, oracle locs %v", label, s, got, w.locs)
 		}
 	}
 	for _, s := range misses {
@@ -172,8 +181,8 @@ func TestSealedStatsMatchBuckets(t *testing.T) {
 }
 
 // TestResidentBytesExact: the sealed ResidentBytes must equal, byte for
-// byte, what the flat structures actually hold (slot arrays at their
-// allocated length, arenas at capacity, the single-copy flag array).
+// byte, what the flat structures actually hold (slot arrays and Hi words at
+// their allocated length, arenas at capacity, the single-copy flag array).
 func TestResidentBytesExact(t *testing.T) {
 	sx, _, _ := sealedWorkload(t, 19)
 	sx.Seal()
@@ -181,7 +190,8 @@ func TestResidentBytesExact(t *testing.T) {
 	var want int64
 	for i := range sx.flat {
 		fs := &sx.flat[i]
-		want += int64(len(fs.slots)) * int64(unsafe.Sizeof(flatEntry{}))
+		want += int64(len(fs.slots)) * int64(unsafe.Sizeof(flatSlot{}))
+		want += int64(len(fs.hi)) * int64(unsafe.Sizeof(uint64(0)))
 		want += int64(cap(fs.locs)) * int64(unsafe.Sizeof(Loc{}))
 	}
 	want += int64(len(sx.singleCopy)) * int64(unsafe.Sizeof(int32(0)))
@@ -191,14 +201,18 @@ func TestResidentBytesExact(t *testing.T) {
 	}
 
 	// Sanity-bound the number against the content: it must cover at
-	// least the packed payload (slots for every distinct seed + every
-	// stored location) and, with a <= 0.75 load factor plus the power-of-
-	// two rounding, at most ~8x the minimal slot bytes plus the arena.
+	// least the packed payload (a slot for every distinct seed, and every
+	// stored location past a seed's first, which may be inline) and, with a
+	// <= 0.75 load factor plus the power-of-two rounding, at most ~8x the
+	// minimal slot bytes plus the arena (every location, and a count word
+	// per seed at most).
 	st := sx.Stats()
-	minBytes := int64(st.DistinctSeeds)*int64(unsafe.Sizeof(flatEntry{})) +
-		int64(st.TotalLocs)*int64(unsafe.Sizeof(Loc{}))
-	if got := sx.ResidentBytes(); got < minBytes || got > 8*minBytes+int64(len(sx.singleCopy)*4)+int64(len(sx.flat))*(1<<minFlatBits)*int64(unsafe.Sizeof(flatEntry{})) {
-		t.Fatalf("ResidentBytes=%d implausible for payload %d", got, minBytes)
+	slotBytes, locBytes := int64(unsafe.Sizeof(flatSlot{})), int64(unsafe.Sizeof(Loc{}))
+	minBytes := int64(st.DistinctSeeds)*slotBytes + int64(st.TotalLocs-st.DistinctSeeds)*locBytes
+	maxBytes := 8*int64(st.DistinctSeeds)*slotBytes + int64(st.TotalLocs+st.DistinctSeeds)*locBytes +
+		int64(len(sx.singleCopy)*4) + int64(len(sx.flat))*(1<<minFlatBits)*slotBytes
+	if got := sx.ResidentBytes(); got < minBytes || got > maxBytes {
+		t.Fatalf("ResidentBytes=%d implausible for payload %d..%d", got, minBytes, maxBytes)
 	}
 }
 
@@ -269,85 +283,120 @@ func BenchmarkSealedLookup(b *testing.B) {
 	var locs int
 	for i := 0; i < b.N; i++ {
 		res, _ := sx.Lookup(probes[i%len(probes)])
-		locs += len(res.Locs)
+		locs += res.Len()
 	}
 	_ = locs
 }
 
 // TestPropertyDrainMatchesOracle: over random entry sets with heavy repeats,
-// every shard count and staging size, built by 1-4 concurrent
-// builders shipping in shuffled order, the table must hold exactly what the
-// naive map holds, report the exact footprint, respect the load factor, and
-// be the same bytes — slot by slot, location by location, padding included —
-// whatever the builder count.
+// seed lengths on both sides of the one-word key, every shard count and
+// staging size, built by 1-4 concurrent builders shipping in shuffled order,
+// the table must hold exactly what the naive map holds, report the exact
+// footprint, respect the load factor, keep Hi words exactly when K > 32,
+// and be the same bytes — slot by slot, location by location, padding
+// included — whatever the builder count.
 func TestPropertyDrainMatchesOracle(t *testing.T) {
-	const k, numFrags = 19, 12
+	const numFrags = 12
 	rng := rand.New(rand.NewSource(29))
-	for _, shards := range []int{1, 3, 16} {
-		for _, S := range []int{1, 7, 1000} {
-			// A pool far smaller than the entry count: most seeds repeat.
-			es := randomEntries(rng.Int63(), numFrags, 50+rng.Intn(100), 20+rng.Intn(200), k)
-			oracle := naiveOracle(es)
-			misses := absentSeeds(rng, oracle, k, 50)
-			cfg := ShardedConfig{K: k, S: S, Shards: shards}
-			var ref *Sharded
-			for builders := 1; builders <= 4; builders++ {
-				label := fmt.Sprintf("shards=%d S=%d builders=%d", shards, S, builders)
-				rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
-				sx := stageSharded(t, cfg, es, numFrags, builders)
-				// Staged entries travel by memmove, so their padding holds
-				// whatever the staging buffers held: make that worst case
-				// deterministic.
-				entryBytes := int(unsafe.Sizeof(SeedEntry{}))
-				for j, raw := 0, rawBytes(sx.arena); j < len(raw); j++ {
-					if j%entryBytes >= int(unsafe.Offsetof(SeedEntry{}.Loc))+9 {
-						raw[j] = 0xA5
+	for _, k := range []int{19, 31, 32, 33, 51} {
+		for _, shards := range []int{1, 3, 16} {
+			for _, S := range []int{1, 7, 1000} {
+				// A pool far smaller than the entry count: most seeds repeat.
+				es := randomEntries(rng.Int63(), numFrags, 50+rng.Intn(100), 20+rng.Intn(200), k)
+				oracle := naiveOracle(es)
+				misses := absentSeeds(rng, oracle, k, 50)
+				cfg := ShardedConfig{K: k, S: S, Shards: shards}
+				var ref *Sharded
+				for builders := 1; builders <= 4; builders++ {
+					label := fmt.Sprintf("k=%d shards=%d S=%d builders=%d", k, shards, S, builders)
+					rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+					sx := stageSharded(t, cfg, es, numFrags, builders)
+					// Staged entries travel by memmove, so their padding holds
+					// whatever the staging buffers held: make that worst case
+					// deterministic.
+					entryBytes := int(unsafe.Sizeof(SeedEntry{}))
+					for j, raw := 0, rawBytes(sx.arena); j < len(raw); j++ {
+						if j%entryBytes >= int(unsafe.Offsetof(SeedEntry{}.Loc))+9 {
+							raw[j] = 0xA5
+						}
 					}
-				}
-				drainAndMark(sx)
-				checkAgainstOracle(t, label, sx, oracle, misses, numFrags)
+					drainAndMark(sx)
+					checkAgainstOracle(t, label, sx, oracle, misses, numFrags)
 
-				want := int64(4 * numFrags)
-				for i := range sx.flat {
-					fs := &sx.flat[i]
-					want += int64(len(fs.slots))*FlatEntryWireBytes + int64(cap(fs.locs))*LocWireBytes
-					occupied := 0
-					for j := range fs.slots {
-						if fs.slots[j].n != 0 {
-							occupied++
+					want := int64(4 * numFrags)
+					for i := range sx.flat {
+						fs := &sx.flat[i]
+						want += int64(len(fs.slots))*FlatEntryWireBytes + int64(len(fs.hi))*8 + int64(cap(fs.locs))*LocWireBytes
+						if (fs.hi != nil) != (k > 32) || (fs.hi != nil && len(fs.hi) != len(fs.slots)) {
+							t.Fatalf("%s shard %d: %d Hi words for %d slots", label, i, len(fs.hi), len(fs.slots))
+						}
+						occupied := 0
+						for j := range fs.slots {
+							if fs.slots[j].b != 0 {
+								occupied++
+							}
+						}
+						if 4*occupied > 3*len(fs.slots) {
+							t.Fatalf("%s shard %d: %d of %d slots occupied, load factor > 0.75", label, i, occupied, len(fs.slots))
+						}
+						for j, b := range rawBytes(fs.locs) {
+							if j%LocWireBytes >= 9 && b != 0 {
+								t.Fatalf("%s shard %d: non-zero padding byte %d in location %d", label, i, j%LocWireBytes, j/LocWireBytes)
+							}
 						}
 					}
-					if 4*occupied > 3*len(fs.slots) {
-						t.Fatalf("%s shard %d: %d of %d slots occupied, load factor > 0.75", label, i, occupied, len(fs.slots))
+					if got := sx.ResidentBytes(); got != want {
+						t.Fatalf("%s: ResidentBytes=%d, structures hold %d", label, got, want)
 					}
-					for j, b := range rawBytes(fs.locs) {
-						if j%LocWireBytes >= 9 && b != 0 {
-							t.Fatalf("%s shard %d: non-zero padding byte %d in location %d", label, i, j%LocWireBytes, j/LocWireBytes)
-						}
-					}
-					for j, b := range rawBytes(fs.slots) {
-						if j%FlatEntryWireBytes >= 28 && b != 0 {
-							t.Fatalf("%s shard %d: non-zero padding byte %d in slot %d", label, i, j%FlatEntryWireBytes, j/FlatEntryWireBytes)
-						}
-					}
-				}
-				if got := sx.ResidentBytes(); got != want {
-					t.Fatalf("%s: ResidentBytes=%d, structures hold %d", label, got, want)
-				}
 
-				if ref == nil {
-					ref = sx
-					continue
-				}
-				for i := range sx.flat {
-					if sx.flat[i].shift != ref.flat[i].shift ||
-						!bytes.Equal(rawBytes(sx.flat[i].slots), rawBytes(ref.flat[i].slots)) ||
-						!bytes.Equal(rawBytes(sx.flat[i].locs), rawBytes(ref.flat[i].locs)) {
-						t.Fatalf("%s: shard %d differs from the 1-builder table", label, i)
+					if ref == nil {
+						ref = sx
+						continue
+					}
+					for i := range sx.flat {
+						if sx.flat[i].shift != ref.flat[i].shift ||
+							!bytes.Equal(rawBytes(sx.flat[i].slots), rawBytes(ref.flat[i].slots)) ||
+							!slices.Equal(sx.flat[i].hi, ref.flat[i].hi) ||
+							!bytes.Equal(rawBytes(sx.flat[i].locs), rawBytes(ref.flat[i].locs)) {
+							t.Fatalf("%s: shard %d differs from the 1-builder table", label, i)
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestUniqueSeedsNoArena: a table whose every seed occurs once keeps every
+// location in its slot — no shard has a location arena — and its footprint
+// is the slot arrays at 16 bytes a slot plus the single-copy flags.
+func TestUniqueSeedsNoArena(t *testing.T) {
+	const k, numFrags = 31, 20
+	rng := rand.New(rand.NewSource(37))
+	seen := map[kmer.Kmer]bool{}
+	var es []SeedEntry
+	for len(es) < 3000 {
+		s := randomKmer(rng, k)
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		n := len(es)
+		es = append(es, SeedEntry{Seed: s, Loc: Loc{Frag: int32(n % numFrags), Off: int32(n), RC: n%3 == 0}})
+	}
+	sx := buildSharded(t, ShardedConfig{K: k, S: 64, Shards: 8}, es, numFrags, 2)
+	sx.Seal()
+	checkAgainstOracle(t, "unique", sx, naiveOracle(es), absentSeeds(rng, naiveOracle(es), k, 50), numFrags)
+	want := int64(numFrags) * 4
+	for i := range sx.flat {
+		fs := &sx.flat[i]
+		if len(fs.locs) != 0 || fs.hi != nil {
+			t.Fatalf("shard %d: %d arena entries and %d Hi words in a table of unique seeds", i, len(fs.locs), len(fs.hi))
+		}
+		want += int64(len(fs.slots)) * 16
+	}
+	if got := sx.ResidentBytes(); got != want {
+		t.Fatalf("ResidentBytes=%d, want slots x 16 + flags = %d", got, want)
 	}
 }
 
@@ -363,4 +412,22 @@ func TestShardCountsGuard(t *testing.T) {
 		}
 	}()
 	checkShardCounts(7, math.MaxInt32+1)
+}
+
+// TestSlotFieldGuard: a location offset past the slot's 30-bit field must
+// panic at drain naming the shard, and the largest representable offset
+// must be stored and read back inline.
+func TestSlotFieldGuard(t *testing.T) {
+	s := randomKmer(rand.New(rand.NewSource(1)), 21)
+	fs := newFlatShard(3, 21, []SeedEntry{{Seed: s, Loc: Loc{Frag: 2, Off: maxSlotField, RC: true}}}, nil)
+	if res, ok := fs.lookup(s, s.Hash()); !ok || res.Len() != 1 || res.At(0) != (Loc{Frag: 2, Off: maxSlotField, RC: true}) {
+		t.Fatalf("largest offset: lookup %+v, %v", res, ok)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "location offset 1073741824") || !strings.Contains(msg, "shard 3") {
+			t.Errorf("offset 2^30 panicked with %q", msg)
+		}
+	}()
+	newFlatShard(3, 21, []SeedEntry{{Seed: s, Loc: Loc{Off: maxSlotField + 1}}}, nil)
 }

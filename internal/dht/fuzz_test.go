@@ -88,11 +88,11 @@ func FuzzOpenMapped(f *testing.F) {
 			if !ok {
 				continue
 			}
-			if int(res.Count) < len(res.Locs) {
-				t.Fatalf("lookup count %d < %d returned locations", res.Count, len(res.Locs))
+			if int(res.Count) < res.Len() {
+				t.Fatalf("lookup count %d < %d returned locations", res.Count, res.Len())
 			}
-			for _, loc := range res.Locs {
-				_ = m.SingleCopy(int(loc.Frag))
+			for i := range res.Len() {
+				_ = m.SingleCopy(int(res.At(i).Frag))
 			}
 		}
 	})

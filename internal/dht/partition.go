@@ -33,10 +33,11 @@ func OwnerOf(s kmer.Kmer, shards, count int) int {
 
 // emptyFlatShard is the sealed shape of an internal shard with no entries:
 // the minimum-size all-empty slot array (every probe misses on the first
-// slot) and no location arena. Partition substitutes it for unowned shards;
-// the snapshot writer and mapped loader both handle it like any other shard.
-func emptyFlatShard() flatShard {
-	return flatShard{shift: 64 - minFlatBits, slots: make([]flatEntry, 1<<minFlatBits)}
+// slot), its Hi words when k > 32, and no location arena. Partition
+// substitutes it for unowned shards; the snapshot writer and mapped loader
+// both handle it like any other shard.
+func emptyFlatShard(k int) flatShard {
+	return newFlatShard(0, k, nil, nil)
 }
 
 // Partition carves owner id's slice out of a sealed index: a new sealed
@@ -64,7 +65,7 @@ func (sx *Sharded) Partition(id, count int) (*Sharded, error) {
 		if ShardOwner(s, count) == id {
 			p.flat[s] = sx.flat[s]
 		} else {
-			p.flat[s] = emptyFlatShard()
+			p.flat[s] = emptyFlatShard(sx.cfg.K)
 		}
 	}
 	p.sealed.Store(true)
@@ -92,41 +93,40 @@ func (sx *Sharded) Restrict(fragLo, fragHi int) (*Sharded, error) {
 		flat:         make([]flatShard, len(sx.flat)),
 	}
 	for s := range sx.flat {
-		r.flat[s] = sx.flat[s].restrict(s, int32(fragLo), int32(fragHi))
+		r.flat[s] = sx.flat[s].restrict(s, sx.cfg.K, int32(fragLo), int32(fragHi))
 	}
 	r.sealed.Store(true)
 	return r, nil
 }
 
-// restrict is Restrict for one internal shard.
-func (fs *flatShard) restrict(id int, lo, hi int32) flatShard {
+// restrict is Restrict for one internal shard, for seeds of length k.
+func (fs *flatShard) restrict(id, k int, lo, hi int32) flatShard {
 	var es []SeedEntry
 	for i := range fs.slots {
 		e := &fs.slots[i]
-		if e.n == 0 {
+		if e.b == 0 {
 			continue
 		}
-		for _, l := range fs.locs[e.off : e.off+e.n] {
-			if l.Frag >= lo && l.Frag < hi {
-				es = append(es, SeedEntry{Seed: e.seed, Loc: Loc{Frag: l.Frag - lo, Off: l.Off, RC: l.RC}})
+		res := fs.result(e)
+		for j := range res.Len() {
+			if l := res.At(j); l.Frag >= lo && l.Frag < hi {
+				es = append(es, SeedEntry{Seed: fs.seed(i), Loc: Loc{Frag: l.Frag - lo, Off: l.Off, RC: l.RC}})
 			}
 		}
 	}
 	SortEntries(es)
-	out := newFlatShard(id, es)
-	for i := range out.slots {
-		if e := &out.slots[i]; e.n != 0 {
-			res, _ := fs.lookup(e.seed, e.seed.Hash())
-			e.cnt = res.Count
-		}
+	var whole []int32
+	for i := 0; i < len(es); i += runLen(es[i:]) {
+		res, _ := fs.lookup(es[i].Seed, es[i].Seed.Hash())
+		whole = append(whole, res.Count)
 	}
-	return out
+	return newFlatShard(id, k, es, whole)
 }
 
 // PartitionFingerprint digests the partition-relevant shape of the FULL
 // sealed table for a given owner count: seed length, internal shard count,
-// owner count, fragment count, and each internal shard's slot-array and
-// arena sizes. Two seed-shard snapshots interoperate only if their
+// owner count, fragment count, and each internal shard's slot count and
+// stored-location count. Two seed-shard snapshots interoperate only if their
 // fingerprints match — it is computed once at save time from the full
 // table and stored in every partition's DHTP section, so a query node can
 // reject a fleet mixing shards of different builds (a partition cannot
@@ -159,7 +159,7 @@ func (sx *Sharded) PartitionFingerprint(count int) (uint64, error) {
 	mix(uint64(sx.numFragments))
 	for s := range sx.flat {
 		mix(uint64(len(sx.flat[s].slots)))
-		mix(uint64(len(sx.flat[s].locs)))
+		mix(uint64(sx.flat[s].stored))
 	}
 	return h, nil
 }

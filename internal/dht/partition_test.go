@@ -119,13 +119,8 @@ func checkPartition(t *testing.T, sx *Sharded, es []SeedEntry, numFrags, count i
 				if !ok {
 					t.Fatalf("shards=%d count=%d: owner %d misses its own seed", sx.Shards(), count, id)
 				}
-				if got.Count != want.Count || len(got.Locs) != len(want.Locs) {
+				if got.Count != want.Count || !slices.Equal(resultLocs(got), resultLocs(want)) {
 					t.Fatalf("shards=%d count=%d: owner %d result differs: %+v vs %+v", sx.Shards(), count, id, got, want)
-				}
-				for i := range got.Locs {
-					if got.Locs[i] != want.Locs[i] {
-						t.Fatalf("shards=%d count=%d: owner %d loc %d differs", sx.Shards(), count, id, i)
-					}
 				}
 			} else if ok {
 				t.Fatalf("shards=%d count=%d: non-owner %d answered for owner %d's seed", sx.Shards(), count, id, owner)
@@ -192,69 +187,108 @@ func TestPartitionErrors(t *testing.T) {
 }
 
 // TestPropertyRestrictMatchesOracle: over random entry sets with heavy
-// repeats and several shard counts, carving a fragment range
-// — empty at either edge, the full range, random ones between — must hold
-// exactly the naive oracle filtered to the range: the whole table's stored
-// locations inside it, rebased, under whole-table counts, with the range's
-// slice of the single-copy flags. The full range must write the source
-// table's bytes.
+// repeats, seed lengths on both sides of the one-word key and several shard
+// counts, carving a fragment range — empty at either edge, the full range,
+// random ones between — must hold exactly the naive oracle filtered to the
+// range: the whole table's stored locations inside it, rebased, under
+// whole-table counts, with the range's slice of the single-copy flags. Some
+// carved seeds keep one location under a larger whole count, the case that
+// needs a count word. The full range must write the source table's bytes.
 func TestPropertyRestrictMatchesOracle(t *testing.T) {
-	const k, numFrags = 19, 12
+	const numFrags = 12
 	rng := rand.New(rand.NewSource(31))
-	for _, shards := range []int{1, 3, 16} {
-		es := randomEntries(rng.Int63(), numFrags, 50+rng.Intn(100), 20+rng.Intn(200), k)
-		sx := buildSharded(t, ShardedConfig{K: k, S: 7, Shards: shards}, es, numFrags, 2)
-		sx.Seal()
-		oracle := naiveOracle(es)
-		misses := absentSeeds(rng, oracle, k, 20)
-		ranges := [][2]int{{0, 0}, {numFrags, numFrags}, {0, numFrags}}
-		for range 6 {
-			lo := rng.Intn(numFrags + 1)
-			ranges = append(ranges, [2]int{lo, lo + rng.Intn(numFrags-lo+1)})
-		}
-		for _, r := range ranges {
-			lo, hi := r[0], r[1]
-			label := fmt.Sprintf("shards=%d range=[%d,%d)", shards, lo, hi)
-			got, err := sx.Restrict(lo, hi)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+	carvedSingletons := 0
+	for _, k := range []int{19, 31, 32, 33, 51} {
+		for _, shards := range []int{1, 3, 16} {
+			es := randomEntries(rng.Int63(), numFrags, 50+rng.Intn(100), 20+rng.Intn(200), k)
+			sx := buildSharded(t, ShardedConfig{K: k, S: 7, Shards: shards}, es, numFrags, 2)
+			sx.Seal()
+			oracle := naiveOracle(es)
+			misses := absentSeeds(rng, oracle, k, 20)
+			ranges := [][2]int{{0, 0}, {numFrags, numFrags}, {0, numFrags}}
+			for range 6 {
+				lo := rng.Intn(numFrags + 1)
+				ranges = append(ranges, [2]int{lo, lo + rng.Intn(numFrags-lo+1)})
 			}
-			want := map[kmer.Kmer]oracleEntry{}
-			absent := slices.Clone(misses)
-			for seed, ent := range oracle {
-				var locs []Loc
-				for _, l := range ent.locs {
-					if int(l.Frag) >= lo && int(l.Frag) < hi {
-						l.Frag -= int32(lo)
-						locs = append(locs, l)
+			for _, r := range ranges {
+				lo, hi := r[0], r[1]
+				label := fmt.Sprintf("k=%d shards=%d range=[%d,%d)", k, shards, lo, hi)
+				got, err := sx.Restrict(lo, hi)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want := map[kmer.Kmer]oracleEntry{}
+				absent := slices.Clone(misses)
+				for seed, ent := range oracle {
+					var locs []Loc
+					for _, l := range ent.locs {
+						if int(l.Frag) >= lo && int(l.Frag) < hi {
+							l.Frag -= int32(lo)
+							locs = append(locs, l)
+						}
+					}
+					if locs == nil {
+						absent = append(absent, seed)
+						continue
+					}
+					if len(locs) == 1 && ent.count > 1 {
+						carvedSingletons++
+					}
+					want[seed] = oracleEntry{locs: locs, count: ent.count}
+				}
+				checkAgainstOracle(t, label, got, want, absent, hi-lo)
+				for f := lo; f < hi; f++ {
+					if got.SingleCopy(f-lo) != sx.SingleCopy(f) {
+						t.Fatalf("%s: single-copy flag of fragment %d differs from the whole table's", label, f)
 					}
 				}
-				if locs == nil {
-					absent = append(absent, seed)
-					continue
-				}
-				want[seed] = oracleEntry{locs: locs, count: ent.count}
 			}
-			checkAgainstOracle(t, label, got, want, absent, hi-lo)
-			for f := lo; f < hi; f++ {
-				if got.SingleCopy(f-lo) != sx.SingleCopy(f) {
-					t.Fatalf("%s: single-copy flag of fragment %d differs from the whole table's", label, f)
-				}
+			full, err := sx.Restrict(0, numFrags)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var a, b bytes.Buffer
+			if _, err := sx.WriteTo(&a); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := full.WriteTo(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("k=%d shards=%d: the full-range carve writes different bytes from its source", k, shards)
 			}
 		}
-		full, err := sx.Restrict(0, numFrags)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var a, b bytes.Buffer
-		if _, err := sx.WriteTo(&a); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := full.WriteTo(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("shards=%d: the full-range carve writes different bytes from its source", shards)
+	}
+	if carvedSingletons == 0 {
+		t.Fatal("no carve kept one location of a repeated seed; the workload misses the count-word case")
+	}
+}
+
+// TestPartitionFingerprintPinned pins PartitionFingerprint on fixed tables —
+// one-word and two-word seeds, and a carve with count words — to the values
+// the 32-byte-slot layout computed: the fingerprint digests the table's
+// shape, not its encoding, so a layout change must not alter it.
+func TestPartitionFingerprintPinned(t *testing.T) {
+	k21 := buildSharded(t, ShardedConfig{K: 21, S: 64, Shards: 16}, randomEntries(3, 8, 100, 300, 21), 8, 2)
+	k21.Seal()
+	k51 := buildSharded(t, ShardedConfig{K: 51, S: 64, Shards: 8}, randomEntries(5, 8, 100, 300, 51), 8, 2)
+	k51.Seal()
+	carve, err := k21.Restrict(2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		sx    *Sharded
+		count int
+		want  uint64
+	}{
+		{"k=21", k21, 3, 10868917532370652846},
+		{"k=51", k51, 2, 8240164603878771115},
+		{"carve [2,6) of k=21", carve, 3, 13017478381129308212},
+	} {
+		if got, err := c.sx.PartitionFingerprint(c.count); err != nil || got != c.want {
+			t.Errorf("%s: PartitionFingerprint(%d) = %d, %v; pinned %d", c.name, c.count, got, err, c.want)
 		}
 	}
 }

@@ -226,7 +226,7 @@ func (sx *Sharded) DrainShard(s int) {
 		es = append(es, sx.arena[sg.Off:sg.Off+int64(sg.N)]...)
 	}
 	SortEntries(es)
-	sx.flat[s] = newFlatShard(s, es)
+	sx.flat[s] = newFlatShard(s, sx.cfg.K, es, nil)
 }
 
 // Seal marks construction complete: the staging arena is released and the
@@ -256,10 +256,11 @@ func (sx *Sharded) mustBeMutable(op string) {
 }
 
 // ResidentBytes reports the steady-state memory footprint of the index,
-// EXACT for the structures the index owns: the flat slot arrays, the
-// location arenas (allocated at exact capacity), and the single-copy flags —
-// the number a serving process should budget per resident index. The
-// staging arena, which Seal releases, is not part of it.
+// EXACT for the structures the index owns: the flat slot arrays, the Hi
+// word arrays (K > 32 only), the location arenas (allocated at exact
+// capacity), and the single-copy flags — the number a serving process
+// should budget per resident index. The staging arena, which Seal
+// releases, is not part of it.
 func (sx *Sharded) ResidentBytes() int64 {
 	n := int64(len(sx.singleCopy)) * 4
 	for i := range sx.flat {
@@ -275,12 +276,18 @@ func (sx *Sharded) MarkShard(s int) {
 	sx.mustBeMutable("MarkShard")
 	fs := &sx.flat[s]
 	for i := range fs.slots {
+		// Only list slots can mark: one location means count 1, and every
+		// list a build writes has count > 1. A list's b is even and
+		// nonzero, the only b whose lowest set bit is above bit 0 — one
+		// test, so the branch predicts on a table of mostly empty and
+		// one-location slots.
 		e := &fs.slots[i]
-		if e.cnt <= 1 {
+		if e.b&-e.b < 2 {
 			continue
 		}
-		for _, loc := range fs.locs[e.off : e.off+e.n] {
-			atomic.StoreInt32(&sx.singleCopy[loc.Frag], 0)
+		res := fs.result(e)
+		for j := range res.Len() {
+			atomic.StoreInt32(&sx.singleCopy[res.At(j).Frag], 0)
 		}
 	}
 }
@@ -320,13 +327,14 @@ func (sx *Sharded) Stats() Stats {
 		n := 0
 		for j := range fs.slots {
 			e := &fs.slots[j]
-			if e.n == 0 {
+			if e.b == 0 {
 				continue
 			}
+			res := fs.result(e)
 			n++
-			st.TotalLocs += int(e.n)
-			st.MaxListLen = max(st.MaxListLen, int(e.n))
-			if e.cnt > 1 {
+			st.TotalLocs += res.Len()
+			st.MaxListLen = max(st.MaxListLen, res.Len())
+			if res.Count > 1 {
 				st.RepeatSeeds++
 			}
 		}

@@ -98,7 +98,7 @@ func TestShardedContentIndependentOfWorkersAndShards(t *testing.T) {
 				seen[e.Seed] = true
 				rr, _ := ref.Lookup(e.Seed)
 				gr, _ := got.Lookup(e.Seed)
-				if rr.Count != gr.Count || !reflect.DeepEqual(rr.Locs, gr.Locs) {
+				if !reflect.DeepEqual(rr, gr) {
 					t.Fatalf("workers=%d shards=%d: table differs at %v", workers, shards, e.Seed)
 				}
 			}

@@ -13,7 +13,7 @@ import (
 
 // This file serializes the sealed index. The flat table (flat.go) is
 // already a serialization-ready memory image — per-shard slot arrays of
-// fixed-size flatEntry structs over contiguous Loc arenas — so WriteTo dumps
+// fixed-size flatSlot structs over contiguous Loc arenas — so WriteTo dumps
 // those arrays verbatim and OpenMapped reconstructs a sealed Sharded whose
 // slices alias the snapshot bytes directly: zero copies, zero rehashing,
 // and N processes mapping one snapshot share a single physical copy of the
@@ -26,8 +26,9 @@ import (
 //	header (64 B): version, K, shards, reserved (0), numFragments,
 //	               singleCopyOff, dirOff
 //	singleCopy:    numFragments x i32
-//	directory:     shards x 48 B {shift, slotsLen, slotsOff, locsLen, locsOff}
-//	per shard:     slots = slotsLen x flatEntry (32 B), locs = locsLen x Loc (12 B)
+//	directory:     shards x 48 B {shift, slotsLen, slotsOff, locsLen, locsOff, hiOff}
+//	per shard:     slots = slotsLen x flatSlot (16 B), locs = locsLen x Loc (12 B),
+//	               hi = slotsLen x u64 when K > 32
 //
 // Raw struct dumps tie the format to the compiled struct layout, so the
 // wire sizes are pinned by the exported *WireBytes constants and asserted
@@ -37,9 +38,9 @@ import (
 // Wire sizes of the raw structs in a snapshot, asserted at compile time to
 // match the in-memory layout this build serializes.
 const (
-	// FlatEntryWireBytes is the size of one sealed slot on disk: seed lo/hi
-	// u64, arena offset i32, stored count i32, total count i32, 4 B padding.
-	FlatEntryWireBytes = 32
+	// FlatEntryWireBytes is the size of one sealed slot on disk: seed Lo
+	// u64, then the u32 words a and b (flat.go gives their encoding).
+	FlatEntryWireBytes = 16
 	// LocWireBytes is the size of one location on disk: fragment i32,
 	// offset i32, strand u8, 3 B padding.
 	LocWireBytes = 12
@@ -48,7 +49,7 @@ const (
 // Compile-time layout assertions: index out of range if a struct size ever
 // drifts from its documented wire size.
 var (
-	_ = [1]struct{}{}[unsafe.Sizeof(flatEntry{})-FlatEntryWireBytes]
+	_ = [1]struct{}{}[unsafe.Sizeof(flatSlot{})-FlatEntryWireBytes]
 	_ = [1]struct{}{}[unsafe.Sizeof(Loc{})-LocWireBytes]
 )
 
@@ -57,8 +58,13 @@ var (
 // capped location lists, so it cannot answer every MaxSeedHits threshold.
 var ErrCappedTable = errors.New("dht: snapshot table stores capped location lists")
 
+// ErrTableVersion is matched (via errors.Is) by OpenMapped's refusal of a
+// table whose version word is not the one this build reads: the table is
+// intact but in a layout this build does not decode.
+var ErrTableVersion = errors.New("dht: snapshot table version not readable by this build")
+
 const (
-	snapVersion    = 1
+	snapVersion    = 2
 	snapHeaderSize = 64
 	snapDirEntry   = 48
 	snapAlign      = 64
@@ -117,12 +123,18 @@ func (sx *Sharded) WriteTo(w io.Writer) (int64, error) {
 		off = alignUp(off+int64(len(fs.slots))*FlatEntryWireBytes, snapAlign)
 		locsOff := off
 		off = alignUp(off+int64(len(fs.locs))*LocWireBytes, snapAlign)
+		hiOff := int64(0)
+		if fs.hi != nil {
+			hiOff = off
+			off = alignUp(off+int64(len(fs.hi))*8, snapAlign)
+		}
 		e := dir[i*snapDirEntry:]
 		binary.LittleEndian.PutUint32(e[0:], uint32(fs.shift))
 		binary.LittleEndian.PutUint64(e[8:], uint64(len(fs.slots)))
 		binary.LittleEndian.PutUint64(e[16:], uint64(slotsOff))
 		binary.LittleEndian.PutUint64(e[24:], uint64(len(fs.locs)))
 		binary.LittleEndian.PutUint64(e[32:], uint64(locsOff))
+		binary.LittleEndian.PutUint64(e[40:], uint64(hiOff))
 	}
 
 	var hdr [snapHeaderSize]byte
@@ -161,6 +173,15 @@ func (sx *Sharded) WriteTo(w io.Writer) (int64, error) {
 		if _, err := cw.Write(rawBytes(fs.locs)); err != nil {
 			return cw.n, err
 		}
+		if fs.hi == nil {
+			continue
+		}
+		if err := cw.padTo(int64(binary.LittleEndian.Uint64(e[40:]))); err != nil {
+			return cw.n, err
+		}
+		if _, err := cw.Write(rawBytes(fs.hi)); err != nil {
+			return cw.n, err
+		}
 	}
 	return cw.n, nil
 }
@@ -189,8 +210,8 @@ func (c *countWriter) padTo(off int64) error {
 }
 
 // OpenMapped reconstructs a sealed index over a snapshot blob produced by
-// WriteTo, without copying: the slot arrays, location arenas, and
-// single-copy flags alias blob directly, so blob must stay valid (and
+// WriteTo, without copying: the slot arrays, Hi words, location arenas,
+// and single-copy flags alias blob directly, so blob must stay valid (and
 // unmodified — it is typically a read-only mmap) for the index's lifetime.
 // Every offset and length is bounds-checked before the aliasing views are
 // taken; a damaged blob yields an error, never a panic. Checksum
@@ -202,7 +223,7 @@ func OpenMapped(blob []byte) (*Sharded, error) {
 		return nil, fmt.Errorf("dht: snapshot blob of %d bytes is smaller than the %d-byte header", len(blob), snapHeaderSize)
 	}
 	if v := binary.LittleEndian.Uint32(blob[0:]); v != snapVersion {
-		return nil, fmt.Errorf("dht: snapshot blob version %d (this build reads version %d)", v, snapVersion)
+		return nil, fmt.Errorf("%w: version %d (this build reads version %d)", ErrTableVersion, v, snapVersion)
 	}
 	k := int(binary.LittleEndian.Uint32(blob[4:]))
 	shards := int(binary.LittleEndian.Uint32(blob[8:]))
@@ -243,13 +264,14 @@ func OpenMapped(blob []byte) (*Sharded, error) {
 		slotsOff := int64(binary.LittleEndian.Uint64(e[16:]))
 		locsLen := int64(binary.LittleEndian.Uint64(e[24:]))
 		locsOff := int64(binary.LittleEndian.Uint64(e[32:]))
+		hiOff := int64(binary.LittleEndian.Uint64(e[40:]))
 		if slotsLen <= 0 || slotsLen&(slotsLen-1) != 0 {
 			return nil, fmt.Errorf("dht: snapshot shard %d: slot count %d is not a power of two", i, slotsLen)
 		}
 		if want := uint(64 - bits.Len64(uint64(slotsLen)-1)); shift != want {
 			return nil, fmt.Errorf("dht: snapshot shard %d: shift %d does not match %d slots", i, shift, slotsLen)
 		}
-		slots, err := viewAt[flatEntry](blob, slotsOff, int(slotsLen))
+		slots, err := viewAt[flatSlot](blob, slotsOff, int(slotsLen))
 		if err != nil {
 			return nil, fmt.Errorf("dht: snapshot shard %d slots: %w", i, err)
 		}
@@ -257,35 +279,59 @@ func OpenMapped(blob []byte) (*Sharded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dht: snapshot shard %d locations: %w", i, err)
 		}
-		// Every slot's location range must stay inside this shard's arena so
-		// sealed lookups can slice it unchecked — and at least one slot must
-		// be empty, because lookup's linear probe terminates only on an
-		// empty slot or a seed match (newFlatShard guarantees load <= 0.75; a
-		// crafted full table would make lookups of absent seeds spin
-		// forever).
-		occupied := int64(0)
+		var hi []uint64
+		if k > 32 {
+			if hi, err = viewAt[uint64](blob, hiOff, int(slotsLen)); err != nil {
+				return nil, fmt.Errorf("dht: snapshot shard %d seed Hi words: %w", i, err)
+			}
+		} else if hiOff != 0 {
+			return nil, fmt.Errorf("dht: snapshot shard %d: seed Hi words at %d for K = %d", i, hiOff, k)
+		}
+		// Every slot's fragment, list and count word must stay inside this
+		// shard's arena so sealed lookups can decode them unchecked — and
+		// at least one slot must be empty, because lookup's linear probe
+		// terminates only on an empty slot or a seed match (newFlatShard
+		// guarantees load <= 0.75; a crafted full table would make lookups of
+		// absent seeds spin forever).
+		occupied, stored := int64(0), int64(0)
 		for j := range slots {
-			s := &slots[j]
-			if s.n == 0 {
+			a, b := int64(slots[j].a), slots[j].b
+			switch {
+			case b == 0:
 				continue
+			case b&slotOne != 0:
+				if a >= numFragments {
+					return nil, fmt.Errorf("dht: snapshot shard %d slot %d: fragment %d outside 0..%d", i, j, a, numFragments-1)
+				}
+				stored++
+			default:
+				n, start := int64(b>>2), a
+				if b&slotCounted != 0 {
+					start++ // past the count word
+				}
+				if n == 0 || start+n > locsLen {
+					return nil, fmt.Errorf("dht: snapshot shard %d slot %d: list of %d at %d outside arena of %d", i, j, n, start, locsLen)
+				}
+				if start > a && int64(locs[a].Off) < n {
+					return nil, fmt.Errorf("dht: snapshot shard %d slot %d: count word %d below the list's %d locations", i, j, locs[a].Off, n)
+				}
+				stored += n
 			}
 			occupied++
-			if s.off < 0 || s.n < 0 || int64(s.off)+int64(s.n) > locsLen {
-				return nil, fmt.Errorf("dht: snapshot shard %d slot %d: location range [%d,%d) outside arena of %d", i, j, s.off, s.off+s.n, locsLen)
-			}
 		}
 		if occupied == slotsLen {
 			return nil, fmt.Errorf("dht: snapshot shard %d: table has no empty slot (%d of %d occupied)", i, occupied, slotsLen)
 		}
 		// Fragment IDs feed array indexing downstream (SingleCopy, the
 		// aligner's fragment->target resolution), so a crafted arena must
-		// not smuggle one past the open-time check.
+		// not smuggle one past the open-time check. A count word's fragment
+		// field is zero, so the same check covers it.
 		for j := range locs {
 			if f := int64(locs[j].Frag); f < 0 || f >= numFragments {
 				return nil, fmt.Errorf("dht: snapshot shard %d location %d: fragment %d outside 0..%d", i, j, locs[j].Frag, numFragments-1)
 			}
 		}
-		sx.flat[i] = flatShard{shift: shift, slots: slots, locs: locs}
+		sx.flat[i] = flatShard{shift: shift, slots: slots, hi: hi, locs: locs, stored: int(stored)}
 	}
 	sx.sealed.Store(true)
 	return sx, nil

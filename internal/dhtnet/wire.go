@@ -141,7 +141,7 @@ func DecodeLookupRequest(b []byte) (k int, seeds []kmer.Kmer, err error) {
 }
 
 // AppendLookupResponse appends the response frame for answers to dst. A
-// miss is encoded as n == 0 regardless of the answer's Locs.
+// miss is encoded as n == 0 regardless of the answer's locations.
 func AppendLookupResponse(dst []byte, answers []LookupAnswer) []byte {
 	var hdr [respHeaderSize]byte
 	copy(hdr[0:4], respMagic)
@@ -157,10 +157,11 @@ func AppendLookupResponse(dst []byte, answers []LookupAnswer) []byte {
 			dst = append(dst, ab[:]...)
 			continue
 		}
-		binary.LittleEndian.PutUint32(ab[0:], uint32(len(a.Res.Locs)))
+		binary.LittleEndian.PutUint32(ab[0:], uint32(a.Res.Len()))
 		binary.LittleEndian.PutUint32(ab[4:], uint32(a.Res.Count))
 		dst = append(dst, ab[:]...)
-		for _, loc := range a.Res.Locs {
+		for j := range a.Res.Len() {
+			loc := a.Res.At(j)
 			binary.LittleEndian.PutUint32(lb[0:], uint32(loc.Frag))
 			binary.LittleEndian.PutUint32(lb[4:], uint32(loc.Off))
 			if loc.RC {

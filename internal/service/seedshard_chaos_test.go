@@ -96,7 +96,7 @@ func checkAnswers(t *testing.T, shards []*core.SeedShard, seeds []kmer.Kmer, out
 		if out[i].OK != ok {
 			t.Fatalf("seed %d: OK=%v want %v", i, out[i].OK, ok)
 		}
-		if ok && (out[i].Res.Count != want.Count || len(out[i].Res.Locs) != len(want.Locs)) {
+		if ok && (out[i].Res.Count != want.Count || out[i].Res.Len() != want.Len()) {
 			t.Fatalf("seed %d: result shape mismatch", i)
 		}
 	}

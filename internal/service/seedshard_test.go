@@ -115,12 +115,12 @@ func TestSeedShardLookupParity(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if out[i].Res.Count != want.Count || len(out[i].Res.Locs) != len(want.Locs) {
+			if out[i].Res.Count != want.Count || out[i].Res.Len() != want.Len() {
 				t.Fatalf("count=%d seed %d: shape mismatch", count, i)
 			}
-			for j := range want.Locs {
-				if out[i].Res.Locs[j] != want.Locs[j] {
-					t.Fatalf("count=%d seed %d loc %d: %+v != %+v", count, i, j, out[i].Res.Locs[j], want.Locs[j])
+			for j := range want.Len() {
+				if out[i].Res.At(j) != want.At(j) {
+					t.Fatalf("count=%d seed %d loc %d: %+v != %+v", count, i, j, out[i].Res.At(j), want.At(j))
 				}
 			}
 		}

@@ -82,7 +82,7 @@ func (g *Group) Lookup(t *upc.Thread, ix *Index, s kmer.Kmer) (dht.LookupResult,
 	}
 	res, found := ix.Lookup(t, s)
 	if found {
-		sc.Put(s, res, int64(ix.LookupBytes(len(res.Locs))))
+		sc.Put(s, res, int64(ix.LookupBytes(res.Len())))
 	} else {
 		// Negative caching: absent seeds (error k-mers) are recorded with
 		// Count == 0 so repeated misses of hot error seeds stay on-node.

@@ -307,7 +307,7 @@ func (ix *Index) Lookup(t *upc.Thread, s kmer.Kmer) (dht.LookupResult, bool) {
 	res, ok := ix.lookupLocal(owner, s)
 	bytes := dht.WireBytes(ix.cfg.K)
 	if ok {
-		bytes += len(res.Locs) * 9
+		bytes += res.Len() * 9
 	}
 	t.Get(owner, bytes)
 	return res, ok
