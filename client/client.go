@@ -134,9 +134,11 @@ type FrontStats struct {
 	RequestP50Ms float64 `json:"request_p50_ms"`
 	RequestP99Ms float64 `json:"request_p99_ms"`
 
-	// Effective batching knobs.
-	MaxBatch  int     `json:"max_batch"`
-	MaxWaitMs float64 `json:"max_wait_ms"`
+	// Effective batching knobs: reads per call, and the bound on calls in
+	// flight (merserved's engine workers, merrouted's replicas of its
+	// narrowest shard).
+	MaxBatch int `json:"max_batch"`
+	MaxCalls int `json:"max_calls"`
 }
 
 // Stats is the JSON body of GET /v1/stats (single-index servers) and of

@@ -13,7 +13,7 @@
 //	          [-addr :8491] [-degraded fail|partial]
 //	          [-call-timeout 15s] [-retries 3] [-health-interval 2s]
 //	          [-breaker-threshold 3] [-hedge-after 0] [-min-deadline 0]
-//	          [-max-batch 256] [-max-wait 2ms] [-queue 1024] [-v]
+//	          [-max-batch 256] [-queue 1024] [-v]
 //	          [-log-level info] [-log-format text|json]
 //	          [-slow-request-ms 0] [-debug-addr 127.0.0.1:0]
 //
@@ -38,6 +38,11 @@
 // @CO line (SAM) and counted in metrics. -min-deadline, when positive,
 // rejects align requests whose propagated X-Deadline-Ms budget is below it
 // (503) instead of scattering doomed work.
+//
+// A scatter occupies one replica of every shard, so as many scatters run at
+// once as the narrowest shard has replicas; a queued request dispatches as
+// soon as one finishes, and past -queue queued reads requests get 429 +
+// Retry-After.
 //
 // Endpoints: POST /v1/align, GET /v1/stats, /v1/targets, /healthz,
 // /readyz, /metrics (merrouted_* and per-shard merrouted_shard_* series).

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	merserved -targets contigs.fa [-k 51] [-threads N] [-addr :8490]
-//	          [-max-batch 256] [-max-wait 2ms] [-queue 1024]
+//	          [-max-batch 256] [-queue 1024]
 //	          [-max-hits 1000] [-min-score 0] [-no-exact] [-v]
 //	merserved -index contigs.merx [-threads N] [-addr :8490] ...
 //	merserved -index-dir snapshots/ [-resident-budget 2GiB]
@@ -39,6 +39,10 @@
 // /v1/shardinfo) for the hash partition it owns — no reads, no extension,
 // no SAM. Query nodes (`meraligner -dht-nodes`) resolve seeds against the
 // fleet and align locally with byte-identical output (see internal/dhtnet).
+//
+// Up to -threads engine calls run at once, across every reference; a
+// queued request dispatches as soon as one finishes, and past -queue
+// queued reads requests get 429 + Retry-After.
 //
 // The listener binds and logs "listening on" immediately; until the index
 // is built/mapped, every endpoint answers 503 warming except GET /healthz —
@@ -85,7 +89,7 @@ func main() {
 		maxInflight = flag.Int("max-inflight-per-ref", 0, "max concurrently served align requests per reference (0 = unlimited)")
 		swapPoll    = flag.Duration("swap-poll", 0, "min interval between snapshot hot-swap freshness checks (0 = 1s default, negative disables)")
 		k           = flag.Int("k", 51, "seed length (1-64)")
-		threads     = flag.Int("threads", runtime.NumCPU(), "worker threads (index build and engine pool)")
+		threads     = flag.Int("threads", runtime.NumCPU(), "worker threads (index build, engine pool, and engine calls run at once)")
 		maxHits     = flag.Int("max-hits", 1000, "max alignments per seed (0 = unlimited, §IV-C)")
 		minScore    = flag.Int("min-score", 0, "minimum alignment score (0 = seed length)")
 		noExact     = flag.Bool("no-exact", false, "disable the exact-match optimization (§IV-A)")

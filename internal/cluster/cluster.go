@@ -99,7 +99,8 @@ type Config struct {
 	Retry client.RetryPolicy
 
 	// The front door, as in service.Config: one queue of scatters (MaxBatch
-	// reads each), admission, logging.
+	// reads each), admission, logging. As many scatters run at once as the
+	// narrowest shard has replicas.
 	service.FrontConfig
 
 	// HealthInterval paces the per-replica /readyz probes. Default 2s.
@@ -208,8 +209,15 @@ func New(cfg Config) (*Router, error) {
 		}
 		rt.sets = append(rt.sets, ss)
 	}
+	// A scatter occupies one replica of every shard, so the narrowest shard
+	// bounds the scatters in flight.
+	narrowest := len(rt.sets[0].replicas)
+	for _, ss := range rt.sets {
+		narrowest = min(narrowest, len(ss.replicas))
+	}
 	rt.front = service.NewFront(rt.baseCtx, cfg.FrontConfig, service.Tier[*gather]{
 		Call:    rt.scatter,
+		Calls:   coalesce.NewLimit(narrowest),
 		Prepare: scatterCarrier,
 		Record:  recordScatter,
 		Status:  rt.shardStatus,

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,21 +22,24 @@ import (
 )
 
 // gatedQuery is queryOpts with an extension that blocks until open is
-// closed, counting the calls that reached it.
+// closed, counting the calls that reached it, and then takes a millisecond
+// per extension: a slow engine that sustained load can overrun.
 func gatedQuery(entered *atomic.Int32, open <-chan struct{}) meraligner.QueryOptions {
 	q := queryOpts()
 	q.Extend = func(query, target []byte, qOff, tOff, k int, sc align.Scoring, pad int) align.Result {
 		entered.Add(1)
 		<-open
+		time.Sleep(time.Millisecond)
 		return align.ExtendSeed(query, target, qOff, tOff, k, sc, pad)
 	}
 	return q
 }
 
-// serveIndex serves one index behind httptest until the test ends.
+// serveIndex serves one index behind httptest until the test ends, with one
+// engine worker: one engine call runs at a time.
 func serveIndex(t *testing.T, al *meraligner.Aligner, q meraligner.QueryOptions, front service.FrontConfig) string {
 	t.Helper()
-	srv, err := service.New(service.Config{Aligner: al, Query: q, Workers: 2, FrontConfig: front, Version: "test"})
+	srv, err := service.New(service.Config{Aligner: al, Query: q, Workers: 1, FrontConfig: front, Version: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +88,13 @@ func jsonReads(t *testing.T, reads []meraligner.Seq) string {
 // TestRouterRefusesLikeSingleNode: both tiers answer a bad or unservable
 // request from one front door, so the same request gets the same status,
 // Retry-After and body from merrouted as from a single merserved — empty,
-// a read over the length cap, a doomed deadline, an oversized body, and a
-// full queue. (Too-short reads and SAM injection have their own tests.)
+// a read over the length cap, a doomed deadline, an oversized body, a full
+// queue, and sustained overload. (Too-short reads and SAM injection have
+// their own tests.) The single node runs one engine call at a time, and so
+// does the router, whose shards have one replica each.
 func TestRouterRefusesLikeSingleNode(t *testing.T) {
 	fixture(t)
-	front := service.FrontConfig{MaxBatch: 4, QueueReads: 4, MaxWait: 5 * time.Second, MinDeadline: 50 * time.Millisecond}
+	front := service.FrontConfig{MaxBatch: 4, QueueReads: 4, MinDeadline: 50 * time.Millisecond}
 	var singleIn, fleetIn atomic.Int32
 	singleOpen, fleetOpen := make(chan struct{}), make(chan struct{})
 	defer func() {
@@ -229,6 +236,48 @@ func TestRouterRefusesLikeSingleNode(t *testing.T) {
 			}
 		}
 	}
+
+	// Sustained overload: 16 clients post 2 substituted reads each, back to
+	// back, to an engine that takes a millisecond per extension. Calls do not stack: the
+	// backlog stays in the 4-read queue, and both tiers refuse the excess
+	// with the same 429.
+	slow := jsonReads(t, mutated[:2])
+	overload := func(url string) (served int, refused []refusal) {
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for range 16 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 8 {
+					r, err := send(url, "application/json", strings.NewReader(slow))
+					mu.Lock()
+					switch {
+					case err != nil:
+						t.Errorf("%s: %v", url, err)
+					case r.code == http.StatusOK:
+						served++
+					default:
+						refused = append(refused, r)
+					}
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		return served, refused
+	}
+	wantServed, wantRefused := overload(single)
+	gotServed, gotRefused := overload(rts.URL)
+	if len(wantRefused) == 0 || len(gotRefused) == 0 {
+		t.Errorf("sustained overload refused %d requests at the single node (%d served) and %d at the router (%d served), want some at both",
+			len(wantRefused), wantServed, len(gotRefused), gotServed)
+	}
+	for _, r := range append(wantRefused, gotRefused...) {
+		if r.code != http.StatusTooManyRequests || r != wantRefused[0] {
+			t.Fatalf("sustained overload refusal %+v differs from the single node's first %+v", r, wantRefused[0])
+		}
+	}
 }
 
 // getStats decodes url's /v1/stats into out.
@@ -244,21 +293,35 @@ func getStats(t *testing.T, url string, out any) {
 	}
 }
 
-// TestRouterMaxWaitEffective: the router's front door resolves MaxWait as
-// merserved's does — unset is 2ms, negative disables window-holding — and
-// its /v1/stats reports the value the queue runs with.
-func TestRouterMaxWaitEffective(t *testing.T) {
-	shards := newFleet(t)
-	for _, tc := range []struct{ set, want time.Duration }{
-		{0, 2 * time.Millisecond},
-		{-1, 0},
-		{7 * time.Millisecond, 7 * time.Millisecond},
+// TestRouterCallBoundEffective: a scatter occupies one replica of every
+// shard, so the router runs as many scatters at once as its narrowest shard
+// has replicas, and its /v1/stats reports that bound as max_calls.
+func TestRouterCallBoundEffective(t *testing.T) {
+	a, b := newFleet(t), newFleet(t)
+	// fleet gives shard i a second replica when twice[i].
+	fleet := func(twice ...bool) []string {
+		shards := slices.Clone(a)
+		for i := range shards {
+			if twice[i] {
+				shards[i] += "|" + b[i]
+			}
+		}
+		return shards
+	}
+	for _, tc := range []struct {
+		what   string
+		shards []string
+		want   int
+	}{
+		{"one replica each", a, 1},
+		{"two replicas each", fleet(true, true, true), 2},
+		{"two replicas but one shard", fleet(true, false, true), 1},
 	} {
-		_, ts := newRouter(t, shards, func(c *Config) { c.MaxWait = tc.set })
+		_, ts := newRouter(t, tc.shards, nil)
 		var st client.RouterStats
 		getStats(t, ts.URL, &st)
-		if got, want := st.MaxWaitMs, float64(tc.want)/float64(time.Millisecond); got != want || st.MaxBatch != 256 {
-			t.Errorf("MaxWait %v: the router's /v1/stats reports max_wait_ms %v (max_batch %d), want %v (256)", tc.set, got, st.MaxBatch, want)
+		if st.MaxCalls != tc.want || st.MaxBatch != 256 {
+			t.Errorf("%s: the router's /v1/stats reports max_calls %d (max_batch %d), want %d (256)", tc.what, st.MaxCalls, st.MaxBatch, tc.want)
 		}
 	}
 }

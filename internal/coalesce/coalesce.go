@@ -1,25 +1,25 @@
 // Package coalesce implements the continuous micro-batching queue shared by
 // meraligner's two serving tiers: concurrent small submissions glue into
 // shared calls, so a per-call cost — an engine dispatch, an HTTP round-trip
-// per shard — is paid once per batching window instead of once per
-// submitter. This is the paper's aggregating-stores idea (§III-A) in the
-// MICA/SNAP serving shape: one queue, parameterized over the item type and
-// the call result, so the align server (internal/service, items = reads,
-// result = a pinned engine call) and the scatter/gather router
-// (internal/cluster, items = reads) run literally the same code. The
-// network-DHT client needs no queue: the engine already hands it a whole
-// claim's seed lookups per call.
+// per shard — is paid once per call instead of once per submitter. This is
+// the paper's aggregating-stores idea (§III-A) in the MICA/SNAP serving
+// shape: one queue, parameterized over the item type and the call result,
+// so the align server (internal/service, items = reads, result = a pinned
+// engine call) and the scatter/gather router (internal/cluster, items =
+// reads) run literally the same code. The network-DHT client needs no
+// queue: the engine already hands it a whole claim's seed lookups per call.
 //
-// Batching is continuous, not clocked: when no call is in flight the next
-// queued submission dispatches immediately (an idle engine is never held
-// hostage to a timer), and while a call is in flight new arrivals
-// accumulate — the following call takes them all, up to MaxBatch items.
-// Under concurrent load batches grow to the arrival rate with no tuning.
-// MaxWait caps how long a queued submission may wait behind a busy call
-// before an overlapping call is dispatched anyway (so one slow mega-batch
-// cannot stall the queue), and Capacity bounds the queued items: a
+// Batching is continuous, not clocked, and dispatch is bounded by a Limit:
+// one token per call that may run at once (merserved's engine workers,
+// merrouted's replicas of its narrowest shard). The dispatcher sends the
+// next queued batch the moment it holds a token, and holds the queue only
+// while every token is taken: arrivals then accumulate, and the call that
+// takes the next free token carries them all, up to MaxBatch items. Under
+// concurrent load batches grow to the arrival rate with no tuning. Direct
+// calls draw on the same tokens. Capacity bounds the queued items: a
 // submission that would exceed it is rejected at once (ErrOverloaded), so
-// latency stays bounded instead of the queue growing under overload.
+// under sustained overload the queue refuses work instead of stacking
+// calls, and latency stays bounded.
 package coalesce
 
 import (
@@ -39,6 +39,14 @@ var (
 	// ErrDraining: the coalescer no longer admits work.
 	ErrDraining = errors.New("coalesce: draining")
 )
+
+// Limit is a pool of call tokens, one per call that may run at once; its
+// capacity is the bound. The coalescers sharing one Limit together never
+// run more calls than that (merserved's references share the engine's).
+type Limit chan struct{}
+
+// NewLimit returns a pool of n tokens, at least one.
+func NewLimit(n int) Limit { return make(Limit, max(n, 1)) }
 
 // Func runs one coalesced call over the concatenated items of a batch.
 type Func[T, R any] func(ctx context.Context, items []T) (R, error)
@@ -102,9 +110,10 @@ func (w *Window[R]) Release() {
 	}
 }
 
-// claim reference-counts one call's result on behalf of Config.Release: the
-// dispatcher holds one reference while demuxing and every delivered window
-// one until its holder releases it.
+// claim reference-counts one call's result on behalf of Config.Release: one
+// reference per member, which its delivered window holds until its holder
+// releases it, or which the demux drops for a member already gone. So the
+// last holder's Release is the one that releases the result.
 type claim[R any] struct {
 	res     R
 	left    atomic.Int32
@@ -138,11 +147,11 @@ type pending[T, R any] struct {
 // and admitted backlog and must be positive for the queue to admit anything.
 type Config[T, R any] struct {
 	Call     Func[T, R]
-	MaxBatch int           // items per coalesced call
-	MaxWait  time.Duration // window held open behind a busy call; <=0 disables
-	Capacity int           // admission bound on queued items
-	Stats    *Stats        // optional counters
-	Prepare  Prepare       // optional pre-dispatch context hook
+	MaxBatch int     // items per coalesced call
+	Capacity int     // admission bound on queued items
+	Limit    Limit   // bound on calls in flight; nil means one at a time
+	Stats    *Stats  // optional counters
+	Prepare  Prepare // optional pre-dispatch context hook
 
 	// Release, when set, makes results pinned resources (the align server's
 	// engine calls pin a mapped index that SAM rendering still reads): it
@@ -161,8 +170,8 @@ type Coalescer[T, R any] struct {
 	prepare  Prepare
 	release  func(R)
 	maxBatch int
-	maxWait  time.Duration
 	capacity int // admission bound on queued items
+	limit    Limit
 	base     context.Context
 	st       *Stats
 
@@ -170,7 +179,7 @@ type Coalescer[T, R any] struct {
 	cond     *sync.Cond // broadcast on queue/inflight transitions
 	queue    []*pending[T, R]
 	queued   int // items queued
-	inflight int // calls running
+	inflight int // this coalescer's calls running or waiting for a token
 	closed   bool
 
 	wake    chan struct{} // 1-buffered dispatcher kick
@@ -184,12 +193,15 @@ func New[T, R any](base context.Context, cfg Config[T, R]) *Coalescer[T, R] {
 		prepare:  cfg.Prepare,
 		release:  cfg.Release,
 		maxBatch: cfg.MaxBatch,
-		maxWait:  cfg.MaxWait,
 		capacity: cfg.Capacity,
+		limit:    cfg.Limit,
 		base:     base,
 		st:       cfg.Stats,
 		wake:     make(chan struct{}, 1),
 		stopped:  make(chan struct{}),
+	}
+	if c.limit == nil {
+		c.limit = NewLimit(1)
 	}
 	c.cond = sync.NewCond(&c.mu)
 	go c.run()
@@ -203,7 +215,8 @@ func (c *Coalescer[T, R]) QueuedItems() int {
 	return c.queued
 }
 
-// Inflight reports the calls currently running (for tests).
+// Inflight reports this coalescer's calls running or waiting for a token
+// (for tests).
 func (c *Coalescer[T, R]) Inflight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -212,34 +225,47 @@ func (c *Coalescer[T, R]) Inflight() int {
 
 // Direct runs Call over one big submission's items without queueing, under
 // the caller's own context (no coalescing to gain; a disconnect cancels the
-// call itself). It shares the inflight count, so queued small submissions
-// coalesce behind it instead of dispatching into an already-busy callee,
-// and Drain waits for it. Stats are the caller's to record.
+// call itself). It waits for a token like a queued batch, so it counts
+// against the Limit and queued small submissions coalesce behind it, and
+// Drain waits for it. Stats are the caller's to record.
 func (c *Coalescer[T, R]) Direct(ctx context.Context, items []T) (*Window[R], error) {
 	c.mu.Lock()
 	c.inflight++
 	c.mu.Unlock()
 	start := time.Now()
+	select {
+	case c.limit <- struct{}{}:
+	case <-ctx.Done():
+		c.retire()
+		return nil, ctx.Err()
+	}
+	disp := time.Now()
 	res, err := c.call(ctx, items)
 	finished := time.Now()
 	c.finishCall()
 	if err != nil {
 		return nil, err
 	}
-	w := &Window[R]{Result: res, Hi: len(items), Enq: start, Disp: start, Done: finished, Requests: 1}
+	w := &Window[R]{Result: res, Hi: len(items), Enq: start, Disp: disp, Done: finished, Requests: 1}
 	if c.release != nil {
 		w.claim = newClaim(res, 1, c.release)
 	}
 	return w, nil
 }
 
-// finishCall retires one running call and lets a held window dispatch.
+// finishCall returns a finished call's token, so a held batch dispatches,
+// and retires the call.
 func (c *Coalescer[T, R]) finishCall() {
+	<-c.limit
+	c.retire()
+}
+
+// retire drops one call from the inflight count, waking Drain.
+func (c *Coalescer[T, R]) retire() {
 	c.mu.Lock()
 	c.inflight--
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	c.kick()
 }
 
 // Submit enqueues one submission's items and blocks until its call completes
@@ -321,18 +347,17 @@ func (c *Coalescer[T, R]) Drain(ctx context.Context) error {
 	}
 }
 
-// run is the dispatcher: one goroutine owning batch formation; executions
-// are spawned so arrivals accumulate while a call is in flight.
+// run is the dispatcher: one goroutine owning batch formation. With work
+// queued it waits for a token, so the queue is held only while every token
+// is taken, and spawns the call, so arrivals accumulate while it runs.
 func (c *Coalescer[T, R]) run() {
 	defer close(c.stopped)
-	for {
-		if !c.waitForWork() {
-			return
-		}
-		c.waitWindow()
-		batch, items := c.take()
-		if len(batch) > 0 {
+	for c.waitForWork() {
+		c.limit <- struct{}{}
+		if batch, items := c.take(); len(batch) > 0 {
 			go c.execute(batch, items)
+		} else {
+			<-c.limit // every queued member gave up while the token was awaited
 		}
 	}
 }
@@ -351,30 +376,6 @@ func (c *Coalescer[T, R]) waitForWork() bool {
 			return false
 		}
 		<-c.wake
-	}
-}
-
-// waitWindow holds the queue open for coalescing while a call is in flight,
-// returning when no call is running, maxBatch items are queued, maxWait
-// elapsed, or drain started.
-func (c *Coalescer[T, R]) waitWindow() {
-	if c.maxWait <= 0 {
-		return
-	}
-	timer := time.NewTimer(c.maxWait)
-	defer timer.Stop()
-	for {
-		c.mu.Lock()
-		ready := c.queued >= c.maxBatch || c.closed || c.inflight == 0
-		c.mu.Unlock()
-		if ready {
-			return
-		}
-		select {
-		case <-timer.C:
-			return
-		case <-c.wake:
-		}
 	}
 }
 
@@ -444,7 +445,7 @@ func (c *Coalescer[T, R]) execute(batch []*pending[T, R], items int) {
 
 	var cl *claim[R]
 	if err == nil && c.release != nil {
-		cl = newClaim(res, len(batch)+1, c.release)
+		cl = newClaim(res, len(batch), c.release)
 	}
 	lo := 0
 	for _, p := range batch {
@@ -465,9 +466,6 @@ func (c *Coalescer[T, R]) execute(batch []*pending[T, R], items int) {
 		}
 		close(p.done)
 		lo = hi
-	}
-	if cl != nil {
-		cl.drop() // the dispatcher's own reference
 	}
 	c.finishCall()
 }

@@ -57,15 +57,17 @@ func submitAsync(c *Coalescer[int, *call], ctx context.Context, n int) chan subm
 	return out
 }
 
-func newTest(fn Func[int, *call], maxBatch int, maxWait time.Duration, capacity int) *Coalescer[int, *call] {
-	return New(context.Background(), Config[int, *call]{Call: fn, MaxBatch: maxBatch, MaxWait: maxWait, Capacity: capacity})
+// newTest is a coalescer running one call at a time: a busy callee holds
+// the queue.
+func newTest(fn Func[int, *call], maxBatch int, capacity int) *Coalescer[int, *call] {
+	return New(context.Background(), Config[int, *call]{Call: fn, MaxBatch: maxBatch, Capacity: capacity})
 }
 
 func TestQueuedCancelDropsOnlyThatRequest(t *testing.T) {
 	// A and B queue behind a busy call; A's client disconnects while still
 	// queued. The next batch must carry only B.
 	fn, starts := blockingCall()
-	c := newTest(fn, 64, time.Second, 1024)
+	c := newTest(fn, 64, 1024)
 
 	primer := submitAsync(c, context.Background(), 1)
 	relPrimer := <-starts // callee now busy with the primer
@@ -103,7 +105,7 @@ func TestMidFlightDisconnectCancelsOnlyThatRequest(t *testing.T) {
 	// intact, and the call context must survive (one member remains).
 	fn, starts := blockingCall()
 	st := &Stats{}
-	c := New(context.Background(), Config[int, *call]{Call: fn, MaxBatch: 8, MaxWait: time.Second, Capacity: 64, Stats: st})
+	c := New(context.Background(), Config[int, *call]{Call: fn, MaxBatch: 8, Capacity: 64, Stats: st})
 
 	primer := submitAsync(c, context.Background(), 1)
 	relPrimer := <-starts
@@ -155,7 +157,7 @@ func TestAllMembersGoneCancelsCall(t *testing.T) {
 			return &call{items: len(batch)}, nil
 		}
 	}
-	c := newTest(fn, 8, 20*time.Millisecond, 64)
+	c := newTest(fn, 8, 64)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	res := submitAsync(c, ctx, 1)
@@ -172,7 +174,7 @@ func TestAllMembersGoneCancelsCall(t *testing.T) {
 
 func TestAdmissionBoundOverloaded(t *testing.T) {
 	fn, starts := blockingCall()
-	c := newTest(fn, 8, time.Second, 6)
+	c := newTest(fn, 8, 6)
 
 	primer := submitAsync(c, context.Background(), 1)
 	relPrimer := <-starts
@@ -207,7 +209,7 @@ func TestAdmissionBoundOverloaded(t *testing.T) {
 
 func TestDrainFlushesQueueAndWaitsForDirect(t *testing.T) {
 	fn, starts := blockingCall()
-	c := newTest(fn, 4, time.Minute, 64)
+	c := newTest(fn, 4, 64)
 
 	direct := make(chan submitResult, 1)
 	go func() {
@@ -215,7 +217,7 @@ func TestDrainFlushesQueueAndWaitsForDirect(t *testing.T) {
 		direct <- submitResult{w, err}
 	}()
 	relDirect := <-starts
-	// Held in the window behind the direct call (MaxWait is a minute).
+	// Held behind the direct call, which holds the only token.
 	queued := submitAsync(c, context.Background(), 2)
 	waitUntil(t, "the small submission to queue", func() bool { return c.QueuedItems() == 2 })
 	if c.Inflight() != 1 {
@@ -224,17 +226,16 @@ func TestDrainFlushesQueueAndWaitsForDirect(t *testing.T) {
 
 	drained := make(chan error, 1)
 	go func() { drained <- c.Drain(context.Background()) }()
-	relQueued := <-starts // drain flushes the held window immediately
-	close(relQueued)
-	if r := <-queued; r.err != nil || r.win.Result.items != 2 {
-		t.Fatalf("queued submission not flushed by Drain: %+v, %v", r.win, r.err)
-	}
 	select {
 	case err := <-drained:
 		t.Fatalf("Drain returned (%v) while a direct call was still running", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(relDirect)
+	close(<-starts) // the freed token flushes the held submission
+	if r := <-queued; r.err != nil || r.win.Result.items != 2 {
+		t.Fatalf("queued submission not flushed by Drain: %+v, %v", r.win, r.err)
+	}
 	if err := <-drained; err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestDrainFlushesQueueAndWaitsForDirect(t *testing.T) {
 
 	// A Drain that cannot finish reports its context's error.
 	fn2, starts2 := blockingCall()
-	c2 := newTest(fn2, 4, 0, 64)
+	c2 := newTest(fn2, 4, 64)
 	stuck := submitAsync(c2, context.Background(), 1)
 	rel := <-starts2
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -266,7 +267,7 @@ func TestLoneOversizedSubmissionGoesWhole(t *testing.T) {
 		mu.Unlock()
 		return &call{items: len(batch)}, nil
 	}
-	c := newTest(fn, 4, 0, 64)
+	c := newTest(fn, 4, 64)
 	w, err := c.Submit(context.Background(), make([]int, 10))
 	if err != nil {
 		t.Fatal(err)
@@ -282,35 +283,122 @@ func TestLoneOversizedSubmissionGoesWhole(t *testing.T) {
 	}
 }
 
-func TestMaxWaitBoundsTheWaitBehindABusyCall(t *testing.T) {
+// TestHeldBatchDispatchesWhenATokenFrees: two coalescers share a Limit of
+// two. With both tokens taken a queued submission is held however long the
+// calls run, and dispatches as soon as one of them finishes.
+func TestHeldBatchDispatchesWhenATokenFrees(t *testing.T) {
 	fn, starts := blockingCall()
-	const maxWait = 30 * time.Millisecond
-	c := newTest(fn, 64, maxWait, 1024)
+	limit := NewLimit(2)
+	a := New(context.Background(), Config[int, *call]{Call: fn, MaxBatch: 64, Capacity: 1024, Limit: limit})
+	b := New(context.Background(), Config[int, *call]{Call: fn, MaxBatch: 64, Capacity: 1024, Limit: limit})
 
-	primer := submitAsync(c, context.Background(), 1)
-	relPrimer := <-starts // stays busy for the whole test
+	first := submitAsync(a, context.Background(), 1)
+	relFirst := <-starts
+	second := submitAsync(a, context.Background(), 1)
+	relSecond := <-starts // a free token: dispatched at once, beside the first
 
-	begin := time.Now()
-	second := submitAsync(c, context.Background(), 1)
-	relSecond := <-starts // dispatched although the primer never finished
-	if waited := time.Since(begin); waited < maxWait {
-		t.Fatalf("overlapping call dispatched after %v, before MaxWait %v elapsed", waited, maxWait)
+	held := submitAsync(b, context.Background(), 3)
+	waitUntil(t, "the third submission to queue", func() bool { return b.QueuedItems() == 3 })
+	select {
+	case <-starts:
+		t.Fatal("a third call dispatched while both tokens were taken")
+	case <-time.After(30 * time.Millisecond):
 	}
-	close(relSecond)
-	r := <-second
+	freed := time.Now()
+	close(relFirst)
+	relHeld := <-starts
+	close(relHeld)
+	r := <-held
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if wait := r.win.Disp.Sub(r.win.Enq); wait < maxWait || wait > 100*maxWait {
-		t.Errorf("window reports a %v queue wait, want about MaxWait %v", wait, maxWait)
+	if r.win.Disp.Before(freed) || r.win.Disp.Sub(r.win.Enq) < 30*time.Millisecond {
+		t.Errorf("held batch dispatched at %v after its enqueue, want after the token freed (%v)",
+			r.win.Disp.Sub(r.win.Enq), freed.Sub(r.win.Enq))
 	}
-	close(relPrimer)
-	if pr := <-primer; pr.err != nil {
-		t.Fatal(pr.err)
+	close(relSecond)
+	for _, ch := range []chan submitResult{first, second} {
+		if r := <-ch; r.err != nil {
+			t.Fatal(r.err)
+		}
 	}
+	for _, c := range []*Coalescer[int, *call]{a, b} {
+		if err := c.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// observeMax raises peak to n if n is larger.
+func observeMax(peak *atomic.Int32, n int32) {
+	for cur := peak.Load(); n > cur && !peak.CompareAndSwap(cur, n); cur = peak.Load() {
+	}
+}
+
+// TestSustainedOverloadRefuses offers a callee that serves 2 items/ms,
+// whatever its concurrency, about 3.5 times that rate for 2 s, open loop.
+// The bound keeps the backlog in the queue, so Capacity refuses the excess
+// with ErrOverloaded, and calls in flight never exceed the Limit. With
+// dispatch on a timer instead, no submission was refused and 605 calls ran
+// at once.
+func TestSustainedOverloadRefuses(t *testing.T) {
+	const (
+		perItem  = 500 * time.Microsecond // 2 items/ms
+		perSub   = 8
+		interval = 1143 * time.Microsecond // 7 items/ms offered
+		offered  = 2 * time.Second
+		bound    = 2
+	)
+	var mu sync.Mutex
+	var next time.Time // when the callee is free again
+	var running, peak atomic.Int32
+	fn := func(ctx context.Context, batch []int) (*call, error) {
+		observeMax(&peak, running.Add(1))
+		defer running.Add(-1)
+		mu.Lock()
+		now := time.Now()
+		if next.Before(now) {
+			next = now
+		}
+		next = next.Add(time.Duration(len(batch)) * perItem)
+		due := next
+		mu.Unlock()
+		time.Sleep(time.Until(due))
+		return &call{items: len(batch)}, nil
+	}
+	c := New(context.Background(), Config[int, *call]{
+		Call: fn, MaxBatch: 256, Capacity: 1024, Limit: NewLimit(bound),
+	})
+	var served, refused atomic.Int64
+	var wg sync.WaitGroup
+	start := time.Now()
+	for due := start; due.Sub(start) < offered; due = due.Add(interval) {
+		time.Sleep(time.Until(due))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := c.Submit(context.Background(), make([]int, perSub))
+			switch {
+			case err == nil:
+				served.Add(1)
+			case errors.Is(err, ErrOverloaded):
+				refused.Add(1)
+			default:
+				t.Errorf("submit: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
 	if err := c.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	if refused.Load() == 0 {
+		t.Errorf("no submission refused at 3.5x the callee's rate (%d served)", served.Load())
+	}
+	if p := peak.Load(); p > bound {
+		t.Errorf("%d calls ran at once, over the bound of %d", p, bound)
+	}
+	t.Logf("%d served, %d refused, peak %d calls in flight", served.Load(), refused.Load(), peak.Load())
 }
 
 // releaseLedger counts Release calls per result.
@@ -335,7 +423,7 @@ func TestReleaseRunsOncePerCall(t *testing.T) {
 	ledger := &releaseLedger{released: map[*call]int{}}
 	fn, starts := blockingCall()
 	c := New(context.Background(), Config[int, *call]{
-		Call: fn, MaxBatch: 8, MaxWait: time.Second, Capacity: 64,
+		Call: fn, MaxBatch: 8, Capacity: 64,
 		Release: ledger.release,
 	})
 
@@ -420,7 +508,7 @@ func TestReleaseSurvivesCancelRacingDelivery(t *testing.T) {
 			calls.Add(1)
 			return &call{items: len(batch)}, nil
 		},
-		MaxBatch: 4, MaxWait: 50 * time.Microsecond, Capacity: 1 << 20,
+		MaxBatch: 4, Capacity: 1 << 20, Limit: NewLimit(3),
 		Release: func(res *call) {
 			releases.Add(1)
 			if res.items < 0 {

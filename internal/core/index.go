@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/lbl-repro/meraligner/internal/dht"
@@ -172,15 +173,15 @@ func (ix *ThreadedIndex) BuildWall() float64 { return realWall(ix.buildPhases) }
 
 // Query aligns one batch of queries against the resident index (the
 // aligning phase of Algorithm 1 with the §IV optimizations), using a pool
-// of at most workers goroutines: one per alignBatch queries, and none
-// beyond the calling goroutine for a batch that small. It is safe to call
-// concurrently from any number of goroutines: every call owns its
+// of at most workers goroutines, one per claim of queries (claimSize), and
+// none beyond the calling goroutine for a batch of one claim. It is safe to
+// call concurrently from any number of goroutines: every call owns its
 // processors and result buffers, and the index itself is immutable.
 //
-// Cancellation is honored between work chunks: when ctx is done, workers
-// stop claiming query batches and Query returns ctx.Err() without results.
-// Results carry the per-call wall-clock align phase and the seal-time index
-// statistics.
+// Cancellation is honored inside a claim: once ctx is done, workers stop
+// at the next read or candidate extension, and Query returns ctx.Err()
+// without results. Results carry the per-call wall-clock align phase and
+// the seal-time index statistics.
 func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOptions, queries []seqio.Seq) (*Results, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("core: threads must be positive, got %d", workers)
@@ -188,7 +189,8 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	workers = poolWorkers(workers, len(queries), alignBatch)
+	chunk := claimSize(len(queries), workers, opt.SeedResolver != nil)
+	workers = poolWorkers(workers, len(queries), chunk)
 	// On the remote-DHT path a resolver failure on any worker aborts the
 	// whole call: the failing worker cancels qctx so its peers stop claiming
 	// chunks, and the resolver error (not the derived cancellation) is
@@ -198,16 +200,21 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 		qctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
+	var stop atomic.Bool
+	if qctx.Done() != nil {
+		defer context.AfterFunc(qctx, func() { stop.Store(true) })()
+	}
 	qps := make([]*QueryProcessor, workers)
 	for w := range qps {
 		qps[w] = ix.newProcessor(qctx, opt)
+		qps[w].stop = &stop
 	}
 	perQuery := newPerQuery(opt, len(queries))
 	start := time.Now()
-	runPoolCtx(qctx, workers, len(queries), alignBatch, func(w, lo, hi int) {
+	runPoolCtx(qctx, workers, len(queries), chunk, func(w, lo, hi int) {
 		qp := qps[w]
 		qp.prefetchClaim(queries[lo:hi])
-		for qi := lo; qi < hi && qp.err == nil; qi++ {
+		for qi := lo; qi < hi && qp.err == nil && !stop.Load(); qi++ {
 			qp.processStat(int32(qi), queries[qi].Seq, perQuery)
 		}
 		if qp.err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"slices"
 	"strconv"
+	"sync/atomic"
 
 	"github.com/lbl-repro/meraligner/internal/align"
 	"github.com/lbl-repro/meraligner/internal/dht"
@@ -82,6 +83,11 @@ type QueryProcessor struct {
 	// path has no partial-results mode — a lost seed shard must never
 	// silently degrade into missed alignments).
 	err error
+
+	// stop, when set, is the call's cancellation flag: raised once its
+	// context is done, it ends the claim at the next read or candidate
+	// extension (the call then returns the context's error, no results).
+	stop *atomic.Bool
 
 	scan    kmer.Scanner // rolling seed extraction over the current query
 	fwd, rc []byte       // unpacked query codes, forward and reverse complement
@@ -433,6 +439,9 @@ func (qp *QueryProcessor) seenBefore(key candKey) bool {
 // the seed window: with traceback when alignments are kept, score-only on a
 // statistics-only run.
 func (qp *QueryProcessor) candidate(loc dht.Loc, qrc bool, qoff, L int) {
+	if qp.stopped() {
+		return
+	}
 	frag := qp.ft.Frags[loc.Frag]
 	rc := qrc != loc.RC
 	qoffEff := qoff
@@ -491,6 +500,9 @@ func (qp *QueryProcessor) candidate(loc dht.Loc, qrc bool, qoff, L int) {
 	qp.foundRC = append(qp.foundRC, rc)
 	qp.foundTg = append(qp.foundTg, frag.Target)
 }
+
+// stopped reports whether the call this processor serves was cancelled.
+func (qp *QueryProcessor) stopped() bool { return qp.stop != nil && qp.stop.Load() }
 
 // queryCodes returns the query's code slice on the requested strand,
 // computing the reverse complement lazily.

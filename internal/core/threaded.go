@@ -56,8 +56,21 @@ func (a threadedAccess) FetchTarget(target int32, targetBytes, owner int) {}
 // fragment lengths and per-read work, large enough to amortize the atomic.
 const (
 	extractChunk = 32  // fragments per claim
-	alignBatch   = 256 // queries per claim
+	alignBatch   = 256 // queries per claim, at most
+	minClaim     = 64  // queries per claim, at least (a smaller call is one claim)
 )
+
+// claimSize is the queries per claim of a Query over n queries on workers:
+// ⌈n/workers⌉ within [minClaim, alignBatch], so a call of up to alignBatch
+// reads still spreads over the pool while a small one stays one claim. The
+// remote-DHT path keeps alignBatch: there a claim is the unit its seed
+// lookups are aggregated over.
+func claimSize(n, workers int, remote bool) int {
+	if remote {
+		return alignBatch
+	}
+	return min(alignBatch, max(minClaim, (n+workers-1)/workers))
+}
 
 // runPool runs fn on up to workers goroutines until claims are exhausted:
 // each fn(w, lo, hi) call owns items [lo, hi) of an n-item sequence, claimed
@@ -70,11 +83,11 @@ func runPool(workers, n, chunk int, fn func(w, lo, hi int)) {
 // runPoolCtx is runPool with cooperative cancellation: workers re-check ctx
 // before every chunk claim and stop claiming once it is done (a background
 // context's nil done channel never fires, so uncancellable pools pay only
-// the polling select). In-flight chunks finish — chunks are small
-// (extractChunk/alignBatch items) — so the pool drains promptly rather than
-// mid-item. The pool is never wider than the input has chunks, and a pool
-// of one runs on the calling goroutine: a worker with nothing to claim, or a
-// goroutine started only to be waited for, is pure overhead.
+// the polling select). In-flight chunks finish — chunks are small, and
+// Query's also stop inside — so the pool drains promptly. The pool is never
+// wider than the input has chunks, and a pool of one runs on the calling
+// goroutine: a worker with nothing to claim, or a goroutine started only to
+// be waited for, is pure overhead.
 func runPoolCtx(ctx context.Context, workers, n, chunk int, fn func(w, lo, hi int)) {
 	done := ctx.Done()
 	if workers = poolWorkers(workers, n, chunk); workers == 1 {

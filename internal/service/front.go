@@ -33,17 +33,15 @@ const maxRequestBytes = 64 << 20
 // FrontConfig is the front-door block both tiers' Config embed. Every zero
 // value defaults.
 type FrontConfig struct {
-	// Micro-batcher knobs: the latency/throughput trade. Batching is
-	// continuous — an idle callee dispatches immediately, and arrivals
-	// coalesce while a call is in flight. MaxBatch caps reads per call
-	// (default 256; requests at least that big skip the queue). MaxWait caps
-	// how long a queued request waits behind a busy callee before an
-	// overlapping call dispatches anyway (zero means 2ms; negative disables
-	// window-holding). QueueReads bounds the reads admitted to the queue
-	// before new requests are refused with 429 (default 4*MaxBatch, never
-	// below MaxBatch).
+	// Micro-batcher knobs. Batching is continuous and bounded by the
+	// tier's Limit (Tier.Calls): a call dispatches as soon as a token is
+	// free, and arrivals coalesce while every token is taken. MaxBatch caps
+	// reads per call (default 256; requests at least that big skip the
+	// queue, but still take a token). QueueReads bounds the reads admitted
+	// to the queue before new requests are refused with 429 (default
+	// 4*MaxBatch, never below MaxBatch), so under sustained overload the
+	// door refuses work instead of stacking calls.
 	MaxBatch   int
-	MaxWait    time.Duration
 	QueueReads int
 
 	// MinDeadline, when > 0, enables deadline admission: an align request
@@ -65,17 +63,10 @@ type FrontConfig struct {
 	TraceCapacity int
 }
 
-// withDefaults resolves the caller's config to the effective one. Apply it
-// once: a negative MaxWait becomes 0, which a second pass reads as unset.
+// withDefaults resolves the caller's config to the effective one.
 func (c FrontConfig) withDefaults() FrontConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
-	}
-	switch {
-	case c.MaxWait == 0:
-		c.MaxWait = 2 * time.Millisecond
-	case c.MaxWait < 0:
-		c.MaxWait = 0 // explicit opt-out of window-holding
 	}
 	if c.QueueReads <= 0 {
 		c.QueueReads = 4 * c.MaxBatch
@@ -87,15 +78,19 @@ func (c FrontConfig) withDefaults() FrontConfig {
 	return c
 }
 
-// knobs is a front-door report carrying only the effective batching knobs.
-func (c FrontConfig) knobs() client.FrontStats {
-	return client.FrontStats{MaxBatch: c.MaxBatch, MaxWaitMs: float64(c.MaxWait) / float64(time.Millisecond)}
+// knobs is a front-door report carrying only the effective batching knobs
+// under a bound of calls.
+func (c FrontConfig) knobs(calls coalesce.Limit) client.FrontStats {
+	return client.FrontStats{MaxBatch: c.MaxBatch, MaxCalls: cap(calls)}
 }
 
 // Tier is what an align tier plugs into its front door.
 type Tier[R any] struct {
 	// Call serves one batch of reads: an engine call, or a scatter.
 	Call coalesce.Func[meraligner.Seq, R]
+	// Calls bounds the calls in flight: merserved's engine workers, shared
+	// by all its references, or merrouted's replicas of its narrowest shard.
+	Calls coalesce.Limit
 	// Prepare and Release are the queue's optional hooks (coalesce.Config).
 	Prepare coalesce.Prepare
 	Release func(R)
@@ -131,8 +126,8 @@ func NewFront[R any](base context.Context, cfg FrontConfig, tier Tier[R]) *Front
 	f.co = coalesce.New(base, coalesce.Config[meraligner.Seq, R]{
 		Call:     tier.Call,
 		MaxBatch: f.cfg.MaxBatch,
-		MaxWait:  f.cfg.MaxWait,
 		Capacity: f.cfg.QueueReads,
+		Limit:    tier.Calls,
 		Stats:    &f.queue,
 		Prepare:  tier.Prepare,
 		Release:  tier.Release,
@@ -317,9 +312,9 @@ func (f *Front[R]) submit(ctx context.Context, reads []meraligner.Seq) (*coalesc
 }
 
 // fail answers a serve failure: a full queue is 429 with Retry-After,
-// draining is 503, the tier's own failures carry its status, a client that
-// is gone gets nothing (net/http drops the connection), and anything else
-// is a 500.
+// draining is 503, the tier's own failures carry its status, a spent
+// X-Deadline-Ms budget is 504, a client that is gone gets nothing (net/http
+// drops the connection), and anything else is a 500.
 func (f *Front[R]) fail(w http.ResponseWriter, r *http.Request, err error) {
 	code, msg := f.tier.Status(err)
 	switch {
@@ -329,7 +324,9 @@ func (f *Front[R]) fail(w http.ResponseWriter, r *http.Request, err error) {
 	case errors.Is(err, coalesce.ErrDraining):
 		code, msg = http.StatusServiceUnavailable, "draining"
 	case code != 0: // the tier's own
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
+		code, msg = http.StatusGatewayTimeout, "deadline exceeded: the request's budget ran out before its reads were aligned"
+	case errors.Is(err, context.Canceled):
 		return
 	default:
 		code, msg = http.StatusInternalServerError, err.Error()
@@ -341,7 +338,7 @@ func (f *Front[R]) fail(w http.ResponseWriter, r *http.Request, err error) {
 // request latency quantiles and batching knobs. Both tiers' stats documents
 // embed it as it is.
 func (f *Front[R]) Stats() client.FrontStats {
-	st := f.cfg.knobs()
+	st := f.cfg.knobs(f.tier.Calls)
 	st.UptimeSeconds = time.Since(f.start).Seconds()
 	st.Requests = f.requests.Load()
 	st.Rejected = f.rejected.Load()

@@ -46,7 +46,6 @@ type ProcessFlags struct {
 	Verbose      bool
 
 	maxBatch    int
-	maxWait     time.Duration
 	queueReads  int
 	minDeadline time.Duration
 	slowMs      int
@@ -54,15 +53,13 @@ type ProcessFlags struct {
 	logs        *telemetry.LogOptions
 }
 
-// RegisterProcessFlags adds the shared flag block (-addr -max-batch
-// -max-wait -queue -drain-timeout -slow-request-ms -debug-addr
-// -min-deadline -v, plus the buildinfo and logging flags) to fs. Call
+// RegisterProcessFlags adds the shared flag block (-addr -max-batch -queue
+// -drain-timeout -slow-request-ms -debug-addr -min-deadline -v, plus the buildinfo and logging flags) to fs. Call
 // before fs is parsed.
 func RegisterProcessFlags(fs *flag.FlagSet, defaultAddr string) *ProcessFlags {
 	f := &ProcessFlags{}
 	fs.StringVar(&f.Addr, "addr", defaultAddr, "listen address (use :0 for a random port)")
 	fs.IntVar(&f.maxBatch, "max-batch", 256, "max reads per coalesced call")
-	fs.DurationVar(&f.maxWait, "max-wait", 2*time.Millisecond, "max wait behind a busy call before an overlapping one dispatches (negative disables window-holding)")
 	fs.IntVar(&f.queueReads, "queue", 0, "admission bound on queued reads (0 = 4*max-batch)")
 	fs.DurationVar(&f.DrainTimeout, "drain-timeout", 30*time.Second, "graceful drain deadline on SIGTERM")
 	fs.IntVar(&f.slowMs, "slow-request-ms", 0, "log a full span trace at warn for requests at least this slow (0 disables)")
@@ -119,7 +116,6 @@ func (p *Process) Front() FrontConfig {
 	f := p.flags
 	return FrontConfig{
 		MaxBatch:    f.maxBatch,
-		MaxWait:     f.maxWait,
 		QueueReads:  f.queueReads,
 		MinDeadline: f.minDeadline,
 		Logger:      p.Logger,

@@ -14,10 +14,10 @@ func TestProcessFlagsReachFront(t *testing.T) {
 		args []string
 		want FrontConfig
 	}{
-		{nil, FrontConfig{MaxBatch: 256, MaxWait: 2 * time.Millisecond}},
+		{nil, FrontConfig{MaxBatch: 256}},
 		{
-			[]string{"-max-batch", "8", "-max-wait", "7ms", "-queue", "40", "-min-deadline", "30ms", "-slow-request-ms", "250"},
-			FrontConfig{MaxBatch: 8, MaxWait: 7 * time.Millisecond, QueueReads: 40, MinDeadline: 30 * time.Millisecond, SlowRequest: 250 * time.Millisecond},
+			[]string{"-max-batch", "8", "-queue", "40", "-min-deadline", "30ms", "-slow-request-ms", "250"},
+			FrontConfig{MaxBatch: 8, QueueReads: 40, MinDeadline: 30 * time.Millisecond, SlowRequest: 250 * time.Millisecond},
 		},
 	} {
 		fs := flag.NewFlagSet("merserved", flag.ContinueOnError)

@@ -99,9 +99,10 @@ type Config struct {
 	// reference gets its own queue with these knobs.
 	FrontConfig
 
-	// Workers is the engine pool size of coalesced calls (default: the
-	// Aligner's build-time thread count in single-index mode, the host CPU
-	// count in catalog mode).
+	// Workers is the engine pool size (default: the Aligner's build-time
+	// thread count in single-index mode, the host CPU count in catalog
+	// mode). It is also the bound on engine calls in flight: every
+	// reference's queue draws on one pool of Workers call tokens.
 	Workers int
 
 	// Version is reported in /v1/stats (ldflags-injected by cmd/merserved).
@@ -122,9 +123,10 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	*Lifecycle
 
-	cfg  Config
-	qopt meraligner.QueryOptions
-	mux  *http.ServeMux
+	cfg   Config
+	qopt  meraligner.QueryOptions
+	mux   *http.ServeMux
+	calls coalesce.Limit // Workers tokens, shared by every reference's queue
 
 	// Exactly one of the two is set: single serves Config.Aligner through
 	// the same tenant machinery catalog mode uses for each reference.
@@ -182,10 +184,14 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /healthz", s.Healthz)
 	mux.HandleFunc("GET /readyz", s.Readyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if cfg.Aligner != nil {
-		if s.cfg.Workers <= 0 {
+	if s.cfg.Workers <= 0 {
+		s.cfg.Workers = runtime.NumCPU()
+		if cfg.Aligner != nil {
 			s.cfg.Workers = cfg.Aligner.Threads()
 		}
+	}
+	s.calls = coalesce.NewLimit(s.cfg.Workers)
+	if cfg.Aligner != nil {
 		t := s.newTenant("", catalog.Static(cfg.Aligner))
 		t.noteIndex(cfg.Aligner)
 		s.single = t
@@ -193,9 +199,6 @@ func New(cfg Config) (*Server, error) {
 		mux.HandleFunc("POST /v1/align/stream", wrap(s.singleHandler((*tenant).handleAlignStream)))
 		mux.HandleFunc("GET /v1/targets", s.handleTargets)
 	} else {
-		if s.cfg.Workers <= 0 {
-			s.cfg.Workers = runtime.NumCPU()
-		}
 		cat, err := catalog.New(catalog.Options{
 			Dir:      cfg.IndexDir,
 			Budget:   cfg.ResidentBudget,
@@ -224,6 +227,7 @@ func (s *Server) newTenant(ref string, src catalog.Source) *tenant {
 	t := &tenant{s: s, ref: ref, src: src}
 	t.front = NewFront(s.baseCtx, s.cfg.FrontConfig, Tier[*engineCall]{
 		Call:    t.alignBatch,
+		Calls:   s.calls,
 		Release: func(c *engineCall) { c.pin.Release() },
 		Record:  recordEngine,
 		Status:  catalogStatus,
@@ -869,7 +873,7 @@ func (s *Server) handleRefTargets(w http.ResponseWriter, r *http.Request) {
 // stats is a stats document carrying only the server's identity and the
 // batching knobs every reference's front door runs with.
 func (s *Server) stats() client.Stats {
-	return client.Stats{Version: s.cfg.Version, Draining: s.Draining(), FrontStats: s.cfg.FrontConfig.withDefaults().knobs()}
+	return client.Stats{Version: s.cfg.Version, Draining: s.Draining(), FrontStats: s.cfg.FrontConfig.withDefaults().knobs(s.calls)}
 }
 
 // snapshotStats renders one tenant's wire Stats: its front door's report

@@ -105,10 +105,11 @@ func TestConcurrentSingleReadsCoalesceAndMatchDirectAlign(t *testing.T) {
 	if len(reads) < n {
 		t.Fatalf("fixture too small: %d reads", len(reads))
 	}
-	// Batching is continuous: requests coalesce only behind an in-flight
-	// engine call. A blocker read (one substitution, so it misses the exact
-	// path) holds the engine in a gated extension while n single-read posts
-	// queue behind it; MaxBatch 2n keeps the queue from dispatching early.
+	// Batching is continuous: requests coalesce only while every call token
+	// is taken. A blocker read (one substitution, so it misses the exact
+	// path) holds the one engine worker in a gated extension while n
+	// single-read posts queue behind it; MaxBatch 2n keeps the queue from
+	// dispatching early.
 	var entered atomic.Int32
 	open := make(chan struct{})
 	defer func() {
@@ -120,7 +121,7 @@ func TestConcurrentSingleReadsCoalesceAndMatchDirectAlign(t *testing.T) {
 	}()
 	srv, ts := newTestServer(t, func(c *Config) {
 		c.MaxBatch = 2 * n
-		c.MaxWait = 5 * time.Second
+		c.Workers = 1
 		c.Query.Extend = func(query, target []byte, qOff, tOff, k int, sc align.Scoring, pad int) align.Result {
 			entered.Add(1)
 			<-open
@@ -382,7 +383,7 @@ func TestAdmissionQueueFull429(t *testing.T) {
 	srv, ts := newTestServer(t, func(c *Config) {
 		c.MaxBatch = big + 4 // the mega-request below takes the direct path
 		c.QueueReads = big + 4
-		c.MaxWait = 5 * time.Second
+		c.Workers = 1
 	})
 	cl := client.New(ts.URL)
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/client"
@@ -31,11 +30,11 @@ func TestBatcherQueueWaitSpansUnderCoalescing(t *testing.T) {
 	const n = 8
 	srv, ts := newTestServer(t, func(c *Config) {
 		c.MaxBatch = n
-		c.MaxWait = 500 * time.Millisecond
+		c.Workers = 1
 	})
 	cl := client.New(ts.URL)
 
-	// Coalescing needs overlap with an in-flight engine call; repeat
+	// Coalescing needs overlap with the one in-flight engine call; repeat
 	// bounded rounds of concurrent posts until a trace shows a shared call.
 	var coalesced *telemetry.RequestTrace
 	for round := 0; round < 10 && coalesced == nil; round++ {
