@@ -270,7 +270,7 @@ func TestRouterRefusesLikeSingleNode(t *testing.T) {
 	wantServed, wantRefused := overload(single)
 	gotServed, gotRefused := overload(rts.URL)
 	if len(wantRefused) == 0 || len(gotRefused) == 0 {
-		t.Errorf("sustained overload refused %d requests at the single node (%d served) and %d at the router (%d served), want some at both",
+		t.Fatalf("sustained overload refused %d requests at the single node (%d served) and %d at the router (%d served), want some at both",
 			len(wantRefused), wantServed, len(gotRefused), gotServed)
 	}
 	for _, r := range append(wantRefused, gotRefused...) {

@@ -173,9 +173,9 @@ func (ix *ThreadedIndex) BuildWall() float64 { return realWall(ix.buildPhases) }
 
 // Query aligns one batch of queries against the resident index (the
 // aligning phase of Algorithm 1 with the §IV optimizations), using a pool
-// of at most workers goroutines, one per claim of queries (claimSize), and
-// none beyond the calling goroutine for a batch of one claim. It is safe to
-// call concurrently from any number of goroutines: every call owns its
+// of at most workers goroutines: one per alignBatch queries, and none
+// beyond the calling goroutine for a batch that small. It is safe to call
+// concurrently from any number of goroutines: every call owns its
 // processors and result buffers, and the index itself is immutable.
 //
 // Cancellation is honored inside a claim: once ctx is done, workers stop
@@ -189,8 +189,7 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	chunk := claimSize(len(queries), workers, opt.SeedResolver != nil)
-	workers = poolWorkers(workers, len(queries), chunk)
+	workers = poolWorkers(workers, len(queries), alignBatch)
 	// On the remote-DHT path a resolver failure on any worker aborts the
 	// whole call: the failing worker cancels qctx so its peers stop claiming
 	// chunks, and the resolver error (not the derived cancellation) is
@@ -211,7 +210,7 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 	}
 	perQuery := newPerQuery(opt, len(queries))
 	start := time.Now()
-	runPoolCtx(qctx, workers, len(queries), chunk, func(w, lo, hi int) {
+	runPoolCtx(qctx, workers, len(queries), alignBatch, func(w, lo, hi int) {
 		qp := qps[w]
 		qp.prefetchClaim(queries[lo:hi])
 		for qi := lo; qi < hi && qp.err == nil && !stop.Load(); qi++ {

@@ -56,21 +56,8 @@ func (a threadedAccess) FetchTarget(target int32, targetBytes, owner int) {}
 // fragment lengths and per-read work, large enough to amortize the atomic.
 const (
 	extractChunk = 32  // fragments per claim
-	alignBatch   = 256 // queries per claim, at most
-	minClaim     = 64  // queries per claim, at least (a smaller call is one claim)
+	alignBatch   = 256 // queries per claim
 )
-
-// claimSize is the queries per claim of a Query over n queries on workers:
-// ⌈n/workers⌉ within [minClaim, alignBatch], so a call of up to alignBatch
-// reads still spreads over the pool while a small one stays one claim. The
-// remote-DHT path keeps alignBatch: there a claim is the unit its seed
-// lookups are aggregated over.
-func claimSize(n, workers int, remote bool) int {
-	if remote {
-		return alignBatch
-	}
-	return min(alignBatch, max(minClaim, (n+workers-1)/workers))
-}
 
 // runPool runs fn on up to workers goroutines until claims are exhausted:
 // each fn(w, lo, hi) call owns items [lo, hi) of an n-item sequence, claimed

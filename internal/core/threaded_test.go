@@ -170,31 +170,3 @@ func TestThreadedEmptyAndTinyInputs(t *testing.T) {
 		t.Error("short query aligned")
 	}
 }
-
-// TestClaimSizeSpreadsACallOverThePool: Query cuts n reads into claims of
-// ⌈n/W⌉ reads within [64, 256], so a 256-read call (the serving tiers'
-// direct path, or a router scatter on a one-replica fleet) runs on both
-// workers at W = 2, while a small call stays one claim on one processor.
-// The remote-DHT path keeps 256-read claims, its lookup aggregation unit.
-func TestClaimSizeSpreadsACallOverThePool(t *testing.T) {
-	for _, tc := range []struct {
-		n, workers   int
-		remote       bool
-		claim, width int
-	}{
-		{256, 2, false, 128, 2},
-		{8, 2, false, 64, 1},
-		{64, 2, false, 64, 1},
-		{100, 2, false, 64, 2},
-		{512, 2, false, 256, 2},
-		{4096, 2, false, 256, 2},
-		{256, 8, false, 64, 4},
-		{256, 2, true, 256, 1},
-	} {
-		claim := claimSize(tc.n, tc.workers, tc.remote)
-		if width := poolWorkers(tc.workers, tc.n, claim); claim != tc.claim || width != tc.width {
-			t.Errorf("%d reads on %d workers (remote %v): claims of %d on %d processors, want %d on %d",
-				tc.n, tc.workers, tc.remote, claim, width, tc.claim, tc.width)
-		}
-	}
-}
