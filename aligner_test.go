@@ -129,10 +129,10 @@ func TestAlignPerCallAllocs(t *testing.T) {
 	if batch == nil {
 		t.Fatal("no exact-path read in an error-free workload")
 	}
-	// Six today: the processor, its code buffer, the pool's processor slice
-	// and closure, the Results and its Phases. The race detector adds one.
-	// Separate forward and reverse-complement buffers cost one more (two
-	// under the race detector, which would exceed the bound).
+	// Five today: the pool's processor slice and closure, the stop flag, the
+	// Results and its Phases. The processor and its buffers (codes, the
+	// claim's seeds and answers) come back from the index's pool; under the
+	// race detector the pool drops some of them, which costs up to two more.
 	const maxAllocs = 8
 	avg := testing.AllocsPerRun(100, func() {
 		if _, err := a.Align(ctx, batch, opt); err != nil {

@@ -27,7 +27,7 @@ func TestImportBoundary(t *testing.T) {
 		mod + "internal/fmindex":  true,
 		mod + "internal/expt":     true,
 	}
-	mayImport := []string{"internal/sim/", "internal/expt/", "internal/baseline/", "cmd/merbench/", "cmd/meraligner/", "examples/"}
+	mayImport := []string{"internal/sim/", "internal/expt/", "internal/baseline/", "cmd/merbench/", "examples/"}
 
 	eachSourceFile(t, parser.ImportsOnly, func(slashed string, f *ast.File) {
 		for _, p := range mayImport {

@@ -2,13 +2,11 @@
 // to a set of target contigs (FASTA, gzip transparent) using the merAligner
 // pipeline and writes tab-separated alignments (or SAM) to stdout.
 //
-// The threaded engine (default) builds the seed index once and serves query
-// batches against it: -queries aligns a single batch; -batches aligns any
-// number of FASTQ/SeqDB inputs against the same resident index, streaming
-// output per batch — the build cost is paid exactly once. -engine sim runs
-// the one-shot pipeline on the simulated PGAS machine (-sim-cores wide) and
-// reports simulated phase times — useful for predicting distributed-scale
-// behavior from a laptop.
+// The engine builds the seed index once and serves query batches against
+// it: -queries aligns a single batch; -batches aligns any number of
+// FASTQ/SeqDB inputs against the same resident index, streaming output per
+// batch — the build cost is paid exactly once. The simulated PGAS machine of
+// the paper's scaling figures is cmd/merbench's, not this command's.
 //
 // Index snapshots decouple building from serving: -save-index writes the
 // sealed index as a .merx snapshot after building (with or without aligning
@@ -19,8 +17,7 @@
 // Usage:
 //
 //	meraligner -targets contigs.fa -queries reads.fq [-k 51] [-threads N]
-//	           [-engine threaded|sim] [-sim-cores 480] [-max-hits 1000]
-//	           [-min-score 0] [-no-exact] [-sam] [-o out.tsv]
+//	           [-max-hits 1000] [-min-score 0] [-no-exact] [-sam] [-o out.tsv]
 //	meraligner -targets contigs.fa -batches r1.fq,r2.fq.gz,r3.fq -sam
 //	meraligner -targets contigs.fa -save-index contigs.merx
 //	meraligner -index contigs.merx -queries reads.fq -sam
@@ -65,9 +62,7 @@ import (
 	"github.com/lbl-repro/meraligner/internal/buildinfo"
 	"github.com/lbl-repro/meraligner/internal/dhtnet"
 	"github.com/lbl-repro/meraligner/internal/seqio"
-	"github.com/lbl-repro/meraligner/internal/sim"
 	"github.com/lbl-repro/meraligner/internal/telemetry"
-	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
 func main() {
@@ -85,12 +80,9 @@ func main() {
 		batchList   = flag.String("batches", "", "comma-separated FASTQ/SeqDB files aligned as successive batches against one resident index")
 		k           = flag.Int("k", 51, "seed length (1-64)")
 		threads     = flag.Int("threads", runtime.NumCPU(), "worker threads")
-		engine      = flag.String("engine", "threaded", "execution engine: threaded (real goroutines) or sim (simulated PGAS machine)")
-		simCores    = flag.Int("sim-cores", 0, "simulated machine width for -engine sim (0 = -threads)")
 		maxHits     = flag.Int("max-hits", 1000, "max alignments per seed (0 = unlimited, §IV-C)")
 		minScore    = flag.Int("min-score", 0, "minimum alignment score (0 = seed length)")
 		noExact     = flag.Bool("no-exact", false, "disable the exact-match optimization (§IV-A)")
-		noPermute   = flag.Bool("no-permute", false, "disable load-balancing permutation (§IV-B, sim engine)")
 		outPath     = flag.String("o", "", "output file (default stdout; a .gz suffix gzip-compresses)")
 		samOut      = flag.Bool("sam", false, "emit SAM instead of tab-separated alignments")
 		verbose     = flag.Bool("v", false, "print build/align timing summary to stderr")
@@ -137,8 +129,6 @@ func main() {
 			log.Fatalf("%s wants a positive count, got %d", producer, parts)
 		case *queriesPath != "" || *batchList != "" || *saveIndex != "":
 			log.Fatalf("%s is a standalone producer; drop -queries/-batches/-save-index", producer)
-		case *engine == "sim":
-			log.Fatal("index snapshots require the threaded engine")
 		case *outPath == "":
 			log.Fatalf("%s needs -o naming the output directory", producer)
 		}
@@ -147,20 +137,9 @@ func main() {
 		switch {
 		case parts != 0:
 			log.Fatal("-dht-nodes is a query-time option; it cannot be combined with the snapshot producers")
-		case *engine == "sim":
-			log.Fatal("-dht-nodes requires the threaded engine")
 		case *queriesPath == "" && *batchList == "":
 			log.Fatal("-dht-nodes needs reads to align; add -queries or -batches")
 		}
-	}
-	if *engine != "threaded" && *engine != "sim" {
-		log.Fatalf("unknown engine %q (want threaded or sim)", *engine)
-	}
-	if *batchList != "" && *engine == "sim" {
-		log.Fatal("-batches requires the threaded engine (the simulator is one-shot)")
-	}
-	if (*indexPath != "" || *saveIndex != "") && *engine == "sim" {
-		log.Fatal("index snapshots require the threaded engine")
 	}
 	if *indexPath != "" {
 		// Build-time options come from the snapshot; catch silently ignored
@@ -218,32 +197,7 @@ func main() {
 		out, outClose = wc, wc
 	}
 
-	// Simulated engine: one-shot pipeline, unchanged semantics.
-	if *engine == "sim" {
-		opt := sim.DefaultOptions(*k)
-		opt.Options = meraligner.Options{IndexOptions: iopt, QueryOptions: qopt}
-		opt.Permute = !*noPermute
-		res, targets, queries, err := alignSim(*simCores, *threads, opt, *targetsPath, *queriesPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := writeBatch(out, *samOut, nil, &res.Results, targets, queries); err != nil {
-			log.Fatal(err)
-		}
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "aligned %d/%d reads (%.1f%%), %d alignments, %d via exact path\n",
-				res.AlignedReads, res.TotalReads,
-				100*float64(res.AlignedReads)/float64(max(1, res.TotalReads)),
-				res.TotalAlignments, res.ExactPathReads)
-			for _, p := range res.Phases {
-				fmt.Fprintf(os.Stderr, "  %-24s %8.3fs (simulated)\n", p.Name, p.Wall)
-			}
-			fmt.Fprintf(os.Stderr, "  %-24s %8.3fs (simulated)\n", "TOTAL", res.TotalWall())
-		}
-		return
-	}
-
-	// Threaded engine: build the index once, then serve each batch.
+	// Build the index once, then serve each batch.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -368,7 +322,12 @@ func main() {
 		if err != nil {
 			die("%s: %v", path, err)
 		}
-		if err := writeBatch(out, *samOut, stream, res, targets, queries); err != nil {
+		if stream != nil {
+			err = stream.WriteBatch(res, queries)
+		} else {
+			err = meraligner.WriteAlignments(out, res, targets, queries)
+		}
+		if err != nil {
 			die("%v", err)
 		}
 		if *verbose {
@@ -393,39 +352,4 @@ func openAligner(threads int, iopt meraligner.IndexOptions, indexPath, targetsPa
 		return meraligner.OpenThreads(threads, indexPath)
 	}
 	return meraligner.BuildFiles(threads, iopt, targetsPath)
-}
-
-// writeBatch emits one batch's records: through the shared SAM stream when
-// set, a fresh one-shot SAM document for the simulated engine, or the
-// tab-separated format.
-func writeBatch(out io.Writer, samOut bool, stream *meraligner.SAMStream, res *meraligner.Results, targets, queries []meraligner.Seq) error {
-	switch {
-	case stream != nil:
-		return stream.WriteBatch(res, queries)
-	case samOut:
-		return meraligner.WriteSAM(out, res, targets, queries)
-	default:
-		return meraligner.WriteAlignments(out, res, targets, queries)
-	}
-}
-
-// alignSim runs the one-shot simulated pipeline over the input files.
-func alignSim(simCores, threads int, opt sim.Options, targetsPath, queriesPath string) (*sim.Results, []meraligner.Seq, []meraligner.Seq, error) {
-	targets, err := meraligner.ReadFasta(targetsPath)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	queries, err := meraligner.ReadQueries(queriesPath)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cores := simCores
-	if cores == 0 {
-		cores = threads
-	}
-	res, err := sim.Run(upc.Edison(cores), opt, targets, queries)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res, targets, queries, nil
 }

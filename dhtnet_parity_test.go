@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"slices"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"github.com/lbl-repro/meraligner/client"
 	"github.com/lbl-repro/meraligner/internal/core"
 	"github.com/lbl-repro/meraligner/internal/dhtnet"
+	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/genome"
 	"github.com/lbl-repro/meraligner/internal/kmer"
 	"github.com/lbl-repro/meraligner/internal/service"
@@ -235,6 +237,50 @@ func TestDHTNetConcurrentClaims(t *testing.T) {
 		if got := alignSAM(t, al, ds, workers, rq); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: remote SAM differs from local", workers)
 		}
+	}
+}
+
+// TestLongReadClaimSAMParity: a claim of 256 reads of 1,024 bases at k = 31
+// holds several times the seeds the engine resolves at once, so it is
+// resolved in sub-claims of whole reads. Its SAM is byte-identical at one
+// and two workers and through a seed-shard fleet.
+func TestLongReadClaimSAMParity(t *testing.T) {
+	p := genome.HumanLike(150_000)
+	p.ReadLen, p.Depth, p.ErrorRate, p.InsertMean = 1024, 2, 0.005, 0
+	ds, err := genome.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.Reads) < 256 {
+		t.Fatalf("%d reads: too few for a full claim", len(ds.Reads))
+	}
+	// Seven reads in eight come from no target: every seed is looked up and
+	// misses, so the claim's seeds, not Smith-Waterman, set the test's cost.
+	ds.Reads = slices.Clone(ds.Reads[:256])
+	rng := rand.New(rand.NewSource(1))
+	for i := range ds.Reads {
+		if i%8 != 0 {
+			ds.Reads[i].Seq = dna.Random(rng, p.ReadLen)
+		}
+	}
+	al, err := meraligner.Build(2, meraligner.DefaultIndexOptions(31), ds.Contigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { al.Close() })
+	qopt := meraligner.DefaultQueryOptions()
+	qopt.CollectAlignments = true
+	if res, err := al.Align(context.Background(), ds.Reads, qopt); err != nil || res.AlignedReads == 0 {
+		t.Fatalf("no read aligned (%v); the comparison would be vacuous", err)
+	}
+	want := alignSAM(t, al, ds, 1, qopt)
+	if got := alignSAM(t, al, ds, 2, qopt); !bytes.Equal(got, want) {
+		t.Fatal("SAM at two workers differs from one")
+	}
+	rq := qopt
+	rq.SeedResolver = serveSeedFleet(t, al, 2)
+	if got := alignSAM(t, al, ds, 2, rq); !bytes.Equal(got, want) {
+		t.Fatal("SAM through the seed-shard fleet differs from local")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -11,6 +12,8 @@ import (
 	"testing"
 
 	"github.com/lbl-repro/meraligner/internal/dht"
+	"github.com/lbl-repro/meraligner/internal/dna"
+	"github.com/lbl-repro/meraligner/internal/genome"
 	"github.com/lbl-repro/meraligner/internal/kmer"
 	"github.com/lbl-repro/meraligner/internal/merx"
 	"github.com/lbl-repro/meraligner/internal/seqio"
@@ -174,23 +177,27 @@ func TestSeedShardResolverParity(t *testing.T) {
 	}
 }
 
-// countingResolver counts the ResolveSeeds calls and the seeds they ship
-// (engine workers call it concurrently).
+// countingResolver counts the ResolveSeeds calls and the seeds they ship,
+// and keeps the largest call (engine workers call it concurrently).
 type countingResolver struct {
-	inner        SeedResolver
-	calls, seeds atomic.Int64
+	inner              SeedResolver
+	calls, seeds, most atomic.Int64
 }
 
 func (r *countingResolver) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []SeedAnswer) error {
 	r.calls.Add(1)
-	r.seeds.Add(int64(len(seeds)))
+	n := int64(len(seeds))
+	r.seeds.Add(n)
+	for m := r.most.Load(); n > m && !r.most.CompareAndSwap(m, n); m = r.most.Load() {
+	}
 	return r.inner.ResolveSeeds(ctx, seeds, out)
 }
 
-// TestSeedResolverAggregatesPerClaim pins the aggregation before the wire:
-// a claim of alignBatch reads costs at most two ResolveSeeds calls (first
+// TestSeedResolverAggregatesPerClaim pins the aggregation on both answers
+// to a lookup, the sealed table and a seed-shard set: a claim of alignBatch
+// reads (one sub-claim here) costs at most two ResolveSeeds calls (first
 // seeds, then the rest of the reads the exact path did not settle), and no
-// seed is shipped that the engine does not look up.
+// seed is resolved that the engine does not look up.
 func TestSeedResolverAggregatesPerClaim(t *testing.T) {
 	ds := testWorkload(t, 60_000, 3, 0.005)
 	opt := testOptions(21)
@@ -198,24 +205,105 @@ func TestSeedResolverAggregatesPerClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := loadSeedShardSet(t, ix, 3)
 	claims := int64((len(ds.Reads) + alignBatch - 1) / alignBatch)
 	if claims < 3 {
 		t.Fatalf("%d reads: too few claims", len(ds.Reads))
 	}
-	for _, workers := range []int{1, 3} {
-		r := &countingResolver{inner: &shardSetResolver{shards: shards}}
+	resolvers := map[string]SeedResolver{
+		"local":  threadedAccess{sx: ix.sx},
+		"shards": &shardSetResolver{shards: loadSeedShardSet(t, ix, 3)},
+	}
+	for name, inner := range resolvers {
+		for _, workers := range []int{1, 3} {
+			r := &countingResolver{inner: inner}
+			qopt := opt.QueryOptions
+			qopt.SeedResolver = r
+			res, err := ix.Query(context.Background(), workers, qopt, ds.Reads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls := r.calls.Load(); calls > 2*claims {
+				t.Errorf("%s, workers=%d: %d ResolveSeeds calls for %d claims, want at most %d", name, workers, calls, claims, 2*claims)
+			}
+			if seeds := r.seeds.Load(); seeds != res.SeedLookups {
+				t.Errorf("%s, workers=%d: resolved %d seeds, the engine looked up %d", name, workers, seeds, res.SeedLookups)
+			}
+		}
+	}
+}
+
+// TestLongReadClaimsStayBounded: a claim of 256 reads of 1,024 bases at
+// k = 31 holds about four times claimSeeds seeds, so it is resolved in
+// sub-claims of whole reads. No ResolveSeeds call ships more than
+// claimSeeds seeds, on the sealed table or a seed-shard set, each sub-claim
+// costs at most two calls, and the alignments do not depend on the split,
+// the worker count or the resolver.
+func TestLongReadClaimsStayBounded(t *testing.T) {
+	p := genome.HumanLike(150_000)
+	p.ReadLen, p.Depth, p.ErrorRate, p.InsertMean = 1024, 2, 0.005, 0
+	ds, err := genome.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.Reads) < alignBatch {
+		t.Fatalf("%d reads: too few for a full claim", len(ds.Reads))
+	}
+	// Seven reads in eight come from no target: every seed is looked up and
+	// misses, so the claim's seeds, not Smith-Waterman, set the test's cost.
+	reads := slices.Clone(ds.Reads[:alignBatch])
+	rng := rand.New(rand.NewSource(1))
+	for i := range reads {
+		if i%8 != 0 {
+			reads[i].Seq = dna.Random(rng, p.ReadLen)
+		}
+	}
+	opt := testOptions(31)
+	ix, err := BuildIndex(2, opt.IndexOptions, ds.Contigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := loadSeedShardSet(t, ix, 2)
+	cases := []struct {
+		name    string
+		workers int
+		inner   SeedResolver
+	}{
+		{"local/1", 1, threadedAccess{sx: ix.sx}},
+		{"local/2", 2, threadedAccess{sx: ix.sx}},
+		{"shards/2", 2, &shardSetResolver{shards: shards}},
+	}
+	var want *Results
+	for _, c := range cases {
+		r := &countingResolver{inner: c.inner}
 		qopt := opt.QueryOptions
 		qopt.SeedResolver = r
-		res, err := ix.Query(context.Background(), workers, qopt, ds.Reads)
+		res, err := ix.Query(context.Background(), c.workers, qopt, reads)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if calls := r.calls.Load(); calls > 2*claims {
-			t.Errorf("workers=%d: %d ResolveSeeds calls for %d claims, want at most %d", workers, calls, claims, 2*claims)
+		subClaims := (res.SeedLookups + claimSeeds - 1) / claimSeeds
+		if subClaims < 3 {
+			t.Fatalf("%s: %d seeds looked up, too few to split a claim", c.name, res.SeedLookups)
+		}
+		if most := r.most.Load(); most > claimSeeds {
+			t.Errorf("%s: a ResolveSeeds call shipped %d seeds, want at most %d", c.name, most, claimSeeds)
+		}
+		if calls := r.calls.Load(); calls > 2*(subClaims+1) {
+			t.Errorf("%s: %d ResolveSeeds calls for %d seeds, want at most two per sub-claim", c.name, calls, res.SeedLookups)
 		}
 		if seeds := r.seeds.Load(); seeds != res.SeedLookups {
-			t.Errorf("workers=%d: shipped %d seeds, the engine looked up %d", workers, seeds, res.SeedLookups)
+			t.Errorf("%s: resolved %d seeds, the engine looked up %d", c.name, seeds, res.SeedLookups)
+		}
+		if want == nil {
+			if res.AlignedReads == 0 {
+				t.Fatalf("%s: no read aligned; the comparison below would be vacuous", c.name)
+			}
+			want = res
+			continue
+		}
+		if !reflect.DeepEqual(want.Alignments, res.Alignments) || want.SeedLookups != res.SeedLookups ||
+			want.SWCalls != res.SWCalls || want.AlignedReads != res.AlignedReads {
+			t.Errorf("%s: results differ from %s", c.name, cases[0].name)
 		}
 	}
 }

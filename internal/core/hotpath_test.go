@@ -56,9 +56,9 @@ func TestQueryInlineMatchesPool(t *testing.T) {
 }
 
 // queryNoAllocFixture builds a sealed index and a ready-to-run serial
-// processor over a batch of reads that all carry at least one seed. With
-// remote set, the processor resolves seeds through loaded seed shards, a
-// claim at a time (prefetchClaim), as the engine's remote path does.
+// processor over a batch of reads that all carry at least one seed. The
+// processor resolves seeds a claim at a time, through the sealed table or,
+// with remote set, through loaded seed shards, as the engine does.
 func queryNoAllocFixture(tb testing.TB, remote bool) (*QueryProcessor, []seqio.Seq) {
 	ds := testWorkload(tb, 60_000, 2, 0.01)
 	opt := DefaultOptions(21) // statistics-only: CollectAlignments off
@@ -66,10 +66,10 @@ func queryNoAllocFixture(tb testing.TB, remote bool) (*QueryProcessor, []seqio.S
 	if err != nil {
 		tb.Fatal(err)
 	}
-	qp := NewQueryProcessor(opt, threadedAccess{sx: ix.sx}, ix.ft)
 	if remote {
-		qp.setResolver(context.Background(), &shardSetResolver{shards: loadSeedShardSet(tb, ix, 2)})
+		opt.SeedResolver = &shardSetResolver{shards: loadSeedShardSet(tb, ix, 2)}
 	}
+	qp := NewQueryProcessor(opt, threadedAccess{sx: ix.sx}, ix.ft)
 	var reads []seqio.Seq
 	for qi := range ds.Reads {
 		if ds.Reads[qi].Seq.Len() >= opt.K {
@@ -85,20 +85,11 @@ func queryNoAllocFixture(tb testing.TB, remote bool) (*QueryProcessor, []seqio.S
 	// Warm every reusable buffer and pin the fixture's other assumption:
 	// the workload exercises the general path (Smith-Waterman), not just the
 	// exact-match shortcut.
-	processClaim(qp, reads)
+	qp.ProcessClaim(0, reads)
 	if qp.SWCalls == 0 {
 		tb.Fatal("fixture reads never reached Smith-Waterman; no-alloc run would be vacuous")
 	}
 	return qp, reads
-}
-
-// processClaim runs one claim through qp: the remote prefetch (a no-op on
-// the local path), then Process on every read.
-func processClaim(qp *QueryProcessor, reads []seqio.Seq) {
-	qp.prefetchClaim(reads)
-	for qi := range reads {
-		qp.Process(int32(qi), reads[qi].Seq)
-	}
 }
 
 // exactCollectFixture builds a sealed index and a serial processor that
@@ -118,7 +109,7 @@ func exactCollectFixture(tb testing.TB) (*QueryProcessor, []seqio.Seq) {
 			continue
 		}
 		exact := qp.exact
-		qp.Process(int32(qi), ds.Reads[qi].Seq)
+		qp.ProcessClaim(int32(qi), ds.Reads[qi:qi+1])
 		if qp.exact > exact {
 			reads = append(reads, ds.Reads[qi])
 		}
@@ -130,9 +121,9 @@ func exactCollectFixture(tb testing.TB) (*QueryProcessor, []seqio.Seq) {
 }
 
 // TestQueryPathZeroAllocs asserts the invariant directly (so it runs in
-// every `go test` invocation, not only under -bench): after warm-up, the
-// serial statistics path — and on the remote path the claim's prefetch with
-// it — performs ZERO heap allocations per read. The remote processor does
+// every `go test` invocation, not only under -bench): after warm-up, a
+// claim on the serial statistics path — its seed resolution included, local
+// or remote — performs ZERO heap allocations. The remote processor does
 // the local one's work exactly, comparisons included. A collecting run of
 // exact-path reads allocates nothing either — no cigar per read — beyond
 // the growth of its record list, which is reset between runs.
@@ -140,7 +131,7 @@ func TestQueryPathZeroAllocs(t *testing.T) {
 	collect, exactReads := exactCollectFixture(t)
 	run := func() {
 		collect.alignments = collect.alignments[:0]
-		processClaim(collect, exactReads)
+		collect.ProcessClaim(0, exactReads)
 	}
 	if avg := testing.AllocsPerRun(50, run); avg != 0 {
 		t.Fatalf("collecting exact path allocates %.2f objects per %d-read claim in steady state, want 0",
@@ -165,7 +156,7 @@ func TestQueryPathZeroAllocs(t *testing.T) {
 			local.SeedLookups, local.MemcmpBytes, local.SWCalls, local.SWCells)
 	}
 	for name, qp := range map[string]*QueryProcessor{"local": local, "remote": remote} {
-		avg := testing.AllocsPerRun(50, func() { processClaim(qp, reads) })
+		avg := testing.AllocsPerRun(50, func() { qp.ProcessClaim(0, reads) })
 		if avg != 0 {
 			t.Fatalf("%s serial query path allocates %.2f objects per %d-read claim in steady state, want 0",
 				name, avg, len(reads))
@@ -173,25 +164,22 @@ func TestQueryPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkQueryNoAlloc measures the per-read cost of the serial hot path
-// and enforces the zero-allocs-per-read invariant under the benchmark
-// harness (CI runs it with -benchtime=1x as a smoke check).
+// BenchmarkQueryNoAlloc measures the per-read cost of the serial hot path,
+// a claim at a time with its seed resolution, and enforces the
+// zero-allocs-per-claim invariant under the benchmark harness (CI runs it
+// with -benchtime=1x as a smoke check).
 func BenchmarkQueryNoAlloc(b *testing.B) {
 	qp, reads := queryNoAllocFixture(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		qi := i % len(reads)
-		qp.Process(int32(qi), reads[qi].Seq)
+		qp.ProcessClaim(0, reads)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reads)), "ns/read")
 	b.StopTimer()
-	avg := testing.AllocsPerRun(20, func() {
-		for qi := range reads {
-			qp.Process(int32(qi), reads[qi].Seq)
-		}
-	})
+	avg := testing.AllocsPerRun(20, func() { qp.ProcessClaim(0, reads) })
 	if avg != 0 {
-		b.Fatalf("serial query path allocates %.2f objects per %d-read batch in steady state, want 0",
+		b.Fatalf("serial query path allocates %.2f objects per %d-read claim in steady state, want 0",
 			avg, len(reads))
 	}
 }

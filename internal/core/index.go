@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,6 +37,10 @@ type ThreadedIndex struct {
 	// (the snapshot's "SHRD" section, written by SaveShards); nil for a whole
 	// reference.
 	shard *ShardInfo
+
+	// procs recycles Query's processors, and with them their buffers, from
+	// one call to the next.
+	procs sync.Pool
 
 	// snap is the backing snapshot when the index was produced by LoadIndex
 	// rather than BuildIndex: the seed table and target sequences alias its
@@ -190,10 +195,10 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 		return nil, err
 	}
 	workers = poolWorkers(workers, len(queries), alignBatch)
-	// On the remote-DHT path a resolver failure on any worker aborts the
-	// whole call: the failing worker cancels qctx so its peers stop claiming
-	// chunks, and the resolver error (not the derived cancellation) is
-	// surfaced. A lone worker has no peers to stop.
+	// A resolver failure on any worker aborts the whole call: the failing
+	// worker cancels qctx so its peers stop claiming chunks, and the
+	// resolver error (not the derived cancellation) is surfaced. A lone
+	// worker has no peers to stop.
 	qctx, cancel := ctx, context.CancelFunc(func() {})
 	if workers > 1 {
 		qctx, cancel = context.WithCancel(ctx)
@@ -203,33 +208,39 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 	if qctx.Done() != nil {
 		defer context.AfterFunc(qctx, func() { stop.Store(true) })()
 	}
+	perQuery := newPerQuery(opt, len(queries))
 	qps := make([]*QueryProcessor, workers)
 	for w := range qps {
-		qps[w] = ix.newProcessor(qctx, opt)
-		qps[w].stop = &stop
+		qps[w] = ix.newProcessor(qctx, opt, &stop, perQuery)
 	}
-	perQuery := newPerQuery(opt, len(queries))
 	start := time.Now()
 	runPoolCtx(qctx, workers, len(queries), alignBatch, func(w, lo, hi int) {
-		qp := qps[w]
-		qp.prefetchClaim(queries[lo:hi])
-		for qi := lo; qi < hi && qp.err == nil && !stop.Load(); qi++ {
-			qp.processStat(int32(qi), queries[qi].Seq, perQuery)
-		}
-		if qp.err != nil {
+		qps[w].ProcessClaim(int32(lo), queries[lo:hi])
+		if qps[w].err != nil {
 			cancel()
 		}
 	})
-	return ix.results(ctx, opt, qps, perQuery, len(queries), time.Since(start))
+	res, err := ix.results(ctx, opt, qps, perQuery, len(queries), time.Since(start))
+	for _, qp := range qps {
+		qp.first.reset()
+		qp.rest.reset()
+		*qp = QueryProcessor{scratch: qp.scratch} // drop the call, keep the buffers
+		ix.procs.Put(qp)
+	}
+	return res, err
 }
 
-// newProcessor returns one worker's processor over the sealed table,
-// resolving seeds remotely under ctx when the call asked for it.
-func (ix *ThreadedIndex) newProcessor(ctx context.Context, opt QueryOptions) *QueryProcessor {
-	qp := NewQueryProcessor(Options{IndexOptions: ix.opt, QueryOptions: opt}, threadedAccess{sx: ix.sx}, ix.ft)
-	if opt.SeedResolver != nil {
-		qp.setResolver(ctx, opt.SeedResolver)
+// newProcessor returns one worker's processor for a call, recycled from an
+// earlier call when one is free, so a call grows no claim buffers in steady
+// state. It resolves seeds through opt.SeedResolver under ctx when that is
+// set, else through the sealed table.
+func (ix *ThreadedIndex) newProcessor(ctx context.Context, opt QueryOptions, stop *atomic.Bool, perQuery []QueryStat) *QueryProcessor {
+	qp, _ := ix.procs.Get().(*QueryProcessor)
+	if qp == nil {
+		qp = new(QueryProcessor)
 	}
+	qp.init(Options{IndexOptions: ix.opt, QueryOptions: opt}, threadedAccess{sx: ix.sx}, ix.ft)
+	qp.ctx, qp.stop, qp.perQuery = ctx, stop, perQuery
 	return qp
 }
 
@@ -243,17 +254,18 @@ func newPerQuery(opt QueryOptions, n int) []QueryStat {
 	return make([]QueryStat, n)
 }
 
-// processStat runs Process for query qi and, when perQuery is collected,
-// fills the query's QueryStat from the deltas of the processor's counts.
-func (qp *QueryProcessor) processStat(qi int32, q dna.Packed, perQuery []QueryStat) {
-	if perQuery == nil {
-		qp.Process(qi, q)
+// processStat runs process for query qi and, when the call collects
+// per-query stats, fills the query's QueryStat from the deltas of the
+// processor's counts. The claim's seed resolution is not part of it.
+func (qp *QueryProcessor) processStat(qi int32, q dna.Packed) {
+	if qp.perQuery == nil {
+		qp.process(qi, q)
 		return
 	}
 	swc, slk, aln, exa := qp.SWCalls, qp.SeedLookups, qp.totalAlignments, qp.exact
 	start := time.Now()
-	qp.Process(qi, q)
-	out := &perQuery[qi]
+	qp.process(qi, q)
+	out := &qp.perQuery[qi]
 	out.Nanos = time.Since(start).Nanoseconds()
 	out.SWCalls = int32(qp.SWCalls - swc)
 	out.SeedLookups = int32(qp.SeedLookups - slk)

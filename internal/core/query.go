@@ -40,13 +40,19 @@ const extendPad = 24
 // more live candidates spills into a (reused) map instead of going O(n²).
 const seenSpill = 128
 
+// claimSeeds bounds the seeds one resolve pipeline holds (~3.2 MB of
+// answers per worker): a claim is resolved in sub-claims of whole reads
+// holding at most this many seeds, and a read is never split.
+const claimSeeds = 1 << 16
+
 // IndexAccess is the seed index and target store as the aligning phase sees
 // them. The serving engine implements it over the sealed dht.Sharded table
 // (threadedAccess); the simulated machine of internal/sim implements it over
 // its PGAS index and per-node caches and charges its own clocks inside.
 type IndexAccess interface {
-	// Lookup resolves a canonical seed to its location list.
-	Lookup(s kmer.Kmer) (dht.LookupResult, bool)
+	// SeedResolver answers a claim's seeds unless the call brings its own
+	// (QueryOptions.SeedResolver).
+	SeedResolver
 	// SingleCopy reports the fragment's single-copy-seeds flag (§IV-A).
 	SingleCopy(frag int32) bool
 	// FetchTarget announces that the processor is about to read a target's
@@ -57,12 +63,14 @@ type IndexAccess interface {
 // QueryProcessor holds the per-worker state of the aligning phase: the
 // reusable buffers of the per-read algorithm, the results it has produced so
 // far, and four plain counts of the work done. Every buffer is recycled
-// query to query, so the steady-state serial path performs zero allocations
+// claim to claim, so the steady-state serial path performs zero allocations
 // per read (pinned by BenchmarkQueryNoAlloc).
 type QueryProcessor struct {
-	opt Options
-	acc IndexAccess
-	ft  *FragmentTable
+	opt   Options
+	acc   IndexAccess
+	ft    *FragmentTable
+	seeds SeedResolver    // answers every seed lookup: the call's resolver, else acc
+	ctx   context.Context // the call's context, handed to seeds
 
 	// Work done so far. A caller that models time (internal/sim) converts
 	// these to seconds; the serving engine only reports them.
@@ -77,11 +85,12 @@ type QueryProcessor struct {
 	totalAlignments int64
 	alignments      []Alignment // non-nil iff alignment records are collected
 	tooShort        []int32     // query indices shorter than K
+	perQuery        []QueryStat // one per query of the call, when collected
 
-	// err is the first remote-resolution failure this worker hit; once set
-	// the worker stops aligning and the whole call fails with it (the remote
-	// path has no partial-results mode — a lost seed shard must never
-	// silently degrade into missed alignments).
+	// err is the first seed-resolution failure this worker hit; once set
+	// the worker stops aligning and the whole call fails with it (there is
+	// no partial-results mode — a lost seed shard must never silently
+	// degrade into missed alignments).
 	err error
 
 	// stop, when set, is the call's cancellation flag: raised once its
@@ -89,11 +98,26 @@ type QueryProcessor struct {
 	// extension (the call then returns the context's error, no results).
 	stop *atomic.Bool
 
-	scan    kmer.Scanner // rolling seed extraction over the current query
-	fwd, rc []byte       // unpacked query codes, forward and reverse complement
+	scratch
+}
+
+// scratch is the processor's reusable memory: everything init keeps when it
+// readies a processor for another call.
+type scratch struct {
+	fwd, rc []byte // unpacked query codes, forward and reverse complement
 	// codes backs both (one allocation, not two); fwd is capped at L, so an
 	// append to it reallocates instead of overwriting rc.
 	codes []byte
+
+	// The claim pipeline (resolveClaim, then process per read): one scanner
+	// per read of the sub-claim, primed in phase 1 and continued in phase 2,
+	// and each phase's seeds and answers in the order process reads them.
+	scans    []kmer.Scanner
+	first    seedBatch   // phase 1: the first seed of every read (exact path on)
+	rest     seedBatch   // phase 2: every other seed process reads
+	verdicts []Alignment // phase 1's exact-path verdict, one per read with L >= K
+	nextRead int         // process's cursor into verdicts and first
+	nextSeed int         // process's cursor into rest
 
 	// Candidate dedupe: a reusable linear-scan slice, spilling into a lazily
 	// allocated map on the rare candidate-heavy query.
@@ -109,149 +133,162 @@ type QueryProcessor struct {
 	foundRC   []bool
 	foundTg   []int32
 
-	// Remote-DHT state, active only when setResolver was called
-	// (QueryOptions.SeedResolver set): prefetchClaim resolves a whole claim of
-	// queries in at most two ResolveSeeds calls before Process sees any of
-	// them; Process then consumes ansBuf and exactBuf in order.
-	resolver SeedResolver
-	rctx     context.Context
-	seedBuf  []kmer.Kmer  // the seeds one resolve phase ships
-	slotBuf  []int32      // each shipped seed's answer position in ansBuf
-	phaseAns []SeedAnswer // one phase's answers, in seedBuf order
-	ansBuf   []SeedAnswer // the claim's answers, in Process's lookup order
-	ansIdx   int
-	exactBuf []Alignment // the claim's exact-path verdicts, one per query with L >= K
-	exactIdx int
-
 	// The exact-path cigar of the last read length (exactCigar).
 	exactLen int
 	exactCig string
 }
 
+// seedBatch is one resolve phase of a claim: the canonical seeds it ships,
+// each seed's strand in its read, and their answers, in the order process
+// reads them.
+type seedBatch struct {
+	seeds []kmer.Kmer
+	rc    []bool
+	ans   []SeedAnswer
+}
+
+// reset empties the batch and zeroes the answers it held: none outlives its
+// claim (a location list may alias a snapshot's mapping), and resolve hands
+// the resolver zeroed slots.
+func (b *seedBatch) reset() {
+	clear(b.ans)
+	b.seeds, b.rc, b.ans = b.seeds[:0], b.rc[:0], b.ans[:0]
+}
+
+func (b *seedBatch) add(s kmer.Kmer, rc bool) {
+	b.seeds = append(b.seeds, s)
+	b.rc = append(b.rc, rc)
+}
+
+// resolve answers the batch in one ResolveSeeds call. An empty batch makes
+// no call.
+func (b *seedBatch) resolve(ctx context.Context, r SeedResolver) error {
+	n := len(b.seeds)
+	if n == 0 {
+		return nil
+	}
+	b.ans = slices.Grow(b.ans, n)[:n]
+	return r.ResolveSeeds(ctx, b.seeds, b.ans)
+}
+
 // NewQueryProcessor returns a processor aligning against ft through acc.
 func NewQueryProcessor(opt Options, acc IndexAccess, ft *FragmentTable) *QueryProcessor {
-	qp := &QueryProcessor{opt: opt, acc: acc, ft: ft}
-	if opt.CollectAlignments {
-		qp.alignments = []Alignment{}
-	}
+	qp := new(QueryProcessor)
+	qp.init(opt, acc, ft)
 	return qp
 }
 
-// setResolver activates the remote-DHT path: seed lookups resolve through r
-// under ctx instead of probing the index.
-func (qp *QueryProcessor) setResolver(ctx context.Context, r SeedResolver) {
-	qp.resolver, qp.rctx = r, ctx
+// init readies qp for a call: counts and results start at zero, and only
+// the scratch buffers carry over. Seeds resolve through opt.SeedResolver
+// when it is set, else through acc.
+func (qp *QueryProcessor) init(opt Options, acc IndexAccess, ft *FragmentTable) {
+	*qp = QueryProcessor{opt: opt, acc: acc, ft: ft, seeds: opt.SeedResolver, ctx: context.Background(), scratch: qp.scratch}
+	if qp.seeds == nil {
+		qp.seeds = acc
+	}
+	if opt.CollectAlignments {
+		qp.alignments = []Alignment{}
+	}
 }
 
-// prefetchClaim resolves every seed a claim of queries will look up before
-// Process sees any of them — §III-A's aggregation, ahead of the wire — in at
-// most two ResolveSeeds calls:
-//
-//  1. with the exact path on, the first seed of every query, then the exact
-//     check (§IV-A) on each answer;
-//  2. the remaining seeds of every query the exact path did not
-//     settle (with it off, every seed of every query: one call in all).
-//
-// A settled query costs one remote seed, and no seed is shipped that Process
-// does not read. The answers land in ansBuf in Process's lookup order, so
-// lookupSeed pops them positionally. A no-op on the local path and after a
-// failure, which it records in qp.err.
-func (qp *QueryProcessor) prefetchClaim(claim []seqio.Seq) {
-	if qp.resolver == nil || qp.err != nil {
-		return
-	}
-	K, exact := qp.opt.K, qp.opt.ExactMatch
-	qp.ansBuf, qp.exactBuf = qp.ansBuf[:0], qp.exactBuf[:0]
-	qp.ansIdx, qp.exactIdx = 0, 0
-	var first []SeedAnswer
-	if exact {
-		qp.seedBuf = qp.seedBuf[:0]
-		for _, r := range claim {
-			if r.Seq.Len() >= K {
-				qp.scan.Reset(r.Seq, K)
-				qp.scan.Next()
-				canon, _ := qp.scan.Canonical()
-				qp.seedBuf = append(qp.seedBuf, canon)
-			}
-		}
-		if first, qp.err = qp.resolvePhase(); qp.err != nil {
+// ProcessClaim aligns a claim of queries, numbered from first on, and
+// accumulates their outcomes in the processor. A sub-claim at a time (whole
+// reads, at most claimSeeds seeds), it resolves every seed the reads look
+// up (resolveClaim), then aligns each read from the answers (process). It
+// stops early once the call is cancelled or a resolution fails (qp.err).
+func (qp *QueryProcessor) ProcessClaim(first int32, claim []seqio.Seq) {
+	for len(claim) > 0 && qp.err == nil && !qp.stopped() {
+		n := qp.subClaim(claim)
+		if err := qp.resolveClaim(claim[:n]); err != nil {
+			qp.err = err
 			return
 		}
+		for i := range n {
+			if qp.stopped() {
+				return
+			}
+			qp.processStat(first+int32(i), claim[i].Seq)
+		}
+		first, claim = first+int32(n), claim[n:]
 	}
-	qp.seedBuf, qp.slotBuf = qp.seedBuf[:0], qp.slotBuf[:0]
-	for _, r := range claim {
-		L := r.Seq.Len()
-		if L < K {
+}
+
+// subClaim returns how many leading reads of claim one resolve pipeline
+// takes: whole reads holding at most claimSeeds seeds, and at least one.
+func (qp *QueryProcessor) subClaim(claim []seqio.Seq) int {
+	seeds := 0
+	for i, r := range claim {
+		if seeds += kmer.Count(r.Seq.Len(), qp.opt.K); seeds > claimSeeds && i > 0 {
+			return i
+		}
+	}
+	return len(claim)
+}
+
+// resolveClaim resolves every seed a sub-claim of queries will look up
+// before process sees any of them — §III-A's aggregation — in at most two
+// ResolveSeeds calls:
+//
+//  1. with the exact path on, the first seed of every read, then the exact
+//     check (§IV-A) on each answer;
+//  2. the remaining seeds of every read the exact path did not settle
+//     (with it off, every seed of every read: one call in all).
+//
+// A settled read costs one seed, and no seed is resolved that process does
+// not read. Each read is scanned once: its scanner, primed in phase 1,
+// continues in phase 2.
+func (qp *QueryProcessor) resolveClaim(claim []seqio.Seq) error {
+	K, exact := qp.opt.K, qp.opt.ExactMatch
+	qp.first.reset()
+	qp.rest.reset()
+	qp.verdicts, qp.nextRead, qp.nextSeed = qp.verdicts[:0], 0, 0
+	qp.scans = slices.Grow(qp.scans[:0], len(claim))[:len(claim)]
+	for i, r := range claim {
+		if r.Seq.Len() >= K {
+			qp.scans[i].Reset(r.Seq, K)
+			qp.scans[i].Next()
+			if exact {
+				qp.first.add(qp.scans[i].Canonical())
+			}
+		}
+	}
+	if exact {
+		if err := qp.first.resolve(qp.ctx, qp.seeds); err != nil {
+			return err
+		}
+	}
+	for i, r := range claim {
+		if r.Seq.Len() < K {
 			continue
 		}
-		qp.scan.Reset(r.Seq, K)
-		qp.scan.Next()
-		canon, qrc := qp.scan.Canonical()
+		sc := &qp.scans[i]
 		if exact {
-			a := first[0]
-			first = first[1:]
-			qp.ansBuf = append(qp.ansBuf, a)
-			qp.loadCodes(r.Seq)
-			v, _ := qp.exactHit(a.Res, a.OK, qrc, L)
-			qp.exactBuf = append(qp.exactBuf, v)
-			if v.Exact {
+			j := len(qp.verdicts)
+			v := qp.exactHit(r.Seq, qp.first.ans[j], qp.first.rc[j])
+			if qp.verdicts = append(qp.verdicts, v); v.Exact {
 				continue
 			}
 		} else {
-			qp.want(canon)
+			qp.rest.add(sc.Canonical())
 		}
-		for qp.scan.Next() {
-			canon, _ := qp.scan.Canonical()
-			qp.want(canon)
+		for sc.Next() {
+			qp.rest.add(sc.Canonical())
 		}
 	}
-	rest, err := qp.resolvePhase()
-	if err != nil {
-		qp.err = err
-		return
-	}
-	for i, a := range rest {
-		qp.ansBuf[qp.slotBuf[i]] = a
-	}
+	return qp.rest.resolve(qp.ctx, qp.seeds)
 }
 
-// want queues seed s for the next resolve phase and reserves its answer's
-// slot in ansBuf.
-func (qp *QueryProcessor) want(s kmer.Kmer) {
-	qp.seedBuf = append(qp.seedBuf, s)
-	qp.slotBuf = append(qp.slotBuf, int32(len(qp.ansBuf)))
-	qp.ansBuf = append(qp.ansBuf, SeedAnswer{})
+// nextAnswer returns the next phase-2 answer and its seed's strand.
+func (qp *QueryProcessor) nextAnswer() (SeedAnswer, bool) {
+	j := qp.nextSeed
+	qp.nextSeed++
+	return qp.rest.ans[j], qp.rest.rc[j]
 }
 
-// resolvePhase ships seedBuf in one ResolveSeeds call and returns the
-// answers in seedBuf order. An empty phase makes no call.
-func (qp *QueryProcessor) resolvePhase() ([]SeedAnswer, error) {
-	n := len(qp.seedBuf)
-	if n == 0 {
-		return nil, nil
-	}
-	qp.phaseAns = slices.Grow(qp.phaseAns[:0], n)[:n]
-	clear(qp.phaseAns)
-	err := qp.resolver.ResolveSeeds(qp.rctx, qp.seedBuf, qp.phaseAns)
-	return qp.phaseAns, err
-}
-
-// lookupSeed is the one seed-lookup site of the aligning phase: the index
-// probe, or — on the remote path — the next prefetched answer. Lookups are
-// counted here, so the statistics are identical whatever answers them.
-func (qp *QueryProcessor) lookupSeed(s kmer.Kmer) (dht.LookupResult, bool) {
-	qp.SeedLookups++
-	if qp.resolver == nil {
-		return qp.acc.Lookup(s)
-	}
-	a := qp.ansBuf[qp.ansIdx]
-	qp.ansIdx++
-	return a.Res, a.OK
-}
-
-// Process aligns one query (Algorithm 1, lines 8-12, plus the §IV
-// optimizations) and accumulates its outcome in the processor.
-func (qp *QueryProcessor) Process(qi int32, q dna.Packed) {
+// process aligns one query (Algorithm 1, lines 8-12, plus the §IV
+// optimizations) from the answers resolveClaim left, and accumulates its
+// outcome in the processor. Queries must come in claim order.
+func (qp *QueryProcessor) process(qi int32, q dna.Packed) {
 	opt := &qp.opt
 	L := q.Len()
 	if L < opt.K {
@@ -262,27 +299,16 @@ func (qp *QueryProcessor) Process(qi int32, q dna.Packed) {
 		qp.tooShort = append(qp.tooShort, qi)
 		return
 	}
-	qp.loadCodes(q)
-	qp.seenList = qp.seenList[:0]
-	if len(qp.seenMap) > 0 {
-		clear(qp.seenMap)
-	}
-	qp.found = qp.found[:0]
-	qp.foundKeys = qp.foundKeys[:0]
-	qp.foundRC = qp.foundRC[:0]
-	qp.foundTg = qp.foundTg[:0]
 
-	// The scanner maintains the forward and reverse-complement seeds
-	// incrementally; L >= K guarantees at least one position.
-	qp.scan.Reset(q, opt.K)
-	qp.scan.Next()
-
-	// ---- Exact-match fast path (§IV-A) ----
-	canon, qrc := qp.scan.Canonical()
-	res, ok := qp.lookupSeed(canon)
+	// ---- Exact-match fast path (§IV-A), decided by resolveClaim ----
+	var first SeedAnswer
+	var firstRC bool
 	if opt.ExactMatch {
-		if a, hit := qp.exactPath(res, ok, qrc, L); hit {
+		j := qp.nextRead
+		qp.nextRead++
+		if a := qp.verdicts[j]; a.Exact {
 			a.Query = qi
+			qp.SeedLookups++
 			qp.exact++
 			qp.aligned++
 			qp.totalAlignments++
@@ -292,14 +318,28 @@ func (qp *QueryProcessor) Process(qi int32, q dna.Packed) {
 			}
 			return // single lookup sufficed — minimal communication
 		}
+		first, firstRC = qp.first.ans[j], qp.first.rc[j]
+	} else {
+		first, firstRC = qp.nextAnswer()
 	}
 
 	// ---- General path: every seed, lookup, extend (lines 9-12) ----
-	qp.seedHits(res, ok, qrc, 0, L) // the first seed's lookup, reused
-	for qp.scan.Next() {
-		canon, qrc := qp.scan.Canonical()
-		res, ok := qp.lookupSeed(canon)
-		qp.seedHits(res, ok, qrc, qp.scan.Offset(), L)
+	// The j-th seed sits at query offset j.
+	seeds := L - opt.K + 1
+	qp.SeedLookups += int64(seeds)
+	qp.loadCodes(q)
+	qp.seenList = qp.seenList[:0]
+	if len(qp.seenMap) > 0 {
+		clear(qp.seenMap)
+	}
+	qp.found = qp.found[:0]
+	qp.foundKeys = qp.foundKeys[:0]
+	qp.foundRC = qp.foundRC[:0]
+	qp.foundTg = qp.foundTg[:0]
+	qp.seedHits(first, firstRC, 0, L) // the first seed's lookup, reused
+	for off := 1; off < seeds; off++ {
+		a, qrc := qp.nextAnswer()
+		qp.seedHits(a, qrc, off, L)
 	}
 
 	if len(qp.found) > 0 {
@@ -333,8 +373,9 @@ func (qp *QueryProcessor) exactCigar(L int) string {
 
 // seedHits feeds one seed lookup's hits into candidate generation, applying
 // the §IV-C sensitivity threshold.
-func (qp *QueryProcessor) seedHits(res dht.LookupResult, ok, qrc bool, qoff, L int) {
-	if !ok {
+func (qp *QueryProcessor) seedHits(a SeedAnswer, qrc bool, qoff, L int) {
+	res := a.Res
+	if !a.OK {
 		return
 	}
 	if qp.opt.MaxSeedHits > 0 && int(res.Count) > qp.opt.MaxSeedHits {
@@ -345,31 +386,19 @@ func (qp *QueryProcessor) seedHits(res dht.LookupResult, ok, qrc bool, qoff, L i
 	}
 }
 
-// exactPath is Process's §IV-A decision for the current query, given its
-// first seed's lookup. On the remote path prefetchClaim has already made it
-// (it must, to know which queries phase 2 resolves), so the verdict is
-// replayed rather than compared twice.
-func (qp *QueryProcessor) exactPath(res dht.LookupResult, ok, qrc bool, L int) (Alignment, bool) {
-	if qp.resolver == nil {
-		return qp.exactHit(res, ok, qrc, L)
+// exactHit is the exact-path predicate on query q, given its first seed's
+// answer a and strand qrc: the seed is stored exactly once, in a
+// single-copy-seed fragment, and the whole query matches the target there
+// (tryExact). The verdict's Exact flag says whether q is settled.
+func (qp *QueryProcessor) exactHit(q dna.Packed, a SeedAnswer, qrc bool) Alignment {
+	if !a.OK || a.Res.Count != 1 || a.Res.Len() != 1 {
+		return Alignment{}
 	}
-	a := qp.exactBuf[qp.exactIdx]
-	qp.exactIdx++
-	return a, a.Exact
-}
-
-// exactHit is the exact-path predicate: the first seed is stored exactly
-// once, in a single-copy-seed fragment, and the whole query matches the
-// target there (tryExact). The query's codes must be loaded.
-func (qp *QueryProcessor) exactHit(res dht.LookupResult, ok, qrc bool, L int) (Alignment, bool) {
-	if !ok || res.Count != 1 || res.Len() != 1 {
-		return Alignment{}, false
-	}
-	loc := res.At(0)
+	loc := a.Res.At(0)
 	if !qp.acc.SingleCopy(loc.Frag) {
-		return Alignment{}, false
+		return Alignment{}
 	}
-	return qp.tryExact(loc, qrc, L)
+	return qp.tryExact(q, loc, qrc)
 }
 
 // loadCodes unpacks q into fwd; rc fills the spare half of codes lazily
@@ -384,7 +413,9 @@ func (qp *QueryProcessor) loadCodes(q dna.Packed) {
 // hit a single-copy-seed fragment exactly once; if the whole query matches
 // the target there with a plain comparison, Lemma 1 guarantees the
 // alignment is unique and no further lookups or Smith-Waterman are needed.
-func (qp *QueryProcessor) tryExact(loc dht.Loc, qrc bool, L int) (Alignment, bool) {
+// The query is unpacked only when it is compared.
+func (qp *QueryProcessor) tryExact(q dna.Packed, loc dht.Loc, qrc bool) Alignment {
+	L := q.Len()
 	frag := qp.ft.Frags[loc.Frag]
 	rc := qrc != loc.RC
 	qoffEff := 0
@@ -394,12 +425,13 @@ func (qp *QueryProcessor) tryExact(loc dht.Loc, qrc bool, L int) (Alignment, boo
 	tOff := int(frag.Start) + int(loc.Off) - qoffEff
 	tcodes := qp.ft.TargetCodes(frag.Target)
 	if tOff < 0 || tOff+L > len(tcodes) {
-		return Alignment{}, false // query overhangs the target: general path
+		return Alignment{} // query overhangs the target: general path
 	}
 	qp.acc.FetchTarget(frag.Target, qp.ft.TargetPackedBytes(frag.Target), qp.ft.Owner(loc.Frag))
 	qp.MemcmpBytes += int64((L + 3) / 4)
+	qp.loadCodes(q)
 	if !bytes.Equal(qp.queryCodes(rc, L), tcodes[tOff:tOff+L]) {
-		return Alignment{}, false
+		return Alignment{}
 	}
 	return Alignment{
 		Target: frag.Target,
@@ -408,7 +440,7 @@ func (qp *QueryProcessor) tryExact(loc dht.Loc, qrc bool, L int) (Alignment, boo
 		QStart: 0, QEnd: int32(L),
 		TStart: int32(tOff), TEnd: int32(tOff + L),
 		Exact: true,
-	}, true
+	}
 }
 
 // seenBefore records a candidate key, reporting whether it was already

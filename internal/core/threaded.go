@@ -46,8 +46,16 @@ type threadedAccess struct {
 	sx *dht.Sharded
 }
 
-func (a threadedAccess) Lookup(s kmer.Kmer) (dht.LookupResult, bool) { return a.sx.Lookup(s) }
-func (a threadedAccess) SingleCopy(frag int32) bool                  { return a.sx.SingleCopy(int(frag)) }
+func (a threadedAccess) SingleCopy(frag int32) bool { return a.sx.SingleCopy(int(frag)) }
+
+// ResolveSeeds probes the sealed table once per seed: the local answer to
+// every claim whose call brings no resolver of its own.
+func (a threadedAccess) ResolveSeeds(_ context.Context, seeds []kmer.Kmer, out []SeedAnswer) error {
+	for i, s := range seeds {
+		out[i].Res, out[i].OK = a.sx.Lookup(s)
+	}
+	return nil
+}
 
 // FetchTarget is a no-op: target sequences live in shared memory.
 func (a threadedAccess) FetchTarget(target int32, targetBytes, owner int) {}

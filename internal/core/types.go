@@ -5,11 +5,12 @@
 // single-copy-seed detection and target fragmentation (§IV-A) and the
 // max-alignments-per-seed sensitivity threshold (§IV-C).
 //
-// There is one per-read procedure, QueryProcessor.Process, and it knows
-// nothing about time: it reads the seed index through the IndexAccess
-// interface and counts the work it did (seed lookups, compared bytes,
-// Smith-Waterman calls and cells). The serving engine in this package
-// (BuildIndex, ThreadedIndex.Query, RunThreaded) runs it with
+// There is one aligning procedure, QueryProcessor.ProcessClaim, and it
+// knows nothing about time: it resolves a claim's seeds through one
+// SeedResolver (the IndexAccess, unless the call brings its own), aligns
+// each read from the answers, and counts the work it did (seed lookups,
+// compared bytes, Smith-Waterman calls and cells). The serving engine in
+// this package (BuildIndex, ThreadedIndex.Query, RunThreaded) runs it with
 // real goroutines over the sealed dht.Sharded table and measures wall-clock
 // time around it. The simulated PGAS machine of the paper's scaling figures
 // lives in internal/sim, which drives the same processor through its own
@@ -61,9 +62,9 @@ type QueryOptions struct {
 	// CollectPerQuery retains one QueryStat per query in Results.PerQuery
 	// (status, alignment count, Smith-Waterman calls, wall nanoseconds) —
 	// the per-read latency source behind a service's p50/p99 reporting.
-	// Honored by ThreadedIndex.Query only. With a SeedResolver set, a read's
-	// nanoseconds exclude the wait for its seeds, which is paid once per
-	// claim of reads before any of them is aligned.
+	// Honored by ThreadedIndex.Query only. A read's nanoseconds exclude the
+	// resolution of its seeds, local probes or remote calls alike, which is
+	// paid once per claim of reads before any of them is aligned.
 	CollectPerQuery bool
 
 	// Extend replaces the seed-extension engine (§VIII: "the Striped
@@ -75,15 +76,16 @@ type QueryOptions struct {
 	// the traceback (align.Scorer).
 	Extend ExtendFunc
 
-	// SeedResolver replaces the local seed-index probe with a remote
-	// resolver — the distributed-DHT seam. When set on a ThreadedIndex.Query
-	// call, each worker resolves a whole claim of queries (up to 256) before
-	// aligning them, in at most two ResolveSeeds calls (which the network
-	// tier batches per owning node): the first seed of every query, then the
-	// remaining seeds of the queries the exact path did not settle.
-	// Extension and Smith-Waterman still run locally, and the results are
-	// bit-identical to local lookups against the same table. Like Extend,
-	// this field is runtime wiring, not serialized configuration.
+	// SeedResolver answers the call's seed lookups in place of the local
+	// table — the distributed-DHT seam. Every call resolves each claim of
+	// queries (up to 256, in sub-claims of at most 65,536 seeds) before
+	// aligning them, in at most two ResolveSeeds calls per sub-claim (which
+	// the network tier batches per owning node): the first seed of every
+	// query, then the remaining seeds of the queries the exact path did not
+	// settle. Nil leaves the sealed table to answer them. Extension and
+	// Smith-Waterman run locally either way, and the results are
+	// bit-identical to the local table's. Like Extend, this field is runtime
+	// wiring, not serialized configuration.
 	SeedResolver SeedResolver
 }
 
@@ -94,15 +96,18 @@ type SeedAnswer struct {
 	OK  bool
 }
 
-// SeedResolver resolves a batch of canonical seeds to their location lists.
-// Implementations must fill out[i] for every seeds[i] (len(out) ==
-// len(seeds)) or return an error; a missing seed is out[i].OK == false, so
-// "unknown" is never silently conflated with "absent". The engine calls it
-// at most twice per claim of queries, and every seed it ships is one the
-// engine looks up: first the first seed of every query in the claim, then
-// the remaining seeds, in lookup order, of every query the exact path did
-// not settle (one call in all when the index has the exact path off). An
-// empty phase makes no call.
+// SeedResolver resolves a batch of canonical seeds to their location lists:
+// the one way the aligning phase looks seeds up, answered by the local
+// table, the simulated machine or a remote fleet. Implementations must fill
+// out[i] for every seeds[i] (len(out) == len(seeds)) or return an error; a
+// missing seed is out[i].OK == false, so "unknown" is never silently
+// conflated with "absent". The engine calls it at most twice per sub-claim
+// of queries (whole reads, at most 65,536 seeds unless one read holds
+// more), and every seed it ships is one the engine looks up: first the
+// first seed of every query in the sub-claim, then the remaining seeds, in
+// lookup order, of every query the exact path did not settle (one call in
+// all when the index has the exact path off). An empty phase makes no
+// call.
 type SeedResolver interface {
 	ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []SeedAnswer) error
 }
@@ -208,7 +213,7 @@ type QueryStat struct {
 	Exact       bool  // resolved entirely by the exact-match fast path
 	SWCalls     int32 // Smith-Waterman invocations
 	SeedLookups int32 // seed-index lookups
-	Nanos       int64 // wall nanoseconds spent aligning this query (remote seed resolution excluded)
+	Nanos       int64 // wall nanoseconds spent aligning this query (the claim's seed resolution excluded)
 }
 
 // Alignment is one reported query-to-target local alignment.

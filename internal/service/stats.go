@@ -47,7 +47,7 @@ func writeMetrics(w io.Writer, ts []*tenant, cat *client.CatalogCounters) {
 			m.Float(g.v(&sts[i]), labels[i]...)
 		}
 	}
-	m.Histogram("merserved_align_read_duration_seconds", "per-read engine time histogram")
+	m.Histogram("merserved_align_read_duration_seconds", "per-read engine time histogram (the claim's seed resolution excluded)")
 	for i, t := range ts {
 		m.Hist(t.alignRead.Snapshot(), labels[i]...)
 	}

@@ -4,19 +4,20 @@
 // (§III-A), single-copy marking, parallel query I/O, the load-balancing
 // permutation (§IV-B), per-node software caches (§III-B) and the aligning
 // phase — with real data structures and simulated time. It regenerates the
-// paper's strong-scaling and ablation figures (internal/expt) and backs
-// `meraligner -engine sim`.
+// paper's strong-scaling and ablation figures (internal/expt, cmd/merbench).
 //
 // sim owns the cost model: everything that knows what an operation costs on
 // the simulated machine is here or in upc. The per-read algorithm is not
 // forked — the align phase drives core.QueryProcessor, the same procedure
-// the servers run, through an IndexAccess that charges communication and
-// cache traffic to the simulated thread it captured, and converts the
-// processor's work counts to computation seconds once per thread when the
-// phase ends. The dependency runs sim → core, never back.
+// the servers run, through an IndexAccess whose seed resolver and target
+// fetches charge communication and cache traffic to the simulated thread it
+// captured, and converts the processor's work counts to computation seconds
+// once per thread when the phase ends. The dependency runs sim → core, never
+// back.
 package sim
 
 import (
+	"context"
 	"math/rand"
 
 	"github.com/lbl-repro/meraligner/internal/cache"
@@ -141,8 +142,16 @@ type access struct {
 	th *upc.Thread
 }
 
-func (a access) Lookup(s kmer.Kmer) (dht.LookupResult, bool) { return a.g.Lookup(a.th, a.ix, s) }
-func (a access) SingleCopy(frag int32) bool                  { return a.ix.SingleCopy(int(frag)) }
+// ResolveSeeds looks the seeds up one at a time, in order, each through the
+// node's seed cache and charged as it happens (Group.Lookup).
+func (a access) ResolveSeeds(_ context.Context, seeds []kmer.Kmer, out []core.SeedAnswer) error {
+	for i, s := range seeds {
+		out[i].Res, out[i].OK = a.g.Lookup(a.th, a.ix, s)
+	}
+	return nil
+}
+
+func (a access) SingleCopy(frag int32) bool { return a.ix.SingleCopy(int(frag)) }
 func (a access) FetchTarget(target int32, targetBytes, owner int) {
 	a.g.FetchTarget(a.th, target, targetBytes, owner)
 }
@@ -274,7 +283,9 @@ func query(m *upc.Machine, mach upc.MachineConfig, opt Options, bix *builtIndex,
 		qps[th.ID] = qp
 		lo, hi := mach.PartitionRange(len(order), th.ID)
 		for i := lo; i < hi; i++ {
-			qp.Process(order[i], queries[order[i]].Seq)
+			// A claim of one read keeps the thread's cache traffic in
+			// per-read order, as the paper's threads look seeds up.
+			qp.ProcessClaim(order[i], queries[order[i]:order[i]+1])
 		}
 		// The processor only counted its work. Computation charges are pure
 		// sums, so charging them once here leaves the thread's clock where
