@@ -56,15 +56,15 @@ func TestOneSAMRenderer(t *testing.T) {
 }
 
 // TestOneFrontDoor holds both align tiers, merserved and merrouted, to one
-// front door: the queue's direct path and its overload error are what a
-// serving core must touch to route a request and to answer a full queue
-// with 429, and the batching report's mean, coalesced count and deadline
+// front door: the queue's one entry point and its overload error are what a
+// serving core must touch to send a request into a call and to answer a
+// full queue with 429, and the batching report's mean, coalesced count and deadline
 // refusals are what a tier must touch to report or export the door's
 // accounting itself — so exactly one non-test file of the two packages may
 // name them.
 func TestOneFrontDoor(t *testing.T) {
 	for name, files := range filesNaming(t, []string{"internal/service/", "internal/cluster/"},
-		"Direct", "ErrOverloaded", "MeanBatchReads", "CoalescedBatches", "DeadlineRejected") {
+		"Submit", "ErrOverloaded", "MeanBatchReads", "CoalescedBatches", "DeadlineRejected") {
 		if len(files) != 1 || files[0] != "internal/service/front.go" {
 			t.Errorf("%s is named in %v; only internal/service/front.go may serve, refuse or report an align request", name, files)
 		}

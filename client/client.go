@@ -114,7 +114,7 @@ type FrontStats struct {
 
 	// Request accounting.
 	Requests         int64 `json:"requests"`
-	Rejected         int64 `json:"rejected"` // 429s (queue full or inflight limit)
+	Rejected         int64 `json:"rejected"` // 429s (queue full)
 	Canceled         int64 `json:"canceled"` // client disconnects
 	Reads            int64 `json:"reads"`    // reads accepted for alignment
 	TooShort         int64 `json:"too_short_reads"`

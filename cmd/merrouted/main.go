@@ -40,9 +40,10 @@
 // (503) instead of scattering doomed work.
 //
 // A scatter occupies one replica of every shard, so as many scatters run at
-// once as the narrowest shard has replicas; a queued request dispatches as
-// soon as one finishes, and past -queue queued reads requests get 429 +
-// Retry-After.
+// once as the narrowest shard has replicas. Every align request is queued,
+// whatever its size; a queued request dispatches as soon as a scatter
+// finishes, and a request that would push a non-empty queue past -queue
+// reads gets 429 + Retry-After.
 //
 // Endpoints: POST /v1/align, GET /v1/stats, /v1/targets, /healthz,
 // /readyz, /metrics (merrouted_* and per-shard merrouted_shard_* series).

@@ -14,7 +14,7 @@
 //	          [-max-hits 1000] [-min-score 0] [-no-exact] [-v]
 //	merserved -index contigs.merx [-threads N] [-addr :8490] ...
 //	merserved -index-dir snapshots/ [-resident-budget 2GiB]
-//	          [-max-inflight-per-ref 64] [-swap-poll 1s] ...
+//	          [-swap-poll 1s] ...
 //	merserved -seed-shard seed-shard-000.merx [-addr :8491] ...
 //	merserved ... [-log-level info] [-log-format text|json]
 //	          [-slow-request-ms 0] [-debug-addr 127.0.0.1:0]
@@ -30,8 +30,8 @@
 // Snapshots open lazily on first request, stay resident under the
 // -resident-budget byte cap with LRU eviction, and hot-swap with zero
 // downtime when a snapshot file is atomically replaced (rename into
-// place — never truncate a served snapshot in place). -max-inflight-per-ref
-// caps concurrent requests per reference (429 + Retry-After beyond it).
+// place — never truncate a served snapshot in place). Each reference has its
+// own queue, and the references take the engine's call tokens in turn.
 //
 // With -seed-shard the server is a node of the distributed seed DHT: it
 // memory-maps one seed-shard snapshot written by `meraligner -dht-save`
@@ -40,9 +40,10 @@
 // no SAM. Query nodes (`meraligner -dht-nodes`) resolve seeds against the
 // fleet and align locally with byte-identical output (see internal/dhtnet).
 //
-// Up to -threads engine calls run at once, across every reference; a
-// queued request dispatches as soon as one finishes, and past -queue
-// queued reads requests get 429 + Retry-After.
+// Up to -threads engine calls run at once, across every reference. Every
+// align request is queued, whatever its size; a queued request dispatches
+// as soon as a call finishes, and a request that would push a non-empty
+// queue past -queue reads gets 429 + Retry-After.
 //
 // The listener binds and logs "listening on" immediately; until the index
 // is built/mapped, every endpoint answers 503 warming except GET /healthz —
@@ -86,7 +87,6 @@ func main() {
 		indexDir    = flag.String("index-dir", "", "serve every <ref>.merx snapshot in this directory as /v1/<ref>/... (catalog mode)")
 		seedShard   = flag.String("seed-shard", "", "serve a seed-shard .merx snapshot (from `meraligner -dht-save`) as a batched seed-lookup node")
 		budgetStr   = flag.String("resident-budget", "", "resident-bytes cap across open catalog indexes, e.g. 512MiB or 2GiB (empty = unlimited)")
-		maxInflight = flag.Int("max-inflight-per-ref", 0, "max concurrently served align requests per reference (0 = unlimited)")
 		swapPoll    = flag.Duration("swap-poll", 0, "min interval between snapshot hot-swap freshness checks (0 = 1s default, negative disables)")
 		k           = flag.Int("k", 51, "seed length (1-64)")
 		threads     = flag.Int("threads", runtime.NumCPU(), "worker threads (index build, engine pool, and engine calls run at once)")
@@ -145,11 +145,10 @@ func main() {
 	qopt.MaxSeedHits = *maxHits
 	qopt.MinScore = *minScore
 	cfg := service.Config{
-		FrontConfig:       p.Front(),
-		Query:             qopt,
-		Workers:           *threads,
-		MaxInflightPerRef: *maxInflight,
-		Version:           buildinfo.Version,
+		FrontConfig: p.Front(),
+		Query:       qopt,
+		Workers:     *threads,
+		Version:     buildinfo.Version,
 	}
 	if *indexDir != "" {
 		cfg.IndexDir = *indexDir

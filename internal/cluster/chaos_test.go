@@ -183,8 +183,9 @@ func TestChaosAllReplicasOfShardDead(t *testing.T) {
 }
 
 // chaosReplica is a controllable fake replica: align failures, readiness
-// failures, and serving delay are all switchable at runtime, and canceled
-// in-flight aligns are counted (the hedge-loser observation).
+// failures, and serving delay are all switchable at runtime, canceled
+// in-flight aligns are counted (the hedge-loser observation), and every
+// align's X-Deadline-Ms header is kept.
 type chaosReplica struct {
 	alignFail atomic.Bool
 	readyFail atomic.Bool
@@ -192,6 +193,16 @@ type chaosReplica struct {
 	calls     atomic.Int64
 	canceled  atomic.Int64
 	ts        *httptest.Server
+
+	mu      sync.Mutex
+	budgets []string // X-Deadline-Ms of each align received, "" when absent
+}
+
+// lastBudget is the X-Deadline-Ms header of the latest align received.
+func (cr *chaosReplica) lastBudget() string {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	return cr.budgets[len(cr.budgets)-1]
 }
 
 func newChaosReplica(t *testing.T) *chaosReplica {
@@ -210,6 +221,9 @@ func newChaosReplica(t *testing.T) *chaosReplica {
 		io.WriteString(w, "ready\n")
 	})
 	mux.HandleFunc("POST /v1/align", func(w http.ResponseWriter, r *http.Request) {
+		cr.mu.Lock()
+		cr.budgets = append(cr.budgets, r.Header.Get(client.HeaderDeadlineMs))
+		cr.mu.Unlock()
 		cr.calls.Add(1)
 		var req client.AlignRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -438,6 +452,76 @@ func TestChaosDeadlineAdmission(t *testing.T) {
 	mresp.Body.Close()
 	if !strings.Contains(string(mbody), "merrouted_deadline_rejected_total 1") {
 		t.Fatalf("metrics missing deadline rejection counter:\n%s", mbody)
+	}
+}
+
+// TestChaosDeadlineReachesShards: a request's X-Deadline-Ms budget bounds
+// the shard RPCs of the scatter that serves it. A lone budgeted request
+// arrives with at most its budget, an unbudgeted one with the attempt
+// timeout, and a scatter coalescing a 300 ms and a 5,000 ms request carries
+// the later deadline, so the shorter budget does not cut its batchmate's.
+func TestChaosDeadlineReachesShards(t *testing.T) {
+	rep := newChaosReplica(t)
+	rt, rts := newRouter(t, []string{rep.ts.URL}, nil)
+	waitReady(t, rt)
+	reads := []meraligner.Seq{mkread("r", "ACGTACGT")}
+	budget := func() int64 {
+		t.Helper()
+		ms, err := strconv.ParseInt(rep.lastBudget(), 10, 64)
+		if err != nil {
+			t.Fatalf("shard RPC carried X-Deadline-Ms %q: %v", rep.lastBudget(), err)
+		}
+		return ms
+	}
+
+	if code, body := postWithDeadline(t, rts.URL, reads, 2000); code != http.StatusOK {
+		t.Fatalf("budgeted request = %d, body %s", code, body)
+	}
+	if ms := budget(); ms > 2000 {
+		t.Fatalf("a 2,000 ms request reached the shard with X-Deadline-Ms %d", ms)
+	}
+	if code, body := post(t, rts.URL, reads, "application/json"); code != http.StatusOK {
+		t.Fatalf("unbudgeted request = %d, body %s", code, body)
+	}
+	if ms, timeout := budget(), client.DefaultAttemptTimeout.Milliseconds(); ms < timeout-1000 || ms > timeout {
+		t.Fatalf("an unbudgeted request reached the shard with X-Deadline-Ms %d, want the %d ms attempt timeout", ms, timeout)
+	}
+
+	// A blocker holds the one scatter token while both budgeted requests
+	// queue, so they share the next scatter.
+	rep.delay.Store(int64(100 * time.Millisecond))
+	var wg sync.WaitGroup
+	codes := make([]int, 3)
+	for i, ms := range []int64{0, 300, 5000} {
+		if i == 1 {
+			waitUntilTrue(t, "the blocker to reach the shard", func() bool { return rep.calls.Load() == 3 })
+			rep.delay.Store(0)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequest(http.MethodPost, rts.URL+"/v1/align", strings.NewReader(`{"reads":[{"name":"r","seq":"ACGTACGT"}]}`))
+			req.Header.Set("Content-Type", "application/json")
+			if ms > 0 {
+				req.Header.Set(client.HeaderDeadlineMs, strconv.FormatInt(ms, 10))
+			}
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				codes[i] = resp.StatusCode
+			}
+		}()
+	}
+	waitUntilTrue(t, "both budgeted requests to queue", func() bool { return rt.Stats().QueueReads == 2 })
+	wg.Wait()
+	if codes[0] != http.StatusOK || codes[1] != http.StatusOK || codes[2] != http.StatusOK {
+		t.Fatalf("blocker, 300 ms and 5,000 ms requests = %v, want 200 each", codes)
+	}
+	if n := rep.calls.Load(); n != 4 {
+		t.Fatalf("%d shard RPCs, want 4: the two budgeted requests share one scatter", n)
+	}
+	if ms := budget(); ms <= 300 || ms > 5000 {
+		t.Fatalf("the scatter of a 300 ms and a 5,000 ms request reached the shard with X-Deadline-Ms %d, want above 300", ms)
 	}
 }
 

@@ -323,7 +323,7 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 func TestRouterDirectPathByteIdentical(t *testing.T) {
 	fleet := newFleet(t)
 	single := newSingle(t)
-	// MaxBatch below the request size forces the uncoalesced direct path.
+	// MaxBatch below the request size makes the request a call of its own.
 	rt, rts := newRouter(t, fleet, func(c *Config) { c.MaxBatch = 4 })
 	waitReady(t, rt)
 
@@ -334,11 +334,11 @@ func TestRouterDirectPathByteIdentical(t *testing.T) {
 		t.Fatalf("status = %d, body %s", code, got)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("direct-path SAM differs from single node\nrouter:\n%s\nsingle:\n%s", got, want)
+		t.Fatalf("oversized-call SAM differs from single node\nrouter:\n%s\nsingle:\n%s", got, want)
 	}
 	st := rt.Stats()
 	if st.Batches == 0 || st.MaxBatchReads < int64(len(reads)) {
-		t.Fatalf("direct path not exercised: %+v", st)
+		t.Fatalf("oversized call not exercised: %+v", st)
 	}
 }
 

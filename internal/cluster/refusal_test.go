@@ -158,10 +158,10 @@ func TestRouterRefusesLikeSingleNode(t *testing.T) {
 		}
 	}
 
-	// A full queue: a direct-path batch holds the callee in the gated
+	// A full queue: an oversized batch holds the callee in the gated
 	// extension, a 3-read request waits behind it, and 2 more reads do not
 	// fit the 4-read queue.
-	direct, queued, extra := jsonReads(t, mutated), jsonReads(t, mutated[:3]), jsonReads(t, fixReads[:2])
+	big, queued, extra := jsonReads(t, mutated), jsonReads(t, mutated[:3]), jsonReads(t, fixReads[:2])
 	queueFull := func(url string, entered *atomic.Int32, open chan struct{}) refusal {
 		held := make(chan error, 2)
 		post := func(body string) {
@@ -171,7 +171,7 @@ func TestRouterRefusesLikeSingleNode(t *testing.T) {
 			}
 			held <- err
 		}
-		go post(direct)
+		go post(big)
 		waitUntilTrue(t, "the callee to block in extension", func() bool { return entered.Load() > 0 })
 		go post(queued)
 		waitUntilTrue(t, "3 reads to queue", func() bool {

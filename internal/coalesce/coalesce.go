@@ -15,11 +15,12 @@
 // next queued batch the moment it holds a token, and holds the queue only
 // while every token is taken: arrivals then accumulate, and the call that
 // takes the next free token carries them all, up to MaxBatch items. Under
-// concurrent load batches grow to the arrival rate with no tuning. Direct
-// calls draw on the same tokens. Capacity bounds the queued items: a
-// submission that would exceed it is rejected at once (ErrOverloaded), so
-// under sustained overload the queue refuses work instead of stacking
-// calls, and latency stays bounded.
+// concurrent load batches grow to the arrival rate with no tuning. Submit is
+// the only way into a call, whatever a submission's size. Capacity bounds
+// the queued items: a submission that would push a non-empty queue past it
+// is rejected at once (ErrOverloaded), so under sustained overload the
+// queue refuses work instead of stacking calls, and latency stays bounded.
+// An empty queue admits any one submission, which dispatches whole.
 package coalesce
 
 import (
@@ -58,9 +59,9 @@ type Func[T, R any] func(ctx context.Context, items []T) (R, error)
 type Prepare func(ctx context.Context, members []context.Context) context.Context
 
 // Stats are the lock-free counters a coalescer's owner embeds in its own
-// stats: written by the dispatcher (and by owners counting their direct
-// calls), read whole by stats and metrics endpoints. The zero value is
-// ready; a nil *Stats in Config disables observation.
+// stats: written by the dispatcher, read whole by stats and metrics
+// endpoints. The zero value is ready; a nil *Stats in Config disables
+// observation.
 type Stats struct {
 	Batches   atomic.Int64 // successful calls
 	Items     atomic.Int64 // items across those calls
@@ -179,7 +180,7 @@ type Coalescer[T, R any] struct {
 	cond     *sync.Cond // broadcast on queue/inflight transitions
 	queue    []*pending[T, R]
 	queued   int // items queued
-	inflight int // this coalescer's calls running or waiting for a token
+	inflight int // this coalescer's calls running
 	closed   bool
 
 	wake    chan struct{} // 1-buffered dispatcher kick
@@ -215,61 +216,16 @@ func (c *Coalescer[T, R]) QueuedItems() int {
 	return c.queued
 }
 
-// Inflight reports this coalescer's calls running or waiting for a token
-// (for tests).
+// Inflight reports this coalescer's running calls (for tests).
 func (c *Coalescer[T, R]) Inflight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.inflight
 }
 
-// Direct runs Call over one big submission's items without queueing, under
-// the caller's own context (no coalescing to gain; a disconnect cancels the
-// call itself). It waits for a token like a queued batch, so it counts
-// against the Limit and queued small submissions coalesce behind it, and
-// Drain waits for it. Stats are the caller's to record.
-func (c *Coalescer[T, R]) Direct(ctx context.Context, items []T) (*Window[R], error) {
-	c.mu.Lock()
-	c.inflight++
-	c.mu.Unlock()
-	start := time.Now()
-	select {
-	case c.limit <- struct{}{}:
-	case <-ctx.Done():
-		c.retire()
-		return nil, ctx.Err()
-	}
-	disp := time.Now()
-	res, err := c.call(ctx, items)
-	finished := time.Now()
-	c.finishCall()
-	if err != nil {
-		return nil, err
-	}
-	w := &Window[R]{Result: res, Hi: len(items), Enq: start, Disp: disp, Done: finished, Requests: 1}
-	if c.release != nil {
-		w.claim = newClaim(res, 1, c.release)
-	}
-	return w, nil
-}
-
-// finishCall returns a finished call's token, so a held batch dispatches,
-// and retires the call.
-func (c *Coalescer[T, R]) finishCall() {
-	<-c.limit
-	c.retire()
-}
-
-// retire drops one call from the inflight count, waking Drain.
-func (c *Coalescer[T, R]) retire() {
-	c.mu.Lock()
-	c.inflight--
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
 // Submit enqueues one submission's items and blocks until its call completes
-// or ctx is done.
+// or ctx is done. A non-empty queue refuses a submission that would push it
+// past Capacity; an empty one admits any.
 func (c *Coalescer[T, R]) Submit(ctx context.Context, items []T) (*Window[R], error) {
 	p := &pending[T, R]{ctx: ctx, items: items, enq: time.Now(), done: make(chan struct{})}
 	c.mu.Lock()
@@ -277,7 +233,7 @@ func (c *Coalescer[T, R]) Submit(ctx context.Context, items []T) (*Window[R], er
 	case c.closed:
 		c.mu.Unlock()
 		return nil, ErrDraining
-	case c.queued+len(items) > c.capacity:
+	case c.queued > 0 && c.queued+len(items) > c.capacity:
 		c.mu.Unlock()
 		return nil, ErrOverloaded
 	}
@@ -467,14 +423,38 @@ func (c *Coalescer[T, R]) execute(batch []*pending[T, R], items int) {
 		close(p.done)
 		lo = hi
 	}
-	c.finishCall()
+	<-c.limit // the freed token lets a held batch dispatch
+	c.mu.Lock()
+	c.inflight-- // wakes Drain
+	c.cond.Broadcast()
+	c.mu.Unlock()
 }
 
 // groupContext derives the call context of one coalesced batch: done when
 // the base context is, or when every member's own context is — a lone
-// disconnect never kills its batchmates' call.
+// disconnect never kills its batchmates' call. When every member has a
+// deadline the call carries the latest of them, so work it hands on (shard
+// RPCs) sees the remaining budget; one member without a deadline leaves the
+// call without one, and no timer.
 func groupContext[T, R any](base context.Context, batch []*pending[T, R]) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(base)
+	var latest time.Time
+	for _, p := range batch {
+		d, ok := p.ctx.Deadline()
+		if !ok {
+			latest = time.Time{}
+			break
+		}
+		if d.After(latest) {
+			latest = d
+		}
+	}
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if latest.IsZero() {
+		ctx, cancel = context.WithCancel(base)
+	} else {
+		ctx, cancel = context.WithDeadline(base, latest)
+	}
 	var left atomic.Int32
 	left.Store(int32(len(batch)))
 	for _, p := range batch {

@@ -207,31 +207,72 @@ func TestAdmissionBoundOverloaded(t *testing.T) {
 	}
 }
 
-func TestDrainFlushesQueueAndWaitsForDirect(t *testing.T) {
+// TestOversizedAdmittedOnlyIntoEmptyQueue: a submission larger than
+// Capacity is admitted into an empty queue, where it waits for a token like
+// any other and then dispatches whole, and is refused with ErrOverloaded
+// behind a queue of one item.
+func TestOversizedAdmittedOnlyIntoEmptyQueue(t *testing.T) {
+	fn, starts := blockingCall()
+	c := newTest(fn, 4, 6)
+
+	primer := submitAsync(c, context.Background(), 1)
+	relPrimer := <-starts
+	big := submitAsync(c, context.Background(), 10)
+	waitUntil(t, "the oversized submission to queue", func() bool { return c.QueuedItems() == 10 })
+	if _, err := c.Submit(context.Background(), make([]int, 1)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("submit behind a queue past capacity returned %v, want ErrOverloaded", err)
+	}
+	close(relPrimer)
+	close(<-starts)
+	for name, ch := range map[string]chan submitResult{"primer": primer, "oversized": big} {
+		if r := <-ch; r.err != nil {
+			t.Fatalf("%s failed: %v", name, r.err)
+		}
+	}
+
+	primer = submitAsync(c, context.Background(), 1)
+	relPrimer = <-starts
+	small := submitAsync(c, context.Background(), 1)
+	waitUntil(t, "one item to queue", func() bool { return c.QueuedItems() == 1 })
+	if _, err := c.Submit(context.Background(), make([]int, 10)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("oversized submit behind a 1-item queue returned %v, want ErrOverloaded", err)
+	}
+	if c.QueuedItems() != 1 {
+		t.Fatalf("refused submit changed the queue: %d items", c.QueuedItems())
+	}
+	close(relPrimer)
+	close(<-starts)
+	for name, ch := range map[string]chan submitResult{"primer": primer, "small": small} {
+		if r := <-ch; r.err != nil {
+			t.Fatalf("%s failed: %v", name, r.err)
+		}
+	}
+	if err := c.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestDrainFlushesQueueAndWaitsForRunningCall(t *testing.T) {
 	fn, starts := blockingCall()
 	c := newTest(fn, 4, 64)
 
-	direct := make(chan submitResult, 1)
-	go func() {
-		w, err := c.Direct(context.Background(), make([]int, 9))
-		direct <- submitResult{w, err}
-	}()
-	relDirect := <-starts
-	// Held behind the direct call, which holds the only token.
+	big := submitAsync(c, context.Background(), 9) // oversized: a call of its own
+	relBig := <-starts
+	// Held behind the oversized call, which holds the only token.
 	queued := submitAsync(c, context.Background(), 2)
 	waitUntil(t, "the small submission to queue", func() bool { return c.QueuedItems() == 2 })
 	if c.Inflight() != 1 {
-		t.Fatalf("Inflight = %d with one direct call running, want 1", c.Inflight())
+		t.Fatalf("Inflight = %d with one call running, want 1", c.Inflight())
 	}
 
 	drained := make(chan error, 1)
 	go func() { drained <- c.Drain(context.Background()) }()
 	select {
 	case err := <-drained:
-		t.Fatalf("Drain returned (%v) while a direct call was still running", err)
+		t.Fatalf("Drain returned (%v) while a call was still running", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	close(relDirect)
+	close(relBig)
 	close(<-starts) // the freed token flushes the held submission
 	if r := <-queued; r.err != nil || r.win.Result.items != 2 {
 		t.Fatalf("queued submission not flushed by Drain: %+v, %v", r.win, r.err)
@@ -239,9 +280,9 @@ func TestDrainFlushesQueueAndWaitsForDirect(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Fatal(err)
 	}
-	r := <-direct
-	if r.err != nil || r.win.Lo != 0 || r.win.Hi != 9 || r.win.Requests != 1 {
-		t.Fatalf("direct window = %+v, %v; want [0,9) of 1 request", r.win, r.err)
+	r := <-big
+	if r.err != nil || r.win.Lo != 0 || r.win.Hi != 9 || r.win.Requests != 1 || r.win.Result.items != 9 {
+		t.Fatalf("oversized window = %+v, %v; want [0,9) of a 9-item call of 1 request", r.win, r.err)
 	}
 
 	// A Drain that cannot finish reports its context's error.
@@ -474,20 +515,19 @@ func TestReleaseRunsOncePerCall(t *testing.T) {
 		t.Fatalf("shared result released %d times after A died and B let go, want exactly 1", n)
 	}
 
-	// Direct windows carry the same claim.
-	direct := make(chan submitResult, 1)
-	go func() {
-		w, err := c.Direct(context.Background(), make([]int, 9))
-		direct <- submitResult{w, err}
-	}()
+	// A lone oversized submission's window carries the same claim.
+	big := submitAsync(c, context.Background(), 9)
 	close(<-starts)
-	dr := <-direct
-	if dr.err != nil {
-		t.Fatal(dr.err)
+	br := <-big
+	if br.err != nil {
+		t.Fatal(br.err)
 	}
-	dr.win.Release()
-	if n := ledger.count(dr.win.Result); n != 1 {
-		t.Fatalf("direct result released %d times, want 1", n)
+	if n := ledger.count(br.win.Result); n != 0 {
+		t.Fatalf("oversized result released %d times while its window is still held", n)
+	}
+	br.win.Release()
+	if n := ledger.count(br.win.Result); n != 1 {
+		t.Fatalf("oversized result released %d times, want 1", n)
 	}
 	if err := c.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -539,6 +579,37 @@ func TestReleaseSurvivesCancelRacingDelivery(t *testing.T) {
 	waitUntil(t, "orphaned windows to be released", func() bool { return releases.Load() == calls.Load() })
 	if double.Load() {
 		t.Fatal("a result was released twice")
+	}
+}
+
+// TestGroupContextCarriesTheLatestDeadline: a call whose members all have
+// deadlines carries the latest of them; one member without a deadline
+// leaves the call without one.
+func TestGroupContextCarriesTheLatestDeadline(t *testing.T) {
+	bg := context.Background()
+	soon, late := time.Now().Add(time.Second), time.Now().Add(time.Hour)
+	early, cancelEarly := context.WithDeadline(bg, soon)
+	defer cancelEarly()
+	later, cancelLater := context.WithDeadline(bg, late)
+	defer cancelLater()
+	for _, tc := range []struct {
+		name    string
+		members []context.Context
+		want    time.Time // zero: no deadline
+	}{
+		{"every member budgeted", []context.Context{later, early}, late},
+		{"one member unbudgeted", []context.Context{early, bg}, time.Time{}},
+	} {
+		batch := make([]*pending[int, *call], len(tc.members))
+		for i, m := range tc.members {
+			batch[i] = &pending[int, *call]{ctx: m}
+		}
+		ctx, cancel := groupContext(bg, batch)
+		d, ok := ctx.Deadline()
+		cancel()
+		if ok != !tc.want.IsZero() || !d.Equal(tc.want) {
+			t.Errorf("%s: call deadline = (%v, %v), want %v", tc.name, d, ok, tc.want)
+		}
 	}
 }
 

@@ -117,6 +117,10 @@ func TestService(t *testing.T) {
 			t.Parallel()
 			uncleanDrain(t, srv)
 		})
+		t.Run("call timeout", func(t *testing.T) {
+			t.Parallel()
+			callTimeout(t, srv)
+		})
 	})
 	srv.Term()
 }
@@ -181,6 +185,31 @@ func uncleanDrain(t *testing.T, shard *proc) {
 	if strings.Contains(rt.log.String(), "drained cleanly") {
 		t.Error("slow-router logged \"drained cleanly\" over an aborted request")
 	}
+}
+
+// callTimeout holds merrouted to -call-timeout and -retries: over one shard
+// that now answers 1 s late, a router with -call-timeout 200ms -retries 1
+// fails a request with 502 within 500 ms. A router ignoring -call-timeout
+// answers 200 after the second; one ignoring -retries makes its default 3
+// attempts and answers 502 after about 0.75 s.
+func callTimeout(t *testing.T, shard *proc) {
+	slow, err := faultinject.New(strings.TrimPrefix(shard.URL, "http://"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	rt := start(t, "timeout-router", "merrouted", "-shards", slow.URL(), "-call-timeout", "200ms", "-retries", "1")
+	ready(t, rt.URL)
+	// New connections now take 1s to reach the shard; reset the pooled ones.
+	slow.SetLatency(time.Second)
+	slow.KillActive()
+
+	begin := time.Now()
+	r, err := post(rt.URL+v1Align, firstReads(alpha.fastq, 1))
+	if took := time.Since(begin); err != nil || r.status != http.StatusBadGateway || took > 500*time.Millisecond {
+		t.Errorf("request over a 1 s shard = status %d after %v (err %v), want 502 within 500ms\n%s", r.status, took, err, r.body)
+	}
+	rt.Term()
 }
 
 // TestCatalog: one merserved over a directory of snapshots serves each

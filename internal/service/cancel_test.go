@@ -157,3 +157,69 @@ func TestServiceDeadline504ThenServes(t *testing.T) {
 		t.Fatalf("next request's SAM differs from a direct call:\ngot:\n%s\nwant:\n%s", body, want)
 	}
 }
+
+// TestStopEndsALargeCall: Close, and a Drain whose context expires, stop the
+// engine call of a request of MaxBatch reads or more like any other: the
+// request, the 8 costly reads of repeatFixture (seconds of work for the one
+// engine worker), is answered 503 within one extension of the stop.
+func TestStopEndsALargeCall(t *testing.T) {
+	al, costly, _ := repeatFixture(t)
+	const drainFor = 50 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		after time.Duration // how long stop takes to give up on the call
+		stop  func(*testing.T, *Server)
+	}{
+		{"Close", 0, func(_ *testing.T, s *Server) { s.Close() }},
+		{"expired Drain", drainFor, func(t *testing.T, s *Server) {
+			ctx, cancel := context.WithTimeout(context.Background(), drainFor)
+			defer cancel()
+			if err := s.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("Drain with a call running = %v, want DeadlineExceeded", err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := queryOpts()
+			slowest := slowestExtension(&q)
+			srv, err := New(Config{Aligner: al, Query: q, Workers: 1, FrontConfig: FrontConfig{MaxBatch: len(costly)}, Version: "test"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv)
+			defer func() {
+				ts.Close()
+				srv.Close()
+			}()
+			body := mustJSON(t, client.AlignRequest{Reads: client.FromSeqs(costly)})
+			type answer struct {
+				code int
+				at   time.Time
+			}
+			done := make(chan answer, 1)
+			go func() {
+				code := 0
+				if resp, err := http.Post(ts.URL+"/v1/align", "application/json", bytes.NewReader(body)); err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					code = resp.StatusCode
+				}
+				done <- answer{code, time.Now()}
+			}()
+			waitUntil(t, "the call to extend", func() bool { return slowest() > 0 })
+			start := time.Now()
+			tc.stop(t, srv)
+			select {
+			case a := <-done:
+				if bound := tc.after + slowest() + stopSlack; a.at.Sub(start) > bound {
+					t.Fatalf("request returned %v after the stop, want within %v", a.at.Sub(start), bound)
+				}
+				if a.code != http.StatusServiceUnavailable {
+					t.Fatalf("stopped request answered %d, want 503", a.code)
+				}
+			case <-time.After(time.Minute):
+				t.Fatal("request still running a minute after the stop")
+			}
+		})
+	}
+}

@@ -3,7 +3,8 @@ package service
 // Catalog-mode end-to-end tests: one Server over a directory of snapshots,
 // exercising per-reference serving, byte identity against dedicated
 // single-index servers, eviction racing in-flight aligns, hot-swap,
-// per-reference admission quotas, and drain with a cold reference mid-open.
+// references taking turns at the call tokens, and drain with a cold
+// reference mid-open.
 // The concurrency-heavy tests here are part of the -race CI job.
 
 import (
@@ -15,12 +16,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/client"
+	"github.com/lbl-repro/meraligner/internal/align"
 	"github.com/lbl-repro/meraligner/internal/genome"
 )
 
@@ -354,54 +358,126 @@ func TestCatalogHotSwapServesNewSnapshot(t *testing.T) {
 	}
 }
 
-// ---- per-reference admission quota ----
+// ---- references take turns at the call tokens ----
 
-func TestCatalogPerRefQuota429(t *testing.T) {
-	refs := catFixture(t)
+// TestCatalogReferencesTakeTurns: one reference's backlog cannot starve
+// another's. With one engine worker held by an alpha call, four more
+// MaxBatch-read alpha requests fill alpha's queue (a fifth gets 429, while
+// beta's queue is untouched), then beta sends one read. Each reference has
+// one dispatcher waiting for the token, so at most one alpha call may start
+// between beta's arrival and beta's call. Every request is a substring of
+// its reference with one substitution (it reaches extension) and a length
+// of its own, so the length of the query a call first extends names the
+// request; that first extension is held until the test lets the call go.
+func TestCatalogReferencesTakeTurns(t *testing.T) {
+	const maxBatch = 2
+	lengths := make(chan int)
+	release, stop := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	last := -1
 	srv, ts, _ := newCatalogServer(t, func(c *Config) {
-		c.MaxInflightPerRef = 1
+		c.Workers = 1
+		c.MaxBatch = maxBatch
+		c.Query.Extend = func(query, target []byte, qOff, tOff, k int, sc align.Scoring, pad int) align.Result {
+			mu.Lock()
+			first := len(query) != last
+			last = len(query)
+			mu.Unlock()
+			if first {
+				select {
+				case lengths <- len(query):
+					select {
+					case <-release:
+					case <-stop:
+					}
+				case <-stop:
+				}
+			}
+			return align.ExtendSeed(query, target, qOff, tOff, k, sc, pad)
+		}
 	})
-	cl := client.NewRef(ts.URL, refs[0].name)
-	req := client.AlignRequest{Reads: client.FromSeqs(refs[0].reads[:2])}
-
-	// Warm the tenant, then occupy its only inflight slot directly.
-	if _, err := cl.Align(context.Background(), req); err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { close(stop) }) // before the server's: a failed test leaves no call held
+	refs := catFixture(t)
+	// request cuts n bases of ref's longest target, with one substitution,
+	// and sends it maxBatch times over (a call of its own) or once.
+	request := func(ref *catRef, n, copies int) client.AlignRequest {
+		var tg meraligner.Seq
+		for _, s := range ref.oracle.Targets() {
+			if s.Seq.Len() > tg.Seq.Len() {
+				tg = s
+			}
+		}
+		b := []byte(tg.Seq.String()[500 : 500+n])
+		b[50] = "CAAA"[strings.IndexByte("ACGT", b[50])]
+		read, err := meraligner.NewSeq(fmt.Sprintf("len%d", n), string(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := make([]meraligner.Seq, copies)
+		for i := range reads {
+			reads[i] = read
+		}
+		return client.AlignRequest{Reads: client.FromSeqs(reads)}
 	}
-	tn, err := srv.tenantFor(refs[0].name)
+	alpha, beta := refs[0], refs[1]
+	var wg sync.WaitGroup
+	errc := make(chan error, 8)
+	send := func(ref *catRef, req client.AlignRequest) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := client.NewRef(ts.URL, ref.name).Align(context.Background(), req); err != nil {
+				errc <- fmt.Errorf("%s: %v", ref.name, err)
+			}
+		}()
+	}
+
+	send(alpha, request(alpha, 100, maxBatch))
+	if n := <-lengths; n != 100 {
+		t.Fatalf("first call extends a %d-base query, want the 100-base blocker", n)
+	}
+	for i := 1; i <= 4; i++ {
+		send(alpha, request(alpha, 100-i, maxBatch))
+	}
+	ta, err := srv.tenantFor(alpha.name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tn.enterInflight() {
-		t.Fatal("could not occupy the single inflight slot on an idle tenant")
-	}
+	waitUntil(t, "alpha's queue to fill", func() bool { return ta.front.co.QueuedItems() == 4*maxBatch })
 
-	resp, err := http.Post(ts.URL+"/v1/"+refs[0].name+"/align", "application/json", bytes.NewReader(mustJSON(t, req)))
+	// alpha's full queue refuses; beta's is its own.
+	resp, err := http.Post(ts.URL+"/v1/"+alpha.name+"/align", "application/json", bytes.NewReader(mustJSON(t, request(alpha, 90, maxBatch))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d with the per-ref quota exhausted, want 429", resp.StatusCode)
+	var er client.ErrorResponse
+	decodeErr := json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" || decodeErr != nil || er.Error == "" {
+		t.Fatalf("request behind alpha's full queue = %d (Retry-After %q, error %q, decode %v), want 429 with Retry-After and a JSON error",
+			resp.StatusCode, resp.Header.Get("Retry-After"), er.Error, decodeErr)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 carried no Retry-After header")
+	send(beta, request(beta, 80, 1))
+	tb, err := srv.tenantFor(beta.name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var er struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
-		t.Fatalf("429 body not a JSON error (decode err %v)", err)
-	}
+	waitUntil(t, "beta's read to queue", func() bool { return tb.front.co.QueuedItems() == 1 })
+	time.Sleep(50 * time.Millisecond) // beta's dispatcher reaches the token
 
-	// Another reference is not throttled by alpha's quota.
-	if _, err := client.NewRef(ts.URL, refs[1].name).Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(refs[1].reads[:2])}); err != nil {
-		t.Fatalf("beta throttled by alpha's inflight quota: %v", err)
+	var order []int
+	release <- struct{}{} // the blocker finishes
+	for range 5 {
+		order = append(order, <-lengths)
+		release <- struct{}{}
 	}
-
-	tn.exitInflight()
-	if _, err := cl.Align(context.Background(), req); err != nil {
-		t.Fatalf("request after the slot freed: %v", err)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if i := slices.Index(order, 80); i < 0 || i > 1 {
+		t.Fatalf("calls after beta's arrival extended queries of lengths %v: beta's (80) ran after %d alpha calls, want at most 1", order, i)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // The align front door both align tiers share: merserved's per-reference
 // tenant (R = *engineCall) and merrouted's Router (R = *gather) each own a
 // Front and keep only what is theirs. A request is admitted (deadline, then
-// the body at the tier's seed length K), queued or sent down the direct
-// path, accounted, and answered with one status map.
+// the body at the tier's seed length K), queued whatever its size,
+// accounted, and answered with one status map.
 
 // RetryAfter is the Retry-After header of every refusal a client should
 // retry later: the 429s, the doomed-deadline 503s and the router's warming
@@ -33,14 +33,15 @@ const maxRequestBytes = 64 << 20
 // FrontConfig is the front-door block both tiers' Config embed. Every zero
 // value defaults.
 type FrontConfig struct {
-	// Micro-batcher knobs. Batching is continuous and bounded by the
-	// tier's Limit (Tier.Calls): a call dispatches as soon as a token is
-	// free, and arrivals coalesce while every token is taken. MaxBatch caps
-	// reads per call (default 256; requests at least that big skip the
-	// queue, but still take a token). QueueReads bounds the reads admitted
-	// to the queue before new requests are refused with 429 (default
-	// 4*MaxBatch, never below MaxBatch), so under sustained overload the
-	// door refuses work instead of stacking calls.
+	// Micro-batcher knobs. Every request rides the queue, and batching is
+	// continuous and bounded by the tier's Limit (Tier.Calls): a call
+	// dispatches as soon as a token is free, and arrivals coalesce while
+	// every token is taken. MaxBatch caps reads per call (default 256; a
+	// request at least that big is a call of its own). QueueReads bounds
+	// the queued reads (default 4*MaxBatch): a request that would push a
+	// non-empty queue past it is refused with 429, so under sustained
+	// overload the door refuses work instead of stacking calls. An empty
+	// queue admits a request of any size.
 	MaxBatch   int
 	QueueReads int
 
@@ -71,10 +72,6 @@ func (c FrontConfig) withDefaults() FrontConfig {
 	if c.QueueReads <= 0 {
 		c.QueueReads = 4 * c.MaxBatch
 	}
-	// A queue smaller than MaxBatch would permanently 429 requests sized
-	// between the two (too big to ever queue, too small for the direct path)
-	// even on an idle server.
-	c.QueueReads = max(c.QueueReads, c.MaxBatch)
 	return c
 }
 
@@ -102,8 +99,8 @@ type Tier[R any] struct {
 	Status func(err error) (code int, msg string)
 }
 
-// Front is one align front door: admission, the coalescing queue with its
-// direct path, the request accounting, and the status map.
+// Front is one align front door: admission, the coalescing queue every
+// request rides, the request accounting, and the status map.
 type Front[R any] struct {
 	cfg  FrontConfig
 	tier Tier[R]
@@ -143,8 +140,8 @@ func (f *Front[R]) Drain(ctx context.Context) error { return f.co.Drain(ctx) }
 func (f *Front[R]) Close() { f.co.Close() }
 
 // Align serves one align request: deadline admission, body admission at
-// seed length k, the queue or the direct path, then render under a render
-// span. Every refusal and failure is answered here.
+// seed length k, the queue, then render under a render span. Every
+// refusal and failure is answered here.
 func (f *Front[R]) Align(w http.ResponseWriter, r *http.Request, k int, render func(http.ResponseWriter, *http.Request, []meraligner.Seq, *coalesce.Window[R])) {
 	r, reads, cancel, ok := f.admit(w, r, k)
 	if !ok {
@@ -236,22 +233,12 @@ func (f *Front[R]) admit(w http.ResponseWriter, r *http.Request, k int) (_ *http
 	return r.WithContext(ctx), reads, cancel, true
 }
 
-// serve routes one request's reads: MaxBatch or more run directly under the
-// caller's context (nothing to coalesce; a disconnect cancels the call
-// itself) and count as a batch of one request, fewer ride the queue.
-// Requests and reads count served work only; the caller must Release the
-// window after its last use of the result.
+// serve queues one request's reads whole; MaxBatch or more are a call of
+// their own. Requests and reads count served work only; the caller must
+// Release the window after its last use of the result.
 func (f *Front[R]) serve(ctx context.Context, reads []meraligner.Seq) (*coalesce.Window[R], error) {
 	start := time.Now()
-	var win *coalesce.Window[R]
-	var err error
-	if len(reads) >= f.cfg.MaxBatch {
-		if win, err = f.co.Direct(ctx, reads); err == nil {
-			f.queue.ObserveBatch(1, len(reads))
-		}
-	} else {
-		win, err = f.submit(ctx, reads)
-	}
+	win, err := f.submit(ctx, reads)
 	if err != nil {
 		return nil, err
 	}
@@ -294,14 +281,6 @@ func (f *Front[R]) served(start time.Time) {
 	f.latency.Observe(time.Since(start).Nanoseconds())
 }
 
-// refuse answers a tier's own overload refusal (merserved's per-reference
-// inflight quota) with 429 + Retry-After, counted with the queue's.
-func (f *Front[R]) refuse(w http.ResponseWriter, r *http.Request, msg string) {
-	f.rejected.Add(1)
-	w.Header().Set("Retry-After", RetryAfter)
-	WriteError(w, r, http.StatusTooManyRequests, &client.ErrorResponse{Error: msg})
-}
-
 // submit queues one submission, counting a refusal by the full queue.
 func (f *Front[R]) submit(ctx context.Context, reads []meraligner.Seq) (*coalesce.Window[R], error) {
 	win, err := f.co.Submit(ctx, reads)
@@ -312,16 +291,17 @@ func (f *Front[R]) submit(ctx context.Context, reads []meraligner.Seq) (*coalesc
 }
 
 // fail answers a serve failure: a full queue is 429 with Retry-After,
-// draining is 503, the tier's own failures carry its status, a spent
-// X-Deadline-Ms budget is 504, a client that is gone gets nothing (net/http
-// drops the connection), and anything else is a 500.
+// draining is 503, and so is a call the server stopped (Close, an expired
+// Drain) under a caller still waiting; the tier's own failures carry its
+// status, a spent X-Deadline-Ms budget is 504, a client that is gone gets
+// nothing (net/http drops the connection), and anything else is a 500.
 func (f *Front[R]) fail(w http.ResponseWriter, r *http.Request, err error) {
 	code, msg := f.tier.Status(err)
 	switch {
 	case errors.Is(err, coalesce.ErrOverloaded):
 		w.Header().Set("Retry-After", RetryAfter)
 		code, msg = http.StatusTooManyRequests, "overloaded: admission queue full"
-	case errors.Is(err, coalesce.ErrDraining):
+	case errors.Is(err, coalesce.ErrDraining), errors.Is(err, context.Canceled) && r.Context().Err() == nil:
 		code, msg = http.StatusServiceUnavailable, "draining"
 	case code != 0: // the tier's own
 	case errors.Is(err, context.DeadlineExceeded):
@@ -374,12 +354,12 @@ func WriteFrontMetrics[R any](m *telemetry.Exposition, prefix string, fronts []*
 		v          func(*client.FrontStats) int64
 	}{
 		{"_requests_total", "align requests served to completion", func(st *client.FrontStats) int64 { return st.Requests }},
-		{"_rejected_total", "requests rejected with 429 (queue full or inflight limit)", func(st *client.FrontStats) int64 { return st.Rejected }},
+		{"_rejected_total", "requests rejected with 429 (queue full)", func(st *client.FrontStats) int64 { return st.Rejected }},
 		{"_canceled_total", "requests canceled by client disconnect", func(st *client.FrontStats) int64 { return st.Canceled }},
 		{"_reads_total", "reads accepted for alignment", func(st *client.FrontStats) int64 { return st.Reads }},
 		{"_too_short_reads_total", "reads rejected as shorter than K", func(st *client.FrontStats) int64 { return st.TooShort }},
 		{"_deadline_rejected_total", "requests rejected as already doomed by their propagated deadline", func(st *client.FrontStats) int64 { return st.DeadlineRejected }},
-		{"_batches_total", "batches served (engine calls or scatters, coalesced and direct)", func(st *client.FrontStats) int64 { return st.Batches }},
+		{"_batches_total", "batches served (engine calls or scatters)", func(st *client.FrontStats) int64 { return st.Batches }},
 		{"_batched_reads_total", "reads across those batches", func(st *client.FrontStats) int64 { return st.BatchedReads }},
 		{"_coalesced_batches_total", "batches serving >= 2 requests", func(st *client.FrontStats) int64 { return st.CoalescedBatches }},
 	} {

@@ -30,9 +30,9 @@
 //	                             plus every active reference's stats
 //	GET  /healthz, /metrics      as above; metrics carry a ref label
 //
-// Each reference owns a front door (Front, shared with merrouted): small
-// requests coalesce per reference, requests of MaxBatch reads or more skip
-// the queue and run directly with the request's own context. Responses are
+// Each reference owns a front door (Front, shared with merrouted): every
+// request rides the reference's queue, small ones coalesce, and a request
+// of MaxBatch reads or more is a call of its own. Responses are
 // byte-identical to a local Align call over the same reads against the
 // same snapshot. Accept-Encoding: gzip is honored on every response body.
 package service
@@ -87,16 +87,12 @@ type Config struct {
 	// default; negative disables hot-swap. Catalog mode only.
 	SwapPoll time.Duration
 
-	// MaxInflightPerRef caps concurrently-served align requests per
-	// reference; excess requests are rejected with 429 + Retry-After before
-	// any parsing, so one hot reference cannot monopolize the engine or the
-	// admission queue of the others. <= 0 means unlimited.
-	MaxInflightPerRef int
-
 	Query meraligner.QueryOptions // CollectAlignments/CollectPerQuery are forced on
 
 	// The front door (queue, admission, logging); in catalog mode each
-	// reference gets its own queue with these knobs.
+	// reference gets its own queue with these knobs, so one hot reference
+	// fills only its own queue, and the references' dispatchers take the
+	// shared call tokens in turn.
 	FrontConfig
 
 	// Workers is the engine pool size (default: the Aligner's build-time
@@ -141,18 +137,15 @@ type Server struct {
 }
 
 // tenant is the serving state of one reference: its front door, per-read
-// engine latency, inflight quota, and the Source resolving its current
-// index. A tenant is permanent once created — it survives eviction and
-// hot-swap of the index underneath (the catalog hands out a fresh pin per
-// engine call).
+// engine latency, and the Source resolving its current index. A tenant is
+// permanent once created — it survives eviction and hot-swap of the index
+// underneath (the catalog hands out a fresh pin per engine call).
 type tenant struct {
 	s         *Server
 	ref       string // "" in single-index mode
 	src       catalog.Source
 	front     *Front[*engineCall]
 	alignRead telemetry.Hist // per-read engine nanos (engine PerQuery stats)
-
-	inflight atomic.Int64 // align requests being served (quota)
 
 	// Last-observed identity of the reference's index, refreshed on every
 	// acquisition; stats report these even while the index is evicted.
@@ -277,8 +270,7 @@ func (s *Server) allTenants() []*tenant {
 	return out
 }
 
-// singleHandler wraps a tenant handler for single-index mode: inflight
-// quota, then the handler.
+// singleHandler wraps a tenant handler for single-index mode.
 func (s *Server) singleHandler(h func(*tenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) { s.dispatch(s.single, h, w, r) }
 }
@@ -287,7 +279,7 @@ func (s *Server) singleHandler(h func(*tenant, http.ResponseWriter, *http.Reques
 // against the catalog before any per-ref state exists (unknown references
 // 404 without leaving a tenant behind; the acquisition also performs the
 // lazy open and hot-swap check), refreshes the tenant's index identity,
-// then applies the quota and runs the handler.
+// then runs the handler.
 func (s *Server) refHandler(h func(*tenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ref := r.PathValue("ref")
@@ -308,38 +300,12 @@ func (s *Server) refHandler(h func(*tenant, http.ResponseWriter, *http.Request))
 	}
 }
 
-// dispatch names the reference in the request's trace and applies its
-// inflight quota around one handler.
+// dispatch names the reference in the request's trace and runs one handler.
 func (s *Server) dispatch(t *tenant, h func(*tenant, http.ResponseWriter, *http.Request), w http.ResponseWriter, r *http.Request) {
 	if tr := telemetry.TraceFrom(r.Context()); tr != nil {
 		tr.SetRef(t.ref)
 	}
-	if !t.enterInflight() {
-		t.front.refuse(w, r, "overloaded: per-reference inflight limit reached")
-		return
-	}
-	defer t.exitInflight()
 	h(t, w, r)
-}
-
-// enterInflight claims one quota slot; false means the reference is at its
-// MaxInflightPerRef limit.
-func (t *tenant) enterInflight() bool {
-	max := t.s.cfg.MaxInflightPerRef
-	if max <= 0 {
-		return true
-	}
-	if t.inflight.Add(1) > int64(max) {
-		t.inflight.Add(-1)
-		return false
-	}
-	return true
-}
-
-func (t *tenant) exitInflight() {
-	if t.s.cfg.MaxInflightPerRef > 0 {
-		t.inflight.Add(-1)
-	}
 }
 
 // catalogStatus maps a catalog failure to its HTTP status: an unknown

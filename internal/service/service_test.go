@@ -239,8 +239,8 @@ func TestLargeBatchTakesDirectPathWithFastqBody(t *testing.T) {
 	al, reads := fixture(t)
 	_, ts := newTestServer(t, func(c *Config) { c.MaxBatch = 4 })
 
-	// A FASTQ body bigger than MaxBatch exercises the direct (uncoalesced)
-	// path and the text parser at once.
+	// A FASTQ body bigger than MaxBatch exercises a lone oversized call
+	// (queued whole, never split) and the text parser at once.
 	batch := reads[:10]
 	var fq bytes.Buffer
 	for _, r := range batch {
@@ -381,14 +381,14 @@ func TestAdmissionQueueFull429(t *testing.T) {
 	_, reads := fixture(t)
 	big := len(reads) / 2
 	srv, ts := newTestServer(t, func(c *Config) {
-		c.MaxBatch = big + 4 // the mega-request below takes the direct path
+		c.MaxBatch = big + 4 // the mega-request below is a call of its own
 		c.QueueReads = big + 4
 		c.Workers = 1
 	})
 	cl := client.New(ts.URL)
 
-	// A mega-request (direct path, several hundred ms of engine time)
-	// keeps the engine busy; a big batched request then fills the queue
+	// A mega-request (admitted into the empty queue, several hundred ms of
+	// engine time) keeps the engine busy; a big batched request then fills the queue
 	// behind it; a third cannot be admitted.
 	mega := make([]meraligner.Seq, 0, 4*len(reads))
 	for i := 0; i < 4; i++ {
