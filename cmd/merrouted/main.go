@@ -23,16 +23,20 @@
 // several interchangeable replicas of its shard, separated by "|"
 // ("http://h1a:8490|http://h1b:8490"): the router sends each shard RPC to
 // one healthy replica (power-of-two-choices among the best circuit-breaker
-// class), fails over to the next replica on error, and counts a shard as
-// down only when all its replicas are. -breaker-threshold consecutive
-// failures open a replica's circuit breaker (taking it out of selection
-// until its readiness probes walk it back); -hedge-after, when positive,
-// races a shard RPC still unanswered after that long against a second
-// replica, first response winning, budget-capped at ~10% of RPCs.
+// class), fails over to the next replica once that replica's attempts are
+// spent, and counts a shard as down only when all its replicas are.
+// -breaker-threshold consecutive failed RPCs open a replica's circuit
+// breaker (taking it out of selection until its readiness probes walk it
+// back); -hedge-after, when positive, races a shard RPC still unanswered
+// after that long against a second replica, first response winning,
+// budget-capped at ~10% of RPCs.
 //
-// Shard RPCs get bounded jittered retries honoring Retry-After (-retries
-// attempts), each attempt under -call-timeout (the retry policy's
-// AttemptTimeout); a shard whose replicas all stay down is handled per
+// -retries bounds the attempts per replica, not per shard RPC: each replica
+// an RPC tries runs its own ladder of up to -retries attempts (jittered
+// backoff between them, Retry-After honored), each under -call-timeout
+// (the retry policy's AttemptTimeout), and failover starts only after that
+// ladder ends. One shard RPC over R replicas thus makes up to R × -retries
+// attempts. A shard whose replicas all stay down is handled per
 // -degraded: "fail" (default) fails requests with 502, "partial" serves
 // the surviving shards' results annotated with degraded_shards (JSON) / an
 // @CO line (SAM) and counted in metrics. -min-deadline, when positive,
@@ -75,7 +79,7 @@ func main() {
 		shardsFlag  = flag.String("shards", "", "comma-separated shard base URLs in shard order, each optionally a |-separated replica set (required)")
 		degraded    = flag.String("degraded", cluster.DegradedFail, "shard-failure policy: fail (502) or partial (serve surviving shards, annotated)")
 		callTimeout = flag.Duration("call-timeout", client.DefaultAttemptTimeout, "per-attempt timeout of one shard RPC")
-		retries     = flag.Int("retries", 3, "max attempts per shard RPC")
+		retries     = flag.Int("retries", 3, "max attempts per replica of a shard RPC (failover to the next replica follows the last)")
 		healthEvery = flag.Duration("health-interval", 2*time.Second, "replica readiness probe interval")
 		breakerN    = flag.Int("breaker-threshold", 3, "consecutive failures opening a replica's circuit breaker (negative disables)")
 		hedgeAfter  = flag.Duration("hedge-after", 0, "race a shard RPC unanswered after this long against a second replica (0 disables)")

@@ -512,16 +512,6 @@ func TestExtendSeedWindowClamping(t *testing.T) {
 	}
 }
 
-func TestExactResult(t *testing.T) {
-	r := ExactResult(101, 37, DefaultScoring)
-	if r.Score != 101 || r.TStart != 37 || r.TEnd != 138 || r.QEnd != 101 {
-		t.Errorf("ExactResult = %+v", r)
-	}
-	if r.Cigar.String() != "101M" {
-		t.Errorf("cigar = %s", r.Cigar)
-	}
-}
-
 func TestCells(t *testing.T) {
 	if Cells(100, 200) != 20000 {
 		t.Error("Cells broken")

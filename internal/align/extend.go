@@ -25,15 +25,3 @@ func ExtendSeed(query, target []byte, qOff, tOff, k int, sc Scoring, pad int) Re
 	res.TEnd += start
 	return res
 }
-
-// ExactResult builds the Result of a perfect end-to-end match of a qLen-base
-// query at target offset tOff — the outcome of the exact-match fast path of
-// §IV-A, where a memcmp replaces Smith-Waterman entirely.
-func ExactResult(qLen, tOff int, sc Scoring) Result {
-	return Result{
-		Score:  qLen * sc.Match,
-		QStart: 0, QEnd: qLen,
-		TStart: tOff, TEnd: tOff + qLen,
-		Cigar: Cigar{{Op: 'M', Len: qLen}},
-	}
-}

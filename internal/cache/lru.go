@@ -141,9 +141,6 @@ func (c *LRU[K, V]) UsedBytes() int64 {
 	return c.used
 }
 
-// CapBytes returns the configured byte budget.
-func (c *LRU[K, V]) CapBytes() int64 { return c.cap }
-
 // CounterSnapshot is a point-in-time view of cache effectiveness.
 type CounterSnapshot struct{ Hits, Misses, Evictions int64 }
 

@@ -23,6 +23,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -70,10 +71,10 @@ type Options struct {
 
 	// Budget bounds the resident bytes of open indexes
 	// (Aligner.ResidentBytes each); least-recently-used references are
-	// evicted to stay under it. <= 0 means unlimited: every opened index
-	// stays resident until Close. A single index larger than the whole
-	// budget is served uncached — opened for the requests that need it and
-	// closed as soon as they drain.
+	// evicted to stay under it. <= 0 means unlimited: an LRU that never
+	// evicts, so every opened index stays resident until Close. A single
+	// index larger than the whole budget is served uncached — opened for
+	// the requests that need it and closed as soon as they drain.
 	Budget int64
 
 	// Threads is the worker-pool default of lazily opened indexes (the
@@ -204,7 +205,7 @@ type Catalog struct {
 	// lock: nothing else is acquired under it (instance.retire can close an
 	// aligner, but only when no pins remain — a fast munmap).
 	lmu sync.Mutex
-	lru *cache.LRU[string, *instance] // nil when Budget <= 0
+	lru *cache.LRU[string, *instance] // capped at Budget, or never full
 
 	opens    atomic.Int64 // snapshot opens (cold + reopen + swap)
 	evicts   atomic.Int64 // budget evictions
@@ -226,11 +227,11 @@ func New(opt Options) (*Catalog, error) {
 	if opt.Threads <= 0 {
 		opt.Threads = runtime.NumCPU()
 	}
-	c := &Catalog{opt: opt, entries: make(map[string]*entry)}
-	if opt.Budget > 0 {
-		c.lru = cache.NewLRU[string, *instance](opt.Budget)
+	capBytes := opt.Budget
+	if capBytes <= 0 {
+		capBytes = math.MaxInt64 // unlimited: an LRU that never evicts
 	}
-	return c, nil
+	return &Catalog{opt: opt, entries: make(map[string]*entry), lru: cache.NewLRU[string, *instance](capBytes)}, nil
 }
 
 // validRef reports whether name is a servable reference name: it must map
@@ -371,12 +372,6 @@ func (c *Catalog) open(e *entry) (*instance, error) {
 // retires old (the hot-swapped-out predecessor, if any). Evictions the
 // charge causes are retired here too.
 func (c *Catalog) touch(inst, old *instance) {
-	if c.lru == nil {
-		if old != nil {
-			old.retire()
-		}
-		return
-	}
 	c.lmu.Lock()
 	defer c.lmu.Unlock()
 	if old != nil {
@@ -484,25 +479,8 @@ func (c *Catalog) Stats() Stats {
 	if c.opt.Budget < 0 {
 		st.Budget = 0
 	}
-	if c.lru != nil {
-		st.OpenRefs = c.lru.Len()
-		st.ResidentBytes = c.lru.UsedBytes()
-		return st
-	}
-	c.mu.Lock()
-	entries := make([]*entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		entries = append(entries, e)
-	}
-	c.mu.Unlock()
-	for _, e := range entries {
-		e.mu.Lock()
-		if e.cur != nil && !e.cur.retired.Load() {
-			st.OpenRefs++
-			st.ResidentBytes += e.cur.bytes
-		}
-		e.mu.Unlock()
-	}
+	st.OpenRefs = c.lru.Len()
+	st.ResidentBytes = c.lru.UsedBytes()
 	return st
 }
 
@@ -528,7 +506,7 @@ func (c *Catalog) Close() error {
 		e.mu.Unlock()
 		if cur != nil {
 			c.lmu.Lock()
-			if v, ok := c.lruRemove(cur.ref); ok && v != cur {
+			if v, ok := c.lru.Remove(cur.ref); ok && v != cur {
 				// A successor slipped in; retire it too (we are closing).
 				v.retire()
 			}
@@ -537,12 +515,4 @@ func (c *Catalog) Close() error {
 		}
 	}
 	return nil
-}
-
-// lruRemove removes ref from the LRU if one exists (caller holds lmu).
-func (c *Catalog) lruRemove(ref string) (*instance, bool) {
-	if c.lru == nil {
-		return nil, false
-	}
-	return c.lru.Remove(ref)
 }

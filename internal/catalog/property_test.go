@@ -10,12 +10,15 @@ package catalog
 //   - a pinned handle keeps serving its version's exact bytes even after
 //     the instance was evicted or hot-swapped out underneath it;
 //   - the bytes charged to the LRU never exceed the budget;
+//   - with no budget, nothing is evicted: every reference acquired so far
+//     stays open, charged its current version's ResidentBytes;
 //   - after Close, new Acquires fail typed while held pins keep working.
 //
 // The sequential test drives the model deterministically (SwapPoll 0, ops
-// from a seeded PRNG); the concurrent test relaxes the per-response
-// assertion to "matches one of the reference's two version oracles" and
-// exists to race eviction, hot-swap, and in-flight aligns under -race.
+// from a seeded PRNG), under a budget and unlimited; the concurrent test
+// relaxes the per-response assertion to "matches one of the reference's two
+// version oracles" and exists to race eviction, hot-swap, and in-flight
+// aligns under -race.
 
 import (
 	"bytes"
@@ -95,20 +98,42 @@ type heldPin struct {
 }
 
 func TestPropertyRandomOpsMatchModel(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+	// Bounded, the budget holds roughly two of the three fixtures and forces
+	// steady evictions. Unlimited (Budget 0), the model also tracks which
+	// version of each reference is open and requires Stats to match it.
+	for run := range 6 {
+		seed, unlimited := int64(run%3+1), run >= 3
+		name := fmt.Sprintf("seed=%d", seed)
+		if unlimited {
+			name = "unlimited/" + name
+		}
+		t.Run(name, func(t *testing.T) {
 			w := newPropWorld(t)
 			rng := rand.New(rand.NewSource(seed))
 
-			// A budget of roughly two fixtures forces steady evictions among
-			// three references without starving any single one.
-			perRef := mappedBytes(t, w.dir, w.refs[0].name)
+			// A mapped fixture's ResidentBytes, by fixture name: what the
+			// catalog charges for a reference serving that version.
+			mapped := make(map[string]int64, len(w.refs))
+			for _, r := range w.refs {
+				mapped[r.name] = mappedBytes(t, w.dir, r.name)
+			}
+			perRef := mapped[w.refs[0].name]
 			budget := 2*perRef + perRef/2
+			if unlimited {
+				budget = 0
+			}
 			c, err := New(Options{Dir: w.dir, Budget: budget, Threads: 2, SwapPoll: 0})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
+
+			// open is the unlimited model's residency: the fixture each
+			// acquired reference's open index was mapped from. An Acquire
+			// opens (or hot-swaps to) the reference's modeled version; a
+			// swap on disk alone changes nothing until the next Acquire.
+			open := make(map[string]string)
+			acquired := func(i int) { open[w.refs[i].name] = w.versionFix(i, w.version[w.refs[i].name]).name }
 
 			var held []heldPin
 			defer func() {
@@ -119,11 +144,22 @@ func TestPropertyRandomOpsMatchModel(t *testing.T) {
 
 			checkBudget := func(step int) {
 				st := c.Stats()
-				if st.ResidentBytes > budget {
-					t.Fatalf("step %d: %d resident bytes charged over the %d budget", step, st.ResidentBytes, budget)
-				}
 				if st.OpenRefs > len(w.refs) {
 					t.Fatalf("step %d: %d open refs of %d known", step, st.OpenRefs, len(w.refs))
+				}
+				if !unlimited {
+					if st.ResidentBytes > budget {
+						t.Fatalf("step %d: %d resident bytes charged over the %d budget", step, st.ResidentBytes, budget)
+					}
+					return
+				}
+				var want int64
+				for _, fix := range open {
+					want += mapped[fix]
+				}
+				if st.OpenRefs != len(open) || st.ResidentBytes != want || st.Evictions != 0 || st.Budget != 0 {
+					t.Fatalf("step %d: unlimited catalog stats %+v, want %d open refs %v charged %d bytes, no evictions, budget 0",
+						step, st, len(open), open, want)
 				}
 			}
 
@@ -137,6 +173,7 @@ func TestPropertyRandomOpsMatchModel(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 5: // query: byte-identical to the modeled version's oracle
 					got := acquireSAM(t, c, ref.name, reads)
+					acquired(i)
 					want := alignSAM(t, fix.oracle, reads)
 					if !bytes.Equal(got, want) {
 						t.Fatalf("step %d: %s (version %d) response diverged from its dedicated-aligner oracle", step, ref.name, w.version[ref.name])
@@ -151,6 +188,7 @@ func TestPropertyRandomOpsMatchModel(t *testing.T) {
 					if err != nil {
 						t.Fatalf("step %d: acquire %s: %v", step, ref.name, err)
 					}
+					acquired(i)
 					held = append(held, heldPin{h: h, oracle: fix.oracle, ref: ref.name})
 				default: // serve through the oldest held pin, then release it
 					if len(held) == 0 {

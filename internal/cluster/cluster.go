@@ -35,15 +35,17 @@
 // Failure policy: each shard may be served by a replica set ("a1|a2" in
 // Config.Shards), and a scatter sends the shard's RPC to one healthy
 // replica — power-of-two-choices on in-flight count among the best
-// circuit-breaker class — failing over to the next replica on error and
-// optionally hedging a slow attempt against a second replica (see
-// replica.go). Every attempt gets a per-call timeout and bounded,
-// jittered, Retry-After-honoring retries (client.RetryPolicy). A shard
-// whose replicas all fail either fails the request (502, policy "fail" —
-// the default: silently missing alignments are corruption in a pipeline)
-// or is dropped from a partial response that says so in-band (policy
-// "partial": degraded_shards in JSON, an @CO line in SAM, and a counted
-// metric).
+// circuit-breaker class — and optionally hedges a slow RPC against a
+// second replica (see replica.go). Each replica tried runs its own attempt
+// ladder (client.RetryPolicy: MaxAttempts attempts, each under a per-call
+// timeout, with jittered, Retry-After-honoring backoff between them), and
+// the RPC fails over to the next replica only when that ladder ends in
+// failure, so one shard RPC makes up to replicas × MaxAttempts attempts.
+// A shard whose replicas all fail either fails the request (502, policy
+// "fail" — the default: silently missing alignments are corruption in a
+// pipeline) or is dropped from a partial response that says so in-band
+// (policy "partial": degraded_shards in JSON, an @CO line in SAM, and a
+// counted metric).
 package cluster
 
 import (
@@ -91,8 +93,11 @@ type Config struct {
 	// DegradedPartial.
 	Degraded string
 
-	// Retry bounds the per-shard RPC retries (client.RetryPolicy semantics:
-	// capped jittered exponential backoff, Retry-After honored). Each zero
+	// Retry bounds the attempts one shard RPC makes on each replica it
+	// tries (client.RetryPolicy semantics: capped jittered exponential
+	// backoff, Retry-After honored); failover to the next replica follows
+	// the last failed attempt, so one RPC makes up to replicas ×
+	// MaxAttempts attempts. Each zero
 	// field defaults on its own, as RetryPolicy.Do has it; AttemptTimeout,
 	// the cap on one RPC attempt to one shard (-call-timeout), defaults to
 	// client.DefaultAttemptTimeout.

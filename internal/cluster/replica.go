@@ -28,10 +28,12 @@ import (
 //     open a replica's breaker and take it out of selection; the /readyz
 //     prober walks it back (open → half-open → closed), so probes gate
 //     traffic instead of only feeding a gauge;
-//   - failover and hedging: a failed attempt immediately retries the next
-//     untried replica; optionally (HedgeAfter) a slow attempt is raced
-//     against a second replica, first response winning and the loser
-//     canceled.
+//   - failover and hedging: each replica tried runs the whole retry
+//     ladder (Retry.MaxAttempts attempts with backoff between them, see
+//     replica.align); only when that ladder ends in failure does the RPC
+//     move to the next untried replica. Optionally (HedgeAfter) a slow
+//     replica is raced against a second one, first response winning and
+//     the loser canceled.
 
 // Circuit breaker states of one replica. The wire spelling (ReplicaStatus
 // .State, merrouted_replica_state) is client.BreakerClosed and friends.

@@ -118,19 +118,8 @@ func LoadSeedShard(path string) (*SeedShard, error) {
 }
 
 func loadSeedShardFrom(f *merx.File) (*SeedShard, error) {
-	if err := f.CheckLayout(snapLayout); err != nil {
+	if _, err := readMeta(f); err != nil {
 		return nil, err
-	}
-	metaBytes, err := f.SectionData(sectionMeta)
-	if err != nil {
-		return nil, err
-	}
-	var meta snapshotMeta
-	if err := json.Unmarshal(metaBytes, &meta); err != nil {
-		return nil, &merx.CorruptError{Path: f.Path(), Section: sectionMeta, Reason: fmt.Sprintf("undecodable metadata: %v", err)}
-	}
-	if meta.Tool != "meraligner" {
-		return nil, &merx.IncompatibleError{Path: f.Path(), Reason: fmt.Sprintf("snapshot written by %q, not meraligner", meta.Tool)}
 	}
 	if !f.HasSection(sectionDHTPart) {
 		return nil, &merx.IncompatibleError{Path: f.Path(), Reason: "snapshot has no DHTP section: a whole-index snapshot, not a seed shard (serve it with -index instead)"}

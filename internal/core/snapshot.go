@@ -213,24 +213,35 @@ func LoadIndex(workers int, path string) (*ThreadedIndex, error) {
 	return ix, nil
 }
 
-// loadFrom assembles the index from an opened snapshot's verified sections.
-func loadFrom(workers int, f *merx.File) (*ThreadedIndex, error) {
+// readMeta checks an opened snapshot's struct layout and decodes its META
+// section: both loaders start here. A snapshot another tool wrote, or whose
+// index options fail validation, is refused as incompatible.
+func readMeta(f *merx.File) (snapshotMeta, error) {
+	var meta snapshotMeta
 	if err := f.CheckLayout(snapLayout); err != nil {
-		return nil, err
+		return meta, err
 	}
 	metaBytes, err := f.SectionData(sectionMeta)
 	if err != nil {
-		return nil, err
+		return meta, err
 	}
-	var meta snapshotMeta
 	if err := json.Unmarshal(metaBytes, &meta); err != nil {
-		return nil, &merx.CorruptError{Path: f.Path(), Section: sectionMeta, Reason: fmt.Sprintf("undecodable metadata: %v", err)}
+		return meta, &merx.CorruptError{Path: f.Path(), Section: sectionMeta, Reason: fmt.Sprintf("undecodable metadata: %v", err)}
 	}
 	if meta.Tool != "meraligner" {
-		return nil, &merx.IncompatibleError{Path: f.Path(), Reason: fmt.Sprintf("snapshot written by %q, not meraligner", meta.Tool)}
+		return meta, &merx.IncompatibleError{Path: f.Path(), Reason: fmt.Sprintf("snapshot written by %q, not meraligner", meta.Tool)}
 	}
 	if err := meta.Index.Validate(); err != nil {
-		return nil, &merx.IncompatibleError{Path: f.Path(), Reason: fmt.Sprintf("snapshot index options rejected: %v", err)}
+		return meta, &merx.IncompatibleError{Path: f.Path(), Reason: fmt.Sprintf("snapshot index options rejected: %v", err)}
+	}
+	return meta, nil
+}
+
+// loadFrom assembles the index from an opened snapshot's verified sections.
+func loadFrom(workers int, f *merx.File) (*ThreadedIndex, error) {
+	meta, err := readMeta(f)
+	if err != nil {
+		return nil, err
 	}
 
 	targBytes, err := f.SectionData(sectionTargets)

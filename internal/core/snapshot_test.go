@@ -155,7 +155,7 @@ func rewriteSnapshot(t *testing.T, src, dst string, patch map[string]func([]byte
 // nonzero was written with capped location lists. It cannot answer every
 // threshold, so both loaders refuse it as incompatible, not corrupt.
 func TestCappedSnapshotRefused(t *testing.T) {
-	checkTableRefused(t, "capped", func(b []byte) []byte {
+	checkRefused(t, "capped", sectionDHT, func(b []byte) []byte {
 		binary.LittleEndian.PutUint32(b[12:], 6)
 		return b
 	})
@@ -165,17 +165,35 @@ func TestCappedSnapshotRefused(t *testing.T) {
 // 32-byte-slot layout — under valid CRCs is intact but unreadable by this
 // build, so both loaders refuse it as incompatible, not corrupt.
 func TestTableVersionRefused(t *testing.T) {
-	checkTableRefused(t, "version 1", func(b []byte) []byte {
+	checkRefused(t, "version 1", sectionDHT, func(b []byte) []byte {
 		binary.LittleEndian.PutUint32(b[0:], 1)
 		return b
 	})
 }
 
-// checkTableRefused saves a whole snapshot and a seed shard, rewrites their
-// DHTS sections with patch under fresh CRCs, and requires LoadIndex and
+// TestInvalidIndexOptionsRefused: a META whose index options fail
+// validation (K 0) under valid CRCs is refused by both loaders as
+// incompatible: a seed shard reads its META as a whole snapshot does.
+func TestInvalidIndexOptionsRefused(t *testing.T) {
+	checkRefused(t, "index options rejected", sectionMeta, func(b []byte) []byte {
+		var meta map[string]any
+		if err := json.Unmarshal(b, &meta); err != nil {
+			t.Fatal(err)
+		}
+		meta["index_options"].(map[string]any)["K"] = 0
+		out, err := json.Marshal(meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	})
+}
+
+// checkRefused saves a whole snapshot and a seed shard, rewrites their
+// section with patch under fresh CRCs, and requires LoadIndex and
 // LoadSeedShard to refuse both as merx.ErrIncompatible, not merx.ErrCorrupt,
 // naming want.
-func checkTableRefused(t *testing.T, want string, patch func([]byte) []byte) {
+func checkRefused(t *testing.T, want, section string, patch func([]byte) []byte) {
 	t.Helper()
 	ds := testWorkload(t, 30_000, 1, 0)
 	built, err := BuildIndex(2, testOptions(21).IndexOptions, ds.Contigs)
@@ -199,11 +217,11 @@ func checkTableRefused(t *testing.T, want string, patch func([]byte) []byte) {
 		"LoadSeedShard": {seeds[0], func(p string) (io.Closer, error) { return LoadSeedShard(p) }},
 	} {
 		path := filepath.Join(dir, name+".merx")
-		rewriteSnapshot(t, tc.src, path, map[string]func([]byte) []byte{sectionDHT: patch})
+		rewriteSnapshot(t, tc.src, path, map[string]func([]byte) []byte{section: patch})
 		c, err := tc.load(path)
 		if err == nil {
 			c.Close()
-			t.Fatalf("%s accepted a %s seed table", name, want)
+			t.Fatalf("%s accepted a snapshot whose %s section it must refuse as %q", name, section, want)
 		}
 		if !errors.Is(err, merx.ErrIncompatible) || errors.Is(err, merx.ErrCorrupt) || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: %v, want merx.ErrIncompatible naming %q", name, err, want)

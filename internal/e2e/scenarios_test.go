@@ -213,7 +213,8 @@ func callTimeout(t *testing.T, shard *proc) {
 }
 
 // TestCatalog: one merserved over a directory of snapshots serves each
-// under /v1/<ref>/ and hot-swaps a replaced file with no failed request.
+// under /v1/<ref>/, a second one under -resident-budget evicts and serves
+// the same bytes, and a replaced file hot-swaps with no failed request.
 func TestCatalog(t *testing.T) {
 	scenario(t)
 	snaps := t.TempDir()
@@ -243,6 +244,7 @@ func TestCatalog(t *testing.T) {
 		t.Errorf("/v1/alpha/stats = %+v, err %v; want ref alpha", st, err)
 	}
 	has(t, "/metrics", get(t, srv.URL+"/metrics"), `merserved_requests_total{ref="alpha"}`)
+	residencyBudget(t, snaps, c, batch, alphaSAM, betaSAM)
 
 	// Hot-swap: atomically replace alpha's snapshot with beta's index. The
 	// same batch must now return beta's exact bytes, with zero failed
@@ -257,6 +259,41 @@ func TestCatalog(t *testing.T) {
 	time.Sleep(300 * time.Millisecond) // six -swap-poll intervals
 	same(t, "swapped.sam and beta.sam", postRef("alpha"), betaSAM)
 	matches(t, "/metrics", get(t, srv.URL+"/metrics"), "^merserved_catalog_hot_swaps_total 1$")
+	srv.Term()
+}
+
+// residencyBudget starts a second merserved over snaps with -resident-budget
+// at 1.5x the larger reference's resident_bytes (read from /v1/refs of the
+// unbudgeted server c talks to, where both are open), so it holds one
+// reference at a time. Posting alpha, beta, then alpha must evict, leave
+// one reference open, and answer each post with the unbudgeted server's
+// bytes.
+func residencyBudget(t *testing.T, snaps string, c *client.Client, batch, alphaSAM, betaSAM []byte) {
+	t.Helper()
+	refs, err := c.Refs(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largest int64
+	for _, r := range refs {
+		largest = max(largest, r.ResidentBytes)
+	}
+	if len(refs) != 2 || largest == 0 {
+		t.Fatalf("/v1/refs = %+v, want alpha and beta open with their resident_bytes", refs)
+	}
+	srv := start(t, "merserved budgeted", "merserved", "-index-dir", snaps, "-resident-budget", fmt.Sprint(largest*3/2))
+	ready(t, srv.URL)
+	for _, post := range []struct {
+		ref  string
+		want []byte
+	}{{"alpha", alphaSAM}, {"beta", betaSAM}, {"alpha", alphaSAM}} {
+		same(t, "budgeted "+post.ref+".sam and unbudgeted", align(t, srv.URL+"/v1/"+post.ref+"/align", sam, batch), post.want)
+	}
+	metrics := get(t, srv.URL+"/metrics")
+	if n := sample(t, "budgeted /metrics", metrics, "merserved_catalog_evictions_total"); n < 1 {
+		t.Errorf("alpha, beta, alpha under a 1.5-reference budget evicted %d times, want at least 1", n)
+	}
+	matches(t, "budgeted /metrics", metrics, "^merserved_catalog_open_refs 1$")
 	srv.Term()
 }
 

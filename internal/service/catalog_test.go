@@ -439,7 +439,7 @@ func TestCatalogReferencesTakeTurns(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		send(alpha, request(alpha, 100-i, maxBatch))
 	}
-	ta, err := srv.tenantFor(alpha.name)
+	ta, err := srv.tenantOf(alpha.name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestCatalogReferencesTakeTurns(t *testing.T) {
 			resp.StatusCode, resp.Header.Get("Retry-After"), er.Error, decodeErr)
 	}
 	send(beta, request(beta, 80, 1))
-	tb, err := srv.tenantFor(beta.name)
+	tb, err := srv.tenantOf(beta.name)
 	if err != nil {
 		t.Fatal(err)
 	}

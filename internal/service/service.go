@@ -1,5 +1,5 @@
 // Package service implements merserved: an HTTP/JSON alignment service
-// over resident aligners. In single-index mode the seed index is built or
+// over resident aligners. Over Config.Aligner the seed index is built or
 // mapped exactly once (by the caller) and the service serves alignment
 // traffic against it forever — the network face of the paper's build-once/
 // serve-many design, shaped like the SNAP/MICA servers the ROADMAP points
@@ -10,13 +10,19 @@
 // eviction, and hot-swapped with zero downtime when its snapshot file is
 // atomically replaced on disk (internal/catalog owns that lifecycle).
 //
-// Single-index endpoints:
+// Both modes serve every index the same way, as a tenant: one reference's
+// front door, stats and catalog.Source. Config.Aligner is the tenant of
+// reference "" (a catalog.Static source, made by New); a catalog reference's
+// tenant holds catalog.Ref(ref) and is made on its first align request.
+//
+// One-index endpoints:
 //
 //	POST /v1/align        one batch in (JSON or FASTQ), results out
 //	                      (JSON, or SAM with Accept: text/x-sam)
 //	POST /v1/align/stream chunked results as they are computed
 //	                      (NDJSON, or SAM with Accept: text/x-sam)
 //	GET  /v1/stats        live counters, batcher observations, latency
+//	GET  /v1/targets      target names and lengths, K, shard identity
 //	GET  /healthz         200 while serving, 503 while draining
 //	GET  /metrics         Prometheus text exposition
 //
@@ -25,6 +31,7 @@
 //	POST /v1/{ref}/align         as /v1/align, against one reference
 //	POST /v1/{ref}/align/stream  as /v1/align/stream
 //	GET  /v1/{ref}/stats         one reference's counters and latency
+//	GET  /v1/{ref}/targets       as /v1/targets, for one reference
 //	GET  /v1/refs                the servable references and their state
 //	GET  /v1/stats               catalog-wide stats: lifecycle counters
 //	                             plus every active reference's stats
@@ -32,7 +39,7 @@
 //
 // Each reference owns a front door (Front, shared with merrouted): every
 // request rides the reference's queue, small ones coalesce, and a request
-// of MaxBatch reads or more is a call of its own. Responses are
+// of MaxBatch reads or more dispatches whole. Responses are
 // byte-identical to a local Align call over the same reads against the
 // same snapshot. Accept-Encoding: gzip is honored on every response body.
 package service
@@ -67,10 +74,10 @@ import (
 // (re-exported from internal/catalog for the CLI and embedders).
 const SnapshotExt = catalog.SnapshotExt
 
-// Config shapes one Server. Exactly one of Aligner (single-index mode) and
+// Config shapes one Server. Exactly one of Aligner (one-index mode) and
 // IndexDir (catalog mode) is required; everything else defaults.
 type Config struct {
-	// Aligner is the one resident index of single-index mode.
+	// Aligner is the one resident index of one-index mode.
 	Aligner *meraligner.Aligner
 
 	// IndexDir selects catalog mode: every <ref>.merx snapshot in the
@@ -96,7 +103,7 @@ type Config struct {
 	FrontConfig
 
 	// Workers is the engine pool size (default: the Aligner's build-time
-	// thread count in single-index mode, the host CPU count in catalog
+	// thread count in one-index mode, the host CPU count in catalog
 	// mode). It is also the bound on engine calls in flight: every
 	// reference's queue draws on one pool of Workers call tokens.
 	Workers int
@@ -124,12 +131,12 @@ type Server struct {
 	mux   *http.ServeMux
 	calls coalesce.Limit // Workers tokens, shared by every reference's queue
 
-	// Exactly one of the two is set: single serves Config.Aligner through
-	// the same tenant machinery catalog mode uses for each reference.
-	single *tenant
-	cat    *catalog.Catalog
+	cat *catalog.Catalog // nil in one-index mode
 
-	tmu     sync.Mutex // guards tenants (catalog mode)
+	// tenants holds every tenant by reference. In one-index mode New writes
+	// its one tenant under "" and nothing writes the map again, so that
+	// tenant is read without tmu; in catalog mode tmu guards the map.
+	tmu     sync.Mutex
 	tenants map[string]*tenant
 
 	baseCtx context.Context
@@ -142,7 +149,7 @@ type Server struct {
 // underneath (the catalog hands out a fresh pin per engine call).
 type tenant struct {
 	s         *Server
-	ref       string // "" in single-index mode
+	ref       string // "" in one-index mode
 	src       catalog.Source
 	front     *Front[*engineCall]
 	alignRead telemetry.Hist // per-read engine nanos (engine PerQuery stats)
@@ -166,12 +173,10 @@ func New(cfg Config) (*Server, error) {
 	qopt := cfg.Query
 	qopt.CollectAlignments = true // responses need the records
 	qopt.CollectPerQuery = true   // stats need per-read latency
-	s := &Server{cfg: cfg, qopt: qopt}
+	s := &Server{cfg: cfg, qopt: qopt, tenants: make(map[string]*tenant)}
 	s.Lifecycle = NewLifecycle(cfg.Logger, cfg.SlowRequest, cfg.TraceCapacity)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 
-	// Align endpoints run traced (the 503s are traced too) behind the gate.
-	wrap := func(h http.HandlerFunc) http.HandlerFunc { return s.Traced(s.Gated(h)) }
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.Healthz)
@@ -184,13 +189,11 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.calls = coalesce.NewLimit(s.cfg.Workers)
+	prefix := "/v1"
 	if cfg.Aligner != nil {
 		t := s.newTenant("", catalog.Static(cfg.Aligner))
 		t.noteIndex(cfg.Aligner)
-		s.single = t
-		mux.HandleFunc("POST /v1/align", wrap(s.singleHandler((*tenant).handleAlign)))
-		mux.HandleFunc("POST /v1/align/stream", wrap(s.singleHandler((*tenant).handleAlignStream)))
-		mux.HandleFunc("GET /v1/targets", s.handleTargets)
+		s.tenants[""] = t
 	} else {
 		cat, err := catalog.New(catalog.Options{
 			Dir:      cfg.IndexDir,
@@ -202,13 +205,14 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.cat = cat
-		s.tenants = make(map[string]*tenant)
-		mux.HandleFunc("POST /v1/{ref}/align", wrap(s.refHandler((*tenant).handleAlign)))
-		mux.HandleFunc("POST /v1/{ref}/align/stream", wrap(s.refHandler((*tenant).handleAlignStream)))
+		prefix = "/v1/{ref}"
 		mux.HandleFunc("GET /v1/{ref}/stats", s.handleRefStats)
-		mux.HandleFunc("GET /v1/{ref}/targets", s.handleRefTargets)
 		mux.HandleFunc("GET /v1/refs", s.handleRefs)
 	}
+	// Align endpoints run traced (the 503s are traced too) behind the gate.
+	mux.HandleFunc("POST "+prefix+"/align", s.Traced(s.Gated(s.tenantHandler((*tenant).handleAlign))))
+	mux.HandleFunc("POST "+prefix+"/align/stream", s.Traced(s.Gated(s.tenantHandler((*tenant).handleAlignStream))))
+	mux.HandleFunc("GET "+prefix+"/targets", s.handleTargets)
 	s.mux = mux
 	return s, nil
 }
@@ -237,29 +241,8 @@ func (t *tenant) noteIndex(al *meraligner.Aligner) {
 	t.resident.Store(al.ResidentBytes())
 }
 
-// tenantFor returns ref's permanent tenant, creating it on first use. The
-// caller must have resolved ref against the catalog first (unknown refs
-// must never leave a tenant — and its dispatcher goroutine — behind).
-// Creation is refused once draining so Drain's tenant snapshot is complete.
-func (s *Server) tenantFor(ref string) (*tenant, error) {
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	if s.Draining() {
-		return nil, coalesce.ErrDraining
-	}
-	t, ok := s.tenants[ref]
-	if !ok {
-		t = s.newTenant(ref, s.cat.Ref(ref))
-		s.tenants[ref] = t
-	}
-	return t, nil
-}
-
-// allTenants snapshots the serving tenants (both modes).
+// allTenants snapshots the serving tenants.
 func (s *Server) allTenants() []*tenant {
-	if s.single != nil {
-		return []*tenant{s.single}
-	}
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
 	out := make([]*tenant, 0, len(s.tenants))
@@ -270,60 +253,68 @@ func (s *Server) allTenants() []*tenant {
 	return out
 }
 
-// singleHandler wraps a tenant handler for single-index mode.
-func (s *Server) singleHandler(h func(*tenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) { s.dispatch(s.single, h, w, r) }
-}
-
-// refHandler wraps a tenant handler for catalog mode: it resolves {ref}
-// against the catalog before any per-ref state exists (unknown references
-// 404 without leaving a tenant behind; the acquisition also performs the
-// lazy open and hot-swap check), refreshes the tenant's index identity,
-// then runs the handler.
-func (s *Server) refHandler(h func(*tenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+// tenantHandler wraps a tenant handler: it resolves the request's tenant,
+// names its reference in the request's trace, and runs the handler.
+func (s *Server) tenantHandler(h func(*tenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ref := r.PathValue("ref")
-		hdl, err := s.cat.Acquire(ref)
+		t, err := s.tenantOf(r.PathValue("ref"))
 		if err != nil {
 			s.acquireError(w, r, err)
 			return
 		}
-		t, err := s.tenantFor(ref)
-		if err != nil {
-			hdl.Release()
-			WriteError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
-			return
+		if tr := telemetry.TraceFrom(r.Context()); tr != nil {
+			tr.SetRef(t.ref)
 		}
-		t.noteIndex(hdl.Aligner())
-		hdl.Release()
-		s.dispatch(t, h, w, r)
+		h(t, w, r)
 	}
 }
 
-// dispatch names the reference in the request's trace and runs one handler.
-func (s *Server) dispatch(t *tenant, h func(*tenant, http.ResponseWriter, *http.Request), w http.ResponseWriter, r *http.Request) {
-	if tr := telemetry.TraceFrom(r.Context()); tr != nil {
-		tr.SetRef(t.ref)
+// tenantOf returns ref's tenant: in one-index mode the one New made. In
+// catalog mode it resolves ref against the catalog before any per-ref state
+// exists (an unknown reference must never leave a tenant — and its
+// dispatcher goroutine — behind; the acquisition also performs the lazy
+// open and hot-swap check), creates the permanent tenant on first use, and
+// refreshes its index identity. Creation is refused once draining so
+// Drain's tenant snapshot is complete.
+func (s *Server) tenantOf(ref string) (*tenant, error) {
+	if s.cat == nil {
+		return s.tenants[""], nil
 	}
-	h(t, w, r)
+	hdl, err := s.cat.Acquire(ref)
+	if err != nil {
+		return nil, err
+	}
+	defer hdl.Release()
+	s.tmu.Lock()
+	defer s.tmu.Unlock()
+	if s.Draining() {
+		return nil, coalesce.ErrDraining
+	}
+	t, ok := s.tenants[ref]
+	if !ok {
+		t = s.newTenant(ref, s.cat.Ref(ref))
+		s.tenants[ref] = t
+	}
+	t.noteIndex(hdl.Aligner())
+	return t, nil
 }
 
 // catalogStatus maps a catalog failure to its HTTP status: an unknown
 // reference (or one whose snapshot vanished between admission and the
-// engine call) is 404, a closed catalog is draining.
+// engine call) is 404, a closed catalog or a draining server is draining.
 func catalogStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, catalog.ErrUnknownRef):
 		return http.StatusNotFound, err.Error()
-	case errors.Is(err, catalog.ErrCatalogClosed):
+	case errors.Is(err, catalog.ErrCatalogClosed), errors.Is(err, coalesce.ErrDraining):
 		return http.StatusServiceUnavailable, "draining"
 	}
 	return 0, ""
 }
 
-// acquireError answers a catalog acquisition failure. Beyond catalogStatus
-// it is a present but unreadable snapshot (corrupt, incompatible), a 500
-// whose typed merx error names the failing section.
+// acquireError answers a tenant or index acquisition failure. Beyond
+// catalogStatus it is a present but unreadable snapshot (corrupt,
+// incompatible), a 500 whose typed merx error names the failing section.
 func (s *Server) acquireError(w http.ResponseWriter, r *http.Request, err error) {
 	code, msg := catalogStatus(err)
 	if code == 0 {
@@ -586,8 +577,8 @@ func (t *tenant) handleAlign(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// AlignBatched submits one request's reads through the single-index
-// service exactly as POST /v1/align does — micro-batching, admission
+// AlignBatched submits one request's reads through a one-index server
+// exactly as POST /v1/align does — micro-batching, admission
 // control, stats — but in-process, with no HTTP in the path. Embedders and
 // the service benchmark use it to measure or reuse the serving core
 // directly. Its share of the coalesced Results comes back rebased into a
@@ -595,14 +586,14 @@ func (t *tenant) handleAlign(w http.ResponseWriter, r *http.Request) {
 // case), coalesce.ErrDraining (the 503 case), or the caller's context
 // error.
 func (s *Server) AlignBatched(ctx context.Context, reads []meraligner.Seq) (*meraligner.Results, error) {
-	if s.single == nil {
-		return nil, errors.New("service: AlignBatched needs single-index mode")
+	if s.cat != nil {
+		return nil, errors.New("service: AlignBatched needs Config.Aligner, not a catalog")
 	}
 	if !s.Enter() {
 		return nil, coalesce.ErrDraining
 	}
 	defer s.Exit()
-	win, err := s.single.front.serve(ctx, reads)
+	win, err := s.tenants[""].front.serve(ctx, reads)
 	if err != nil {
 		return nil, err
 	}
@@ -736,7 +727,7 @@ func sameTargets(a, b []meraligner.Seq) bool {
 // ---- observability endpoints ----
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if s.single != nil {
+	if s.cat == nil {
 		WriteJSON(w, r, http.StatusOK, s.Snapshot())
 		return
 	}
@@ -815,18 +806,20 @@ func TargetsOf(al *meraligner.Aligner) *client.TargetsResponse {
 	return out
 }
 
-// handleTargets serves the single-index reference catalog (GET /v1/targets):
-// the material a router needs to build the global SAM header and run
-// admission checks without holding any reference bases.
+// handleTargets serves one reference's catalog (GET /v1/targets, or
+// GET /v1/{ref}/targets on a catalog server): the material a router needs
+// to build the global SAM header and run admission checks without holding
+// any reference bases. It pins the reference's Source only while the
+// response is built (names and lengths are materialized, not aliased), and
+// creates no tenant for a reference that was never aligned.
 func (s *Server) handleTargets(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, r, http.StatusOK, TargetsOf(s.cfg.Aligner))
-}
-
-// handleRefTargets is handleTargets for one reference of a catalog server
-// (GET /v1/{ref}/targets). The acquisition pins the index only while the
-// response is built — names and lengths are materialized, not aliased.
-func (s *Server) handleRefTargets(w http.ResponseWriter, r *http.Request) {
-	hdl, err := s.cat.Acquire(r.PathValue("ref"))
+	var src catalog.Source
+	if s.cat == nil {
+		src = s.tenants[""].src
+	} else {
+		src = s.cat.Ref(r.PathValue("ref"))
+	}
+	hdl, err := src.Acquire()
 	if err != nil {
 		s.acquireError(w, r, err)
 		return
@@ -859,15 +852,15 @@ func (t *tenant) snapshotStats() client.Stats {
 	}
 }
 
-// Snapshot returns the single-index server's wire Stats (the /v1/stats
-// body), also available in-process for embedders and benchmarks. A catalog
+// Snapshot returns a one-index server's wire Stats (the /v1/stats body),
+// also available in-process for embedders and benchmarks. A catalog
 // server's per-reference stats are its CatalogSnapshot's Refs; there
 // Snapshot carries only the server's identity and batching knobs.
 func (s *Server) Snapshot() client.Stats {
-	if s.single == nil {
+	if s.cat != nil {
 		return s.stats()
 	}
-	return s.single.snapshotStats()
+	return s.tenants[""].snapshotStats()
 }
 
 // catalogCounters maps the catalog's lifecycle stats to the wire type.
@@ -886,8 +879,8 @@ func (s *Server) catalogCounters() client.CatalogCounters {
 
 // CatalogSnapshot returns the catalog-wide stats document (the /v1/stats
 // body of a catalog-mode server): lifecycle counters plus one Stats per
-// active reference. Panics-free on single-index servers: the catalog
-// section is zero and Refs holds the single tenant.
+// active reference. On a one-index server the catalog section is zero and
+// Refs holds its one tenant.
 func (s *Server) CatalogSnapshot() client.CatalogStats {
 	out := client.CatalogStats{Version: s.cfg.Version, Draining: s.Draining()}
 	if s.cat != nil {

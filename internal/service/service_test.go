@@ -170,7 +170,7 @@ func TestConcurrentSingleReadsCoalesceAndMatchDirectAlign(t *testing.T) {
 			errs[i] = err
 		}()
 	}
-	waitUntil(t, "the posts to queue", func() bool { return srv.single.front.co.QueuedItems() == n })
+	waitUntil(t, "the posts to queue", func() bool { return srv.tenants[""].front.co.QueuedItems() == n })
 	close(open)
 	wg.Wait()
 	for _, err := range errs {
@@ -399,13 +399,13 @@ func TestAdmissionQueueFull429(t *testing.T) {
 		_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(mega)})
 		busy <- err
 	}()
-	waitUntil(t, "the engine to go busy", func() bool { return srv.single.front.co.Inflight() > 0 })
+	waitUntil(t, "the engine to go busy", func() bool { return srv.tenants[""].front.co.Inflight() > 0 })
 	queued := make(chan error, 1)
 	go func() {
 		_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(reads[:big])})
 		queued <- err
 	}()
-	waitUntil(t, "the queue to fill", func() bool { return srv.single.front.co.QueuedItems() == big })
+	waitUntil(t, "the queue to fill", func() bool { return srv.tenants[""].front.co.QueuedItems() == big })
 
 	_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(reads[:8])})
 	var re *client.RetryError

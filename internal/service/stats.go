@@ -7,8 +7,8 @@ import (
 	"github.com/lbl-repro/meraligner/internal/telemetry"
 )
 
-// labels renders the tenant's series labels: none for the single-index
-// server (the historical single-index format), {ref="..."} on a catalog
+// labels renders the tenant's series labels: none for the one tenant of a
+// one-index server (the historical format), {ref="..."} on a catalog
 // server.
 func (t *tenant) labels() []string {
 	if t.ref == "" {
