@@ -127,8 +127,8 @@ func BuildIndex(workers int, opt IndexOptions, targets []seqio.Seq) (*ThreadedIn
 	}
 
 	// Seal: release the staging arena and freeze the table (the drain already
-	// wrote it in its final form), and snapshot its stats once so per-query
-	// Results don't rescan the whole index.
+	// wrote it in its final form, and tallied each shard's stats as it did),
+	// and keep the summed stats so per-query Results carry them.
 	sx.Seal()
 	return &ThreadedIndex{
 		opt:         opt,
@@ -165,10 +165,10 @@ func (ix *ThreadedIndex) TargetCodesBytes() int64 {
 }
 
 // BuildPhases returns the wall-clock phase stats of index construction:
-// extract+stage, drain (gather, sort and table write — all of the table's
-// construction cost), and mark when the exact-match optimization is on. Seal
-// and the stats scan that follow are not a phase; they cost what the whole
-// build took beyond BuildWall.
+// extract+stage, drain (sort, table write and the shard's stats tally — all
+// of the table's construction cost), and mark when the exact-match
+// optimization is on. Seal and the stats sum that follow are not a phase;
+// they cost what the whole build took beyond BuildWall.
 func (ix *ThreadedIndex) BuildPhases() []Phase {
 	return append([]Phase(nil), ix.buildPhases...)
 }

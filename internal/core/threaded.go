@@ -37,8 +37,8 @@ import (
 //	               statistics-only runs
 //
 // Alignments are byte-identical to the simulated machine's (internal/sim)
-// on the same inputs: the sharded index sorts entries with the same
-// comparator as the simulated drain (dht.SortEntries), so location lists —
+// on the same inputs: the sharded index sorts entries into the same order as
+// the simulated drain (dht.SortEntries), so location lists —
 // and therefore candidate order, deduplication, and scores — match exactly.
 
 // threadedAccess adapts the sealed dht.Sharded table to IndexAccess.

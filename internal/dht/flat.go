@@ -49,11 +49,31 @@ const maxSlotField = 1<<30 - 1
 // slot array, the seeds' Hi words when K > 32, and the shard's packed
 // location arena.
 type flatShard struct {
-	shift  uint // 64 - log2(len(slots)); slot of hash h is (h*fibMix)>>shift
-	slots  []flatSlot
-	hi     []uint64 // hi[i] is slot i's seed Hi word (bases 32..63); nil when K <= 32
-	locs   []Loc    // the lists, each after its count word if it has one
-	stored int      // stored locations, inline and listed (count words excluded)
+	shift uint // 64 - log2(len(slots)); slot of hash h is (h*fibMix)>>shift
+	slots []flatSlot
+	hi    []uint64 // hi[i] is slot i's seed Hi word (bases 32..63); nil when K <= 32
+	locs  []Loc    // the lists, each after its count word if it has one
+	st    shardStats
+}
+
+// shardStats is one shard's share of Stats, tallied seed by seed as the
+// shard's table is written (newFlatShard) or opened (OpenMapped), so Stats
+// only sums shards and never rescans a table.
+type shardStats struct {
+	seeds   int // occupied slots
+	locs    int // stored locations, inline and listed (count words excluded)
+	maxList int // most locations stored for one seed
+	repeats int // seeds with count > 1
+}
+
+// add tallies one seed with n stored locations and occurrence count count.
+func (st *shardStats) add(n int, count int32) {
+	st.seeds++
+	st.locs += n
+	st.maxList = max(st.maxList, n)
+	if count > 1 {
+		st.repeats++
+	}
 }
 
 // fibMix redistributes the djb2 hash before taking the top bits for the
@@ -70,11 +90,11 @@ const minFlatBits = 4
 // adjacent, so one counting pass sizes the slot array and the arena exactly
 // and one run-length pass fills them, storing every location of each run.
 // whole, when non-nil, holds each run's whole-reference count in run order
-// (a Restrict carve); otherwise a run's count is its length. Seeds are
-// placed in sorted order, so the layout is a function of the table content
-// alone. Slots and locations are written field by field into zeroed memory:
-// the in-record padding a snapshot dumps is zero by construction, whatever
-// the staging buffers held.
+// (a Restrict carve); otherwise a run's count is its length. The same pass
+// tallies the shard's Stats share. Seeds are placed in sorted order, so the
+// layout is a function of the table content alone. Slots and locations are
+// written field by field into zeroed memory: the in-record padding a
+// snapshot dumps is zero by construction, whatever the staging buffers held.
 func newFlatShard(id, k int, es []SeedEntry, whole []int32) flatShard {
 	distinct, arena := 0, int64(0)
 	for i := 0; i < len(es); {
@@ -96,10 +116,9 @@ func newFlatShard(id, k int, es []SeedEntry, whole []int32) flatShard {
 		bits++
 	}
 	fs := flatShard{
-		shift:  64 - bits,
-		slots:  make([]flatSlot, 1<<bits),
-		locs:   make([]Loc, arena),
-		stored: len(es),
+		shift: 64 - bits,
+		slots: make([]flatSlot, 1<<bits),
+		locs:  make([]Loc, arena),
 	}
 	if k > 32 {
 		fs.hi = make([]uint64, 1<<bits)
@@ -118,7 +137,9 @@ func newFlatShard(id, k int, es []SeedEntry, whole []int32) flatShard {
 		if fs.hi != nil {
 			fs.hi[p] = seed.Hi
 		}
-		if cnt := runCount(whole, run, n); cnt == 1 {
+		cnt := runCount(whole, run, n)
+		fs.st.add(n, cnt)
+		if cnt == 1 {
 			l := &es[i].Loc
 			checkSlotField(id, "location offset", int64(l.Off))
 			e.a, e.b = uint32(l.Frag), uint32(l.Off)<<2|slotOne

@@ -159,7 +159,7 @@ func (sx *Sharded) PartitionFingerprint(count int) (uint64, error) {
 	mix(uint64(sx.numFragments))
 	for s := range sx.flat {
 		mix(uint64(len(sx.flat[s].slots)))
-		mix(uint64(sx.flat[s].stored))
+		mix(uint64(sx.flat[s].st.locs))
 	}
 	return h, nil
 }

@@ -20,9 +20,11 @@ import (
 // build path.
 //
 // Stage 2 (DrainShard, shard-parallel): after a barrier, each shard's
-// segments are gathered into one exactly sized buffer, sorted with
-// SortEntries, and run-length encoded straight into the shard's flat table
-// (flat.go) by exactly one goroutine — lock-free local work, as in the
+// segments are sorted into SortEntries order — a radix sort on the seed
+// words, then by location within a run, whose first pass reads the
+// segments where they lie in the arena — and run-length encoded straight
+// into the shard's flat table (flat.go), tallying the shard's Stats share on
+// the way, by exactly one goroutine — lock-free local work, as in the
 // paper. There is no intermediate build form: what the drain writes is what
 // lookups probe and what a snapshot dumps. The sort makes the table bytes
 // (and therefore downstream alignments) independent of worker count and
@@ -58,6 +60,11 @@ type Sharded struct {
 	// segments instead of filtering the global list.
 	groupOnce   sync.Once
 	segsByShard [][]segment
+
+	// sortBufs recycles the drains' sort buffers (*drainBufs): they are
+	// garbage once a shard's table is written, so there are only as many as
+	// shards draining at once.
+	sortBufs sync.Pool
 
 	// flat[s] is shard s's table, written once by DrainShard(s) (or aliasing
 	// a snapshot, see OpenMapped) and read-only from then on. Publication is
@@ -209,28 +216,41 @@ func (sx *Sharded) groupSegments() {
 	}
 }
 
-// DrainShard gathers shard s's segments from the arena into one buffer sized
-// from their lengths, sorts it, and writes the shard's flat table from the
-// sorted runs (newFlatShard). Exactly one goroutine may drain a given shard;
+// DrainShard sorts shard s's segments of the arena into SortEntries order —
+// the first radix pass scatters straight out of the segments, so they are
+// never gathered first — and writes the shard's flat table from the sorted
+// runs (newFlatShard). Exactly one goroutine may drain a given shard;
 // different shards drain concurrently with no coordination beyond the
-// one-time segment grouping.
+// one-time segment grouping and the sort-buffer pool.
 func (sx *Sharded) DrainShard(s int) {
 	sx.mustBeMutable("DrainShard")
 	sx.groupOnce.Do(sx.groupSegments)
+	segs := sx.segsByShard[s]
+	src := make([][]SeedEntry, len(segs))
 	n := 0
-	for _, sg := range sx.segsByShard[s] {
+	for i, sg := range segs {
+		src[i] = sx.arena[sg.Off : sg.Off+int64(sg.N)]
 		n += int(sg.N)
 	}
-	es := make([]SeedEntry, 0, n)
-	for _, sg := range sx.segsByShard[s] {
-		es = append(es, sx.arena[sg.Off:sg.Off+int64(sg.N)]...)
+	bufs, _ := sx.sortBufs.Get().(*drainBufs)
+	if bufs == nil {
+		bufs = new(drainBufs)
 	}
-	SortEntries(es)
+	if cap(bufs.es) < n {
+		bufs.es = make([]SeedEntry, n)
+	}
+	es := bufs.es[:n]
+	sortEntries(src, es, &bufs.scratch)
 	sx.flat[s] = newFlatShard(s, sx.cfg.K, es, nil)
+	sx.sortBufs.Put(bufs)
 }
 
-// Seal marks construction complete: the staging arena is released and the
-// table — already in its final flat form, shard by shard, since the drain —
+// drainBufs is one drain's sort buffers: the shard's sorted entries and the
+// radix sort's bucket scratch.
+type drainBufs struct{ es, scratch []SeedEntry }
+
+// Seal marks construction complete: the staging arena and the drains' sort
+// buffers are released and the table — already in its final flat form, shard by shard, since the drain —
 // becomes immutable: any number of goroutines may Lookup without
 // synchronization for the rest of the index's life. Further builder or
 // drain activity is a bug; NewBuilder, builder ships (Add on a full
@@ -243,6 +263,7 @@ func (sx *Sharded) Seal() {
 	sx.arena = nil
 	sx.segs = nil
 	sx.segsByShard = nil
+	sx.sortBufs = sync.Pool{}
 	sx.sealed.Store(true)
 }
 
@@ -318,30 +339,19 @@ func (sx *Sharded) SingleCopyCount() int {
 	return n
 }
 
-// Stats scans the whole table (host-side): every occupied slot of every
-// shard.
+// Stats sums the shards' tallies (shardStats), taken as each shard's table
+// was written or opened, and counts the single-copy flags.
 func (sx *Sharded) Stats() Stats {
 	st := Stats{SingleCopyFrags: sx.SingleCopyCount(), Fragments: sx.numFragments}
 	for i := range sx.flat {
-		fs := &sx.flat[i]
-		n := 0
-		for j := range fs.slots {
-			e := &fs.slots[j]
-			if e.b == 0 {
-				continue
-			}
-			res := fs.result(e)
-			n++
-			st.TotalLocs += res.Len()
-			st.MaxListLen = max(st.MaxListLen, res.Len())
-			if res.Count > 1 {
-				st.RepeatSeeds++
-			}
-		}
-		st.DistinctSeeds += n
-		st.MaxOwnerSeeds = max(st.MaxOwnerSeeds, n)
-		if i == 0 || n < st.MinOwnerSeeds {
-			st.MinOwnerSeeds = n
+		t := &sx.flat[i].st
+		st.DistinctSeeds += t.seeds
+		st.TotalLocs += t.locs
+		st.MaxListLen = max(st.MaxListLen, t.maxList)
+		st.RepeatSeeds += t.repeats
+		st.MaxOwnerSeeds = max(st.MaxOwnerSeeds, t.seeds)
+		if i == 0 || t.seeds < st.MinOwnerSeeds {
+			st.MinOwnerSeeds = t.seeds
 		}
 	}
 	return st

@@ -292,8 +292,9 @@ func OpenMapped(blob []byte) (*Sharded, error) {
 		// at least one slot must be empty, because lookup's linear probe
 		// terminates only on an empty slot or a seed match (newFlatShard
 		// guarantees load <= 0.75; a crafted full table would make lookups of
-		// absent seeds spin forever).
-		occupied, stored := int64(0), int64(0)
+		// absent seeds spin forever). The same scan tallies the shard's Stats
+		// share, as newFlatShard does for a built shard.
+		var st shardStats
 		for j := range slots {
 			a, b := int64(slots[j].a), slots[j].b
 			switch {
@@ -303,7 +304,7 @@ func OpenMapped(blob []byte) (*Sharded, error) {
 				if a >= numFragments {
 					return nil, fmt.Errorf("dht: snapshot shard %d slot %d: fragment %d outside 0..%d", i, j, a, numFragments-1)
 				}
-				stored++
+				st.add(1, 1)
 			default:
 				n, start := int64(b>>2), a
 				if b&slotCounted != 0 {
@@ -312,15 +313,17 @@ func OpenMapped(blob []byte) (*Sharded, error) {
 				if n == 0 || start+n > locsLen {
 					return nil, fmt.Errorf("dht: snapshot shard %d slot %d: list of %d at %d outside arena of %d", i, j, n, start, locsLen)
 				}
-				if start > a && int64(locs[a].Off) < n {
-					return nil, fmt.Errorf("dht: snapshot shard %d slot %d: count word %d below the list's %d locations", i, j, locs[a].Off, n)
+				count := int32(n)
+				if start > a {
+					if count = locs[a].Off; int64(count) < n {
+						return nil, fmt.Errorf("dht: snapshot shard %d slot %d: count word %d below the list's %d locations", i, j, count, n)
+					}
 				}
-				stored += n
+				st.add(int(n), count)
 			}
-			occupied++
 		}
-		if occupied == slotsLen {
-			return nil, fmt.Errorf("dht: snapshot shard %d: table has no empty slot (%d of %d occupied)", i, occupied, slotsLen)
+		if int64(st.seeds) == slotsLen {
+			return nil, fmt.Errorf("dht: snapshot shard %d: table has no empty slot (%d of %d occupied)", i, st.seeds, slotsLen)
 		}
 		// Fragment IDs feed array indexing downstream (SingleCopy, the
 		// aligner's fragment->target resolution), so a crafted arena must
@@ -331,7 +334,7 @@ func OpenMapped(blob []byte) (*Sharded, error) {
 				return nil, fmt.Errorf("dht: snapshot shard %d location %d: fragment %d outside 0..%d", i, j, locs[j].Frag, numFragments-1)
 			}
 		}
-		sx.flat[i] = flatShard{shift: shift, slots: slots, hi: hi, locs: locs, stored: int(stored)}
+		sx.flat[i] = flatShard{shift: shift, slots: slots, hi: hi, locs: locs, st: st}
 	}
 	sx.sealed.Store(true)
 	return sx, nil

@@ -124,19 +124,30 @@ func (k Kmer) Canonical(klen int) (Kmer, bool) {
 // Hash is the djb2 hash over the seed's packed bytes — the same function the
 // paper credits for its near-perfect distribution of distinct seeds across
 // processors (§VI-C1).
+//
+// It is djb2 over the 16 little-endian bytes of Lo then Hi, in closed form:
+// unrolled, the chain h = h*33 + b is 5381·33^16 + half(Lo)·33^8 + half(Hi)
+// mod 2^64, where half folds one word's bytes with weights 33^7 .. 33^0.
+// The two halves are independent, so the hash costs a few multiplies of
+// latency instead of sixteen dependent multiply-adds.
 func (k Kmer) Hash() uint64 {
-	h := uint64(5381)
-	x := k.Lo
-	for i := 0; i < 8; i++ {
-		h = h*33 + (x & 0xFF)
-		x >>= 8
-	}
-	x = k.Hi
-	for i := 0; i < 8; i++ {
-		h = h*33 + (x & 0xFF)
-		x >>= 8
-	}
-	return h
+	const (
+		seed16 = 0x22491152bdcb7f05 // 5381·33^16 mod 2^64
+		pow8   = 1406408618241      // 33^8
+	)
+	return seed16 + djb2Half(k.Lo)*pow8 + djb2Half(k.Hi)
+}
+
+// djb2Half returns Σ byte_i(x)·33^(7-i) for the little-endian bytes of x: the
+// djb2 chain over those 8 bytes from h = 0. Neighbouring bytes are folded in
+// SIMD-within-a-register lanes — byte pairs in 16-bit lanes (b·33 + b' <
+// 2^14), then pair pairs in 32-bit lanes (p·33^2 + p' < 2^24) — so no lane
+// carries into the next.
+func djb2Half(x uint64) uint64 {
+	const m8, m16 = 0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF
+	p := (x&m8)*33 + (x>>8)&m8
+	q := (p&m16)*(33*33) + (p>>16)&m16
+	return (q&0xFFFFFFFF)*(33*33*33*33) + q>>32
 }
 
 // Djb2String is the reference djb2 over raw bytes, exposed for tests and for

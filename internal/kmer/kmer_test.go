@@ -136,16 +136,34 @@ func TestCanonicalInvariantUnderRC(t *testing.T) {
 	}
 }
 
+// Kmer.Hash is djb2 in closed form; it must equal the byte-at-a-time chain
+// over the 16 little-endian bytes of Lo then Hi for every key: a short seed,
+// the zero key, all ones (every SWAR lane at its maximum), keys with only
+// Hi set, and random words.
 func TestHashMatchesDjb2OverPackedBytes(t *testing.T) {
-	km := MustFromString("GATTACA")
-	var raw [16]byte
-	lo, hi := km.Lo, km.Hi
-	for i := 0; i < 8; i++ {
-		raw[i] = byte(lo >> uint(8*i))
-		raw[8+i] = byte(hi >> uint(8*i))
+	keys := []Kmer{
+		MustFromString("GATTACA"),
+		{},
+		{Lo: ^uint64(0), Hi: ^uint64(0)},
+		{Lo: ^uint64(0)},
+		{Hi: ^uint64(0)},
+		{Hi: 1},
+		{Hi: 0xFF << 56},
+		{Lo: 0x0102030405060708, Hi: 0x1112131415161718},
 	}
-	if km.Hash() != Djb2String(raw[:]) {
-		t.Error("Kmer.Hash disagrees with reference djb2 over packed bytes")
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		keys = append(keys, Kmer{Lo: rng.Uint64(), Hi: rng.Uint64()}, Kmer{Hi: rng.Uint64()})
+	}
+	for _, km := range keys {
+		var raw [16]byte
+		for i := 0; i < 8; i++ {
+			raw[i] = byte(km.Lo >> uint(8*i))
+			raw[8+i] = byte(km.Hi >> uint(8*i))
+		}
+		if got, want := km.Hash(), Djb2String(raw[:]); got != want {
+			t.Fatalf("Kmer%+v.Hash() = %#x, djb2 over its packed bytes = %#x", km, got, want)
+		}
 	}
 }
 

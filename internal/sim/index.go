@@ -12,8 +12,9 @@ import (
 // This file is the paper's distributed seed index (§II-B, §III) on the
 // simulated machine: a hash table partitioned over all UPC threads, mapping
 // each seed to the list of (fragment, offset) locations it was extracted
-// from. It shares the entry types and the SortEntries comparator of package
-// dht and nothing else — the table below is its own, so the engine parity
+// from. It shares the entry types and the SortEntries order of package dht
+// (a radix sort on the seed words, then by location within a run) and
+// nothing else — the table below is its own, so the engine parity
 // tests compare the servers' flat table against an independent reference.
 //
 // Construction supports both modes measured in Fig 8:
