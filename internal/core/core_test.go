@@ -72,7 +72,7 @@ func TestFragmentTableInvariants(t *testing.T) {
 			}
 			covered += nSeeds
 			// Fragment content matches the target.
-			if !ds.Contigs[ti].Seq.MatchesAt(ft.FragSeq(f), int(fr.Start)) {
+			if !ds.Contigs[ti].Seq.MatchesAt(ft.FragSeq(f), int(fr.Start), false) {
 				t.Fatalf("fragment %d content mismatch", f)
 			}
 		}
@@ -214,7 +214,7 @@ func TestExactMatchPathEngagesAndIsConsistent(t *testing.T) {
 			q = q.ReverseComplement()
 		}
 		tg := ds.Contigs[a.Target].Seq
-		if !tg.MatchesAt(q, int(a.TStart)) {
+		if !tg.MatchesAt(q, int(a.TStart), false) {
 			t.Fatalf("exact alignment %+v does not match the target", a)
 		}
 		verified++

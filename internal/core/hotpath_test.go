@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"strconv"
 	"testing"
 
+	"github.com/lbl-repro/meraligner/internal/kmer"
 	"github.com/lbl-repro/meraligner/internal/seqio"
 )
 
@@ -181,5 +183,64 @@ func BenchmarkQueryNoAlloc(b *testing.B) {
 	if avg != 0 {
 		b.Fatalf("serial query path allocates %.2f objects per %d-read claim in steady state, want 0",
 			avg, len(reads))
+	}
+}
+
+// BenchmarkExactPath times the per-read constant work of the §IV-A exact
+// path with the probe taken out: priming the read's scanner (Scanner.Reset
+// and its first canonical seed) and comparing the whole read with the
+// target (exactHit, then tryExact's word compare), on the error-free reads
+// of both strands that the exact path settles, at one- and two-word seed
+// lengths. The first seeds are resolved once, before the timer.
+func BenchmarkExactPath(b *testing.B) {
+	ds := testWorkload(b, 60_000, 2, 0)
+	for _, k := range []int{19, 31, 51} {
+		b.Run("k="+strconv.Itoa(k), func(b *testing.B) {
+			opt := DefaultOptions(k)
+			ix, err := BuildIndex(2, opt.IndexOptions, ds.Contigs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			qp := NewQueryProcessor(opt, threadedAccess{sx: ix.sx}, ix.ft)
+			var reads []seqio.Seq
+			var first seedBatch
+			var sc kmer.Scanner
+			for _, r := range ds.Reads {
+				if r.Seq.Len() >= k {
+					reads = append(reads, r)
+					sc.Reset(r.Seq, k)
+					sc.Next()
+					first.add(sc.Canonical())
+				}
+			}
+			if err := first.resolve(context.Background(), qp.seeds); err != nil {
+				b.Fatal(err)
+			}
+			// Keep the reads the exact path settles (the workload's repeats
+			// send the rest to Smith-Waterman).
+			var ans []SeedAnswer
+			exact := reads[:0]
+			for i, r := range reads {
+				if qp.exactHit(r.Seq, first.ans[i], first.rc[i]).Exact {
+					exact, ans = append(exact, r), append(ans, first.ans[i])
+				}
+			}
+			if reads = exact; len(reads) < 500 {
+				b.Fatalf("only %d reads took the exact path", len(reads))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				for i, r := range reads {
+					sc.Reset(r.Seq, k)
+					sc.Next()
+					_, rc := sc.Canonical()
+					if !qp.exactHit(r.Seq, ans[i], rc).Exact {
+						b.Fatal("an exact-path read left the exact path")
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reads)), "ns/read")
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"slices"
 	"strconv"
@@ -401,8 +400,8 @@ func (qp *QueryProcessor) exactHit(q dna.Packed, a SeedAnswer, qrc bool) Alignme
 	return qp.tryExact(q, loc, qrc)
 }
 
-// loadCodes unpacks q into fwd; rc fills the spare half of codes lazily
-// (queryCodes).
+// loadCodes unpacks q into fwd for the general path; rc fills the spare
+// half of codes lazily (queryCodes).
 func (qp *QueryProcessor) loadCodes(q dna.Packed) {
 	L := q.Len()
 	qp.codes = q.AppendCodes(slices.Grow(qp.codes[:0], 2*L))
@@ -413,7 +412,9 @@ func (qp *QueryProcessor) loadCodes(q dna.Packed) {
 // hit a single-copy-seed fragment exactly once; if the whole query matches
 // the target there with a plain comparison, Lemma 1 guarantees the
 // alignment is unique and no further lookups or Smith-Waterman are needed.
-// The query is unpacked only when it is compared.
+// The comparison runs on the packed read and target, 32 bases per word, on
+// either strand (dna.Packed.MatchesAt); the read is unpacked only if it
+// falls through to the general path.
 func (qp *QueryProcessor) tryExact(q dna.Packed, loc dht.Loc, qrc bool) Alignment {
 	L := q.Len()
 	frag := qp.ft.Frags[loc.Frag]
@@ -423,14 +424,13 @@ func (qp *QueryProcessor) tryExact(q dna.Packed, loc dht.Loc, qrc bool) Alignmen
 		qoffEff = L - qp.opt.K // seed position within the reverse-complemented query
 	}
 	tOff := int(frag.Start) + int(loc.Off) - qoffEff
-	tcodes := qp.ft.TargetCodes(frag.Target)
-	if tOff < 0 || tOff+L > len(tcodes) {
+	tseq := qp.ft.Targets[frag.Target].Seq
+	if tOff < 0 || tOff+L > tseq.Len() {
 		return Alignment{} // query overhangs the target: general path
 	}
-	qp.acc.FetchTarget(frag.Target, qp.ft.TargetPackedBytes(frag.Target), qp.ft.Owner(loc.Frag))
+	qp.acc.FetchTarget(frag.Target, tseq.PackedSize(), qp.ft.Owner(loc.Frag))
 	qp.MemcmpBytes += int64((L + 3) / 4)
-	qp.loadCodes(q)
-	if !bytes.Equal(qp.queryCodes(rc, L), tcodes[tOff:tOff+L]) {
+	if !tseq.MatchesAt(q, tOff, rc) {
 		return Alignment{}
 	}
 	return Alignment{

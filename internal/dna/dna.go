@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -286,36 +287,66 @@ func (p Packed) Compare(q Packed) int {
 	return 0
 }
 
-// MatchesAt reports whether q occurs in p starting at offset off, i.e.
-// p[off:off+q.Len()] == q. This is the fast string comparison that replaces
-// Smith-Waterman on the exact-match path of §IV-A.
-func (p Packed) MatchesAt(q Packed, off int) bool {
-	if off < 0 || off+q.n > p.n {
+// MatchesAt reports whether q occurs in p starting at offset off on the
+// given strand: p[off:off+q.Len()] equals q, or with rc q's reverse
+// complement. This is the fast string comparison that replaces
+// Smith-Waterman on the exact-match path of §IV-A. It compares 32 bases per
+// 64-bit word at any offset: q's words are aligned, p's are loaded at off
+// (Word), and on the reverse strand each of p's words is reverse
+// complemented in registers (ReverseComplementWord) against the q word it
+// faces, so neither sequence is unpacked or copied.
+func (p Packed) MatchesAt(q Packed, off int, rc bool) bool {
+	n := q.n
+	if off < 0 || off+n > p.n {
 		return false
 	}
-	// Compare 4 bases (1 byte) at a time when q is byte-aligned within p.
-	if off&3 == 0 {
-		fullBytes := q.n >> 2
-		base := off >> 2
-		for i := 0; i < fullBytes; i++ {
-			if p.data[base+i] != q.data[i] {
-				return false
-			}
+	for j := 0; j < n; j += 32 {
+		c := min(n-j, 32) // bases in this word; the last may be partial
+		var w uint64
+		if rc {
+			// q[j:j+c] faces the reverse complement of p[off+n-j-c : off+n-j].
+			w = ReverseComplementWord(p.Word(off+n-j-c), c)
+		} else {
+			w = p.Word(off + j)
 		}
-		for i := fullBytes << 2; i < q.n; i++ {
-			if p.CodeAt(off+i) != q.CodeAt(i) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := 0; i < q.n; i++ {
-		if p.CodeAt(off+i) != q.CodeAt(i) {
+		if (w^q.Word(j))&wordMask(c) != 0 {
 			return false
 		}
 	}
 	return true
 }
+
+// Word returns the 32 bases of p starting at base i as one word in the
+// packed layout: base i in the two least significant bits, base i+31 in
+// the two most significant. Bases past the end of p read as zero (A). The
+// load never reads past the end of p's bytes, which may be a sub-slice of a
+// larger mapping.
+func (p Packed) Word(i int) uint64 {
+	d, b, sh := p.data, i>>2, uint(i&3)<<1
+	if b+8 < len(d) {
+		return binary.LittleEndian.Uint64(d[b:])>>sh | uint64(d[b+8])<<(64-sh)
+	}
+	var w uint64 // at most 8 bytes remain from b on
+	for j := len(d) - 1; j >= b; j-- {
+		w = w<<8 | uint64(d[j])
+	}
+	return w >> sh
+}
+
+// ReverseComplementWord returns the reverse complement of the n low bases
+// (0 <= n <= 32) of a word in the packed layout, in the n low bases of the
+// result; the bits above are zero, and whatever w holds above its n bases
+// is ignored. The complement of a 2-bit code is its bitwise NOT; reversing
+// swaps the 2-bit fields within each byte, then the bytes.
+func ReverseComplementWord(w uint64, n int) uint64 {
+	w = ^w
+	w = w>>2&0x3333333333333333 | w&0x3333333333333333<<2
+	w = w>>4&0x0F0F0F0F0F0F0F0F | w&0x0F0F0F0F0F0F0F0F<<4
+	return bits.ReverseBytes64(w) >> (64 - 2*uint(n))
+}
+
+// wordMask selects the n low bases (1 <= n <= 32) of a word.
+func wordMask(n int) uint64 { return ^uint64(0) >> (64 - 2*uint(n)) }
 
 // GC returns the fraction of G or C bases, 0 for the empty sequence.
 func (p Packed) GC() float64 {

@@ -116,20 +116,20 @@ func TestMatchesAt(t *testing.T) {
 	hay := MustPack("ACGTACGTTGCA")
 	for off := 0; off+4 <= hay.Len(); off++ {
 		needle := hay.Slice(off, off+4)
-		if !hay.MatchesAt(needle, off) {
+		if !hay.MatchesAt(needle, off, false) {
 			t.Errorf("MatchesAt(own slice, %d) = false", off)
 		}
 	}
-	if hay.MatchesAt(MustPack("AAAA"), 0) {
+	if hay.MatchesAt(MustPack("AAAA"), 0, false) {
 		t.Error("MatchesAt(AAAA, 0) = true, want false")
 	}
-	if hay.MatchesAt(MustPack("GCA"), 10) {
+	if hay.MatchesAt(MustPack("GCA"), 10, false) {
 		t.Error("MatchesAt beyond end = true, want false")
 	}
-	if !hay.MatchesAt(MustPack("GCA"), 9) {
+	if !hay.MatchesAt(MustPack("GCA"), 9, false) {
 		t.Error("MatchesAt(GCA, 9) = false, want true")
 	}
-	if hay.MatchesAt(MustPack("A"), -1) {
+	if hay.MatchesAt(MustPack("A"), -1, false) {
 		t.Error("MatchesAt negative offset = true")
 	}
 }
@@ -142,7 +142,7 @@ func TestMatchesAtProperty(t *testing.T) {
 		off := r.Intn(p.Len())
 		ln := r.Intn(p.Len() - off)
 		sub := p.Slice(off, off+ln)
-		return p.MatchesAt(sub, off)
+		return p.MatchesAt(sub, off, false)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
 		t.Error(err)
@@ -349,7 +349,7 @@ func BenchmarkMatchesAtAligned(b *testing.B) {
 	needle := hay.Slice(4096, 4096+101)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !hay.MatchesAt(needle, 4096) {
+		if !hay.MatchesAt(needle, 4096, false) {
 			b.Fatal("mismatch")
 		}
 	}

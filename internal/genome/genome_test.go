@@ -78,7 +78,7 @@ func TestContigsAreGenomeSubstrings(t *testing.T) {
 	}
 	for i, c := range ds.Contigs {
 		pos := ds.ContigPos[i]
-		if !ds.Genome.MatchesAt(c.Seq, pos) {
+		if !ds.Genome.MatchesAt(c.Seq, pos, false) {
 			t.Fatalf("contig %d does not match genome at %d", i, pos)
 		}
 		if c.Seq.Len() < ds.Profile.ContigMin {

@@ -10,7 +10,6 @@ package kmer
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/lbl-repro/meraligner/internal/dna"
 )
@@ -34,16 +33,14 @@ func FromPacked(p dna.Packed, off, k int) Kmer {
 	if off < 0 || off+k > p.Len() {
 		panic(fmt.Sprintf("kmer: seed [%d,%d) out of sequence of %d bases", off, off+k, p.Len()))
 	}
-	var km Kmer
-	n := min(k, 32)
-	for i := 0; i < n; i++ {
-		km.Lo |= uint64(p.CodeAt(off+i)) << uint(2*i)
+	if k <= 32 {
+		return Kmer{Lo: p.Word(off) & lowBases(k)}
 	}
-	for i := 32; i < k; i++ {
-		km.Hi |= uint64(p.CodeAt(off+i)) << uint(2*(i-32))
-	}
-	return km
+	return Kmer{Lo: p.Word(off), Hi: p.Word(off+32) & lowBases(k-32)}
 }
+
+// lowBases masks the n low bases (1 <= n <= 32) of a word.
+func lowBases(n int) uint64 { return ^uint64(0) >> (64 - 2*uint(n)) }
 
 // FromString parses a seed from ACGT text of length <= MaxK.
 func FromString(s string) (Kmer, error) {
@@ -66,36 +63,17 @@ func MustFromString(s string) Kmer {
 	return km
 }
 
-// Base returns the 2-bit code of base i of the seed.
-func (k Kmer) Base(i int) byte {
-	if i < 32 {
-		return byte(k.Lo>>uint(2*i)) & 3
-	}
-	return byte(k.Hi>>uint(2*(i-32))) & 3
-}
-
-// String renders the first k bases of the seed as ACGT text.
-func (k Kmer) StringLen(klen int) string {
-	var sb strings.Builder
-	sb.Grow(klen)
-	for i := 0; i < klen; i++ {
-		sb.WriteByte(dna.BaseOf(k.Base(i)))
-	}
-	return sb.String()
-}
-
-// ReverseComplement returns the reverse complement of a k-length seed.
+// ReverseComplement returns the reverse complement of a k-length seed, in a
+// few word operations: for k <= 32 one reversed word; beyond, base i of the
+// result is the complement of base k-1-i, so Hi's k-32 bases reversed come
+// first and Lo's 32 reversed follow, straddling the word boundary.
 func (k Kmer) ReverseComplement(klen int) Kmer {
-	var out Kmer
-	for i := 0; i < klen; i++ {
-		c := dna.ComplementCode(k.Base(klen - 1 - i))
-		if i < 32 {
-			out.Lo |= uint64(c) << uint(2*i)
-		} else {
-			out.Hi |= uint64(c) << uint(2*(i-32))
-		}
+	if klen <= 32 {
+		return Kmer{Lo: dna.ReverseComplementWord(k.Lo, klen)}
 	}
-	return out
+	h := uint(klen - 32)
+	lo := dna.ReverseComplementWord(k.Lo, 32)
+	return Kmer{Lo: dna.ReverseComplementWord(k.Hi, klen-32) | lo<<(2*h), Hi: lo >> (64 - 2*h)}
 }
 
 // Less orders seeds lexicographically on their packed representation.
@@ -169,14 +147,8 @@ func Extract(p dna.Packed, k int, dst []Kmer) []Kmer {
 	}
 	if k <= 32 {
 		// Rolling extraction: maintain the packed window in one word.
-		mask := ^uint64(0)
-		if k < 32 {
-			mask = (uint64(1) << uint(2*k)) - 1
-		}
-		var w uint64
-		for i := 0; i < k; i++ {
-			w |= uint64(p.CodeAt(i)) << uint(2*i)
-		}
+		mask := lowBases(k)
+		w := FromPacked(p, 0, k).Lo
 		dst = append(dst, Kmer{Lo: w})
 		for off := 1; off < n; off++ {
 			w = (w >> 2) | uint64(p.CodeAt(off+k-1))<<uint(2*(k-1))

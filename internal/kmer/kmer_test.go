@@ -17,8 +17,8 @@ func TestFromStringRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FromString(%q): %v", s, err)
 		}
-		if got := km.StringLen(len(s)); got != s {
-			t.Errorf("StringLen = %q, want %q", got, s)
+		if got := seedString(km, len(s)); got != s {
+			t.Errorf("seedString = %q, want %q", got, s)
 		}
 	}
 }
@@ -40,7 +40,7 @@ func TestFromPackedMatchesSlice(t *testing.T) {
 		for off := 0; off+k <= p.Len(); off += 7 {
 			km := FromPacked(p, off, k)
 			want := p.Slice(off, off+k).String()
-			if got := km.StringLen(k); got != want {
+			if got := seedString(km, k); got != want {
 				t.Fatalf("k=%d off=%d: %q want %q", k, off, got, want)
 			}
 		}
@@ -115,7 +115,7 @@ func TestReverseComplementMatchesDNA(t *testing.T) {
 		p := dna.Random(rng, k)
 		km := FromPacked(p, 0, k)
 		want := p.ReverseComplement().String()
-		if got := km.ReverseComplement(k).StringLen(k); got != want {
+		if got := seedString(km.ReverseComplement(k), k); got != want {
 			t.Errorf("k=%d: RC = %q, want %q", k, got, want)
 		}
 	}

@@ -36,8 +36,8 @@ type Scanner struct {
 }
 
 // Reset points the scanner at sequence p with seed length k, priming the
-// first window (an O(k) step paid once per sequence). A sequence shorter
-// than k yields no seeds.
+// first window from packed words (FromPacked, then ReverseComplement: a few
+// word operations, whatever k). A sequence shorter than k yields no seeds.
 func (s *Scanner) Reset(p dna.Packed, k int) {
 	if k <= 0 || k > MaxK {
 		panic(fmt.Sprintf("kmer: k=%d out of range (1..%d)", k, MaxK))
@@ -53,18 +53,10 @@ func (s *Scanner) Reset(p dna.Packed, k int) {
 	s.twoWord = k > 32
 	if s.twoWord {
 		s.fwdShift = uint(2 * (k - 1 - 32)) // within Hi
-		if k == MaxK {
-			s.rcMask = ^uint64(0)
-		} else {
-			s.rcMask = uint64(1)<<uint(2*(k-32)) - 1
-		}
+		s.rcMask = lowBases(k - 32)
 	} else {
 		s.fwdShift = uint(2 * (k - 1)) // within Lo
-		if k == 32 {
-			s.rcMask = ^uint64(0)
-		} else {
-			s.rcMask = uint64(1)<<uint(2*k) - 1
-		}
+		s.rcMask = lowBases(k)
 	}
 }
 

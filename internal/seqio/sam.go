@@ -206,6 +206,23 @@ func (sw *SAMWriter) WriteRead(name string, seq dna.Packed, qual []byte, hits []
 	return nil
 }
 
+// WriteRecords emits records already rendered by AppendSAMRead — one part
+// of a render done off the writer. Records that fit under the spill size
+// join the buffer; larger ones are written through after it.
+func (sw *SAMWriter) WriteRecords(recs []byte) error {
+	if sw.err != nil {
+		return sw.err
+	}
+	if len(sw.buf)+len(recs) < samSpill {
+		sw.buf = append(sw.buf, recs...)
+		return nil
+	}
+	if sw.Flush() == nil {
+		_, sw.err = sw.w.Write(recs)
+	}
+	return sw.err
+}
+
 // Flush hands buffered output to the underlying writer. A write error is
 // sticky: every later call reports it.
 func (sw *SAMWriter) Flush() error {

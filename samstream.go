@@ -1,10 +1,13 @@
 package meraligner
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"strconv"
+	"sync"
 
 	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/seqio"
@@ -13,7 +16,12 @@ import (
 // SAMStream writes SAM output incrementally: the header once at creation,
 // then one WriteBatch call per aligned query batch. A batches-mode server
 // holds one SAMStream for the life of an output and streams every batch
-// through it, so output memory stays O(batch) instead of O(total reads).
+// through it. A window renders into text buffers the stream keeps for the
+// next window — one per part, and a window of at least 2×renderPart reads
+// renders its parts on up to GOMAXPROCS goroutines — so output memory is
+// one window of SAM text per stream, and never more than GOMAXPROCS ×
+// renderRound reads of it, whatever the total number of reads. Smaller
+// windows render in one part on the caller's goroutine.
 //
 // Records carry a real NM (edit distance) tag computed from the cigar and
 // the sequences, and local alignments get soft clips so the cigar spans the
@@ -21,6 +29,33 @@ import (
 type SAMStream struct {
 	sw      *seqio.SAMWriter
 	targets []Seq
+	parts   []renderBuf // one per part of the largest window rendered so far
+	wg      sync.WaitGroup
+}
+
+// renderBuf is one part's reusable render state: its SAM text and the hit
+// list readHits fills per read.
+type renderBuf struct {
+	text []byte
+	hits []Hit
+}
+
+// renderPart is the fewest reads one part of a parallel render gets: ~50 µs
+// of rendering at ~200 ns a read, against ~1 µs to start and join a
+// goroutine, and far above a serving request's 8–32 reads, which stay on
+// the caller's goroutine.
+const renderPart = 256
+
+// renderRound is the most reads one part renders before the parts are
+// written out: a window larger than GOMAXPROCS×renderRound reads renders in
+// rounds, so a stream holds at most that many reads of SAM text (~3 MB a
+// CPU at 150-base reads) however large the batch.
+const renderRound = 8192
+
+// renderParts is how many parts a window of reads renders in: one per
+// renderPart reads, at most GOMAXPROCS, and at least one.
+func renderParts(reads int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), reads/renderPart))
 }
 
 // NewSAMStream writes the @HD/@SQ/@PG header for targets and returns the
@@ -51,17 +86,64 @@ func (s *SAMStream) WriteBatch(res *Results, queries []Seq) error {
 // into one engine call streams each request's SAM records from the shared
 // Results without slicing it first, at a cost that depends on the window,
 // not on the call. Record content is identical to a WriteBatch over just
-// those queries.
+// those queries. A large window renders in contiguous parts concurrently
+// (see SAMStream); the parts are written in input order, so the bytes are
+// those of a serial render. A write error is sticky: it is returned by this
+// and every later call.
 func (s *SAMStream) WriteRange(res *Results, queries []Seq, lo, hi int) error {
 	if lo < 0 || hi < lo || hi > len(queries) {
 		return fmt.Errorf("meraligner: SAM range [%d,%d) out of range of %d queries", lo, hi, len(queries))
 	}
-	var err error // the writer's error is sticky, so the last one tells
-	ReadHits(res, s.targets, queries, lo, hi, func(qi int, hits []Hit) {
+	as := res.Window(lo, hi)
+	for lo < hi {
+		end := min(hi, lo+runtime.GOMAXPROCS(0)*renderRound)
+		if err := s.writeRound(as, queries, lo, end); err != nil {
+			return err
+		}
+		lo = end
+	}
+	return nil
+}
+
+// writeRound renders the queries [lo, hi), whose records are in as, in
+// renderParts parts — part 0 on the caller's goroutine, each other on one
+// of its own — then writes the parts in order.
+func (s *SAMStream) writeRound(as []Alignment, queries []Seq, lo, hi int) error {
+	n := renderParts(hi - lo)
+	for len(s.parts) < n {
+		s.parts = append(s.parts, renderBuf{})
+	}
+	s.wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func() {
+			defer s.wg.Done()
+			s.render(i, n, as, queries, lo, hi)
+		}()
+	}
+	s.render(0, n, as, queries, lo, hi)
+	s.wg.Wait()
+	for i := range n {
+		if err := s.sw.WriteRecords(s.parts[i].text); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// render renders part i of n of the window [lo, hi), whose records are
+// as, into s.parts[i].text. The part's records start at the first of query
+// plo; readHits stops at phi by itself.
+func (s *SAMStream) render(i, n int, as []Alignment, queries []Seq, lo, hi int) {
+	plo, phi := lo+(hi-lo)*i/n, lo+(hi-lo)*(i+1)/n
+	first, _ := slices.BinarySearchFunc(as, int32(plo), func(a Alignment, q int32) int { return cmp.Compare(a.Query, q) })
+	as = as[first:]
+	b := &s.parts[i]
+	text := b.text[:0]
+	b.hits = readHits(as, s.targets, queries, plo, phi, b.hits, func(qi int, hits []Hit) {
 		q := &queries[qi]
-		err = s.sw.WriteRead(q.Name, q.Seq, q.Qual, hits)
+		text = seqio.AppendSAMRead(text, q.Name, q.Seq, q.Qual, hits)
 	})
-	return err
+	b.text = text
 }
 
 // Flush flushes buffered output; call once after the final batch.
@@ -78,8 +160,13 @@ func (s *SAMStream) Flush() error { return s.sw.Flush() }
 // (WriteRange) appends each read's hits as records, a JSON response
 // encodes them as they are.
 func ReadHits(res *Results, targets, queries []Seq, lo, hi int, fn func(qi int, hits []Hit)) {
-	as := res.Window(lo, hi)
-	var hits []Hit
+	readHits(res.Window(lo, hi), targets, queries, lo, hi, nil, fn)
+}
+
+// readHits is ReadHits over as, the records of the queries [lo, hi) in
+// query order, building each read's list in hits; it returns the grown
+// list for the caller to reuse.
+func readHits(as []Alignment, targets, queries []Seq, lo, hi int, hits []Hit, fn func(qi int, hits []Hit)) []Hit {
 	for qi := lo; qi < hi; qi++ {
 		hits = hits[:0]
 		for ; len(as) > 0 && as[0].Query == int32(qi); as = as[1:] {
@@ -101,6 +188,7 @@ func ReadHits(res *Results, targets, queries []Seq, lo, hi int, fn func(qi int, 
 		slices.SortStableFunc(hits, seqio.CompareHits)
 		fn(qi, hits)
 	}
+	return hits
 }
 
 // editDistance is the SAM NM tag of alignment a of read q against target t:
