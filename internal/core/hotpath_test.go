@@ -166,6 +166,42 @@ func TestQueryPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestCollectingCallReusesRecordList: a processor readied for a second
+// collecting call — recycled as Query returns it to the pool, then init —
+// starts its record list on the first call's backing array, so a warm
+// collecting call grows no list: the whole recycle, init and claim
+// allocates nothing. The list is still non-nil (records collected) and
+// holds only the new call's records.
+func TestCollectingCallReusesRecordList(t *testing.T) {
+	qp, reads := exactCollectFixture(t)
+	opt, acc, ft := qp.opt, qp.acc, qp.ft
+	call := func() {
+		qp.recycle()
+		qp.init(opt, acc, ft)
+		qp.ProcessClaim(0, reads)
+	}
+	call()
+	if avg := testing.AllocsPerRun(50, call); avg != 0 {
+		t.Fatalf("warm collecting call allocates %.2f objects for %d exact-path reads, want 0 (record list regrown)", avg, len(reads))
+	}
+	if qp.alignments == nil || len(qp.alignments) != len(reads) {
+		t.Fatalf("warm collecting call holds %d records (nil %v), want %d", len(qp.alignments), qp.alignments == nil, len(reads))
+	}
+	qp.recycle()
+	qp.init(opt, acc, ft)
+	if qp.alignments == nil || len(qp.alignments) != 0 || cap(qp.alignments) < len(reads) {
+		t.Fatalf("recycled collecting processor starts at len %d cap %d (nil %v), want an empty non-nil list of cap >= %d",
+			len(qp.alignments), cap(qp.alignments), qp.alignments == nil, len(reads))
+	}
+	stats := opt
+	stats.CollectAlignments = false
+	qp.recycle()
+	qp.init(stats, acc, ft)
+	if qp.alignments != nil {
+		t.Fatal("statistics-only call after a collecting one collects records")
+	}
+}
+
 // BenchmarkQueryNoAlloc measures the per-read cost of the serial hot path,
 // a claim at a time with its seed resolution, and enforces the
 // zero-allocs-per-claim invariant under the benchmark harness (CI runs it

@@ -222,9 +222,7 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 	})
 	res, err := ix.results(ctx, opt, qps, perQuery, len(queries), time.Since(start))
 	for _, qp := range qps {
-		qp.first.reset()
-		qp.rest.reset()
-		*qp = QueryProcessor{scratch: qp.scratch} // drop the call, keep the buffers
+		qp.recycle()
 		ix.procs.Put(qp)
 	}
 	return res, err

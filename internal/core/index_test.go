@@ -347,21 +347,27 @@ func TestBuildIndexAllocs(t *testing.T) {
 }
 
 // BenchmarkBuildIndex times one whole index build (fragment, extract+stage,
-// drain, mark, seal) over a 1 Mbp synthetic reference at k = 19.
+// drain, mark, seal) over a 1 Mbp synthetic reference, at k = 19, 31 and
+// 51: one-word seeds, the longest one-word seeds, and seeds whose tables
+// write Hi words.
 func BenchmarkBuildIndex(b *testing.B) {
-	const workers, k = 2, 19
+	const workers = 2
 	targets := syntheticContigs(11, 8, 125_000)
-	seeds := 0
-	for _, tg := range targets {
-		seeds += tg.Seq.Len() - k + 1
+	for _, k := range []int{19, 31, 51} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			seeds := 0
+			for _, tg := range targets {
+				seeds += tg.Seq.Len() - k + 1
+			}
+			iopt := DefaultIndexOptions(k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildIndex(workers, iopt, targets); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(seeds), "ns/seed")
+		})
 	}
-	iopt := DefaultIndexOptions(k)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildIndex(workers, iopt, targets); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(seeds), "ns/seed")
 }

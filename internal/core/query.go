@@ -135,6 +135,10 @@ type scratch struct {
 	// The exact-path cigar of the last read length (exactCigar).
 	exactLen int
 	exactCig string
+
+	// records backs a collecting call's record list (alignments), so a warm
+	// call regrows none: the merge copies the records out (placeByQuery).
+	records []Alignment
 }
 
 // seedBatch is one resolve phase of a claim: the canonical seeds it ships,
@@ -186,8 +190,22 @@ func (qp *QueryProcessor) init(opt Options, acc IndexAccess, ft *FragmentTable) 
 		qp.seeds = acc
 	}
 	if opt.CollectAlignments {
-		qp.alignments = []Alignment{}
+		qp.alignments = qp.records[:0]
+		if qp.alignments == nil {
+			qp.alignments = []Alignment{} // non-nil: the list exists even while empty
+		}
 	}
+}
+
+// recycle drops the call from qp and keeps its buffers — the record list's
+// among them — for the next call's init.
+func (qp *QueryProcessor) recycle() {
+	qp.first.reset()
+	qp.rest.reset()
+	if cap(qp.alignments) > cap(qp.records) {
+		qp.records = qp.alignments
+	}
+	*qp = QueryProcessor{scratch: qp.scratch}
 }
 
 // ProcessClaim aligns a claim of queries, numbered from first on, and

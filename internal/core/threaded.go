@@ -38,8 +38,9 @@ import (
 //
 // Alignments are byte-identical to the simulated machine's (internal/sim)
 // on the same inputs: the sharded index sorts entries into the same order as
-// the simulated drain (dht.SortEntries), so location lists —
-// and therefore candidate order, deduplication, and scores — match exactly.
+// the simulated drain (dht.SortEntries: by home-slot key, then seed, then
+// location), so every seed's location list — and therefore candidate order,
+// deduplication, and scores — match exactly.
 
 // threadedAccess adapts the sealed dht.Sharded table to IndexAccess.
 type threadedAccess struct {

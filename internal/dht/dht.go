@@ -12,14 +12,15 @@
 // The simulated PGAS realization of the same index — one partition per UPC
 // thread, with the cost model charged on every put, get and atomic — lives
 // in internal/sim. It shares this package's entry types and SortEntries —
-// the radix sort on the seed words, then by location within a run — and
-// nothing else: it keeps its own table, which is what makes it an
-// independent reference for the flat table in the parity tests.
+// the radix sort on each seed's home-slot key, then by seed and location
+// within a tie — and nothing else: it keeps its own table, which is what
+// makes it an independent reference for the flat table in the parity tests.
 package dht
 
 import (
 	"cmp"
 	"slices"
+	"unsafe"
 
 	"github.com/lbl-repro/meraligner/internal/kmer"
 )
@@ -39,36 +40,38 @@ type Loc struct {
 type SeedEntry struct {
 	Seed kmer.Kmer
 	Loc  Loc
+	key  uint32 // slotKey(Seed.Hash()): set by ShardedBuilder.Add or SortEntries
 }
+
+// SeedEntry is 32 bytes on every platform: the slot key sits in what would
+// otherwise be the struct's tail padding, so staging a seed moves no more
+// bytes than it did without one.
+var _ [0]struct{} = [unsafe.Sizeof(SeedEntry{}) - 32]struct{}{}
 
 // WireBytes returns the on-the-wire size of a SeedEntry for seeds of
 // length k: the 2-bit packed seed, two 32-bit integers and a strand byte.
 func WireBytes(k int) int { return kmer.PackedBytes(k) + 9 }
 
-// SortEntries sorts staged entries into (seed, fragment, offset, strand)
-// order, so a partition's contents are independent of ship interleaving:
-// a radix sort on the seed words, then by location within each run of equal
-// seeds. Every build path — Sharded here, the simulated index in
-// internal/sim — sorts into this order, which is what makes their tables,
-// and therefore the alignments, byte-identical for the same input.
+// slotKey is the top 32 bits of h·fibMix for a seed of hash h. A shard's
+// table of 2^bits slots homes the seed at slot key >> (32 - bits): the slot
+// lookup computes from the whole product, without hashing the seed again.
+func slotKey(h uint64) uint32 { return uint32(h * fibMix >> 32) }
+
+// SortEntries sorts staged entries into (slot key, seed, fragment, offset,
+// strand) order — the order newFlatShard writes a table in, home slot by
+// home slot — so a partition's contents are independent of ship
+// interleaving. Equal seeds share a key, so they are adjacent, their
+// locations in (fragment, offset, strand) order. It sets each entry's slot
+// key from its seed first. Every build path — Sharded here, the simulated
+// index in internal/sim — sorts into this order, which is what makes their
+// location lists, and therefore the alignments, byte-identical for the same
+// input.
 func SortEntries(es []SeedEntry) {
+	for i := range es {
+		es[i].key = slotKey(es[i].Seed.Hash())
+	}
 	var scratch []SeedEntry
 	sortEntries([][]SeedEntry{slices.Clone(es)}, es, &scratch)
-}
-
-// digit is one byte of a seed's words: bits shift..shift+7 of Lo, or of Hi
-// when hi is set.
-type digit struct {
-	hi    bool
-	shift uint
-}
-
-// of returns the digit's byte of seed s.
-func (d digit) of(s *kmer.Kmer) uint8 {
-	if d.hi {
-		return uint8(s.Hi >> d.shift)
-	}
-	return uint8(s.Lo >> d.shift)
 }
 
 // smallBucket is the size up to which sortEntries sorts an input, or one
@@ -79,117 +82,120 @@ const smallBucket = 32
 
 // sortEntries sorts the entries of the parts of src, taken together, into
 // SortEntries order in dst, which holds their total length and must not
-// overlap them. *scratch is grown to the largest bucket of the first pass
-// and may be reused from call to call.
+// overlap them. Their slot keys must be set. *scratch is grown to the
+// largest bucket of the first pass and may be reused from call to call.
 //
-// The seeds are sorted by their bytes, Hi's above Lo's since Hi is the more
-// significant word (the order of kmer.Kmer.Less). A byte that every key
-// shares would leave the order as it is, so it gets no pass: k = 19 sorts on
-// the five bytes that hold its 38 bits, and a shard's keys rarely share any
-// other. The first pass scatters src straight into dst by the most
-// significant varying byte, so the parts are never gathered first. Each of
-// its buckets — 1/256 of the entries, or 1/64 when that byte holds only 6
-// varying bits as at k = 19 — then goes through LSD radix passes on the
+// The entries are radix-sorted on the top bytes of their slot keys: as many
+// bytes as it takes to tell len(dst) keys apart (keyBytes), so the sort
+// costs the same at every k. The first pass scatters src straight into dst
+// by the key's top byte, so the parts are never gathered first. Each of its
+// buckets — 1/256 of the entries — then goes through LSD radix passes on the
 // remaining bytes while it sits in cache, ping-ponging with scratch and
-// ending back in dst. Every pass is stable, so a run of equal seeds keeps
-// src order; sorting each run by location completes the order.
+// ending back in dst, and a last pass sorts each run of entries that the
+// radixed bytes leave tied — mostly one seed's occurrences, or none — by
+// the whole order (compareEntries).
 func sortEntries(src [][]SeedEntry, dst []SeedEntry, scratch *[]SeedEntry) {
-	var digits []digit
-	if len(dst) > smallBucket {
-		digits = varyingDigits(src, make([]digit, 0, 16))
-	}
-	if len(digits) == 0 {
+	if len(dst) <= smallBucket {
 		out := dst[:0]
 		for _, part := range src {
 			out = append(out, part...)
 		}
 		insertionSort(dst)
-	} else {
-		top, rest := digits[len(digits)-1], digits[:len(digits)-1]
-		var counts [256]int
-		for _, part := range src {
-			for i := range part {
-				counts[top.of(&part[i].Seed)]++
-			}
-		}
-		next := starts(&counts)
-		for _, part := range src {
-			scatter(dst, part, top, &next)
-		}
-		// next[b] is now the end of bucket b.
-		var tallies [16][256]int
-		for b, lo := 0, 0; b < 256; b++ {
-			hi := next[b]
-			sortBucket(dst[lo:hi], rest, scratch, &tallies)
-			lo = hi
+		return
+	}
+	var counts [256]int
+	for _, part := range src {
+		for i := range part {
+			counts[part[i].key>>24]++
 		}
 	}
-	for i := 0; i < len(dst); {
-		n := runLen(dst[i:])
-		if n > 1 {
-			slices.SortFunc(dst[i:i+n], compareLocs)
+	next := starts(&counts)
+	for _, part := range src {
+		scatter(dst, part, 24, &next)
+	}
+	// next[b] is now the end of bucket b.
+	lsd := keyBytes(len(dst)) - 1
+	var tallies [3][256]int
+	for b, lo := 0, 0; b < 256; b++ {
+		hi := next[b]
+		sortBucket(dst[lo:hi], lsd, scratch, &tallies)
+		lo = hi
+	}
+}
+
+// keyBytes returns how many top bytes of the slot keys sortEntries radixes
+// for n entries: the fewest, 1 to 4, with at least as many values as there
+// are entries, so the runs they leave tied are a few entries long.
+func keyBytes(n int) int {
+	b := 1
+	for b < 4 && n > 1<<(8*b) {
+		b++
+	}
+	return b
+}
+
+// sortBucket sorts es, one bucket of the first pass, in place: LSD passes on
+// the lsd key bytes below the top one, ping-ponging with *scratch, which it
+// grows to len(es) if need be, then sortTies. counts is scratch for the
+// bytes' histograms.
+func sortBucket(es []SeedEntry, lsd int, scratch *[]SeedEntry, counts *[3][256]int) {
+	if len(es) <= smallBucket {
+		insertionSort(es)
+		return
+	}
+	if lsd > 0 {
+		if cap(*scratch) < len(es) {
+			*scratch = make([]SeedEntry, len(es))
+		}
+		tmp := (*scratch)[:len(es)]
+		cs := counts[:lsd]
+		clear(cs)
+		// Pass j sorts on the key byte at bits shift(j)..shift(j)+7, from
+		// the lowest radixed byte up to the one below the top.
+		shift := func(j int) uint { return uint(24 - 8*(lsd-j)) }
+		for i := range es {
+			for j := range cs {
+				cs[j][uint8(es[i].key>>shift(j))]++
+			}
+		}
+		from, to := es, tmp
+		if lsd%2 == 1 {
+			// Start from tmp, so an odd number of passes ends in es.
+			copy(tmp, es)
+			from, to = tmp, es
+		}
+		for j := range cs {
+			next := starts(&cs[j])
+			scatter(to, from, shift(j), &next)
+			from, to = to, from
+		}
+	}
+	sortTies(es, uint(24-8*lsd))
+}
+
+// sortTies sorts each run of es whose keys agree above bit shift — the bits
+// the radix passes sorted on — by compareEntries.
+func sortTies(es []SeedEntry, shift uint) {
+	for i := 0; i < len(es); {
+		n, top := 1, es[i].key>>shift
+		for i+n < len(es) && es[i+n].key>>shift == top {
+			n++
+		}
+		switch {
+		case n <= 1:
+		case n <= smallBucket:
+			insertionSort(es[i : i+n])
+		default:
+			slices.SortFunc(es[i:i+n], func(a, b SeedEntry) int { return compareEntries(&a, &b) })
 		}
 		i += n
 	}
 }
 
-// varyingDigits appends to digits the bytes of the seed words on which the
-// entries of src do not all agree, least significant first.
-func varyingDigits(src [][]SeedEntry, digits []digit) []digit {
-	and, or := kmer.Kmer{Lo: ^uint64(0), Hi: ^uint64(0)}, kmer.Kmer{}
-	for _, part := range src {
-		for i := range part {
-			s := &part[i].Seed
-			and.Lo, or.Lo = and.Lo&s.Lo, or.Lo|s.Lo
-			and.Hi, or.Hi = and.Hi&s.Hi, or.Hi|s.Hi
-		}
-	}
-	for _, hi := range []bool{false, true} {
-		for shift := uint(0); shift < 64; shift += 8 {
-			if d := (digit{hi, shift}); d.of(&and) != d.of(&or) {
-				digits = append(digits, d)
-			}
-		}
-	}
-	return digits
-}
-
-// sortBucket sorts es in place by the given digits, least significant
-// first, ping-ponging with *scratch, which it grows to len(es) if need be.
-// counts is scratch for the digits' histograms.
-func sortBucket(es []SeedEntry, digits []digit, scratch *[]SeedEntry, counts *[16][256]int) {
-	if len(es) <= smallBucket {
-		insertionSort(es)
-		return
-	}
-	if cap(*scratch) < len(es) {
-		*scratch = make([]SeedEntry, len(es))
-	}
-	tmp := (*scratch)[:len(es)]
-	cs := counts[:len(digits)]
-	clear(cs)
-	for i := range es {
-		for j, d := range digits {
-			cs[j][d.of(&es[i].Seed)]++
-		}
-	}
-	from, to := es, tmp
-	if len(digits)%2 == 1 {
-		// Start from tmp, so an odd number of passes ends in es.
-		copy(tmp, es)
-		from, to = tmp, es
-	}
-	for j, d := range digits {
-		next := starts(&cs[j])
-		scatter(to, from, d, &next)
-		from, to = to, from
-	}
-}
-
-// insertionSort sorts es by seed, stably.
+// insertionSort sorts es by compareEntries.
 func insertionSort(es []SeedEntry) {
 	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].Seed.Less(es[j-1].Seed); j-- {
+		for j := i; j > 0 && compareEntries(&es[j], &es[j-1]) < 0; j-- {
 			es[j], es[j-1] = es[j-1], es[j]
 		}
 	}
@@ -206,18 +212,28 @@ func starts(counts *[256]int) (next [256]int) {
 }
 
 // scatter moves each entry of in to the next free index of its bucket of
-// out — the bucket of its seed's byte d — advancing that index.
-func scatter(out, in []SeedEntry, d digit, next *[256]int) {
+// out — the bucket of its key's byte at bits shift..shift+7 — advancing that
+// index.
+func scatter(out, in []SeedEntry, shift uint, next *[256]int) {
 	for i := range in {
-		b := d.of(&in[i].Seed)
+		b := uint8(in[i].key >> shift)
 		out[next[b]] = in[i]
 		next[b]++
 	}
 }
 
-// compareLocs orders entries of one seed by (fragment, offset, strand), the
-// strand forward before reverse.
-func compareLocs(a, b SeedEntry) int {
+// compareEntries is SortEntries order: slot key, then seed (kmer.Kmer.Less),
+// then (fragment, offset, strand), the strand forward before reverse.
+func compareEntries(a, b *SeedEntry) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	if a.Seed != b.Seed {
+		if a.Seed.Less(b.Seed) {
+			return -1
+		}
+		return 1
+	}
 	if c := cmp.Compare(a.Loc.Frag, b.Loc.Frag); c != 0 {
 		return c
 	}

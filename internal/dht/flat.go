@@ -91,9 +91,10 @@ const minFlatBits = 4
 // and one run-length pass fills them, storing every location of each run.
 // whole, when non-nil, holds each run's whole-reference count in run order
 // (a Restrict carve); otherwise a run's count is its length. The same pass
-// tallies the shard's Stats share. Seeds are placed in sorted order, so the
-// layout is a function of the table content alone. Slots and locations are
-// written field by field into zeroed memory: the in-record padding a
+// tallies the shard's Stats share. The runs arrive in home-slot order, so
+// the slots, the Hi words and the arena are all written front to back, and
+// the layout is a function of the table content alone. Slots and locations
+// are written field by field into zeroed memory: the in-record padding a
 // snapshot dumps is zero by construction, whatever the staging buffers held.
 func newFlatShard(id, k int, es []SeedEntry, whole []int32) flatShard {
 	distinct, arena := 0, int64(0)
@@ -115,6 +116,9 @@ func newFlatShard(id, k int, es []SeedEntry, whole []int32) flatShard {
 	for 4*distinct > 3*(1<<bits) {
 		bits++
 	}
+	if bits > 32 {
+		panic(fmt.Sprintf("dht: shard %d holds %d distinct seeds, more than a 32-bit slot key can home", id, distinct))
+	}
 	fs := flatShard{
 		shift: 64 - bits,
 		slots: make([]flatSlot, 1<<bits),
@@ -124,14 +128,20 @@ func newFlatShard(id, k int, es []SeedEntry, whole []int32) flatShard {
 		fs.hi = make([]uint64, 1<<bits)
 	}
 	mask := 1<<bits - 1
-	off := 0
+	off, next := 0, 0
 	for i, run := 0, 0; i < len(es); run++ {
 		n := runLen(es[i:])
 		seed := es[i].Seed
-		p := int(seed.Hash() * fibMix >> fs.shift)
-		for fs.slots[p].b != 0 {
-			p = (p + 1) & mask
+		// Seeds arrive in home-slot order, so every slot from this seed's
+		// home up to next, one past the last seed placed, is taken: the
+		// probe starts at whichever is later, and walks only over a cluster
+		// that has wrapped past the end onto seeds placed first.
+		p := max(int(es[i].key>>(32-bits)), next)
+		for fs.slots[p&mask].b != 0 {
+			p++
 		}
+		next = p + 1
+		p &= mask
 		e := &fs.slots[p]
 		e.key = seed.Lo
 		if fs.hi != nil {

@@ -22,8 +22,8 @@ type oracleEntry struct {
 
 // naiveOracle is the test-only reference the flat table is checked against:
 // a plain Go map filled one entry at a time from the entries in (seed, frag,
-// off, strand) order — sorted here with its own reflection-based comparator,
-// so it also pins the order SortEntries produces — with every occurrence
+// off, strand) order — sorted here with its own comparator, so it also pins
+// the location order SortEntries gives each seed — with every occurrence
 // stored and counted.
 func naiveOracle(es []SeedEntry) map[kmer.Kmer]oracleEntry {
 	sorted := append([]SeedEntry(nil), es...)
@@ -311,12 +311,12 @@ func TestPropertyDrainMatchesOracle(t *testing.T) {
 					label := fmt.Sprintf("k=%d shards=%d S=%d builders=%d", k, shards, S, builders)
 					rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
 					sx := stageSharded(t, cfg, es, numFrags, builders)
-					// Staged entries travel by memmove, so their padding holds
-					// whatever the staging buffers held: make that worst case
-					// deterministic.
+					// Staged entries travel by memmove, so their padding — Loc's
+					// three tail bytes, before the slot key — holds whatever the
+					// staging buffers held: make that worst case deterministic.
 					entryBytes := int(unsafe.Sizeof(SeedEntry{}))
 					for j, raw := 0, rawBytes(sx.arena); j < len(raw); j++ {
-						if j%entryBytes >= int(unsafe.Offsetof(SeedEntry{}.Loc))+9 {
+						if b := j % entryBytes; b >= int(unsafe.Offsetof(SeedEntry{}.Loc))+9 && b < int(unsafe.Offsetof(SeedEntry{}.key)) {
 							raw[j] = 0xA5
 						}
 					}
@@ -419,7 +419,7 @@ func TestShardCountsGuard(t *testing.T) {
 // must be stored and read back inline.
 func TestSlotFieldGuard(t *testing.T) {
 	s := randomKmer(rand.New(rand.NewSource(1)), 21)
-	fs := newFlatShard(3, 21, []SeedEntry{{Seed: s, Loc: Loc{Frag: 2, Off: maxSlotField, RC: true}}}, nil)
+	fs := newFlatShard(3, 21, keyed([]SeedEntry{{Seed: s, Loc: Loc{Frag: 2, Off: maxSlotField, RC: true}}}), nil)
 	if res, ok := fs.lookup(s, s.Hash()); !ok || res.Len() != 1 || res.At(0) != (Loc{Frag: 2, Off: maxSlotField, RC: true}) {
 		t.Fatalf("largest offset: lookup %+v, %v", res, ok)
 	}
@@ -429,5 +429,5 @@ func TestSlotFieldGuard(t *testing.T) {
 			t.Errorf("offset 2^30 panicked with %q", msg)
 		}
 	}()
-	newFlatShard(3, 21, []SeedEntry{{Seed: s, Loc: Loc{Off: maxSlotField + 1}}}, nil)
+	newFlatShard(3, 21, keyed([]SeedEntry{{Seed: s, Loc: Loc{Off: maxSlotField + 1}}}), nil)
 }

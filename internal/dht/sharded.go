@@ -20,15 +20,17 @@ import (
 // build path.
 //
 // Stage 2 (DrainShard, shard-parallel): after a barrier, each shard's
-// segments are sorted into SortEntries order — a radix sort on the seed
-// words, then by location within a run, whose first pass reads the
-// segments where they lie in the arena — and run-length encoded straight
-// into the shard's flat table (flat.go), tallying the shard's Stats share on
-// the way, by exactly one goroutine — lock-free local work, as in the
-// paper. There is no intermediate build form: what the drain writes is what
-// lookups probe and what a snapshot dumps. The sort makes the table bytes
-// (and therefore downstream alignments) independent of worker count and
-// scheduling.
+// segments are sorted into SortEntries order — a radix sort on the home-slot
+// key each entry carries from staging (Add hashes a seed once, for its shard
+// and its slot), then by seed and location within a tie, whose first pass
+// reads the segments where they lie in the arena — and run-length encoded
+// straight into the shard's flat table (flat.go) home slot by home slot, so
+// the slot array, the Hi words and the location arena are each written front
+// to back, tallying the shard's Stats share on the way, by exactly one
+// goroutine — lock-free local work, as in the paper. There is no
+// intermediate build form: what the drain writes is what lookups probe and
+// what a snapshot dumps. The sort makes the table bytes (and therefore
+// downstream alignments) independent of worker count and scheduling.
 
 // ShardedConfig parameterizes a concurrent build.
 type ShardedConfig struct {
@@ -153,9 +155,12 @@ func (sx *Sharded) NewBuilder() *ShardedBuilder {
 }
 
 // Add stages one seed occurrence, shipping the destination buffer when it
-// reaches S entries.
+// reaches S entries. It hashes the seed once: the hash picks the shard, as
+// ShardOf does, and gives the entry its slot key.
 func (b *ShardedBuilder) Add(e SeedEntry) {
-	dst := b.sx.ShardOf(e.Seed)
+	h := e.Seed.Hash()
+	dst := int(h % uint64(b.sx.cfg.Shards))
+	e.key = slotKey(h)
 	buf := append(b.bufs[dst], e)
 	if len(buf) >= b.sx.cfg.S {
 		b.ship(dst, buf)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -285,9 +286,26 @@ func TestOpenMappedRejectsBadSlots(t *testing.T) {
 	}
 }
 
-// TestFuzzCorpusVersions: the corpus's valid_snapshot is a version-2 table
-// that opens, and its v1_snapshot — the 32-byte-slot layout — is refused
-// with ErrTableVersion, the error loaders report as incompatible.
+// corpusBlob reads the snapshot bytes of FuzzOpenMapped corpus entry file.
+func corpusBlob(t *testing.T, file string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzOpenMapped", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+	lit = strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")")
+	blob, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	return []byte(blob)
+}
+
+// TestFuzzCorpusVersions: the corpus's valid_snapshot and
+// slot_order_snapshot are version-2 tables that open, and its v1_snapshot —
+// the 32-byte-slot layout — is refused with ErrTableVersion, the error
+// loaders report as incompatible.
 func TestFuzzCorpusVersions(t *testing.T) {
 	for _, c := range []struct {
 		file    string
@@ -295,23 +313,43 @@ func TestFuzzCorpusVersions(t *testing.T) {
 		want    error
 	}{
 		{"valid_snapshot", snapVersion, nil},
+		{"slot_order_snapshot", snapVersion, nil},
 		{"v1_snapshot", 1, ErrTableVersion},
 	} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzOpenMapped", c.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
-		lit = strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")")
-		blob, err := strconv.Unquote(lit)
-		if err != nil {
-			t.Fatalf("%s: %v", c.file, err)
-		}
-		if v := binary.LittleEndian.Uint32([]byte(blob)); v != c.version {
+		blob := corpusBlob(t, c.file)
+		if v := binary.LittleEndian.Uint32(blob); v != c.version {
 			t.Fatalf("%s holds version %d, want %d", c.file, v, c.version)
 		}
-		if _, err := OpenMapped(alignedCopy([]byte(blob))); !errors.Is(err, c.want) {
+		if _, err := OpenMapped(alignedCopy(blob)); !errors.Is(err, c.want) {
 			t.Errorf("%s: OpenMapped error %v, want %v", c.file, err, c.want)
 		}
+	}
+}
+
+// TestFuzzCorpusWritersAgree: the corpus holds one table written twice —
+// valid_snapshot by the drain that placed seeds in seed order,
+// slot_order_snapshot by the one that places them in home-slot order
+// (fuzzSeedBlob's build). The bytes differ, in cluster slots and arena
+// order; what a reader sees does not: both answer every seed of the build
+// as a fresh build does, with the same Stats and PartitionFingerprint.
+func TestFuzzCorpusWritersAgree(t *testing.T) {
+	const k, numFrags = 21, 8
+	es := randomEntries(7, numFrags, 12, 40, k)
+	fresh := buildSharded(t, ShardedConfig{K: k, S: 16, Shards: 4}, es, numFrags, 1)
+	fresh.Seal()
+	probes := absentSeeds(rand.New(rand.NewSource(8)), naiveOracle(es), k, 50)
+	for _, e := range es {
+		probes = append(probes, e.Seed)
+	}
+	seedOrder, slotOrder := corpusBlob(t, "valid_snapshot"), corpusBlob(t, "slot_order_snapshot")
+	if bytes.Equal(seedOrder, slotOrder) {
+		t.Fatal("valid_snapshot and slot_order_snapshot hold the same bytes: the corpus no longer has a table from each writer")
+	}
+	for file, blob := range map[string][]byte{"valid_snapshot": seedOrder, "slot_order_snapshot": slotOrder} {
+		m, err := OpenMapped(alignedCopy(blob))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		checkSameAnswers(t, file, fresh, m, probes)
 	}
 }

@@ -13,42 +13,66 @@ import (
 	"github.com/lbl-repro/meraligner/internal/kmer"
 )
 
-// compareEntries is the order SortEntries must produce, as a comparator:
-// (seed by kmer.Kmer.Less, fragment, offset, strand forward first). The
-// sort it replaced used it; the tests keep it as their oracle.
-func compareEntries(a, b SeedEntry) int {
-	if a.Seed != b.Seed {
+// oracleLess is the order SortEntries must produce, written out on its own
+// as the tests' oracle: slot key, then seed by kmer.Kmer.Less, then
+// fragment, offset and strand, forward first.
+func oracleLess(a, b SeedEntry) int {
+	switch {
+	case a.key != b.key:
+		return cmp.Compare(a.key, b.key)
+	case a.Seed != b.Seed:
 		if a.Seed.Less(b.Seed) {
 			return -1
 		}
 		return 1
-	}
-	if c := cmp.Compare(a.Loc.Frag, b.Loc.Frag); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Loc.Off, b.Loc.Off); c != 0 {
-		return c
-	}
-	if a.Loc.RC == b.Loc.RC {
+	case a.Loc.Frag != b.Loc.Frag:
+		return cmp.Compare(a.Loc.Frag, b.Loc.Frag)
+	case a.Loc.Off != b.Loc.Off:
+		return cmp.Compare(a.Loc.Off, b.Loc.Off)
+	case a.Loc.RC == b.Loc.RC:
 		return 0
-	}
-	if b.Loc.RC {
+	case b.Loc.RC:
 		return -1
 	}
 	return 1
 }
 
-// checkSortOrder sorts es with the comparator and both radix entry points —
-// SortEntries in place, and sortEntries over es cut into parts as a drain's
-// segments are — and fails unless all three orders agree.
-func checkSortOrder(t *testing.T, label string, es []SeedEntry, cuts []int) {
+// keyed sets each entry's slot key from its seed, as ShardedBuilder.Add
+// does.
+func keyed(es []SeedEntry) []SeedEntry {
+	for i := range es {
+		es[i].key = slotKey(es[i].Seed.Hash())
+	}
+	return es
+}
+
+// withKey is the test hook for keys no real seed set would produce: it sets
+// the slot key of every entry of es to key(i) for entry i, so distinct seeds
+// can share one key, or keys can differ in one chosen byte.
+func withKey(es []SeedEntry, key func(i int) uint32) []SeedEntry {
+	for i := range es {
+		es[i].key = key(i)
+	}
+	return es
+}
+
+// checkSortOrder sorts es, whose slot keys are set, with the oracle and with
+// sortEntries over es cut into parts as a drain's segments are, and fails
+// unless the orders agree. When the keys are the seeds' own (natural), it
+// also checks SortEntries in place, which derives them itself.
+func checkSortOrder(t *testing.T, label string, es []SeedEntry, cuts []int, natural bool) {
 	t.Helper()
 	want := slices.Clone(es)
-	slices.SortFunc(want, compareEntries)
-	got := slices.Clone(es)
-	SortEntries(got)
-	if !slices.Equal(got, want) {
-		t.Fatalf("%s: SortEntries order differs from the comparator's (%d entries)", label, len(es))
+	slices.SortFunc(want, oracleLess)
+	if natural {
+		got := slices.Clone(es)
+		for i := range got {
+			got[i].key = 0
+		}
+		SortEntries(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: SortEntries order differs from the oracle's (%d entries)", label, len(es))
+		}
 	}
 	var parts [][]SeedEntry
 	rest := slices.Clone(es)
@@ -61,7 +85,7 @@ func checkSortOrder(t *testing.T, label string, es []SeedEntry, cuts []int) {
 	var scratch []SeedEntry
 	sortEntries(parts, dst, &scratch)
 	if !slices.Equal(dst, want) {
-		t.Fatalf("%s: sortEntries over %d parts differs from the comparator's order (%d entries)", label, len(parts), len(es))
+		t.Fatalf("%s: sortEntries over %d parts differs from the oracle's order (%d entries)", label, len(parts), len(es))
 	}
 }
 
@@ -76,15 +100,17 @@ func withLocs(rng *rand.Rand, seeds []kmer.Kmer) []SeedEntry {
 	return es
 }
 
-// TestSortEntriesMatchesComparator holds the radix sort to the comparator's
-// order on the inputs where a radix sort goes wrong: no varying byte at all,
-// long runs of one seed, keys that differ only in Hi or only in one byte
-// (each byte in turn, so every digit is at some point the only pass, and the
-// most significant one), buckets and whole inputs on both sides of
-// smallBucket, and random and repeat-heavy seeds at k on both sides of the
-// one-word key.
+// TestSortEntriesMatchesComparator holds the radix sort to the oracle's
+// order on the inputs where it goes wrong: long runs of one seed, split
+// across many parts; input sizes on both sides of smallBucket and of each
+// step in the number of key bytes radixed (keyBytes); distinct seeds that
+// share one key, or agree on the radixed key bytes and differ below them;
+// keys that differ in one byte only (each byte in turn, so every pass is at
+// some point the only one that orders); buckets of the first pass on both
+// sides of smallBucket; and random and repeat-heavy seeds at k on both
+// sides of the one-word seed.
 func TestSortEntriesMatchesComparator(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
+	rng := rand.New(rand.NewSource(48))
 	cuts := func(n int) []int {
 		var cs []int
 		for n > 0 {
@@ -95,8 +121,11 @@ func TestSortEntriesMatchesComparator(t *testing.T) {
 	}
 	check := func(label string, seeds []kmer.Kmer) {
 		t.Helper()
-		es := withLocs(rng, seeds)
-		checkSortOrder(t, label, es, cuts(len(es)))
+		checkSortOrder(t, label, keyed(withLocs(rng, seeds)), cuts(len(seeds)), true)
+	}
+	checkKeys := func(label string, seeds []kmer.Kmer, key func(i int) uint32) {
+		t.Helper()
+		checkSortOrder(t, label, withKey(withLocs(rng, seeds), key), cuts(len(seeds)), false)
 	}
 	repeat := func(s kmer.Kmer, n int) []kmer.Kmer {
 		out := make([]kmer.Kmer, n)
@@ -105,88 +134,127 @@ func TestSortEntriesMatchesComparator(t *testing.T) {
 		}
 		return out
 	}
+	randomSeeds := func(n, k int) []kmer.Kmer {
+		out := make([]kmer.Kmer, n)
+		for i := range out {
+			out[i] = randomKmer(rng, k)
+		}
+		return out
+	}
 
 	check("empty", nil)
 	for _, n := range []int{1, 2, smallBucket, smallBucket + 1, 1000} {
 		check(fmt.Sprintf("all-equal n=%d", n), repeat(randomKmer(rng, 31), n))
 	}
-	many := repeat(randomKmer(rng, 51), 999)
-	for range 500 {
-		many = append(many, randomKmer(rng, 51))
-	}
+	many := append(repeat(randomKmer(rng, 51), 999), randomSeeds(500, 51)...)
 	rng.Shuffle(len(many), func(i, j int) { many[i], many[j] = many[j], many[i] })
 	check("one seed 999 times among 500", many)
 
-	base := kmer.Kmer{Lo: rng.Uint64(), Hi: rng.Uint64()}
-	hiOnly := make([]kmer.Kmer, 600)
-	for i := range hiOnly {
-		hiOnly[i] = kmer.Kmer{Lo: base.Lo, Hi: rng.Uint64() >> uint(rng.Intn(64))}
-	}
-	check("differ only in Hi", hiOnly)
-	for byteIx := range 16 {
-		seeds := make([]kmer.Kmer, 300)
-		for i := range seeds {
-			var raw [16]byte
-			binary.LittleEndian.PutUint64(raw[:8], base.Lo)
-			binary.LittleEndian.PutUint64(raw[8:], base.Hi)
-			raw[byteIx] = byte(rng.Intn(256))
-			seeds[i] = kmer.Kmer{Lo: binary.LittleEndian.Uint64(raw[:8]), Hi: binary.LittleEndian.Uint64(raw[8:])}
-		}
-		check(fmt.Sprintf("differ only in byte %d", byteIx), seeds)
+	for _, n := range []int{smallBucket - 1, smallBucket, smallBucket + 1, 256, 257,
+		256*smallBucket - 1, 256*smallBucket + 1, 1 << 16, 1<<16 + 1} {
+		check(fmt.Sprintf("random n=%d", n), randomSeeds(n, 19))
 	}
 
-	// Two varying bytes: byte 1 picks the bucket, byte 0 orders within it.
+	// Distinct seeds sharing a key: the radix passes leave them tied, and
+	// only the tie pass orders them — in a run of smallBucket or fewer, and
+	// in longer ones.
+	for _, n := range []int{2, smallBucket, smallBucket + 1, 300} {
+		seeds := randomSeeds(n, 31)
+		seeds = append(seeds, seeds[:n/2]...)
+		key := rng.Uint32()
+		checkKeys(fmt.Sprintf("%d distinct seeds, one key", n), seeds, func(int) uint32 { return key })
+	}
+	// Keys that agree on every radixed byte of a 5,000-entry input (the top
+	// two) and differ below: tied runs that the tie pass must order by the
+	// whole key before the seed.
+	seeds := randomSeeds(5000, 33)
+	top := make([]uint32, 40)
+	for i := range top {
+		top[i] = rng.Uint32() &^ 0xffff
+	}
+	checkKeys("keys tied on the radixed bytes", seeds, func(i int) uint32 { return top[i%len(top)] | uint32(rng.Intn(1<<16)) })
+	for byteIx := range 4 {
+		base := rng.Uint32()
+		for _, n := range []int{300, 70_000} {
+			checkKeys(fmt.Sprintf("keys differ only in byte %d, n=%d", byteIx, n), randomSeeds(n, 21), func(int) uint32 {
+				return base&^(0xff<<(8*byteIx)) | uint32(rng.Intn(256))<<(8*byteIx)
+			})
+		}
+	}
+
+	// Buckets of the first pass on both sides of smallBucket: three top
+	// bytes, each with size, size+1 and size+2 entries over 50 seeds.
 	for _, size := range []int{smallBucket - 1, smallBucket, smallBucket + 1} {
-		var seeds []kmer.Kmer
+		var keys []uint32
 		for b := range 3 {
 			for range size + b {
-				seeds = append(seeds, kmer.Kmer{Lo: uint64(b)<<8 | uint64(rng.Intn(256)), Hi: base.Hi})
+				keys = append(keys, uint32(b)<<24|uint32(rng.Intn(1<<24)))
 			}
 		}
-		check(fmt.Sprintf("buckets of %d..%d", size, size+2), seeds)
-	}
-	for _, n := range []int{smallBucket - 1, smallBucket, smallBucket + 1, 256*smallBucket - 1, 256*smallBucket + 1} {
-		seeds := make([]kmer.Kmer, n)
-		for i := range seeds {
-			seeds[i] = randomKmer(rng, 19)
+		pool := randomSeeds(50, 19)
+		bucketSeeds := make([]kmer.Kmer, len(keys))
+		for i := range bucketSeeds {
+			bucketSeeds[i] = pool[rng.Intn(len(pool))]
 		}
-		check(fmt.Sprintf("random n=%d", n), seeds)
+		checkKeys(fmt.Sprintf("buckets of %d..%d", size, size+2), bucketSeeds, func(i int) uint32 { return keys[i] })
 	}
 
-	for _, k := range []int{19, 31, 32, 33, 51} {
-		es := randomEntries(int64(k), 20, 300, 400, k)
-		rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
-		checkSortOrder(t, fmt.Sprintf("k=%d repeats", k), es, cuts(len(es)))
-		seeds := make([]kmer.Kmer, 5000)
-		for i := range seeds {
-			seeds[i] = randomKmer(rng, k)
+	// One seed's run split across many parts and sharing its first-pass
+	// bucket with other seeds (one top key byte for all), so the run is
+	// gathered by the scatter, kept together by the LSD passes, and ordered
+	// by location in the tie pass; then the same entries under their own keys.
+	one := randomKmer(rng, 51)
+	split := append(repeat(one, 400), randomSeeds(600, 51)...)
+	rng.Shuffle(len(split), func(i, j int) { split[i], split[j] = split[j], split[i] })
+	es := keyed(withLocs(rng, split))
+	oneKey := slotKey(one.Hash())
+	for i := range es {
+		if es[i].Seed != one {
+			es[i].key = oneKey&0xff000000 | uint32(rng.Intn(1<<24))
 		}
-		check(fmt.Sprintf("k=%d distinct", k), seeds)
+	}
+	checkSortOrder(t, "one seed's run split across parts, shared bucket", es, cuts(len(es)), false)
+	checkSortOrder(t, "one seed's run split across parts, natural keys", keyed(withLocs(rng, split)), cuts(len(split)), true)
+
+	for _, k := range []int{19, 31, 32, 33, 51} {
+		es := keyed(randomEntries(int64(k), 20, 300, 400, k))
+		rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+		checkSortOrder(t, fmt.Sprintf("k=%d repeats", k), es, cuts(len(es)), true)
+		check(fmt.Sprintf("k=%d distinct", k), randomSeeds(5000, k))
 	}
 }
 
 // FuzzSortEntries: for any entries, SortEntries and a drain's multi-part
-// sortEntries must produce the comparator's order. Each 4-byte group of
-// data is one entry: a byte value v placed at one of the 16 byte positions
-// of a fixed key (so entries share most bytes, vary in few, and repeat), a
-// fragment, an offset and a strand; cut splits the entries into parts.
+// sortEntries must produce the oracle's order. Each 4-byte group of data is
+// one entry: a byte value v placed at one of the 16 byte positions of a
+// fixed seed (so entries share most bytes, vary in few, and repeat), a
+// fragment, an offset and a strand. When the position byte's bit 6 is set
+// the entry's key is forced to one of four values picked by v, so distinct
+// seeds share keys; cut splits the entries into parts.
 func FuzzSortEntries(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 1, 2, 3, 5, 1, 2, 4, 4, 9, 15, 0, 0, 9, 15, 0, 128}, uint8(2))
 	f.Add(make([]byte, 4*(smallBucket+1)), uint8(7))
+	f.Add([]byte{1, 0x42, 3, 4, 2, 0x42, 3, 5, 5, 0x41, 4, 4, 9, 15, 0, 0, 9, 0x4f, 0, 128}, uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, cut uint8) {
 		const lo, hi = 0x9E3779B97F4A7C15, 0x0123456789ABCDEF
 		var es []SeedEntry
+		natural := true
 		for ; len(data) >= 4; data = data[4:] {
 			v, pos, frag, off := data[0], data[1], data[2], data[3]
 			var raw [16]byte
 			binary.LittleEndian.PutUint64(raw[:8], lo)
 			binary.LittleEndian.PutUint64(raw[8:], hi)
 			raw[pos%16] = v
-			es = append(es, SeedEntry{
+			e := SeedEntry{
 				Seed: kmer.Kmer{Lo: binary.LittleEndian.Uint64(raw[:8]), Hi: binary.LittleEndian.Uint64(raw[8:])},
 				Loc:  Loc{Frag: int32(frag % 8), Off: int32(off % 16), RC: pos&0x80 != 0},
-			})
+			}
+			e.key = slotKey(e.Seed.Hash())
+			if pos&0x40 != 0 {
+				e.key, natural = 0x01010101*uint32(v%4), false
+			}
+			es = append(es, e)
 		}
 		var cuts []int
 		if cut > 0 {
@@ -194,12 +262,12 @@ func FuzzSortEntries(f *testing.F) {
 				cuts = append(cuts, int(cut))
 			}
 		}
-		checkSortOrder(t, "fuzz", es, cuts)
+		checkSortOrder(t, "fuzz", es, cuts, natural)
 	})
 }
 
-// BenchmarkSortEntries times SortEntries against the comparator sort it
-// replaced, on distinct k = 31 seeds, from inputs of up to smallBucket
+// BenchmarkSortEntries times SortEntries against a comparator sort into the
+// same order, on distinct k = 31 seeds, from inputs of up to smallBucket
 // entries (sorted by insertion: at 32 entries it costs what the comparator
 // does, at 64 about twice as much, which is where smallBucket comes from)
 // through sizes where the radix passes' fixed cost of 256-way histograms
@@ -217,7 +285,7 @@ func BenchmarkSortEntries(b *testing.B) {
 			sort func([]SeedEntry)
 		}{
 			{"radix", SortEntries},
-			{"comparator", func(es []SeedEntry) { slices.SortFunc(es, compareEntries) }},
+			{"comparator", func(es []SeedEntry) { slices.SortFunc(keyed(es), oracleLess) }},
 		} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, sorter.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

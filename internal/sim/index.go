@@ -13,9 +13,10 @@ import (
 // simulated machine: a hash table partitioned over all UPC threads, mapping
 // each seed to the list of (fragment, offset) locations it was extracted
 // from. It shares the entry types and the SortEntries order of package dht
-// (a radix sort on the seed words, then by location within a run) and
-// nothing else — the table below is its own, so the engine parity
-// tests compare the servers' flat table against an independent reference.
+// (by home-slot key, then seed, then location; equal seeds adjacent, each
+// one's locations in (fragment, offset, strand) order) and nothing else —
+// the table below is its own, so the engine parity tests compare the
+// servers' flat table against an independent reference.
 //
 // Construction supports both modes measured in Fig 8:
 //
