@@ -211,10 +211,10 @@ type ReplicaStatus struct {
 	Addr      string  `json:"addr"`
 	State     string  `json:"state"`    // BreakerClosed | BreakerHalfOpen | BreakerOpen
 	Up        bool    `json:"up"`       // last readiness probe succeeded
-	Calls     int64   `json:"calls"`    // align RPCs issued (attempts)
-	Retries   int64   `json:"retries"`  // attempts beyond the first
-	Errors    int64   `json:"errors"`   // RPCs that exhausted their retries
-	Inflight  int64   `json:"inflight"` // RPCs in flight right now
+	Calls     int64   `json:"calls"`    // align RPC attempts issued
+	Retries   int64   `json:"retries"`  // attempts that were not their shard RPC's first
+	Errors    int64   `json:"errors"`   // failed attempts (canceled ones excluded)
+	Inflight  int64   `json:"inflight"` // attempts in flight right now
 	CallP50Ms float64 `json:"call_p50_ms"`
 	CallP99Ms float64 `json:"call_p99_ms"`
 }
@@ -227,10 +227,10 @@ type ShardStatus struct {
 	ID        int             `json:"id"`
 	Addr      string          `json:"addr"`
 	Up        bool            `json:"up"`       // at least one replica's last probe succeeded
-	Calls     int64           `json:"calls"`    // align RPCs issued (attempts)
-	Retries   int64           `json:"retries"`  // attempts beyond the first
-	Errors    int64           `json:"errors"`   // RPCs that exhausted their retries
-	Inflight  int64           `json:"inflight"` // RPCs in flight right now
+	Calls     int64           `json:"calls"`    // align RPC attempts issued
+	Retries   int64           `json:"retries"`  // attempts beyond each shard RPC's first, across its replicas
+	Errors    int64           `json:"errors"`   // failed attempts (canceled ones excluded)
+	Inflight  int64           `json:"inflight"` // attempts in flight right now
 	CallP50Ms float64         `json:"call_p50_ms"`
 	CallP99Ms float64         `json:"call_p99_ms"`
 	Replicas  []ReplicaStatus `json:"replicas,omitempty"`
@@ -249,9 +249,9 @@ type RouterStats struct {
 
 	DegradedServed int64 `json:"degraded_requests"` // partial responses served
 	FailedRequests int64 `json:"failed_requests"`   // requests failed on shard errors
-	Failovers      int64 `json:"failovers"`         // scatters re-launched on another replica after a failure
-	Hedges         int64 `json:"hedges"`            // speculative second-replica launches
-	HedgeWins      int64 `json:"hedge_wins"`        // hedges that answered before the primary
+	Failovers      int64 `json:"failovers"`         // attempts started on another replica right after a failure
+	Hedges         int64 `json:"hedges"`            // attempts started early, beside a slow one
+	HedgeWins      int64 `json:"hedge_wins"`        // hedges that answered first
 
 	K      int           `json:"k"`
 	Shards []ShardStatus `json:"shards"`

@@ -146,9 +146,11 @@ func (p RetryPolicy) Backoff(retry int, hint time.Duration) time.Duration {
 
 // Do runs fn until it succeeds, returns a non-retryable error, exhausts
 // MaxAttempts, or ctx is done — whichever comes first; the last attempt's
-// error is returned. Each attempt gets its own context, bounded by
-// AttemptTimeout when set, so one hung connection costs one attempt, not
-// the whole call.
+// error is returned. It is returned at once when the backoff before the
+// next attempt would end past ctx's deadline: sleeping out a budget that
+// cannot fit another attempt only delays the error. Each attempt gets its
+// own context, bounded by AttemptTimeout when set, so one hung connection
+// costs one attempt, not the whole call.
 func (p RetryPolicy) Do(ctx context.Context, fn func(context.Context) error) error {
 	p = p.withDefaults()
 	for retry := 1; ; retry++ {
@@ -165,7 +167,11 @@ func (p RetryPolicy) Do(ctx context.Context, fn func(context.Context) error) err
 			return err
 		}
 		hint, _ := RetryAfterHint(err)
-		timer := time.NewTimer(p.Backoff(retry, hint))
+		d := p.Backoff(retry, hint)
+		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
+			return err
+		}
+		timer := time.NewTimer(d)
 		select {
 		case <-ctx.Done():
 			timer.Stop()

@@ -205,6 +205,37 @@ func TestDoCancelMidBackoff(t *testing.T) {
 	}
 }
 
+// TestDoSkipsABackoffPastTheDeadline: a server asking for a 1 s backoff
+// under a 50 ms caller deadline gets its error back at once — Do does not
+// sleep out a budget that cannot fit another attempt.
+func TestDoSkipsABackoffPastTheDeadline(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprintln(w, `{"error":"overloaded: simulated"}`)
+	}))
+	defer ts.Close()
+	cl := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}))
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := cl.Align(ctx, AlignRequest{Reads: []Read{{Name: "r", Seq: "ACGT"}}})
+	took := time.Since(start)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable || se.After != time.Second {
+		t.Fatalf("err = %v, want the server's 503 with its 1 s hint", err)
+	}
+	if took > 25*time.Millisecond {
+		t.Fatalf("Do returned after %v, want well under the 50 ms deadline", took)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("server saw %d calls, want 1", n)
+	}
+}
+
 func TestDoAttemptTimeoutBoundsEachAttempt(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, Jitter: -1, AttemptTimeout: 10 * time.Millisecond}
 	var deadlines int

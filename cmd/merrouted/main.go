@@ -21,27 +21,27 @@
 // shard's SHRD identity against its position at warmup and stays 503
 // not-ready (see GET /readyz) on any mismatch. Each list element may name
 // several interchangeable replicas of its shard, separated by "|"
-// ("http://h1a:8490|http://h1b:8490"): the router sends each shard RPC to
-// one healthy replica (power-of-two-choices among the best circuit-breaker
-// class), fails over to the next replica once that replica's attempts are
-// spent, and counts a shard as down only when all its replicas are.
-// -breaker-threshold consecutive failed RPCs open a replica's circuit
-// breaker (taking it out of selection until its readiness probes walk it
-// back); -hedge-after, when positive, races a shard RPC still unanswered
-// after that long against a second replica, first response winning,
-// budget-capped at ~10% of RPCs.
+// ("http://h1a:8490|http://h1b:8490"): each attempt of a shard RPC goes to
+// the best replica the RPC has not yet tried in its current pass
+// (power-of-two-choices among the best circuit-breaker class), so a failed
+// attempt fails over at once, and a shard counts as down only when its
+// RPC's attempts are spent. -breaker-threshold consecutive failed attempts
+// open a replica's circuit breaker (taking it out of selection until its
+// readiness probes walk it back); -hedge-after, when positive, starts the
+// next attempt early on another replica when one is still unanswered
+// after that long, first response winning, budget-capped at ~10% of RPCs.
 //
-// -retries bounds the attempts per replica, not per shard RPC: each replica
-// an RPC tries runs its own ladder of up to -retries attempts (jittered
-// backoff between them, Retry-After honored), each under -call-timeout
-// (the retry policy's AttemptTimeout), and failover starts only after that
-// ladder ends. One shard RPC over R replicas thus makes up to R × -retries
-// attempts. A shard whose replicas all stay down is handled per
-// -degraded: "fail" (default) fails requests with 502, "partial" serves
-// the surviving shards' results annotated with degraded_shards (JSON) / an
-// @CO line (SAM) and counted in metrics. -min-deadline, when positive,
-// rejects align requests whose propagated X-Deadline-Ms budget is below it
-// (503) instead of scattering doomed work.
+// -retries bounds the attempts per shard RPC, across its replicas, hedges
+// included; each attempt runs under -call-timeout (the retry policy's
+// AttemptTimeout). The RPC backs off (jittered, Retry-After honored) only
+// after every replica has failed in a pass, and starts no attempt within a
+// few milliseconds of the request's deadline: a request whose budget ran
+// out is answered 504. A shard whose RPC fails is handled per -degraded:
+// "fail" (default) fails requests with 502, "partial" serves the surviving
+// shards' results annotated with degraded_shards (JSON) / an @CO line
+// (SAM) and counted in metrics. -min-deadline, when positive, rejects
+// align requests whose propagated X-Deadline-Ms budget is below it (503)
+// instead of scattering doomed work.
 //
 // A scatter occupies one replica of every shard, so as many scatters run at
 // once as the narrowest shard has replicas. Every align request is queued,
@@ -79,7 +79,7 @@ func main() {
 		shardsFlag  = flag.String("shards", "", "comma-separated shard base URLs in shard order, each optionally a |-separated replica set (required)")
 		degraded    = flag.String("degraded", cluster.DegradedFail, "shard-failure policy: fail (502) or partial (serve surviving shards, annotated)")
 		callTimeout = flag.Duration("call-timeout", client.DefaultAttemptTimeout, "per-attempt timeout of one shard RPC")
-		retries     = flag.Int("retries", 3, "max attempts per replica of a shard RPC (failover to the next replica follows the last)")
+		retries     = flag.Int("retries", 3, "max attempts per shard RPC, across its replicas")
 		healthEvery = flag.Duration("health-interval", 2*time.Second, "replica readiness probe interval")
 		breakerN    = flag.Int("breaker-threshold", 3, "consecutive failures opening a replica's circuit breaker (negative disables)")
 		hedgeAfter  = flag.Duration("hedge-after", 0, "race a shard RPC unanswered after this long against a second replica (0 disables)")

@@ -25,19 +25,20 @@ import (
 	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/client"
 	"github.com/lbl-repro/meraligner/internal/faultinject"
+	"github.com/lbl-repro/meraligner/internal/genome"
+	"github.com/lbl-repro/meraligner/internal/seqio"
 	"github.com/lbl-repro/meraligner/internal/service"
 )
 
-// chaosFleet serves every shard fixture index behind nReplicas independent
-// service instances, each fronted by its own faultinject proxy. Returns the
-// router shard specs ("http://pA|http://pB") and the proxies indexed
+// chaosFleet serves every shard index behind nReplicas independent service
+// instances, each fronted by its own faultinject proxy. Returns the router
+// shard specs ("http://pA|http://pB") and the proxies indexed
 // [shard][replica], so tests can fault any replica individually.
-func chaosFleet(t *testing.T, nReplicas int) ([]string, [][]*faultinject.Proxy) {
+func chaosFleet(t *testing.T, shards []*meraligner.Aligner, nReplicas int) ([]string, [][]*faultinject.Proxy) {
 	t.Helper()
-	fixture(t)
-	specs := make([]string, len(fixShards))
-	proxies := make([][]*faultinject.Proxy, len(fixShards))
-	for i, sa := range fixShards {
+	specs := make([]string, len(shards))
+	proxies := make([][]*faultinject.Proxy, len(shards))
+	for i, sa := range shards {
 		parts := make([]string, 0, nReplicas)
 		for r := 0; r < nReplicas; r++ {
 			srv, err := service.New(service.Config{Aligner: sa, Query: queryOpts(), Workers: 2, Version: "test"})
@@ -78,17 +79,79 @@ func healReplica(p *faultinject.Proxy) { p.SetErrorRate(0) }
 // TestChaosReplicaKillByteIdenticalSAM is the acceptance test of the
 // replica tier: with 2 replicas per shard, killing any single replica
 // mid-batch yields byte-identical SAM with zero 5xx, for every choice of
-// victim shard.
+// victim shard — on the ecoli-like fixture, and on the wheat-like one,
+// whose reads run into repeat copies on several shards at once.
 func TestChaosReplicaKillByteIdenticalSAM(t *testing.T) {
-	specs, proxies := chaosFleet(t, 2)
-	single := newSingle(t)
+	t.Run("ecoli-like", func(t *testing.T) {
+		fixture(t)
+		chaosReplicaKill(t, fixShards, newSingle(t).URL, fixReads[:24])
+	})
+	t.Run("wheat-like", func(t *testing.T) {
+		// A 25 %-repeat reference whose repeat copies straddle the shard
+		// boundaries, cut into fixShardCount shards like the ecoli-like one.
+		p := genome.WheatLike(120_000)
+		p.Depth = 2
+		p.InsertMean = 0
+		p.Seed = 5
+		ds, err := genome.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iopt := meraligner.DefaultIndexOptions(19)
+		whole, err := meraligner.Build(2, iopt, ds.Contigs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { whole.Close() })
+		paths, err := meraligner.SaveShards(2, iopt, ds.Contigs, fixShardCount, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shards []*meraligner.Aligner
+		for _, path := range paths {
+			sa, err := meraligner.OpenThreads(2, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sa.Close() })
+			shards = append(shards, sa)
+		}
+		var reads []meraligner.Seq
+		for i := 0; i < 24; i++ {
+			reads = append(reads, ds.Reads[i*len(ds.Reads)/24])
+		}
+		single := serveAligner(t, whole, queryOpts())
+		if secondaries(goldenPost(t, single+"/v1/align", "text/x-sam", reads)) == 0 {
+			t.Fatal("no read of the wheat-like set aligns to a second repeat copy")
+		}
+		chaosReplicaKill(t, shards, single, reads)
+	})
+}
+
+// secondaries counts the SAM records flagged secondary.
+func secondaries(sam []byte) int {
+	n := 0
+	for _, line := range strings.Split(string(sam), "\n") {
+		if f := strings.Split(line, "\t"); len(f) > 1 && !strings.HasPrefix(line, "@") {
+			if flag, err := strconv.Atoi(f[1]); err == nil && flag&seqio.FlagSecondary != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// chaosReplicaKill runs the replica-kill acceptance test over one fixture:
+// shards is its reference cut into shard indexes, single serves the whole
+// reference (the byte-identity oracle).
+func chaosReplicaKill(t *testing.T, shards []*meraligner.Aligner, single string, reads []meraligner.Seq) {
+	specs, proxies := chaosFleet(t, shards, 2)
 	rt, rts := newRouter(t, specs, func(c *Config) {
 		c.HedgeAfter = 25 * time.Millisecond
 	})
 	waitReady(t, rt)
 
-	reads := fixReads[:24]
-	wantCode, want := post(t, single.URL, reads, "text/x-sam")
+	wantCode, want := post(t, single, reads, "text/x-sam")
 	if wantCode != http.StatusOK {
 		t.Fatalf("oracle status = %d", wantCode)
 	}
@@ -150,7 +213,8 @@ func TestChaosReplicaKillByteIdenticalSAM(t *testing.T) {
 // set — the partial policy annotates a shard only when every replica of it
 // is gone.
 func TestChaosAllReplicasOfShardDead(t *testing.T) {
-	specs, proxies := chaosFleet(t, 2)
+	fixture(t)
+	specs, proxies := chaosFleet(t, fixShards, 2)
 	rt, rts := newRouter(t, specs, func(c *Config) { c.Degraded = DegradedPartial })
 	waitReady(t, rt)
 
@@ -356,7 +420,8 @@ func TestChaosHedgeBeatsSlowReplicaAndCancelsLoser(t *testing.T) {
 	fast.readyFail.Store(true)
 	rt, rts := newRouter(t, []string{slow.ts.URL + "|" + fast.ts.URL}, func(c *Config) {
 		c.HedgeAfter = 25 * time.Millisecond
-		c.Retry = client.RetryPolicy{MaxAttempts: 1, AttemptTimeout: 5 * time.Second}
+		// Two attempts per shard RPC: the slow primary and the hedge.
+		c.Retry = client.RetryPolicy{MaxAttempts: 2, AttemptTimeout: 5 * time.Second}
 	})
 	waitReady(t, rt)
 
@@ -529,7 +594,8 @@ func TestChaosDeadlineReachesShards(t *testing.T) {
 // slower than the attempt timeout is as dead as a crashed one — the
 // attempt times out, the breaker charges it, and the survivor serves.
 func TestChaosSlowLorisReplicaFailsOver(t *testing.T) {
-	specs, proxies := chaosFleet(t, 2)
+	fixture(t)
+	specs, proxies := chaosFleet(t, fixShards, 2)
 	single := newSingle(t)
 	rt, rts := newRouter(t, specs, func(c *Config) {
 		c.Retry = client.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond,

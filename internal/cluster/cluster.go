@@ -33,19 +33,15 @@
 //	GET  /metrics    merrouted_* and merrouted_shard_* exposition
 //
 // Failure policy: each shard may be served by a replica set ("a1|a2" in
-// Config.Shards), and a scatter sends the shard's RPC to one healthy
-// replica — power-of-two-choices on in-flight count among the best
-// circuit-breaker class — and optionally hedges a slow RPC against a
-// second replica (see replica.go). Each replica tried runs its own attempt
-// ladder (client.RetryPolicy: MaxAttempts attempts, each under a per-call
-// timeout, with jittered, Retry-After-honoring backoff between them), and
-// the RPC fails over to the next replica only when that ladder ends in
-// failure, so one shard RPC makes up to replicas × MaxAttempts attempts.
-// A shard whose replicas all fail either fails the request (502, policy
+// Config.Shards), and each shard RPC is one attempt ladder across the set
+// (replica.go): Retry.MaxAttempts attempts per shard RPC, across its
+// replicas, failing over at once and backing off only after every replica
+// has failed. A shard whose RPC fails either fails the request (502, policy
 // "fail" — the default: silently missing alignments are corruption in a
 // pipeline) or is dropped from a partial response that says so in-band
 // (policy "partial": degraded_shards in JSON, an @CO line in SAM, and a
-// counted metric).
+// counted metric). A request whose deadline ended the scatter is answered
+// 504, as a single node answers it.
 package cluster
 
 import (
@@ -54,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,8 +64,7 @@ import (
 	"github.com/lbl-repro/meraligner/internal/telemetry"
 )
 
-// Degraded policies: what a Router serves when a shard stays down after
-// retries.
+// Degraded policies: what a Router serves when a shard's RPC fails.
 const (
 	// DegradedFail fails the whole request with 502 naming the lost shards.
 	DegradedFail = "fail"
@@ -93,11 +89,10 @@ type Config struct {
 	// DegradedPartial.
 	Degraded string
 
-	// Retry bounds the attempts one shard RPC makes on each replica it
-	// tries (client.RetryPolicy semantics: capped jittered exponential
-	// backoff, Retry-After honored); failover to the next replica follows
-	// the last failed attempt, so one RPC makes up to replicas ×
-	// MaxAttempts attempts. Each zero
+	// Retry shapes each shard RPC's attempt ladder: MaxAttempts bounds the
+	// attempts per shard RPC, across its replicas, and the capped jittered
+	// exponential backoff (Retry-After honoured) runs between passes over
+	// the replica set, never between a failure and its failover. Each zero
 	// field defaults on its own, as RetryPolicy.Do has it; AttemptTimeout,
 	// the cap on one RPC attempt to one shard (-call-timeout), defaults to
 	// client.DefaultAttemptTimeout.
@@ -119,11 +114,13 @@ type Config struct {
 	// readiness probes recover. Default 3; negative disables breakers.
 	BreakerThreshold int
 
-	// HedgeAfter, when positive, arms hedged requests: a shard RPC that
-	// has not answered after this long is raced against a second replica,
-	// the first response wins, and the loser is canceled. Hedges are
-	// capped by an adaptive budget (~10% of shard RPCs) so a slow fleet
-	// is not doubled over. Zero disables hedging.
+	// HedgeAfter, when positive, arms hedged requests: when a rung of a
+	// shard RPC has not answered after this long, the ladder's next rung
+	// starts early on another replica, the first response wins, and the
+	// loser is canceled. A hedge is an attempt like any other, within
+	// Retry.MaxAttempts, and hedges are capped by an adaptive budget (~10%
+	// of shard RPCs) so a slow fleet is not doubled over. Zero disables
+	// hedging.
 	HedgeAfter time.Duration
 
 	// Version is reported in /v1/stats (ldflags-injected by cmd/merrouted).
@@ -201,10 +198,12 @@ func New(cfg Config) (*Router, error) {
 	}
 	for i, spec := range cfg.Shards {
 		ss := &shardSet{id: i}
+		var addrs []string
 		for _, addr := range strings.Split(spec, "|") {
 			if addr = strings.TrimSpace(addr); addr == "" {
 				continue
 			}
+			addrs = append(addrs, addr)
 			ss.replicas = append(ss.replicas, &replica{
 				shard: i, idx: len(ss.replicas), addr: addr, cl: client.New(addr, opts...),
 			})
@@ -212,6 +211,7 @@ func New(cfg Config) (*Router, error) {
 		if len(ss.replicas) == 0 {
 			return nil, fmt.Errorf("cluster: shard %d has no replica addresses", i)
 		}
+		ss.name = strings.Join(addrs, "|")
 		rt.sets = append(rt.sets, ss)
 	}
 	// A scatter occupies one replica of every shard, so the narrowest shard
@@ -322,24 +322,24 @@ func (rt *Router) assembleCatalog(ctx context.Context) (*fleetCatalog, error) {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("shard %d (%s): fetching targets: %w", i, rt.sets[i].addrs(), err)
+			return nil, fmt.Errorf("shard %d (%s): fetching targets: %w", i, rt.sets[i].name, err)
 		}
 	}
 	cat := &fleetCatalog{k: resps[0].K}
 	targetBase := 0
 	for i, resp := range resps {
 		if resp.K != cat.k {
-			return nil, fmt.Errorf("shard %d (%s): seed length K=%d, shard 0 has K=%d — mixed-K fleet", i, rt.sets[i].addrs(), resp.K, cat.k)
+			return nil, fmt.Errorf("shard %d (%s): seed length K=%d, shard 0 has K=%d — mixed-K fleet", i, rt.sets[i].name, resp.K, cat.k)
 		}
 		if meta := resp.Shard; meta != nil {
 			if meta.ID != i {
-				return nil, fmt.Errorf("shard %d (%s): snapshot says shard id %d — fleet out of order", i, rt.sets[i].addrs(), meta.ID)
+				return nil, fmt.Errorf("shard %d (%s): snapshot says shard id %d — fleet out of order", i, rt.sets[i].name, meta.ID)
 			}
 			if meta.Count != len(rt.sets) {
-				return nil, fmt.Errorf("shard %d (%s): snapshot says %d shards, router has %d", i, rt.sets[i].addrs(), meta.Count, len(rt.sets))
+				return nil, fmt.Errorf("shard %d (%s): snapshot says %d shards, router has %d", i, rt.sets[i].name, meta.Count, len(rt.sets))
 			}
 			if meta.TargetBase != targetBase {
-				return nil, fmt.Errorf("shard %d (%s): snapshot says target base %d, concatenation expects %d", i, rt.sets[i].addrs(), meta.TargetBase, targetBase)
+				return nil, fmt.Errorf("shard %d (%s): snapshot says target base %d, concatenation expects %d", i, rt.sets[i].name, meta.TargetBase, targetBase)
 			}
 		}
 		for _, t := range resp.Targets {
@@ -374,9 +374,9 @@ func (rt *Router) health(rep *replica) {
 	}
 }
 
-// scatter is the coalescer's fleet call: fan the batch to one replica of
-// every shard (with failover and hedging inside alignSet), apply the
-// degraded policy, merge.
+// scatter is the coalescer's fleet call: one shard RPC per shard (each an
+// attempt ladder across the shard's replicas, alignSet), the degraded
+// policy, the merge.
 func (rt *Router) scatter(ctx context.Context, reads []meraligner.Seq) (*gather, error) {
 	req := client.AlignRequest{Reads: client.FromSeqs(reads)}
 	resps := make([]*client.AlignResponse, len(rt.sets))
@@ -394,23 +394,30 @@ func (rt *Router) scatter(ctx context.Context, reads []meraligner.Seq) (*gather,
 	var failed []ShardFailure
 	for i, err := range errs {
 		if err != nil {
-			failed = append(failed, ShardFailure{ID: i, Addr: rt.sets[i].addrs(), Err: err})
+			failed = append(failed, ShardFailure{ID: i, Addr: rt.sets[i].name, Err: err})
 		}
 	}
 	var degraded []string
 	if len(failed) > 0 {
 		if rt.cfg.Degraded != DegradedPartial || len(failed) == len(rt.sets) {
+			// A call its own context ended (a spent budget: 504) did not
+			// lose a shard (502); the front door answers it as a single
+			// node would.
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			for _, f := range failed {
+				if errors.Is(f.Err, errNoTime) {
+					return nil, fmt.Errorf("shard %d (%s): %w", f.ID, f.Addr, f.Err)
+				}
+			}
 			return nil, &ShardError{Failed: failed}
 		}
 		for _, f := range failed {
 			degraded = append(degraded, f.Addr)
 		}
 	}
-	var calls []rpcCall
-	for _, cl := range callLists {
-		calls = append(calls, cl...)
-	}
-	g := &gather{results: mergeResults(reads, resps), degraded: degraded, calls: calls}
+	g := &gather{results: mergeResults(reads, resps), degraded: degraded, calls: slices.Concat(callLists...)}
 	if sc, ok := telemetry.SpanContextFrom(ctx); ok {
 		g.carrier = sc.RequestID()
 	}

@@ -16,7 +16,7 @@ import (
 // and the rpc spans of a window's scatter in a request's telemetry.
 
 // recordScatter replays one request's window of a scatter into its trace:
-// one rpc span per shard call of the scatter (with the carrier trace ID as
+// one rpc span per rung of each shard RPC of the scatter (with the carrier trace ID as
 // Link, so shard-side logs can be joined).
 func recordScatter(tr *telemetry.Trace, w *coalesce.Window[*gather]) {
 	for i := range w.Result.calls {
@@ -25,7 +25,7 @@ func recordScatter(tr *telemetry.Trace, w *coalesce.Window[*gather]) {
 			sp.Shard = strconv.Itoa(c.shard)
 			sp.Replica = strconv.Itoa(c.replica)
 			sp.Addr = c.addr
-			sp.Retries = c.attempts - 1
+			sp.Retries = c.rung
 			sp.Hedged = c.hedged
 			sp.Link = w.Result.carrier
 			if c.err != nil {

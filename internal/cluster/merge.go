@@ -49,20 +49,20 @@ type gather struct {
 	carrier string
 }
 
-// rpcCall is one shard RPC's timing within a scatter.
+// rpcCall is one rung of a shard RPC's attempt ladder within a scatter.
 type rpcCall struct {
-	shard    int
-	replica  int
-	addr     string
-	start    time.Time
-	dur      time.Duration
-	attempts int
-	err      error
-	hedged   bool
+	shard   int
+	replica int
+	addr    string
+	start   time.Time
+	dur     time.Duration
+	rung    int // the rung's index in its ladder: 0 for the RPC's first attempt
+	err     error
+	hedged  bool // started early, beside a rung still running
 }
 
-// ShardFailure is one shard's terminal failure during a scatter (its
-// retries exhausted).
+// ShardFailure is one shard's terminal failure during a scatter: its RPC's
+// attempt ladder ended without a success.
 type ShardFailure struct {
 	ID   int
 	Addr string

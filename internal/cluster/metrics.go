@@ -20,10 +20,10 @@ type routerStats struct {
 	degradedServed atomic.Int64 // partial responses served (partial policy)
 	failedRequests atomic.Int64 // requests failed on shard errors
 
-	primaries atomic.Int64 // first-choice replica launches (hedge budget base)
-	failovers atomic.Int64 // launches on another replica after a failure
-	hedges    atomic.Int64 // speculative second-replica launches
-	hedgeWins atomic.Int64 // hedges that answered before the primary
+	primaries atomic.Int64 // shard RPCs: first attempts (hedge budget base)
+	failovers atomic.Int64 // attempts on another replica right after a failure
+	hedges    atomic.Int64 // attempts started early, beside a slow one
+	hedgeWins atomic.Int64 // hedges that answered first
 }
 
 // writeMetrics renders the router's Prometheus text exposition: the front
@@ -37,9 +37,9 @@ func writeMetrics(w io.Writer, st client.RouterStats, front *service.Front[*gath
 	service.WriteFrontMetrics(m, "merrouted", []*service.Front[*gather]{front}, [][]string{nil})
 	m.Counter("merrouted_degraded_requests_total", "partial responses served under the partial policy").Int(st.DegradedServed)
 	m.Counter("merrouted_failed_requests_total", "requests failed on shard errors").Int(st.FailedRequests)
-	m.Counter("merrouted_failovers_total", "scatters re-launched on another replica after a failure").Int(st.Failovers)
-	m.Counter("merrouted_hedges_total", "speculative second-replica launches").Int(st.Hedges)
-	m.Counter("merrouted_hedge_wins_total", "hedged launches that answered before the primary").Int(st.HedgeWins)
+	m.Counter("merrouted_failovers_total", "attempts started on another replica right after a failure").Int(st.Failovers)
+	m.Counter("merrouted_hedges_total", "attempts started early, beside a slow one").Int(st.Hedges)
+	m.Counter("merrouted_hedge_wins_total", "hedged attempts that answered first").Int(st.HedgeWins)
 	m.Gauge("merrouted_ready", "1 once the global target catalog is assembled").Bool(st.Ready)
 	m.Gauge("merrouted_draining", "1 while draining (healthz returns 503)").Bool(st.Draining)
 
@@ -56,8 +56,8 @@ func writeMetrics(w io.Writer, st client.RouterStats, front *service.Front[*gath
 		v          func(*client.ShardStatus) int64
 	}{
 		{"merrouted_shard_calls_total", "align RPC attempts issued to the shard", func(sh *client.ShardStatus) int64 { return sh.Calls }},
-		{"merrouted_shard_retries_total", "align RPC attempts beyond the first", func(sh *client.ShardStatus) int64 { return sh.Retries }},
-		{"merrouted_shard_errors_total", "align RPCs that exhausted their retries", func(sh *client.ShardStatus) int64 { return sh.Errors }},
+		{"merrouted_shard_retries_total", "align attempts beyond each shard RPC's first", func(sh *client.ShardStatus) int64 { return sh.Retries }},
+		{"merrouted_shard_errors_total", "failed align attempts", func(sh *client.ShardStatus) int64 { return sh.Errors }},
 	} {
 		m.Counter(c.name, c.help)
 		for i := range st.Shards {
@@ -85,8 +85,8 @@ func writeMetrics(w io.Writer, st client.RouterStats, front *service.Front[*gath
 			return 0
 		}},
 		{"merrouted_replica_calls_total", "align RPC attempts issued to the replica", true, func(rep *client.ReplicaStatus) int64 { return rep.Calls }},
-		{"merrouted_replica_errors_total", "replica align RPCs that exhausted their retries", true, func(rep *client.ReplicaStatus) int64 { return rep.Errors }},
-		{"merrouted_replica_inflight", "replica align RPCs in flight right now", false, func(rep *client.ReplicaStatus) int64 { return rep.Inflight }},
+		{"merrouted_replica_errors_total", "failed align attempts on the replica", true, func(rep *client.ReplicaStatus) int64 { return rep.Errors }},
+		{"merrouted_replica_inflight", "align attempts in flight on the replica", false, func(rep *client.ReplicaStatus) int64 { return rep.Inflight }},
 	} {
 		if g.counter {
 			m.Counter(g.name, g.help)

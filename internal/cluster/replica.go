@@ -1,12 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand/v2"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -24,15 +24,16 @@ import (
 //     healthiest breaker class (closed+up first, then closed, then
 //     half-open, then — as a last resort, so a fully-tripped shard can
 //     still recover through traffic — open);
-//   - per-replica circuit breakers: BreakerThreshold consecutive failures
-//     open a replica's breaker and take it out of selection; the /readyz
-//     prober walks it back (open → half-open → closed), so probes gate
-//     traffic instead of only feeding a gauge;
-//   - failover and hedging: each replica tried runs the whole retry
-//     ladder (Retry.MaxAttempts attempts with backoff between them, see
-//     replica.align); only when that ladder ends in failure does the RPC
-//     move to the next untried replica. Optionally (HedgeAfter) a slow
-//     replica is raced against a second one, first response winning and
+//   - per-replica circuit breakers: BreakerThreshold consecutive failed
+//     attempts open a replica's breaker and take it out of selection; the
+//     /readyz prober walks it back (open → half-open → closed), so probes
+//     gate traffic instead of only feeding a gauge;
+//   - one attempt ladder per shard RPC, across its replicas (alignSet):
+//     each rung goes to the best replica not yet tried in the pass, so a
+//     failure fails over at once; the ladder backs off only after every
+//     replica has failed in the pass, and Retry.MaxAttempts bounds the
+//     rungs of the whole RPC. Optionally (HedgeAfter) a slow rung has the
+//     next one start early on another replica, first response winning and
 //     the loser canceled.
 
 // Circuit breaker states of one replica. The wire spelling (ReplicaStatus
@@ -43,17 +44,8 @@ const (
 	breakerOpen                  // failing: out of selection until probes recover
 )
 
-// breakerStateName maps a breaker state to its wire spelling.
-func breakerStateName(s int32) string {
-	switch s {
-	case breakerHalfOpen:
-		return client.BreakerHalfOpen
-	case breakerOpen:
-		return client.BreakerOpen
-	default:
-		return client.BreakerClosed
-	}
-}
+// breakerNames maps a breaker state to its wire spelling.
+var breakerNames = [...]string{breakerClosed: client.BreakerClosed, breakerHalfOpen: client.BreakerHalfOpen, breakerOpen: client.BreakerOpen}
 
 // replica is one backend of one shard: its client, circuit breaker, and
 // live counters.
@@ -68,39 +60,10 @@ type replica struct {
 
 	up       atomic.Bool    // last readiness probe succeeded
 	calls    atomic.Int64   // RPC attempts issued
-	retries  atomic.Int64   // attempts beyond a call's first
-	errors   atomic.Int64   // calls that exhausted their retries
-	inflight atomic.Int64   // calls in flight
+	retries  atomic.Int64   // attempts that were not their shard RPC's first
+	errors   atomic.Int64   // failed attempts (canceled ones excluded)
+	inflight atomic.Int64   // attempts in flight
 	lat      telemetry.Hist // per-attempt wall time
-}
-
-// align runs one align RPC against the replica under the retry policy,
-// counting every attempt into the replica's and the owning set's
-// histograms.
-func (rep *replica) align(ctx context.Context, pol client.RetryPolicy, req client.AlignRequest, set *shardSet) (resp *client.AlignResponse, attempts int, err error) {
-	rep.inflight.Add(1)
-	defer rep.inflight.Add(-1)
-	err = pol.Do(ctx, func(actx context.Context) error {
-		attempts++
-		if attempts > 1 {
-			rep.retries.Add(1)
-		}
-		rep.calls.Add(1)
-		t0 := time.Now()
-		r, rerr := rep.cl.Align(actx, req)
-		ns := time.Since(t0).Nanoseconds()
-		rep.lat.Observe(ns)
-		set.lat.Observe(ns)
-		if rerr != nil {
-			return rerr
-		}
-		resp = r
-		return nil
-	})
-	if err != nil {
-		return nil, attempts, err
-	}
-	return resp, attempts, nil
 }
 
 // noteSuccess resets the failure streak and closes the breaker from any
@@ -113,7 +76,7 @@ func (rep *replica) noteSuccess(lg *slog.Logger) {
 	}
 }
 
-// noteFailure advances the breaker on one terminal RPC failure: threshold
+// noteFailure advances the breaker on one failed attempt: threshold
 // consecutive failures open it from closed, and any failure during the
 // half-open probation re-opens it. threshold <= 0 disables breakers.
 func (rep *replica) noteFailure(threshold int, lg *slog.Logger, cause error) {
@@ -183,41 +146,15 @@ func (rep *replica) class() int {
 	}
 }
 
-// status renders the replica's wire status.
-func (rep *replica) status() client.ReplicaStatus {
-	return client.ReplicaStatus{
-		Addr:      rep.addr,
-		State:     breakerStateName(rep.state.Load()),
-		Up:        rep.up.Load(),
-		Calls:     rep.calls.Load(),
-		Retries:   rep.retries.Load(),
-		Errors:    rep.errors.Load(),
-		Inflight:  rep.inflight.Load(),
-		CallP50Ms: rep.lat.Quantile(0.50) / 1e6,
-		CallP99Ms: rep.lat.Quantile(0.99) / 1e6,
-	}
-}
-
 // shardSet is one reference shard's replica set.
 type shardSet struct {
-	id       int
+	id int
+	// name is the replica addresses in the configured "a|b" spelling — the
+	// shard's name in errors, degraded annotations and metrics labels; a
+	// one-replica set's is its bare address, as an un-replicated fleet's.
+	name     string
 	replicas []*replica
 	lat      telemetry.Hist // per-attempt wall time across the whole set
-}
-
-// addrs renders the set's addresses in the configured "a|b" spelling — the
-// shard's name in errors, degraded annotations, and metrics labels. A
-// single-replica set renders as the bare address, preserving the
-// un-replicated fleet's output byte-for-byte.
-func (ss *shardSet) addrs() string {
-	if len(ss.replicas) == 1 {
-		return ss.replicas[0].addr
-	}
-	parts := make([]string, len(ss.replicas))
-	for i, rep := range ss.replicas {
-		parts[i] = rep.addr
-	}
-	return strings.Join(parts, "|")
 }
 
 // pick selects the replica for the next attempt: the best breaker class
@@ -300,13 +237,23 @@ func (ss *shardSet) catalog(ctx context.Context, pol client.RetryPolicy) (*clien
 func (ss *shardSet) status() client.ShardStatus {
 	st := client.ShardStatus{
 		ID:        ss.id,
-		Addr:      ss.addrs(),
+		Addr:      ss.name,
 		CallP50Ms: ss.lat.Quantile(0.50) / 1e6,
 		CallP99Ms: ss.lat.Quantile(0.99) / 1e6,
 	}
 	st.Replicas = make([]client.ReplicaStatus, len(ss.replicas))
 	for i, rep := range ss.replicas {
-		rs := rep.status()
+		rs := client.ReplicaStatus{
+			Addr:      rep.addr,
+			State:     breakerNames[rep.state.Load()],
+			Up:        rep.up.Load(),
+			Calls:     rep.calls.Load(),
+			Retries:   rep.retries.Load(),
+			Errors:    rep.errors.Load(),
+			Inflight:  rep.inflight.Load(),
+			CallP50Ms: rep.lat.Quantile(0.50) / 1e6,
+			CallP99Ms: rep.lat.Quantile(0.99) / 1e6,
+		}
 		st.Replicas[i] = rs
 		st.Calls += rs.Calls
 		st.Retries += rs.Retries
@@ -317,126 +264,166 @@ func (ss *shardSet) status() client.ShardStatus {
 	return st
 }
 
-// attemptResult is one replica attempt's outcome inside alignSet.
-type attemptResult struct {
-	rep   *replica
-	resp  *client.AlignResponse
-	call  rpcCall
-	err   error
-	hedge bool
+// rungFloor is the least remaining call deadline in which a ladder starts
+// a rung, or sleeps a backoff before one: less cannot answer in time.
+const rungFloor = 5 * time.Millisecond
+
+// errNoTime ends a ladder whose call deadline leaves no room for another
+// rung: the caller's budget is spent, not the shard.
+var errNoTime = fmt.Errorf("call deadline too close for another attempt: %w", context.DeadlineExceeded)
+
+// room is nil while ctx leaves d plus rungFloor before its deadline;
+// otherwise errNoTime, or ctx's own error once it is canceled.
+func room(ctx context.Context, d time.Duration) error {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d+rungFloor {
+		return errNoTime
+	}
+	return ctx.Err()
 }
 
-// alignSet runs one shard's RPC with failover and optional hedging: launch
-// an attempt on the best replica; on failure, fail over to the next
-// untried replica; after cfg.HedgeAfter with no answer (and budget left),
-// race a second replica. The first success wins and cancels the rest. The
-// returned calls list records every attempt for the request trace. An
-// error means every replica of the shard failed (or ctx died first).
+// rung is one attempt of a shard RPC's ladder: its answer and its rpc span.
+type rung struct {
+	resp *client.AlignResponse
+	call rpcCall
+}
+
+// alignSet runs one shard RPC's attempt ladder. A pass tries each replica
+// once, best first; after an all-failed pass the ladder backs off
+// (Retry.Backoff of the pass, honouring the pass's largest Retry-After)
+// unless the latest failure is not retryable, and the next pass starts on
+// another replica than the last to fail. The first success wins and
+// cancels the rest; calls records every rung that ended, for the trace.
 func (rt *Router) alignSet(ctx context.Context, ss *shardSet, req client.AlignRequest, wantReads int) (*client.AlignResponse, []rpcCall, error) {
-	results := make(chan attemptResult, len(ss.replicas))
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // a winner's losers, and rungs an error leaves running
+	pol := rt.cfg.Retry
+	maxRungs := cmp.Or(max(pol.MaxAttempts, 0), client.DefaultRetryPolicy().MaxAttempts)
+	ended := make(chan rung, maxRungs) // never blocks a rung the ladder left
 	tried := make(map[*replica]bool, len(ss.replicas))
-	var cancels []context.CancelFunc
-	cancelAll := func() {
-		for _, c := range cancels {
-			c()
-		}
-	}
-	defer cancelAll()
-
-	outstanding := 0
-	launch := func(hedge bool) bool {
-		rep := ss.pick(tried)
-		if rep == nil {
-			return false
-		}
+	var (
+		calls          []rpcCall
+		failures       []error
+		last           *replica      // replica of the latest failed rung
+		hint           time.Duration // largest Retry-After of the pass
+		retry          = true        // the latest failure allows a new pass
+		pass           = 1
+		rungs, running int
+		hedgeC         <-chan time.Time
+	)
+	start := func(rep *replica, hedged bool) {
 		tried[rep] = true
-		outstanding++
-		actx, cancel := context.WithCancel(ctx)
-		cancels = append(cancels, cancel)
-		go func() {
-			t0 := time.Now()
-			resp, attempts, err := rep.align(actx, rt.cfg.Retry, req, ss)
-			if err == nil && len(resp.Reads) != wantReads {
-				// A replica answering for a different batch shape is as
-				// lost as an unreachable one — its data cannot be trusted
-				// into a merge.
-				err = fmt.Errorf("protocol violation: %d results for %d reads", len(resp.Reads), wantReads)
-				resp = nil
-			}
-			if err == nil {
-				rep.noteSuccess(rt.Logger)
-			} else if actx.Err() == nil || !isCtxErr(err) {
-				// A canceled attempt (hedge loser, client gone) is not
-				// evidence against the replica; everything else is.
-				rep.errors.Add(1)
-				rep.noteFailure(rt.cfg.BreakerThreshold, rt.Logger, err)
-			}
-			results <- attemptResult{
-				rep:  rep,
-				resp: resp,
-				err:  err,
-				call: rpcCall{
-					shard: ss.id, replica: rep.idx, addr: rep.addr,
-					start: t0, dur: time.Since(t0), attempts: attempts, err: err, hedged: hedge,
-				},
-				hedge: hedge,
-			}
-		}()
-		return true
+		go func(i int) { ended <- rt.attempt(ctx, ss, rep, req, wantReads, i, hedged) }(rungs)
+		rungs++
+		running++
+		if rt.cfg.HedgeAfter > 0 && len(ss.replicas) > 1 {
+			hedgeC = time.After(rt.cfg.HedgeAfter)
+		}
 	}
-	launch(false)
-	rt.st.primaries.Add(1)
-
-	var hedgeC <-chan time.Time
-	if rt.cfg.HedgeAfter > 0 && len(ss.replicas) > 1 {
-		timer := time.NewTimer(rt.cfg.HedgeAfter)
-		defer timer.Stop()
-		hedgeC = timer.C
+	fail := func(err error) (*client.AlignResponse, []rpcCall, error) {
+		return nil, calls, errors.Join(append(failures, err)...)
 	}
-
-	var calls []rpcCall
-	var failures []error
-	for outstanding > 0 {
-		select {
-		case res := <-results:
-			outstanding--
-			calls = append(calls, res.call)
-			if res.err == nil {
-				if res.hedge {
-					rt.st.hedgeWins.Add(1)
+	for {
+		if running == 0 {
+			rep := ss.pick(tried)
+			switch {
+			case rungs == maxRungs, rep == nil && !retry:
+				return fail(nil)
+			case rep == nil: // every replica failed in this pass
+				d := pol.Backoff(pass, hint)
+				if err := room(ctx, d); err != nil {
+					return fail(err)
 				}
-				cancelAll() // losers see their ctx die and do not re-merge
-				return res.resp, calls, nil
-			}
-			failures = append(failures, fmt.Errorf("replica %d (%s): %w", res.rep.idx, res.rep.addr, res.err))
-			if outstanding == 0 && ctx.Err() == nil && launch(false) {
+				select {
+				case <-ctx.Done():
+					return fail(ctx.Err())
+				case <-time.After(d):
+				}
+				pass, hint = pass+1, 0
+				clear(tried)
+				tried[last] = len(ss.replicas) > 1
+				rep = ss.pick(tried)
+				delete(tried, last)
+			case rungs == 0:
+				rt.st.primaries.Add(1)
+			default: // another replica of the same pass
 				rt.st.failovers.Add(1)
 			}
+			if err := room(ctx, 0); err != nil {
+				return fail(err)
+			}
+			start(rep, false)
+		}
+		select {
+		case r := <-ended:
+			running--
+			calls = append(calls, r.call)
+			if r.call.err == nil {
+				if r.call.hedged {
+					rt.st.hedgeWins.Add(1)
+				}
+				return r.resp, calls, nil
+			}
+			failures = append(failures, fmt.Errorf("replica %d (%s): %w", r.call.replica, r.call.addr, r.call.err))
+			last = ss.replicas[r.call.replica]
+			if h, ok := client.RetryAfterHint(r.call.err); ok {
+				hint = max(hint, h)
+			}
+			retry = client.Retryable(ctx, r.call.err)
 		case <-hedgeC:
-			hedgeC = nil
-			if rt.hedgeAllowed() && launch(true) {
+			if running == 0 || rungs == maxRungs || room(ctx, 0) != nil || !rt.hedgeAllowed() {
+				break
+			}
+			if rep := ss.pick(tried); rep != nil {
 				rt.st.hedges.Add(1)
+				start(rep, true)
 			}
 		case <-ctx.Done():
-			cancelAll()
-			// Outstanding attempts resolve into the buffered channel and
-			// their goroutines exit; nothing leaks.
-			return nil, calls, ctx.Err()
+			return fail(ctx.Err())
 		}
 	}
-	return nil, calls, errors.Join(failures...)
+}
+
+// attempt runs rung idx of a shard RPC on rep: one align call under the
+// attempt timeout, counted into the replica's and the set's counters. A
+// failed rung charges the replica's breaker and errors; a canceled one (a
+// hedge loser, a caller that left) is no evidence against it.
+func (rt *Router) attempt(ctx context.Context, ss *shardSet, rep *replica, req client.AlignRequest, wantReads, idx int, hedged bool) rung {
+	rep.inflight.Add(1)
+	defer rep.inflight.Add(-1)
+	rep.calls.Add(1)
+	if idx > 0 {
+		rep.retries.Add(1)
+	}
+	actx, cancel := context.WithTimeout(ctx, rt.cfg.Retry.AttemptTimeout)
+	defer cancel()
+	t0 := time.Now()
+	resp, err := rep.cl.Align(actx, req)
+	dur := time.Since(t0)
+	rep.lat.Observe(dur.Nanoseconds())
+	ss.lat.Observe(dur.Nanoseconds())
+	if err == nil && len(resp.Reads) != wantReads {
+		// A replica answering for a different batch shape is as lost as an
+		// unreachable one — its data cannot be trusted into a merge.
+		err = fmt.Errorf("protocol violation: %d results for %d reads", len(resp.Reads), wantReads)
+		resp = nil
+	}
+	switch {
+	case err == nil:
+		rep.noteSuccess(rt.Logger)
+	case ctx.Err() == nil || !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
+		rep.errors.Add(1)
+		rep.noteFailure(rt.cfg.BreakerThreshold, rt.Logger, err)
+	}
+	return rung{resp: resp, call: rpcCall{
+		shard: ss.id, replica: rep.idx, addr: rep.addr,
+		start: t0, dur: dur, rung: idx, err: err, hedged: hedged,
+	}}
 }
 
 // hedgeAllowed enforces the hedging budget: hedges may be at most ~10% of
-// primary attempts, plus a small burst so a cold router can still hedge.
+// shard RPCs, plus a small burst so a cold router can still hedge.
 // An unbounded hedge rate would double fleet load exactly when the fleet
 // is slow — the moment it can least afford it.
 func (rt *Router) hedgeAllowed() bool {
 	return rt.st.hedges.Load() < rt.st.primaries.Load()/10+8
-}
-
-// isCtxErr reports whether err is a context cancellation/expiry
-// (possibly wrapped by the HTTP transport).
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -190,8 +190,9 @@ func uncleanDrain(t *testing.T, shard *proc) {
 // callTimeout holds merrouted to -call-timeout and -retries: over one shard
 // that now answers 1 s late, a router with -call-timeout 200ms -retries 1
 // fails a request with 502 within 500 ms. A router ignoring -call-timeout
-// answers 200 after the second; one ignoring -retries makes its default 3
-// attempts and answers 502 after about 0.75 s.
+// answers 200 after the second; one ignoring -retries, the attempts per
+// shard RPC across its replicas, makes its default 3 attempts and answers
+// 502 after about 0.75 s.
 func callTimeout(t *testing.T, shard *proc) {
 	slow, err := faultinject.New(strings.TrimPrefix(shard.URL, "http://"), 2)
 	if err != nil {

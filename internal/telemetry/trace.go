@@ -164,8 +164,8 @@ type Span struct {
 	Shard       string `json:"shard,omitempty"`        // shard ID, RPC spans only
 	Replica     string `json:"replica,omitempty"`      // replica index within the shard, RPC spans only
 	Addr        string `json:"addr,omitempty"`         // shard address, RPC spans only
-	Retries     int    `json:"retries,omitempty"`      // RPC attempts beyond the first
-	Hedged      bool   `json:"hedged,omitempty"`       // this RPC was a speculative hedge launch
+	Retries     int    `json:"retries,omitempty"`      // attempts before this one in its RPC
+	Hedged      bool   `json:"hedged,omitempty"`       // this attempt started early, as a hedge
 	Requests    int    `json:"requests,omitempty"`     // member requests in a coalesced call
 	Reads       int    `json:"reads,omitempty"`        // reads carried by this stage
 	SWCalls     int64  `json:"sw_calls,omitempty"`     // Smith-Waterman invocations (engine spans)
