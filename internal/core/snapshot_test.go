@@ -455,3 +455,27 @@ func TestLegacyMetaStillLoads(t *testing.T) {
 		t.Fatalf("legacy snapshot serves %d alignments, fresh index %d (or they differ)", len(got.Alignments), len(want.Alignments))
 	}
 }
+
+// BenchmarkLoadIndex times one cold open of a snapshot — map, section CRCs,
+// seed-table validation, fragment table — over the 1 Mbp synthetic
+// reference of BenchmarkBuildIndex at k = 31, with 2 workers.
+func BenchmarkLoadIndex(b *testing.B) {
+	const workers = 2
+	ix, err := BuildIndex(workers, DefaultIndexOptions(31), syntheticContigs(11, 8, 125_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "index.merx")
+	if err := ix.Save(path); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loaded, err := LoadIndex(workers, path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		loaded.Close()
+	}
+}

@@ -39,8 +39,11 @@ func fuzzSeedBlob(f *testing.F) []byte {
 // FuzzOpenMapped: arbitrary DHTS-section bytes must either parse into a
 // servable table or fail with an error — never panic, never index out of
 // bounds, and never hand back a table whose read paths can walk outside the
-// blob. Input alignment is a documented precondition (merx maps sections
-// 64-byte aligned), so the harness re-aligns the fuzzer's bytes first.
+// blob — and OpenMapped must agree with the serial walk it replaced
+// (openMappedSerial): the same verdict, the same error text, and on a
+// table both accept the same Stats and ResidentBytes. Input alignment is a
+// documented precondition (merx maps sections 64-byte aligned), so the
+// harness re-aligns the fuzzer's bytes first.
 func FuzzOpenMapped(f *testing.F) {
 	seed := fuzzSeedBlob(f)
 	f.Add(seed)
@@ -55,7 +58,7 @@ func FuzzOpenMapped(f *testing.F) {
 		f.Add(mut)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := OpenMapped(alignedCopy(data))
+		m, err := openBoth(t, "fuzz input", data)
 		if err != nil {
 			return
 		}

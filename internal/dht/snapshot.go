@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"github.com/lbl-repro/meraligner/internal/kmer"
@@ -214,7 +217,9 @@ func (c *countWriter) padTo(off int64) error {
 // and single-copy flags alias blob directly, so blob must stay valid (and
 // unmodified — it is typically a read-only mmap) for the index's lifetime.
 // Every offset and length is bounds-checked before the aliasing views are
-// taken; a damaged blob yields an error, never a panic. Checksum
+// taken; a damaged blob yields an error, never a panic. The shards are
+// validated on up to GOMAXPROCS goroutines (eachShard, openShard), and the
+// error names the fault a walk in shard and slot order meets first. Checksum
 // verification is the container's job (package merx) — by the time a .merx
 // section reaches OpenMapped its bytes are already validated, so failures
 // here mean format drift rather than bit rot.
@@ -257,87 +262,191 @@ func OpenMapped(blob []byte) (*Sharded, error) {
 		singleCopy:   singleCopy,
 		numFragments: int(numFragments),
 	}
-	for i := 0; i < shards; i++ {
-		e := dirBytes[i*snapDirEntry:]
-		shift := uint(binary.LittleEndian.Uint32(e[0:]))
-		slotsLen := int64(binary.LittleEndian.Uint64(e[8:]))
-		slotsOff := int64(binary.LittleEndian.Uint64(e[16:]))
-		locsLen := int64(binary.LittleEndian.Uint64(e[24:]))
-		locsOff := int64(binary.LittleEndian.Uint64(e[32:]))
-		hiOff := int64(binary.LittleEndian.Uint64(e[40:]))
-		if slotsLen <= 0 || slotsLen&(slotsLen-1) != 0 {
-			return nil, fmt.Errorf("dht: snapshot shard %d: slot count %d is not a power of two", i, slotsLen)
-		}
-		if want := uint(64 - bits.Len64(uint64(slotsLen)-1)); shift != want {
-			return nil, fmt.Errorf("dht: snapshot shard %d: shift %d does not match %d slots", i, shift, slotsLen)
-		}
-		slots, err := viewAt[flatSlot](blob, slotsOff, int(slotsLen))
-		if err != nil {
-			return nil, fmt.Errorf("dht: snapshot shard %d slots: %w", i, err)
-		}
-		locs, err := viewAt[Loc](blob, locsOff, int(locsLen))
-		if err != nil {
-			return nil, fmt.Errorf("dht: snapshot shard %d locations: %w", i, err)
-		}
-		var hi []uint64
-		if k > 32 {
-			if hi, err = viewAt[uint64](blob, hiOff, int(slotsLen)); err != nil {
-				return nil, fmt.Errorf("dht: snapshot shard %d seed Hi words: %w", i, err)
-			}
-		} else if hiOff != 0 {
-			return nil, fmt.Errorf("dht: snapshot shard %d: seed Hi words at %d for K = %d", i, hiOff, k)
-		}
-		// Every slot's fragment, list and count word must stay inside this
-		// shard's arena so sealed lookups can decode them unchecked — and
-		// at least one slot must be empty, because lookup's linear probe
-		// terminates only on an empty slot or a seed match (newFlatShard
-		// guarantees load <= 0.75; a crafted full table would make lookups of
-		// absent seeds spin forever). The same scan tallies the shard's Stats
-		// share, as newFlatShard does for a built shard.
-		var st shardStats
-		for j := range slots {
-			a, b := int64(slots[j].a), slots[j].b
-			switch {
-			case b == 0:
-				continue
-			case b&slotOne != 0:
-				if a >= numFragments {
-					return nil, fmt.Errorf("dht: snapshot shard %d slot %d: fragment %d outside 0..%d", i, j, a, numFragments-1)
-				}
-				st.add(1, 1)
-			default:
-				n, start := int64(b>>2), a
-				if b&slotCounted != 0 {
-					start++ // past the count word
-				}
-				if n == 0 || start+n > locsLen {
-					return nil, fmt.Errorf("dht: snapshot shard %d slot %d: list of %d at %d outside arena of %d", i, j, n, start, locsLen)
-				}
-				count := int32(n)
-				if start > a {
-					if count = locs[a].Off; int64(count) < n {
-						return nil, fmt.Errorf("dht: snapshot shard %d slot %d: count word %d below the list's %d locations", i, j, count, n)
-					}
-				}
-				st.add(int(n), count)
-			}
-		}
-		if int64(st.seeds) == slotsLen {
-			return nil, fmt.Errorf("dht: snapshot shard %d: table has no empty slot (%d of %d occupied)", i, st.seeds, slotsLen)
-		}
-		// Fragment IDs feed array indexing downstream (SingleCopy, the
-		// aligner's fragment->target resolution), so a crafted arena must
-		// not smuggle one past the open-time check. A count word's fragment
-		// field is zero, so the same check covers it.
-		for j := range locs {
-			if f := int64(locs[j].Frag); f < 0 || f >= numFragments {
-				return nil, fmt.Errorf("dht: snapshot shard %d location %d: fragment %d outside 0..%d", i, j, locs[j].Frag, numFragments-1)
-			}
-		}
-		sx.flat[i] = flatShard{shift: shift, slots: slots, hi: hi, locs: locs, st: st}
+	if err := eachShard(shards, func(i int) error { return sx.openShard(blob, dirBytes[i*snapDirEntry:], i) }); err != nil {
+		return nil, err
 	}
 	sx.sealed.Store(true)
 	return sx, nil
+}
+
+// eachShard runs open(i) for every shard i on min(GOMAXPROCS, shards)
+// goroutines, each claiming the next unclaimed shard, and returns the error of
+// the lowest-indexed shard that failed: the one a walk in shard order reports
+// first, whatever the schedule.
+func eachShard(shards int, open func(i int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), shards)
+	errs := make([]error, shards)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= shards {
+					return
+				}
+				errs[i] = open(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// openShard checks shard i's directory entry e, takes the views of its
+// arrays in blob, validates them and installs the shard in sx.flat[i].
+func (sx *Sharded) openShard(blob, e []byte, i int) error {
+	shift := uint(binary.LittleEndian.Uint32(e[0:]))
+	slotsLen := int64(binary.LittleEndian.Uint64(e[8:]))
+	slotsOff := int64(binary.LittleEndian.Uint64(e[16:]))
+	locsLen := int64(binary.LittleEndian.Uint64(e[24:]))
+	locsOff := int64(binary.LittleEndian.Uint64(e[32:]))
+	hiOff := int64(binary.LittleEndian.Uint64(e[40:]))
+	if slotsLen <= 0 || slotsLen&(slotsLen-1) != 0 {
+		return fmt.Errorf("dht: snapshot shard %d: slot count %d is not a power of two", i, slotsLen)
+	}
+	if want := uint(64 - bits.Len64(uint64(slotsLen)-1)); shift != want {
+		return fmt.Errorf("dht: snapshot shard %d: shift %d does not match %d slots", i, shift, slotsLen)
+	}
+	slots, err := viewAt[flatSlot](blob, slotsOff, int(slotsLen))
+	if err != nil {
+		return fmt.Errorf("dht: snapshot shard %d slots: %w", i, err)
+	}
+	locs, err := viewAt[Loc](blob, locsOff, int(locsLen))
+	if err != nil {
+		return fmt.Errorf("dht: snapshot shard %d locations: %w", i, err)
+	}
+	var hi []uint64
+	if k := sx.cfg.K; k > 32 {
+		if hi, err = viewAt[uint64](blob, hiOff, int(slotsLen)); err != nil {
+			return fmt.Errorf("dht: snapshot shard %d seed Hi words: %w", i, err)
+		}
+	} else if hiOff != 0 {
+		return fmt.Errorf("dht: snapshot shard %d: seed Hi words at %d for K = %d", i, hiOff, k)
+	}
+	numFragments := int64(sx.numFragments)
+	st, ok := scanShard(slots, locs, numFragments)
+	if !ok {
+		// Some check failed: the exact walk names the first fault.
+		if st, err = checkShard(i, slots, locs, numFragments); err != nil {
+			return err
+		}
+	}
+	sx.flat[i] = flatShard{shift: shift, slots: slots, hi: hi, locs: locs, st: st}
+	return nil
+}
+
+// scanShard makes checkShard's checks on one shard and tallies its Stats
+// share, as fast as the slots stream from memory: it only reports whether
+// every check passed, so checkShard re-walks a shard it refuses to name the
+// fault. Most slots are empty or hold one location, and a per-slot branch on
+// their form mispredicts on a table about half full; so an inline slot is
+// counted as b&slotOne and its fragment bound folded into bad, without a
+// branch, and only a list slot — the one b whose lowest set bit is above
+// bit 0, MarkShard's test, and rare, so the branch predicts — is checked
+// and tallied in place. The inline slots' tallies are added in bulk.
+func scanShard(slots []flatSlot, locs []Loc, numFragments int64) (shardStats, bool) {
+	var st shardStats
+	nf, arena := uint64(numFragments), uint64(len(locs))
+	var inline, bad uint64
+	for j := range slots {
+		a, b := slots[j].a, slots[j].b
+		one := uint64(b & slotOne)
+		inline += one
+		_, inRange := bits.Sub64(uint64(a), nf, 0) // 1 when a < numFragments
+		bad |= one &^ inRange
+		if b&-b < 2 {
+			continue
+		}
+		n, start := uint64(b>>2), uint64(a)+uint64(b&slotCounted>>1)
+		if n == 0 || start+n > arena {
+			return st, false
+		}
+		count := int32(n)
+		if b&slotCounted != 0 {
+			if count = locs[a].Off; int64(count) < int64(n) {
+				return st, false
+			}
+		}
+		st.add(int(n), count)
+	}
+	if bad != 0 {
+		return st, false
+	}
+	if inline > 0 {
+		st.seeds += int(inline)
+		st.locs += int(inline)
+		st.maxList = max(st.maxList, 1)
+	}
+	if st.seeds == len(slots) {
+		return st, false
+	}
+	for j := range locs {
+		if uint64(int64(locs[j].Frag)) >= nf {
+			return st, false
+		}
+	}
+	return st, true
+}
+
+// checkShard validates one shard's slots and arena and tallies its Stats
+// share, slot by slot, and names the first fault it meets. Every slot's
+// fragment, list and count word must stay inside the shard's arena so sealed
+// lookups can decode them unchecked — and at least one slot must be empty,
+// because lookup's linear probe terminates only on an empty slot or a seed
+// match (newFlatShard guarantees load <= 0.75; a crafted full table would make
+// lookups of absent seeds spin forever). The tally is the one newFlatShard
+// takes of a built shard.
+func checkShard(i int, slots []flatSlot, locs []Loc, numFragments int64) (shardStats, error) {
+	var st shardStats
+	locsLen := int64(len(locs))
+	for j := range slots {
+		a, b := int64(slots[j].a), slots[j].b
+		switch {
+		case b == 0:
+			continue
+		case b&slotOne != 0:
+			if a >= numFragments {
+				return st, fmt.Errorf("dht: snapshot shard %d slot %d: fragment %d outside 0..%d", i, j, a, numFragments-1)
+			}
+			st.add(1, 1)
+		default:
+			n, start := int64(b>>2), a
+			if b&slotCounted != 0 {
+				start++ // past the count word
+			}
+			if n == 0 || start+n > locsLen {
+				return st, fmt.Errorf("dht: snapshot shard %d slot %d: list of %d at %d outside arena of %d", i, j, n, start, locsLen)
+			}
+			count := int32(n)
+			if start > a {
+				if count = locs[a].Off; int64(count) < n {
+					return st, fmt.Errorf("dht: snapshot shard %d slot %d: count word %d below the list's %d locations", i, j, count, n)
+				}
+			}
+			st.add(int(n), count)
+		}
+	}
+	if len(slots) == st.seeds {
+		return st, fmt.Errorf("dht: snapshot shard %d: table has no empty slot (%d of %d occupied)", i, st.seeds, len(slots))
+	}
+	// Fragment IDs feed array indexing downstream (SingleCopy, the aligner's
+	// fragment->target resolution), so a crafted arena must not smuggle one
+	// past the open-time check. A count word's fragment field is zero, so
+	// the same check covers it.
+	for j := range locs {
+		if f := int64(locs[j].Frag); f < 0 || f >= numFragments {
+			return st, fmt.Errorf("dht: snapshot shard %d location %d: fragment %d outside 0..%d", i, j, locs[j].Frag, numFragments-1)
+		}
+	}
+	return st, nil
 }
 
 // sliceAt bounds-checks blob[off:off+n].
